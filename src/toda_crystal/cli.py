@@ -199,16 +199,28 @@ def _sort_key(line: dict) -> tuple:
     return (line["check"], json.dumps(line["params"], sort_keys=True))
 
 
+def _worker_count(n_tasks: int) -> int:
+    """TODA_CRYSTAL_THREADS clamped to the CPU count and the number of tasks;
+    a clamp is reported on stderr."""
+    threads = os.environ.get("TODA_CRYSTAL_THREADS", "")
+    if not threads:
+        return 1
+    try:
+        requested = max(1, int(threads))
+    except ValueError:
+        raise UsageError(f"TODA_CRYSTAL_THREADS must be an integer, got {threads!r}")
+    cpus = os.cpu_count() or 1
+    workers = min(requested, cpus, max(1, n_tasks))
+    if workers < requested:
+        print(f"TODA_CRYSTAL_THREADS={requested} clamped to {workers} "
+              f"({cpus} CPUs, {n_tasks} tasks)", file=sys.stderr)
+    return workers
+
+
 def cmd_verify(cfg: RunConfig, suite: str) -> int:
     tasks = _task_list(suite, cfg)
-    threads = os.environ.get("TODA_CRYSTAL_THREADS", "")
-    workers = 1
-    if threads:
-        try:
-            workers = max(1, int(threads))
-        except ValueError:
-            raise UsageError(f"TODA_CRYSTAL_THREADS must be an integer, got {threads!r}")
-    if workers > 1 and len(tasks) > 1:
+    workers = _worker_count(len(tasks))
+    if workers > 1:
         import multiprocessing
 
         with multiprocessing.Pool(workers) as pool:

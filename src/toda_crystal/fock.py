@@ -611,6 +611,20 @@ def transfer_weights(p: Fraction, N: int, alternating: bool) -> dict[int, Fracti
     return out
 
 
+@lru_cache(maxsize=None)
+def _generator(coeffs: tuple[Fraction, ...], direction: str,
+               config: SectorConfig) -> SectorOperator:
+    """sum_k c_k J_{+k} (lowering) or sum_k c_k J_{-k} (raising) with
+    c_k = coeffs[k - 1]."""
+    sgn = -1 if direction == "raising" else 1
+    gen = SectorOperator(config, get_basis(config.N), {}, BANDED0)
+    for k, c in enumerate(coeffs, start=1):
+        if c:
+            gen = gen + j_op(sgn * k, config).scale(c)
+    shift = RAISING if direction == "raising" else LOWERING
+    return SectorOperator(config, gen.basis, gen.rows, shift)
+
+
 def vertex_op(coeffs: Mapping[int, Fraction], direction: str,
               config: SectorConfig) -> SectorOperator:
     """exp(sum_k c_k J_{+k}) (lowering) or exp(sum_k c_k J_{-k}) (raising),
@@ -622,26 +636,22 @@ def vertex_op(coeffs: Mapping[int, Fraction], direction: str,
     missing = [k for k in range(1, config.N + 1) if k not in coeffs]
     if missing:
         raise ValueError(f"missing transfer coefficients for k = {missing}")
-    sgn = -1 if direction == "raising" else 1
-    gen = None
-    for k in range(1, config.N + 1):
-        c = coeffs[k]
-        if not c:
-            continue
-        term = j_op(sgn * k, config).scale(c)
-        gen = term if gen is None else gen + term
-    shift = RAISING if direction == "raising" else LOWERING
-    acc = SectorOperator.identity(config)
-    if gen is None:
-        return SectorOperator(config, acc.basis, acc.rows, shift)
-    gen = SectorOperator(config, gen.basis, gen.rows, shift)
-    term = SectorOperator.identity(config)
+    gen = _generator(tuple(coeffs[k] for k in range(1, config.N + 1)), direction, config)
+    acc = term = SectorOperator.identity(config)
     for n in range(1, config.N + 1):
         term = term.matmul(gen).scale(Fraction(1, n))
         if not term.rows:
             break
         acc = acc + term
-    return SectorOperator(config, acc.basis, acc.rows, shift)
+    return SectorOperator(config, acc.basis, acc.rows, gen.shift)
+
+
+def _transfer_generator(p: Fraction, N: int, family: str, direction: str):
+    """The exponent of a transfer exponential; shares the cache entry of
+    the vertex_op call made by transfer_operator."""
+    coeffs = transfer_weights(p, N, alternating=(family == "alternating"))
+    return _generator(tuple(coeffs[k] for k in range(1, N + 1)), direction,
+                      SectorConfig(0, N, p))
 
 
 @lru_cache(maxsize=None)
@@ -660,6 +670,51 @@ def transfer_pair(p: Fraction, N: int, family: str) -> SectorOperator:
     gm = transfer_operator(p, N, family, "raising")
     gp = transfer_operator(p, N, family, "lowering")
     return gm.matmul(gp)
+
+
+def _exp_series(vec: Mapping[int, object], step: Callable) -> dict[int, object]:
+    """sum_n step^n(vec) / n! for a nilpotent linear step on sparse vectors."""
+    acc = dict(vec)
+    term = acc
+    n = 0
+    while term:
+        n += 1
+        inv = Fraction(1, n)
+        term = {i: v * inv for i, v in step(term).items()}
+        for i, v in term.items():
+            acc[i] = acc[i] + v if i in acc else v
+    return {i: v for i, v in acc.items() if not _is_zero(v)}
+
+
+def _below(vec: Mapping[int, object], cap: int) -> dict[int, object]:
+    """The components of weight <= cap; the graded basis order puts them first."""
+    limit = len(get_basis(cap))
+    return {i: v for i, v in vec.items() if i < limit}
+
+
+def transfer_pair_row(vec: Mapping[int, object], p: Fraction, N: int, family: str,
+                      cap: int) -> dict[int, object]:
+    """vec . G_- G_+ on the weights <= cap, without materialising the pair.
+
+    On a row G_- lowers weights, so it runs on the whole window. G_+ raises
+    them: a component of weight <= cap only ever draws on components of
+    lower weight, so G_+ runs in the sector cut at cap, whose basis is a
+    prefix of this one. The result equals vec . transfer_pair(p, N, family)
+    on the weights <= cap."""
+    gm = _transfer_generator(p, N, family, "raising")
+    gp = _transfer_generator(p, cap, family, "lowering")
+    v = _exp_series(vec, lambda t: apply_row(t, gm))
+    return _exp_series(_below(v, cap), lambda t: apply_row(t, gp))
+
+
+def transfer_pair_col(vec: Mapping[int, object], p: Fraction, N: int, family: str,
+                      cap: int) -> dict[int, object]:
+    """G_- G_+ . vec on the weights <= cap: on a column G_+ lowers weights and
+    runs on the whole window, and G_- raises them and runs cut at cap."""
+    gp = _transfer_generator(p, N, family, "lowering")
+    gm = _transfer_generator(p, cap, family, "raising")
+    v = _exp_series(vec, lambda t: apply_col(gp, t))
+    return _exp_series(_below(v, cap), lambda t: apply_col(gm, t))
 
 
 def with_config(op: SectorOperator, config: SectorConfig) -> SectorOperator:

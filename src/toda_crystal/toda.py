@@ -4,11 +4,19 @@ The central object is a Q-graded operator g = A . Q^{L0} . B with A and B
 built from transfer exponentials and diagonal p^{W0} dressings. Tau series
 are ground-state expectation values of g between time-evolution
 exponentials; their coefficients are assembled grade by grade, so every
-retained coefficient is a finite exact sum. Certification is by
-construction here: A and B entries only need intermediates bounded by
-min(row, col) weight, the graded projector pins the middle energy at
-n <= NQ, and the time exponentials contribute energies at most K*D, which
-the cutoff must dominate.
+retained coefficient is a finite exact sum.
+
+Certification is by construction here. A tau series needs only the
+C(K+D, D) time vectors <s| prod J_k^{a_k} A and B prod J_{-k}^{b_k} |s>,
+paired at weights n <= NQ, so A and B are never materialised: each vector
+is pushed through the dressings and the terminating exponential series of
+the transfer factors one factor at a time. The factor that raises weights
+(G_+ on a row, G"_- on a column) runs in the sector cut at NQ, which is
+exact: a component of weight <= NQ only draws on intermediates of lower
+weight. The time exponentials contribute energies at most K*D, which the
+cutoff must dominate. Only the intertwining check builds the dense graded
+blocks A . Pi_n . B, whose entries need intermediates bounded by
+min(row, col) weight.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ from .fock import (
     j_op,
     transfer_operator,
     transfer_pair,
+    transfer_pair_col,
+    transfer_pair_row,
     with_config,
     w0_diag,
 )
@@ -68,6 +78,8 @@ class CalibrationError(RuntimeError):
 
 @lru_cache(maxsize=None)
 def _j_matrix(k: int, N: int) -> SectorOperator:
+    """J_k for the time vectors only. Its config pins p = 1/2, so operator
+    products in a sector use j_op(k, config) instead."""
     return j_op(k, SectorConfig(0, N, Fraction(1, 2)))
 
 
@@ -118,23 +130,83 @@ class TauSeries:
     series: TruncatedSeries
 
 
-class GradedOperator:
-    """A . Q^{L0} . B on a fixed sector, held as the graded family
-    g_n = A . Pi_n . B with <lam| g |mu> = sum_n Q^{n + s(s+1)/2} (g_n)_{lam,mu}."""
+_RIGHT_W0_SIGN = {"plain": +1, "alternating": -1}
 
-    def __init__(self, params: ModelParams, A: SectorOperator, B: SectorOperator):
+
+class GradedOperator:
+    """g = A . Q^{L0} . B on a fixed sector, with A = q^{W0/2} G_-G_+ q^{l W0/2}
+    and B = G"_-G"_+ q^{+-W0/2}. The right pair uses the given transfer family,
+    'plain' with q^{+W0/2} or 'alternating' with q^{-W0/2}; identity_transfers
+    replaces both pairs by the identity.
+
+    row(vec) is vec . A and col(vec) is B . vec, pushed through the factors one
+    at a time and kept on the weights <= NQ, the only ones a graded pairing
+    reads. The cut is exact: the dressings keep weights, and the transfer
+    factor that raises weights (G_+ on a row, G"_- on a column) runs in the
+    sector cut at NQ, since no intermediate of a kept component lies above
+    that component's weight.
+
+    block(n) is the matrix of g_n = A . Pi_n . B, with
+    <lam| g |mu> = sum_n Q^{n + s(s+1)/2} (g_n)_{lam,mu}. Only it builds the
+    dense A and B, on first use."""
+
+    def __init__(self, params: ModelParams, family: str, identity_transfers: bool = False):
+        if family not in _RIGHT_W0_SIGN:
+            raise ValueError(f"unknown transfer family {family!r}")
         self.params = params
         self.config = params.config
-        self.A = A
-        self.B = B
+        self.family = family
+        self.identity_transfers = identity_transfers
         self.basis = get_basis(self.config.N)
+        self._w0 = w0_diag(self.config)
+        self._limit = self.basis.weight_range[params.ctx.NQ].stop
+        self._dense: tuple[SectorOperator, SectorOperator] | None = None
         self._blocks: dict[int, dict[int, dict[int, Fraction]]] = {}
         self._a_cols: dict[int, dict[int, Fraction]] | None = None
+
+    def _scaled(self, vec, c: int) -> dict[int, Fraction]:
+        """vec times the diagonal p^{c W0}."""
+        p, w0 = self.config.p, self._w0
+        return {i: v * p ** (c * w0[i]) for i, v in vec.items()}
+
+    def _cut(self, vec) -> dict[int, Fraction]:
+        return {i: v for i, v in vec.items() if i < self._limit}
+
+    def row(self, vec) -> dict[int, Fraction]:
+        """vec . A on the weights <= NQ."""
+        cfg = self.config
+        v = self._scaled(vec, 1)
+        if not self.identity_transfers:
+            v = transfer_pair_row(v, cfg.p, cfg.N, "plain", self.params.ctx.NQ)
+        return self._scaled(self._cut(v), cfg.l)
+
+    def col(self, vec) -> dict[int, Fraction]:
+        """B . vec on the weights <= NQ."""
+        cfg = self.config
+        v = self._scaled(vec, _RIGHT_W0_SIGN[self.family])
+        if not self.identity_transfers:
+            v = transfer_pair_col(v, cfg.p, cfg.N, self.family, self.params.ctx.NQ)
+        return self._cut(v)
+
+    def _dense_pair(self) -> tuple[SectorOperator, SectorOperator]:
+        if self._dense is None:
+            cfg = self.config
+            p, N, l, w0 = cfg.p, cfg.N, cfg.l, self._w0
+            if self.identity_transfers:
+                left = right = SectorOperator.identity(cfg)
+            else:
+                left = with_config(transfer_pair(p, N, "plain"), cfg)
+                right = with_config(transfer_pair(p, N, self.family), cfg)
+            sign = _RIGHT_W0_SIGN[self.family]
+            A = left.scale_rows(lambda i: p ** w0[i]).scale_cols(lambda j: p ** (l * w0[j]))
+            B = right.scale_cols(lambda j: p ** (sign * w0[j]))
+            self._dense = (A, B)
+        return self._dense
 
     def _columns_of_a(self):
         if self._a_cols is None:
             cols: dict[int, dict[int, Fraction]] = {}
-            for i, row in self.A.rows.items():
+            for i, row in self._dense_pair()[0].rows.items():
                 for j, v in row.items():
                     cols.setdefault(j, {})[i] = v
             self._a_cols = cols
@@ -146,10 +218,11 @@ class GradedOperator:
             if not 0 <= n <= self.config.N:
                 raise ValueError(f"grade {n} outside the cutoff")
             acols = self._columns_of_a()
+            brows = self._dense_pair()[1].rows
             out: dict[int, dict[int, Fraction]] = {}
             for nu in self.basis.weight_range[n]:
                 acol = acols.get(nu)
-                brow = self.B.rows.get(nu)
+                brow = brows.get(nu)
                 if not acol or not brow:
                     continue
                 for lam, av in acol.items():
@@ -169,62 +242,42 @@ class GradedOperator:
 
     def vacuum_q_series(self) -> TruncatedSeries:
         """<s| g |s> as a pure Q series in the output context."""
-        ctx = self.params.out_ctx
-        c_s = charge_offset(self.config.s)
-        coeffs = {}
-        a_row = self.A.rows.get(0, {})
-        for n in range(self.params.ctx.NQ + 1):
-            total = Fraction(0)
-            for nu in self.basis.weight_range[n]:
-                av = a_row.get(nu)
-                if av is None:
-                    continue
-                bv = self.B.rows.get(nu, {}).get(0)
-                if bv is None:
-                    continue
-                total += av * bv
-            if total:
-                key = [0] * ctx.nvars
-                key[0] = n + c_s
-                coeffs[tuple(key)] = total
-        return TruncatedSeries(ctx, coeffs)
-
-
-def _graded_operator(params: ModelParams, right_family: str, right_w0_sign: int,
-                     identity_transfers: bool = False) -> GradedOperator:
-    cfg = params.config
-    p, N, l = cfg.p, cfg.N, cfg.l
-    w0 = w0_diag(cfg)
-    if identity_transfers:
-        left = SectorOperator.identity(cfg)
-        right = SectorOperator.identity(cfg)
-    else:
-        left = with_config(transfer_pair(p, N, "plain"), cfg)
-        right = with_config(transfer_pair(p, N, right_family), cfg)
-    A = left.scale_rows(lambda i: p ** w0[i]).scale_cols(lambda j: p ** (l * w0[j]))
-    B = right.scale_cols(lambda j: p ** (right_w0_sign * w0[j]))
-    return GradedOperator(params, A, B)
+        zero = (0,) * self.params.ctx.K
+        vac = {0: Fraction(1)}
+        return _assemble(self.params, {zero: self.row(vac)}, {zero: self.col(vac)},
+                         hat_sign=+1)
 
 
 def build_gprime(params: ModelParams, identity_transfers: bool = False) -> GradedOperator:
     """g' = q^{W0/2} G_-G_+ q^{l W0/2} Q^{L0} G"_-G"_+ q^{-W0/2} with the
     alternating transfer family on the right."""
-    return _graded_operator(params, "alternating", -1, identity_transfers)
+    return GradedOperator(params, "alternating", identity_transfers)
 
 
 def build_g(params: ModelParams, identity_transfers: bool = False) -> GradedOperator:
     """g = q^{W0/2} G_-G_+ q^{l W0/2} Q^{L0} G_-G_+ q^{+W0/2}."""
-    return _graded_operator(params, "plain", +1, identity_transfers)
+    return GradedOperator(params, "plain", identity_transfers)
 
 
 # ---------------------------------------------------------------------------
 # Tau series
 
+def _graded_pairing(u, w, weights, NQ: int) -> list[tuple[int, Fraction]]:
+    """The nonzero <u, w>_n = sum_{|nu| = n} u_nu w_nu for n <= NQ, by grade."""
+    totals: dict[int, Fraction] = {}
+    for i, uv in u.items():
+        wv = w.get(i)
+        if wv is None or weights[i] > NQ:
+            continue
+        n = weights[i]
+        totals[n] = totals[n] + uv * wv if n in totals else uv * wv
+    return [(n, totals[n]) for n in sorted(totals) if totals[n]]
+
+
 def _assemble(params: ModelParams, us, ws, hat_sign: int) -> TruncatedSeries:
     """Coefficient table sum_{a,b,n} Q^{n+c_s} t^a th^b (sgn^{|b|}/a!b!) <u_a, w_b>_n."""
-    ctx = params.out_ctx
-    K, D, NQ = params.ctx.K, params.ctx.D, params.ctx.NQ
-    b_obj = get_basis(params.N)
+    D, NQ = params.ctx.D, params.ctx.NQ
+    weights = get_basis(params.N).weights
     c_s = charge_offset(params.s)
     coeffs = {}
     for a, u in us.items():
@@ -236,38 +289,44 @@ def _assemble(params: ModelParams, us, ws, hat_sign: int) -> TruncatedSeries:
             norm = na * _norm(bb)
             if hat_sign < 0 and sum(bb) % 2:
                 norm = -norm
-            for n in range(NQ + 1):
-                total = Fraction(0)
-                for i in b_obj.weight_range[n]:
-                    uv = u.get(i)
-                    if uv is None:
-                        continue
-                    wv = w.get(i)
-                    if wv is None:
-                        continue
-                    total += uv * wv
-                if total:
-                    key = (n + c_s,) + a + bb
-                    coeffs[key] = total * norm
-    return TruncatedSeries(ctx, coeffs)
+            for n, total in _graded_pairing(u, w, weights, NQ):
+                coeffs[(n + c_s,) + a + bb] = total * norm
+    return TruncatedSeries(params.out_ctx, coeffs)
 
 
 def _u_vectors(g: GradedOperator):
     params = g.params
     rows = _time_rows(params.N, params.ctx.K, params.ctx.D)
-    return {a: apply_row(r, g.A) for a, r in rows.items()}
+    return {a: g.row(r) for a, r in rows.items()}
 
 
 def _w_vectors(g: GradedOperator):
     params = g.params
     cols = _time_cols(params.N, params.ctx.K, params.ctx.D)
-    return {b: apply_col(g.B, c) for b, c in cols.items()}
+    return {b: g.col(c) for b, c in cols.items()}
+
+
+@lru_cache(maxsize=None)
+def _memo_vectors(params: ModelParams, family: str):
+    """u and w vectors of the graded operator with the given right family,
+    memoised per model point so that the checks on one (s, l) share them.
+    Only the vectors are kept, never the operator."""
+    g = GradedOperator(params, family)
+    return _u_vectors(g), _w_vectors(g)
+
+
+def _time_vectors(params: ModelParams, family: str, graded: GradedOperator | None):
+    """The memoised u and w vectors, or those of a given operator, which are
+    not memoised."""
+    if graded is None:
+        return _memo_vectors(params, family)
+    return _u_vectors(graded), _w_vectors(graded)
 
 
 def tau_prime_series(params: ModelParams, graded: GradedOperator | None = None) -> TauSeries:
     """tau'(s, t, th) = <s| exp(sum t_k J_k) g' exp(-sum th_k J_{-k}) |s>."""
-    g = graded if graded is not None else build_gprime(params)
-    return TauSeries(params.s, _assemble(params, _u_vectors(g), _w_vectors(g), hat_sign=-1))
+    us, ws = _time_vectors(params, "alternating", graded)
+    return TauSeries(params.s, _assemble(params, us, ws, hat_sign=-1))
 
 
 def tau_prev_series(params: ModelParams, form: str = "left",
@@ -275,51 +334,34 @@ def tau_prev_series(params: ModelParams, form: str = "left",
     """Previous-model tau in one of four presentations: time flows on the
     'left', split 'symmetric', on the 'right', or in the genuine two-family
     'reduced_2d' form <s| e^{sum t J} g e^{-sum th J_-} |s>."""
-    g = graded if graded is not None else build_g(params)
+    if form not in ("left", "right", "reduced_2d", "symmetric"):
+        raise ValueError(f"unknown form {form!r}")
+    us, ws = _time_vectors(params, "plain", graded)
     zero = (0,) * params.ctx.K
     if form == "left":
-        us = _u_vectors(g)
-        ws = {zero: apply_col(g.B, {0: Fraction(1)})}
-        return TauSeries(params.s, _assemble(params, us, ws, hat_sign=+1))
+        return TauSeries(params.s, _assemble(params, us, {zero: ws[zero]}, hat_sign=+1))
     if form == "right":
-        us = {zero: apply_row({0: Fraction(1)}, g.A)}
-        ws = _w_vectors(g)
-        series = _assemble(params, us, ws, hat_sign=+1)
+        series = _assemble(params, {zero: us[zero]}, ws, hat_sign=+1)
         return TauSeries(params.s, _hatted_to_plain(series))
     if form == "reduced_2d":
-        return TauSeries(params.s, _assemble(params, _u_vectors(g), _w_vectors(g), hat_sign=-1))
-    if form == "symmetric":
-        us = _u_vectors(g)
-        ws = _w_vectors(g)
-        ctx = params.out_ctx
-        K, D, NQ = params.ctx.K, params.ctx.D, params.ctx.NQ
-        b_obj = get_basis(params.N)
-        c_s = charge_offset(params.s)
-        coeffs: dict[tuple[int, ...], Fraction] = {}
-        for a, u in us.items():
-            na = _norm(a)
-            for bb, w in ws.items():
-                tot_deg = sum(a) + sum(bb)
-                if tot_deg > D:
-                    continue
-                cvec = tuple(x + y for x, y in zip(a, bb))
-                norm = na * _norm(bb) * Fraction(1, 2 ** tot_deg)
-                for n in range(NQ + 1):
-                    total = Fraction(0)
-                    for i in b_obj.weight_range[n]:
-                        uv = u.get(i)
-                        if uv is None:
-                            continue
-                        wv = w.get(i)
-                        if wv is None:
-                            continue
-                        total += uv * wv
-                    if total:
-                        key = (n + c_s,) + cvec + zero
-                        coeffs[key] = coeffs.get(key, Fraction(0)) + total * norm
-        coeffs = {k: v for k, v in coeffs.items() if v}
-        return TauSeries(params.s, TruncatedSeries(ctx, coeffs))
-    raise ValueError(f"unknown form {form!r}")
+        return TauSeries(params.s, _assemble(params, us, ws, hat_sign=-1))
+    D, NQ = params.ctx.D, params.ctx.NQ
+    weights = get_basis(params.N).weights
+    c_s = charge_offset(params.s)
+    coeffs: dict[tuple[int, ...], Fraction] = {}
+    for a, u in us.items():
+        na = _norm(a)
+        for bb, w in ws.items():
+            tot_deg = sum(a) + sum(bb)
+            if tot_deg > D:
+                continue
+            cvec = tuple(x + y for x, y in zip(a, bb))
+            norm = na * _norm(bb) * Fraction(1, 2 ** tot_deg)
+            for n, total in _graded_pairing(u, w, weights, NQ):
+                key = (n + c_s,) + cvec + zero
+                coeffs[key] = coeffs.get(key, Fraction(0)) + total * norm
+    coeffs = {k: v for k, v in coeffs.items() if v}
+    return TauSeries(params.s, TruncatedSeries(params.out_ctx, coeffs))
 
 
 def _hatted_to_plain(series: TruncatedSeries) -> TruncatedSeries:
@@ -431,10 +473,9 @@ def verify_prev_identity(params: ModelParams) -> CheckReport:
 
 def check_prev_forms(params: ModelParams) -> CheckReport:
     """The three one-family presentations of the previous-model tau agree."""
-    g = build_g(params)
-    left = tau_prev_series(params, "left", g).series
-    sym = tau_prev_series(params, "symmetric", g).series
-    right = tau_prev_series(params, "right", g).series
+    left = tau_prev_series(params, "left").series
+    sym = tau_prev_series(params, "symmetric").series
+    right = tau_prev_series(params, "right").series
     rep = _series_report("prev_tau_forms", _params_dict(params), left, sym,
                          {"compared": "left vs symmetric"})
     if rep.status != PASS:
@@ -447,9 +488,8 @@ def check_prev_forms(params: ModelParams) -> CheckReport:
 
 def check_prev_reduction(params: ModelParams) -> CheckReport:
     """The two-family form depends on the times only through t - th."""
-    g = build_g(params)
-    two = tau_prev_series(params, "reduced_2d", g).series
-    left = tau_prev_series(params, "left", g).series
+    two = tau_prev_series(params, "reduced_2d").series
+    left = tau_prev_series(params, "left").series
     reduced = substitute_difference(left)
     return _series_report("prev_tau_reduction", _params_dict(params), two, reduced)
 
@@ -494,8 +534,8 @@ def intertwining_residual(which: str, k: int, params: ModelParams) -> CheckRepor
     N = cfg.N
     g = build_g(params) if which == "g_true" else build_gprime(params)
     right_k = -k if which == "g_true" else k
-    jl = with_config(_j_matrix(k, N), cfg)
-    jr = with_config(_j_matrix(right_k, N), cfg)
+    jl = j_op(k, cfg)
+    jr = j_op(right_k, cfg)
     b = get_basis(N)
 
     def certified(wl, wm):
@@ -539,8 +579,7 @@ def intertwining_residual(which: str, k: int, params: ModelParams) -> CheckRepor
 def trivial_tau_compare(params: ModelParams) -> CheckReport:
     """tau' against exp(sum_k k t_k th_k) <s|g'|s>; the negative result holds
     when the two differ in at least one retained coefficient."""
-    g = build_gprime(params)
-    tau = tau_prime_series(params, g).series
+    tau = tau_prime_series(params).series
     ctx = params.out_ctx
     bilin = TruncatedSeries.zero(ctx)
     for k in range(1, params.ctx.K + 1):
@@ -548,7 +587,7 @@ def trivial_tau_compare(params: ModelParams) -> CheckReport:
         key[ctx.var_index(f"t{k}")] = 1
         key[ctx.var_index(f"th{k}")] = 1
         bilin = bilin + TruncatedSeries(ctx, {tuple(key): Fraction(k)})
-    rhs = series_exp(bilin) * g.vacuum_q_series()
+    rhs = series_exp(bilin) * build_gprime(params).vacuum_q_series()
     diff = first_difference(tau, rhs)
     report = CheckReport("trivial_tau", _params_dict(params),
                          PASS if diff is not None else FAIL)

@@ -1,8 +1,9 @@
 """Independent reference computations used to pin expected test values.
 
-Nothing here imports from the package internals beyond the Partition type;
-each oracle recomputes its target through a different formula than the
-implementation under test.
+Each oracle recomputes its target through a different formula or route than
+the implementation under test. The closed-form oracles use nothing of the
+package beyond the Partition type; DenseGraded keeps the dense route to the
+tau vectors that the package replaced with its matrix-free one.
 """
 
 from __future__ import annotations
@@ -11,6 +12,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from toda_crystal import Partition
+from toda_crystal.fock import (
+    SectorOperator,
+    apply_col,
+    apply_row,
+    transfer_pair,
+    w0_diag,
+    with_config,
+)
+from toda_crystal.toda import GradedOperator
 
 
 @lru_cache(maxsize=None)
@@ -90,3 +100,31 @@ def schur_jacobi_trudi(mu: Partition, p: Fraction) -> Fraction:
     mat = [[h_principal(mu.parts[i] - (i + 1) + (j + 1), p) for j in range(ell)]
            for i in range(ell)]
     return exact_det(mat)
+
+
+class DenseGraded(GradedOperator):
+    """A graded operator whose row and column actions multiply by the
+    materialised A = p^{W0} G_-G_+ p^{l W0} and B = G"_-G"_+ p^{+-W0}, with the
+    dense transfer pairs from fock.transfer_pair. The vectors keep every
+    weight up to the cutoff; the graded pairing reads the weights <= NQ."""
+
+    def __init__(self, params, family: str, identity_transfers: bool = False):
+        super().__init__(params, family, identity_transfers)
+        cfg = params.config
+        p, N, l = cfg.p, cfg.N, cfg.l
+        w0 = w0_diag(cfg)
+        sign = {"plain": 1, "alternating": -1}[family]
+        if identity_transfers:
+            left = right = SectorOperator.identity(cfg)
+        else:
+            left = with_config(transfer_pair(p, N, "plain"), cfg)
+            right = with_config(transfer_pair(p, N, family), cfg)
+        self.dense_A = left.scale_rows(lambda i: p ** w0[i]).scale_cols(
+            lambda j: p ** (l * w0[j]))
+        self.dense_B = right.scale_cols(lambda j: p ** (sign * w0[j]))
+
+    def row(self, vec):
+        return apply_row(vec, self.dense_A)
+
+    def col(self, vec):
+        return apply_col(self.dense_B, vec)

@@ -141,3 +141,43 @@ def test_console_entry_point():
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["series"]["coefficients"]["Q^1"] == "4/9"
+
+
+@pytest.mark.parametrize("suite", ["prev-identity", "toeplitz"])
+def test_verify_intertwining_suites_at_p_one_third(suite, tmp_path):
+    code, _ = run_cli(["verify", suite, "--K", "2", "--D", "3", "--p", "1/3",
+                       "--out", str(tmp_path / "r.jsonl")])
+    assert code == 0
+
+
+@pytest.mark.parametrize("requested,cpus,pools,clamped", [
+    ("64", 4, [2], True),   # clamped to the two tasks
+    ("3", 1, [], True),     # clamped to one CPU: no pool at all
+    ("2", 4, [2], False),
+])
+def test_thread_count_is_clamped(monkeypatch, capsys, tmp_path, requested, cpus, pools,
+                                 clamped):
+    import multiprocessing
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, size):
+            sizes.append(size)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    monkeypatch.setenv("TODA_CRYSTAL_THREADS", requested)
+    code = main(["verify", "toeplitz", *SMALL, "--out", str(tmp_path / "r.jsonl")])
+    assert code == 0
+    assert sizes == pools
+    assert ("clamped" in capsys.readouterr().err) == clamped

@@ -34,6 +34,8 @@ from toda_crystal.algebra import linear_form, series_exp, series_from_json_dict
 from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS
 from toda_crystal.toda import TauSeries, _j_matrix
 
+from oracles import DenseGraded
+
 P = Fraction(1, 2)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -274,3 +276,47 @@ def test_main_identity_stable_under_cutoff_growth():
     lhs_small = verify_main_identity(pr)
     lhs_big = verify_main_identity(pr.with_cutoff(pr.N + 2))
     assert lhs_small.status == lhs_big.status == PASS
+
+
+# Shapes for the matrix-free route: N = NQ, and N = 9 above NQ = 2 so that
+# the cut at NQ is active.
+VECTOR_SHAPES = [dict(s=0, l=1, K=2, D=2, NQ=4), dict(s=-1, l=1, K=3, D=3, NQ=2)]
+TAU_PREV_FORMS = ("left", "symmetric", "right", "reduced_2d")
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(2, 3)])
+@pytest.mark.parametrize("shape", VECTOR_SHAPES)
+def test_matrix_free_tau_matches_dense_route(shape, p):
+    pr = params(p=p, **shape)
+    dense_gprime = DenseGraded(pr, "alternating")
+    dense_g = DenseGraded(pr, "plain")
+    assert tau_prime_series(pr).series == tau_prime_series(pr, dense_gprime).series
+    for form in TAU_PREV_FORMS:
+        assert tau_prev_series(pr, form).series == \
+            tau_prev_series(pr, form, dense_g).series
+    assert build_gprime(pr).vacuum_q_series() == dense_gprime.vacuum_q_series()
+    assert build_g(pr).vacuum_q_series() == dense_g.vacuum_q_series()
+
+
+def test_matrix_free_identity_transfers_match_dense_route():
+    pr = params(s=1, l=1, K=2, D=2, NQ=3)
+    for family, build in (("alternating", build_gprime), ("plain", build_g)):
+        ours = build(pr, identity_transfers=True)
+        dense = DenseGraded(pr, family, identity_transfers=True)
+        assert tau_prime_series(pr, ours).series == tau_prime_series(pr, dense).series
+        assert ours.vacuum_q_series() == dense.vacuum_q_series()
+
+
+def test_all_tau_forms_stable_under_cutoff_growth():
+    pr = params(p=Fraction(2, 3), **VECTOR_SHAPES[1])
+    big = pr.with_cutoff(pr.N + 2)
+    assert tau_prime_series(pr).series == tau_prime_series(big).series
+    for form in TAU_PREV_FORMS:
+        assert tau_prev_series(pr, form).series == tau_prev_series(big, form).series
+
+
+def test_intertwining_at_p_other_than_half():
+    pr = params(p=Fraction(2, 3), K=2, D=2, NQ=3)
+    for k in (1, 2):
+        assert intertwining_residual("g_true", k, pr).status == PASS
+    assert intertwining_residual("gprime_fake", 1, pr).status == PASS
