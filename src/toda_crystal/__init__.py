@@ -1,34 +1,8 @@
 """Exact-arithmetic toolkit for melting-crystal partition functions,
 quantum-torus shift symmetries, and 2D Toda tau functions."""
 
-from .algebra import (
-    Scalar,
-    SeriesContext,
-    TruncatedSeries,
-    first_difference,
-    qpow,
-    series_exp,
-    series_from_json_dict,
-    series_partial,
-)
-from .fock import (
-    ExactnessCertificate,
-    FockState,
-    Overflow,
-    SectorConfig,
-    SectorOperator,
-    apply_bilinear,
-    basis,
-    bilinear_diagonal,
-    diag_op,
-    dump_entries,
-    j_op,
-    op_product,
-    transfer_operator,
-    transfer_pair,
-    v_op,
-    vertex_op,
-)
+from .algebra import SeriesContext, TruncatedSeries, series_exp, series_partial
+from .fock import SectorConfig, j_op, op_product, transfer_operator, v_op, vertex_op
 from .models import (
     ModelParams,
     charge_offset,
@@ -39,17 +13,9 @@ from .models import (
     w0_eigenvalue,
     z_series,
     zprime_series,
-    zprime_special,
 )
-from .partitions import (
-    Partition,
-    conjugate,
-    enumerate_partitions,
-    hook_multiset,
-    weight_kappa,
-)
+from .partitions import Partition, enumerate_partitions
 from .symmetries import (
-    CheckReport,
     commutator_check,
     first_shift_check,
     second_shift_check,
@@ -57,8 +23,6 @@ from .symmetries import (
 )
 from .toda import (
     CalibrationError,
-    GradedOperator,
-    TauSeries,
     build_g,
     build_gprime,
     calibrate_bilinear_sign,

@@ -14,18 +14,9 @@ are still complete.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
-
-Scalar = Fraction
-
-
-def qpow(p: Fraction, half_exponent: int) -> Fraction:
-    """p**half_exponent, i.e. q**(half_exponent/2)."""
-    return p ** half_exponent
-
+from typing import Mapping
 
 def parse_rational(text: str) -> Fraction:
     return Fraction(text)
@@ -353,23 +344,6 @@ def substitute_difference(f: TruncatedSeries) -> TruncatedSeries:
                 term = term * (tk - thk) ** a
         out = out + term
     return out
-
-
-def merge_hatted_into_t(f: TruncatedSeries) -> TruncatedSeries:
-    """Substitute th_k -> t_k."""
-    ctx = f.ctx
-    out: dict[tuple[int, ...], Fraction] = {}
-    for key, val in f.coeffs.items():
-        nk = [key[0]]
-        nk += [key[k] + key[ctx.K + k] for k in range(1, ctx.K + 1)]
-        nk += [0] * ctx.K
-        nk = tuple(nk)
-        new = out.get(nk, Fraction(0)) + val
-        if new:
-            out[nk] = new
-        else:
-            del out[nk]
-    return TruncatedSeries(ctx, out)
 
 
 def first_difference(f: TruncatedSeries, g: TruncatedSeries):

@@ -15,19 +15,19 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 from . import toda
 from .algebra import SeriesContext, parse_rational
 from .fock import SectorConfig
-from .models import ModelParams, z_series, zprime_series, zprime_special
+from .models import ModelParams, z_series, zprime_series
 from .symmetries import (
+    CheckReport,
     commutator_check,
     first_shift_check,
     second_shift_check,
 )
 
-SUITES = ("commutators", "shift", "main-identity", "prev-identity",
-          "toda-bilinear", "toeplitz", "all")
 TARGETS = ("zprime", "z", "tau-prime", "tau-prev", "zprime-special")
 
 
@@ -86,108 +86,103 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # verify
 
+class CheckKind(NamedTuple):
+    """One kind of report line: the suite that runs it, its parameter points
+    for a run configuration, and the runner of one task."""
+
+    suite: str
+    grid: Callable[[RunConfig], list[dict]]
+    run: Callable[[dict], CheckReport]
+
+
+def _sector(task: dict) -> SectorConfig:
+    return SectorConfig(task["s"], task["N"], parse_rational(task["p"]))
+
+
+def _model(task: dict) -> ModelParams:
+    return ModelParams(task["s"], task["l"], parse_rational(task["p"]),
+                       SeriesContext(task["K"], task["D"], task["NQ"]), task["N"])
+
+
+def _s_l(cfg: RunConfig) -> list[dict]:
+    return [{"s": s, "l": l} for s in cfg.s_list for l in cfg.l_list]
+
+
+def _centers(cfg: RunConfig) -> list[dict]:
+    # the charge family is built from the charge-0 model point
+    return [{"s": 0, "l": l, "centers": list(cfg.s_list)} for l in cfg.l_list]
+
+
+def _bilinear(build_family, family: str) -> Callable[[dict], CheckReport]:
+    """Runner of the lowest Toda equation on the charges around the centers."""
+    def run(task: dict) -> CheckReport:
+        centers = task["centers"]
+        charges = range(min(centers) - 1, max(centers) + 2)
+        rep = toda.toda_bilinear_residual(build_family(_model(task), charges))
+        rep.params["l"] = task["l"]
+        rep.params["family"] = family
+        return rep
+    return run
+
+
+CHECKS: dict[str, CheckKind] = {
+    "commutator": CheckKind(
+        "commutators",
+        lambda cfg: [{"s": s, "k": k, "l": l, "m": m, "n": n} for s in cfg.s_list
+                     for k in range(-2, 3) for l in range(-2, 3)
+                     for m in range(-3, 4) for n in range(-3, 4)],
+        lambda t: commutator_check(t["k"], t["m"], t["l"], t["n"], _sector(t))),
+    "first_shift": CheckKind(
+        "shift",
+        lambda cfg: [{"s": s, "variant": variant, "k": k, "m": m} for s in cfg.s_list
+                     for variant in ("G", "Gprime") for k in (1, 2) for m in range(-2, 3)],
+        lambda t: first_shift_check(t["variant"], t["k"], t["m"], _sector(t))),
+    "second_shift": CheckKind(
+        "shift",
+        lambda cfg: [{"s": s, "k": k, "m": m} for s in cfg.s_list
+                     for k in range(-2, 3) for m in range(-2, 3)],
+        lambda t: second_shift_check(t["k"], t["m"], _sector(t))),
+    "ground_action": CheckKind(
+        "main-identity",
+        lambda cfg: [{"s": s} for s in cfg.s_list],
+        lambda t: toda.ground_action_constants(t["s"], parse_rational(t["p"]), t["N"])),
+    "main_identity": CheckKind(
+        "main-identity", _s_l, lambda t: toda.verify_main_identity(_model(t))),
+    "prev_identity": CheckKind(
+        "prev-identity", _s_l, lambda t: toda.verify_prev_identity(_model(t))),
+    "prev_forms": CheckKind(
+        "prev-identity", _s_l, lambda t: toda.check_prev_forms(_model(t))),
+    "prev_reduction": CheckKind(
+        "prev-identity", _s_l, lambda t: toda.check_prev_reduction(_model(t))),
+    "intertwining_true": CheckKind(
+        "prev-identity",
+        lambda cfg: [{"s": s, "l": l, "k": k} for s in cfg.s_list for l in cfg.l_list
+                     for k in (1, 2) if k <= cfg.K],
+        lambda t: toda.intertwining_residual("g_true", t["k"], _model(t))),
+    "bilinear_tau_prime": CheckKind(
+        "toda-bilinear", _centers, _bilinear(toda.tau_prime_family, "tau_prime")),
+    "bilinear_zprime": CheckKind(
+        "toda-bilinear", _centers, _bilinear(toda.zprime_family, "zprime")),
+    "toeplitz_fake": CheckKind(
+        "toeplitz",
+        lambda cfg: [{"s": s, "l": l, "k": 1} for s in cfg.s_list for l in cfg.l_list],
+        lambda t: toda.intertwining_residual("gprime_fake", t["k"], _model(t))),
+    "trivial_tau": CheckKind(
+        "toeplitz", _s_l, lambda t: toda.trivial_tau_compare(_model(t))),
+}
+SUITES = (*dict.fromkeys(kind.suite for kind in CHECKS.values()), "all")
+
+
 def _task_list(suite: str, cfg: RunConfig) -> list[dict]:
-    tasks: list[dict] = []
     base = {"p": str(cfg.p), "K": cfg.K, "D": cfg.D, "NQ": cfg.NQ, "N": cfg.derived_N()}
-    if suite in ("commutators", "all"):
-        for s in cfg.s_list:
-            for k in range(-2, 3):
-                for l in range(-2, 3):
-                    for m in range(-3, 4):
-                        for n in range(-3, 4):
-                            tasks.append({**base, "kind": "commutator", "s": s,
-                                          "k": k, "l": l, "m": m, "n": n})
-    if suite in ("shift", "all"):
-        for s in cfg.s_list:
-            for variant in ("G", "Gprime"):
-                for k in (1, 2):
-                    for m in range(-2, 3):
-                        tasks.append({**base, "kind": "first_shift", "s": s,
-                                      "variant": variant, "k": k, "m": m})
-            for k in range(-2, 3):
-                for m in range(-2, 3):
-                    tasks.append({**base, "kind": "second_shift", "s": s, "k": k, "m": m})
-    if suite in ("main-identity", "all"):
-        for s in cfg.s_list:
-            tasks.append({**base, "kind": "ground_action", "s": s})
-            for l in cfg.l_list:
-                tasks.append({**base, "kind": "main_identity", "s": s, "l": l})
-    if suite in ("prev-identity", "all"):
-        for s in cfg.s_list:
-            for l in cfg.l_list:
-                tasks.append({**base, "kind": "prev_identity", "s": s, "l": l})
-                tasks.append({**base, "kind": "prev_forms", "s": s, "l": l})
-                tasks.append({**base, "kind": "prev_reduction", "s": s, "l": l})
-                for k in (1, 2):
-                    if k <= cfg.K:
-                        tasks.append({**base, "kind": "intertwining_true",
-                                      "s": s, "l": l, "k": k})
-    if suite in ("toda-bilinear", "all"):
-        for l in cfg.l_list:
-            tasks.append({**base, "kind": "bilinear_tau_prime", "l": l,
-                          "centers": list(cfg.s_list)})
-            tasks.append({**base, "kind": "bilinear_zprime", "l": l,
-                          "centers": list(cfg.s_list)})
-    if suite in ("toeplitz", "all"):
-        for s in cfg.s_list:
-            for l in cfg.l_list:
-                tasks.append({**base, "kind": "toeplitz_fake", "s": s, "l": l, "k": 1})
-                tasks.append({**base, "kind": "trivial_tau", "s": s, "l": l})
-    return tasks
+    return [{**base, "kind": name, **point} for name, kind in CHECKS.items()
+            if suite in (kind.suite, "all") for point in kind.grid(cfg)]
 
 
 def _run_task(task: dict) -> dict:
     t0 = time.monotonic()
-    kind = task["kind"]
-    p = parse_rational(task["p"])
-    ctx = SeriesContext(task["K"], task["D"], task["NQ"])
-    N = task["N"]
-
-    def mp(s, l):
-        return ModelParams(s, l, p, ctx, N)
-
     try:
-        if kind == "commutator":
-            cfg = SectorConfig(task["s"], N, p)
-            rep = commutator_check(task["k"], task["m"], task["l"], task["n"], cfg)
-        elif kind == "first_shift":
-            cfg = SectorConfig(task["s"], N, p)
-            rep = first_shift_check(task["variant"], task["k"], task["m"], cfg)
-        elif kind == "second_shift":
-            cfg = SectorConfig(task["s"], N, p)
-            rep = second_shift_check(task["k"], task["m"], cfg)
-        elif kind == "ground_action":
-            rep = toda.ground_action_constants(task["s"], p, N)
-        elif kind == "main_identity":
-            rep = toda.verify_main_identity(mp(task["s"], task["l"]))
-        elif kind == "prev_identity":
-            rep = toda.verify_prev_identity(mp(task["s"], task["l"]))
-        elif kind == "prev_forms":
-            rep = toda.check_prev_forms(mp(task["s"], task["l"]))
-        elif kind == "prev_reduction":
-            rep = toda.check_prev_reduction(mp(task["s"], task["l"]))
-        elif kind == "intertwining_true":
-            rep = toda.intertwining_residual("g_true", task["k"], mp(task["s"], task["l"]))
-        elif kind == "toeplitz_fake":
-            rep = toda.intertwining_residual("gprime_fake", task["k"], mp(task["s"], task["l"]))
-        elif kind == "trivial_tau":
-            rep = toda.trivial_tau_compare(mp(task["s"], task["l"]))
-        elif kind == "bilinear_tau_prime":
-            centers = task["centers"]
-            charges = range(min(centers) - 1, max(centers) + 2)
-            fam = toda.tau_prime_family(mp(0, task["l"]), charges)
-            rep = toda.toda_bilinear_residual(fam)
-            rep.params["l"] = task["l"]
-            rep.params["family"] = "tau_prime"
-        elif kind == "bilinear_zprime":
-            centers = task["centers"]
-            charges = range(min(centers) - 1, max(centers) + 2)
-            fam = toda.zprime_family(mp(0, task["l"]), charges)
-            rep = toda.toda_bilinear_residual(fam)
-            rep.params["l"] = task["l"]
-            rep.params["family"] = "zprime"
-        else:
-            raise ValueError(f"unknown task kind {kind!r}")
+        rep = CHECKS[task["kind"]].run(task)
     except toda.CalibrationError as exc:
         raise SystemExit(f"bilinear calibration failed: {exc}")
     line = rep.to_json_dict()
@@ -251,7 +246,8 @@ def cmd_compute(cfg: RunConfig, target: str) -> int:
     elif target == "z":
         series = z_series(cfg.params(s, l))
     elif target == "zprime-special":
-        series = zprime_special(l, cfg.p, cfg.NQ)
+        # s = 0 with the couplings off
+        series = zprime_series(ModelParams(0, l, cfg.p, SeriesContext(1, 0, cfg.NQ)))
     elif target == "tau-prime":
         series = toda.tau_prime_series(cfg.params(s, l)).series
     elif target == "tau-prev":

@@ -9,18 +9,20 @@ the partitions of weight <= N.
 
 Truncation is certified instead of bounded: a product entry is trusted
 only when the split rule proves every intermediate state fits under the
-cutoff. Uncertified entries are flagged, never silently used.
+cutoff. The rule depends on the row and column weights alone, so a check
+asks certified_window once for its mask, an (N+1) x (N+1) table over weight
+pairs filled once per pair, and reads every entry against it. Entries
+outside the mask are never used.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
-from .algebra import SeriesContext, TruncatedSeries, format_rational
 from .partitions import Partition, enumerate_partitions
 
 INF = math.inf
@@ -42,28 +44,6 @@ class SectorConfig:
             raise ValueError("cutoff N must be nonnegative")
         if not (0 < self.p < 1):
             raise ValueError("p must satisfy 0 < p < 1")
-
-
-@dataclass(frozen=True)
-class FockState:
-    charge: int
-    shape: Partition
-
-    @property
-    def weight(self) -> int:
-        return self.shape.weight
-
-
-@dataclass(frozen=True)
-class Overflow:
-    """A bilinear move whose image leaves the truncated sector."""
-
-    charge: int
-    shape: Partition
-
-    @property
-    def weight(self) -> int:
-        return self.shape.weight
 
 
 class Basis:
@@ -89,17 +69,10 @@ class Basis:
     def __len__(self):
         return len(self.parts)
 
-    def states(self, s: int) -> list[FockState]:
-        return [FockState(s, mu) for mu in self.parts]
-
 
 @lru_cache(maxsize=None)
 def get_basis(cutoff: int) -> Basis:
     return Basis(cutoff)
-
-
-def basis(config: SectorConfig) -> list[FockState]:
-    return get_basis(config.N).states(config.s)
 
 
 # ---------------------------------------------------------------------------
@@ -171,32 +144,6 @@ def _move_sources(parts: tuple[int, ...], s: int, m: int) -> list[int]:
     cands = _levels(parts, s)
     cands.extend(range(tail_top, tail_top - abs(m) - 1, -1))
     return cands
-
-
-def apply_bilinear(a: int, b: int, state: FockState, normal_ordered: bool = True,
-                   cutoff: int | None = None):
-    """Action of psi_a psi*_b (normal ordered against the charge-0 vacuum
-    when requested) on a basis state.
-
-    Returns None for zero, (coeff, FockState) otherwise, or an Overflow
-    marker when a cutoff is supplied and the image escapes it.
-    """
-    parts, s = state.shape.parts, state.charge
-    x_rm, x_add = b, -a
-    if a + b == 0:
-        occ = 1 if occupied(parts, s, x_rm) else 0
-        coeff = occ - (1 if normal_ordered and b <= 0 else 0)
-        if coeff == 0:
-            return None
-        return (coeff, state)
-    res = move_particle(parts, s, x_rm, x_add)
-    if res is None:
-        return None
-    sign, new_parts = res
-    new_shape = Partition(new_parts)
-    if cutoff is not None and new_shape.weight > cutoff:
-        return Overflow(s, new_shape)
-    return (sign, FockState(s, new_shape))
 
 
 def maya_diag_sum(parts: tuple[int, ...], s: int, f: Callable[[int], object]):
@@ -308,25 +255,34 @@ class ExactnessCertificate:
         right = self._right_bounds(col_weight)
         return all(min(lb, rb) <= self.cutoff for lb, rb in zip(left, right))
 
-    def certified_pair_count(self, basis_obj: Basis) -> int:
-        sizes = {n: len(basis_obj.weight_range[n]) for n in range(basis_obj.cutoff + 1)}
-        total = 0
-        for w1, c1 in sizes.items():
-            for w2, c2 in sizes.items():
-                if self.certified(w1, w2):
-                    total += c1 * c2
-        return total
+
+@lru_cache(maxsize=None)
+def certified_window(N: int, certs: tuple[ExactnessCertificate, ...] = (),
+                     band: int | None = None) -> tuple[tuple[tuple[bool, ...], ...], int]:
+    """The mask of weight pairs a check trusts and the window size.
+
+    mask[row weight][col weight] holds when every certificate certifies the
+    pair and, given a band, row weight = col weight + band; it is filled once
+    per pair, and cached, since many checks share their factors' shift
+    classes. The window size is the number of basis pairs the mask covers."""
+    b = get_basis(N)
+    sizes = [len(b.weight_range[n]) for n in range(N + 1)]
+    mask = tuple(tuple((band is None or w1 == w2 + band) and all(c.certified(w1, w2) for c in certs)
+                       for w2 in range(N + 1)) for w1 in range(N + 1))
+    size = sum(sizes[w1] * sizes[w2]
+               for w1 in range(N + 1) for w2 in range(N + 1) if mask[w1][w2])
+    return mask, size
 
 
 # ---------------------------------------------------------------------------
 # Sector operators
 
-def _is_zero(v) -> bool:
-    return not v
-
-
 class SectorOperator:
-    """Sparse charge-preserving operator, rows[i][j] = <lambda_i, s| O |mu_j, s>."""
+    """Sparse charge-preserving operator, rows[i][j] = <lambda_i, s| O |mu_j, s>.
+
+    rows stores no zero entry and no empty row. The constructor takes rows as
+    given, so every producer whose entries can cancel drops its own zeros.
+    No operation changes rows in place, so operators may share them."""
 
     __slots__ = ("config", "basis", "rows", "shift")
 
@@ -334,9 +290,7 @@ class SectorOperator:
                  rows: dict[int, dict[int, object]], shift: ShiftClass):
         self.config = config
         self.basis = basis_obj
-        self.rows = {i: {j: v for j, v in row.items() if not _is_zero(v)}
-                     for i, row in rows.items()}
-        self.rows = {i: row for i, row in self.rows.items() if row}
+        self.rows = rows
         self.shift = shift
 
     @classmethod
@@ -348,7 +302,7 @@ class SectorOperator:
     @classmethod
     def diagonal(cls, config: SectorConfig, values: Sequence) -> "SectorOperator":
         b = get_basis(config.N)
-        return cls(config, b, {i: {i: values[i]} for i in range(len(b)) if not _is_zero(values[i])},
+        return cls(config, b, {i: {i: values[i]} for i in range(len(b)) if values[i]},
                    BANDED0)
 
     def get(self, i: int, j: int):
@@ -358,25 +312,34 @@ class SectorOperator:
         if self.config != other.config:
             raise ValueError(f"incompatible configs {self.config} vs {other.config}")
 
-    def __add__(self, other: "SectorOperator") -> "SectorOperator":
+    def _combine(self, other: "SectorOperator", negate: bool) -> "SectorOperator":
+        """self + other, or self - other when negate is set."""
         self._check_compatible(other)
         rows = {i: dict(row) for i, row in self.rows.items()}
         for i, row in other.rows.items():
             tgt = rows.setdefault(i, {})
             for j, v in row.items():
                 cur = tgt.get(j)
-                nv = v if cur is None else cur + v
-                if _is_zero(nv):
-                    tgt.pop(j, None)
-                else:
+                if cur is None:
+                    tgt[j] = -v if negate else v
+                    continue
+                nv = cur - v if negate else cur + v
+                if nv:
                     tgt[j] = nv
+                else:
+                    del tgt[j]
+            if not tgt:
+                del rows[i]
         return SectorOperator(self.config, self.basis, rows, self.shift.join(other.shift))
 
+    def __add__(self, other: "SectorOperator") -> "SectorOperator":
+        return self._combine(other, negate=False)
+
     def __sub__(self, other: "SectorOperator") -> "SectorOperator":
-        return self + other.scale(Fraction(-1))
+        return self._combine(other, negate=True)
 
     def scale(self, c) -> "SectorOperator":
-        if _is_zero(c):
+        if not c:
             return SectorOperator(self.config, self.basis, {}, self.shift)
         return SectorOperator(self.config, self.basis,
                               {i: {j: c * v for j, v in row.items()} for i, row in self.rows.items()},
@@ -396,7 +359,7 @@ class SectorOperator:
                     cur = acc.get(j)
                     nv = av * bv if cur is None else cur + av * bv
                     acc[j] = nv
-            acc = {j: v for j, v in acc.items() if not _is_zero(v)}
+            acc = {j: v for j, v in acc.items() if v}
             if acc:
                 out[i] = acc
         return SectorOperator(self.config, self.basis, out, self.shift.compose(other.shift))
@@ -412,11 +375,15 @@ class SectorOperator:
 
     def scale_rows(self, fn: Callable[[int], object]) -> "SectorOperator":
         """Left multiplication by the diagonal with entries fn(row index)."""
-        return SectorOperator(self.config, self.basis,
-                              {i: {j: fn(i) * v for j, v in row.items()}
-                               for i, row in self.rows.items()}, self.shift)
+        rows = {}
+        for i, row in self.rows.items():
+            f = fn(i)
+            if f:
+                rows[i] = {j: f * v for j, v in row.items()}
+        return SectorOperator(self.config, self.basis, rows, self.shift)
 
     def scale_cols(self, fn: Callable[[int], object]) -> "SectorOperator":
+        """Right multiplication by the diagonal with nonzero entries fn(col index)."""
         return SectorOperator(self.config, self.basis,
                               {i: {j: v * fn(j) for j, v in row.items()}
                                for i, row in self.rows.items()}, self.shift)
@@ -458,7 +425,7 @@ def apply_row(vec: Mapping[int, object], op: SectorOperator) -> dict[int, object
             cur = out.get(j)
             nv = v * m if cur is None else cur + v * m
             out[j] = nv
-    return {j: v for j, v in out.items() if not _is_zero(v)}
+    return {j: v for j, v in out.items() if v}
 
 
 def apply_col(op: SectorOperator, vec: Mapping[int, object]) -> dict[int, object]:
@@ -472,20 +439,8 @@ def apply_col(op: SectorOperator, vec: Mapping[int, object]) -> dict[int, object
                 continue
             term = m * v
             total = term if total is None else total + term
-        if total is not None and not _is_zero(total):
+        if total:
             out[i] = total
-    return out
-
-
-def dump_entries(op: SectorOperator, cert: ExactnessCertificate | None = None) -> list[dict]:
-    """Debug/fixture dump: one JSON row per nonzero entry, canonically sorted."""
-    out = []
-    b = op.basis
-    for i, j, v in op.nonzero_entries_sorted():
-        val = format_rational(v) if isinstance(v, Fraction) else str(v)
-        certified = True if cert is None else cert.certified(b.weights[i], b.weights[j])
-        out.append({"row": b.parts[i].to_json(), "col": b.parts[j].to_json(),
-                    "val": val, "certified": certified})
     return out
 
 
@@ -517,10 +472,8 @@ def v_op(k: int, m: int, config: SectorConfig) -> SectorOperator:
     s = config.s
     pw = _ppow_cache(config.p)
     if m == 0:
-        vals = [maya_diag_sum(mu.parts, s, lambda x: pw(2 * k * x)) or Fraction(0)
-                for mu in b.parts]
-        return SectorOperator(config, b, {i: {i: vals[i]} for i in range(len(b))
-                                          if vals[i]}, BANDED0)
+        return SectorOperator.diagonal(
+            config, [maya_diag_sum(mu.parts, s, lambda x: pw(2 * k * x)) for mu in b.parts])
     rows: dict[int, dict[int, object]] = {}
     for j, mu in enumerate(b.parts):
         if not 0 <= mu.weight - m <= config.N:
@@ -536,7 +489,8 @@ def v_op(k: int, m: int, config: SectorConfig) -> SectorOperator:
                 amp = -amp
             cur = rows.setdefault(i, {}).get(j)
             rows[i][j] = amp if cur is None else cur + amp
-    return SectorOperator(config, b, rows, banded(-m))
+    rows = {i: {j: v for j, v in row.items() if v} for i, row in rows.items()}
+    return SectorOperator(config, b, {i: row for i, row in rows.items() if row}, banded(-m))
 
 
 def j_op(k: int, config: SectorConfig) -> SectorOperator:
@@ -544,59 +498,9 @@ def j_op(k: int, config: SectorConfig) -> SectorOperator:
     return v_op(0, k, config)
 
 
-def l0_diag(config: SectorConfig) -> list[int]:
-    b = get_basis(config.N)
-    return [maya_diag_sum(mu.parts, config.s, lambda x: x) or 0 for mu in b.parts]
-
-
 def w0_diag(config: SectorConfig) -> list[int]:
     b = get_basis(config.N)
     return [maya_diag_sum(mu.parts, config.s, lambda x: x * x) or 0 for mu in b.parts]
-
-
-def diag_op(kind: str, config: SectorConfig, c: int = 1,
-            ctx: SeriesContext | None = None) -> SectorOperator:
-    """Diagonal operators: 'L0', 'W0', 'pW0_pow' (p^{c * W0 eigenvalue}), or
-    'Q_L0' whose entries are Q monomials in the given series context.
-    Q exponents beyond the context cap are dropped (the zero series stays out
-    of the sparse storage, which is the drop marker)."""
-    b = get_basis(config.N)
-    if kind == "L0":
-        vals = [Fraction(v) for v in l0_diag(config)]
-    elif kind == "W0":
-        vals = [Fraction(v) for v in w0_diag(config)]
-    elif kind == "pW0_pow":
-        pw = _ppow_cache(config.p)
-        vals = [pw(c * v) for v in w0_diag(config)]
-    elif kind == "Q_L0":
-        if ctx is None:
-            raise ValueError("Q_L0 needs a series context")
-        vals = []
-        for v in l0_diag(config):
-            key = [0] * ctx.nvars
-            key[0] = v
-            vals.append(TruncatedSeries(ctx, {tuple(key): Fraction(1)}))
-    else:
-        raise ValueError(f"unknown diagonal kind {kind!r}")
-    return SectorOperator.diagonal(config, vals)
-
-
-def bilinear_diagonal(config: SectorConfig, f: Callable[[int], Fraction]) -> SectorOperator:
-    """sum_n f(n) :psi_{-n} psi*_n: assembled move by move through
-    apply_bilinear; the slow reference route for the diagonal operators."""
-    b = get_basis(config.N)
-    span = config.N + abs(config.s) + 2
-    vals = [Fraction(0)] * len(b)
-    for idx, mu in enumerate(b.parts):
-        state = FockState(config.s, mu)
-        for n in range(-span, span + 1):
-            res = apply_bilinear(-n, n, state, normal_ordered=True)
-            if res is None:
-                continue
-            coeff, out_state = res
-            assert out_state == state
-            vals[idx] += coeff * f(n)
-    return SectorOperator.diagonal(config, vals)
 
 
 def transfer_weights(p: Fraction, N: int, alternating: bool) -> dict[int, Fraction]:
@@ -683,7 +587,7 @@ def _exp_series(vec: Mapping[int, object], step: Callable) -> dict[int, object]:
         term = {i: v * inv for i, v in step(term).items()}
         for i, v in term.items():
             acc[i] = acc[i] + v if i in acc else v
-    return {i: v for i, v in acc.items() if not _is_zero(v)}
+    return {i: v for i, v in acc.items() if v}
 
 
 def _below(vec: Mapping[int, object], cap: int) -> dict[int, object]:

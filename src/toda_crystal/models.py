@@ -3,16 +3,17 @@
 Two independent routes are implemented for the same objects. This module
 owns the closed-form route: Schur values from the hook length formula,
 diagonal eigenvalues from their closed expressions, and the partition
-function as a single sum over partitions. The fermionic route goes through
-the operator machinery in `fock` and is exposed here as
-`fermionic_expectation`; the two must agree coefficient for coefficient.
+function as a single sum over partitions. One loop serves both models,
+selected by 'Z' (the previous model) or 'Zprime' (the modified one); it
+never touches `fock`. The fermionic route goes through the operator
+machinery in `fock` and is exposed here as `fermionic_expectation`, with the
+same selector; the two must agree coefficient for coefficient.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .algebra import (
     SeriesContext,
@@ -115,55 +116,44 @@ class ModelParams:
         return ModelParams(self.s, self.l, self.p, self.ctx, N)
 
 
-def _weight_factor(params: ModelParams, mu: Partition) -> Fraction:
-    return params.p ** (params.l * w0_eigenvalue(mu, params.s))
-
-
 def _q_monomial(ctx: SeriesContext, e: int, coeff: Fraction) -> TruncatedSeries:
     key = [0] * ctx.nvars
     key[0] = e
     return TruncatedSeries(ctx, {tuple(key): coeff})
 
 
-def zprime_series(params: ModelParams) -> TruncatedSeries:
-    """Modified-model partition function as a sum over partitions:
-    sum_mu s_mu s_{t(mu)} q^{l W0/2} Q^{L0} exp(sum t_k Phi_k + sum th_k Phi_{-k})."""
+def _partition_sum(params: ModelParams, which: str) -> TruncatedSeries:
+    """sum_mu w(mu) q^{l W0/2} Q^{L0} exp(sum t_k Phi_k [+ sum th_k Phi_{-k}]),
+    with w(mu) = s_mu s_{t(mu)} and both time families for 'Zprime', and
+    w(mu) = s_mu^2 and the t family alone for 'Z'."""
     ctx = params.out_ctx
     s, p, K = params.s, params.p, params.ctx.K
     acc = TruncatedSeries.zero(ctx)
     for mu in enumerate_partitions(params.ctx.NQ, "all_up_to"):
-        weight = schur_qrho(mu, p) * schur_qrho(mu.conjugate(), p) * _weight_factor(params, mu)
-        lin = linear_form(
-            ctx,
-            {k: phi_potential(k, mu, s, p) for k in range(1, K + 1)},
-            {k: phi_potential(-k, mu, s, p) for k in range(1, K + 1)},
-        )
+        t_part = {k: phi_potential(k, mu, s, p) for k in range(1, K + 1)}
+        if which == "Zprime":
+            weight = schur_qrho(mu, p) * schur_qrho(mu.conjugate(), p)
+            th_part = {k: phi_potential(-k, mu, s, p) for k in range(1, K + 1)}
+        else:
+            weight = schur_qrho(mu, p) ** 2
+            th_part = None
+        weight *= p ** (params.l * w0_eigenvalue(mu, s))
+        lin = linear_form(ctx, t_part, th_part)
         acc = acc + _q_monomial(ctx, l0_eigenvalue(mu, s), weight) * series_exp(lin)
     return acc
+
+
+def zprime_series(params: ModelParams) -> TruncatedSeries:
+    """Modified-model partition function as a sum over partitions:
+    sum_mu s_mu s_{t(mu)} q^{l W0/2} Q^{L0} exp(sum t_k Phi_k + sum th_k Phi_{-k}).
+    At s = 0 with the couplings off (K = 1, D = 0) this is
+    sum_mu s_mu s_{t(mu)} q^{l kappa/2} (q^{l/2} Q)^{|mu|}."""
+    return _partition_sum(params, "Zprime")
 
 
 def z_series(params: ModelParams) -> TruncatedSeries:
     """Previous-model partition function: weights s_mu^2 and a single time family."""
-    ctx = params.out_ctx
-    s, p, K = params.s, params.p, params.ctx.K
-    acc = TruncatedSeries.zero(ctx)
-    for mu in enumerate_partitions(params.ctx.NQ, "all_up_to"):
-        weight = schur_qrho(mu, p) ** 2 * _weight_factor(params, mu)
-        lin = linear_form(ctx, {k: phi_potential(k, mu, s, p) for k in range(1, K + 1)})
-        acc = acc + _q_monomial(ctx, l0_eigenvalue(mu, s), weight) * series_exp(lin)
-    return acc
-
-
-def zprime_special(l: int, p: Fraction, NQ: int) -> TruncatedSeries:
-    """Couplings off, s = 0: sum_mu s_mu s_{t(mu)} q^{l kappa/2} (q^{l/2} Q)^{|mu|}."""
-    p = Fraction(p)
-    ctx = SeriesContext(1, 0, NQ)
-    acc = TruncatedSeries.zero(ctx)
-    for mu in enumerate_partitions(NQ, "all_up_to"):
-        coeff = (schur_qrho(mu, p) * schur_qrho(mu.conjugate(), p)
-                 * p ** (l * mu.kappa() + l * mu.weight))
-        acc = acc + _q_monomial(ctx, mu.weight, coeff)
-    return acc
+    return _partition_sum(params, "Z")
 
 
 def fermionic_expectation(params: ModelParams, which: str) -> TruncatedSeries:

@@ -84,22 +84,6 @@ class Partition:
         return list(self.parts)
 
 
-def partition_from_json(parts: list[int]) -> Partition:
-    return Partition(parts)
-
-
-def weight_kappa(mu: Partition) -> tuple[int, int]:
-    return (mu.weight, mu.kappa())
-
-
-def conjugate(mu: Partition) -> Partition:
-    return mu.conjugate()
-
-
-def hook_multiset(mu: Partition) -> tuple[int, ...]:
-    return mu.hook_lengths()
-
-
 def _gen_exact(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
     # First part largest and chosen descending, so the output is
     # lexicographically descending within each weight.

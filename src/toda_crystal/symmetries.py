@@ -1,26 +1,25 @@
 """Exact checks of the quantum-torus commutators and the shift symmetries.
 
 Each check compares two operator products entry by entry on the window the
-split rule certifies, and reports the earliest (canonical order) offending
-entry on failure. All equalities are exact rational identities.
+split rule certifies, read from one certified_window mask, and reports the
+earliest (canonical order) offending entry on failure. All equalities are
+exact rational identities.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .algebra import format_rational
 from .fock import (
-    BANDED0,
     ExactnessCertificate,
     LOWERING,
     RAISING,
     SectorConfig,
     SectorOperator,
     banded,
-    get_basis,
+    certified_window,
     op_product,
     transfer_pair,
     v_op,
@@ -72,21 +71,15 @@ def _entry_evidence(basis_obj, i: int, j: int, value) -> dict:
     }
 
 
-def _scan_certified_residual(residual: SectorOperator, certified) -> tuple[bool, dict | None]:
-    """True plus None when every certified entry vanishes; otherwise False and
-    the earliest certified nonzero entry."""
+def _scan_certified_residual(residual: SectorOperator, mask) -> tuple[bool, dict | None]:
+    """True plus None when every entry inside the certified_window mask
+    vanishes; otherwise False and the earliest such nonzero entry."""
     b = residual.basis
+    w = b.weights
     for i, j, v in residual.nonzero_entries_sorted():
-        if certified(b.weights[i], b.weights[j]):
+        if mask[w[i]][w[j]]:
             return False, _entry_evidence(b, i, j, v)
     return True, None
-
-
-def _window_size(config: SectorConfig, certified) -> int:
-    b = get_basis(config.N)
-    sizes = {n: len(b.weight_range[n]) for n in range(config.N + 1)}
-    return sum(c1 * c2 for w1, c1 in sizes.items() for w2, c2 in sizes.items()
-               if certified(w1, w2))
 
 
 def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> CheckReport:
@@ -106,11 +99,7 @@ def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> Ch
     P12, cert12 = op_product([V1, V2])
     P21, cert21 = op_product([V2, V1])
     lhs = P12 - P21
-
-    def certified(w1, w2):
-        return cert12.certified(w1, w2) and cert21.certified(w1, w2)
-
-    window = _window_size(config, certified)
+    mask, window = certified_window(N, (cert12, cert21))
     report.window = window
     if window == 0:
         report.evidence = {"reason": "empty certified window"}
@@ -122,20 +111,20 @@ def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> Ch
         base = lhs
         for sigma in (1, -1):
             expected = SectorOperator.identity(config).scale(Fraction(sigma * m))
-            ok, _ = _scan_certified_residual(base - expected, certified)
+            ok, _ = _scan_certified_residual(base - expected, mask)
             if ok:
                 report.status = PASS
                 report.evidence = {"central_sign": sigma} if m else {}
                 return report
         report.status = FAIL
-        _, worst = _scan_certified_residual(base, certified)
+        _, worst = _scan_certified_residual(base, mask)
         report.evidence = {"worst": worst, "reason": "central term matches neither sign"}
         return report
     rhs = v_op(k + l, m + n, config).scale(pref)
     if m + n == 0:
         c = pref * torus_constant(k + l, p)
         rhs = rhs - SectorOperator.identity(config).scale(c)
-    ok, worst = _scan_certified_residual(lhs - rhs, certified)
+    ok, worst = _scan_certified_residual(lhs - rhs, mask)
     report.status = PASS if ok else FAIL
     if worst:
         report.evidence = {"worst": worst}
@@ -176,18 +165,14 @@ def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> Che
         right_v = right_v - ident.scale(c)
     lhs = gg.matmul(left_v)
     rhs = right_v.matmul(gg).scale(parity)
-    cert_l = ExactnessCertificate((RAISING, LOWERING, banded(-m)), N)
-    cert_r = ExactnessCertificate((banded(-(m + k)), RAISING, LOWERING), N)
-
-    def certified(w1, w2):
-        return cert_l.certified(w1, w2) and cert_r.certified(w1, w2)
-
-    window = _window_size(config, certified)
+    mask, window = certified_window(N, (
+        ExactnessCertificate((RAISING, LOWERING, banded(-m)), N),
+        ExactnessCertificate((banded(-(m + k)), RAISING, LOWERING), N)))
     report.window = window
     if window == 0:
         report.evidence = {"reason": "empty certified window"}
         return report
-    ok, worst = _scan_certified_residual(lhs - rhs, certified)
+    ok, worst = _scan_certified_residual(lhs - rhs, mask)
     report.status = PASS if ok else FAIL
     report.evidence = {"constant": format_rational(c)}
     if worst:
@@ -208,14 +193,12 @@ def second_shift_check(k: int, m: int, config: SectorConfig) -> CheckReport:
     lhs = v_op(k, m, config).scale_rows(lambda i: p ** w0[i]).scale_cols(
         lambda j: p ** (-w0[j]))
     rhs = v_op(k - m, m, config)
-    b = get_basis(config.N)
-    window = sum(len(b.weight_range[w]) * len(b.weight_range[w - m])
-                 for w in range(config.N + 1) if 0 <= w - m <= config.N)
+    mask, window = certified_window(config.N, band=-m)
     report.window = window
     if window == 0:
         report.evidence = {"reason": "empty band"}
         return report
-    ok, worst = _scan_certified_residual(lhs - rhs, lambda w1, w2: True)
+    ok, worst = _scan_certified_residual(lhs - rhs, mask)
     report.status = PASS if ok else FAIL
     if worst:
         report.evidence = {"worst": worst}

@@ -6,17 +6,18 @@ are ground-state expectation values of g between time-evolution
 exponentials; their coefficients are assembled grade by grade, so every
 retained coefficient is a finite exact sum.
 
-Certification is by construction here. A tau series needs only the
-C(K+D, D) time vectors <s| prod J_k^{a_k} A and B prod J_{-k}^{b_k} |s>,
+Certification is by construction for the tau series. A tau series needs
+only the C(K+D, D) time vectors <s| prod J_k^{a_k} A and B prod J_{-k}^{b_k} |s>,
 paired at weights n <= NQ, so A and B are never materialised: each vector
 is pushed through the dressings and the terminating exponential series of
 the transfer factors one factor at a time. The factor that raises weights
 (G_+ on a row, G"_- on a column) runs in the sector cut at NQ, which is
 exact: a component of weight <= NQ only draws on intermediates of lower
 weight. The time exponentials contribute energies at most K*D, which the
-cutoff must dominate. Only the intertwining check builds the dense graded
-blocks A . Pi_n . B, whose entries need intermediates bounded by
-min(row, col) weight.
+cutoff must dominate. Since J_{-k} is the transpose of J_k, one table of
+row vectors serves as the column vectors too. Only the intertwining check
+builds the dense graded blocks A . Pi_n . B; it reads its residuals against
+the same certified_window mask as the operator checks.
 """
 
 from __future__ import annotations
@@ -39,10 +40,13 @@ from .algebra import (
     substitute_difference,
 )
 from .fock import (
+    FULL,
+    ExactnessCertificate,
     SectorConfig,
     SectorOperator,
     apply_col,
     apply_row,
+    certified_window,
     get_basis,
     j_op,
     transfer_operator,
@@ -63,6 +67,7 @@ from .symmetries import (
     INSUFFICIENT,
     PASS,
     CheckReport,
+    _scan_certified_residual,
     torus_constant,
 )
 
@@ -72,9 +77,10 @@ class CalibrationError(RuntimeError):
 
 
 # ---------------------------------------------------------------------------
-# Time-evolution vectors: rows <s| prod J_k^{a_k}, columns prod J_{-k}^{b_k} |s>.
-# Current-mode matrices carry no p and no charge dependence, so these vectors
-# are cached on (N, K, D) alone.
+# Time-evolution vectors <s| prod J_k^{a_k}. As J_{-k} is the transpose of J_k,
+# the same entries give the columns prod J_{-k}^{b_k} |s>. Current-mode
+# matrices carry no p and no charge dependence, so these vectors are cached on
+# (N, K, D) alone.
 
 @lru_cache(maxsize=None)
 def _j_matrix(k: int, N: int) -> SectorOperator:
@@ -100,18 +106,6 @@ def _time_rows(N: int, K: int, D: int):
         prev = tuple(e - 1 if i == k - 1 else e for i, e in enumerate(a))
         rows[a] = apply_row(rows[prev], _j_matrix(k, N))
     return rows
-
-
-@lru_cache(maxsize=None)
-def _time_cols(N: int, K: int, D: int):
-    cols = {(0,) * K: {0: Fraction(1)}}
-    for b in _multi_indices(K, D):
-        if b in cols or sum(b) == 0:
-            continue
-        k = next(i + 1 for i, e in enumerate(b) if e)
-        prev = tuple(e - 1 if i == k - 1 else e for i, e in enumerate(b))
-        cols[b] = apply_col(_j_matrix(-k, N), cols[prev])
-    return cols
 
 
 def _norm(a: tuple[int, ...]) -> Fraction:
@@ -237,7 +231,6 @@ class GradedOperator:
         return self._blocks[n]
 
     def block_operator(self, n: int) -> SectorOperator:
-        from .fock import FULL
         return SectorOperator(self.config, self.basis, self.block(n), FULL)
 
     def vacuum_q_series(self) -> TruncatedSeries:
@@ -302,7 +295,7 @@ def _u_vectors(g: GradedOperator):
 
 def _w_vectors(g: GradedOperator):
     params = g.params
-    cols = _time_cols(params.N, params.ctx.K, params.ctx.D)
+    cols = _time_rows(params.N, params.ctx.K, params.ctx.D)
     return {b: g.col(c) for b, c in cols.items()}
 
 
@@ -381,25 +374,18 @@ def trivial_tau(K: int, D: int) -> TruncatedSeries:
     """<s| e^{sum t J} e^{-sum th J_-} |s> with no operator inserted; the
     machinery route to exp(-sigma sum k t_k th_k)."""
     N = max(K * D, 1)
-    ctx = SeriesContext(K, D, 0)
-    rows = _time_rows(N, K, D)
-    cols = _time_cols(N, K, D)
+    weights = get_basis(N).weights
+    vecs = _time_rows(N, K, D)
     coeffs = {}
-    for a, u in rows.items():
-        da = sum(a)
-        for bb, c in cols.items():
-            if da + sum(bb) > D:
+    for a, u in vecs.items():
+        for bb, w in vecs.items():
+            if sum(a) + sum(bb) > D:
                 continue
-            total = Fraction(0)
-            for i, uv in u.items():
-                cv = c.get(i)
-                if cv is not None:
-                    total += uv * cv
-            if total:
-                if sum(bb) % 2:
-                    total = -total
-                coeffs[(0,) + a + bb] = total * _norm(a) * _norm(bb)
-    return TruncatedSeries(ctx, coeffs)
+            sign = -1 if sum(bb) % 2 else 1
+            # u and w each live on one weight, so at most one grade pairs
+            for _, total in _graded_pairing(u, w, weights, N):
+                coeffs[(0,) + a + bb] = sign * total * _norm(a) * _norm(bb)
+    return TruncatedSeries(SeriesContext(K, D, 0), coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -532,22 +518,18 @@ def intertwining_residual(which: str, k: int, params: ModelParams) -> CheckRepor
         raise ValueError(f"|k| = {abs(k)} exceeds the tracked family K = {params.ctx.K}")
     cfg = params.config
     N = cfg.N
+    report = CheckReport("intertwining", _params_dict(params, k=k, which=which), INSUFFICIENT)
+    if abs(k) > N:
+        report.evidence = {"reason": "shift exceeds the cutoff"}
+        return report
     g = build_g(params) if which == "g_true" else build_gprime(params)
     right_k = -k if which == "g_true" else k
     jl = j_op(k, cfg)
     jr = j_op(right_k, cfg)
-    b = get_basis(N)
-
-    def certified(wl, wm):
-        left_ok = (wl + k <= N) if k > 0 else True
-        right_ok = (wm - right_k <= N) if right_k < 0 else True
-        return left_ok and right_ok
-
-    window = sum(
-        len(b.weight_range[w1]) * len(b.weight_range[w2])
-        for w1 in range(N + 1) for w2 in range(N + 1) if certified(w1, w2))
-    params_dict = _params_dict(params, k=k, which=which)
-    report = CheckReport("intertwining", params_dict, INSUFFICIENT)
+    # the graded blocks are exact on the whole window, so only the J factors
+    # of J_k g_n and g_n J_{right_k} can leave the cutoff
+    mask, window = certified_window(N, (ExactnessCertificate((jl.shift, FULL), N),
+                                        ExactnessCertificate((FULL, jr.shift), N)))
     report.window = window * (params.ctx.NQ + 1)
     if window == 0:
         report.evidence = {"reason": "empty certified window"}
@@ -555,15 +537,9 @@ def intertwining_residual(which: str, k: int, params: ModelParams) -> CheckRepor
     first_nonzero = None
     for n in range(params.ctx.NQ + 1):
         gn = g.block_operator(n)
-        residual = jl.matmul(gn) - gn.matmul(jr)
-        for i, j, v in residual.nonzero_entries_sorted():
-            if certified(b.weights[i], b.weights[j]):
-                first_nonzero = {"grade": n,
-                                 "row": b.parts[i].to_json(),
-                                 "col": b.parts[j].to_json(),
-                                 "value": format_rational(v)}
-                break
-        if first_nonzero:
+        ok, entry = _scan_certified_residual(jl.matmul(gn) - gn.matmul(jr), mask)
+        if not ok:
+            first_nonzero = {"grade": n, **entry}
             break
     if which == "g_true":
         report.status = PASS if first_nonzero is None else FAIL

@@ -2,20 +2,27 @@
 
 Each oracle recomputes its target through a different formula or route than
 the implementation under test. The closed-form oracles use nothing of the
-package beyond the Partition type; DenseGraded keeps the dense route to the
-tau vectors that the package replaced with its matrix-free one.
+package beyond partitions and series. The fermion-move oracles build operators
+one psi_a psi*_b move at a time from the Maya-diagram primitives.
+DenseGraded keeps the dense route to the tau vectors that the package
+replaced with its matrix-free one, and window_size_by_pairs the weight-pair
+count that certified_window replaced.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from toda_crystal import Partition
+from toda_crystal import Partition, SeriesContext, TruncatedSeries, enumerate_partitions
 from toda_crystal.fock import (
     SectorOperator,
     apply_col,
     apply_row,
+    get_basis,
+    move_particle,
+    occupied,
     transfer_pair,
     w0_diag,
     with_config,
@@ -128,3 +135,74 @@ class DenseGraded(GradedOperator):
 
     def col(self, vec):
         return apply_col(self.dense_B, vec)
+
+
+@dataclass(frozen=True)
+class FockState:
+    charge: int
+    shape: Partition
+
+
+def apply_bilinear(a: int, b: int, state: FockState, normal_ordered: bool = True):
+    """Action of psi_a psi*_b (normal ordered against the charge-0 vacuum
+    when requested) on a basis state: None for zero, else (coeff, FockState)."""
+    parts, s = state.shape.parts, state.charge
+    if a + b == 0:
+        occ = 1 if occupied(parts, s, b) else 0
+        coeff = occ - (1 if normal_ordered and b <= 0 else 0)
+        return (coeff, state) if coeff else None
+    res = move_particle(parts, s, b, -a)
+    if res is None:
+        return None
+    sign, new_parts = res
+    return (sign, FockState(s, Partition(new_parts)))
+
+
+def bilinear_diagonal(config, f) -> SectorOperator:
+    """sum_n f(n) :psi_{-n} psi*_n: assembled move by move through
+    apply_bilinear; the slow reference route for the diagonal operators."""
+    b = get_basis(config.N)
+    span = config.N + abs(config.s) + 2
+    vals = [Fraction(0)] * len(b)
+    for idx, mu in enumerate(b.parts):
+        state = FockState(config.s, mu)
+        for n in range(-span, span + 1):
+            res = apply_bilinear(-n, n, state, normal_ordered=True)
+            if res is None:
+                continue
+            coeff, out_state = res
+            assert out_state == state
+            vals[idx] += coeff * f(n)
+    return SectorOperator.diagonal(config, vals)
+
+
+def merge_hatted_into_t(f: TruncatedSeries) -> TruncatedSeries:
+    """Substitute th_k -> t_k."""
+    ctx = f.ctx
+    out: dict[tuple[int, ...], Fraction] = {}
+    for key, val in f.coeffs.items():
+        nk = tuple([key[0]] + [key[k] + key[ctx.K + k] for k in range(1, ctx.K + 1)]
+                   + [0] * ctx.K)
+        out[nk] = out.get(nk, Fraction(0)) + val
+    return TruncatedSeries(ctx, out)
+
+
+def zprime_special(l: int, p: Fraction, NQ: int) -> TruncatedSeries:
+    """Couplings off, s = 0: sum_mu s_mu s_{t(mu)} q^{l kappa/2} (q^{l/2} Q)^{|mu|},
+    with the Schur values from Jacobi-Trudi."""
+    coeffs: dict[tuple[int, ...], Fraction] = {}
+    for mu in enumerate_partitions(NQ, "all_up_to"):
+        key = (mu.weight, 0, 0)
+        coeffs[key] = coeffs.get(key, Fraction(0)) + (
+            schur_jacobi_trudi(mu, p) * schur_jacobi_trudi(mu.conjugate(), p)
+            * Fraction(p) ** (l * (mu.kappa() + mu.weight)))
+    return TruncatedSeries(SeriesContext(1, 0, NQ), coeffs)
+
+
+def window_size_by_pairs(N: int, certified) -> int:
+    """Basis pairs whose (row weight, col weight) satisfies a predicate,
+    counted over every pair of weights."""
+    b = get_basis(N)
+    sizes = {n: len(b.weight_range[n]) for n in range(N + 1)}
+    return sum(c1 * c2 for w1, c1 in sizes.items() for w2, c2 in sizes.items()
+               if certified(w1, w2))

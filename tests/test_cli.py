@@ -5,7 +5,7 @@ import sys
 
 import pytest
 
-from toda_crystal.cli import main
+from toda_crystal.cli import RunConfig, _build_parser, _task_list, main
 
 
 def run_cli(args, tmp_path=None, env_extra=None):
@@ -181,3 +181,19 @@ def test_thread_count_is_clamped(monkeypatch, capsys, tmp_path, requested, cpus,
     assert code == 0
     assert sizes == pools
     assert ("clamped" in capsys.readouterr().err) == clamped
+
+
+@pytest.mark.parametrize("suite", ["prev-identity", "toeplitz", "all"])
+def test_intertwining_shift_beyond_cutoff(suite, tmp_path):
+    # N = 0, so J_1 leaves the cutoff: the intertwining lines are insufficient
+    out = tmp_path / "r.jsonl"
+    args = ["verify", suite, "--K", "1", "--D", "0", "--NQ", "0", "--s", "0", "--l", "0"]
+    code, _ = run_cli(args + ["--out", str(out)])
+    assert code == 1
+    lines = [json.loads(l) for l in out.read_text().splitlines()]
+    assert len(lines) == len(_task_list(suite, RunConfig.from_args(_build_parser().parse_args(args))))
+    inter = [l for l in lines if l["check"] == "intertwining"]
+    assert inter
+    for line in inter:
+        assert line["status"] == "insufficient_window"
+        assert line["evidence"] == {"reason": "shift exceeds the cutoff", "window": 0}

@@ -3,15 +3,8 @@ from fractions import Fraction
 import pytest
 
 from toda_crystal import (
-    FockState,
-    Overflow,
     Partition,
     SectorConfig,
-    apply_bilinear,
-    basis,
-    bilinear_diagonal,
-    diag_op,
-    dump_entries,
     j_op,
     op_product,
     schur_qrho,
@@ -22,18 +15,24 @@ from toda_crystal import (
     v_op,
     vertex_op,
 )
-from toda_crystal.algebra import SeriesContext
 from toda_crystal.fock import (
+    FULL,
+    LOWERING,
+    RAISING,
     ExactnessCertificate,
     SectorOperator,
     apply_col,
     apply_row,
     banded,
+    certified_window,
     get_basis,
     transfer_weights,
+    w0_diag,
 )
+from toda_crystal.toda import _time_rows
 
 import oracles
+from oracles import FockState, apply_bilinear, bilinear_diagonal
 
 P = Fraction(1, 2)
 
@@ -50,12 +49,12 @@ def test_config_validation():
 
 
 def test_basis_counts():
-    assert len(basis(cfg(N=0))) == 1
-    assert len(basis(cfg(N=2))) == 4
+    assert len(get_basis(0)) == 1
+    assert len(get_basis(2)) == 4
     # oracle: sum of p(n) for n <= 5 via the pentagonal recurrence
     expected = sum(oracles.partition_count(n) for n in range(6))
     assert expected == 19
-    assert len(basis(cfg(N=5))) == expected
+    assert len(get_basis(5)) == expected
 
 
 def test_apply_bilinear_examples():
@@ -85,25 +84,10 @@ def test_bilinear_diagonals_match_closed_forms():
             assert w0.get(i, i) == w0_eigenvalue(mu, s)
 
 
-def test_diag_op_w0_examples():
-    c = cfg(N=4)
-    assert diag_op("W0", c).get(get_basis(4).index[Partition([1])],
-                                get_basis(4).index[Partition([1])]) == 1
+def test_w0_diag_examples():
+    assert w0_diag(cfg(N=4))[get_basis(4).index[Partition([1])]] == 1
     for s in (-2, 2, 3):
-        cc = cfg(s=s, N=3)
-        assert diag_op("W0", cc).get(0, 0) == Fraction(s * (s + 1) * (2 * s + 1), 6)
-
-
-def test_diag_op_q_l0_drops_beyond_cap():
-    ctx = SeriesContext(1, 0, 1)
-    c = cfg(N=3)
-    op = diag_op("Q_L0", c, ctx=ctx)
-    b = get_basis(3)
-    i2 = b.index[Partition([2])]
-    # weight-2 states would need Q^2 > NQ; the entry is dropped from storage
-    assert op.get(i2, i2) == 0
-    i1 = b.index[Partition([1])]
-    assert op.get(i1, i1).q_profile() == {1: Fraction(1)}
+        assert w0_diag(cfg(s=s, N=3))[0] == Fraction(s * (s + 1) * (2 * s + 1), 6)
 
 
 def test_v_op_examples():
@@ -146,6 +130,16 @@ def test_j_transpose_pairing():
     c = cfg(N=6)
     for k in (1, 2, 3):
         assert j_op(-k, c) == j_op(k, c).transpose()
+    # so the row vectors <0| prod J_k^{b_k} are the columns prod J_{-k}^{b_k} |0>
+    for N, K, D in ((6, 2, 3), (9, 3, 3)):
+        c = cfg(N=N)
+        rows = _time_rows(N, K, D)
+        for b, row in rows.items():
+            col = {0: Fraction(1)}
+            for k, e in enumerate(b, start=1):
+                for _ in range(e):
+                    col = apply_col(j_op(-k, c), col)
+            assert col == row, (N, K, D, b)
 
 
 def test_j_matrices_charge_independent():
@@ -154,13 +148,6 @@ def test_j_matrices_charge_independent():
         b = j_op(k, cfg(s=2, N=5))
         c = j_op(k, cfg(s=-3, N=5))
         assert a.rows == b.rows == c.rows
-
-
-def test_apply_bilinear_overflow_flag():
-    st = FockState(0, Partition([3]))
-    res = apply_bilinear(-4, 3, st, cutoff=3)
-    assert isinstance(res, Overflow)
-    assert res.weight == 4
 
 
 def test_vertex_rows_are_schur_values():
@@ -188,8 +175,9 @@ def test_op_product_with_identity_certified():
     v = v_op(1, 1, c)
     prod, cert = op_product([v, SectorOperator.identity(c)])
     assert prod == v
-    b = get_basis(4)
-    assert cert.certified_pair_count(b) == len(b) ** 2
+    mask, window = certified_window(4, (cert,))
+    assert window == len(get_basis(4)) ** 2
+    assert all(all(row) for row in mask)
 
 
 def test_certificate_split_rule_raising_lowering():
@@ -240,16 +228,78 @@ def test_op_product_rejects_mixed_configs():
         op_product([j_op(1, cfg(N=4)), j_op(1, cfg(N=5))])
 
 
-def test_dump_entries_format():
-    c = cfg(N=2)
-    rows = dump_entries(j_op(1, c))
-    assert rows[0] == {"row": [], "col": [1], "val": "1", "certified": True}
-    assert all(set(r) == {"row", "col", "val", "certified"} for r in rows)
-
-
 def test_transfer_weights_values():
     w = transfer_weights(P, 3, alternating=False)
     q = P * P
     assert w[1] == P / (1 - q)
     wa = transfer_weights(P, 3, alternating=True)
     assert wa[1] == w[1] and wa[2] == -w[2]
+
+
+def _stores_no_zeros(op):
+    return all(row and all(row.values()) for row in op.rows.values())
+
+
+def test_sector_operator_stores_no_zeros():
+    c = cfg(N=5)
+    b = get_basis(5)
+    one = Fraction(1)
+    a = SectorOperator(c, b, {0: {0: one, 1: one}, 1: {1: 2 * one}}, FULL)
+    x = SectorOperator(c, b, {0: {0: -one}, 1: {0: one}}, FULL)
+    v, w = v_op(1, 1, c), v_op(2, -1, c)
+    results = [
+        a + x,                          # the (0, 0) entry cancels
+        a + a.scale(-1), a - a, v - v,  # everything cancels
+        a - x, v + w, v - w, v.scale(0),
+        a.matmul(x),                    # row 0 of the product cancels
+        v.matmul(w), w.matmul(v),
+        a.scale_rows(lambda i: one if i else 0 * one),
+        v.scale_rows(lambda i: Fraction(i + 1)),
+        v_op(1, 2, c), v_op(-2, 0, c),
+    ]
+    for op in results:
+        assert _stores_no_zeros(op)
+    assert (a + x).rows == {0: {1: one}, 1: {0: one, 1: 2 * one}}
+    assert a.matmul(x).rows == {1: {0: 2 * one}}
+    assert (a - a).rows == {} and (v - v) == v.scale(0)
+    assert (a - x) == a + x.scale(-1)
+
+
+@pytest.mark.parametrize("N", range(8))
+def test_certified_window_matches_pair_count(N):
+    """The mask and window of every check against the counts they replaced."""
+    def all_of(certs):
+        return lambda w1, w2: all(c.certified(w1, w2) for c in certs)
+
+    cases = []  # (certificates, band, the predicate the check used)
+    for m in range(-3, 4):  # commutators: V_m V_n and V_n V_m
+        for n in range(-3, 4):
+            certs = (ExactnessCertificate((banded(-m), banded(-n)), N),
+                     ExactnessCertificate((banded(-n), banded(-m)), N))
+            cases.append((certs, None, all_of(certs)))
+    for k in (1, 2):  # first shift: G V_m and V_{m+k} G
+        for m in range(-2, 3):
+            certs = (ExactnessCertificate((RAISING, LOWERING, banded(-m)), N),
+                     ExactnessCertificate((banded(-(m + k)), RAISING, LOWERING), N))
+            cases.append((certs, None, all_of(certs)))
+    for m in range(-2, 3):  # second shift: the band of V_m
+        cases.append(((), -m, lambda w1, w2, m=m: w1 == w2 - m))
+        b = get_basis(N)
+        band_count = sum(len(b.weight_range[w]) * len(b.weight_range[w - m])
+                         for w in range(N + 1) if 0 <= w - m <= N)
+        assert certified_window(N, band=-m)[1] == band_count
+    for k in (-3, -2, -1, 1, 2, 3):  # intertwining: J_k g_n and g_n J_{right_k}
+        for right_k in (-k, k):
+            def written_out(wl, wm, k=k, right_k=right_k):
+                left_ok = (wl + k <= N) if k > 0 else True
+                right_ok = (wm - right_k <= N) if right_k < 0 else True
+                return left_ok and right_ok
+
+            certs = (ExactnessCertificate((banded(-k), FULL), N),
+                     ExactnessCertificate((FULL, banded(-right_k)), N))
+            cases.append((certs, None, written_out))
+    for certs, band, certified in cases:
+        mask, window = certified_window(N, certs, band)
+        assert [list(row) for row in mask] == \
+            [[certified(w1, w2) for w2 in range(N + 1)] for w1 in range(N + 1)]
+        assert window == oracles.window_size_by_pairs(N, certified)

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from fractions import Fraction
 from pathlib import Path
@@ -16,7 +17,6 @@ from toda_crystal import (
     w0_eigenvalue,
     z_series,
     zprime_series,
-    zprime_special,
 )
 from toda_crystal.algebra import series_from_json_dict
 
@@ -83,17 +83,21 @@ def test_z_profile():
     assert prof[1] == Fraction(4, 9)
 
 
+def special(l, NQ):
+    """Z' at s = 0 with the couplings off."""
+    return zprime_series(ModelParams(0, l, P, SeriesContext(1, 0, NQ)))
+
+
 def test_zprime_special_profiles():
-    prof = zprime_special(0, P, 2).q_profile()
+    prof = special(0, 2).q_profile()
     assert prof == {0: Fraction(1), 1: Fraction(4, 9), 2: Fraction(128, 2025)}
-    prof1 = zprime_special(1, P, 1).q_profile()
+    prof1 = special(1, 1).q_profile()
     assert prof1[1] == Fraction(2, 9)
 
 
 def test_zprime_special_matches_full_series_at_zero_couplings():
-    for l in (0, 1):
-        params = ModelParams(0, l, P, SeriesContext(1, 0, 3))
-        assert zprime_series(params).q_profile() == zprime_special(l, P, 3).q_profile()
+    for l in (-1, 0, 1, 2):
+        assert special(l, 3) == oracles.zprime_special(l, P, 3)
 
 
 def test_special_weights_pair_symmetrically():
@@ -137,3 +141,14 @@ def test_zprime_fixture():
     fixture = series_from_json_dict(data["series"])
     params = ModelParams(0, 0, P, SeriesContext(2, 2, 2))
     assert zprime_series(params) == fixture
+
+
+def test_generate_fixtures_reproduces_fixtures(tmp_path, monkeypatch):
+    script = FIXTURES.parent / "scripts" / "generate_fixtures.py"
+    spec = importlib.util.spec_from_file_location("generate_fixtures", script)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "OUT", tmp_path)
+    module.main()
+    for name in ("zprime_p1of2_l0.json", "tau_prime_s0_l0_p1of2.json"):
+        assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()

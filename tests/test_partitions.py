@@ -2,16 +2,16 @@ import json
 
 import pytest
 
-from toda_crystal import Partition, conjugate, enumerate_partitions, hook_multiset, weight_kappa
+from toda_crystal import Partition, enumerate_partitions
 
 import oracles
 
 
 def test_empty_partition():
     assert enumerate_partitions(0, "exact_weight") == [Partition([])]
-    assert weight_kappa(Partition([])) == (0, 0)
-    assert conjugate(Partition([])) == Partition([])
-    assert hook_multiset(Partition([])) == ()
+    assert (Partition([]).weight, Partition([]).kappa()) == (0, 0)
+    assert Partition([]).conjugate() == Partition([])
+    assert Partition([]).hook_lengths() == ()
 
 
 def test_enumerate_small():
@@ -45,19 +45,19 @@ def test_validation():
 
 
 def test_conjugate_examples():
-    assert conjugate(Partition([2, 1])) == Partition([2, 1])
-    assert conjugate(Partition([3, 1])) == Partition([2, 1, 1])
+    assert Partition([2, 1]).conjugate() == Partition([2, 1])
+    assert Partition([3, 1]).conjugate() == Partition([2, 1, 1])
 
 
 def test_weight_kappa_examples():
-    assert weight_kappa(Partition([1])) == (1, 0)
-    assert weight_kappa(Partition([1, 1])) == (2, -2)
+    assert (Partition([1]).weight, Partition([1]).kappa()) == (1, 0)
+    assert (Partition([1, 1]).weight, Partition([1, 1]).kappa()) == (2, -2)
 
 
 def test_hooks_examples():
-    assert hook_multiset(Partition([1])) == (1,)
-    assert hook_multiset(Partition([2, 1])) == (3, 1, 1)
-    assert hook_multiset(Partition([2])) == (2, 1)
+    assert Partition([1]).hook_lengths() == (1,)
+    assert Partition([2, 1]).hook_lengths() == (3, 1, 1)
+    assert Partition([2]).hook_lengths() == (2, 1)
 
 
 def test_statistics_against_cell_oracles():

@@ -122,11 +122,13 @@ def test_reports_are_deterministic():
 
 def test_failing_entry_identifies_earliest_pair():
     # deliberately compare mismatched operators through the report scanner
+    from toda_crystal.fock import certified_window
     from toda_crystal.symmetries import _scan_certified_residual
 
     c = cfg(N=3)
     residual = v_op(0, 1, c)  # nonzero operator standing in for a residual
-    ok, worst = _scan_certified_residual(residual, lambda *_: True)
+    mask, _ = certified_window(3)  # no certificate: every weight pair
+    ok, worst = _scan_certified_residual(residual, mask)
     assert not ok
     b = get_basis(3)
     first = min((i, j) for i in residual.rows for j in residual.rows[i])

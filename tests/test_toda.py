@@ -27,14 +27,13 @@ from toda_crystal import (
     verify_prev_identity,
     z_series,
     zprime_family,
-    zprime_special,
     zprime_series,
 )
 from toda_crystal.algebra import linear_form, series_exp, series_from_json_dict
 from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS
 from toda_crystal.toda import TauSeries, _j_matrix
 
-from oracles import DenseGraded
+from oracles import DenseGraded, merge_hatted_into_t
 
 P = Fraction(1, 2)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -78,10 +77,10 @@ def test_vacuum_q_series_matches_partition_sums():
     # <s|g'|s> reproduces the zero-coupling modified partition function
     pr = params(s=0, l=0, K=1, D=0, NQ=3)
     g = build_gprime(pr)
-    assert g.vacuum_q_series().q_profile() == zprime_special(0, P, 3).q_profile()
+    assert g.vacuum_q_series().q_profile() == zprime_series(pr).q_profile()
     pr1 = params(s=0, l=1, K=1, D=0, NQ=3)
     assert build_gprime(pr1).vacuum_q_series().q_profile() == \
-        zprime_special(1, P, 3).q_profile()
+        zprime_series(pr1).q_profile()
     # <0|g|0> matches the previous model at zero couplings
     prz = params(s=0, l=0, K=1, D=0, NQ=3)
     assert build_g(prz).vacuum_q_series().q_profile() == \
@@ -150,8 +149,6 @@ def test_prev_reduction(s):
 
 
 def test_reduction_at_equal_times_is_constant():
-    from toda_crystal.algebra import merge_hatted_into_t
-
     pr = params()
     g = build_g(pr)
     two = tau_prev_series(pr, "reduced_2d", g).series
