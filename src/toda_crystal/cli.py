@@ -241,23 +241,25 @@ def cmd_compute(cfg: RunConfig, target: str) -> int:
     if len(cfg.s_list) != 1 or len(cfg.l_list) != 1:
         raise UsageError("compute expects a single --s and a single --l")
     s, l = cfg.s_list[0], cfg.l_list[0]
-    if target == "zprime":
-        series = zprime_series(cfg.params(s, l))
-    elif target == "z":
-        series = z_series(cfg.params(s, l))
-    elif target == "zprime-special":
+    if target == "zprime-special":
         # s = 0 with the couplings off
-        series = zprime_series(ModelParams(0, l, cfg.p, SeriesContext(1, 0, cfg.NQ)))
+        params = ModelParams(0, l, cfg.p, SeriesContext(1, 0, cfg.NQ))
+    else:
+        params = cfg.params(s, l)
+    if target in ("zprime", "zprime-special"):
+        series = zprime_series(params)
+    elif target == "z":
+        series = z_series(params)
     elif target == "tau-prime":
-        series = toda.tau_prime_series(cfg.params(s, l)).series
+        series = toda.tau_prime_series(params).series
     elif target == "tau-prev":
-        series = toda.tau_prev_series(cfg.params(s, l), cfg.form).series
+        series = toda.tau_prev_series(params, cfg.form).series
     else:
         raise UsageError(f"unknown target {target!r}")
     doc = {
         "target": target,
-        "params": {"p": str(cfg.p), "s": s, "l": l, "K": cfg.K, "D": cfg.D,
-                   "NQ": cfg.NQ, "N": cfg.derived_N()},
+        "params": {"p": str(cfg.p), "s": params.s, "l": l, "K": params.ctx.K,
+                   "D": params.ctx.D, "NQ": params.ctx.NQ, "N": params.N},
         "series": series.to_json_dict(),
     }
     if target == "tau-prev":

@@ -4,9 +4,9 @@ Each oracle recomputes its target through a different formula or route than
 the implementation under test. The closed-form oracles use nothing of the
 package beyond partitions and series. The fermion-move oracles build operators
 one psi_a psi*_b move at a time from the Maya-diagram primitives.
-DenseGraded keeps the dense route to the tau vectors that the package
-replaced with its matrix-free one, and window_size_by_pairs the weight-pair
-count that certified_window replaced.
+DenseGraded keeps the dense route to the tau vectors and the graded blocks
+that the package replaced with pushed vectors, and window_size_by_pairs the
+weight-pair count that certified_window replaced.
 """
 
 from __future__ import annotations
@@ -17,16 +17,22 @@ from functools import lru_cache
 
 from toda_crystal import Partition, SeriesContext, TruncatedSeries, enumerate_partitions
 from toda_crystal.fock import (
+    BANDED0,
+    FULL,
+    ExactnessCertificate,
     SectorOperator,
     apply_col,
     apply_row,
+    certified_window,
     get_basis,
+    j_op,
     move_particle,
     occupied,
     transfer_pair,
     w0_diag,
     with_config,
 )
+from toda_crystal.symmetries import _scan_certified_residual
 from toda_crystal.toda import GradedOperator
 
 
@@ -135,6 +141,32 @@ class DenseGraded(GradedOperator):
 
     def col(self, vec):
         return apply_col(self.dense_B, vec)
+
+    def block(self, n: int) -> SectorOperator:
+        """g_n = A . Pi_n . B, with Pi_n the projector on weight n."""
+        proj = SectorOperator(self.config, self.basis,
+                              {i: {i: Fraction(1)} for i in self.basis.weight_range[n]}, BANDED0)
+        return self.dense_A.matmul(proj).matmul(self.dense_B)
+
+
+def dense_residual_entry(family: str, k: int, right_k: int, params,
+                         mask=None) -> dict | None:
+    """The earliest nonzero entry of J_k g_n - g_n J_{right_k} inside a
+    weight-pair mask, by grade, then row, then column, from the dense blocks
+    of DenseGraded with the given right family. The mask defaults to the
+    certified window. None when every entry vanishes."""
+    cfg, N = params.config, params.N
+    g = DenseGraded(params, family)
+    jl, jr = j_op(k, cfg), j_op(right_k, cfg)
+    if mask is None:
+        mask, _ = certified_window(N, (ExactnessCertificate((jl.shift, FULL), N),
+                                       ExactnessCertificate((FULL, jr.shift), N)))
+    for n in range(params.ctx.NQ + 1):
+        gn = g.block(n)
+        ok, entry = _scan_certified_residual(jl.matmul(gn) - gn.matmul(jr), mask)
+        if not ok:
+            return {"grade": n, **entry}
+    return None
 
 
 @dataclass(frozen=True)

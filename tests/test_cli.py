@@ -2,9 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import toda_crystal
 from toda_crystal.cli import RunConfig, _build_parser, _task_list, main
 
 
@@ -40,6 +42,13 @@ def test_compute_zprime_special_values(tmp_path):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["series"]["coefficients"] == {"1": "1", "Q^1": "4/9", "Q^2": "128/2025"}
+    # the params name the point computed, not the command line
+    code, _ = run_cli(["compute", "zprime-special", "--p", "1/2", "--NQ", "1",
+                       "--s", "1", "--l", "0", "--out", str(out)])
+    assert code == 0
+    doc = json.loads(out.read_text())
+    assert doc["params"] == {"p": "1/2", "s": 0, "l": 0, "K": 1, "D": 0, "NQ": 1, "N": 1}
+    assert doc["series"]["context"]["K"] == 1
 
 
 def test_compute_is_byte_deterministic(tmp_path):
@@ -134,10 +143,13 @@ def test_bad_thread_env_var(tmp_path):
 
 
 def test_console_entry_point():
+    # the child imports the package from where this process found it
+    src = str(Path(toda_crystal.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "toda_crystal.cli", "compute", "zprime-special",
          "--NQ", "1", "--s", "0", "--l", "0"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["series"]["coefficients"]["Q^1"] == "4/9"

@@ -30,10 +30,11 @@ from toda_crystal import (
     zprime_series,
 )
 from toda_crystal.algebra import linear_form, series_exp, series_from_json_dict
+from toda_crystal.fock import get_basis, j_op, w0_diag
 from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS
-from toda_crystal.toda import TauSeries, _j_matrix
+from toda_crystal.toda import GradedOperator, TauSeries, _first_residual_entry, _j_matrix
 
-from oracles import DenseGraded, merge_hatted_into_t
+from oracles import DenseGraded, dense_residual_entry, merge_hatted_into_t
 
 P = Fraction(1, 2)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -47,30 +48,14 @@ def test_graded_operator_identity_transfers_is_diagonal():
     pr = params(s=0, l=1, NQ=3, D=0, K=1)
     g = build_gprime(pr, identity_transfers=True)
     cfg = pr.config
-    from toda_crystal.fock import get_basis, w0_diag
-
     b = get_basis(cfg.N)
     w0 = w0_diag(cfg)
     for n in range(4):
-        block = g.block(n)
-        for i, row in block.items():
-            assert list(row) == [i]
-            assert b.weights[i] == n
-            # A = p^{(1+l) W0}, B = p^{-W0}: diagonal p^{l w0}
-            assert row[i] == cfg.p ** (cfg.l * w0[i])
-
-
-def test_block_grading_support():
-    pr = params()
-    g = build_gprime(pr)
-    from toda_crystal.fock import get_basis
-
-    b = get_basis(pr.N)
-    for n in range(pr.ctx.NQ + 1):
-        for i, row in g.block(n).items():
-            assert b.weights[i] <= pr.N
-    with pytest.raises(ValueError):
-        g.block(pr.N + 1)
+        for i in b.weight_range[n]:
+            u, w = g.basis_row(i), g.basis_col(i)
+            assert list(u) == list(w) == [i]
+            # A = p^{(1+l) W0}, B = p^{-W0}: g_n is diagonal p^{l w0}
+            assert u[i] * w[i] == cfg.p ** (cfg.l * w0[i])
 
 
 def test_vacuum_q_series_matches_partition_sums():
@@ -219,6 +204,16 @@ def test_trivial_tau_compare_differs():
     assert "first_difference" in rep.evidence
 
 
+def test_trivial_tau_compare_needs_a_time_degree():
+    # at D = 0 both sides are <s|g'|s>; at D = 1 a linear th coefficient differs
+    rep = trivial_tau_compare(params(K=2, D=0, NQ=3))
+    assert rep.status == INSUFFICIENT
+    assert "reason" in rep.evidence
+    rep = trivial_tau_compare(params(K=2, D=1, NQ=3))
+    assert rep.status == PASS
+    assert rep.evidence["first_difference"]["monomial"].count("th") == 1
+
+
 def test_calibration():
     assert calibrate_bilinear_sign(1, 2) in (1, -1)
     assert calibrate_bilinear_sign(1, 2) == -_central_sign()
@@ -317,3 +312,65 @@ def test_intertwining_at_p_other_than_half():
     for k in (1, 2):
         assert intertwining_residual("g_true", k, pr).status == PASS
     assert intertwining_residual("gprime_fake", 1, pr).status == PASS
+
+
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(2, 3)])
+@pytest.mark.parametrize("family", ["plain", "alternating"])
+def test_pushed_basis_vectors_match_dense_pair(family, p):
+    pr = params(p=p, s=-1, l=1, K=2, D=3, NQ=2)
+    ours = GradedOperator(pr, family)
+    dense = DenseGraded(pr, family)
+    b = get_basis(pr.N)
+    low = len(get_basis(pr.ctx.NQ))
+    for i in range(len(b)):
+        e = {i: Fraction(1)}
+        assert ours.basis_row(i) == {j: v for j, v in dense.row(e).items() if j < low}
+        assert ours.basis_col(i) == {j: v for j, v in dense.col(e).items() if j < low}
+
+
+# N = 4 with NQ = 3, and N = 6 above NQ = 2 so that the cut at NQ is active
+INTERTWINING_SHAPES = [dict(K=2, D=2, NQ=3), dict(K=2, D=3, NQ=2)]
+
+
+@pytest.mark.parametrize("shape", INTERTWINING_SHAPES)
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(2, 3)])
+@pytest.mark.parametrize("l", [0, 1])
+@pytest.mark.parametrize("s", [-1, 0, 1])
+def test_intertwining_matches_dense_blocks(s, l, p, shape):
+    # at k = -1 the 'g_true' relation J_-1 g = g J_1 does not hold, so its
+    # reports carry a failing entry too
+    pr = params(s=s, l=l, p=p, **shape)
+    for which, family, sign, key in (("g_true", "plain", -1, "worst"),
+                                     ("gprime_fake", "alternating", 1, "nonzero_entry")):
+        for k in (1, 2, -1):
+            rep = intertwining_residual(which, k, pr)
+            entry = dense_residual_entry(family, k, sign * k, pr)
+            assert rep.evidence.get(key) == entry
+            assert rep.status == (PASS if (entry is None) == (which == "g_true") else FAIL)
+
+
+@pytest.mark.parametrize("family,weights", [("plain", None), ("alternating", (2, 2))])
+def test_residual_scan_order_matches_dense_blocks(family, weights):
+    # J_-1 g - g J_1 has nonzero entries at both (empty, (1)) and ((1), empty),
+    # so on the full mask the row order decides the reported entry. On the
+    # weights (2, 2) of g' at s = -1 an earlier pair is nonzero only from
+    # grade 1 on, so the grade order decides it.
+    pr = params(s=-1, l=0, K=2, D=2, NQ=3)
+    N = pr.N
+    mask = tuple(tuple(weights in (None, (w1, w2)) for w2 in range(N + 1))
+                 for w1 in range(N + 1))
+    g = build_g(pr) if family == "plain" else build_gprime(pr)
+    entry = _first_residual_entry(g, j_op(-1, pr.config), j_op(1, pr.config), mask)
+    assert entry is not None
+    assert entry == dense_residual_entry(family, -1, 1, pr, mask)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_intertwining_stable_under_cutoff_growth(k):
+    pr = params(p=Fraction(2, 3), K=2, D=2, NQ=3)
+    big = pr.with_cutoff(pr.N + 2)
+    for which in ("g_true", "gprime_fake"):
+        small_rep = intertwining_residual(which, k, pr)
+        big_rep = intertwining_residual(which, k, big)
+        assert small_rep.status == big_rep.status == PASS
+        assert small_rep.evidence.get("nonzero_entry") == big_rep.evidence.get("nonzero_entry")
