@@ -2,8 +2,9 @@
 
 Reports are emitted as one JSON object per line with the fields
 {check, params, status, evidence, wall_ms}; lines are sorted canonically
-before writing so reruns are diffable. Exit codes: 0 all checks passed,
-1 at least one check failed, 2 usage or configuration error.
+before writing so reruns are diffable. A check that raises gives a line with
+status 'error'. Exit codes: 0 all checks passed, 1 at least one check failed
+or raised, 2 usage or configuration error.
 """
 
 from __future__ import annotations
@@ -180,12 +181,18 @@ def _task_list(suite: str, cfg: RunConfig) -> list[dict]:
 
 
 def _run_task(task: dict) -> dict:
+    """One report line; a check that raises gives an 'error' line named by the
+    task, with the exception's type and message, and a traceback on stderr."""
     t0 = time.monotonic()
     try:
-        rep = CHECKS[task["kind"]].run(task)
-    except toda.CalibrationError as exc:
-        raise SystemExit(f"bilinear calibration failed: {exc}")
-    line = rep.to_json_dict()
+        line = CHECKS[task["kind"]].run(task).to_json_dict()
+    except Exception as exc:
+        import traceback
+
+        traceback.print_exc(file=sys.stderr)
+        point = {k: v for k, v in task.items() if k != "kind"}
+        line = {"check": task["kind"], "params": point, "status": "error",
+                "evidence": {"type": type(exc).__name__, "message": str(exc)}}
     line["wall_ms"] = int((time.monotonic() - t0) * 1000)
     return line
 
@@ -252,10 +259,8 @@ def cmd_compute(cfg: RunConfig, target: str) -> int:
         series = z_series(params)
     elif target == "tau-prime":
         series = toda.tau_prime_series(params).series
-    elif target == "tau-prev":
+    else:  # tau-prev; argparse restricts the target to TARGETS
         series = toda.tau_prev_series(params, cfg.form).series
-    else:
-        raise UsageError(f"unknown target {target!r}")
     doc = {
         "target": target,
         "params": {"p": str(cfg.p), "s": params.s, "l": l, "K": params.ctx.K,

@@ -5,9 +5,11 @@ owns the closed-form route: Schur values from the hook length formula,
 diagonal eigenvalues from their closed expressions, and the partition
 function as a single sum over partitions. One loop serves both models,
 selected by 'Z' (the previous model) or 'Zprime' (the modified one); it
-never touches `fock`. The fermionic route goes through the operator
+writes each exp(linear form) out monomial by monomial and never touches
+`fock` or `series_exp`. The fermionic route goes through the operator
 machinery in `fock` and is exposed here as `fermionic_expectation`, with the
-same selector; the two must agree coefficient for coefficient.
+same selector; it exponentiates with `series_exp`, as do the identity
+prefactors in `toda`. The two routes must agree coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -116,31 +118,43 @@ class ModelParams:
         return ModelParams(self.s, self.l, self.p, self.ctx, N)
 
 
-def _q_monomial(ctx: SeriesContext, e: int, coeff: Fraction) -> TruncatedSeries:
-    key = [0] * ctx.nvars
-    key[0] = e
-    return TruncatedSeries(ctx, {tuple(key): coeff})
+def _add_weighted_exp(acc: dict, q_exp: int, weight: Fraction,
+                      a: list[Fraction], D: int) -> None:
+    """Add weight Q^q_exp exp(sum_j a_j x_j) up to x-degree D into acc, keyed by
+    (q_exp, e_1..e_n). Its coefficients are weight prod_j a_j^e_j / e_j!, so each
+    monomial is made once, as its predecessor times a_j / e_j, j the last
+    variable raised. Variables with a_j = 0 are never raised."""
+    live = [j for j, c in enumerate(a) if c]
+    steps = {j: [None] + [a[j] / m for m in range(1, D + 1)] for j in live}
+    stack = [((0,) * len(a), weight, 0, 0)]
+    while stack:
+        e, c, first, d = stack.pop()
+        key = (q_exp, *e)
+        acc[key] = acc.get(key, 0) + c
+        if d < D:
+            for pos, j in enumerate(live[first:], first):
+                m = e[j] + 1
+                stack.append((e[:j] + (m,) + e[j + 1:], c * steps[j][m], pos, d + 1))
 
 
 def _partition_sum(params: ModelParams, which: str) -> TruncatedSeries:
     """sum_mu w(mu) q^{l W0/2} Q^{L0} exp(sum t_k Phi_k [+ sum th_k Phi_{-k}]),
     with w(mu) = s_mu s_{t(mu)} and both time families for 'Zprime', and
-    w(mu) = s_mu^2 and the t family alone for 'Z'."""
-    ctx = params.out_ctx
+    w(mu) = s_mu^2 and the t family alone for 'Z'; the exponentials are
+    written out by `_add_weighted_exp`, never by series arithmetic."""
     s, p, K = params.s, params.p, params.ctx.K
-    acc = TruncatedSeries.zero(ctx)
+    acc: dict = {}
     for mu in enumerate_partitions(params.ctx.NQ, "all_up_to"):
-        t_part = {k: phi_potential(k, mu, s, p) for k in range(1, K + 1)}
+        a = [phi_potential(k, mu, s, p) for k in range(1, K + 1)]
         if which == "Zprime":
             weight = schur_qrho(mu, p) * schur_qrho(mu.conjugate(), p)
-            th_part = {k: phi_potential(-k, mu, s, p) for k in range(1, K + 1)}
+            a += [phi_potential(-k, mu, s, p) for k in range(1, K + 1)]
         else:
             weight = schur_qrho(mu, p) ** 2
-            th_part = None
+            a += [Fraction(0)] * K
         weight *= p ** (params.l * w0_eigenvalue(mu, s))
-        lin = linear_form(ctx, t_part, th_part)
-        acc = acc + _q_monomial(ctx, l0_eigenvalue(mu, s), weight) * series_exp(lin)
-    return acc
+        _add_weighted_exp(acc, l0_eigenvalue(mu, s), weight, a, params.ctx.D)
+    return TruncatedSeries(params.out_ctx, acc)
 
 
 def zprime_series(params: ModelParams) -> TruncatedSeries:
@@ -196,5 +210,6 @@ def fermionic_expectation(params: ModelParams, which: str) -> TruncatedSeries:
             th_part = ({k: phis[-k][i] for k in range(1, K + 1)}
                        if which == "Zprime" else None)
             lin = linear_form(ctx, t_part, th_part)
-            acc = acc + _q_monomial(ctx, n + c_s, coeff) * series_exp(lin)
+            head = TruncatedSeries.monomial(ctx, (n + c_s,) + (0,) * (2 * K), coeff)
+            acc = acc + head * series_exp(lin)
     return acc

@@ -461,13 +461,13 @@ def _first_residual_entry(g: GradedOperator, jl: SectorOperator, jr: SectorOpera
 
 
 def intertwining_residual(which: str, k: int, params: ModelParams) -> CheckReport:
-    """For 'g_true': J_k g - g J_{-k} must vanish on the certified window.
+    """For 'g_true' (k > 0): J_k g - g J_{-k} must vanish on the certified window.
     For 'gprime_fake': J_k g' - g' J_k must NOT vanish; a pass means the
     residual has a certified nonzero entry, reported as evidence."""
     if which not in ("g_true", "gprime_fake"):
         raise ValueError(f"unknown selector {which!r}")
-    if k == 0:
-        raise ValueError("k must be nonzero")
+    if k == 0 or (which == "g_true" and k < 0):
+        raise ValueError("k must be nonzero, and positive for 'g_true'")
     if abs(k) > params.ctx.K:
         raise ValueError(f"|k| = {abs(k)} exceeds the tracked family K = {params.ctx.K}")
     cfg = params.config

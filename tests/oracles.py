@@ -149,18 +149,26 @@ class DenseGraded(GradedOperator):
         return self.dense_A.matmul(proj).matmul(self.dense_B)
 
 
+def residual_mask(k: int, right_k: int, params) -> tuple:
+    """The certified window of J_k g_n - g_n J_{right_k}: only the J factors
+    can leave the cutoff."""
+    cfg, N = params.config, params.N
+    certs = (ExactnessCertificate((j_op(k, cfg).shift, FULL), N),
+             ExactnessCertificate((FULL, j_op(right_k, cfg).shift), N))
+    return certified_window(N, certs)[0]
+
+
 def dense_residual_entry(family: str, k: int, right_k: int, params,
                          mask=None) -> dict | None:
     """The earliest nonzero entry of J_k g_n - g_n J_{right_k} inside a
     weight-pair mask, by grade, then row, then column, from the dense blocks
     of DenseGraded with the given right family. The mask defaults to the
     certified window. None when every entry vanishes."""
-    cfg, N = params.config, params.N
+    cfg = params.config
     g = DenseGraded(params, family)
     jl, jr = j_op(k, cfg), j_op(right_k, cfg)
     if mask is None:
-        mask, _ = certified_window(N, (ExactnessCertificate((jl.shift, FULL), N),
-                                       ExactnessCertificate((FULL, jr.shift), N)))
+        mask = residual_mask(k, right_k, params)
     for n in range(params.ctx.NQ + 1):
         gn = g.block(n)
         ok, entry = _scan_certified_residual(jl.matmul(gn) - gn.matmul(jr), mask)

@@ -7,7 +7,8 @@ from pathlib import Path
 import pytest
 
 import toda_crystal
-from toda_crystal.cli import RunConfig, _build_parser, _task_list, main
+from toda_crystal.cli import CHECKS, RunConfig, _build_parser, _run_task, _task_list, main
+from toda_crystal.toda import CalibrationError
 
 
 def run_cli(args, tmp_path=None, env_extra=None):
@@ -209,3 +210,39 @@ def test_intertwining_shift_beyond_cutoff(suite, tmp_path):
     for line in inter:
         assert line["status"] == "insufficient_window"
         assert line["evidence"] == {"reason": "shift exceeds the cutoff", "window": 0}
+
+
+@pytest.mark.parametrize("exc", [CalibrationError("no sign matches"), ZeroDivisionError("1/0")])
+def test_raising_check_becomes_error_line(monkeypatch, capsys, tmp_path, exc):
+    # a serial run: the raising check is reported, the others still run
+    out, ref = tmp_path / "r.jsonl", tmp_path / "ref.jsonl"
+    args = ["verify", "toeplitz", *SMALL]
+    assert run_cli(args + ["--out", str(ref)])[0] == 0
+
+    def boom(task):
+        raise exc
+
+    monkeypatch.setitem(CHECKS, "trivial_tau", CHECKS["trivial_tau"]._replace(run=boom))
+    code, _ = run_cli(args + ["--out", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "Traceback" in err and f"{type(exc).__name__}: {exc}" in err
+    assert err.endswith("toeplitz: 1/2 checks passed\n")
+    lines = [json.loads(l) for l in out.read_text().splitlines()]
+    ref_lines = [json.loads(l) for l in ref.read_text().splitlines()]
+    assert len(lines) == len(ref_lines) == 2
+    error = next(l for l in lines if l["status"] == "error")
+    assert error["check"] == "trivial_tau"
+    assert error["params"] == {"p": "1/2", "K": 2, "D": 2, "NQ": 2, "N": 4, "s": 0, "l": 0}
+    assert error["evidence"] == {"type": type(exc).__name__, "message": str(exc)}
+    kept = [l for l in lines if l["status"] != "error"]
+    assert [{**l, "wall_ms": 0} for l in kept] == [
+        {**l, "wall_ms": 0} for l in ref_lines if l["check"] != "trivial_tau"]
+
+
+def test_run_task_returns_a_line():
+    task = _task_list("main-identity", RunConfig.from_args(
+        _build_parser().parse_args(["verify", "main-identity", *SMALL])))[0]
+    line = _run_task(task)
+    assert line["status"] == "pass"
+    assert set(line) == {"check", "params", "status", "evidence", "wall_ms"}

@@ -4,11 +4,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toda_crystal import (
     ModelParams,
     Partition,
     SeriesContext,
+    TruncatedSeries,
     charge_offset,
     enumerate_partitions,
     fermionic_expectation,
@@ -18,7 +20,9 @@ from toda_crystal import (
     z_series,
     zprime_series,
 )
-from toda_crystal.algebra import series_from_json_dict
+from toda_crystal import algebra, fock, models, toda
+from toda_crystal.algebra import linear_form, series_exp, series_from_json_dict
+from toda_crystal.models import _add_weighted_exp
 
 import oracles
 
@@ -118,6 +122,41 @@ def test_fermionic_matches_sum_over_partitions(s, l):
     assert fermionic_expectation(params, "Z") == z_series(params)
 
 
+# D = 2 barely exercises the monomial order of the closed-form exp
+@pytest.mark.parametrize("s,l,p,shape", [
+    (1, 1, P, (2, 4, 3)), (-1, 0, Fraction(2, 3), (2, 4, 3)),
+    (-1, 1, P, (3, 3, 3)), (1, 0, Fraction(2, 3), (3, 3, 3))])
+def test_fermionic_matches_sum_over_partitions_at_higher_degree(s, l, p, shape):
+    params = ModelParams(s, l, p, SeriesContext(*shape))
+    assert fermionic_expectation(params, "Zprime") == zprime_series(params)
+    assert fermionic_expectation(params, "Z") == z_series(params)
+
+
+small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@st.composite
+def weighted_exp_cases(draw):
+    K = draw(st.integers(min_value=1, max_value=3))
+    D = draw(st.integers(min_value=0, max_value=4))
+    # an explicit zero makes dead variables common
+    a = draw(st.lists(small_rationals | st.just(Fraction(0)), min_size=2 * K,
+                      max_size=2 * K))
+    return K, D, draw(st.integers(min_value=0, max_value=2)), draw(small_rationals), a
+
+
+@settings(max_examples=60, deadline=None)
+@given(weighted_exp_cases())
+def test_weighted_exp_matches_series_exp(case):
+    K, D, q, weight, a = case
+    ctx = SeriesContext(K, D, 2)
+    acc = {}
+    _add_weighted_exp(acc, q, weight, a, D)
+    lin = linear_form(ctx, dict(enumerate(a[:K], 1)), dict(enumerate(a[K:], 1)))
+    head = TruncatedSeries.monomial(ctx, (q,) + (0,) * (2 * K), weight)
+    assert TruncatedSeries(ctx, acc) == head * series_exp(lin)
+
+
 def test_fermionic_leading_q_exponent():
     for s in (1, -1, 2):
         params = ModelParams(s, 0, P, SeriesContext(1, 1, 2))
@@ -141,6 +180,49 @@ def test_zprime_fixture():
     fixture = series_from_json_dict(data["series"])
     params = ModelParams(0, 0, P, SeriesContext(2, 2, 2))
     assert zprime_series(params) == fixture
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("this route must not be used here")
+
+
+def test_partition_sum_uses_neither_series_exp_nor_fock(monkeypatch):
+    # the closed-form route shares no exp, series product or fock code with
+    # the fermionic route and the identity prefactors
+    params = ModelParams(0, 0, P, SeriesContext(2, 2, 2))
+    z_before = z_series(params)
+    for module in (algebra, models):
+        monkeypatch.setattr(module, "series_exp", _raise)
+    for name, obj in vars(fock).items():
+        if callable(obj) and getattr(obj, "__module__", None) == fock.__name__:
+            monkeypatch.setattr(fock, name, _raise)
+            if hasattr(models, name):
+                monkeypatch.setattr(models, name, _raise)
+    for op in ("__add__", "__radd__", "__mul__", "__rmul__"):
+        monkeypatch.setattr(TruncatedSeries, op, _raise)
+    data = json.loads((FIXTURES / "zprime_p1of2_l0.json").read_text())
+    assert zprime_series(params) == series_from_json_dict(data["series"])
+    assert zprime_series(params).q_profile() == {
+        0: Fraction(1), 1: Fraction(4, 9), 2: Fraction(128, 2025)}
+    assert z_series(params) == z_before
+    assert z_series(params).q_profile()[1] == Fraction(4, 9)
+
+
+def test_identities_hold_without_the_closed_form_exp(monkeypatch):
+    # with the closed-form kernel gone, the fermionic route stands in for the
+    # partition sums, and the prefactors still go through series_exp
+    monkeypatch.setattr(models, "_add_weighted_exp", _raise)
+    params = ModelParams(0, 0, P, SeriesContext(2, 2, 2))
+    data = json.loads((FIXTURES / "zprime_p1of2_l0.json").read_text())
+    assert fermionic_expectation(params, "Zprime") == series_from_json_dict(data["series"])
+    with pytest.raises(AssertionError):
+        zprime_series(params)
+    monkeypatch.setattr(toda, "zprime_series", lambda pr: fermionic_expectation(pr, "Zprime"))
+    monkeypatch.setattr(toda, "z_series", lambda pr: fermionic_expectation(pr, "Z"))
+    for s, l in ((0, 1), (-1, 0)):
+        pr = ModelParams(s, l, P, SeriesContext(2, 2, 2))
+        assert toda.verify_main_identity(pr).status == "pass"
+        assert toda.verify_prev_identity(pr).status == "pass"
 
 
 def test_generate_fixtures_reproduces_fixtures(tmp_path, monkeypatch):

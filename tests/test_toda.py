@@ -34,7 +34,7 @@ from toda_crystal.fock import get_basis, j_op, w0_diag
 from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS
 from toda_crystal.toda import GradedOperator, TauSeries, _first_residual_entry, _j_matrix
 
-from oracles import DenseGraded, dense_residual_entry, merge_hatted_into_t
+from oracles import DenseGraded, dense_residual_entry, merge_hatted_into_t, residual_mask
 
 P = Fraction(1, 2)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -168,6 +168,8 @@ def test_intertwining_validation():
     pr = params(K=1, D=2, NQ=2)
     with pytest.raises(ValueError):
         intertwining_residual("g_true", 0, pr)
+    with pytest.raises(ValueError):
+        intertwining_residual("g_true", -1, pr)
     with pytest.raises(ValueError):
         intertwining_residual("g_true", 2, pr)
     with pytest.raises(ValueError):
@@ -337,16 +339,25 @@ INTERTWINING_SHAPES = [dict(K=2, D=2, NQ=3), dict(K=2, D=3, NQ=2)]
 @pytest.mark.parametrize("l", [0, 1])
 @pytest.mark.parametrize("s", [-1, 0, 1])
 def test_intertwining_matches_dense_blocks(s, l, p, shape):
-    # at k = -1 the 'g_true' relation J_-1 g = g J_1 does not hold, so its
-    # reports carry a failing entry too
     pr = params(s=s, l=l, p=p, **shape)
     for which, family, sign, key in (("g_true", "plain", -1, "worst"),
                                      ("gprime_fake", "alternating", 1, "nonzero_entry")):
         for k in (1, 2, -1):
+            if which == "g_true" and k < 0:
+                continue
             rep = intertwining_residual(which, k, pr)
             entry = dense_residual_entry(family, k, sign * k, pr)
             assert rep.evidence.get(key) == entry
             assert rep.status == (PASS if (entry is None) == (which == "g_true") else FAIL)
+    # J_-1 g = g J_1 does not hold, so the check rejects k = -1 for 'g_true';
+    # the pushed and the dense residuals still agree on its certified window
+    with pytest.raises(ValueError):
+        intertwining_residual("g_true", -1, pr)
+    cfg = pr.config
+    entry = _first_residual_entry(build_g(pr), j_op(-1, cfg), j_op(1, cfg),
+                                  residual_mask(-1, 1, pr))
+    assert entry is not None
+    assert entry == dense_residual_entry("plain", -1, 1, pr)
 
 
 @pytest.mark.parametrize("family,weights", [("plain", None), ("alternating", (2, 2))])
