@@ -109,7 +109,8 @@ class TruncatedSeries:
                 if len(key) != ctx.nvars:
                     raise ValueError(f"key {key} has wrong arity for {ctx}")
                 if ctx.keeps(key):
-                    val = Fraction(val)
+                    if not isinstance(val, Fraction):
+                        val = Fraction(val)
                     if val:
                         clean[key] = val
         self.coeffs = clean

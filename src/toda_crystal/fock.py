@@ -550,12 +550,19 @@ def vertex_op(coeffs: Mapping[int, Fraction], direction: str,
     return SectorOperator(config, acc.basis, acc.rows, gen.shift)
 
 
-def _transfer_generator(p: Fraction, N: int, family: str, direction: str):
-    """The exponent of a transfer exponential; shares the cache entry of
-    the vertex_op call made by transfer_operator."""
+@lru_cache(maxsize=None)
+def _transfer_generator(p: Fraction, N: int, family: str,
+                        direction: str) -> tuple[SectorOperator, int]:
+    """The exponent of a transfer exponential in integer form: (M, den) with
+    integer entries M and M/den = sum_k c_k J_{+-k}, over the least common
+    denominator of the entries."""
     coeffs = transfer_weights(p, N, alternating=(family == "alternating"))
-    return _generator(tuple(coeffs[k] for k in range(1, N + 1)), direction,
-                      SectorConfig(0, N, p))
+    gen = _generator(tuple(coeffs[k] for k in range(1, N + 1)), direction,
+                     SectorConfig(0, N, p))
+    den = math.lcm(*(v.denominator for row in gen.rows.values() for v in row.values()))
+    rows = {i: {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+            for i, row in gen.rows.items()}
+    return SectorOperator(gen.config, gen.basis, rows, gen.shift), den
 
 
 @lru_cache(maxsize=None)
@@ -576,49 +583,66 @@ def transfer_pair(p: Fraction, N: int, family: str) -> SectorOperator:
     return gm.matmul(gp)
 
 
-def _exp_series(vec: Mapping[int, object], step: Callable) -> dict[int, object]:
-    """sum_n step^n(vec) / n! for a nilpotent linear step on sparse vectors."""
-    acc = dict(vec)
-    term = acc
+# A vector in integer form is a pair (nums, den): sparse integer numerators
+# over one common denominator den > 0, with the value nums[i]/den at index i.
+IntVector = tuple[dict[int, int], int]
+
+
+def reduced(vec: IntVector) -> IntVector:
+    """vec in lowest terms: zero numerators dropped, and the gcd of the
+    numerators and the denominator divided out."""
+    nums, den = vec
+    nums = {i: v for i, v in nums.items() if v}
+    g = math.gcd(den, *nums.values())
+    if g == 1:
+        return nums, den
+    return {i: v // g for i, v in nums.items()}, den // g
+
+
+def _exp_series(vec: IntVector, step: Callable, den_step: int) -> IntVector:
+    """sum_n (step/den_step)^n vec / n! for a nilpotent integer linear step on
+    sparse numerators. The n-th term is step^n(nums) over den * den_step^n * n!,
+    so at step n the accumulator is rescaled by den_step * n before the term
+    is added. The sum is reduced once, at the end."""
+    nums, den = vec
+    acc = term = nums
     n = 0
-    while term:
+    while True:
         n += 1
-        inv = Fraction(1, n)
-        term = {i: v * inv for i, v in step(term).items()}
+        term = step(term)
+        if not term:
+            return reduced((acc, den))
+        f = den_step * n
+        den *= f
+        acc = {i: v * f for i, v in acc.items()}
         for i, v in term.items():
             acc[i] = acc[i] + v if i in acc else v
-    return {i: v for i, v in acc.items() if v}
 
 
-def _below(vec: Mapping[int, object], cap: int) -> dict[int, object]:
+def _below(vec: IntVector, cap: int) -> IntVector:
     """The components of weight <= cap; the graded basis order puts them first."""
     limit = len(get_basis(cap))
-    return {i: v for i, v in vec.items() if i < limit}
+    return {i: v for i, v in vec[0].items() if i < limit}, vec[1]
 
 
-def transfer_pair_row(vec: Mapping[int, object], p: Fraction, N: int, family: str,
-                      cap: int) -> dict[int, object]:
+def transfer_pair_row(vec: IntVector, p: Fraction, N: int, family: str,
+                      cap: int) -> IntVector:
     """vec . G_- G_+ on the weights <= cap, without materialising the pair.
 
-    On a row G_- lowers weights, so it runs on the whole window. G_+ raises
-    them: a component of weight <= cap only ever draws on components of
-    lower weight, so G_+ runs in the sector cut at cap, whose basis is a
-    prefix of this one. The result equals vec . transfer_pair(p, N, family)
-    on the weights <= cap."""
-    gm = _transfer_generator(p, N, family, "raising")
-    gp = _transfer_generator(p, cap, family, "lowering")
-    v = _exp_series(vec, lambda t: apply_row(t, gm))
-    return _exp_series(_below(v, cap), lambda t: apply_row(t, gp))
+    vec and the result are in integer form (see IntVector), the result in
+    lowest terms. Each exponential runs on the numerators with the integer
+    form of its exponent, so no step reduces a fraction. On a row G_- lowers
+    weights, so it runs on the whole window. G_+ raises them: a component of
+    weight <= cap only ever draws on components of lower weight, so G_+ runs
+    in the sector cut at cap, whose basis is a prefix of this one. The result
+    equals vec . transfer_pair(p, N, family) on the weights <= cap.
 
-
-def transfer_pair_col(vec: Mapping[int, object], p: Fraction, N: int, family: str,
-                      cap: int) -> dict[int, object]:
-    """G_- G_+ . vec on the weights <= cap: on a column G_+ lowers weights and
-    runs on the whole window, and G_- raises them and runs cut at cap."""
-    gp = _transfer_generator(p, N, family, "lowering")
-    gm = _transfer_generator(p, cap, family, "raising")
-    v = _exp_series(vec, lambda t: apply_col(gp, t))
-    return _exp_series(_below(v, cap), lambda t: apply_col(gm, t))
+    The pair is symmetric, since G_+ is the transpose of G_- (J_{-k} is the
+    transpose of J_k), so this is also G_- G_+ . vec on a column."""
+    gm, dm = _transfer_generator(p, N, family, "raising")
+    gp, dp = _transfer_generator(p, cap, family, "lowering")
+    v = _exp_series(vec, lambda t: apply_row(t, gm), dm)
+    return _exp_series(_below(v, cap), lambda t: apply_row(t, gp), dp)
 
 
 def with_config(op: SectorOperator, config: SectorConfig) -> SectorOperator:

@@ -10,16 +10,19 @@ Certification is by construction for the tau series. A tau series needs
 only the C(K+D, D) time vectors <s| prod J_k^{a_k} A and B prod J_{-k}^{b_k} |s>,
 paired at weights n <= NQ, so A and B are never materialised: each vector
 is pushed through the dressings and the terminating exponential series of
-the transfer factors one factor at a time. The factor that raises weights
-(G_+ on a row, G"_- on a column) runs in the sector cut at NQ, which is
-exact: a component of weight <= NQ only draws on intermediates of lower
-weight. The time exponentials contribute energies at most K*D, which the
+the transfer factors one factor at a time, in integer form: a pair
+(nums, den) of integer numerators over one denominator den > 0, with value
+nums/den. A reported value is built once, as a Fraction. The factor that
+raises weights (G_+ on a row, G"_- on a column) runs in the sector cut at
+NQ, which is exact: a component of weight <= NQ only draws on
+intermediates of lower weight. The time exponentials contribute energies at most K*D, which the
 cutoff must dominate. Since J_{-k} is the transpose of J_k, one table of
 row vectors serves as the column vectors too. The intertwining check pairs
 pushed vectors as well: (g_n)_{lam,mu} = <e_lam A, Pi_n B e_mu>, and the
-current modes enter by linearity, so no dense block of g is ever built. It
-reads its residual entries against the same certified_window mask as the
-operator checks.
+current modes enter by linearity, so no dense block of g is ever built. Its
+grade dots are integer sums, and a residual entry is nonzero when an integer
+cross-multiplication says so. It reads its residual entries against the same
+certified_window mask as the operator checks.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ from .algebra import (
 from .fock import (
     FULL,
     ExactnessCertificate,
+    IntVector,
     SectorConfig,
     SectorOperator,
     apply_col,
@@ -51,8 +55,8 @@ from .fock import (
     certified_window,
     get_basis,
     j_op,
+    reduced,
     transfer_operator,
-    transfer_pair_col,
     transfer_pair_row,
     w0_diag,
 )
@@ -80,13 +84,16 @@ class CalibrationError(RuntimeError):
 # Time-evolution vectors <s| prod J_k^{a_k}. As J_{-k} is the transpose of J_k,
 # the same entries give the columns prod J_{-k}^{b_k} |s>. Current-mode
 # matrices carry no p and no charge dependence, so these vectors are cached on
-# (N, K, D) alone.
+# (N, K, D) alone. Their entries are integers, the numerators of integer-form
+# vectors over the denominator 1.
 
 @lru_cache(maxsize=None)
 def _j_matrix(k: int, N: int) -> SectorOperator:
-    """J_k for the time vectors only. Its config pins p = 1/2, so operator
-    products in a sector use j_op(k, config) instead."""
-    return j_op(k, SectorConfig(0, N, Fraction(1, 2)))
+    """J_k with integer entries, for the time vectors only. Its config pins
+    p = 1/2, so operator products in a sector use j_op(k, config) instead."""
+    j = j_op(k, SectorConfig(0, N, Fraction(1, 2)))
+    return SectorOperator(j.config, j.basis, {i: {c: int(v) for c, v in row.items()}
+                                              for i, row in j.rows.items()}, j.shift)
 
 
 def _multi_indices(K: int, D: int) -> list[tuple[int, ...]]:
@@ -98,7 +105,7 @@ def _multi_indices(K: int, D: int) -> list[tuple[int, ...]]:
 
 @lru_cache(maxsize=None)
 def _time_rows(N: int, K: int, D: int):
-    rows = {(0,) * K: {0: Fraction(1)}}
+    rows = {(0,) * K: {0: 1}}
     for a in _multi_indices(K, D):
         if a in rows or sum(a) == 0:
             continue
@@ -108,11 +115,9 @@ def _time_rows(N: int, K: int, D: int):
     return rows
 
 
-def _norm(a: tuple[int, ...]) -> Fraction:
-    f = 1
-    for e in a:
-        f *= math.factorial(e)
-    return Fraction(1, f)
+def _factorials(a: tuple[int, ...]) -> int:
+    """a! = prod_k a_k!"""
+    return math.prod(math.factorial(e) for e in a)
 
 
 # ---------------------------------------------------------------------------
@@ -133,9 +138,13 @@ class GradedOperator:
     'plain' with q^{+W0/2} or 'alternating' with q^{-W0/2}; identity_transfers
     replaces both pairs by the identity.
 
-    g is only ever applied to vectors. row(vec) is vec . A and col(vec) is
-    B . vec, pushed through the factors one at a time and kept on the weights
-    <= NQ, the only ones a graded pairing reads. The cut is exact: the
+    g is only ever applied to vectors, in integer form: a vector is a pair
+    (nums, den) of integer numerators over one denominator den > 0, with
+    value nums/den. row(vec) is vec . A and col(vec) is B . vec, pushed
+    through the factors one at a time, kept on the weights <= NQ, the only
+    ones a graded pairing reads, and returned in lowest terms. The p^{cW0}
+    dressings multiply numerators and denominator by integer powers of the
+    numerator and the denominator of p. The cut is exact: the
     dressings keep weights, and the transfer factor that raises weights (G_+
     on a row, G"_- on a column) runs in the sector cut at NQ, since no
     intermediate of a kept component lies above that component's weight.
@@ -156,32 +165,41 @@ class GradedOperator:
         self.basis = get_basis(self.config.N)
         self._w0 = w0_diag(self.config)
         self._limit = self.basis.weight_range[params.ctx.NQ].stop
-        self.basis_row = cache(lambda i: self.row({i: Fraction(1)}))
-        self.basis_col = cache(lambda i: self.col({i: Fraction(1)}))
+        self.basis_row = cache(lambda i: self.row(({i: 1}, 1)))
+        self.basis_col = cache(lambda i: self.col(({i: 1}, 1)))
 
-    def _scaled(self, vec, c: int) -> dict[int, Fraction]:
-        """vec times the diagonal p^{c W0}."""
-        p, w0 = self.config.p, self._w0
-        return {i: v * p ** (c * w0[i]) for i, v in vec.items()}
+    def _scaled(self, vec: IntVector, c: int) -> IntVector:
+        """vec times the diagonal p^{c W0}, with p = a/b: numerator i gains
+        a^(e_i - lo) b^(hi - e_i) and the denominator a^-lo b^hi, where
+        e_i = c w0_i, lo = min(0, e) and hi = max(0, e)."""
+        nums, den = vec
+        if not c or not nums:
+            return vec
+        a, b = self.config.p.numerator, self.config.p.denominator
+        exps = {i: c * self._w0[i] for i in nums}
+        lo, hi = min(0, *exps.values()), max(0, *exps.values())
+        return ({i: v * a ** (exps[i] - lo) * b ** (hi - exps[i]) for i, v in nums.items()},
+                den * a ** -lo * b ** hi)
 
-    def _cut(self, vec) -> dict[int, Fraction]:
-        return {i: v for i, v in vec.items() if i < self._limit}
+    def _cut(self, vec: IntVector) -> IntVector:
+        return {i: v for i, v in vec[0].items() if i < self._limit}, vec[1]
 
-    def row(self, vec) -> dict[int, Fraction]:
+    def row(self, vec: IntVector) -> IntVector:
         """vec . A on the weights <= NQ."""
         cfg = self.config
         v = self._scaled(vec, 1)
         if not self.identity_transfers:
             v = transfer_pair_row(v, cfg.p, cfg.N, "plain", self.params.ctx.NQ)
-        return self._scaled(self._cut(v), cfg.l)
+        return reduced(self._scaled(self._cut(v), cfg.l))
 
-    def col(self, vec) -> dict[int, Fraction]:
-        """B . vec on the weights <= NQ."""
+    def col(self, vec: IntVector) -> IntVector:
+        """B . vec on the weights <= NQ; the transfer pair is symmetric, so it
+        acts on a column as on a row."""
         cfg = self.config
         v = self._scaled(vec, _RIGHT_W0_SIGN[self.family])
         if not self.identity_transfers:
-            v = transfer_pair_col(v, cfg.p, cfg.N, self.family, self.params.ctx.NQ)
-        return self._cut(v)
+            v = transfer_pair_row(v, cfg.p, cfg.N, self.family, self.params.ctx.NQ)
+        return reduced(self._cut(v))
 
     @cached_property
     def time_vectors(self):
@@ -189,8 +207,8 @@ class GradedOperator:
         multi-index of degree <= D, keyed by the multi-index."""
         ctx = self.params.ctx
         rows = _time_rows(self.config.N, ctx.K, ctx.D)
-        return ({a: self.row(r) for a, r in rows.items()},
-                {b: self.col(r) for b, r in rows.items()})
+        return ({a: self.row((r, 1)) for a, r in rows.items()},
+                {b: self.col((r, 1)) for b, r in rows.items()})
 
     def vacuum_q_series(self) -> TruncatedSeries:
         """<s| g |s> as a pure Q series in the output context."""
@@ -216,34 +234,36 @@ def build_g(params: ModelParams, identity_transfers: bool = False) -> GradedOper
 # ---------------------------------------------------------------------------
 # Tau series
 
-def _grade_dot(u, w, grade: range) -> Fraction:
-    """<u, w>_n = sum_{|nu| = n} u_nu w_nu, with grade the indices of weight n."""
-    return sum((u[i] * w[i] for i in grade if i in u and i in w), Fraction(0))
+def _grade_dot(u: dict[int, int], w: dict[int, int], grade: range) -> int:
+    """sum_{|nu| = n} u_nu w_nu over integer numerators, with grade the
+    indices of weight n; <u, w>_n is this over the product of the denominators."""
+    return sum(u[i] * w[i] for i in grade if i in u and i in w)
 
 
-def _graded_pairing(u, w, basis, NQ: int) -> list[tuple[int, Fraction]]:
-    """The nonzero <u, w>_n for n <= NQ, by grade."""
+def _graded_pairing(u, w, basis, NQ: int) -> list[tuple[int, int]]:
+    """The nonzero numerator grade dots for n <= NQ, by grade."""
     totals = [(n, _grade_dot(u, w, basis.weight_range[n])) for n in range(NQ + 1)]
     return [(n, total) for n, total in totals if total]
 
 
 def _assemble(params: ModelParams, us, ws, hat_sign: int) -> TruncatedSeries:
-    """Coefficient table sum_{a,b,n} Q^{n+c_s} t^a th^b (sgn^{|b|}/a!b!) <u_a, w_b>_n."""
+    """Coefficient table sum_{a,b,n} Q^{n+c_s} t^a th^b (sgn^{|b|}/a!b!) <u_a, w_b>_n
+    for integer-form vectors u_a and w_b."""
     D, NQ = params.ctx.D, params.ctx.NQ
     basis = get_basis(params.N)
     c_s = charge_offset(params.s)
     coeffs = {}
-    for a, u in us.items():
+    for a, (u, u_den) in us.items():
         da = sum(a)
-        na = _norm(a)
-        for bb, w in ws.items():
+        den_a = u_den * _factorials(a)
+        for bb, (w, w_den) in ws.items():
             if da + sum(bb) > D:
                 continue
-            norm = na * _norm(bb)
+            den = den_a * w_den * _factorials(bb)
             if hat_sign < 0 and sum(bb) % 2:
-                norm = -norm
+                den = -den
             for n, total in _graded_pairing(u, w, basis, NQ):
-                coeffs[(n + c_s,) + a + bb] = total * norm
+                coeffs[(n + c_s,) + a + bb] = Fraction(total, den)
     return TruncatedSeries(params.out_ctx, coeffs)
 
 
@@ -297,10 +317,12 @@ def trivial_tau(K: int, D: int) -> TruncatedSeries:
         for bb, w in vecs.items():
             if sum(a) + sum(bb) > D:
                 continue
-            sign = -1 if sum(bb) % 2 else 1
+            den = _factorials(a) * _factorials(bb)
+            if sum(bb) % 2:
+                den = -den
             # u and w each live on one weight, so at most one grade pairs
             for _, total in _graded_pairing(u, w, basis, N):
-                coeffs[(0,) + a + bb] = sign * total * _norm(a) * _norm(bb)
+                coeffs[(0,) + a + bb] = Fraction(total, den)
     return TruncatedSeries(SeriesContext(K, D, 0), coeffs)
 
 
@@ -422,13 +444,20 @@ def ground_action_constants(s: int, p: Fraction, N: int) -> CheckReport:
     return report
 
 
-def _linear_combination(vector, coeffs) -> dict[int, Fraction]:
-    """sum_i coeffs[i] vector(i)."""
-    out: dict[int, Fraction] = {}
+def _linear_combination(vector, coeffs) -> IntVector:
+    """sum_i coeffs[i] vector(i) for rational coeffs and integer-form vectors,
+    over the least common denominator of the terms."""
+    terms = []
     for i, c in coeffs.items():
-        for j, v in vector(i).items():
-            out[j] = out[j] + c * v if j in out else c * v
-    return out
+        nums, den = vector(i)
+        terms.append((c.numerator, c.denominator * den, nums))
+    den = math.lcm(*(d for _, d, _ in terms))
+    out: dict[int, int] = {}
+    for c, d, nums in terms:
+        f = c * (den // d)
+        for j, v in nums.items():
+            out[j] = out[j] + f * v if j in out else f * v
+    return out, den
 
 
 def _first_residual_entry(g: GradedOperator, jl: SectorOperator, jr: SectorOperator,
@@ -439,7 +468,10 @@ def _first_residual_entry(g: GradedOperator, jl: SectorOperator, jr: SectorOpera
     The entry at (lam, mu) is <e_lam J_l A, Pi_n B e_mu> - <e_lam A, Pi_n B J_r e_mu>.
     By linearity e_lam J_l A = sum_kappa (J_l)_{lam,kappa} row(e_kappa), and
     likewise on the right, so the J-dressed vectors cost no pushes of their
-    own. A basis vector is pushed when the scan first needs it."""
+    own. A basis vector is pushed when the scan first needs it. Both sides
+    are integer grade dots over their own denominators, so an entry is
+    nonzero when their cross-products differ; only a reported entry is built
+    as a Fraction."""
     b = g.basis
     w = b.weights
     row, col = g.basis_row, g.basis_col
@@ -453,9 +485,12 @@ def _first_residual_entry(g: GradedOperator, jl: SectorOperator, jr: SectorOpera
             for mu in range(len(b)):
                 if not certified[w[mu]]:
                     continue
-                v = (_grade_dot(dressed_row(lam), col(mu), grade)
-                     - _grade_dot(row(lam), dressed_col(mu), grade))
-                if v:
+                (dr, dr_den), (c, c_den) = dressed_row(lam), col(mu)
+                (r, r_den), (dc, dc_den) = row(lam), dressed_col(mu)
+                left = _grade_dot(dr, c, grade) * r_den * dc_den
+                right = _grade_dot(r, dc, grade) * dr_den * c_den
+                if left != right:
+                    v = Fraction(left - right, dr_den * c_den * r_den * dc_den)
                     return {"grade": n, **_entry_evidence(b, lam, mu, v)}
     return None
 

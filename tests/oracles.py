@@ -5,15 +5,18 @@ the implementation under test. The closed-form oracles use nothing of the
 package beyond partitions and series. The fermion-move oracles build operators
 one psi_a psi*_b move at a time from the Maya-diagram primitives.
 DenseGraded keeps the dense route to the tau vectors and the graded blocks
-that the package replaced with pushed vectors, and window_size_by_pairs the
-weight-pair count that certified_window replaced.
+that the package replaced with pushed vectors, fraction_residual_entry the
+intertwining scan on Fraction vectors that the package replaced with an
+integer-numerator scan, and window_size_by_pairs the weight-pair count that
+certified_window replaced.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cache, lru_cache
 
 from toda_crystal import Partition, SeriesContext, TruncatedSeries, enumerate_partitions
 from toda_crystal.fock import (
@@ -32,7 +35,7 @@ from toda_crystal.fock import (
     w0_diag,
     with_config,
 )
-from toda_crystal.symmetries import _scan_certified_residual
+from toda_crystal.symmetries import _entry_evidence, _scan_certified_residual
 from toda_crystal.toda import GradedOperator
 
 
@@ -115,10 +118,25 @@ def schur_jacobi_trudi(mu: Partition, p: Fraction) -> Fraction:
     return exact_det(mat)
 
 
+def as_fractions(vec) -> dict[int, Fraction]:
+    """An integer-form vector (nums, den) as {index: Fraction}."""
+    nums, den = vec
+    return {i: Fraction(v, den) for i, v in nums.items()}
+
+
+def integer_form(vec) -> tuple[dict[int, int], int]:
+    """{index: Fraction} as an integer-form vector over the least common
+    denominator of its entries."""
+    den = math.lcm(*(v.denominator for v in vec.values()))
+    return {i: int(v * den) for i, v in vec.items()}, den
+
+
 class DenseGraded(GradedOperator):
     """A graded operator whose row and column actions multiply by the
     materialised A = p^{W0} G_-G_+ p^{l W0} and B = G"_-G"_+ p^{+-W0}, with the
-    dense transfer pairs from fock.transfer_pair. The vectors keep every
+    dense transfer pairs from fock.transfer_pair. fraction_row and
+    fraction_col act on {index: Fraction} vectors; row and col wrap them for
+    the integer-form vectors of GradedOperator. The vectors keep every
     weight up to the cutoff; the graded pairing reads the weights <= NQ."""
 
     def __init__(self, params, family: str, identity_transfers: bool = False):
@@ -136,11 +154,17 @@ class DenseGraded(GradedOperator):
             lambda j: p ** (l * w0[j]))
         self.dense_B = right.scale_cols(lambda j: p ** (sign * w0[j]))
 
-    def row(self, vec):
+    def fraction_row(self, vec: dict) -> dict[int, Fraction]:
         return apply_row(vec, self.dense_A)
 
-    def col(self, vec):
+    def fraction_col(self, vec: dict) -> dict[int, Fraction]:
         return apply_col(self.dense_B, vec)
+
+    def row(self, vec):
+        return integer_form(self.fraction_row(as_fractions(vec)))
+
+    def col(self, vec):
+        return integer_form(self.fraction_col(as_fractions(vec)))
 
     def block(self, n: int) -> SectorOperator:
         """g_n = A . Pi_n . B, with Pi_n the projector on weight n."""
@@ -174,6 +198,47 @@ def dense_residual_entry(family: str, k: int, right_k: int, params,
         ok, entry = _scan_certified_residual(jl.matmul(gn) - gn.matmul(jr), mask)
         if not ok:
             return {"grade": n, **entry}
+    return None
+
+
+def _fraction_grade_dot(u, w, grade: range) -> Fraction:
+    """<u, w>_n = sum_{|nu| = n} u_nu w_nu, with grade the indices of weight n."""
+    return sum((u[i] * w[i] for i in grade if i in u and i in w), Fraction(0))
+
+
+def _fraction_combination(vector, coeffs) -> dict[int, Fraction]:
+    """sum_i coeffs[i] vector(i)."""
+    out: dict[int, Fraction] = {}
+    for i, c in coeffs.items():
+        for j, v in vector(i).items():
+            out[j] = out[j] + c * v if j in out else c * v
+    return out
+
+
+def fraction_residual_entry(g: GradedOperator, jl: SectorOperator, jr: SectorOperator,
+                            mask) -> dict | None:
+    """toda._first_residual_entry on Fraction vectors: the same scan order
+    and the same linearity in the J factors, with the row and column
+    vectors of g taken from the dense pairs of DenseGraded."""
+    dense = DenseGraded(g.params, g.family, g.identity_transfers)
+    b = g.basis
+    w = b.weights
+    row = cache(lambda i: dense.fraction_row({i: Fraction(1)}))
+    col = cache(lambda i: dense.fraction_col({i: Fraction(1)}))
+    jr_cols = jr.transpose().rows
+    dressed_row = cache(lambda lam: _fraction_combination(row, jl.rows.get(lam, {})))
+    dressed_col = cache(lambda mu: _fraction_combination(col, jr_cols.get(mu, {})))
+    for n in range(g.params.ctx.NQ + 1):
+        grade = b.weight_range[n]
+        for lam in range(len(b)):
+            certified = mask[w[lam]]
+            for mu in range(len(b)):
+                if not certified[w[mu]]:
+                    continue
+                v = (_fraction_grade_dot(dressed_row(lam), col(mu), grade)
+                     - _fraction_grade_dot(row(lam), dressed_col(mu), grade))
+                if v:
+                    return {"grade": n, **_entry_evidence(b, lam, mu, v)}
     return None
 
 

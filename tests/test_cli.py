@@ -10,6 +10,8 @@ import toda_crystal
 from toda_crystal.cli import CHECKS, RunConfig, _build_parser, _run_task, _task_list, main
 from toda_crystal.toda import CalibrationError
 
+from oracles import fraction_residual_entry
+
 
 def run_cli(args, tmp_path=None, env_extra=None):
     """Invoke the CLI in-process, capturing stdout lines and the exit code."""
@@ -161,6 +163,31 @@ def test_verify_intertwining_suites_at_p_one_third(suite, tmp_path):
     code, _ = run_cli(["verify", suite, "--K", "2", "--D", "3", "--p", "1/3",
                        "--out", str(tmp_path / "r.jsonl")])
     assert code == 0
+
+
+@pytest.mark.parametrize("suite", ["prev-identity", "toeplitz"])
+def test_intertwining_suites_match_fraction_scan(suite, monkeypatch):
+    # the integer-numerator scan against the Fraction scan on dense vectors;
+    # the lines are compared without their timing field. prev-identity has
+    # the g_true lines, toeplitz the g' lines that report a nonzero entry.
+    args = ["verify", suite, "--s", "0", "--K", "2", "--D", "3", "--p", "1/3"]
+
+    def lines():
+        code, out = run_cli(args)
+        assert code == 0
+        return [{k: v for k, v in json.loads(text).items() if k != "wall_ms"}
+                for text in out.splitlines()]
+
+    ours = lines()
+    calls = []
+
+    def oracle(*a):
+        calls.append(a)
+        return fraction_residual_entry(*a)
+
+    monkeypatch.setattr(toda_crystal.toda, "_first_residual_entry", oracle)
+    assert lines() == ours
+    assert len(calls) == sum(line["check"] == "intertwining" for line in ours) > 0
 
 
 @pytest.mark.parametrize("requested,cpus,pools,clamped", [

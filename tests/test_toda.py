@@ -1,8 +1,10 @@
 import json
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toda_crystal import (
     CalibrationError,
@@ -34,7 +36,13 @@ from toda_crystal.fock import get_basis, j_op, w0_diag
 from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS
 from toda_crystal.toda import GradedOperator, TauSeries, _first_residual_entry, _j_matrix
 
-from oracles import DenseGraded, dense_residual_entry, merge_hatted_into_t, residual_mask
+from oracles import (
+    DenseGraded,
+    as_fractions,
+    dense_residual_entry,
+    merge_hatted_into_t,
+    residual_mask,
+)
 
 P = Fraction(1, 2)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -52,7 +60,7 @@ def test_graded_operator_identity_transfers_is_diagonal():
     w0 = w0_diag(cfg)
     for n in range(4):
         for i in b.weight_range[n]:
-            u, w = g.basis_row(i), g.basis_col(i)
+            u, w = as_fractions(g.basis_row(i)), as_fractions(g.basis_col(i))
             assert list(u) == list(w) == [i]
             # A = p^{(1+l) W0}, B = p^{-W0}: g_n is diagonal p^{l w0}
             assert u[i] * w[i] == cfg.p ** (cfg.l * w0[i])
@@ -316,7 +324,7 @@ def test_intertwining_at_p_other_than_half():
     assert intertwining_residual("gprime_fake", 1, pr).status == PASS
 
 
-@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(2, 3)])
+@pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)])
 @pytest.mark.parametrize("family", ["plain", "alternating"])
 def test_pushed_basis_vectors_match_dense_pair(family, p):
     pr = params(p=p, s=-1, l=1, K=2, D=3, NQ=2)
@@ -326,8 +334,12 @@ def test_pushed_basis_vectors_match_dense_pair(family, p):
     low = len(get_basis(pr.ctx.NQ))
     for i in range(len(b)):
         e = {i: Fraction(1)}
-        assert ours.basis_row(i) == {j: v for j, v in dense.row(e).items() if j < low}
-        assert ours.basis_col(i) == {j: v for j, v in dense.col(e).items() if j < low}
+        row, col = ours.basis_row(i), ours.basis_col(i)
+        for nums, den in (row, col):
+            # pushed vectors are in lowest terms over a positive denominator
+            assert den > 0 and 0 not in nums.values() and math.gcd(den, *nums.values()) == 1
+        assert as_fractions(row) == {j: v for j, v in dense.fraction_row(e).items() if j < low}
+        assert as_fractions(col) == {j: v for j, v in dense.fraction_col(e).items() if j < low}
 
 
 # N = 4 with NQ = 3, and N = 6 above NQ = 2 so that the cut at NQ is active
@@ -385,3 +397,21 @@ def test_intertwining_stable_under_cutoff_growth(k):
         big_rep = intertwining_residual(which, k, big)
         assert small_rep.status == big_rep.status == PASS
         assert small_rep.evidence.get("nonzero_entry") == big_rep.evidence.get("nonzero_entry")
+
+
+@st.composite
+def small_heights(draw):
+    b = draw(st.integers(2, 7))
+    return Fraction(draw(st.integers(1, b - 1)), b)
+
+
+@settings(max_examples=8, deadline=None)
+@given(p=small_heights(), s=st.integers(-1, 1), l=st.integers(0, 1), NQ=st.integers(0, 3))
+def test_intertwining_at_random_heights_matches_dense_blocks(p, s, l, NQ):
+    # the integer pushes carry a denominator per vector, and its bookkeeping
+    # depends on the height of p, which the fixed-p tests hold at 2 or 3
+    pr = params(s=s, l=l, p=p, K=2, D=2, NQ=NQ)
+    rep = intertwining_residual("gprime_fake", 1, pr)
+    assert rep.evidence["nonzero_entry"] == dense_residual_entry("alternating", 1, 1, pr)
+    for k in (1, 2):
+        assert intertwining_residual("g_true", k, pr).status == PASS
