@@ -3,19 +3,27 @@
 
 Each fixture is produced by a route independent of the code path the
 fixture later tests: the partition-function fixture comes from the
-fermionic expectation value, and the tau fixture comes from inverting the
-main identity on the sum-over-partitions series.
+fermionic expectation value of the test oracles (tests/oracles.py), and
+the tau fixture comes from inverting the main identity on the
+sum-over-partitions series. Run from a source checkout:
+
+    PYTHONPATH=src python scripts/generate_fixtures.py
 """
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
-from toda_crystal import ModelParams, SeriesContext, fermionic_expectation, torus_constant
+from toda_crystal import ModelParams, SeriesContext, torus_constant
 from toda_crystal.algebra import alternate_t_signs, linear_form, negate_hatted, series_exp
 from toda_crystal.models import zprime_series
 
-OUT = Path(__file__).resolve().parent.parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "fixtures"
+# the fermionic route is a reference computation kept with the test oracles
+sys.path.insert(0, str(ROOT / "tests"))
+from oracles import fermionic_expectation  # noqa: E402
 
 
 def tau_prime_by_inversion(params: ModelParams):

@@ -2,11 +2,10 @@
 quantum-torus shift symmetries, and 2D Toda tau functions."""
 
 from .algebra import SeriesContext, TruncatedSeries, series_exp, series_partial
-from .fock import SectorConfig, j_op, op_product, transfer_operator, v_op, vertex_op
+from .fock import SectorConfig, j_op, op_product, v_op
 from .models import (
     ModelParams,
     charge_offset,
-    fermionic_expectation,
     l0_eigenvalue,
     phi_potential,
     schur_qrho,

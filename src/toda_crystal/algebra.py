@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import comb, prod
 from typing import Mapping
 
 def parse_rational(text: str) -> Fraction:
@@ -328,23 +330,20 @@ def negate_hatted(f: TruncatedSeries) -> TruncatedSeries:
 
 
 def substitute_difference(f: TruncatedSeries) -> TruncatedSeries:
-    """Substitute t_k -> t_k - th_k; degrees are preserved, so the caps are kept."""
-    ctx = f.ctx
-    out = TruncatedSeries.zero(ctx)
+    """Substitute t_k -> t_k - th_k; degrees are preserved, so the caps are kept.
+    A monomial t^a expands binomially to
+    prod_k sum_j C(a_k, j) (-1)^j t_k^(a_k - j) th_k^j, and (a - j, j) recovers
+    a, so no two monomials of f share an image term."""
+    K = f.ctx.K
+    out = {}
     for key, val in f.coeffs.items():
-        term = TruncatedSeries.monomial(
-            ctx, (key[0],) + (0,) * (2 * ctx.K), val
-        )
-        for k in range(1, ctx.K + 1):
-            a = key[k]
-            if key[ctx.K + k]:
-                raise ValueError("substitute_difference expects a series in the t family only")
-            if a:
-                tk = TruncatedSeries.variable(ctx, f"t{k}")
-                thk = TruncatedSeries.variable(ctx, f"th{k}")
-                term = term * (tk - thk) ** a
-        out = out + term
-    return out
+        if any(key[K + 1:]):
+            raise ValueError("substitute_difference expects a series in the t family only")
+        a = key[1:K + 1]
+        for j in product(*(range(e + 1) for e in a)):
+            c = val * prod(comb(e, i) for e, i in zip(a, j))
+            out[(key[0], *(e - i for e, i in zip(a, j)), *j)] = -c if sum(j) % 2 else c
+    return TruncatedSeries(f.ctx, out)
 
 
 def first_difference(f: TruncatedSeries, g: TruncatedSeries):

@@ -63,6 +63,11 @@ class RunConfig:
             raise UsageError(f"cannot parse charge/weight lists: {exc}") from None
         if not s_list or not l_list:
             raise UsageError("--s and --l must be nonempty")
+        for flag, values in (("--s", s_list), ("--l", l_list)):
+            repeated = [x for i, x in enumerate(values) if x in values[:i]]
+            if repeated:
+                # a repeated point would give duplicate report lines
+                raise UsageError(f"{flag} repeats the value {repeated[0]}")
         if args.K < 1 or args.D < 0 or args.NQ < 0:
             raise UsageError("need K >= 1, D >= 0, NQ >= 0")
         N = args.N

@@ -13,6 +13,10 @@ cutoff. The rule depends on the row and column weights alone, so a check
 asks certified_window once for its mask, an (N+1) x (N+1) table over weight
 pairs filled once per pair, and reads every entry against it. Entries
 outside the mask are never used.
+
+The transfer exponentials G+- = exp(sum_k c_k J_{+-k}) are only ever applied
+to vectors, by transfer_row, in integer form; the dense matrix exponential
+and the dense pair G_-G_+ live in the test oracles as the reference route.
 """
 
 from __future__ import annotations
@@ -388,9 +392,6 @@ class SectorOperator:
                               {i: {j: v * fn(j) for j, v in row.items()}
                                for i, row in self.rows.items()}, self.shift)
 
-    def diag_vector(self) -> list:
-        return [self.get(i, i) for i in range(len(self.basis))]
-
     def nonzero_entries_sorted(self):
         for i in sorted(self.rows):
             row = self.rows[i]
@@ -426,22 +427,6 @@ def apply_row(vec: Mapping[int, object], op: SectorOperator) -> dict[int, object
             nv = v * m if cur is None else cur + v * m
             out[j] = nv
     return {j: v for j, v in out.items() if v}
-
-
-def apply_col(op: SectorOperator, vec: Mapping[int, object]) -> dict[int, object]:
-    """Matrix times column vector."""
-    out: dict[int, object] = {}
-    for i, row in op.rows.items():
-        total = None
-        for j, m in row.items():
-            v = vec.get(j)
-            if v is None:
-                continue
-            term = m * v
-            total = term if total is None else total + term
-        if total:
-            out[i] = total
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -516,71 +501,22 @@ def transfer_weights(p: Fraction, N: int, alternating: bool) -> dict[int, Fracti
 
 
 @lru_cache(maxsize=None)
-def _generator(coeffs: tuple[Fraction, ...], direction: str,
-               config: SectorConfig) -> SectorOperator:
-    """sum_k c_k J_{+k} (lowering) or sum_k c_k J_{-k} (raising) with
-    c_k = coeffs[k - 1]."""
-    sgn = -1 if direction == "raising" else 1
-    gen = SectorOperator(config, get_basis(config.N), {}, BANDED0)
-    for k, c in enumerate(coeffs, start=1):
-        if c:
-            gen = gen + j_op(sgn * k, config).scale(c)
-    shift = RAISING if direction == "raising" else LOWERING
-    return SectorOperator(config, gen.basis, gen.rows, shift)
-
-
-def vertex_op(coeffs: Mapping[int, Fraction], direction: str,
-              config: SectorConfig) -> SectorOperator:
-    """exp(sum_k c_k J_{+k}) (lowering) or exp(sum_k c_k J_{-k}) (raising),
-    via the terminating nilpotent expansion on the truncated sector.
-    Coefficients must cover every 1 <= k <= N; modes beyond N cannot move
-    states inside the window."""
-    if direction not in ("raising", "lowering"):
-        raise ValueError(f"unknown direction {direction!r}")
-    missing = [k for k in range(1, config.N + 1) if k not in coeffs]
-    if missing:
-        raise ValueError(f"missing transfer coefficients for k = {missing}")
-    gen = _generator(tuple(coeffs[k] for k in range(1, config.N + 1)), direction, config)
-    acc = term = SectorOperator.identity(config)
-    for n in range(1, config.N + 1):
-        term = term.matmul(gen).scale(Fraction(1, n))
-        if not term.rows:
-            break
-        acc = acc + term
-    return SectorOperator(config, acc.basis, acc.rows, gen.shift)
-
-
-@lru_cache(maxsize=None)
 def _transfer_generator(p: Fraction, N: int, family: str,
                         direction: str) -> tuple[SectorOperator, int]:
     """The exponent of a transfer exponential in integer form: (M, den) with
-    integer entries M and M/den = sum_k c_k J_{+-k}, over the least common
-    denominator of the entries."""
-    coeffs = transfer_weights(p, N, alternating=(family == "alternating"))
-    gen = _generator(tuple(coeffs[k] for k in range(1, N + 1)), direction,
-                     SectorConfig(0, N, p))
+    integer entries M and M/den = sum_k c_k J_{+k} (lowering) or
+    sum_k c_k J_{-k} (raising), c_k the transfer weights of the family, over
+    the least common denominator of the entries. Entries do not depend on
+    the charge, so the exponent is built once per (p, N) at s = 0."""
+    config = SectorConfig(0, N, p)
+    sgn = -1 if direction == "raising" else 1
+    gen = SectorOperator(config, get_basis(N), {}, BANDED0)
+    for k, c in transfer_weights(p, N, alternating=(family == "alternating")).items():
+        gen = gen + j_op(sgn * k, config).scale(c)
     den = math.lcm(*(v.denominator for row in gen.rows.values() for v in row.values()))
     rows = {i: {j: v.numerator * (den // v.denominator) for j, v in row.items()}
             for i, row in gen.rows.items()}
-    return SectorOperator(gen.config, gen.basis, rows, gen.shift), den
-
-
-@lru_cache(maxsize=None)
-def transfer_operator(p: Fraction, N: int, family: str, direction: str) -> SectorOperator:
-    """Cached transfer exponentials; entries do not depend on the charge, so
-    they are built once per (p, N) at s = 0 and reused across sectors."""
-    cfg = SectorConfig(0, N, p)
-    coeffs = transfer_weights(p, N, alternating=(family == "alternating"))
-    return vertex_op(coeffs, direction, cfg)
-
-
-@lru_cache(maxsize=None)
-def transfer_pair(p: Fraction, N: int, family: str) -> SectorOperator:
-    """G_- G_+ for the given coefficient family; intermediate energies in the
-    product are bounded by min(row, col) weight, so window entries are exact."""
-    gm = transfer_operator(p, N, family, "raising")
-    gp = transfer_operator(p, N, family, "lowering")
-    return gm.matmul(gp)
+    return SectorOperator(config, gen.basis, rows, RAISING if sgn < 0 else LOWERING), den
 
 
 # A vector in integer form is a pair (nums, den): sparse integer numerators
@@ -625,29 +561,33 @@ def _below(vec: IntVector, cap: int) -> IntVector:
     return {i: v for i, v in vec[0].items() if i < limit}, vec[1]
 
 
+def transfer_row(vec: IntVector, p: Fraction, N: int, family: str,
+                 direction: str) -> IntVector:
+    """vec . exp(sum_k c_k J_{-k}) (raising) or vec . exp(sum_k c_k J_{+k})
+    (lowering) in the sector cut at N, with c_k the transfer weights of the
+    family: G_- and G_+ for 'plain', G"_- and G"_+ for 'alternating'.
+
+    vec and the result are in integer form (see IntVector), the result in
+    lowest terms. The exponential runs on the numerators with the integer
+    form of its exponent, so no step reduces a fraction. Every transfer
+    exponential of the package is applied through here."""
+    gen, den = _transfer_generator(p, N, family, direction)
+    return _exp_series(vec, lambda t: apply_row(t, gen), den)
+
+
 def transfer_pair_row(vec: IntVector, p: Fraction, N: int, family: str,
                       cap: int) -> IntVector:
     """vec . G_- G_+ on the weights <= cap, without materialising the pair.
 
-    vec and the result are in integer form (see IntVector), the result in
-    lowest terms. Each exponential runs on the numerators with the integer
-    form of its exponent, so no step reduces a fraction. On a row G_- lowers
-    weights, so it runs on the whole window. G_+ raises them: a component of
-    weight <= cap only ever draws on components of lower weight, so G_+ runs
-    in the sector cut at cap, whose basis is a prefix of this one. The result
-    equals vec . transfer_pair(p, N, family) on the weights <= cap.
+    vec and the result are in integer form, the result in lowest terms. On a
+    row G_- lowers weights, so it runs on the whole window. G_+ raises them:
+    a component of weight <= cap only ever draws on components of lower
+    weight, so G_+ runs in the sector cut at cap, whose basis is a prefix of
+    this one. The result equals vec times the dense product of the two
+    exponentials (the reference pair of the test oracles) on the weights
+    <= cap.
 
     The pair is symmetric, since G_+ is the transpose of G_- (J_{-k} is the
     transpose of J_k), so this is also G_- G_+ . vec on a column."""
-    gm, dm = _transfer_generator(p, N, family, "raising")
-    gp, dp = _transfer_generator(p, cap, family, "lowering")
-    v = _exp_series(vec, lambda t: apply_row(t, gm), dm)
-    return _exp_series(_below(v, cap), lambda t: apply_row(t, gp), dp)
-
-
-def with_config(op: SectorOperator, config: SectorConfig) -> SectorOperator:
-    """Rebind a charge-independent operator to another sector config with the
-    same cutoff and p."""
-    if (op.config.N, op.config.p) != (config.N, config.p):
-        raise ValueError("rebinding requires identical N and p")
-    return SectorOperator(config, op.basis, op.rows, op.shift)
+    v = transfer_row(vec, p, N, family, "raising")
+    return transfer_row(_below(v, cap), p, cap, family, "lowering")

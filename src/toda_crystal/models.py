@@ -1,15 +1,15 @@
 """Partition functions of the crystal models, as exact truncated series.
 
-Two independent routes are implemented for the same objects. This module
-owns the closed-form route: Schur values from the hook length formula,
-diagonal eigenvalues from their closed expressions, and the partition
-function as a single sum over partitions. One loop serves both models,
-selected by 'Z' (the previous model) or 'Zprime' (the modified one); it
-writes each exp(linear form) out monomial by monomial and never touches
-`fock` or `series_exp`. The fermionic route goes through the operator
-machinery in `fock` and is exposed here as `fermionic_expectation`, with the
-same selector; it exponentiates with `series_exp`, as do the identity
-prefactors in `toda`. The two routes must agree coefficient for coefficient.
+The partition functions are computed here by the closed-form route: Schur
+values from the hook length formula, diagonal eigenvalues from their closed
+expressions, and the partition function as a single sum over partitions.
+One loop serves both models, selected by 'Z' (the previous model) or
+'Zprime' (the modified one); it writes each exp(linear form) out monomial
+by monomial and never touches `fock` or `series_exp`. The independent
+fermionic route, the vacuum expectation value of the dense transfer
+exponentials built from the operator machinery in `fock`, lives in the test
+oracles as `fermionic_expectation`, with the same selector. The two routes
+must agree coefficient for coefficient.
 """
 
 from __future__ import annotations
@@ -17,21 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (
-    SeriesContext,
-    TruncatedSeries,
-    linear_form,
-    series_exp,
-)
-from .fock import (
-    SectorConfig,
-    apply_row,
-    apply_col,
-    get_basis,
-    transfer_operator,
-    v_op,
-    w0_diag,
-)
+from .algebra import SeriesContext, TruncatedSeries
+from .fock import SectorConfig
 from .partitions import Partition, enumerate_partitions
 
 
@@ -168,48 +155,3 @@ def zprime_series(params: ModelParams) -> TruncatedSeries:
 def z_series(params: ModelParams) -> TruncatedSeries:
     """Previous-model partition function: weights s_mu^2 and a single time family."""
     return _partition_sum(params, "Z")
-
-
-def fermionic_expectation(params: ModelParams, which: str) -> TruncatedSeries:
-    """<s| G_+ q^{l W0/2} Q^{L0} e^{H} G"_- |s> evaluated with the fock
-    operators and graded in Q; G"_- is the alternating transfer for the
-    modified model ('Zprime') and the plain one for the previous model ('Z').
-
-    Everything on this route comes from the Maya-diagram machinery: transfer
-    rows from the current-mode exponentials and diagonals from the operator
-    eigenvalue sums, independent of the closed forms used by zprime_series.
-    """
-    if which not in ("Z", "Zprime"):
-        raise ValueError(f"unknown model selector {which!r}")
-    cfg = params.config
-    if cfg.N < params.ctx.NQ:
-        raise ValueError("insufficient cutoff for the requested Q grading")
-    ctx = params.out_ctx
-    K = params.ctx.K
-    b = get_basis(cfg.N)
-    gplus = transfer_operator(cfg.p, cfg.N, "plain", "lowering")
-    family = "alternating" if which == "Zprime" else "plain"
-    gright = transfer_operator(cfg.p, cfg.N, family, "raising")
-    bra = apply_row({0: Fraction(1)}, gplus)
-    ket = apply_col(gright, {0: Fraction(1)})
-    w0 = w0_diag(cfg)
-    phis = {}
-    for k in range(1, K + 1):
-        phis[k] = v_op(k, 0, cfg).diag_vector()
-        if which == "Zprime":
-            phis[-k] = v_op(-k, 0, cfg).diag_vector()
-    c_s = charge_offset(params.s)
-    acc = TruncatedSeries.zero(ctx)
-    for n in range(params.ctx.NQ + 1):
-        for i in b.weight_range[n]:
-            coeff = bra.get(i, Fraction(0)) * ket.get(i, Fraction(0))
-            if not coeff:
-                continue
-            coeff *= cfg.p ** (cfg.l * w0[i])
-            t_part = {k: phis[k][i] for k in range(1, K + 1)}
-            th_part = ({k: phis[-k][i] for k in range(1, K + 1)}
-                       if which == "Zprime" else None)
-            lin = linear_form(ctx, t_part, th_part)
-            head = TruncatedSeries.monomial(ctx, (n + c_s,) + (0,) * (2 * K), coeff)
-            acc = acc + head * series_exp(lin)
-    return acc

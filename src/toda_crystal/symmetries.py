@@ -10,9 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from .algebra import format_rational
 from .fock import (
+    FULL,
     ExactnessCertificate,
     LOWERING,
     RAISING,
@@ -20,10 +22,10 @@ from .fock import (
     SectorOperator,
     banded,
     certified_window,
+    get_basis,
     op_product,
-    transfer_pair,
+    transfer_pair_row,
     v_op,
-    with_config,
     w0_diag,
 )
 
@@ -131,6 +133,17 @@ def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> Ch
     return report
 
 
+@lru_cache(maxsize=None)
+def _transfer_pair_rows(p: Fraction, N: int, family: str) -> dict[int, dict[int, Fraction]]:
+    """The rows of G_-G_+ on the sector cut at N, one pushed basis vector
+    each; the entries do not depend on the charge."""
+    rows = {}
+    for i in range(len(get_basis(N))):
+        nums, den = transfer_pair_row(({i: 1}, 1), p, N, family, cap=N)
+        rows[i] = {j: Fraction(v, den) for j, v in nums.items()}
+    return rows
+
+
 def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> CheckReport:
     """Intertwining form of the first shift symmetry.
 
@@ -155,7 +168,7 @@ def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> Che
     parity = Fraction(-1) ** k if variant == "G" else Fraction(1)
     c = torus_constant(upper, config.p)
     family = "plain" if variant == "G" else "alternating"
-    gg = with_config(transfer_pair(config.p, N, family), config)
+    gg = SectorOperator(config, get_basis(N), _transfer_pair_rows(config.p, N, family), FULL)
     ident = SectorOperator.identity(config)
     left_v = v_op(upper, m, config)
     if m == 0:

@@ -50,14 +50,13 @@ from .fock import (
     IntVector,
     SectorConfig,
     SectorOperator,
-    apply_col,
     apply_row,
     certified_window,
     get_basis,
     j_op,
     reduced,
-    transfer_operator,
     transfer_pair_row,
+    transfer_row,
     w0_diag,
 )
 from .models import (
@@ -424,14 +423,13 @@ def ground_action_constants(s: int, p: Fraction, N: int) -> CheckReport:
     s(s+1)(2s+1)/6, which makes the two dressing scalars p^{-+ that}."""
     p = Fraction(p)
     params_dict = {"s": s, "p": format_rational(p), "N": N}
-    cfg = SectorConfig(s, N, p)
-    gm = transfer_operator(p, N, "plain", "raising")
-    gpp = transfer_operator(p, N, "alternating", "lowering")
-    row = apply_row({0: Fraction(1)}, gm)
-    col = apply_col(gpp, {0: Fraction(1)})
-    w0_vac = w0_diag(cfg)[0]
+    vac = ({0: 1}, 1)
+    row = transfer_row(vac, p, N, "plain", "raising")
+    # G"_+ is the transpose of G"_-, so G"_+|s> is the row <s|G"_-
+    col = transfer_row(vac, p, N, "alternating", "raising")
+    w0_vac = w0_diag(SectorConfig(s, N, p))[0]
     expected = s * (s + 1) * (2 * s + 1) // 6
-    ok = row == {0: Fraction(1)} and col == {0: Fraction(1)} and w0_vac == expected
+    ok = row == vac and col == vac and w0_vac == expected
     report = CheckReport("ground_action", params_dict, PASS if ok else FAIL)
     report.window = 2 * len(get_basis(N))
     report.evidence = {

@@ -4,11 +4,17 @@ Each oracle recomputes its target through a different formula or route than
 the implementation under test. The closed-form oracles use nothing of the
 package beyond partitions and series. The fermion-move oracles build operators
 one psi_a psi*_b move at a time from the Maya-diagram primitives.
-DenseGraded keeps the dense route to the tau vectors and the graded blocks
-that the package replaced with pushed vectors, fraction_residual_entry the
-intertwining scan on Fraction vectors that the package replaced with an
-integer-numerator scan, and window_size_by_pairs the weight-pair count that
-certified_window replaced.
+dense_exp is the transfer exponential as a dense Fraction matrix, its
+exponent summed here from j_op and its series taken by matrix products;
+dense_transfer and dense_pair give G+- and G_-G_+ from it, the reference for
+the pushed rows of fock.transfer_row and fock.transfer_pair_row.
+fermionic_expectation is the partition function as a vacuum expectation
+value of those dense exponentials, the fermionic route that the closed-form
+partition sum of models must match. DenseGraded keeps the dense route to the
+tau vectors and the graded blocks that the package replaced with pushed
+vectors, fraction_residual_entry the intertwining scan on Fraction vectors
+that the package replaced with an integer-numerator scan, and
+window_size_by_pairs the weight-pair count that certified_window replaced.
 """
 
 from __future__ import annotations
@@ -19,22 +25,25 @@ from fractions import Fraction
 from functools import cache, lru_cache
 
 from toda_crystal import Partition, SeriesContext, TruncatedSeries, enumerate_partitions
+from toda_crystal.algebra import linear_form, series_exp
 from toda_crystal.fock import (
     BANDED0,
     FULL,
+    LOWERING,
+    RAISING,
     ExactnessCertificate,
     SectorOperator,
-    apply_col,
     apply_row,
     certified_window,
     get_basis,
     j_op,
     move_particle,
     occupied,
-    transfer_pair,
+    transfer_weights,
+    v_op,
     w0_diag,
-    with_config,
 )
+from toda_crystal.models import charge_offset
 from toda_crystal.symmetries import _entry_evidence, _scan_certified_residual
 from toda_crystal.toda import GradedOperator
 
@@ -118,6 +127,78 @@ def schur_jacobi_trudi(mu: Partition, p: Fraction) -> Fraction:
     return exact_det(mat)
 
 
+def apply_col(op: SectorOperator, vec: dict) -> dict:
+    """Matrix times column vector."""
+    out = {}
+    for i, row in op.rows.items():
+        total = sum((m * vec[j] for j, m in row.items() if j in vec), Fraction(0))
+        if total:
+            out[i] = total
+    return out
+
+
+def dense_exp(coeffs, direction: str, config) -> SectorOperator:
+    """exp(sum_k c_k J_{+k}) (lowering) or exp(sum_k c_k J_{-k}) (raising) as a
+    dense Fraction matrix: the exponent is summed from j_op, and the
+    terminating series is a sum of matrix products. coeffs must cover every
+    1 <= k <= N; modes beyond N cannot move states inside the window."""
+    missing = [k for k in range(1, config.N + 1) if k not in coeffs]
+    if missing:
+        raise ValueError(f"missing transfer coefficients for k = {missing}")
+    sgn = -1 if direction == "raising" else 1
+    gen = SectorOperator(config, get_basis(config.N), {}, BANDED0)
+    for k in range(1, config.N + 1):
+        gen = gen + j_op(sgn * k, config).scale(coeffs[k])
+    acc = term = SectorOperator.identity(config)
+    for n in range(1, config.N + 1):
+        term = term.matmul(gen).scale(Fraction(1, n))
+        if not term.rows:
+            break
+        acc = acc + term
+    return SectorOperator(config, acc.basis, acc.rows, RAISING if sgn < 0 else LOWERING)
+
+
+@lru_cache(maxsize=None)
+def dense_transfer(config, family: str, direction: str) -> SectorOperator:
+    """G_- (raising) or G_+ (lowering) of the transfer family as a dense matrix."""
+    return dense_exp(transfer_weights(config.p, config.N, family == "alternating"),
+                     direction, config)
+
+
+@lru_cache(maxsize=None)
+def dense_pair(config, family: str) -> SectorOperator:
+    """G_- G_+ as a dense matrix."""
+    return dense_transfer(config, family, "raising").matmul(
+        dense_transfer(config, family, "lowering"))
+
+
+def fermionic_expectation(params, which: str) -> TruncatedSeries:
+    """<s| G_+ q^{l W0/2} Q^{L0} e^{H} G"_- |s> evaluated with the dense
+    transfer exponentials and the fock operator eigenvalues, graded in Q;
+    G"_- is the alternating transfer for the modified model ('Zprime') and
+    the plain one for the previous model ('Z'). Nothing on this route uses
+    the closed forms of models.zprime_series."""
+    if which not in ("Z", "Zprime"):
+        raise ValueError(f"unknown model selector {which!r}")
+    cfg, ctx, K = params.config, params.out_ctx, params.ctx.K
+    family = "alternating" if which == "Zprime" else "plain"
+    bra = apply_row({0: Fraction(1)}, dense_transfer(cfg, "plain", "lowering"))
+    ket = apply_col(dense_transfer(cfg, family, "raising"), {0: Fraction(1)})
+    w0 = w0_diag(cfg)
+    phis = {k: v_op(k, 0, cfg) for k in range(-K, K + 1) if k > 0 or k and which == "Zprime"}
+    acc = TruncatedSeries.zero(ctx)
+    for n in range(params.ctx.NQ + 1):
+        for i in get_basis(cfg.N).weight_range[n]:
+            coeff = bra.get(i, 0) * ket.get(i, 0) * cfg.p ** (cfg.l * w0[i])
+            if not coeff:
+                continue
+            lin = linear_form(ctx, {k: phis[k].get(i, i) for k in range(1, K + 1)},
+                              {k: phis[-k].get(i, i) for k in range(1, K + 1) if -k in phis})
+            key = (n + charge_offset(params.s),) + (0,) * (2 * K)
+            acc = acc + TruncatedSeries.monomial(ctx, key, coeff) * series_exp(lin)
+    return acc
+
+
 def as_fractions(vec) -> dict[int, Fraction]:
     """An integer-form vector (nums, den) as {index: Fraction}."""
     nums, den = vec
@@ -134,22 +215,22 @@ def integer_form(vec) -> tuple[dict[int, int], int]:
 class DenseGraded(GradedOperator):
     """A graded operator whose row and column actions multiply by the
     materialised A = p^{W0} G_-G_+ p^{l W0} and B = G"_-G"_+ p^{+-W0}, with the
-    dense transfer pairs from fock.transfer_pair. fraction_row and
-    fraction_col act on {index: Fraction} vectors; row and col wrap them for
-    the integer-form vectors of GradedOperator. The vectors keep every
-    weight up to the cutoff; the graded pairing reads the weights <= NQ."""
+    dense transfer pairs from dense_pair. fraction_row and fraction_col act
+    on {index: Fraction} vectors; row and col wrap them for the integer-form
+    vectors of GradedOperator. The vectors keep every weight up to the
+    cutoff; the graded pairing reads the weights <= NQ."""
 
     def __init__(self, params, family: str, identity_transfers: bool = False):
         super().__init__(params, family, identity_transfers)
         cfg = params.config
-        p, N, l = cfg.p, cfg.N, cfg.l
+        p, l = cfg.p, cfg.l
         w0 = w0_diag(cfg)
         sign = {"plain": 1, "alternating": -1}[family]
         if identity_transfers:
             left = right = SectorOperator.identity(cfg)
         else:
-            left = with_config(transfer_pair(p, N, "plain"), cfg)
-            right = with_config(transfer_pair(p, N, family), cfg)
+            left = dense_pair(cfg, "plain")
+            right = dense_pair(cfg, family)
         self.dense_A = left.scale_rows(lambda i: p ** w0[i]).scale_cols(
             lambda j: p ** (l * w0[j]))
         self.dense_B = right.scale_cols(lambda j: p ** (sign * w0[j]))
@@ -290,6 +371,22 @@ def merge_hatted_into_t(f: TruncatedSeries) -> TruncatedSeries:
                    + [0] * ctx.K)
         out[nk] = out.get(nk, Fraction(0)) + val
     return TruncatedSeries(ctx, out)
+
+
+def substitute_difference_by_products(f: TruncatedSeries) -> TruncatedSeries:
+    """t_k -> t_k - th_k by series arithmetic: each monomial times the powers
+    (t_k - th_k)^{a_k}, summed term by term."""
+    ctx = f.ctx
+    out = TruncatedSeries.zero(ctx)
+    for key, val in f.coeffs.items():
+        term = TruncatedSeries.monomial(ctx, (key[0],) + (0,) * (2 * ctx.K), val)
+        for k in range(1, ctx.K + 1):
+            if key[ctx.K + k]:
+                raise ValueError("expects a series in the t family only")
+            tk = TruncatedSeries.variable(ctx, f"t{k}")
+            term = term * (tk - TruncatedSeries.variable(ctx, f"th{k}")) ** key[k]
+        out = out + term
+    return out
 
 
 def zprime_special(l: int, p: Fraction, NQ: int) -> TruncatedSeries:

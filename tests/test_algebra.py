@@ -13,7 +13,7 @@ from toda_crystal.algebra import (
     substitute_difference,
 )
 
-from oracles import merge_hatted_into_t
+from oracles import merge_hatted_into_t, substitute_difference_by_products
 
 CTX = SeriesContext(2, 3, 3)
 
@@ -85,6 +85,8 @@ def test_substitute_difference_and_merge():
     sub = substitute_difference(f)
     assert sub == (t1 - th1) ** 2
     assert merge_hatted_into_t(sub) == TruncatedSeries.zero(ctx)
+    with pytest.raises(ValueError):
+        substitute_difference(f + th1)
 
 
 def test_scale_vars():
@@ -150,3 +152,18 @@ def test_exp_inverse(f):
 @given(no_constant(), no_constant())
 def test_exp_additivity(f, g):
     assert series_exp(f + g) == series_exp(f) * series_exp(g)
+
+
+@st.composite
+def t_only_series(draw):
+    K, D = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    ctx = SeriesContext(K, D, 2)
+    key = st.lists(st.integers(0, D), min_size=K + 1, max_size=K + 1).map(
+        lambda k: tuple(k) + (0,) * K).filter(ctx.keeps)
+    return TruncatedSeries(ctx, draw(st.dictionaries(key, coeffs, max_size=6)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(t_only_series())
+def test_substitute_difference_matches_series_products(f):
+    assert substitute_difference(f) == substitute_difference_by_products(f)

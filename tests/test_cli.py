@@ -75,6 +75,19 @@ def test_compute_rejects_multiple_charges():
     assert code == 2
 
 
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "toeplitz", "--s", "0,0", "--l", "1", "--K", "1", "--D", "2", "--NQ", "1"],
+     "--s repeats the value 0"),
+    (["verify", "toeplitz", "--s", "-1,0,1", "--l", "1,0,1"], "--l repeats the value 1"),
+    (["compute", "zprime", "--s", "-1,-1", "--l", "0"], "--s repeats the value -1"),
+    (["compute", "tau-prime", "--s", "0", "--l", "2,2"], "--l repeats the value 2"),
+])
+def test_repeated_list_values_are_usage_errors(argv, message, capsys):
+    code, out = run_cli(argv)
+    assert code == 2 and out == ""
+    assert message in capsys.readouterr().err
+
+
 def test_usage_errors_exit_2():
     code, _ = run_cli(["verify", "all", "--p", "5/2"])
     assert code == 2

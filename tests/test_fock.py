@@ -11,9 +11,7 @@ from toda_crystal import (
     phi_potential,
     l0_eigenvalue,
     w0_eigenvalue,
-    transfer_operator,
     v_op,
-    vertex_op,
 )
 from toda_crystal.fock import (
     FULL,
@@ -21,18 +19,18 @@ from toda_crystal.fock import (
     RAISING,
     ExactnessCertificate,
     SectorOperator,
-    apply_col,
     apply_row,
     banded,
     certified_window,
     get_basis,
+    transfer_row,
     transfer_weights,
     w0_diag,
 )
 from toda_crystal.toda import _time_rows
 
 import oracles
-from oracles import FockState, apply_bilinear, bilinear_diagonal
+from oracles import FockState, apply_bilinear, apply_col, bilinear_diagonal
 
 P = Fraction(1, 2)
 
@@ -109,9 +107,9 @@ def test_v_op_diagonal_matches_potential_closed_form():
     for s in (-2, -1, 0, 1, 2):
         c = cfg(s=s, N=5)
         for k in (-3, -2, -1, 1, 2, 3):
-            dv = v_op(k, 0, c).diag_vector()
+            dv = v_op(k, 0, c)
             for i, mu in enumerate(b.parts):
-                assert dv[i] == phi_potential(k, mu, s, P)
+                assert dv.get(i, i) == phi_potential(k, mu, s, P)
 
 
 def test_j_op_lowers_and_annihilates_ground_state():
@@ -151,12 +149,21 @@ def test_j_matrices_charge_independent():
 
 
 def test_vertex_rows_are_schur_values():
+    # <s|G_+ and G"_-|s>, the latter as the row <s|G"_+ of the transpose
+    vac = ({0: 1}, 1)
+    for p in (P, Fraction(2, 3)):
+        row = oracles.as_fractions(transfer_row(vac, p, 6, "plain", "lowering"))
+        col = oracles.as_fractions(transfer_row(vac, p, 6, "alternating", "lowering"))
+        for i, mu in enumerate(get_basis(6).parts):
+            assert row.get(i, 0) == schur_qrho(mu, p)
+            assert col.get(i, 0) == schur_qrho(mu.conjugate(), p)
+
+
+def test_oracle_vertex_rows_are_schur_values():
     for s in (-1, 0, 1):
         c = cfg(s=s, N=6)
-        gp = transfer_operator(P, 6, "plain", "lowering")
-        row = apply_row({0: Fraction(1)}, gp)
-        gpm = transfer_operator(P, 6, "alternating", "raising")
-        col = apply_col(gpm, {0: Fraction(1)})
+        row = apply_row({0: Fraction(1)}, oracles.dense_transfer(c, "plain", "lowering"))
+        col = apply_col(oracles.dense_transfer(c, "alternating", "raising"), {0: Fraction(1)})
         for i, mu in enumerate(get_basis(6).parts):
             assert row.get(i, 0) == schur_qrho(mu, P)
             assert col.get(i, 0) == schur_qrho(mu.conjugate(), P)
@@ -164,10 +171,10 @@ def test_vertex_rows_are_schur_values():
 
 def test_vertex_op_zero_coeffs_is_identity():
     c = cfg(N=4)
-    op = vertex_op({k: Fraction(0) for k in range(1, 5)}, "lowering", c)
+    op = oracles.dense_exp({k: Fraction(0) for k in range(1, 5)}, "lowering", c)
     assert op.rows == SectorOperator.identity(c).rows
     with pytest.raises(ValueError):
-        vertex_op({1: Fraction(1)}, "lowering", c)
+        oracles.dense_exp({1: Fraction(1)}, "lowering", c)
 
 
 def test_op_product_with_identity_certified():
@@ -183,8 +190,8 @@ def test_op_product_with_identity_certified():
 def test_certificate_split_rule_raising_lowering():
     # G_- G_+: intermediates bounded by min(row, col), so everything certified
     c = cfg(N=4)
-    gm = transfer_operator(P, 4, "plain", "raising")
-    gp = transfer_operator(P, 4, "plain", "lowering")
+    gm = oracles.dense_transfer(c, "plain", "raising")
+    gp = oracles.dense_transfer(c, "plain", "lowering")
     _, cert = op_product([gm, gp])
     assert all(cert.certified(w1, w2) for w1 in range(5) for w2 in range(5))
 

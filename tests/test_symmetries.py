@@ -10,8 +10,11 @@ from toda_crystal import (
     torus_constant,
     v_op,
 )
+from toda_crystal import symmetries
 from toda_crystal.fock import get_basis
 from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS
+
+import oracles
 
 P = Fraction(1, 2)
 
@@ -79,6 +82,27 @@ def test_first_shift_small_grid():
                 for s in (-1, 0, 1):
                     rep = first_shift_check(variant, k, m, cfg(s=s))
                     assert rep.status == PASS, (variant, k, m, s, rep.evidence)
+
+
+@pytest.mark.parametrize("family", ["plain", "alternating"])
+@pytest.mark.parametrize("p", [P, Fraction(1, 3), Fraction(2, 3)])
+@pytest.mark.parametrize("N", [4, 7])
+def test_pushed_pair_rows_match_dense_pair(family, p, N):
+    rows = symmetries._transfer_pair_rows(p, N, family)
+    assert rows == oracles.dense_pair(SectorConfig(0, N, p), family).rows
+
+
+def test_first_shift_reports_match_dense_pair(monkeypatch):
+    points = [(variant, k, m, SectorConfig(s, 6, p)) for p in (P, Fraction(2, 3))
+              for variant in ("G", "Gprime") for k in (1, 2)
+              for m in (-2, -1, 0, 1, 2) for s in (-1, 0, 1)]
+    pushed = [first_shift_check(*point).to_json_dict() for point in points]
+    calls = []
+    monkeypatch.setattr(symmetries, "_transfer_pair_rows", lambda p, N, family: calls.append(
+        family) or oracles.dense_pair(SectorConfig(0, N, p), family).rows)
+    assert [first_shift_check(*point).to_json_dict() for point in points] == pushed
+    assert len(calls) == len(points)
+    assert all(line["status"] == PASS for line in pushed)
 
 
 def test_first_shift_validation_and_window():
