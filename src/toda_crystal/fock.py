@@ -9,10 +9,12 @@ the partitions of weight <= N.
 
 Truncation is certified instead of bounded: a product entry is trusted
 only when the split rule proves every intermediate state fits under the
-cutoff. The rule depends on the row and column weights alone, so a check
-asks certified_window once for its mask, an (N+1) x (N+1) table over weight
-pairs filled once per pair, and reads every entry against it. Entries
-outside the mask are never used.
+cutoff. The rule reads the chain of the product, the shift classes of its
+factors, and the row and column weights alone. Operators carry no shift
+class: each check states the chains of the products it compares, from its
+own indices, and asks certified_window once for its mask, an (N+1) x (N+1)
+table over weight pairs filled once per pair, and reads every entry against
+it. Entries outside the mask are never used.
 
 The transfer exponentials G+- = exp(sum_k c_k J_{+-k}) are only ever applied
 to vectors, by transfer_row, in integer form; the dense matrix exponential
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .partitions import Partition, enumerate_partitions
@@ -172,37 +174,20 @@ def maya_diag_sum(parts: tuple[int, ...], s: int, f: Callable[[int], object]):
 
 
 # ---------------------------------------------------------------------------
-# Shift classes and exactness certificates
+# Shift classes and the split rule
 
 @dataclass(frozen=True)
 class ShiftClass:
-    """Energy bookkeeping of an operator: BANDED(delta) means
-    row weight = col weight + delta for every nonzero entry."""
+    """Energy bookkeeping of one factor of a product: banded(delta) means
+    row weight = col weight + delta for every nonzero entry, RAISING means
+    row weight >= col weight, LOWERING row weight <= col weight, and FULL
+    promises nothing. The chain of a product is the tuple of the shift
+    classes of its factors, from left to right."""
 
     kind: str  # 'banded' | 'raising' | 'lowering' | 'full'
     delta: int = 0
 
-    def compose(self, other: "ShiftClass") -> "ShiftClass":
-        if self.kind == "banded" and other.kind == "banded":
-            return ShiftClass("banded", self.delta + other.delta)
-        if self.kind == other.kind and self.kind in ("raising", "lowering"):
-            return ShiftClass(self.kind)
-        return ShiftClass("full")
 
-    def join(self, other: "ShiftClass") -> "ShiftClass":
-        return self if self == other else ShiftClass("full")
-
-    def transpose(self) -> "ShiftClass":
-        if self.kind == "banded":
-            return ShiftClass("banded", -self.delta)
-        if self.kind == "raising":
-            return ShiftClass("lowering")
-        if self.kind == "lowering":
-            return ShiftClass("raising")
-        return self
-
-
-BANDED0 = ShiftClass("banded", 0)
 RAISING = ShiftClass("raising")
 LOWERING = ShiftClass("lowering")
 FULL = ShiftClass("full")
@@ -212,66 +197,43 @@ def banded(delta: int) -> ShiftClass:
     return ShiftClass("banded", delta)
 
 
-@dataclass(frozen=True)
-class ExactnessCertificate:
-    """Split rule for a product: an entry (row, col) is certified exact when
-    at every split point min(row-side bound, col-side bound) <= cutoff, where
-    bounds accumulate max(0, -delta) walking right from the row (RAISING
-    transparent, LOWERING unbounded) and max(0, delta) walking left from the
-    col (LOWERING transparent, RAISING unbounded)."""
+def _split_certified(chain: tuple[ShiftClass, ...], N: int, row_w: int, col_w: int) -> bool:
+    """Split rule: the product entry (row, col) is exact in the sector cut at
+    N when at every split point min(row-side bound, col-side bound) <= N.
+    The bounds accumulate max(0, -delta) walking right from the row weight
+    (RAISING transparent, anything else unbounded) and max(0, delta) walking
+    left from the col weight (LOWERING transparent, anything else unbounded)."""
+    def bounds(w, factors, sign, transparent):
+        out = []
+        for f in factors:
+            if f.kind == "banded":
+                w += max(0, sign * f.delta)
+            elif f.kind != transparent:
+                w = INF
+            out.append(w)
+        return out
 
-    factors: tuple[ShiftClass, ...]
-    cutoff: int
-
-    def _left_bounds(self, row_w: int) -> list:
-        bounds = []
-        b: float = row_w
-        for f in self.factors[:-1]:
-            if b != INF:
-                if f.kind == "banded":
-                    b = b + max(0, -f.delta)
-                elif f.kind == "raising":
-                    pass
-                else:
-                    b = INF
-            bounds.append(b)
-        return bounds
-
-    def _right_bounds(self, col_w: int) -> list:
-        bounds = []
-        b: float = col_w
-        for f in reversed(self.factors[1:]):
-            if b != INF:
-                if f.kind == "banded":
-                    b = b + max(0, f.delta)
-                elif f.kind == "lowering":
-                    pass
-                else:
-                    b = INF
-            bounds.append(b)
-        bounds.reverse()
-        return bounds
-
-    def certified(self, row_weight: int, col_weight: int) -> bool:
-        if len(self.factors) <= 1:
-            return True
-        left = self._left_bounds(row_weight)
-        right = self._right_bounds(col_weight)
-        return all(min(lb, rb) <= self.cutoff for lb, rb in zip(left, right))
+    left = bounds(row_w, chain[:-1], -1, "raising")
+    right = bounds(col_w, chain[:0:-1], 1, "lowering")[::-1]
+    return all(min(lb, rb) <= N for lb, rb in zip(left, right))
 
 
 @lru_cache(maxsize=None)
-def certified_window(N: int, certs: tuple[ExactnessCertificate, ...] = (),
+def certified_window(N: int, chains: tuple[tuple[ShiftClass, ...], ...] = (),
                      band: int | None = None) -> tuple[tuple[tuple[bool, ...], ...], int]:
-    """The mask of weight pairs a check trusts and the window size.
+    """The mask of weight pairs a check trusts and the window size; the one
+    place the split rule is applied.
 
-    mask[row weight][col weight] holds when every certificate certifies the
-    pair and, given a band, row weight = col weight + band; it is filled once
-    per pair, and cached, since many checks share their factors' shift
-    classes. The window size is the number of basis pairs the mask covers."""
+    Each chain is the tuple of shift classes of the factors of one product
+    the check compares, in the sector cut at N. mask[row weight][col weight]
+    holds when the split rule certifies the pair for every chain and, given
+    a band, row weight = col weight + band; it is filled once per pair, and
+    cached, since many checks share their chains. The window size is the
+    number of basis pairs the mask covers."""
     b = get_basis(N)
     sizes = [len(b.weight_range[n]) for n in range(N + 1)]
-    mask = tuple(tuple((band is None or w1 == w2 + band) and all(c.certified(w1, w2) for c in certs)
+    mask = tuple(tuple((band is None or w1 == w2 + band)
+                       and all(_split_certified(c, N, w1, w2) for c in chains)
                        for w2 in range(N + 1)) for w1 in range(N + 1))
     size = sum(sizes[w1] * sizes[w2]
                for w1 in range(N + 1) for w2 in range(N + 1) if mask[w1][w2])
@@ -288,26 +250,24 @@ class SectorOperator:
     given, so every producer whose entries can cancel drops its own zeros.
     No operation changes rows in place, so operators may share them."""
 
-    __slots__ = ("config", "basis", "rows", "shift")
+    __slots__ = ("config", "basis", "rows")
 
     def __init__(self, config: SectorConfig, basis_obj: Basis,
-                 rows: dict[int, dict[int, object]], shift: ShiftClass):
+                 rows: dict[int, dict[int, object]]):
         self.config = config
         self.basis = basis_obj
         self.rows = rows
-        self.shift = shift
 
     @classmethod
     def identity(cls, config: SectorConfig) -> "SectorOperator":
         b = get_basis(config.N)
         one = Fraction(1)
-        return cls(config, b, {i: {i: one} for i in range(len(b))}, BANDED0)
+        return cls(config, b, {i: {i: one} for i in range(len(b))})
 
     @classmethod
     def diagonal(cls, config: SectorConfig, values: Sequence) -> "SectorOperator":
         b = get_basis(config.N)
-        return cls(config, b, {i: {i: values[i]} for i in range(len(b)) if values[i]},
-                   BANDED0)
+        return cls(config, b, {i: {i: values[i]} for i in range(len(b)) if values[i]})
 
     def get(self, i: int, j: int):
         return self.rows.get(i, {}).get(j, Fraction(0))
@@ -334,7 +294,7 @@ class SectorOperator:
                     del tgt[j]
             if not tgt:
                 del rows[i]
-        return SectorOperator(self.config, self.basis, rows, self.shift.join(other.shift))
+        return SectorOperator(self.config, self.basis, rows)
 
     def __add__(self, other: "SectorOperator") -> "SectorOperator":
         return self._combine(other, negate=False)
@@ -344,10 +304,9 @@ class SectorOperator:
 
     def scale(self, c) -> "SectorOperator":
         if not c:
-            return SectorOperator(self.config, self.basis, {}, self.shift)
+            return SectorOperator(self.config, self.basis, {})
         return SectorOperator(self.config, self.basis,
-                              {i: {j: c * v for j, v in row.items()} for i, row in self.rows.items()},
-                              self.shift)
+                              {i: {j: c * v for j, v in row.items()} for i, row in self.rows.items()})
 
     def matmul(self, other: "SectorOperator") -> "SectorOperator":
         self._check_compatible(other)
@@ -366,7 +325,7 @@ class SectorOperator:
             acc = {j: v for j, v in acc.items() if v}
             if acc:
                 out[i] = acc
-        return SectorOperator(self.config, self.basis, out, self.shift.compose(other.shift))
+        return SectorOperator(self.config, self.basis, out)
 
     __matmul__ = matmul
 
@@ -375,7 +334,7 @@ class SectorOperator:
         for i, row in self.rows.items():
             for j, v in row.items():
                 out.setdefault(j, {})[i] = v
-        return SectorOperator(self.config, self.basis, out, self.shift.transpose())
+        return SectorOperator(self.config, self.basis, out)
 
     def scale_rows(self, fn: Callable[[int], object]) -> "SectorOperator":
         """Left multiplication by the diagonal with entries fn(row index)."""
@@ -384,13 +343,13 @@ class SectorOperator:
             f = fn(i)
             if f:
                 rows[i] = {j: f * v for j, v in row.items()}
-        return SectorOperator(self.config, self.basis, rows, self.shift)
+        return SectorOperator(self.config, self.basis, rows)
 
     def scale_cols(self, fn: Callable[[int], object]) -> "SectorOperator":
         """Right multiplication by the diagonal with nonzero entries fn(col index)."""
         return SectorOperator(self.config, self.basis,
                               {i: {j: v * fn(j) for j, v in row.items()}
-                               for i, row in self.rows.items()}, self.shift)
+                               for i, row in self.rows.items()})
 
     def nonzero_entries_sorted(self):
         for i in sorted(self.rows):
@@ -403,16 +362,6 @@ class SectorOperator:
                 and self.rows == other.rows)
 
     __hash__ = None
-
-
-def op_product(factors: Sequence[SectorOperator]) -> tuple[SectorOperator, ExactnessCertificate]:
-    if not factors:
-        raise ValueError("op_product needs at least one factor")
-    for f in factors[1:]:
-        factors[0]._check_compatible(f)
-    prod = reduce(lambda a, b: a.matmul(b), factors)
-    cert = ExactnessCertificate(tuple(f.shift for f in factors), factors[0].config.N)
-    return prod, cert
 
 
 def apply_row(vec: Mapping[int, object], op: SectorOperator) -> dict[int, object]:
@@ -475,7 +424,7 @@ def v_op(k: int, m: int, config: SectorConfig) -> SectorOperator:
             cur = rows.setdefault(i, {}).get(j)
             rows[i][j] = amp if cur is None else cur + amp
     rows = {i: {j: v for j, v in row.items() if v} for i, row in rows.items()}
-    return SectorOperator(config, b, {i: row for i, row in rows.items() if row}, banded(-m))
+    return SectorOperator(config, b, {i: row for i, row in rows.items() if row})
 
 
 def j_op(k: int, config: SectorConfig) -> SectorOperator:
@@ -510,13 +459,13 @@ def _transfer_generator(p: Fraction, N: int, family: str,
     the charge, so the exponent is built once per (p, N) at s = 0."""
     config = SectorConfig(0, N, p)
     sgn = -1 if direction == "raising" else 1
-    gen = SectorOperator(config, get_basis(N), {}, BANDED0)
+    gen = SectorOperator(config, get_basis(N), {})
     for k, c in transfer_weights(p, N, alternating=(family == "alternating")).items():
         gen = gen + j_op(sgn * k, config).scale(c)
     den = math.lcm(*(v.denominator for row in gen.rows.values() for v in row.values()))
     rows = {i: {j: v.numerator * (den // v.denominator) for j, v in row.items()}
             for i, row in gen.rows.items()}
-    return SectorOperator(config, gen.basis, rows, RAISING if sgn < 0 else LOWERING), den
+    return SectorOperator(config, gen.basis, rows), den
 
 
 # A vector in integer form is a pair (nums, den): sparse integer numerators

@@ -39,6 +39,7 @@ from .algebra import (
     first_difference,
     format_rational,
     linear_form,
+    monomial_label,
     negate_hatted,
     series_exp,
     series_partial,
@@ -46,13 +47,13 @@ from .algebra import (
 )
 from .fock import (
     FULL,
-    ExactnessCertificate,
     IntVector,
     SectorConfig,
     SectorOperator,
     apply_row,
     certified_window,
     get_basis,
+    banded,
     j_op,
     reduced,
     transfer_pair_row,
@@ -92,7 +93,7 @@ def _j_matrix(k: int, N: int) -> SectorOperator:
     p = 1/2, so operator products in a sector use j_op(k, config) instead."""
     j = j_op(k, SectorConfig(0, N, Fraction(1, 2)))
     return SectorOperator(j.config, j.basis, {i: {c: int(v) for c, v in row.items()}
-                                              for i, row in j.rows.items()}, j.shift)
+                                              for i, row in j.rows.items()})
 
 
 def _multi_indices(K: int, D: int) -> list[tuple[int, ...]]:
@@ -515,8 +516,7 @@ def intertwining_residual(which: str, k: int, params: ModelParams) -> CheckRepor
     jr = j_op(right_k, cfg)
     # g_n pairs pushed vectors, exact on the whole window, so only the J
     # factors of J_k g_n and g_n J_{right_k} can leave the cutoff
-    mask, window = certified_window(N, (ExactnessCertificate((jl.shift, FULL), N),
-                                        ExactnessCertificate((FULL, jr.shift), N)))
+    mask, window = certified_window(N, ((banded(-k), FULL), (FULL, banded(-right_k))))
     report.window = window * (params.ctx.NQ + 1)
     if window == 0:
         report.evidence = {"reason": "empty certified window"}
@@ -605,15 +605,13 @@ def toda_bilinear_residual(tau_family: dict[int, TauSeries], sign: str | int = "
         c = Fraction(calibrate_bilinear_sign(K, D))
     else:
         c = Fraction(sign)
-    checked = 0
-    for s in centers:
+    for checked, s in enumerate(centers, start=1):
         residual = _bilinear_residual(tau_family[s].series,
                                       tau_family[s + 1].series,
                                       tau_family[s - 1].series, c)
-        checked += 1
+        report.window = checked
         if residual:
             key = min(residual.coeffs, key=lambda t: (sum(t), t))
-            from .algebra import monomial_label
             report.status = FAIL
             report.evidence = {
                 "constant": format_rational(c),
@@ -623,7 +621,6 @@ def toda_bilinear_residual(tau_family: dict[int, TauSeries], sign: str | int = "
             }
             return report
     report.status = PASS
-    report.window = checked
     report.evidence = {"constant": format_rational(c), "centers": centers}
     return report
 

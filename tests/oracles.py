@@ -15,6 +15,10 @@ tau vectors and the graded blocks that the package replaced with pushed
 vectors, fraction_residual_entry the intertwining scan on Fraction vectors
 that the package replaced with an integer-numerator scan, and
 window_size_by_pairs the weight-pair count that certified_window replaced.
+Masks are asked of certified_window with the chains of the products
+compared, written here from the indices as the checks write them:
+residual_mask gives J_k g_n and g_n J_{right_k} the chains
+(banded(-k), FULL) and (FULL, banded(-right_k)).
 """
 
 from __future__ import annotations
@@ -27,13 +31,10 @@ from functools import cache, lru_cache
 from toda_crystal import Partition, SeriesContext, TruncatedSeries, enumerate_partitions
 from toda_crystal.algebra import linear_form, series_exp
 from toda_crystal.fock import (
-    BANDED0,
     FULL,
-    LOWERING,
-    RAISING,
-    ExactnessCertificate,
     SectorOperator,
     apply_row,
+    banded,
     certified_window,
     get_basis,
     j_op,
@@ -146,7 +147,7 @@ def dense_exp(coeffs, direction: str, config) -> SectorOperator:
     if missing:
         raise ValueError(f"missing transfer coefficients for k = {missing}")
     sgn = -1 if direction == "raising" else 1
-    gen = SectorOperator(config, get_basis(config.N), {}, BANDED0)
+    gen = SectorOperator(config, get_basis(config.N), {})
     for k in range(1, config.N + 1):
         gen = gen + j_op(sgn * k, config).scale(coeffs[k])
     acc = term = SectorOperator.identity(config)
@@ -155,7 +156,7 @@ def dense_exp(coeffs, direction: str, config) -> SectorOperator:
         if not term.rows:
             break
         acc = acc + term
-    return SectorOperator(config, acc.basis, acc.rows, RAISING if sgn < 0 else LOWERING)
+    return acc
 
 
 @lru_cache(maxsize=None)
@@ -250,17 +251,14 @@ class DenseGraded(GradedOperator):
     def block(self, n: int) -> SectorOperator:
         """g_n = A . Pi_n . B, with Pi_n the projector on weight n."""
         proj = SectorOperator(self.config, self.basis,
-                              {i: {i: Fraction(1)} for i in self.basis.weight_range[n]}, BANDED0)
+                              {i: {i: Fraction(1)} for i in self.basis.weight_range[n]})
         return self.dense_A.matmul(proj).matmul(self.dense_B)
 
 
 def residual_mask(k: int, right_k: int, params) -> tuple:
     """The certified window of J_k g_n - g_n J_{right_k}: only the J factors
     can leave the cutoff."""
-    cfg, N = params.config, params.N
-    certs = (ExactnessCertificate((j_op(k, cfg).shift, FULL), N),
-             ExactnessCertificate((FULL, j_op(right_k, cfg).shift), N))
-    return certified_window(N, certs)[0]
+    return certified_window(params.N, ((banded(-k), FULL), (FULL, banded(-right_k))))[0]
 
 
 def dense_residual_entry(family: str, k: int, right_k: int, params,

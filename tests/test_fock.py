@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -6,7 +7,6 @@ from toda_crystal import (
     Partition,
     SectorConfig,
     j_op,
-    op_product,
     schur_qrho,
     phi_potential,
     l0_eigenvalue,
@@ -17,7 +17,6 @@ from toda_crystal.fock import (
     FULL,
     LOWERING,
     RAISING,
-    ExactnessCertificate,
     SectorOperator,
     apply_row,
     banded,
@@ -117,7 +116,6 @@ def test_j_op_lowers_and_annihilates_ground_state():
     b = get_basis(6)
     for k in (1, 2, 3):
         jk = j_op(k, c)
-        assert jk.shift == banded(-k)
         for i, row in jk.rows.items():
             for j in row:
                 assert b.weights[i] == b.weights[j] - k
@@ -177,62 +175,67 @@ def test_vertex_op_zero_coeffs_is_identity():
         oracles.dense_exp({1: Fraction(1)}, "lowering", c)
 
 
-def test_op_product_with_identity_certified():
+def test_identity_product_certified_everywhere():
     c = cfg(N=4)
     v = v_op(1, 1, c)
-    prod, cert = op_product([v, SectorOperator.identity(c)])
-    assert prod == v
-    mask, window = certified_window(4, (cert,))
+    assert v @ SectorOperator.identity(c) == v
+    mask, window = certified_window(4, ((banded(-1), banded(0)),))
     assert window == len(get_basis(4)) ** 2
     assert all(all(row) for row in mask)
 
 
 def test_certificate_split_rule_raising_lowering():
-    # G_- G_+: intermediates bounded by min(row, col), so everything certified
-    c = cfg(N=4)
-    gm = oracles.dense_transfer(c, "plain", "raising")
-    gp = oracles.dense_transfer(c, "plain", "lowering")
-    _, cert = op_product([gm, gp])
-    assert all(cert.certified(w1, w2) for w1 in range(5) for w2 in range(5))
+    # G_- G_+: intermediates bounded by min(row, col), so everything certified,
+    # and every entry of the pair cut at N agrees with the pair cut at N + 3
+    N = 4
+    mask, window = certified_window(N, ((RAISING, LOWERING),))
+    assert window == len(get_basis(N)) ** 2
+    small = oracles.dense_pair(cfg(N=N), "plain")
+    big = oracles.dense_pair(cfg(N=N + 3), "plain")
+    b_small, b_big = get_basis(N), get_basis(N + 3)
+    for i, mu in enumerate(b_small.parts):
+        for j, nu in enumerate(b_small.parts):
+            assert small.get(i, j) == big.get(b_big.index[mu], b_big.index[nu])
+
+
+def _certified_entries_agree(chain, factors, N, grown):
+    """Whether the product of factors(config) cut at N agrees with the one
+    cut at N + grown on every pair the chain's mask certifies, and whether
+    some uncertified entry differs."""
+    mask, _ = certified_window(N, (chain,))
+    small = reduce(SectorOperator.matmul, factors(cfg(N=N)))
+    big = reduce(SectorOperator.matmul, factors(cfg(N=N + grown)))
+    b_small, b_big = get_basis(N), get_basis(N + grown)
+    certified_ok, uncertified_differs = True, False
+    for i, mu in enumerate(b_small.parts):
+        for j, nu in enumerate(b_small.parts):
+            same = small.get(i, j) == big.get(b_big.index[mu], b_big.index[nu])
+            if mask[mu.weight][nu.weight]:
+                certified_ok = certified_ok and same
+            elif not same:
+                uncertified_differs = True
+    return certified_ok, uncertified_differs
 
 
 def test_certificate_catches_truncation_error():
     # J_3 J_{-3} passes through energies 3 above the column weight
-    N = 4
-    c = cfg(N=N)
-    prod_small, cert = op_product([j_op(3, c), j_op(-3, c)])
-    c_big = cfg(N=N + 4)
-    prod_big, _ = op_product([j_op(3, c_big), j_op(-3, c_big)])
-    b_small = get_basis(N)
-    b_big = get_basis(N + 4)
-    saw_uncertified_difference = False
-    for i, mu in enumerate(b_small.parts):
-        for j, nu in enumerate(b_small.parts):
-            I, J = b_big.index[mu], b_big.index[nu]
-            if cert.certified(mu.weight, nu.weight):
-                assert prod_small.get(i, j) == prod_big.get(I, J)
-            elif prod_small.get(i, j) != prod_big.get(I, J):
-                saw_uncertified_difference = True
-    assert saw_uncertified_difference
+    certified_ok, uncertified_differs = _certified_entries_agree(
+        (banded(-3), banded(3)), lambda c: (j_op(3, c), j_op(-3, c)), 4, 4)
+    assert certified_ok
+    assert uncertified_differs
 
 
 def test_certified_entries_stable_under_cutoff_growth():
-    c = cfg(N=5)
-    v1, v2 = v_op(1, 2, c), v_op(2, -1, c)
-    prod, cert = op_product([v1, v2])
-    c2 = cfg(N=7)
-    w1, w2 = v_op(1, 2, c2), v_op(2, -1, c2)
-    prod2, _ = op_product([w1, w2])
-    bs, bb = get_basis(5), get_basis(7)
-    for i, mu in enumerate(bs.parts):
-        for j, nu in enumerate(bs.parts):
-            if cert.certified(mu.weight, nu.weight):
-                assert prod.get(i, j) == prod2.get(bb.index[mu], bb.index[nu])
+    certified_ok, _ = _certified_entries_agree(
+        (banded(-2), banded(1)), lambda c: (v_op(1, 2, c), v_op(2, -1, c)), 5, 2)
+    assert certified_ok
 
 
-def test_op_product_rejects_mixed_configs():
+def test_matmul_rejects_mixed_configs():
     with pytest.raises(ValueError):
-        op_product([j_op(1, cfg(N=4)), j_op(1, cfg(N=5))])
+        j_op(1, cfg(N=4)) @ j_op(1, cfg(N=5))
+    with pytest.raises(ValueError):
+        j_op(1, cfg(N=4)) - j_op(1, cfg(s=1, N=4))
 
 
 def test_transfer_weights_values():
@@ -251,8 +254,8 @@ def test_sector_operator_stores_no_zeros():
     c = cfg(N=5)
     b = get_basis(5)
     one = Fraction(1)
-    a = SectorOperator(c, b, {0: {0: one, 1: one}, 1: {1: 2 * one}}, FULL)
-    x = SectorOperator(c, b, {0: {0: -one}, 1: {0: one}}, FULL)
+    a = SectorOperator(c, b, {0: {0: one, 1: one}, 1: {1: 2 * one}})
+    x = SectorOperator(c, b, {0: {0: -one}, 1: {0: one}})
     v, w = v_op(1, 1, c), v_op(2, -1, c)
     results = [
         a + x,                          # the (0, 0) entry cancels
@@ -274,21 +277,24 @@ def test_sector_operator_stores_no_zeros():
 
 @pytest.mark.parametrize("N", range(8))
 def test_certified_window_matches_pair_count(N):
-    """The mask and window of every check against the counts they replaced."""
-    def all_of(certs):
-        return lambda w1, w2: all(c.certified(w1, w2) for c in certs)
-
-    cases = []  # (certificates, band, the predicate the check used)
+    """The mask and window of every check's chains against predicates
+    written out from the weights, and against the pair count."""
+    cases = []  # (chains, band, the predicate written out)
     for m in range(-3, 4):  # commutators: V_m V_n and V_n V_m
         for n in range(-3, 4):
-            certs = (ExactnessCertificate((banded(-m), banded(-n)), N),
-                     ExactnessCertificate((banded(-n), banded(-m)), N))
-            cases.append((certs, None, all_of(certs)))
-    for k in (1, 2):  # first shift: G V_m and V_{m+k} G
+            def commutator(w1, w2, m=m, n=n):
+                return (min(w1 + max(0, m), w2 + max(0, -n)) <= N
+                        and min(w1 + max(0, n), w2 + max(0, -m)) <= N)
+
+            cases.append((((banded(-m), banded(-n)), (banded(-n), banded(-m))), None,
+                          commutator))
+    for k in (1, 2):  # first shift: G_-G_+ V_m and V_{m+k} G_-G_+
         for m in range(-2, 3):
-            certs = (ExactnessCertificate((RAISING, LOWERING, banded(-m)), N),
-                     ExactnessCertificate((banded(-(m + k)), RAISING, LOWERING), N))
-            cases.append((certs, None, all_of(certs)))
+            def first_shift(w1, w2, m=m, k=k):
+                return w2 + max(0, -m) <= N and w1 + max(0, m + k) <= N
+
+            cases.append((((RAISING, LOWERING, banded(-m)), (banded(-(m + k)), RAISING, LOWERING)),
+                          None, first_shift))
     for m in range(-2, 3):  # second shift: the band of V_m
         cases.append(((), -m, lambda w1, w2, m=m: w1 == w2 - m))
         b = get_basis(N)
@@ -302,11 +308,14 @@ def test_certified_window_matches_pair_count(N):
                 right_ok = (wm - right_k <= N) if right_k < 0 else True
                 return left_ok and right_ok
 
-            certs = (ExactnessCertificate((banded(-k), FULL), N),
-                     ExactnessCertificate((FULL, banded(-right_k)), N))
-            cases.append((certs, None, written_out))
-    for certs, band, certified in cases:
-        mask, window = certified_window(N, certs, band)
+            cases.append((((banded(-k), FULL), (FULL, banded(-right_k))), None, written_out))
+    # a RAISING factor keeps the row-side bound, a LOWERING factor the
+    # col-side bound; facing the other way they leave both sides unbounded
+    cases.append((((RAISING, FULL), (FULL, LOWERING)), None, lambda w1, w2: True))
+    for chain in ((LOWERING, FULL), (FULL, RAISING)):
+        cases.append(((chain,), None, lambda w1, w2: False))
+    for chains, band, certified in cases:
+        mask, window = certified_window(N, chains, band)
         assert [list(row) for row in mask] == \
             [[certified(w1, w2) for w2 in range(N + 1)] for w1 in range(N + 1)]
         assert window == oracles.window_size_by_pairs(N, certified)

@@ -10,8 +10,8 @@ from toda_crystal import (
     torus_constant,
     v_op,
 )
-from toda_crystal import symmetries
-from toda_crystal.fock import get_basis
+from toda_crystal import fock, symmetries
+from toda_crystal.fock import SectorOperator, get_basis
 from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS
 
 import oracles
@@ -135,6 +135,35 @@ def test_second_shift_grid():
             for s in (-1, 0, 1):
                 rep = second_shift_check(k, m, cfg(s=s))
                 assert rep.status == PASS, (k, m, s)
+
+
+def _without_cutoff(report) -> dict:
+    line = report.to_json_dict()
+    del line["params"]["N"], line["evidence"]["window"]
+    return line
+
+
+@pytest.mark.parametrize("p", [P, Fraction(2, 3)])
+def test_operator_reports_stable_under_cutoff_growth(p):
+    checks = [(commutator_check, (k, m, l, n)) for k in (-1, 0, 1) for l in (-1, 2)
+              for m in (-2, 0, 1) for n in (-1, 2)]
+    checks += [(first_shift_check, (variant, k, m)) for variant in ("G", "Gprime")
+               for k in (1, 2) for m in (-2, -1, 0, 1)]
+    checks += [(second_shift_check, (k, m)) for k in (-1, 0, 2) for m in (-2, 0, 1)]
+    N = 4
+    for s in (-1, 0, 1):
+        small, big = SectorConfig(s, N, p), SectorConfig(s, N + 2, p)
+        for check, args in checks:
+            line = _without_cutoff(check(*args, small))
+            assert line["status"] == PASS, (check.__name__, args, s, line)
+            assert line == _without_cutoff(check(*args, big)), (check.__name__, args, s)
+
+
+def test_tracer_hooks_see_every_product():
+    # a tracer that wraps fock.matmul and fock.v_op counts the products taken
+    # through @ and the V operators built in symmetries
+    assert SectorOperator.__matmul__ is SectorOperator.matmul
+    assert symmetries.v_op is fock.v_op
 
 
 def test_reports_are_deterministic():

@@ -260,6 +260,15 @@ def test_bilinear_explicit_sign_and_failure():
     assert "first_nonzero" in rep.evidence
 
 
+def test_bilinear_failure_reports_its_window():
+    fam = tau_prime_family(params(K=1, D=2, NQ=2), range(-1, 2))
+    assert calibrate_bilinear_sign(1, 2) == -1
+    line = toda_bilinear_residual(fam, sign=1).to_json_dict()
+    assert line["status"] == FAIL
+    assert line["evidence"]["center"] == 0
+    assert line["evidence"]["window"] == 1
+
+
 def test_bilinear_insufficient_without_neighbors():
     pr = params(K=1, D=2, NQ=2)
     fam = tau_prime_family(pr, [0, 1])
