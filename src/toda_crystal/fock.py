@@ -16,9 +16,11 @@ own indices, and asks certified_window once for its mask, an (N+1) x (N+1)
 table over weight pairs filled once per pair, and reads every entry against
 it. Entries outside the mask are never used.
 
-The transfer exponentials G+- = exp(sum_k c_k J_{+-k}) are only ever applied
-to vectors, by transfer_row, in integer form; the dense matrix exponential
-and the dense pair G_-G_+ live in the test oracles as the reference route.
+Exact products run on integers: integer_form writes an operator as integer
+numerators over one denominator, v_int caches it for each V, and the checks
+cross-multiply instead of reducing fractions. The transfer exponentials G+-
+are only ever applied to vectors, by transfer_row, in the same form; their
+dense matrices and the dense pair G_-G_+ are the test oracles' reference.
 """
 
 from __future__ import annotations
@@ -261,8 +263,7 @@ class SectorOperator:
     @classmethod
     def identity(cls, config: SectorConfig) -> "SectorOperator":
         b = get_basis(config.N)
-        one = Fraction(1)
-        return cls(config, b, {i: {i: one} for i in range(len(b))})
+        return cls(config, b, {i: {i: 1} for i in range(len(b))})
 
     @classmethod
     def diagonal(cls, config: SectorConfig, values: Sequence) -> "SectorOperator":
@@ -378,6 +379,15 @@ def apply_row(vec: Mapping[int, object], op: SectorOperator) -> dict[int, object
     return {j: v for j, v in out.items() if v}
 
 
+def integer_form(op: SectorOperator) -> tuple[SectorOperator, int]:
+    """op as (M, den): integer entries M with M/den = op, over the least
+    common denominator of the entries, so in lowest terms."""
+    den = math.lcm(*(v.denominator for row in op.rows.values() for v in row.values()))
+    rows = {i: {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+            for i, row in op.rows.items()}
+    return SectorOperator(op.config, op.basis, rows), den
+
+
 # ---------------------------------------------------------------------------
 # Concrete operators
 
@@ -427,6 +437,12 @@ def v_op(k: int, m: int, config: SectorConfig) -> SectorOperator:
     return SectorOperator(config, b, {i: row for i, row in rows.items() if row})
 
 
+@lru_cache(maxsize=None)
+def v_int(k: int, m: int, config: SectorConfig) -> tuple[SectorOperator, int]:
+    """v_op(k, m, config) in integer form."""
+    return integer_form(v_op(k, m, config))
+
+
 def j_op(k: int, config: SectorConfig) -> SectorOperator:
     """Current mode: shifts one particle down by k; equals v_op(0, k)."""
     return v_op(0, k, config)
@@ -452,20 +468,15 @@ def transfer_weights(p: Fraction, N: int, alternating: bool) -> dict[int, Fracti
 @lru_cache(maxsize=None)
 def _transfer_generator(p: Fraction, N: int, family: str,
                         direction: str) -> tuple[SectorOperator, int]:
-    """The exponent of a transfer exponential in integer form: (M, den) with
-    integer entries M and M/den = sum_k c_k J_{+k} (lowering) or
-    sum_k c_k J_{-k} (raising), c_k the transfer weights of the family, over
-    the least common denominator of the entries. Entries do not depend on
-    the charge, so the exponent is built once per (p, N) at s = 0."""
+    """The exponent sum_k c_k J_{+k} (lowering) or sum_k c_k J_{-k} (raising) of
+    a transfer exponential in integer form, c_k the transfer weights of the
+    family. Entries do not depend on the charge, so it is built at s = 0."""
     config = SectorConfig(0, N, p)
     sgn = -1 if direction == "raising" else 1
     gen = SectorOperator(config, get_basis(N), {})
     for k, c in transfer_weights(p, N, alternating=(family == "alternating")).items():
         gen = gen + j_op(sgn * k, config).scale(c)
-    den = math.lcm(*(v.denominator for row in gen.rows.values() for v in row.values()))
-    rows = {i: {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-            for i, row in gen.rows.items()}
-    return SectorOperator(config, gen.basis, rows), den
+    return integer_form(gen)
 
 
 # A vector in integer form is a pair (nums, den): sparse integer numerators

@@ -54,6 +54,7 @@ from .fock import (
     certified_window,
     get_basis,
     banded,
+    integer_form,
     j_op,
     reduced,
     transfer_pair_row,
@@ -91,9 +92,9 @@ class CalibrationError(RuntimeError):
 def _j_matrix(k: int, N: int) -> SectorOperator:
     """J_k with integer entries, for the time vectors only. Its config pins
     p = 1/2, so operator products in a sector use j_op(k, config) instead."""
-    j = j_op(k, SectorConfig(0, N, Fraction(1, 2)))
-    return SectorOperator(j.config, j.basis, {i: {c: int(v) for c, v in row.items()}
-                                              for i, row in j.rows.items()})
+    j, den = integer_form(j_op(k, SectorConfig(0, N, Fraction(1, 2))))
+    assert den == 1
+    return j
 
 
 def _multi_indices(K: int, D: int) -> list[tuple[int, ...]]:

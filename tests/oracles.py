@@ -13,8 +13,11 @@ value of those dense exponentials, the fermionic route that the closed-form
 partition sum of models must match. DenseGraded keeps the dense route to the
 tau vectors and the graded blocks that the package replaced with pushed
 vectors, fraction_residual_entry the intertwining scan on Fraction vectors
-that the package replaced with an integer-numerator scan, and
-window_size_by_pairs the weight-pair count that certified_window replaced.
+that the package replaced with an integer-numerator scan,
+fraction_commutator_check and fraction_first_shift_check the two operator
+checks on Fraction entries (the latter with the dense pair) that the package
+replaced with integer residuals, and window_size_by_pairs the weight-pair
+count that certified_window replaced.
 Masks are asked of certified_window with the chains of the products
 compared, written here from the indices as the checks write them:
 residual_mask gives J_k g_n and g_n J_{right_k} the chains
@@ -29,9 +32,13 @@ from fractions import Fraction
 from functools import cache, lru_cache
 
 from toda_crystal import Partition, SeriesContext, TruncatedSeries, enumerate_partitions
-from toda_crystal.algebra import linear_form, series_exp
+from toda_crystal import symmetries
+from toda_crystal.algebra import format_rational, linear_form, series_exp
 from toda_crystal.fock import (
     FULL,
+    LOWERING,
+    RAISING,
+    SectorConfig,
     SectorOperator,
     apply_row,
     banded,
@@ -45,7 +52,14 @@ from toda_crystal.fock import (
     w0_diag,
 )
 from toda_crystal.models import charge_offset
-from toda_crystal.symmetries import _entry_evidence, _scan_certified_residual
+from toda_crystal.symmetries import (
+    FAIL,
+    INSUFFICIENT,
+    PASS,
+    CheckReport,
+    _entry_evidence,
+    _scan_certified_residual,
+)
 from toda_crystal.toda import GradedOperator
 
 
@@ -319,6 +333,93 @@ def fraction_residual_entry(g: GradedOperator, jl: SectorOperator, jr: SectorOpe
                 if v:
                     return {"grade": n, **_entry_evidence(b, lam, mu, v)}
     return None
+
+
+def fraction_commutator_check(k: int, m: int, l: int, n: int, config) -> CheckReport:
+    """symmetries.commutator_check on Fraction entries: V1 V2 - V2 V1 from
+    v_op, minus the relation as a Fraction operator. The prefactor and the
+    torus constant are read from symmetries at call time."""
+    params = {"k": k, "m": m, "l": l, "n": n, "s": config.s, "l_weight": config.l,
+              "p": format_rational(config.p), "N": config.N}
+    report = CheckReport("commutator", params, INSUFFICIENT)
+    N = config.N
+    if abs(m) > N or abs(n) > N or (k + l != 0 or m + n != 0) and abs(m + n) > N:
+        report.evidence = {"reason": "shift exceeds the cutoff"}
+        return report
+    V1 = v_op(k, m, config)
+    V2 = v_op(l, n, config)
+    lhs = V1 @ V2 - V2 @ V1
+    mask, window = certified_window(N, ((banded(-m), banded(-n)), (banded(-n), banded(-m))))
+    report.window = window
+    if window == 0:
+        report.evidence = {"reason": "empty certified window"}
+        return report
+    p = config.p
+    pref = symmetries.torus_prefactor(k, m, l, n, p)
+    if k + l == 0 and m + n == 0:
+        for sigma in (1, -1):
+            expected = SectorOperator.identity(config).scale(Fraction(sigma * m))
+            ok, _ = _scan_certified_residual(lhs - expected, mask)
+            if ok:
+                report.status = PASS
+                report.evidence = {"central_sign": sigma} if m else {}
+                return report
+        report.status = FAIL
+        _, worst = _scan_certified_residual(lhs, mask)
+        report.evidence = {"worst": worst, "reason": "central term matches neither sign"}
+        return report
+    rhs = v_op(k + l, m + n, config).scale(pref)
+    if m + n == 0:
+        c = pref * symmetries.torus_constant(k + l, p)
+        rhs = rhs - SectorOperator.identity(config).scale(c)
+    ok, worst = _scan_certified_residual(lhs - rhs, mask)
+    report.status = PASS if ok else FAIL
+    if worst:
+        report.evidence = {"worst": worst}
+    return report
+
+
+def fraction_first_shift_check(variant: str, k: int, m: int, config) -> CheckReport:
+    """symmetries.first_shift_check on Fraction entries: both products in
+    full, with the dense pair of dense_pair, and the torus constant read
+    from symmetries at call time."""
+    if k < 1:
+        raise ValueError("first shift symmetries need k >= 1")
+    if variant not in ("G", "Gprime"):
+        raise ValueError(f"unknown variant {variant!r}")
+    params = {"variant": variant, "k": k, "m": m, "s": config.s,
+              "p": format_rational(config.p), "N": config.N}
+    report = CheckReport("first_shift", params, INSUFFICIENT)
+    N = config.N
+    if abs(m) > N or abs(m + k) > N:
+        report.evidence = {"reason": "shift exceeds the cutoff"}
+        return report
+    upper = k if variant == "G" else -k
+    parity = Fraction(-1) ** k if variant == "G" else Fraction(1)
+    c = symmetries.torus_constant(upper, config.p)
+    family = "plain" if variant == "G" else "alternating"
+    gg = SectorOperator(config, get_basis(N), dense_pair(SectorConfig(0, N, config.p), family).rows)
+    ident = SectorOperator.identity(config)
+    left_v = v_op(upper, m, config)
+    if m == 0:
+        left_v = left_v - ident.scale(c)
+    right_v = v_op(upper, m + k, config)
+    if m + k == 0:
+        right_v = right_v - ident.scale(c)
+    lhs = gg.matmul(left_v)
+    rhs = right_v.scale(parity).matmul(gg)
+    mask, window = certified_window(N, ((RAISING, LOWERING, banded(-m)),
+                                        (banded(-(m + k)), RAISING, LOWERING)))
+    report.window = window
+    if window == 0:
+        report.evidence = {"reason": "empty certified window"}
+        return report
+    ok, worst = _scan_certified_residual(lhs - rhs, mask)
+    report.status = PASS if ok else FAIL
+    report.evidence = {"constant": format_rational(c)}
+    if worst:
+        report.evidence["worst"] = worst
+    return report
 
 
 @dataclass(frozen=True)

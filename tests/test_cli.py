@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -286,3 +287,60 @@ def test_run_task_returns_a_line():
     line = _run_task(task)
     assert line["status"] == "pass"
     assert set(line) == {"check", "params", "status", "evidence", "wall_ms"}
+
+
+# every check kind whose reports have no cutoff-growth test of their own;
+# commutator, first_shift and second_shift are covered in test_symmetries
+CUTOFF_KINDS = ("ground_action", "main_identity", "prev_identity", "prev_forms",
+                "prev_reduction", "bilinear_tau_prime", "bilinear_zprime", "toeplitz_fake",
+                "trivial_tau")
+
+
+def _without_cutoff(line: dict) -> dict:
+    # the bilinear lines name no N: their params are the family's
+    line["params"].pop("N", None)
+    del line["evidence"]["window"]
+    line.pop("wall_ms", None)
+    return line
+
+
+@pytest.mark.parametrize("p", ["1/2", "2/3"])
+@pytest.mark.parametrize("kind", CUTOFF_KINDS)
+def test_reports_stable_under_cutoff_growth(kind, p):
+    suite = CHECKS[kind].suite
+    cfg = RunConfig.from_args(_build_parser().parse_args(
+        ["verify", suite, "--K", "2", "--D", "2", "--NQ", "3", "--s=-1,0,1", "--l=0,1",
+         "--p", p]))
+    tasks = [task for task in _task_list(suite, cfg) if task["kind"] == kind]
+    assert tasks
+    for task in tasks:
+        small = _without_cutoff(CHECKS[kind].run(task).to_json_dict())
+        assert small["status"] == "pass", (task, small)
+        grown = CHECKS[kind].run({**task, "N": task["N"] + 2}).to_json_dict()
+        assert _without_cutoff(grown) == small, task
+
+
+def _perfbench_workloads():
+    """perfbench/workloads.py, loaded from the checkout without importing
+    the rest of the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules.setdefault(spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_commutators_workload_matches_its_references():
+    # one untimed invocation of the benchmark's commutators workload at each p
+    bench = _perfbench_workloads()
+    references = bench.load_references()
+    workload = bench.WORKLOADS["commutators"]
+    src = str(Path(toda_crystal.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "TODA_CRYSTAL_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for p in bench.POOL:
+        proc = subprocess.run([sys.executable, "-m", "toda_crystal.cli", *workload.argv(p)],
+                              capture_output=True, env=env)
+        reference = bench.reference_for(references, "commutators", p)
+        assert bench.check_output("verify", proc.stdout, reference, p) == (1225, 0), p

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -88,8 +89,14 @@ def test_first_shift_small_grid():
 @pytest.mark.parametrize("p", [P, Fraction(1, 3), Fraction(2, 3)])
 @pytest.mark.parametrize("N", [4, 7])
 def test_pushed_pair_rows_match_dense_pair(family, p, N):
-    rows = symmetries._transfer_pair_rows(p, N, family)
-    assert rows == oracles.dense_pair(SectorConfig(0, N, p), family).rows
+    rows, den = symmetries._transfer_pair_rows(p, N, family)
+    values = {i: {j: Fraction(v, den) for j, v in row.items()} for i, row in rows.items()}
+    assert values == oracles.dense_pair(SectorConfig(0, N, p), family).rows
+
+
+def _dense_pair_rows(p, N, family):
+    op, den = fock.integer_form(oracles.dense_pair(SectorConfig(0, N, p), family))
+    return op.rows, den
 
 
 def test_first_shift_reports_match_dense_pair(monkeypatch):
@@ -99,10 +106,145 @@ def test_first_shift_reports_match_dense_pair(monkeypatch):
     pushed = [first_shift_check(*point).to_json_dict() for point in points]
     calls = []
     monkeypatch.setattr(symmetries, "_transfer_pair_rows", lambda p, N, family: calls.append(
-        family) or oracles.dense_pair(SectorConfig(0, N, p), family).rows)
+        family) or _dense_pair_rows(p, N, family))
     assert [first_shift_check(*point).to_json_dict() for point in points] == pushed
     assert len(calls) == len(points)
     assert all(line["status"] == PASS for line in pushed)
+
+
+POOL = (P, Fraction(1, 3), Fraction(2, 3))
+# the grid of `verify commutators` at one charge
+COMMUTATOR_GRID = [(k, m, l, n) for k in range(-2, 3) for l in range(-2, 3)
+                   for m in range(-3, 4) for n in range(-3, 4)]
+FIRST_SHIFT_GRID = [(variant, k, m) for variant in ("G", "Gprime") for k in (1, 2)
+                    for m in (-2, -1, 0, 1, 2)]
+
+
+def _same_reports(check, oracle, grid, configs) -> list[dict]:
+    """The report dicts of check over grid and configs, asserted equal to
+    the oracle's."""
+    lines = []
+    for config in configs:
+        for args in grid:
+            line = check(*args, config).to_json_dict()
+            assert line == oracle(*args, config).to_json_dict(), (args, config)
+            lines.append(line)
+    return lines
+
+
+@pytest.mark.parametrize("p", POOL)
+def test_commutator_reports_match_fraction_oracle(p):
+    lines = _same_reports(commutator_check, oracles.fraction_commutator_check,
+                          COMMUTATOR_GRID, [SectorConfig(0, 6, p)])
+    assert all(line["status"] == PASS for line in lines)
+    # at N = 3 some shifts exceed the cutoff, m + n among them
+    lines = _same_reports(commutator_check, oracles.fraction_commutator_check,
+                          COMMUTATOR_GRID, [SectorConfig(0, 3, p)])
+    assert {line["status"] for line in lines} == {PASS, INSUFFICIENT}
+
+
+@pytest.mark.parametrize("p", POOL)
+def test_first_shift_reports_match_fraction_oracle(p):
+    lines = _same_reports(first_shift_check, oracles.fraction_first_shift_check,
+                          FIRST_SHIFT_GRID, [SectorConfig(s, 6, p) for s in (-1, 0, 1)])
+    assert all(line["status"] == PASS for line in lines)
+
+
+def _doubled_identity(monkeypatch):
+    # every central term, the degenerate sigma * m included, comes out twice too large
+    identity = SectorOperator.identity
+    monkeypatch.setattr(SectorOperator, "identity",
+                        classmethod(lambda cls, config: identity(config).scale(2)))
+
+
+WRONG_RELATIONS = {
+    "flipped_prefactor": lambda mp: mp.setattr(
+        symmetries, "torus_prefactor", lambda *a, f=symmetries.torus_prefactor: -f(*a)),
+    "wrong_constant": lambda mp: mp.setattr(
+        symmetries, "torus_constant", lambda j, p, f=symmetries.torus_constant: f(j, p) + 1),
+    "doubled_identity": _doubled_identity,
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(WRONG_RELATIONS))
+def test_wrong_relations_fail_as_in_fraction_oracle(wrong, monkeypatch):
+    WRONG_RELATIONS[wrong](monkeypatch)
+    config = SectorConfig(0, 6, Fraction(2, 3))
+    grid = [(k, m, l, n) for k, m, l, n in COMMUTATOR_GRID if abs(k) < 2 and abs(l) < 2]
+    lines = _same_reports(commutator_check, oracles.fraction_commutator_check, grid, [config])
+    lines += _same_reports(first_shift_check, oracles.fraction_first_shift_check,
+                           FIRST_SHIFT_GRID, [config])
+    failed = [line for line in lines if line["status"] == FAIL]
+    assert failed and all(line["evidence"]["worst"]["value"] != "0" for line in failed)
+
+
+def _in_lowest_terms(values, den) -> bool:
+    values = list(values)
+    return (den > 0 and all(type(v) is int for v in values) and 0 not in values
+            and math.gcd(den, *values) == 1)
+
+
+def _scanned_residuals(monkeypatch) -> list:
+    """Records the (residual, den) of every scan the checks make."""
+    seen = []
+    scan = symmetries._scan_certified_residual
+    monkeypatch.setattr(symmetries, "_scan_certified_residual",
+                        lambda residual, mask, den=1: seen.append((residual, den))
+                        or scan(residual, mask, den))
+    return seen
+
+
+def _values(residual, den) -> dict:
+    return {i: {j: Fraction(v, den) for j, v in row.items()} for i, row in residual.rows.items()}
+
+
+def test_integer_forms_hold_ints_in_lowest_terms(monkeypatch):
+    config = SectorConfig(1, 6, Fraction(2, 3))
+    for k, m in ((2, -3), (-1, 0), (0, 2), (1, 1)):
+        a, den = fock.v_int(k, m, config)
+        assert _in_lowest_terms((v for row in a.rows.values() for v in row.values()), den)
+        assert {i: {j: Fraction(v, den) for j, v in row.items()}
+                for i, row in a.rows.items()} == v_op(k, m, config).rows
+    for family in ("plain", "alternating"):
+        rows, den = symmetries._transfer_pair_rows(config.p, 6, family)
+        assert _in_lowest_terms((v for row in rows.values() for v in row.values()), den)
+    seen = _scanned_residuals(monkeypatch)
+    k, m, l, n = 2, 1, -1, 2
+    assert commutator_check(k, m, l, n, config).status == PASS
+    (residual, den), = seen
+    # the residual is over a common denominator, not reduced: only a
+    # reported entry becomes a Fraction
+    assert den > 0 and all(type(v) is int for row in residual.rows.values()
+                           for v in row.values())
+    v1, v2 = v_op(k, m, config), v_op(l, n, config)
+    expected = (v1 @ v2 - v2 @ v1 - v_op(k + l, m + n, config).scale(
+        symmetries.torus_prefactor(k, m, l, n, config.p)))
+    assert _values(residual, den) == expected.rows
+
+
+# at each point the Fraction residual has nonzero rows of weight 6; rows of
+# weight <= 6 - max(0, m + k) are readable, and at (Gprime, 2, -1) the
+# residual also has nonzero rows of the top readable weight, 5
+@pytest.mark.parametrize("variant,k,m", [("G", 1, 0), ("G", 2, 1), ("Gprime", 1, -2),
+                                         ("Gprime", 2, -1)])
+def test_first_shift_residual_is_taken_on_readable_rows(variant, k, m, monkeypatch):
+    # the integer residual is the Fraction one on exactly the rows of a
+    # weight the mask reads, uncertified entries included
+    config = SectorConfig(-1, 6, Fraction(2, 3))
+    seen = _scanned_residuals(monkeypatch)
+    assert first_shift_check(variant, k, m, config).status == PASS
+    (residual, den), = seen
+    upper, parity = (k, (-1) ** k) if variant == "G" else (-k, 1)
+    c = torus_constant(upper, config.p)
+    gg = SectorOperator(config, get_basis(6), oracles.dense_pair(
+        SectorConfig(0, 6, config.p), "plain" if variant == "G" else "alternating").rows)
+    ident = SectorOperator.identity(config)
+    left = v_op(upper, m, config) - ident.scale(c if m == 0 else 0)
+    right = v_op(upper, m + k, config) - ident.scale(c if m + k == 0 else 0)
+    full = gg @ left - right.scale(parity) @ gg
+    w = get_basis(6).weights
+    readable = {n for n in range(7) if n <= 6 - max(0, m + k)}
+    assert _values(residual, den) == {i: row for i, row in full.rows.items() if w[i] in readable}
 
 
 def test_first_shift_validation_and_window():
