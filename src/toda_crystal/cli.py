@@ -16,6 +16,7 @@ import sys
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from . import toda
@@ -101,8 +102,13 @@ class CheckKind(NamedTuple):
     run: Callable[[dict], CheckReport]
 
 
-def _sector(task: dict) -> SectorConfig:
-    return SectorConfig(task["s"], task["N"], parse_rational(task["p"]))
+@lru_cache(maxsize=None)
+def _sector_config(s: int, N: int, p: str) -> SectorConfig:
+    return SectorConfig(s, N, parse_rational(p))
+
+
+def _sector(task: dict) -> SectorConfig:  # one shared config per task point
+    return _sector_config(task["s"], task["N"], task["p"])
 
 
 def _model(task: dict) -> ModelParams:

@@ -18,7 +18,9 @@ it. Entries outside the mask are never used.
 
 Exact products run on integers: integer_form writes an operator as integer
 numerators over one denominator, v_int caches it for each V, and the checks
-cross-multiply instead of reducing fractions. The transfer exponentials G+-
+cross-multiply instead of reducing fractions. The particle moves of each V
+depend on its shift, the charge and the cutoff alone, and are built once, in
+move_table; k and p only set their amplitudes. The transfer exponentials G+-
 are only ever applied to vectors, by transfer_row, in the same form; their
 dense matrices and the dense pair G_-G_+ are the test oracles' reference.
 """
@@ -352,12 +354,6 @@ class SectorOperator:
                               {i: {j: v * fn(j) for j, v in row.items()}
                                for i, row in self.rows.items()})
 
-    def nonzero_entries_sorted(self):
-        for i in sorted(self.rows):
-            row = self.rows[i]
-            for j in sorted(row):
-                yield i, j, row[j]
-
     def __eq__(self, other):
         return (isinstance(other, SectorOperator) and self.config == other.config
                 and self.rows == other.rows)
@@ -392,49 +388,41 @@ def integer_form(op: SectorOperator) -> tuple[SectorOperator, int]:
 # Concrete operators
 
 @lru_cache(maxsize=None)
-def _ppow_cache(p: Fraction):
-    cache: dict[int, Fraction] = {}
-
-    def pw(e: int) -> Fraction:
-        v = cache.get(e)
-        if v is None:
-            v = p ** e
-            cache[e] = v
-        return v
-
-    return pw
+def move_table(m: int, s: int, N: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The particle moves of a shift by -m in the charge-s sector cut at N, as
+    (row, col, sign, src): moving the particle at level src to src - m takes
+    |mu_col, s> to sign |lambda_row, s>; distinct moves give distinct pairs."""
+    b = get_basis(N)
+    moves = []
+    for j, mu in enumerate(b.parts):
+        if not 0 <= mu.weight - m <= N:
+            continue
+        for src in _move_sources(mu.parts, s, m):
+            res = move_particle(mu.parts, s, src, src - m)
+            if res is not None:
+                moves.append((b.index[Partition(res[1])], j, res[0], src))
+    return tuple(moves)
 
 
 @lru_cache(maxsize=None)
 def v_op(k: int, m: int, config: SectorConfig) -> SectorOperator:
     """Quantum-torus generator with upper index k and energy shift -m:
     q^{-km/2} sum_n q^{kn} :psi_{m-n} psi*_n:. The m = 0 member is the
-    diagonal with the standard potential eigenvalues."""
+    diagonal with the standard potential eigenvalues; the others put the
+    amplitude +-p^{2k src - km} on each move of the cached move_table."""
     if abs(m) > config.N:
         raise ValueError(f"|m| = {abs(m)} exceeds the cutoff {config.N}")
     b = get_basis(config.N)
     s = config.s
-    pw = _ppow_cache(config.p)
+    pw = lru_cache(maxsize=None)(config.p.__pow__)  # the powers of p this V reads
     if m == 0:
         return SectorOperator.diagonal(
             config, [maya_diag_sum(mu.parts, s, lambda x: pw(2 * k * x)) for mu in b.parts])
     rows: dict[int, dict[int, object]] = {}
-    for j, mu in enumerate(b.parts):
-        if not 0 <= mu.weight - m <= config.N:
-            continue
-        for src in _move_sources(mu.parts, s, m):
-            res = move_particle(mu.parts, s, src, src - m)
-            if res is None:
-                continue
-            sign, new_parts = res
-            i = b.index[Partition(new_parts)]
-            amp = pw(2 * k * src - k * m)
-            if sign < 0:
-                amp = -amp
-            cur = rows.setdefault(i, {}).get(j)
-            rows[i][j] = amp if cur is None else cur + amp
-    rows = {i: {j: v for j, v in row.items() if v} for i, row in rows.items()}
-    return SectorOperator(config, b, {i: row for i, row in rows.items() if row})
+    for i, j, sign, src in move_table(m, s, config.N):
+        amp = pw(2 * k * src - k * m)
+        rows.setdefault(i, {})[j] = amp if sign > 0 else -amp
+    return SectorOperator(config, b, rows)
 
 
 @lru_cache(maxsize=None)

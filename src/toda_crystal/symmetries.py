@@ -6,9 +6,11 @@ entry on failure. A check writes the chain of each product it compares from
 its own indices: V^(k)_m is banded(-m), G_- and G_+ RAISING and LOWERING,
 and reads the residual against the one certified_window mask of the chains.
 The commutator and first-shift residuals are integer numerators over one
-common denominator, so each equality is an integer cross-multiplication;
-the first shift multiplies only the rows the mask reads, and only a
-reported entry becomes a Fraction.
+common denominator, so each equality is an integer cross-multiplication,
+taken only on the rows the mask reads, and only a reported entry becomes a
+Fraction. The commutator residual forms no operator at all: it is streamed
+row by row from the cached integer forms of the V factors, through no
+SectorOperator product or sum.
 """
 
 from __future__ import annotations
@@ -78,15 +80,17 @@ def _entry_evidence(basis_obj, i: int, j: int, value) -> dict:
     }
 
 
-def _scan_certified_residual(residual: SectorOperator, mask, den=1) -> tuple[bool, dict | None]:
-    """True plus None when every entry inside the certified_window mask
-    vanishes; otherwise False and the earliest such nonzero entry over den."""
-    b = residual.basis
-    w = b.weights
-    for i, j, v in residual.nonzero_entries_sorted():
-        if mask[w[i]][w[j]]:
-            return False, _entry_evidence(b, i, j, Fraction(v, den))
-    return True, None
+def _first_entry(indices, row, mask, basis_obj, den=1) -> dict | None:
+    """The earliest nonzero entry, over den, inside the certified_window mask
+    of the rows row(i) = {j: value}, i in indices; None when all vanish. The
+    rows are formed in ascending i, and none after the one reported."""
+    w = basis_obj.weights
+    for i in sorted(indices):
+        readable, r = mask[w[i]], row(i)
+        for j in sorted(r):
+            if r[j] and readable[w[j]]:
+                return _entry_evidence(basis_obj, i, j, Fraction(r[j], den))
+    return None
 
 
 def torus_prefactor(k: int, m: int, l: int, n: int, p: Fraction) -> Fraction:
@@ -94,11 +98,50 @@ def torus_prefactor(k: int, m: int, l: int, n: int, p: Fraction) -> Fraction:
     return p ** (l * m - k * n) - p ** (k * n - l * m)
 
 
+def central_term(k: int, m: int, l: int, n: int, p: Fraction, sign: int = 1) -> Fraction:
+    """The identity coefficient of [V^(k)_m, V^(l)_n]: sign * m at k+l = 0 = m+n,
+    for the sign the sector realizes, else -pref c(k+l) at m+n = 0, else 0."""
+    if k + l == 0 and m + n == 0:
+        return Fraction(sign * m)
+    if m + n:
+        return Fraction(0)
+    return -torus_prefactor(k, m, l, n, p) * torus_constant(k + l, p)
+
+
+def _commutator_entry(pair, mask, central: Fraction, third=(None, 1),
+                      pref=Fraction(0)) -> dict | None:
+    """The earliest certified nonzero entry of L/(d1 d2) - pref A3/d3 - central,
+    with pair = ((A1, d1), (A2, d2)) and third = (A3, d3) integer forms and
+    L = A1 A2 - A2 A1. Only the rows whose weight the mask reads are formed,
+    in ascending order, each times one common denominator and in turn."""
+    ((a1, d1), (a2, d2)), (a3, d3) = pair, third
+    readable = [i for w, cols in enumerate(mask) if any(cols) for i in a1.basis.weight_range[w]]
+    den = d1 * d2 * d3 * pref.denominator * central.denominator
+    f, h = den // (d1 * d2), den // central.denominator * central.numerator
+    g = den // (d3 * pref.denominator) * pref.numerator
+    r3 = a3.rows if g else {}
+
+    def row(i):
+        acc = {}
+        for left, right, c in ((a1.rows, a2.rows, f), (a2.rows, a1.rows, -f)):
+            for x, v in left.get(i, {}).items():
+                v *= c
+                for j, u in right.get(x, {}).items():
+                    acc[j] = acc[j] + v * u if j in acc else v * u
+        for j, u in r3.get(i, {}).items():
+            acc[j] = acc[j] - g * u if j in acc else -g * u
+        if h:
+            acc[i] = acc.get(i, 0) - h
+        return acc
+    return _first_entry(readable, row, mask, a1.basis, den)
+
+
 def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> CheckReport:
     """[V^(k)_m, V^(l)_n] = (A1 A2 - A2 A1)/(d1 d2), on the integer forms Ai/di,
-    against the quantum-torus relation by integer cross-multiplication. At
-    k+l = 0 and m+n = 0 the relation degenerates to a pure central term; the
-    realized sign of that constant is reported, not presumed."""
+    against pref V^(k+l)_{m+n} + central_term by integer cross-multiplication,
+    streamed row by row over the rows whose weight the mask reads. At k+l = 0
+    and m+n = 0 the relation degenerates to a pure central term; the realized
+    sign of that constant is reported, not presumed."""
     params = {"k": k, "m": m, "l": l, "n": n, "s": config.s, "l_weight": config.l,
               "p": format_rational(config.p), "N": config.N}
     report = CheckReport("commutator", params, INSUFFICIENT)
@@ -111,30 +154,21 @@ def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> Ch
     if window == 0:
         report.evidence = {"reason": "empty certified window"}
         return report
-    (a1, d1), (a2, d2) = v_int(k, m, config), v_int(l, n, config)
-    lhs = a1 @ a2 - a2 @ a1
-    ident = SectorOperator.identity(config)
+    pair = v_int(k, m, config), v_int(l, n, config)
     if k + l == 0 and m + n == 0:
-        # degenerate central case: L must be sigma * m * d1 d2 * identity
         for sigma in (1, -1):
-            ok, _ = _scan_certified_residual(lhs - ident.scale(sigma * m * d1 * d2), mask)
-            if ok:
+            central = central_term(k, m, l, n, config.p, sigma)
+            if _commutator_entry(pair, mask, central) is None:
                 report.status = PASS
                 report.evidence = {"central_sign": sigma} if m else {}
                 return report
         report.status = FAIL
-        _, worst = _scan_certified_residual(lhs, mask, d1 * d2)
-        report.evidence = {"worst": worst, "reason": "central term matches neither sign"}
+        report.evidence = {"worst": _commutator_entry(pair, mask, Fraction(0)),
+                           "reason": "central term matches neither sign"}
         return report
-    pref = torus_prefactor(k, m, l, n, config.p)
-    c = pref * torus_constant(k + l, config.p) if m + n == 0 else Fraction(0)
-    a3, d3 = v_int(k + l, m + n, config)
-    den = d1 * d2 * d3 * pref.denominator * c.denominator  # of L/(d1 d2) - pref A3/d3 + c
-    residual = lhs.scale(den // d1 // d2) - a3.scale(den // d3 // pref.denominator * pref.numerator)
-    if c:
-        residual = residual + ident.scale(c.numerator * den // c.denominator)
-    ok, worst = _scan_certified_residual(residual, mask, den)
-    report.status = PASS if ok else FAIL
+    worst = _commutator_entry(pair, mask, central_term(k, m, l, n, config.p),
+                              v_int(k + l, m + n, config), torus_prefactor(k, m, l, n, config.p))
+    report.status = PASS if worst is None else FAIL
     if worst:
         report.evidence = {"worst": worst}
     return report
@@ -190,8 +224,8 @@ def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> Che
     # the integer factors scale the banded V sides, far sparser than the products
     residual = (readable_rows(rows) @ left.scale(d_r)
                 - readable_rows(right.scale(parity * d_l).rows) @ SectorOperator(config, b, rows))
-    ok, worst = _scan_certified_residual(residual, mask, d_g * d_l * d_r)
-    report.status = PASS if ok else FAIL
+    worst = _first_entry(residual.rows, residual.rows.get, mask, b, d_g * d_l * d_r)
+    report.status = PASS if worst is None else FAIL
     report.evidence = {"constant": format_rational(c)}
     if worst:
         report.evidence["worst"] = worst
@@ -216,8 +250,9 @@ def second_shift_check(k: int, m: int, config: SectorConfig) -> CheckReport:
     if window == 0:
         report.evidence = {"reason": "empty band"}
         return report
-    ok, worst = _scan_certified_residual(lhs - rhs, mask)
-    report.status = PASS if ok else FAIL
+    residual = lhs - rhs
+    worst = _first_entry(residual.rows, residual.rows.get, mask, rhs.basis)
+    report.status = PASS if worst is None else FAIL
     if worst:
         report.evidence = {"worst": worst}
     return report

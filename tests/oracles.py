@@ -3,7 +3,8 @@
 Each oracle recomputes its target through a different formula or route than
 the implementation under test. The closed-form oracles use nothing of the
 package beyond partitions and series. The fermion-move oracles build operators
-one psi_a psi*_b move at a time from the Maya-diagram primitives.
+one psi_a psi*_b move at a time from the Maya-diagram primitives:
+bilinear_diagonal the diagonal ones, v_op_by_bilinears every V^(k)_m.
 dense_exp is the transfer exponential as a dense Fraction matrix, its
 exponent summed here from j_op and its series taken by matrix products;
 dense_transfer and dense_pair give G+- and G_-G_+ from it, the reference for
@@ -17,7 +18,9 @@ that the package replaced with an integer-numerator scan,
 fraction_commutator_check and fraction_first_shift_check the two operator
 checks on Fraction entries (the latter with the dense pair) that the package
 replaced with integer residuals, and window_size_by_pairs the weight-pair
-count that certified_window replaced.
+count that certified_window replaced. _scan_certified_residual reads an
+operator residual against a mask by the least certified nonzero (row, col),
+apart from the package's row-by-row scan.
 Masks are asked of certified_window with the chains of the products
 compared, written here from the indices as the checks write them:
 residual_mask gives J_k g_n and g_n J_{right_k} the chains
@@ -58,7 +61,6 @@ from toda_crystal.symmetries import (
     PASS,
     CheckReport,
     _entry_evidence,
-    _scan_certified_residual,
 )
 from toda_crystal.toda import GradedOperator
 
@@ -140,6 +142,19 @@ def schur_jacobi_trudi(mu: Partition, p: Fraction) -> Fraction:
     mat = [[h_principal(mu.parts[i] - (i + 1) + (j + 1), p) for j in range(ell)]
            for i in range(ell)]
     return exact_det(mat)
+
+
+def _scan_certified_residual(residual: SectorOperator, mask, den=1) -> tuple[bool, dict | None]:
+    """True plus None when every entry of an operator inside the
+    certified_window mask vanishes; otherwise False and the least (row, col)
+    of such a nonzero entry, with its value over den."""
+    w = residual.basis.weights
+    certified = [(i, j) for i, row in residual.rows.items() for j, v in row.items()
+                 if v and mask[w[i]][w[j]]]
+    if not certified:
+        return True, None
+    i, j = min(certified)
+    return False, _entry_evidence(residual.basis, i, j, Fraction(residual.rows[i][j], den))
 
 
 def apply_col(op: SectorOperator, vec: dict) -> dict:
@@ -337,8 +352,9 @@ def fraction_residual_entry(g: GradedOperator, jl: SectorOperator, jr: SectorOpe
 
 def fraction_commutator_check(k: int, m: int, l: int, n: int, config) -> CheckReport:
     """symmetries.commutator_check on Fraction entries: V1 V2 - V2 V1 from
-    v_op, minus the relation as a Fraction operator. The prefactor and the
-    torus constant are read from symmetries at call time."""
+    v_op by SectorOperator products, minus the relation as a Fraction
+    operator. The prefactor and the central term are read from symmetries
+    at call time."""
     params = {"k": k, "m": m, "l": l, "n": n, "s": config.s, "l_weight": config.l,
               "p": format_rational(config.p), "N": config.N}
     report = CheckReport("commutator", params, INSUFFICIENT)
@@ -355,10 +371,10 @@ def fraction_commutator_check(k: int, m: int, l: int, n: int, config) -> CheckRe
         report.evidence = {"reason": "empty certified window"}
         return report
     p = config.p
-    pref = symmetries.torus_prefactor(k, m, l, n, p)
+    ident = SectorOperator.identity(config)
     if k + l == 0 and m + n == 0:
         for sigma in (1, -1):
-            expected = SectorOperator.identity(config).scale(Fraction(sigma * m))
+            expected = ident.scale(symmetries.central_term(k, m, l, n, p, sigma))
             ok, _ = _scan_certified_residual(lhs - expected, mask)
             if ok:
                 report.status = PASS
@@ -368,10 +384,8 @@ def fraction_commutator_check(k: int, m: int, l: int, n: int, config) -> CheckRe
         _, worst = _scan_certified_residual(lhs, mask)
         report.evidence = {"worst": worst, "reason": "central term matches neither sign"}
         return report
-    rhs = v_op(k + l, m + n, config).scale(pref)
-    if m + n == 0:
-        c = pref * symmetries.torus_constant(k + l, p)
-        rhs = rhs - SectorOperator.identity(config).scale(c)
+    rhs = (v_op(k + l, m + n, config).scale(symmetries.torus_prefactor(k, m, l, n, p))
+           + ident.scale(symmetries.central_term(k, m, l, n, p)))
     ok, worst = _scan_certified_residual(lhs - rhs, mask)
     report.status = PASS if ok else FAIL
     if worst:
@@ -459,6 +473,27 @@ def bilinear_diagonal(config, f) -> SectorOperator:
             assert out_state == state
             vals[idx] += coeff * f(n)
     return SectorOperator.diagonal(config, vals)
+
+
+def v_op_by_bilinears(k: int, m: int, config) -> SectorOperator:
+    """p^{-km} sum_n p^{2kn} psi_{m-n} psi*_n, normal ordered at m = 0,
+    assembled move by move through apply_bilinear; the slow reference route
+    for fock.v_op. A move that leaves the sector cut at N is dropped."""
+    b = get_basis(config.N)
+    p = config.p
+    span = config.N + abs(config.s) + abs(m) + 2
+    rows: dict[int, dict[int, Fraction]] = {}
+    for j, mu in enumerate(b.parts):
+        state = FockState(config.s, mu)
+        for n in range(-span, span + 1):
+            res = apply_bilinear(m - n, n, state, normal_ordered=True)
+            if res is None or res[1].shape.weight > config.N:
+                continue
+            coeff, out_state = res
+            row = rows.setdefault(b.index[out_state.shape], {})
+            row[j] = row.get(j, Fraction(0)) + coeff * p ** (2 * k * n - k * m)
+    rows = {i: {j: v for j, v in row.items() if v} for i, row in rows.items()}
+    return SectorOperator(config, b, {i: row for i, row in rows.items() if row})
 
 
 def merge_hatted_into_t(f: TruncatedSeries) -> TruncatedSeries:

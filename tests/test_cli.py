@@ -331,16 +331,33 @@ def _perfbench_workloads():
     return module
 
 
+def _run_workload(workload, p: str) -> bytes:
+    """stdout of one untimed invocation of a benchmark workload, run on this
+    checkout's package."""
+    src = str(Path(toda_crystal.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "TODA_CRYSTAL_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "toda_crystal.cli", *workload.argv(p)],
+                          capture_output=True, env=env).stdout
+
+
 def test_commutators_workload_matches_its_references():
     # one untimed invocation of the benchmark's commutators workload at each p
     bench = _perfbench_workloads()
     references = bench.load_references()
     workload = bench.WORKLOADS["commutators"]
-    src = str(Path(toda_crystal.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "TODA_CRYSTAL_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     for p in bench.POOL:
-        proc = subprocess.run([sys.executable, "-m", "toda_crystal.cli", *workload.argv(p)],
-                              capture_output=True, env=env)
         reference = bench.reference_for(references, "commutators", p)
-        assert bench.check_output("verify", proc.stdout, reference, p) == (1225, 0), p
+        assert bench.check_output("verify", _run_workload(workload, p), reference, p) == (
+            1225, 0), p
+
+
+@pytest.mark.parametrize("name", ["tau-export", "prev-identity", "zprime-sum"])
+def test_workload_matches_its_references(name):
+    # one untimed invocation of each other benchmark workload at p = 1/2
+    bench = _perfbench_workloads()
+    workload = bench.WORKLOADS[name]
+    reference = bench.reference_for(bench.load_references(), name, "1/2")
+    attempted, failed = bench.check_output(workload.kind, _run_workload(workload, "1/2"),
+                                           reference, "1/2")
+    assert attempted > 0 and failed == 0

@@ -22,6 +22,7 @@ from toda_crystal.fock import (
     banded,
     certified_window,
     get_basis,
+    move_table,
     transfer_row,
     transfer_weights,
     w0_diag,
@@ -109,6 +110,30 @@ def test_v_op_diagonal_matches_potential_closed_form():
             dv = v_op(k, 0, c)
             for i, mu in enumerate(b.parts):
                 assert dv.get(i, i) == phi_potential(k, mu, s, P)
+
+
+@pytest.mark.parametrize("N", [4, 6])
+@pytest.mark.parametrize("p", [P, Fraction(2, 3)])
+def test_v_op_matches_bilinear_oracle(N, p):
+    for s in (-1, 0, 1):
+        c = cfg(s=s, N=N, p=p)
+        for k in range(-4, 5):
+            for m in range(-N, N + 1):
+                assert v_op(k, m, c) == oracles.v_op_by_bilinears(k, m, c), (k, m, s)
+
+
+def test_move_table_built_once_per_shift():
+    # a p no other test draws, so every v_op below is built here
+    N, s = 4, 1
+    c = cfg(s=s, N=N, p=Fraction(5, 11))
+    move_table.cache_clear()
+    for k in range(-4, 5):
+        for m in range(-N, N + 1):
+            v_op(k, m, c)
+    shifts = 2 * N  # every m != 0; the m = 0 diagonal needs no moves
+    info = move_table.cache_info()
+    assert (info.misses, info.hits) == (shifts, 8 * shifts)
+    assert move_table(1, s, N) is move_table(1, s, N)
 
 
 def test_j_op_lowers_and_annihilates_ground_state():

@@ -2,6 +2,7 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toda_crystal import (
     SectorConfig,
@@ -12,7 +13,7 @@ from toda_crystal import (
     v_op,
 )
 from toda_crystal import fock, symmetries
-from toda_crystal.fock import SectorOperator, get_basis
+from toda_crystal.fock import SectorOperator, banded, get_basis
 from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS
 
 import oracles
@@ -151,10 +152,19 @@ def test_first_shift_reports_match_fraction_oracle(p):
 
 
 def _doubled_identity(monkeypatch):
-    # every central term, the degenerate sigma * m included, comes out twice too large
-    identity = SectorOperator.identity
+    # every commutator central term, the degenerate sigma * m included, comes
+    # out twice too large; both commutator routes read it from central_term
+    monkeypatch.setattr(symmetries, "central_term",
+                        lambda *a, f=symmetries.central_term: 2 * f(*a))
+
+
+def _doubled_shift_identity(monkeypatch):
+    # the c * 1 of both first-shift routes comes out twice too large; the
+    # dense pairs are built first, so that the oracle's G_-G_+ stays exact
+    for family in ("plain", "alternating"):
+        oracles.dense_pair(SectorConfig(0, 6, Fraction(2, 3)), family)
     monkeypatch.setattr(SectorOperator, "identity",
-                        classmethod(lambda cls, config: identity(config).scale(2)))
+                        classmethod(lambda cls, config, f=SectorOperator.identity: f(config).scale(2)))
 
 
 WRONG_RELATIONS = {
@@ -164,18 +174,45 @@ WRONG_RELATIONS = {
         symmetries, "torus_constant", lambda j, p, f=symmetries.torus_constant: f(j, p) + 1),
     "doubled_identity": _doubled_identity,
 }
+# the first shift takes its c * 1 from SectorOperator.identity, not central_term
+FIRST_SHIFT_RELATIONS = dict(WRONG_RELATIONS, doubled_identity=_doubled_shift_identity)
 
 
 @pytest.mark.parametrize("wrong", sorted(WRONG_RELATIONS))
-def test_wrong_relations_fail_as_in_fraction_oracle(wrong, monkeypatch):
-    WRONG_RELATIONS[wrong](monkeypatch)
+def test_wrong_relations_fail_as_in_fraction_oracle(wrong):
     config = SectorConfig(0, 6, Fraction(2, 3))
     grid = [(k, m, l, n) for k, m, l, n in COMMUTATOR_GRID if abs(k) < 2 and abs(l) < 2]
-    lines = _same_reports(commutator_check, oracles.fraction_commutator_check, grid, [config])
-    lines += _same_reports(first_shift_check, oracles.fraction_first_shift_check,
-                           FIRST_SHIFT_GRID, [config])
-    failed = [line for line in lines if line["status"] == FAIL]
-    assert failed and all(line["evidence"]["worst"]["value"] != "0" for line in failed)
+    failed = {}
+    for relations, check, oracle, points in (
+            (WRONG_RELATIONS, commutator_check, oracles.fraction_commutator_check, grid),
+            (FIRST_SHIFT_RELATIONS, first_shift_check, oracles.fraction_first_shift_check,
+             FIRST_SHIFT_GRID)):
+        with pytest.MonkeyPatch.context() as mp:
+            relations[wrong](mp)
+            lines = _same_reports(check, oracle, points, [config])
+        failed[check] = [line for line in lines if line["status"] == FAIL]
+    # the first shift reads no torus prefactor; every other fault reaches both
+    assert failed[commutator_check]
+    assert bool(failed[first_shift_check]) == (wrong != "flipped_prefactor")
+    assert all(line["evidence"]["worst"]["value"] != "0"
+               for lines in failed.values() for line in lines)
+
+
+def _fractions_of_small_height():
+    return st.integers(2, 7).flatmap(lambda b: st.integers(1, b - 1).map(lambda a: Fraction(a, b)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=_fractions_of_small_height(), s=st.sampled_from((-1, 0, 1)), N=st.integers(3, 6),
+       k=st.integers(-2, 2), l=st.integers(-2, 2), m=st.integers(-3, 3), n=st.integers(-3, 3),
+       flipped=st.booleans())
+def test_commutator_stream_matches_fraction_oracle(p, s, N, k, l, m, n, flipped):
+    config = SectorConfig(s, N, p)
+    with pytest.MonkeyPatch.context() as mp:
+        if flipped:
+            WRONG_RELATIONS["flipped_prefactor"](mp)
+        assert (commutator_check(k, m, l, n, config).to_json_dict()
+                == oracles.fraction_commutator_check(k, m, l, n, config).to_json_dict())
 
 
 def _in_lowest_terms(values, den) -> bool:
@@ -185,17 +222,23 @@ def _in_lowest_terms(values, den) -> bool:
 
 
 def _scanned_residuals(monkeypatch) -> list:
-    """Records the (residual, den) of every scan the checks make."""
+    """Records the (rows, den) of every scan the checks make, the rows as
+    {i: {j: numerator}} in the order the check hands them over."""
     seen = []
-    scan = symmetries._scan_certified_residual
-    monkeypatch.setattr(symmetries, "_scan_certified_residual",
-                        lambda residual, mask, den=1: seen.append((residual, den))
-                        or scan(residual, mask, den))
+    scan = symmetries._first_entry
+
+    def record(indices, row, mask, basis_obj, den=1):
+        rows = {i: row(i) for i in indices}
+        seen.append((rows, den))
+        return scan(rows, rows.get, mask, basis_obj, den)
+
+    monkeypatch.setattr(symmetries, "_first_entry", record)
     return seen
 
 
-def _values(residual, den) -> dict:
-    return {i: {j: Fraction(v, den) for j, v in row.items()} for i, row in residual.rows.items()}
+def _values(rows, den) -> dict:
+    values = {i: {j: Fraction(v, den) for j, v in row.items() if v} for i, row in rows.items()}
+    return {i: row for i, row in values.items() if row}
 
 
 def test_integer_forms_hold_ints_in_lowest_terms(monkeypatch):
@@ -211,15 +254,19 @@ def test_integer_forms_hold_ints_in_lowest_terms(monkeypatch):
     seen = _scanned_residuals(monkeypatch)
     k, m, l, n = 2, 1, -1, 2
     assert commutator_check(k, m, l, n, config).status == PASS
-    (residual, den), = seen
-    # the residual is over a common denominator, not reduced: only a
-    # reported entry becomes a Fraction
-    assert den > 0 and all(type(v) is int for row in residual.rows.values()
-                           for v in row.values())
+    (rows, den), = seen
+    # the residual is streamed over a common denominator, not reduced: only
+    # a reported entry becomes a Fraction
+    assert den > 0 and all(type(v) is int for row in rows.values() for v in row.values())
     v1, v2 = v_op(k, m, config), v_op(l, n, config)
     expected = (v1 @ v2 - v2 @ v1 - v_op(k + l, m + n, config).scale(
         symmetries.torus_prefactor(k, m, l, n, config.p)))
-    assert _values(residual, den) == expected.rows
+    # the stream visits exactly the rows of a weight the mask reads, in order
+    mask, _ = fock.certified_window(6, ((banded(-m), banded(-n)), (banded(-n), banded(-m))))
+    w = get_basis(6).weights
+    readable = [i for i in range(len(w)) if any(mask[w[i]])]
+    assert list(rows) == readable
+    assert _values(rows, den) == {i: row for i, row in expected.rows.items() if i in readable}
 
 
 # at each point the Fraction residual has nonzero rows of weight 6; rows of
@@ -233,7 +280,7 @@ def test_first_shift_residual_is_taken_on_readable_rows(variant, k, m, monkeypat
     config = SectorConfig(-1, 6, Fraction(2, 3))
     seen = _scanned_residuals(monkeypatch)
     assert first_shift_check(variant, k, m, config).status == PASS
-    (residual, den), = seen
+    (rows, den), = seen
     upper, parity = (k, (-1) ** k) if variant == "G" else (-k, 1)
     c = torus_constant(upper, config.p)
     gg = SectorOperator(config, get_basis(6), oracles.dense_pair(
@@ -244,7 +291,7 @@ def test_first_shift_residual_is_taken_on_readable_rows(variant, k, m, monkeypat
     full = gg @ left - right.scale(parity) @ gg
     w = get_basis(6).weights
     readable = {n for n in range(7) if n <= 6 - max(0, m + k)}
-    assert _values(residual, den) == {i: row for i, row in full.rows.items() if w[i] in readable}
+    assert _values(rows, den) == {i: row for i, row in full.rows.items() if w[i] in readable}
 
 
 def test_first_shift_validation_and_window():
@@ -303,7 +350,9 @@ def test_operator_reports_stable_under_cutoff_growth(p):
 
 def test_tracer_hooks_see_every_product():
     # a tracer that wraps fock.matmul and fock.v_op counts the products taken
-    # through @ and the V operators built in symmetries
+    # through @ and the V operators built in symmetries; the commutator
+    # products are streamed row by row inside commutator_check, not taken
+    # through @, so they count under the checks themselves
     assert SectorOperator.__matmul__ is SectorOperator.matmul
     assert symmetries.v_op is fock.v_op
 
@@ -318,13 +367,17 @@ def test_reports_are_deterministic():
 def test_failing_entry_identifies_earliest_pair():
     # deliberately compare mismatched operators through the report scanner
     from toda_crystal.fock import certified_window
-    from toda_crystal.symmetries import _scan_certified_residual
+    from toda_crystal.symmetries import _first_entry
 
     c = cfg(N=3)
     residual = v_op(0, 1, c)  # nonzero operator standing in for a residual
     mask, _ = certified_window(3)  # no certificate: every weight pair
-    ok, worst = _scan_certified_residual(residual, mask)
-    assert not ok
+    # the rows come in descending order; the scanner must still find the earliest
+    formed = []
+    worst = _first_entry(reversed(list(residual.rows)),
+                         lambda i: formed.append(i) or residual.rows[i], mask, residual.basis)
+    assert formed == [min(residual.rows)]
+    assert worst is not None
     b = get_basis(3)
     first = min((i, j) for i in residual.rows for j in residual.rows[i])
     assert worst["row"] == b.parts[first[0]].to_json()
