@@ -16,13 +16,15 @@ own indices, and asks certified_window once for its mask, an (N+1) x (N+1)
 table over weight pairs filled once per pair, and reads every entry against
 it. Entries outside the mask are never used.
 
-Exact products run on integers: integer_form writes an operator as integer
-numerators over one denominator, v_int caches it for each V, and the checks
-cross-multiply instead of reducing fractions. The particle moves of each V
-depend on its shift, the charge and the cutoff alone, and are built once, in
-move_table; k and p only set their amplitudes. The transfer exponentials G+-
-are only ever applied to vectors, by transfer_row, in the same form; their
-dense matrices and the dense pair G_-G_+ are the test oracles' reference.
+Operators are held, never combined: a SectorOperator is the rows of one
+matrix. The particle moves of a shift depend on it, the charge and the cutoff
+alone, and are built once, in move_table; V^(k)_m puts +-p^v_exponent on each
+move, J_k its sign, a transfer exponent +-c_k. integer_form writes rows as
+integer numerators over one denominator, v_int caches them for each V, and
+the checks stream each product row by row from integer rows. The transfer
+exponentials G+- are only ever applied to vectors, by transfer_row, in the
+same form; their dense matrices, the dense pair G_-G_+ and the Fraction
+operator arithmetic are the test oracles' reference.
 """
 
 from __future__ import annotations
@@ -252,7 +254,7 @@ class SectorOperator:
 
     rows stores no zero entry and no empty row. The constructor takes rows as
     given, so every producer whose entries can cancel drops its own zeros.
-    No operation changes rows in place, so operators may share them."""
+    Nothing changes rows in place, so operators may share them."""
 
     __slots__ = ("config", "basis", "rows")
 
@@ -263,109 +265,16 @@ class SectorOperator:
         self.rows = rows
 
     @classmethod
-    def identity(cls, config: SectorConfig) -> "SectorOperator":
-        b = get_basis(config.N)
-        return cls(config, b, {i: {i: 1} for i in range(len(b))})
-
-    @classmethod
     def diagonal(cls, config: SectorConfig, values: Sequence) -> "SectorOperator":
         b = get_basis(config.N)
         return cls(config, b, {i: {i: values[i]} for i in range(len(b)) if values[i]})
 
-    def get(self, i: int, j: int):
-        return self.rows.get(i, {}).get(j, Fraction(0))
 
-    def _check_compatible(self, other: "SectorOperator"):
-        if self.config != other.config:
-            raise ValueError(f"incompatible configs {self.config} vs {other.config}")
-
-    def _combine(self, other: "SectorOperator", negate: bool) -> "SectorOperator":
-        """self + other, or self - other when negate is set."""
-        self._check_compatible(other)
-        rows = {i: dict(row) for i, row in self.rows.items()}
-        for i, row in other.rows.items():
-            tgt = rows.setdefault(i, {})
-            for j, v in row.items():
-                cur = tgt.get(j)
-                if cur is None:
-                    tgt[j] = -v if negate else v
-                    continue
-                nv = cur - v if negate else cur + v
-                if nv:
-                    tgt[j] = nv
-                else:
-                    del tgt[j]
-            if not tgt:
-                del rows[i]
-        return SectorOperator(self.config, self.basis, rows)
-
-    def __add__(self, other: "SectorOperator") -> "SectorOperator":
-        return self._combine(other, negate=False)
-
-    def __sub__(self, other: "SectorOperator") -> "SectorOperator":
-        return self._combine(other, negate=True)
-
-    def scale(self, c) -> "SectorOperator":
-        if not c:
-            return SectorOperator(self.config, self.basis, {})
-        return SectorOperator(self.config, self.basis,
-                              {i: {j: c * v for j, v in row.items()} for i, row in self.rows.items()})
-
-    def matmul(self, other: "SectorOperator") -> "SectorOperator":
-        self._check_compatible(other)
-        out: dict[int, dict[int, object]] = {}
-        orows = other.rows
-        for i, arow in self.rows.items():
-            acc: dict[int, object] = {}
-            for k, av in arow.items():
-                brow = orows.get(k)
-                if not brow:
-                    continue
-                for j, bv in brow.items():
-                    cur = acc.get(j)
-                    nv = av * bv if cur is None else cur + av * bv
-                    acc[j] = nv
-            acc = {j: v for j, v in acc.items() if v}
-            if acc:
-                out[i] = acc
-        return SectorOperator(self.config, self.basis, out)
-
-    __matmul__ = matmul
-
-    def transpose(self) -> "SectorOperator":
-        out: dict[int, dict[int, object]] = {}
-        for i, row in self.rows.items():
-            for j, v in row.items():
-                out.setdefault(j, {})[i] = v
-        return SectorOperator(self.config, self.basis, out)
-
-    def scale_rows(self, fn: Callable[[int], object]) -> "SectorOperator":
-        """Left multiplication by the diagonal with entries fn(row index)."""
-        rows = {}
-        for i, row in self.rows.items():
-            f = fn(i)
-            if f:
-                rows[i] = {j: f * v for j, v in row.items()}
-        return SectorOperator(self.config, self.basis, rows)
-
-    def scale_cols(self, fn: Callable[[int], object]) -> "SectorOperator":
-        """Right multiplication by the diagonal with nonzero entries fn(col index)."""
-        return SectorOperator(self.config, self.basis,
-                              {i: {j: v * fn(j) for j, v in row.items()}
-                               for i, row in self.rows.items()})
-
-    def __eq__(self, other):
-        return (isinstance(other, SectorOperator) and self.config == other.config
-                and self.rows == other.rows)
-
-    __hash__ = None
-
-
-def apply_row(vec: Mapping[int, object], op: SectorOperator) -> dict[int, object]:
-    """Row vector times matrix."""
+def apply_row(vec: Mapping[int, object], rows: Mapping[int, Mapping]) -> dict[int, object]:
+    """Row vector times the matrix with the given rows."""
     out: dict[int, object] = {}
     for i, v in vec.items():
-        row = op.rows.get(i)
+        row = rows.get(i)
         if not row:
             continue
         for j, m in row.items():
@@ -375,13 +284,12 @@ def apply_row(vec: Mapping[int, object], op: SectorOperator) -> dict[int, object
     return {j: v for j, v in out.items() if v}
 
 
-def integer_form(op: SectorOperator) -> tuple[SectorOperator, int]:
-    """op as (M, den): integer entries M with M/den = op, over the least
-    common denominator of the entries, so in lowest terms."""
-    den = math.lcm(*(v.denominator for row in op.rows.values() for v in row.values()))
-    rows = {i: {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-            for i, row in op.rows.items()}
-    return SectorOperator(op.config, op.basis, rows), den
+def integer_form(rows: Mapping[int, Mapping[int, Fraction]]) -> tuple[dict, int]:
+    """Rational rows as (M, den): integer rows M with M/den = rows, over the
+    least common denominator of the entries, so in lowest terms."""
+    den = math.lcm(*(v.denominator for row in rows.values() for v in row.values()))
+    return {i: {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+            for i, row in rows.items()}, den
 
 
 # ---------------------------------------------------------------------------
@@ -404,31 +312,36 @@ def move_table(m: int, s: int, N: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(moves)
 
 
+def v_exponent(k: int, m: int, src: int) -> int:
+    """The power of p that V^(k)_m puts on moving the particle at level src."""
+    return 2 * k * src - k * m
+
+
 @lru_cache(maxsize=None)
 def v_op(k: int, m: int, config: SectorConfig) -> SectorOperator:
     """Quantum-torus generator with upper index k and energy shift -m:
     q^{-km/2} sum_n q^{kn} :psi_{m-n} psi*_n:. The m = 0 member is the
     diagonal with the standard potential eigenvalues; the others put the
-    amplitude +-p^{2k src - km} on each move of the cached move_table."""
+    amplitude +-p^v_exponent(k, m, src) on each move of the cached move_table."""
     if abs(m) > config.N:
         raise ValueError(f"|m| = {abs(m)} exceeds the cutoff {config.N}")
     b = get_basis(config.N)
     s = config.s
     pw = lru_cache(maxsize=None)(config.p.__pow__)  # the powers of p this V reads
     if m == 0:
-        return SectorOperator.diagonal(
-            config, [maya_diag_sum(mu.parts, s, lambda x: pw(2 * k * x)) for mu in b.parts])
+        return SectorOperator.diagonal(config, [maya_diag_sum(
+            mu.parts, s, lambda x: pw(v_exponent(k, 0, x))) for mu in b.parts])
     rows: dict[int, dict[int, object]] = {}
     for i, j, sign, src in move_table(m, s, config.N):
-        amp = pw(2 * k * src - k * m)
+        amp = pw(v_exponent(k, m, src))
         rows.setdefault(i, {})[j] = amp if sign > 0 else -amp
     return SectorOperator(config, b, rows)
 
 
 @lru_cache(maxsize=None)
-def v_int(k: int, m: int, config: SectorConfig) -> tuple[SectorOperator, int]:
-    """v_op(k, m, config) in integer form."""
-    return integer_form(v_op(k, m, config))
+def v_int(k: int, m: int, config: SectorConfig) -> tuple[dict, int]:
+    """The rows of v_op(k, m, config) in integer form."""
+    return integer_form(v_op(k, m, config).rows)
 
 
 def j_op(k: int, config: SectorConfig) -> SectorOperator:
@@ -436,9 +349,10 @@ def j_op(k: int, config: SectorConfig) -> SectorOperator:
     return v_op(0, k, config)
 
 
-def w0_diag(config: SectorConfig) -> list[int]:
-    b = get_basis(config.N)
-    return [maya_diag_sum(mu.parts, config.s, lambda x: x * x) or 0 for mu in b.parts]
+@lru_cache(maxsize=None)
+def w0_diag(s: int, N: int) -> tuple[int, ...]:
+    """The W0 eigenvalues of the charge-s sector cut at N, by basis index."""
+    return tuple(maya_diag_sum(mu.parts, s, lambda x: x * x) for mu in get_basis(N).parts)
 
 
 def transfer_weights(p: Fraction, N: int, alternating: bool) -> dict[int, Fraction]:
@@ -454,17 +368,18 @@ def transfer_weights(p: Fraction, N: int, alternating: bool) -> dict[int, Fracti
 
 
 @lru_cache(maxsize=None)
-def _transfer_generator(p: Fraction, N: int, family: str,
-                        direction: str) -> tuple[SectorOperator, int]:
-    """The exponent sum_k c_k J_{+k} (lowering) or sum_k c_k J_{-k} (raising) of
-    a transfer exponential in integer form, c_k the transfer weights of the
-    family. Entries do not depend on the charge, so it is built at s = 0."""
-    config = SectorConfig(0, N, p)
+def _transfer_generator(p: Fraction, N: int, family: str, direction: str) -> tuple[dict, int]:
+    """The rows of the exponent sum_k c_k J_{+k} (lowering) or sum_k c_k J_{-k}
+    (raising) of a transfer exponential in integer form, c_k the transfer
+    weights of the family: +-c_k on each move of move_table(+-k, 0, N), the
+    signs of J_{+-k}. A weight pair belongs to one k alone, and no entry
+    depends on the charge, so the table is built at s = 0."""
     sgn = -1 if direction == "raising" else 1
-    gen = SectorOperator(config, get_basis(N), {})
+    rows: dict[int, dict[int, Fraction]] = {}
     for k, c in transfer_weights(p, N, alternating=(family == "alternating")).items():
-        gen = gen + j_op(sgn * k, config).scale(c)
-    return integer_form(gen)
+        for i, j, sign, _ in move_table(sgn * k, 0, N):
+            rows.setdefault(i, {})[j] = c if sign > 0 else -c
+    return integer_form(rows)
 
 
 # A vector in integer form is a pair (nums, den): sparse integer numerators

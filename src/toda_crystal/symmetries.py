@@ -5,12 +5,14 @@ split rule certifies, and reports the earliest (canonical order) offending
 entry on failure. A check writes the chain of each product it compares from
 its own indices: V^(k)_m is banded(-m), G_- and G_+ RAISING and LOWERING,
 and reads the residual against the one certified_window mask of the chains.
-The commutator and first-shift residuals are integer numerators over one
-common denominator, so each equality is an integer cross-multiplication,
-taken only on the rows the mask reads, and only a reported entry becomes a
-Fraction. The commutator residual forms no operator at all: it is streamed
-row by row from the cached integer forms of the V factors, through no
-SectorOperator product or sum.
+The commutator and first-shift residuals take one streamed product path:
+_streamed_entry forms each row the mask reads, in ascending order, as a sum
+of products and multiples of integer rows over one common denominator, and
+stops at the first nonzero entry, so each equality is an integer
+cross-multiplication and only a reported entry becomes a Fraction. No
+operator product or sum is formed. The second shift needs no product: each
+entry of either side is the sign of one move of move_table times a power of
+p, so it compares the exponents move by move.
 """
 
 from __future__ import annotations
@@ -25,14 +27,13 @@ from .fock import (
     LOWERING,
     RAISING,
     SectorConfig,
-    SectorOperator,
     banded,
     certified_window,
     get_basis,
-    integer_form,
+    move_table,
     transfer_pair_row,
+    v_exponent,
     v_int,
-    v_op,
     w0_diag,
 )
 
@@ -108,32 +109,40 @@ def central_term(k: int, m: int, l: int, n: int, p: Fraction, sign: int = 1) -> 
     return -torus_prefactor(k, m, l, n, p) * torus_constant(k + l, p)
 
 
-def _commutator_entry(pair, mask, central: Fraction, third=(None, 1),
-                      pref=Fraction(0)) -> dict | None:
-    """The earliest certified nonzero entry of L/(d1 d2) - pref A3/d3 - central,
-    with pair = ((A1, d1), (A2, d2)) and third = (A3, d3) integer forms and
-    L = A1 A2 - A2 A1. Only the rows whose weight the mask reads are formed,
-    in ascending order, each times one common denominator and in turn."""
-    ((a1, d1), (a2, d2)), (a3, d3) = pair, third
-    readable = [i for w, cols in enumerate(mask) if any(cols) for i in a1.basis.weight_range[w]]
-    den = d1 * d2 * d3 * pref.denominator * central.denominator
-    f, h = den // (d1 * d2), den // central.denominator * central.numerator
-    g = den // (d3 * pref.denominator) * pref.numerator
-    r3 = a3.rows if g else {}
+def _streamed_entry(mask, basis, den: int, products, linear=(), diagonal: int = 0) -> dict | None:
+    """The earliest certified nonzero entry of (sum c L R + sum c A + diagonal 1)/den
+    over the products (L, R, c) and linear terms (A, c), every factor the
+    integer rows {i: {j: int}} of an integer form and every c an integer. Only
+    the rows whose weight the mask reads are formed, ascending and in turn."""
+    readable = [i for w, cols in enumerate(mask) if any(cols) for i in basis.weight_range[w]]
 
     def row(i):
         acc = {}
-        for left, right, c in ((a1.rows, a2.rows, f), (a2.rows, a1.rows, -f)):
+        for left, right, c in products:
             for x, v in left.get(i, {}).items():
                 v *= c
                 for j, u in right.get(x, {}).items():
                     acc[j] = acc[j] + v * u if j in acc else v * u
-        for j, u in r3.get(i, {}).items():
-            acc[j] = acc[j] - g * u if j in acc else -g * u
-        if h:
-            acc[i] = acc.get(i, 0) - h
+        for a, c in linear:
+            for j, u in a.get(i, {}).items():
+                acc[j] = acc[j] + c * u if j in acc else c * u
+        if diagonal:
+            acc[i] = acc.get(i, 0) + diagonal
         return acc
-    return _first_entry(readable, row, mask, a1.basis, den)
+    return _first_entry(readable, row, mask, basis, den)
+
+
+def _commutator_entry(pair, mask, basis, central: Fraction, third=(None, 1),
+                      pref=Fraction(0)) -> dict | None:
+    """The earliest certified nonzero entry of L/(d1 d2) - pref A3/d3 - central,
+    with pair = ((A1, d1), (A2, d2)) and third = (A3, d3) integer rows and
+    L = A1 A2 - A2 A1, streamed over one common denominator."""
+    ((a1, d1), (a2, d2)), (a3, d3) = pair, third
+    den = d1 * d2 * d3 * pref.denominator * central.denominator
+    f, h = den // (d1 * d2), den // central.denominator * central.numerator
+    g = den // (d3 * pref.denominator) * pref.numerator
+    return _streamed_entry(mask, basis, den, ((a1, a2, f), (a2, a1, -f)),
+                           ((a3, -g),) if g else (), -h)
 
 
 def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> CheckReport:
@@ -154,19 +163,19 @@ def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> Ch
     if window == 0:
         report.evidence = {"reason": "empty certified window"}
         return report
-    pair = v_int(k, m, config), v_int(l, n, config)
+    pair, b = (v_int(k, m, config), v_int(l, n, config)), get_basis(N)
     if k + l == 0 and m + n == 0:
         for sigma in (1, -1):
             central = central_term(k, m, l, n, config.p, sigma)
-            if _commutator_entry(pair, mask, central) is None:
+            if _commutator_entry(pair, mask, b, central) is None:
                 report.status = PASS
                 report.evidence = {"central_sign": sigma} if m else {}
                 return report
         report.status = FAIL
-        report.evidence = {"worst": _commutator_entry(pair, mask, Fraction(0)),
+        report.evidence = {"worst": _commutator_entry(pair, mask, b, Fraction(0)),
                            "reason": "central term matches neither sign"}
         return report
-    worst = _commutator_entry(pair, mask, central_term(k, m, l, n, config.p),
+    worst = _commutator_entry(pair, mask, b, central_term(k, m, l, n, config.p),
                               v_int(k + l, m + n, config), torus_prefactor(k, m, l, n, config.p))
     report.status = PASS if worst is None else FAIL
     if worst:
@@ -191,8 +200,10 @@ def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> Che
     Alternating variant: same with upper index -k, no parity factor, and
     constant c(-k); c(j) = q^j/(1-q^j) throughout. The constant pattern
     c(-k) = -1/(1-q^k) is what the locked conventions realize for the
-    alternating family. On the integer forms G/d_G, L/d_L and R/d_R of the
-    three factors, G (L d_R) - (parity d_L R) G is taken on the readable rows.
+    alternating family. The residual G V_L - parity V_R G - (c_L - parity c_R) G,
+    with c_L = c(upper) at m = 0 and c_R = c(upper) at m + k = 0 (at most one
+    of them is nonzero), is streamed over one denominator from the integer
+    rows of G_-G_+ and of the two V factors.
     """
     if k < 1:
         raise ValueError("first shift symmetries need k >= 1")
@@ -214,17 +225,13 @@ def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> Che
     upper = k if variant == "G" else -k
     parity = (-1) ** k if variant == "G" else 1
     c = torus_constant(upper, config.p)
-    b = get_basis(N)
-    def readable_rows(rows):  # the rows whose weight the mask reads
-        return SectorOperator(config, b, {i: r for i, r in rows.items() if any(mask[b.weights[i]])})
-    rows, d_g = _transfer_pair_rows(config.p, N, "plain" if variant == "G" else "alternating")
-    ident = SectorOperator.identity(config)
-    left, d_l = integer_form(v_op(upper, m, config) - ident.scale(c if m == 0 else 0))
-    right, d_r = integer_form(v_op(upper, m + k, config) - ident.scale(c if m + k == 0 else 0))
-    # the integer factors scale the banded V sides, far sparser than the products
-    residual = (readable_rows(rows) @ left.scale(d_r)
-                - readable_rows(right.scale(parity * d_l).rows) @ SectorOperator(config, b, rows))
-    worst = _first_entry(residual.rows, residual.rows.get, mask, b, d_g * d_l * d_r)
+    g, d_g = _transfer_pair_rows(config.p, N, "plain" if variant == "G" else "alternating")
+    (left, d_l), (right, d_r) = v_int(upper, m, config), v_int(upper, m + k, config)
+    c_g = (c if m == 0 else 0) - parity * (c if m + k == 0 else 0)  # c_L - parity c_R
+    den = d_g * d_l * d_r * c_g.denominator
+    products = ((g, left, den // (d_g * d_l)), (right, g, -parity * (den // (d_r * d_g))))
+    linear = ((g, -c_g.numerator * (den // (d_g * c_g.denominator))),) if c_g else ()
+    worst = _streamed_entry(mask, get_basis(N), den, products, linear)
     report.status = PASS if worst is None else FAIL
     report.evidence = {"constant": format_rational(c)}
     if worst:
@@ -234,24 +241,24 @@ def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> Che
 
 def second_shift_check(k: int, m: int, config: SectorConfig) -> CheckReport:
     """q^{W0/2} V^(k)_m q^{-W0/2} = V^(k-m)_m, checked entrywise as
-    p^{w(row)-w(col)} V^(k)_m = V^(k-m)_m; exact on the whole window."""
+    p^{w(row)-w(col)} V^(k)_m = V^(k-m)_m; exact on the whole window. Each
+    side puts sign p^e on each move of move_table, so the exponents are
+    compared move by move, a differing pair reported as sign (p^a - p^b).
+    The m = 0 member is diagonal and has no moves."""
     params = {"k": k, "m": m, "s": config.s, "p": format_rational(config.p), "N": config.N}
     report = CheckReport("second_shift", params, INSUFFICIENT)
     if abs(m) > config.N:
         report.evidence = {"reason": "shift exceeds the cutoff"}
         return report
-    w0 = w0_diag(config)
-    p = config.p
-    lhs = v_op(k, m, config).scale_rows(lambda i: p ** w0[i]).scale_cols(
-        lambda j: p ** (-w0[j]))
-    rhs = v_op(k - m, m, config)
-    mask, window = certified_window(config.N, band=-m)
-    report.window = window
-    if window == 0:
-        report.evidence = {"reason": "empty band"}
-        return report
-    residual = lhs - rhs
-    worst = _first_entry(residual.rows, residual.rows.get, mask, rhs.basis)
+    # the band of a shift |m| <= N always holds pairs, so the window is never empty
+    mask, report.window = certified_window(config.N, band=-m)
+    w0, p = w0_diag(config.s, config.N), config.p
+    residual: dict[int, dict[int, Fraction]] = {}
+    for i, j, sign, src in move_table(m, config.s, config.N) if m else ():
+        a, b = w0[i] - w0[j] + v_exponent(k, m, src), v_exponent(k - m, m, src)
+        if a != b:
+            residual.setdefault(i, {})[j] = sign * (p ** a - p ** b)
+    worst = _first_entry(residual, residual.get, mask, get_basis(config.N))
     report.status = PASS if worst is None else FAIL
     if worst:
         report.evidence = {"worst": worst}

@@ -15,14 +15,17 @@ the transfer factors one factor at a time, in integer form: a pair
 nums/den. A reported value is built once, as a Fraction. The factor that
 raises weights (G_+ on a row, G"_- on a column) runs in the sector cut at
 NQ, which is exact: a component of weight <= NQ only draws on
-intermediates of lower weight. The time exponentials contribute energies at most K*D, which the
-cutoff must dominate. Since J_{-k} is the transpose of J_k, one table of
-row vectors serves as the column vectors too. The intertwining check pairs
-pushed vectors as well: (g_n)_{lam,mu} = <e_lam A, Pi_n B e_mu>, and the
-current modes enter by linearity, so no dense block of g is ever built. Its
-grade dots are integer sums, and a residual entry is nonzero when an integer
-cross-multiplication says so. It reads its residual entries against the same
-certified_window mask as the operator checks.
+intermediates of lower weight. The time exponentials contribute energies
+at most K*D, which the cutoff must dominate. The time vectors read J_k as
+the signs of the moves in fock.move_table, and since J_{-k} is the
+transpose of J_k, one table of row vectors serves as the column vectors
+too. The intertwining check pairs pushed vectors as well:
+(g_n)_{lam,mu} = <e_lam A, Pi_n B e_mu>, and the current modes enter by
+linearity, the columns of J_r as the rows of J_{-r}, so no operator is
+multiplied and no dense block of g is ever built. Its grade dots are integer
+sums, and a residual entry is nonzero when an integer cross-multiplication
+says so. It reads its residual entries against the same certified_window
+mask as the operator checks.
 """
 
 from __future__ import annotations
@@ -48,14 +51,12 @@ from .algebra import (
 from .fock import (
     FULL,
     IntVector,
-    SectorConfig,
-    SectorOperator,
     apply_row,
     certified_window,
     get_basis,
     banded,
-    integer_form,
     j_op,
+    move_table,
     reduced,
     transfer_pair_row,
     transfer_row,
@@ -89,12 +90,12 @@ class CalibrationError(RuntimeError):
 # vectors over the denominator 1.
 
 @lru_cache(maxsize=None)
-def _j_matrix(k: int, N: int) -> SectorOperator:
-    """J_k with integer entries, for the time vectors only. Its config pins
-    p = 1/2, so operator products in a sector use j_op(k, config) instead."""
-    j, den = integer_form(j_op(k, SectorConfig(0, N, Fraction(1, 2))))
-    assert den == 1
-    return j
+def _j_matrix(k: int, N: int) -> dict[int, dict[int, int]]:
+    """The rows of J_k: the sign of each move of move_table(k, 0, N)."""
+    rows: dict[int, dict[int, int]] = {}
+    for i, j, sign, _ in move_table(k, 0, N):
+        rows.setdefault(i, {})[j] = sign
+    return rows
 
 
 def _multi_indices(K: int, D: int) -> list[tuple[int, ...]]:
@@ -164,7 +165,7 @@ class GradedOperator:
         self.family = family
         self.identity_transfers = identity_transfers
         self.basis = get_basis(self.config.N)
-        self._w0 = w0_diag(self.config)
+        self._w0 = w0_diag(self.config.s, self.config.N)
         self._limit = self.basis.weight_range[params.ctx.NQ].stop
         self.basis_row = cache(lambda i: self.row(({i: 1}, 1)))
         self.basis_col = cache(lambda i: self.col(({i: 1}, 1)))
@@ -429,7 +430,7 @@ def ground_action_constants(s: int, p: Fraction, N: int) -> CheckReport:
     row = transfer_row(vac, p, N, "plain", "raising")
     # G"_+ is the transpose of G"_-, so G"_+|s> is the row <s|G"_-
     col = transfer_row(vac, p, N, "alternating", "raising")
-    w0_vac = w0_diag(SectorConfig(s, N, p))[0]
+    w0_vac = w0_diag(s, N)[0]
     expected = s * (s + 1) * (2 * s + 1) // 6
     ok = row == vac and col == vac and w0_vac == expected
     report = CheckReport("ground_action", params_dict, PASS if ok else FAIL)
@@ -460,23 +461,23 @@ def _linear_combination(vector, coeffs) -> IntVector:
     return out, den
 
 
-def _first_residual_entry(g: GradedOperator, jl: SectorOperator, jr: SectorOperator,
-                          mask) -> dict | None:
-    """The earliest nonzero entry of J_l g_n - g_n J_r inside the mask, by
-    grade n <= NQ, then row, then column; None when every such entry vanishes.
+def _first_residual_entry(g: GradedOperator, k: int, right_k: int, mask) -> dict | None:
+    """The earliest nonzero entry of J_k g_n - g_n J_{right_k} inside the mask,
+    by grade n <= NQ, then row, then column; None when every such entry vanishes.
 
-    The entry at (lam, mu) is <e_lam J_l A, Pi_n B e_mu> - <e_lam A, Pi_n B J_r e_mu>.
-    By linearity e_lam J_l A = sum_kappa (J_l)_{lam,kappa} row(e_kappa), and
-    likewise on the right, so the J-dressed vectors cost no pushes of their
-    own. A basis vector is pushed when the scan first needs it. Both sides
-    are integer grade dots over their own denominators, so an entry is
+    The entry at (lam, mu) is <e_lam J_k A, Pi_n B e_mu> - <e_lam A, Pi_n B J_r e_mu>,
+    with J_r = J_{right_k}. By linearity e_lam J_k A = sum_kappa (J_k)_{lam,kappa}
+    row(e_kappa), and likewise on the right, where the columns of J_r are the
+    rows of its transpose J_{-right_k}; so the J-dressed vectors cost no pushes
+    of their own. A basis vector is pushed when the scan first needs it. Both
+    sides are integer grade dots over their own denominators, so an entry is
     nonzero when their cross-products differ; only a reported entry is built
     as a Fraction."""
     b = g.basis
     w = b.weights
     row, col = g.basis_row, g.basis_col
-    jr_cols = jr.transpose().rows
-    dressed_row = cache(lambda lam: _linear_combination(row, jl.rows.get(lam, {})))
+    jl, jr_cols = j_op(k, g.config).rows, j_op(-right_k, g.config).rows
+    dressed_row = cache(lambda lam: _linear_combination(row, jl.get(lam, {})))
     dressed_col = cache(lambda mu: _linear_combination(col, jr_cols.get(mu, {})))
     for n in range(g.params.ctx.NQ + 1):
         grade = b.weight_range[n]
@@ -505,16 +506,13 @@ def intertwining_residual(which: str, k: int, params: ModelParams) -> CheckRepor
         raise ValueError("k must be nonzero, and positive for 'g_true'")
     if abs(k) > params.ctx.K:
         raise ValueError(f"|k| = {abs(k)} exceeds the tracked family K = {params.ctx.K}")
-    cfg = params.config
-    N = cfg.N
+    N = params.N
     report = CheckReport("intertwining", _params_dict(params, k=k, which=which), INSUFFICIENT)
     if abs(k) > N:
         report.evidence = {"reason": "shift exceeds the cutoff"}
         return report
     g = build_g(params) if which == "g_true" else build_gprime(params)
     right_k = -k if which == "g_true" else k
-    jl = j_op(k, cfg)
-    jr = j_op(right_k, cfg)
     # g_n pairs pushed vectors, exact on the whole window, so only the J
     # factors of J_k g_n and g_n J_{right_k} can leave the cutoff
     mask, window = certified_window(N, ((banded(-k), FULL), (FULL, banded(-right_k))))
@@ -522,7 +520,7 @@ def intertwining_residual(which: str, k: int, params: ModelParams) -> CheckRepor
     if window == 0:
         report.evidence = {"reason": "empty certified window"}
         return report
-    first_nonzero = _first_residual_entry(g, jl, jr, mask)
+    first_nonzero = _first_residual_entry(g, k, right_k, mask)
     if which == "g_true":
         report.status = PASS if first_nonzero is None else FAIL
         if first_nonzero:

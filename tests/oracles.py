@@ -2,29 +2,32 @@
 
 Each oracle recomputes its target through a different formula or route than
 the implementation under test. The closed-form oracles use nothing of the
-package beyond partitions and series. The fermion-move oracles build operators
-one psi_a psi*_b move at a time from the Maya-diagram primitives:
-bilinear_diagonal the diagonal ones, v_op_by_bilinears every V^(k)_m.
-dense_exp is the transfer exponential as a dense Fraction matrix, its
-exponent summed here from j_op and its series taken by matrix products;
-dense_transfer and dense_pair give G+- and G_-G_+ from it, the reference for
-the pushed rows of fock.transfer_row and fock.transfer_pair_row.
-fermionic_expectation is the partition function as a vacuum expectation
-value of those dense exponentials, the fermionic route that the closed-form
-partition sum of models must match. DenseGraded keeps the dense route to the
-tau vectors and the graded blocks that the package replaced with pushed
-vectors, fraction_residual_entry the intertwining scan on Fraction vectors
-that the package replaced with an integer-numerator scan,
+package beyond partitions and series. identity, get, add, sub, scale, matmul,
+transpose, scale_rows and scale_cols are the Fraction operator arithmetic that
+the package replaced with integer rows streamed inside its checks. The
+fermion-move oracles build operators one psi_a psi*_b move at a time from the
+Maya-diagram primitives: bilinear_diagonal the diagonal ones,
+v_op_by_bilinears every V^(k)_m. dense_exp is the transfer exponential as a
+dense Fraction matrix, its exponent summed here from j_op and its series taken
+by matrix products; dense_transfer and dense_pair give G+- and G_-G_+ from it,
+the reference for the pushed rows of fock.transfer_row and
+fock.transfer_pair_row. fermionic_expectation is the partition function as a
+vacuum expectation value of those dense exponentials, the fermionic route that
+the closed-form partition sum of models must match. DenseGraded keeps the
+dense route to the tau vectors and the graded blocks that the package replaced
+with pushed vectors, fraction_residual_entry the intertwining scan on Fraction
+vectors that the package replaced with an integer-numerator scan,
 fraction_commutator_check and fraction_first_shift_check the two operator
 checks on Fraction entries (the latter with the dense pair) that the package
-replaced with integer residuals, and window_size_by_pairs the weight-pair
-count that certified_window replaced. _scan_certified_residual reads an
-operator residual against a mask by the least certified nonzero (row, col),
-apart from the package's row-by-row scan.
-Masks are asked of certified_window with the chains of the products
-compared, written here from the indices as the checks write them:
-residual_mask gives J_k g_n and g_n J_{right_k} the chains
-(banded(-k), FULL) and (FULL, banded(-right_k)).
+replaced with integer residuals, fraction_second_shift_check the conjugation
+by Fraction powers of p that the package replaced with exponents, and
+window_size_by_pairs the weight-pair count that certified_window replaced.
+_scan_certified_residual reads an operator residual against a mask by the
+least certified nonzero (row, col), apart from the package's row-by-row scan.
+Masks are asked of certified_window with the chains of the products compared,
+written here from the indices as the checks write them: residual_mask gives
+J_k g_n and g_n J_{right_k} the chains (banded(-k), FULL) and
+(FULL, banded(-right_k)).
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache
+from functools import cache, lru_cache, partial
 
 from toda_crystal import Partition, SeriesContext, TruncatedSeries, enumerate_partitions
 from toda_crystal import symmetries
@@ -144,6 +147,76 @@ def schur_jacobi_trudi(mu: Partition, p: Fraction) -> Fraction:
     return exact_det(mat)
 
 
+def identity(config) -> SectorOperator:
+    return SectorOperator.diagonal(config, [1] * len(get_basis(config.N)))
+
+
+def get(op: SectorOperator, i: int, j: int):
+    return op.rows.get(i, {}).get(j, Fraction(0))
+
+
+def _check_compatible(a: SectorOperator, b: SectorOperator):
+    if a.config != b.config:
+        raise ValueError(f"incompatible configs {a.config} vs {b.config}")
+
+
+def _combine(a: SectorOperator, b: SectorOperator, sign: int) -> SectorOperator:
+    """a + sign * b, with the entries that cancel dropped."""
+    _check_compatible(a, b)
+    rows = {i: dict(row) for i, row in a.rows.items()}
+    for i, row in b.rows.items():
+        tgt = rows.setdefault(i, {})
+        for j, v in row.items():
+            tgt[j] = tgt.get(j, 0) + sign * v
+            if not tgt[j]:
+                del tgt[j]
+        if not tgt:
+            del rows[i]
+    return SectorOperator(a.config, a.basis, rows)
+
+
+add, sub = partial(_combine, sign=1), partial(_combine, sign=-1)
+
+
+def scale(op: SectorOperator, c) -> SectorOperator:
+    return SectorOperator(op.config, op.basis, {i: {j: c * v for j, v in row.items()}
+                                                for i, row in op.rows.items()} if c else {})
+
+
+def matmul(a: SectorOperator, b: SectorOperator) -> SectorOperator:
+    _check_compatible(a, b)
+    out = {}
+    for i, arow in a.rows.items():
+        acc = {}
+        for k, av in arow.items():
+            for j, bv in b.rows.get(k, {}).items():
+                acc[j] = acc.get(j, 0) + av * bv
+        acc = {j: v for j, v in acc.items() if v}
+        if acc:
+            out[i] = acc
+    return SectorOperator(a.config, a.basis, out)
+
+
+def transpose(op: SectorOperator) -> SectorOperator:
+    out: dict[int, dict] = {}
+    for i, row in op.rows.items():
+        for j, v in row.items():
+            out.setdefault(j, {})[i] = v
+    return SectorOperator(op.config, op.basis, out)
+
+
+def scale_rows(op: SectorOperator, fn) -> SectorOperator:
+    """Left multiplication by the diagonal with entries fn(row index)."""
+    return SectorOperator(op.config, op.basis, {i: {j: f * v for j, v in row.items()}
+                                                for i, row in op.rows.items() if (f := fn(i))})
+
+
+def scale_cols(op: SectorOperator, fn) -> SectorOperator:
+    """Right multiplication by the diagonal with nonzero entries fn(col index)."""
+    return SectorOperator(op.config, op.basis, {i: {j: v * fn(j) for j, v in row.items()}
+                                                for i, row in op.rows.items()})
+
+
 def _scan_certified_residual(residual: SectorOperator, mask, den=1) -> tuple[bool, dict | None]:
     """True plus None when every entry of an operator inside the
     certified_window mask vanishes; otherwise False and the least (row, col)
@@ -159,12 +232,7 @@ def _scan_certified_residual(residual: SectorOperator, mask, den=1) -> tuple[boo
 
 def apply_col(op: SectorOperator, vec: dict) -> dict:
     """Matrix times column vector."""
-    out = {}
-    for i, row in op.rows.items():
-        total = sum((m * vec[j] for j, m in row.items() if j in vec), Fraction(0))
-        if total:
-            out[i] = total
-    return out
+    return apply_row(vec, transpose(op).rows)
 
 
 def dense_exp(coeffs, direction: str, config) -> SectorOperator:
@@ -178,13 +246,13 @@ def dense_exp(coeffs, direction: str, config) -> SectorOperator:
     sgn = -1 if direction == "raising" else 1
     gen = SectorOperator(config, get_basis(config.N), {})
     for k in range(1, config.N + 1):
-        gen = gen + j_op(sgn * k, config).scale(coeffs[k])
-    acc = term = SectorOperator.identity(config)
+        gen = add(gen, scale(j_op(sgn * k, config), coeffs[k]))
+    acc = term = identity(config)
     for n in range(1, config.N + 1):
-        term = term.matmul(gen).scale(Fraction(1, n))
+        term = scale(matmul(term, gen), Fraction(1, n))
         if not term.rows:
             break
-        acc = acc + term
+        acc = add(acc, term)
     return acc
 
 
@@ -198,8 +266,8 @@ def dense_transfer(config, family: str, direction: str) -> SectorOperator:
 @lru_cache(maxsize=None)
 def dense_pair(config, family: str) -> SectorOperator:
     """G_- G_+ as a dense matrix."""
-    return dense_transfer(config, family, "raising").matmul(
-        dense_transfer(config, family, "lowering"))
+    return matmul(dense_transfer(config, family, "raising"),
+                  dense_transfer(config, family, "lowering"))
 
 
 def fermionic_expectation(params, which: str) -> TruncatedSeries:
@@ -212,9 +280,9 @@ def fermionic_expectation(params, which: str) -> TruncatedSeries:
         raise ValueError(f"unknown model selector {which!r}")
     cfg, ctx, K = params.config, params.out_ctx, params.ctx.K
     family = "alternating" if which == "Zprime" else "plain"
-    bra = apply_row({0: Fraction(1)}, dense_transfer(cfg, "plain", "lowering"))
+    bra = apply_row({0: Fraction(1)}, dense_transfer(cfg, "plain", "lowering").rows)
     ket = apply_col(dense_transfer(cfg, family, "raising"), {0: Fraction(1)})
-    w0 = w0_diag(cfg)
+    w0 = w0_diag(cfg.s, cfg.N)
     phis = {k: v_op(k, 0, cfg) for k in range(-K, K + 1) if k > 0 or k and which == "Zprime"}
     acc = TruncatedSeries.zero(ctx)
     for n in range(params.ctx.NQ + 1):
@@ -222,8 +290,8 @@ def fermionic_expectation(params, which: str) -> TruncatedSeries:
             coeff = bra.get(i, 0) * ket.get(i, 0) * cfg.p ** (cfg.l * w0[i])
             if not coeff:
                 continue
-            lin = linear_form(ctx, {k: phis[k].get(i, i) for k in range(1, K + 1)},
-                              {k: phis[-k].get(i, i) for k in range(1, K + 1) if -k in phis})
+            lin = linear_form(ctx, {k: get(phis[k], i, i) for k in range(1, K + 1)},
+                              {k: get(phis[-k], i, i) for k in range(1, K + 1) if -k in phis})
             key = (n + charge_offset(params.s),) + (0,) * (2 * K)
             acc = acc + TruncatedSeries.monomial(ctx, key, coeff) * series_exp(lin)
     return acc
@@ -254,19 +322,16 @@ class DenseGraded(GradedOperator):
         super().__init__(params, family, identity_transfers)
         cfg = params.config
         p, l = cfg.p, cfg.l
-        w0 = w0_diag(cfg)
+        w0 = w0_diag(cfg.s, cfg.N)
         sign = {"plain": 1, "alternating": -1}[family]
-        if identity_transfers:
-            left = right = SectorOperator.identity(cfg)
-        else:
-            left = dense_pair(cfg, "plain")
-            right = dense_pair(cfg, family)
-        self.dense_A = left.scale_rows(lambda i: p ** w0[i]).scale_cols(
-            lambda j: p ** (l * w0[j]))
-        self.dense_B = right.scale_cols(lambda j: p ** (sign * w0[j]))
+        left, right = ((identity(cfg), identity(cfg)) if identity_transfers
+                       else (dense_pair(cfg, "plain"), dense_pair(cfg, family)))
+        self.dense_A = scale_cols(scale_rows(left, lambda i: p ** w0[i]),
+                                  lambda j: p ** (l * w0[j]))
+        self.dense_B = scale_cols(right, lambda j: p ** (sign * w0[j]))
 
     def fraction_row(self, vec: dict) -> dict[int, Fraction]:
-        return apply_row(vec, self.dense_A)
+        return apply_row(vec, self.dense_A.rows)
 
     def fraction_col(self, vec: dict) -> dict[int, Fraction]:
         return apply_col(self.dense_B, vec)
@@ -281,7 +346,7 @@ class DenseGraded(GradedOperator):
         """g_n = A . Pi_n . B, with Pi_n the projector on weight n."""
         proj = SectorOperator(self.config, self.basis,
                               {i: {i: Fraction(1)} for i in self.basis.weight_range[n]})
-        return self.dense_A.matmul(proj).matmul(self.dense_B)
+        return matmul(matmul(self.dense_A, proj), self.dense_B)
 
 
 def residual_mask(k: int, right_k: int, params) -> tuple:
@@ -303,7 +368,7 @@ def dense_residual_entry(family: str, k: int, right_k: int, params,
         mask = residual_mask(k, right_k, params)
     for n in range(params.ctx.NQ + 1):
         gn = g.block(n)
-        ok, entry = _scan_certified_residual(jl.matmul(gn) - gn.matmul(jr), mask)
+        ok, entry = _scan_certified_residual(sub(matmul(jl, gn), matmul(gn, jr)), mask)
         if not ok:
             return {"grade": n, **entry}
     return None
@@ -323,18 +388,18 @@ def _fraction_combination(vector, coeffs) -> dict[int, Fraction]:
     return out
 
 
-def fraction_residual_entry(g: GradedOperator, jl: SectorOperator, jr: SectorOperator,
-                            mask) -> dict | None:
+def fraction_residual_entry(g: GradedOperator, k: int, right_k: int, mask) -> dict | None:
     """toda._first_residual_entry on Fraction vectors: the same scan order
     and the same linearity in the J factors, with the row and column
-    vectors of g taken from the dense pairs of DenseGraded."""
+    vectors of g taken from the dense pairs of DenseGraded, and the columns
+    of J_{right_k} from its transpose."""
     dense = DenseGraded(g.params, g.family, g.identity_transfers)
     b = g.basis
     w = b.weights
     row = cache(lambda i: dense.fraction_row({i: Fraction(1)}))
     col = cache(lambda i: dense.fraction_col({i: Fraction(1)}))
-    jr_cols = jr.transpose().rows
-    dressed_row = cache(lambda lam: _fraction_combination(row, jl.rows.get(lam, {})))
+    jl, jr_cols = j_op(k, g.config).rows, transpose(j_op(right_k, g.config)).rows
+    dressed_row = cache(lambda lam: _fraction_combination(row, jl.get(lam, {})))
     dressed_col = cache(lambda mu: _fraction_combination(col, jr_cols.get(mu, {})))
     for n in range(g.params.ctx.NQ + 1):
         grade = b.weight_range[n]
@@ -364,18 +429,18 @@ def fraction_commutator_check(k: int, m: int, l: int, n: int, config) -> CheckRe
         return report
     V1 = v_op(k, m, config)
     V2 = v_op(l, n, config)
-    lhs = V1 @ V2 - V2 @ V1
+    lhs = sub(matmul(V1, V2), matmul(V2, V1))
     mask, window = certified_window(N, ((banded(-m), banded(-n)), (banded(-n), banded(-m))))
     report.window = window
     if window == 0:
         report.evidence = {"reason": "empty certified window"}
         return report
     p = config.p
-    ident = SectorOperator.identity(config)
+    ident = identity(config)
     if k + l == 0 and m + n == 0:
         for sigma in (1, -1):
-            expected = ident.scale(symmetries.central_term(k, m, l, n, p, sigma))
-            ok, _ = _scan_certified_residual(lhs - expected, mask)
+            expected = scale(ident, symmetries.central_term(k, m, l, n, p, sigma))
+            ok, _ = _scan_certified_residual(sub(lhs, expected), mask)
             if ok:
                 report.status = PASS
                 report.evidence = {"central_sign": sigma} if m else {}
@@ -384,9 +449,9 @@ def fraction_commutator_check(k: int, m: int, l: int, n: int, config) -> CheckRe
         _, worst = _scan_certified_residual(lhs, mask)
         report.evidence = {"worst": worst, "reason": "central term matches neither sign"}
         return report
-    rhs = (v_op(k + l, m + n, config).scale(symmetries.torus_prefactor(k, m, l, n, p))
-           + ident.scale(symmetries.central_term(k, m, l, n, p)))
-    ok, worst = _scan_certified_residual(lhs - rhs, mask)
+    rhs = add(scale(v_op(k + l, m + n, config), symmetries.torus_prefactor(k, m, l, n, p)),
+              scale(ident, symmetries.central_term(k, m, l, n, p)))
+    ok, worst = _scan_certified_residual(sub(lhs, rhs), mask)
     report.status = PASS if ok else FAIL
     if worst:
         report.evidence = {"worst": worst}
@@ -413,26 +478,40 @@ def fraction_first_shift_check(variant: str, k: int, m: int, config) -> CheckRep
     c = symmetries.torus_constant(upper, config.p)
     family = "plain" if variant == "G" else "alternating"
     gg = SectorOperator(config, get_basis(N), dense_pair(SectorConfig(0, N, config.p), family).rows)
-    ident = SectorOperator.identity(config)
-    left_v = v_op(upper, m, config)
-    if m == 0:
-        left_v = left_v - ident.scale(c)
-    right_v = v_op(upper, m + k, config)
-    if m + k == 0:
-        right_v = right_v - ident.scale(c)
-    lhs = gg.matmul(left_v)
-    rhs = right_v.scale(parity).matmul(gg)
+    left_v, right_v = (sub(v_op(upper, x, config), scale(identity(config), c if x == 0 else 0))
+                       for x in (m, m + k))
+    lhs = matmul(gg, left_v)
+    rhs = matmul(scale(right_v, parity), gg)
     mask, window = certified_window(N, ((RAISING, LOWERING, banded(-m)),
                                         (banded(-(m + k)), RAISING, LOWERING)))
     report.window = window
     if window == 0:
         report.evidence = {"reason": "empty certified window"}
         return report
-    ok, worst = _scan_certified_residual(lhs - rhs, mask)
+    ok, worst = _scan_certified_residual(sub(lhs, rhs), mask)
     report.status = PASS if ok else FAIL
     report.evidence = {"constant": format_rational(c)}
     if worst:
         report.evidence["worst"] = worst
+    return report
+
+
+def fraction_second_shift_check(k: int, m: int, config) -> CheckReport:
+    """symmetries.second_shift_check on Fraction entries: V^(k)_m scaled by
+    the Fraction powers p^{w0(row)} and p^{-w0(col)}, minus V^(k-m)_m, with
+    W0 read from this module's w0_diag at call time."""
+    params = {"k": k, "m": m, "s": config.s, "p": format_rational(config.p), "N": config.N}
+    report = CheckReport("second_shift", params, INSUFFICIENT)
+    if abs(m) > config.N:
+        report.evidence = {"reason": "shift exceeds the cutoff"}
+        return report
+    w0, p = w0_diag(config.s, config.N), config.p
+    lhs = scale_cols(scale_rows(v_op(k, m, config), lambda i: p ** w0[i]), lambda j: p ** -w0[j])
+    mask, report.window = certified_window(config.N, band=-m)
+    ok, worst = _scan_certified_residual(sub(lhs, v_op(k - m, m, config)), mask)
+    report.status = PASS if ok else FAIL
+    if worst:
+        report.evidence = {"worst": worst}
     return report
 
 

@@ -11,7 +11,11 @@ import toda_crystal
 from toda_crystal.cli import CHECKS, RunConfig, _build_parser, _run_task, _task_list, main
 from toda_crystal.toda import CalibrationError
 
-from oracles import fraction_residual_entry
+from oracles import (
+    fraction_first_shift_check,
+    fraction_residual_entry,
+    fraction_second_shift_check,
+)
 
 
 def run_cli(args, tmp_path=None, env_extra=None):
@@ -202,6 +206,29 @@ def test_intertwining_suites_match_fraction_scan(suite, monkeypatch):
     monkeypatch.setattr(toda_crystal.toda, "_first_residual_entry", oracle)
     assert lines() == ours
     assert len(calls) == sum(line["check"] == "intertwining" for line in ours) > 0
+
+
+def test_shift_suite_matches_fraction_checks(monkeypatch):
+    # the streamed first shift and the exponent second shift against their
+    # Fraction oracles; the lines are compared without their timing field
+    args = ["verify", "shift", "--s", "0", "--K", "2", "--D", "3", "--p", "1/3"]
+
+    def lines():
+        code, out = run_cli(args)
+        assert code == 0
+        return [{k: v for k, v in json.loads(text).items() if k != "wall_ms"}
+                for text in out.splitlines()]
+
+    ours = lines()
+    calls = {"first_shift": [], "second_shift": []}
+    for check, oracle in (("first_shift", fraction_first_shift_check),
+                          ("second_shift", fraction_second_shift_check)):
+        monkeypatch.setattr(toda_crystal.cli, f"{check}_check",
+                            lambda *a, check=check, oracle=oracle:
+                            calls[check].append(a) or oracle(*a))
+    assert lines() == ours
+    assert len(calls["first_shift"]) == sum(line["check"] == "first_shift" for line in ours) == 20
+    assert len(calls["second_shift"]) == sum(line["check"] == "second_shift" for line in ours) == 25
 
 
 @pytest.mark.parametrize("requested,cpus,pools,clamped", [

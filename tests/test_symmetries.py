@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toda_crystal import (
+    Partition,
     SectorConfig,
     commutator_check,
     first_shift_check,
@@ -96,8 +97,7 @@ def test_pushed_pair_rows_match_dense_pair(family, p, N):
 
 
 def _dense_pair_rows(p, N, family):
-    op, den = fock.integer_form(oracles.dense_pair(SectorConfig(0, N, p), family))
-    return op.rows, den
+    return fock.integer_form(oracles.dense_pair(SectorConfig(0, N, p), family).rows)
 
 
 def test_first_shift_reports_match_dense_pair(monkeypatch):
@@ -159,12 +159,10 @@ def _doubled_identity(monkeypatch):
 
 
 def _doubled_shift_identity(monkeypatch):
-    # the c * 1 of both first-shift routes comes out twice too large; the
-    # dense pairs are built first, so that the oracle's G_-G_+ stays exact
-    for family in ("plain", "alternating"):
-        oracles.dense_pair(SectorConfig(0, 6, Fraction(2, 3)), family)
-    monkeypatch.setattr(SectorOperator, "identity",
-                        classmethod(lambda cls, config, f=SectorOperator.identity: f(config).scale(2)))
+    # the c * 1 of both first-shift routes comes out twice too large; both
+    # routes read c from torus_constant
+    monkeypatch.setattr(symmetries, "torus_constant",
+                        lambda j, p, f=symmetries.torus_constant: 2 * f(j, p))
 
 
 WRONG_RELATIONS = {
@@ -174,7 +172,7 @@ WRONG_RELATIONS = {
         symmetries, "torus_constant", lambda j, p, f=symmetries.torus_constant: f(j, p) + 1),
     "doubled_identity": _doubled_identity,
 }
-# the first shift takes its c * 1 from SectorOperator.identity, not central_term
+# the first shift takes its c * 1 from torus_constant, not central_term
 FIRST_SHIFT_RELATIONS = dict(WRONG_RELATIONS, doubled_identity=_doubled_shift_identity)
 
 
@@ -215,6 +213,51 @@ def test_commutator_stream_matches_fraction_oracle(p, s, N, k, l, m, n, flipped)
                 == oracles.fraction_commutator_check(k, m, l, n, config).to_json_dict())
 
 
+@settings(max_examples=150, deadline=None)
+@given(p=_fractions_of_small_height(), s=st.sampled_from((-1, 0, 1)), N=st.integers(3, 6),
+       variant=st.sampled_from(("G", "Gprime")), k=st.integers(1, 2), m=st.integers(-3, 3),
+       wrong=st.sampled_from((None, *sorted(FIRST_SHIFT_RELATIONS))))
+def test_first_shift_stream_matches_fraction_oracle(p, s, N, variant, k, m, wrong):
+    config = SectorConfig(s, N, p)
+    with pytest.MonkeyPatch.context() as mp:
+        if wrong:
+            FIRST_SHIFT_RELATIONS[wrong](mp)
+        assert (first_shift_check(variant, k, m, config).to_json_dict()
+                == oracles.fraction_first_shift_check(variant, k, m, config).to_json_dict())
+
+
+SECOND_SHIFT_GRID = [(k, m) for k in range(-2, 3) for m in range(-2, 3)]
+
+
+@pytest.mark.parametrize("p", [P, Fraction(2, 3), Fraction(3, 7)])
+def test_second_shift_reports_match_fraction_oracle(p):
+    # both routes take V from v_op, so a wrong exponent helper would move both
+    # sides at once; test_v_op_matches_bilinear_oracle is the test that catches it
+    lines = _same_reports(second_shift_check, oracles.fraction_second_shift_check,
+                          SECOND_SHIFT_GRID,
+                          [SectorConfig(s, N, p) for s in (-1, 0, 1) for N in (4, 6)])
+    assert all(line["status"] == PASS for line in lines)
+
+
+def test_perturbed_w0_fails_both_second_shift_routes(monkeypatch):
+    # one W0 eigenvalue off by one, in the table both routes read
+    index = get_basis(6).index[Partition([2, 1])]
+
+    def perturbed(s, N, f=fock.w0_diag):
+        w0 = list(f(s, N))
+        w0[index] += 1
+        return tuple(w0)
+
+    for module in (symmetries, oracles):
+        monkeypatch.setattr(module, "w0_diag", perturbed)
+    lines = _same_reports(second_shift_check, oracles.fraction_second_shift_check,
+                          SECOND_SHIFT_GRID, [SectorConfig(0, 6, Fraction(2, 3))])
+    failed = [line for line in lines if line["status"] == FAIL]
+    assert failed
+    assert all(line["params"]["m"] != 0 and line["evidence"]["worst"]["value"] != "0"
+               for line in failed)
+
+
 def _in_lowest_terms(values, den) -> bool:
     values = list(values)
     return (den > 0 and all(type(v) is int for v in values) and 0 not in values
@@ -245,9 +288,9 @@ def test_integer_forms_hold_ints_in_lowest_terms(monkeypatch):
     config = SectorConfig(1, 6, Fraction(2, 3))
     for k, m in ((2, -3), (-1, 0), (0, 2), (1, 1)):
         a, den = fock.v_int(k, m, config)
-        assert _in_lowest_terms((v for row in a.rows.values() for v in row.values()), den)
+        assert _in_lowest_terms((v for row in a.values() for v in row.values()), den)
         assert {i: {j: Fraction(v, den) for j, v in row.items()}
-                for i, row in a.rows.items()} == v_op(k, m, config).rows
+                for i, row in a.items()} == v_op(k, m, config).rows
     for family in ("plain", "alternating"):
         rows, den = symmetries._transfer_pair_rows(config.p, 6, family)
         assert _in_lowest_terms((v for row in rows.values() for v in row.values()), den)
@@ -259,8 +302,9 @@ def test_integer_forms_hold_ints_in_lowest_terms(monkeypatch):
     # a reported entry becomes a Fraction
     assert den > 0 and all(type(v) is int for row in rows.values() for v in row.values())
     v1, v2 = v_op(k, m, config), v_op(l, n, config)
-    expected = (v1 @ v2 - v2 @ v1 - v_op(k + l, m + n, config).scale(
-        symmetries.torus_prefactor(k, m, l, n, config.p)))
+    expected = oracles.sub(
+        oracles.sub(oracles.matmul(v1, v2), oracles.matmul(v2, v1)),
+        oracles.scale(v_op(k + l, m + n, config), symmetries.torus_prefactor(k, m, l, n, config.p)))
     # the stream visits exactly the rows of a weight the mask reads, in order
     mask, _ = fock.certified_window(6, ((banded(-m), banded(-n)), (banded(-n), banded(-m))))
     w = get_basis(6).weights
@@ -285,10 +329,10 @@ def test_first_shift_residual_is_taken_on_readable_rows(variant, k, m, monkeypat
     c = torus_constant(upper, config.p)
     gg = SectorOperator(config, get_basis(6), oracles.dense_pair(
         SectorConfig(0, 6, config.p), "plain" if variant == "G" else "alternating").rows)
-    ident = SectorOperator.identity(config)
-    left = v_op(upper, m, config) - ident.scale(c if m == 0 else 0)
-    right = v_op(upper, m + k, config) - ident.scale(c if m + k == 0 else 0)
-    full = gg @ left - right.scale(parity) @ gg
+    ident = oracles.identity(config)
+    left = oracles.sub(v_op(upper, m, config), oracles.scale(ident, c if m == 0 else 0))
+    right = oracles.sub(v_op(upper, m + k, config), oracles.scale(ident, c if m + k == 0 else 0))
+    full = oracles.sub(oracles.matmul(gg, left), oracles.matmul(oracles.scale(right, parity), gg))
     w = get_basis(6).weights
     readable = {n for n in range(7) if n <= 6 - max(0, m + k)}
     assert _values(rows, den) == {i: row for i, row in full.rows.items() if w[i] in readable}
@@ -348,13 +392,17 @@ def test_operator_reports_stable_under_cutoff_growth(p):
             assert line == _without_cutoff(check(*args, big)), (check.__name__, args, s)
 
 
-def test_tracer_hooks_see_every_product():
-    # a tracer that wraps fock.matmul and fock.v_op counts the products taken
-    # through @ and the V operators built in symmetries; the commutator
-    # products are streamed row by row inside commutator_check, not taken
-    # through @, so they count under the checks themselves
-    assert SectorOperator.__matmul__ is SectorOperator.matmul
-    assert symmetries.v_op is fock.v_op
+def test_tracer_hooks_see_every_product(monkeypatch):
+    # a tracer that wraps fock.v_op sees every V the checks build: they take
+    # V through fock.v_int, which reads fock.v_op at call time. The products
+    # are streamed row by row inside the checks, so they count under the
+    # checks themselves
+    seen = []
+    monkeypatch.setattr(fock, "v_op", lambda *a, f=fock.v_op: seen.append(a) or f(*a))
+    config = SectorConfig(0, 4, Fraction(5, 13))
+    assert symmetries.v_int is fock.v_int
+    fock.v_int.__wrapped__(1, 2, config)
+    assert seen == [(1, 2, config)]
 
 
 def test_reports_are_deterministic():

@@ -32,7 +32,7 @@ from toda_crystal import (
     zprime_series,
 )
 from toda_crystal.algebra import linear_form, series_exp, series_from_json_dict
-from toda_crystal.fock import get_basis, j_op, w0_diag
+from toda_crystal.fock import SectorConfig, SectorOperator, get_basis, w0_diag
 from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS
 from toda_crystal.toda import GradedOperator, TauSeries, _first_residual_entry, _j_matrix
 
@@ -40,8 +40,11 @@ from oracles import (
     DenseGraded,
     as_fractions,
     dense_residual_entry,
+    get,
+    matmul,
     merge_hatted_into_t,
     residual_mask,
+    sub,
 )
 
 P = Fraction(1, 2)
@@ -57,7 +60,7 @@ def test_graded_operator_identity_transfers_is_diagonal():
     g = build_gprime(pr, identity_transfers=True)
     cfg = pr.config
     b = get_basis(cfg.N)
-    w0 = w0_diag(cfg)
+    w0 = w0_diag(cfg.s, cfg.N)
     for n in range(4):
         for i in b.weight_range[n]:
             u, w = as_fractions(g.basis_row(i)), as_fractions(g.basis_col(i))
@@ -201,10 +204,10 @@ def test_trivial_tau_closed_form():
 
 
 def _central_sign() -> int:
-    j1 = _j_matrix(1, 2)
-    jm1 = _j_matrix(-1, 2)
-    comm = j1.matmul(jm1) - jm1.matmul(j1)
-    return int(comm.get(0, 0))
+    # [J_1, J_-1] on the vacuum, from the sign tables of the time vectors
+    cfg = SectorConfig(0, 2, P)
+    j1, jm1 = (SectorOperator(cfg, get_basis(2), _j_matrix(k, 2)) for k in (1, -1))
+    return int(get(sub(matmul(j1, jm1), matmul(jm1, j1)), 0, 0))
 
 
 def test_trivial_tau_compare_differs():
@@ -374,9 +377,7 @@ def test_intertwining_matches_dense_blocks(s, l, p, shape):
     # the pushed and the dense residuals still agree on its certified window
     with pytest.raises(ValueError):
         intertwining_residual("g_true", -1, pr)
-    cfg = pr.config
-    entry = _first_residual_entry(build_g(pr), j_op(-1, cfg), j_op(1, cfg),
-                                  residual_mask(-1, 1, pr))
+    entry = _first_residual_entry(build_g(pr), -1, 1, residual_mask(-1, 1, pr))
     assert entry is not None
     assert entry == dense_residual_entry("plain", -1, 1, pr)
 
@@ -392,7 +393,7 @@ def test_residual_scan_order_matches_dense_blocks(family, weights):
     mask = tuple(tuple(weights in (None, (w1, w2)) for w2 in range(N + 1))
                  for w1 in range(N + 1))
     g = build_g(pr) if family == "plain" else build_gprime(pr)
-    entry = _first_residual_entry(g, j_op(-1, pr.config), j_op(1, pr.config), mask)
+    entry = _first_residual_entry(g, -1, 1, mask)
     assert entry is not None
     assert entry == dense_residual_entry(family, -1, 1, pr, mask)
 
