@@ -79,7 +79,10 @@ class SeriesContext:
 
 
 def monomial_label(ctx: SeriesContext, key: tuple[int, ...]) -> str:
-    names = ctx.var_names()
+    return _label(ctx.var_names(), key)
+
+
+def _label(names: tuple[str, ...], key: tuple[int, ...]) -> str:
     toks = [f"{names[i]}^{e}" for i, e in enumerate(key) if e]
     return " ".join(toks) if toks else "1"
 
@@ -252,11 +255,13 @@ class TruncatedSeries:
         return out
 
     def to_json_dict(self) -> dict:
+        # the names are built once per export; every stored coefficient is a
+        # Fraction already, so str gives format_rational's text
+        names, coeffs = self.ctx.var_names(), self.coeffs
         return {
             "context": {"K": self.ctx.K, "D": self.ctx.D, "NQ": self.ctx.NQ},
             "coefficients": {
-                monomial_label(self.ctx, key): format_rational(self.coeffs[key])
-                for key in _canonical_keys(self.coeffs)
+                _label(names, key): str(coeffs[key]) for key in _canonical_keys(coeffs)
             },
         }
 

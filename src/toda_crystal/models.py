@@ -4,18 +4,22 @@ The partition functions are computed here by the closed-form route: Schur
 values from the hook length formula, diagonal eigenvalues from their closed
 expressions, and the partition function as a single sum over partitions.
 One loop serves both models, selected by 'Z' (the previous model) or
-'Zprime' (the modified one); it writes each exp(linear form) out monomial
-by monomial and never touches `fock` or `series_exp`. The independent
-fermionic route, the vacuum expectation value of the dense transfer
-exponentials built from the operator machinery in `fock`, lives in the test
-oracles as `fermionic_expectation`, with the same selector. The two routes
-must agree coefficient for coefficient.
+'Zprime' (the modified one). It groups the partitions by their Q power,
+clears the denominators of each group's weights and potentials, and writes
+each exp(linear form) out monomial by monomial in integers, so one Fraction
+is made per output coefficient; it never touches `fock` or `series_exp`.
+The independent fermionic route, the vacuum expectation value of the dense
+transfer exponentials built from the operator machinery in `fock`, lives in
+the test oracles as `fermionic_expectation`, with the same selector, and
+the Fraction form of this loop as `fraction_partition_sum`. The routes must
+agree coefficient for coefficient.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial, lcm
 
 from .algebra import SeriesContext, TruncatedSeries
 from .fock import SectorConfig
@@ -105,32 +109,38 @@ class ModelParams:
         return ModelParams(self.s, self.l, self.p, self.ctx, N)
 
 
-def _add_weighted_exp(acc: dict, q_exp: int, weight: Fraction,
-                      a: list[Fraction], D: int) -> None:
-    """Add weight Q^q_exp exp(sum_j a_j x_j) up to x-degree D into acc, keyed by
-    (q_exp, e_1..e_n). Its coefficients are weight prod_j a_j^e_j / e_j!, so each
-    monomial is made once, as its predecessor times a_j / e_j, j the last
-    variable raised. Variables with a_j = 0 are never raised."""
+def _add_weighted_exp(acc: dict, weight: int, a: list[int], D: int) -> None:
+    """Add weight D! exp(sum_j a_j x_j) up to x-degree D into acc, keyed by the
+    exponents (e_1..e_n), for integer weight and a. Its coefficients are the
+    integers weight prod_j a_j^e_j D! / prod_j e_j!, so each monomial is made
+    once, as its predecessor times a_j // e_j, j the last variable raised; the
+    division is exact because D! / prod_j e_j! is an integer for |e| <= D.
+    Variables with a_j = 0 are never raised."""
     live = [j for j, c in enumerate(a) if c]
-    steps = {j: [None] + [a[j] / m for m in range(1, D + 1)] for j in live}
-    stack = [((0,) * len(a), weight, 0, 0)]
+    stack = [((0,) * len(a), weight * factorial(D), 0, 0)]
     while stack:
         e, c, first, d = stack.pop()
-        key = (q_exp, *e)
-        acc[key] = acc.get(key, 0) + c
+        acc[e] = acc.get(e, 0) + c
         if d < D:
             for pos, j in enumerate(live[first:], first):
                 m = e[j] + 1
-                stack.append((e[:j] + (m,) + e[j + 1:], c * steps[j][m], pos, d + 1))
+                stack.append((e[:j] + (m,) + e[j + 1:], c * a[j] // m, pos, d + 1))
 
 
 def _partition_sum(params: ModelParams, which: str) -> TruncatedSeries:
     """sum_mu w(mu) q^{l W0/2} Q^{L0} exp(sum t_k Phi_k [+ sum th_k Phi_{-k}]),
     with w(mu) = s_mu s_{t(mu)} and both time families for 'Zprime', and
-    w(mu) = s_mu^2 and the t family alone for 'Z'; the exponentials are
-    written out by `_add_weighted_exp`, never by series arithmetic."""
-    s, p, K = params.s, params.p, params.ctx.K
-    acc: dict = {}
+    w(mu) = s_mu^2 and the t family alone for 'Z'.
+
+    The partitions are grouped by L0 = |mu| + s(s+1)/2, so each class fills
+    the monomials of one Q power. A class is expanded over one common
+    denominator: with W the lcm of its weight denominators and d that of its
+    Phi values, `_add_weighted_exp` writes the integer weights w W and
+    couplings Phi d out monomial by monomial, and each nonzero coefficient
+    becomes one Fraction over W D! d^|e| at the end of its class. No
+    Fraction is made inside the walk, and no series arithmetic anywhere."""
+    s, p, K, D = params.s, params.p, params.ctx.K, params.ctx.D
+    classes: dict[int, list] = {}
     for mu in enumerate_partitions(params.ctx.NQ, "all_up_to"):
         a = [phi_potential(k, mu, s, p) for k in range(1, K + 1)]
         if which == "Zprime":
@@ -140,8 +150,20 @@ def _partition_sum(params: ModelParams, which: str) -> TruncatedSeries:
             weight = schur_qrho(mu, p) ** 2
             a += [Fraction(0)] * K
         weight *= p ** (params.l * w0_eigenvalue(mu, s))
-        _add_weighted_exp(acc, l0_eigenvalue(mu, s), weight, a, params.ctx.D)
-    return TruncatedSeries(params.out_ctx, acc)
+        classes.setdefault(l0_eigenvalue(mu, s), []).append((weight, a))
+    coeffs = {}
+    for q_exp, members in classes.items():
+        W = lcm(*(w.denominator for w, _ in members))
+        d = lcm(*(c.denominator for _, a in members for c in a))
+        acc: dict = {}
+        for w, a in members:
+            _add_weighted_exp(acc, w.numerator * (W // w.denominator),
+                              [c.numerator * (d // c.denominator) for c in a], D)
+        base = W * factorial(D)
+        for e, num in acc.items():
+            if num:
+                coeffs[(q_exp, *e)] = Fraction(num, base * d ** sum(e))
+    return TruncatedSeries(params.out_ctx, coeffs)
 
 
 def zprime_series(params: ModelParams) -> TruncatedSeries:

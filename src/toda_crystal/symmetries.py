@@ -88,6 +88,8 @@ def _first_entry(indices, row, mask, basis_obj, den=1) -> dict | None:
     w = basis_obj.weights
     for i in sorted(indices):
         readable, r = mask[w[i]], row(i)
+        if not any(r.values()):
+            continue  # the usual row of a passing check: cancelled to zeros
         for j in sorted(r):
             if r[j] and readable[w[j]]:
                 return _entry_evidence(basis_obj, i, j, Fraction(r[j], den))

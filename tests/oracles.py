@@ -13,9 +13,12 @@ by matrix products; dense_transfer and dense_pair give G+- and G_-G_+ from it,
 the reference for the pushed rows of fock.transfer_row and
 fock.transfer_pair_row. fermionic_expectation is the partition function as a
 vacuum expectation value of those dense exponentials, the fermionic route that
-the closed-form partition sum of models must match. DenseGraded keeps the
-dense route to the tau vectors and the graded blocks that the package replaced
-with pushed vectors, fraction_residual_entry the intertwining scan on Fraction
+the closed-form partition sum of models must match, and
+fraction_partition_sum is that partition sum with every monomial of each
+exp(linear form) a Fraction, the reference for the integer walk that the
+package replaced it with. DenseGraded keeps the dense route to the tau
+vectors and the graded blocks that the package replaced with pushed
+vectors, fraction_residual_entry the intertwining scan on Fraction
 vectors that the package replaced with an integer-numerator scan,
 fraction_commutator_check and fraction_first_shift_check the two operator
 checks on Fraction entries (the latter with the dense pair) that the package
@@ -57,7 +60,13 @@ from toda_crystal.fock import (
     v_op,
     w0_diag,
 )
-from toda_crystal.models import charge_offset
+from toda_crystal.models import (
+    charge_offset,
+    l0_eigenvalue,
+    phi_potential,
+    schur_qrho,
+    w0_eigenvalue,
+)
 from toda_crystal.symmetries import (
     FAIL,
     INSUFFICIENT,
@@ -295,6 +304,43 @@ def fermionic_expectation(params, which: str) -> TruncatedSeries:
             key = (n + charge_offset(params.s),) + (0,) * (2 * K)
             acc = acc + TruncatedSeries.monomial(ctx, key, coeff) * series_exp(lin)
     return acc
+
+
+def _fraction_weighted_exp(acc: dict, q_exp: int, weight: Fraction,
+                           a: list[Fraction], D: int) -> None:
+    """Add weight Q^q_exp exp(sum_j a_j x_j) up to x-degree D into acc, keyed by
+    (q_exp, e_1..e_n), each monomial its predecessor times the Fraction
+    a_j / e_j, j the last variable raised."""
+    live = [j for j, c in enumerate(a) if c]
+    steps = {j: [None] + [a[j] / m for m in range(1, D + 1)] for j in live}
+    stack = [((0,) * len(a), weight, 0, 0)]
+    while stack:
+        e, c, first, d = stack.pop()
+        key = (q_exp, *e)
+        acc[key] = acc.get(key, 0) + c
+        if d < D:
+            for pos, j in enumerate(live[first:], first):
+                m = e[j] + 1
+                stack.append((e[:j] + (m,) + e[j + 1:], c * steps[j][m], pos, d + 1))
+
+
+def fraction_partition_sum(params, which: str) -> TruncatedSeries:
+    """The partition sum of models._partition_sum with every monomial a
+    Fraction: sum_mu w(mu) q^{l W0/2} Q^{L0} exp(sum t_k Phi_k [+ sum th_k Phi_{-k}]),
+    w(mu) = s_mu s_{t(mu)} for 'Zprime' and s_mu^2 (t family alone) for 'Z'."""
+    s, p, K = params.s, params.p, params.ctx.K
+    acc: dict = {}
+    for mu in enumerate_partitions(params.ctx.NQ, "all_up_to"):
+        a = [phi_potential(k, mu, s, p) for k in range(1, K + 1)]
+        if which == "Zprime":
+            weight = schur_qrho(mu, p) * schur_qrho(mu.conjugate(), p)
+            a += [phi_potential(-k, mu, s, p) for k in range(1, K + 1)]
+        else:
+            weight = schur_qrho(mu, p) ** 2
+            a += [Fraction(0)] * K
+        weight *= p ** (params.l * w0_eigenvalue(mu, s))
+        _fraction_weighted_exp(acc, l0_eigenvalue(mu, s), weight, a, params.ctx.D)
+    return TruncatedSeries(params.out_ctx, acc)
 
 
 def as_fractions(vec) -> dict[int, Fraction]:

@@ -381,10 +381,14 @@ def test_commutators_workload_matches_its_references():
 
 @pytest.mark.parametrize("name", ["tau-export", "prev-identity", "zprime-sum"])
 def test_workload_matches_its_references(name):
-    # one untimed invocation of each other benchmark workload at p = 1/2
+    # one untimed invocation of each other benchmark workload at each p it is
+    # timed at: the whole pool, or p = 1/2 alone while the workload has a
+    # known defect
     bench = _perfbench_workloads()
     workload = bench.WORKLOADS[name]
-    reference = bench.reference_for(bench.load_references(), name, "1/2")
-    attempted, failed = bench.check_output(workload.kind, _run_workload(workload, "1/2"),
-                                           reference, "1/2")
-    assert attempted > 0 and failed == 0
+    references = bench.load_references()
+    for p in bench.timed_pool(name):
+        reference = bench.reference_for(references, name, p)
+        attempted, failed = bench.check_output(workload.kind, _run_workload(workload, p),
+                                               reference, p)
+        assert attempted > 0 and failed == 0, p

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 from fractions import Fraction
+from math import factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -148,13 +149,38 @@ def weighted_exp_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(weighted_exp_cases())
 def test_weighted_exp_matches_series_exp(case):
+    # the walk takes integers: the drawn denominators are cleared first, and
+    # each integer coefficient is read back over W D! d^|e|
     K, D, q, weight, a = case
     ctx = SeriesContext(K, D, 2)
+    W, d = weight.denominator, lcm(*(c.denominator for c in a))
     acc = {}
-    _add_weighted_exp(acc, q, weight, a, D)
+    _add_weighted_exp(acc, weight.numerator, [c.numerator * (d // c.denominator) for c in a], D)
+    assert all(type(v) is int for v in acc.values())
+    got = TruncatedSeries(ctx, {(q, *e): Fraction(v, W * factorial(D) * d ** sum(e))
+                                for e, v in acc.items()})
     lin = linear_form(ctx, dict(enumerate(a[:K], 1)), dict(enumerate(a[K:], 1)))
     head = TruncatedSeries.monomial(ctx, (q,) + (0,) * (2 * K), weight)
-    assert TruncatedSeries(ctx, acc) == head * series_exp(lin)
+    assert got == head * series_exp(lin)
+
+
+@st.composite
+def partition_sum_cases(draw):
+    # p = a/b with numerators above 1, so the cleared denominators carry
+    # powers of both a and b
+    b = draw(st.integers(min_value=2, max_value=9))
+    p = Fraction(draw(st.integers(min_value=1, max_value=b - 1)), b)
+    s = draw(st.integers(min_value=-2, max_value=2))
+    l = draw(st.integers(min_value=-1, max_value=2))
+    shape = [draw(st.integers(min_value=lo, max_value=hi)) for lo, hi in ((1, 3), (0, 4), (0, 4))]
+    return ModelParams(s, l, p, SeriesContext(*shape))
+
+
+@settings(max_examples=150, deadline=None)
+@given(partition_sum_cases())
+def test_partition_sum_matches_fraction_oracle(params):
+    assert zprime_series(params) == oracles.fraction_partition_sum(params, "Zprime")
+    assert z_series(params) == oracles.fraction_partition_sum(params, "Z")
 
 
 def test_fermionic_leading_q_exponent():
