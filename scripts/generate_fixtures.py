@@ -3,19 +3,22 @@
 
 Each fixture is produced by a route independent of the code path the
 fixture later tests: the partition-function fixture comes from the
-fermionic expectation value of the test oracles (tests/oracles.py), and
-the tau fixture comes from inverting the main identity on the
-sum-over-partitions series. Run from a source checkout:
+fermionic expectation value of the test oracles (tests/oracles.py), the
+tau fixture comes from inverting the main identity on the
+sum-over-partitions series, and the commutator fixture holds the line
+count and sha256 of the default `verify commutators` report, every line
+taken from the Fraction commutator oracle. Run from a source checkout:
 
     PYTHONPATH=src python scripts/generate_fixtures.py
 """
 
+import hashlib
 import json
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from toda_crystal import ModelParams, SeriesContext, torus_constant
+from toda_crystal import ModelParams, SectorConfig, SeriesContext, torus_constant
 from toda_crystal.algebra import alternate_t_signs, linear_form, negate_hatted, series_exp
 from toda_crystal.models import zprime_series
 
@@ -23,7 +26,9 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "fixtures"
 # the fermionic route is a reference computation kept with the test oracles
 sys.path.insert(0, str(ROOT / "tests"))
-from oracles import fermionic_expectation  # noqa: E402
+from oracles import fermionic_expectation, fraction_commutator_check  # noqa: E402
+
+COMMUTATORS = "commutators_N9_p1of2.json"
 
 
 def tau_prime_by_inversion(params: ModelParams):
@@ -40,7 +45,28 @@ def tau_prime_by_inversion(params: ModelParams):
     return series_exp(lin) * z_sub
 
 
-def main():
+def report_text(line: dict) -> str:
+    """A report line as the CLI writes it, without its wall_ms field."""
+    return json.dumps({k: v for k, v in line.items() if k != "wall_ms"},
+                      separators=(",", ":")) + "\n"
+
+
+def commutator_lines() -> list[str]:
+    """The lines of `verify commutators` at the defaults (N = max(NQ, K*D) = 9,
+    s = -1, 0, 1, p = 1/2), each from the Fraction oracle, in the CLI's order:
+    by check, then by the parameters as sorted-key JSON."""
+    lines = [fraction_commutator_check(k, m, l, n, SectorConfig(s, 9, Fraction(1, 2)))
+             .to_json_dict() for s in (-1, 0, 1) for k in range(-2, 3) for l in range(-2, 3)
+             for m in range(-3, 4) for n in range(-3, 4)]
+    lines.sort(key=lambda line: (line["check"], json.dumps(line["params"], sort_keys=True)))
+    return [report_text(line) for line in lines]
+
+
+def lines_digest(lines: list[str]) -> dict:
+    return {"lines": len(lines), "sha256": hashlib.sha256("".join(lines).encode()).hexdigest()}
+
+
+def write_series_fixtures():
     OUT.mkdir(exist_ok=True)
     p = Fraction(1, 2)
 
@@ -58,6 +84,22 @@ def main():
         "series": tau_prime_by_inversion(params).to_json_dict(),
     }
     (OUT / "tau_prime_s0_l0_p1of2.json").write_text(json.dumps(doc, indent=1) + "\n")
+
+
+def write_commutator_fixture():
+    OUT.mkdir(exist_ok=True)
+    doc = {
+        "generated_by": "Fraction commutator oracle over the verify commutators grid",
+        "command": "toda-crystal verify commutators (defaults: N=9, s=-1,0,1, p=1/2)",
+        "format": "each line as the CLI writes it without wall_ms, in the CLI's order",
+        **lines_digest(commutator_lines()),
+    }
+    (OUT / COMMUTATORS).write_text(json.dumps(doc, indent=1) + "\n")
+
+
+def main():
+    write_series_fixtures()
+    write_commutator_fixture()
     print("fixtures written to", OUT)
 
 

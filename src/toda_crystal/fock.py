@@ -21,7 +21,8 @@ matrix. The particle moves of a shift depend on it, the charge and the cutoff
 alone, and are built once, in move_table; V^(k)_m puts +-p^v_exponent on each
 move, J_k its sign, a transfer exponent +-c_k. integer_form writes rows as
 integer numerators over one denominator, v_int caches them for each V, and
-the checks stream each product row by row from integer rows. The transfer
+the checks form each product from integer rows or, for the commutators, from
+the numerators of each V laid out along its moves. The transfer
 exponentials G+- are only ever applied to vectors, by transfer_row, in the
 same form; their dense matrices, the dense pair G_-G_+ and the Fraction
 operator arithmetic are the test oracles' reference.

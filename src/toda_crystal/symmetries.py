@@ -5,14 +5,17 @@ split rule certifies, and reports the earliest (canonical order) offending
 entry on failure. A check writes the chain of each product it compares from
 its own indices: V^(k)_m is banded(-m), G_- and G_+ RAISING and LOWERING,
 and reads the residual against the one certified_window mask of the chains.
-The commutator and first-shift residuals take one streamed product path:
-_streamed_entry forms each row the mask reads, in ascending order, as a sum
-of products and multiples of integer rows over one common denominator, and
-stops at the first nonzero entry, so each equality is an integer
-cross-multiplication and only a reported entry becomes a Fraction. No
-operator product or sum is formed. The second shift needs no product: each
-entry of either side is the sign of one move of move_table times a power of
-p, so it compares the exponents move by move.
+Both product residuals are integer numerators over one common denominator,
+so each equality is an integer cross-multiplication and only a reported
+entry becomes a Fraction; no operator product or sum is formed. The
+commutator's V factors are sparse, a few terms to a row, so it builds the
+two-move paths of each product V_m V_n once per (m, n) and fills one flat
+accumulator {i*dim + j: numerator} per check along them. The first shift's
+G_-G_+ rows are dense, so _streamed_entry forms each row the mask reads, in
+ascending order, as a sum of products of integer rows, and stops at the
+first nonzero entry. The second shift needs no product: each entry of
+either side is the sign of one move of move_table times a power of p, so it
+compares the exponents move by move.
 """
 
 from __future__ import annotations
@@ -111,8 +114,8 @@ def central_term(k: int, m: int, l: int, n: int, p: Fraction, sign: int = 1) -> 
     return -torus_prefactor(k, m, l, n, p) * torus_constant(k + l, p)
 
 
-def _streamed_entry(mask, basis, den: int, products, linear=(), diagonal: int = 0) -> dict | None:
-    """The earliest certified nonzero entry of (sum c L R + sum c A + diagonal 1)/den
+def _streamed_entry(mask, basis, den: int, products, linear=()) -> dict | None:
+    """The earliest certified nonzero entry of (sum c L R + sum c A)/den
     over the products (L, R, c) and linear terms (A, c), every factor the
     integer rows {i: {j: int}} of an integer form and every c an integer. Only
     the rows whose weight the mask reads are formed, ascending and in turn."""
@@ -128,31 +131,103 @@ def _streamed_entry(mask, basis, den: int, products, linear=(), diagonal: int = 
         for a, c in linear:
             for j, u in a.get(i, {}).items():
                 acc[j] = acc[j] + c * u if j in acc else c * u
-        if diagonal:
-            acc[i] = acc.get(i, 0) + diagonal
         return acc
     return _first_entry(readable, row, mask, basis, den)
 
 
-def _commutator_entry(pair, mask, basis, central: Fraction, third=(None, 1),
+@lru_cache(maxsize=None)
+def _pattern(m: int, s: int, N: int) -> tuple[tuple[int, int], ...]:
+    """The (row, col) of each entry V^(k)_m can hold, whatever k: the moves of
+    move_table, which give distinct pairs, or at m = 0 the basis diagonal,
+    with the entries that vanish (V^(0)_0 at the vacuum) kept."""
+    if m:
+        return tuple((i, j) for i, j, _, _ in move_table(m, s, N))
+    return tuple((i, i) for i in range(len(get_basis(N))))
+
+
+@lru_cache(maxsize=None)
+def _v_values(k: int, m: int, config: SectorConfig) -> tuple[tuple[int, ...], int]:
+    """The integer numerators of v_int(k, m, config), aligned with _pattern,
+    and their denominator."""
+    rows, den = v_int(k, m, config)
+    return tuple(rows.get(i, {}).get(j, 0) for i, j in _pattern(m, config.s, config.N)), den
+
+
+@lru_cache(maxsize=None)
+def _commutator_tables(m: int, n: int, s: int, N: int) -> tuple:
+    """What a commutator check of (m, n) reads in the charge-s sector cut at N,
+    as (mask, window, paths, third).
+
+    mask and window are certified_window's for the chains of V_m V_n and
+    V_n V_m, asked for in one order for (m, n) and (n, m): the mask does not
+    depend on it. paths holds the two-move paths of V_m V_n, (i*dim + j, a, b)
+    for each entry a = (i, x) of _pattern(m) and b = (x, j) of _pattern(n);
+    third holds (i*dim + j, c) for each entry c = (i, j) of _pattern(m + n).
+    Both cover every row: with |m|, |n| <= N the split rule certifies column
+    weight 0 for both chains, so the mask reads every row weight."""
+    lo, hi = sorted((m, n))
+    mask, window = certified_window(N, ((banded(-lo), banded(-hi)), (banded(-hi), banded(-lo))))
+    dim = len(get_basis(N))
+    after: dict[int, list[tuple[int, int]]] = {}
+    for b, (x, j) in enumerate(_pattern(n, s, N)):
+        after.setdefault(x, []).append((b, j))
+    paths = tuple((i * dim + j, a, b) for a, (i, x) in enumerate(_pattern(m, s, N))
+                  for b, j in after.get(x, ()))
+    third = tuple((i * dim + j, c) for c, (i, j) in enumerate(_pattern(m + n, s, N)))
+    return mask, window, paths, third
+
+
+def _product_part(k: int, m: int, l: int, n: int, config: SectorConfig) -> tuple[dict, int]:
+    """V1 V2 - V2 V1, V1 = V^(k)_m and V2 = V^(l)_n, as integer numerators
+    {i*dim + j: value} over d1 d2, summed along the paths of (m, n) and (n, m)."""
+    (v1, d1), (v2, d2) = _v_values(k, m, config), _v_values(l, n, config)
+    acc: dict[int, int] = {}
+    for key, a, b in _commutator_tables(m, n, config.s, config.N)[2]:
+        acc[key] = acc.get(key, 0) + v1[a] * v2[b]
+    for key, a, b in _commutator_tables(n, m, config.s, config.N)[2]:
+        acc[key] = acc.get(key, 0) - v2[a] * v1[b]
+    return acc, d1 * d2
+
+
+def _first_key(acc: dict[int, int], den: int, mask, basis_obj) -> dict | None:
+    """The earliest nonzero entry of acc = {i*dim + j: numerator}, over den,
+    inside the certified_window mask: the least such key, so row, then
+    column. None when all vanish."""
+    dim, w = len(basis_obj), basis_obj.weights
+    for key in sorted([key for key, v in acc.items() if v]):
+        i, j = divmod(key, dim)
+        if mask[w[i]][w[j]]:
+            return _entry_evidence(basis_obj, i, j, Fraction(acc[key], den))
+    return None
+
+
+def _commutator_entry(product, tables, basis, central: Fraction, third=((), 1),
                       pref=Fraction(0)) -> dict | None:
-    """The earliest certified nonzero entry of L/(d1 d2) - pref A3/d3 - central,
-    with pair = ((A1, d1), (A2, d2)) and third = (A3, d3) integer rows and
-    L = A1 A2 - A2 A1, streamed over one common denominator."""
-    ((a1, d1), (a2, d2)), (a3, d3) = pair, third
-    den = d1 * d2 * d3 * pref.denominator * central.denominator
-    f, h = den // (d1 * d2), den // central.denominator * central.numerator
+    """The earliest certified nonzero entry of L/d - pref A3/d3 - central, with
+    product = (L, d) from _product_part, tables from _commutator_tables and
+    third = (A3, d3) the numerators of V^(k+l)_{m+n} from _v_values, over one
+    common denominator."""
+    (acc, d), (a3, d3), (mask, _, _, third_keys) = product, third, tables
+    den = d * d3 * pref.denominator * central.denominator
+    f, h = den // d, den // central.denominator * central.numerator
     g = den // (d3 * pref.denominator) * pref.numerator
-    return _streamed_entry(mask, basis, den, ((a1, a2, f), (a2, a1, -f)),
-                           ((a3, -g),) if g else (), -h)
+    res = {key: f * v for key, v in acc.items()}
+    if g:
+        for key, c in third_keys:
+            res[key] = res.get(key, 0) - g * a3[c]
+    if h:
+        dim = len(basis)
+        for key in range(0, dim * dim, dim + 1):  # the diagonal
+            res[key] = res.get(key, 0) - h
+    return _first_key(res, den, mask, basis)
 
 
 def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> CheckReport:
     """[V^(k)_m, V^(l)_n] = (A1 A2 - A2 A1)/(d1 d2), on the integer forms Ai/di,
     against pref V^(k+l)_{m+n} + central_term by integer cross-multiplication,
-    streamed row by row over the rows whose weight the mask reads. At k+l = 0
-    and m+n = 0 the relation degenerates to a pure central term; the realized
-    sign of that constant is reported, not presumed."""
+    read on the certified window. At k+l = 0 and m+n = 0 the relation
+    degenerates to a pure central term, tried with both signs on one product;
+    the realized sign of that constant is reported, not presumed."""
     params = {"k": k, "m": m, "l": l, "n": n, "s": config.s, "l_weight": config.l,
               "p": format_rational(config.p), "N": config.N}
     report = CheckReport("commutator", params, INSUFFICIENT)
@@ -160,25 +235,26 @@ def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> Ch
     if max(abs(m), abs(n), abs(m + n)) > N:
         report.evidence = {"reason": "shift exceeds the cutoff"}
         return report
-    mask, window = certified_window(N, ((banded(-m), banded(-n)), (banded(-n), banded(-m))))
-    report.window = window
-    if window == 0:
+    tables = _commutator_tables(m, n, config.s, N)
+    report.window = tables[1]
+    if report.window == 0:
         report.evidence = {"reason": "empty certified window"}
         return report
-    pair, b = (v_int(k, m, config), v_int(l, n, config)), get_basis(N)
+    product, b = _product_part(k, m, l, n, config), get_basis(N)
     if k + l == 0 and m + n == 0:
         for sigma in (1, -1):
             central = central_term(k, m, l, n, config.p, sigma)
-            if _commutator_entry(pair, mask, b, central) is None:
+            if _commutator_entry(product, tables, b, central) is None:
                 report.status = PASS
                 report.evidence = {"central_sign": sigma} if m else {}
                 return report
         report.status = FAIL
-        report.evidence = {"worst": _commutator_entry(pair, mask, b, Fraction(0)),
+        report.evidence = {"worst": _commutator_entry(product, tables, b, Fraction(0)),
                            "reason": "central term matches neither sign"}
         return report
-    worst = _commutator_entry(pair, mask, b, central_term(k, m, l, n, config.p),
-                              v_int(k + l, m + n, config), torus_prefactor(k, m, l, n, config.p))
+    worst = _commutator_entry(product, tables, b, central_term(k, m, l, n, config.p),
+                              _v_values(k + l, m + n, config),
+                              torus_prefactor(k, m, l, n, config.p))
     report.status = PASS if worst is None else FAIL
     if worst:
         report.evidence = {"worst": worst}

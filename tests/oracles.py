@@ -4,7 +4,7 @@ Each oracle recomputes its target through a different formula or route than
 the implementation under test. The closed-form oracles use nothing of the
 package beyond partitions and series. identity, get, add, sub, scale, matmul,
 transpose, scale_rows and scale_cols are the Fraction operator arithmetic that
-the package replaced with integer rows streamed inside its checks. The
+the package replaced with integer numerators formed inside its checks. The
 fermion-move oracles build operators one psi_a psi*_b move at a time from the
 Maya-diagram primitives: bilinear_diagonal the diagonal ones,
 v_op_by_bilinears every V^(k)_m. dense_exp is the transfer exponential as a

@@ -347,6 +347,34 @@ def test_reports_stable_under_cutoff_growth(kind, p):
         assert _without_cutoff(grown) == small, task
 
 
+def _fixture_script():
+    """scripts/generate_fixtures.py, loaded from the checkout."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "generate_fixtures.py"
+    spec = importlib.util.spec_from_file_location("generate_fixtures", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_default_commutators_match_oracle_fixture(tmp_path):
+    # the default `verify commutators` report against the line count and
+    # sha256 of the Fraction oracle's lines; on a mismatch the oracle runs
+    # again to name the first line that differs
+    script = _fixture_script()
+    fixture = json.loads((script.OUT / script.COMMUTATORS).read_text())
+    out = tmp_path / "r.jsonl"
+    code, _ = run_cli(["verify", "commutators", "--out", str(out)])
+    assert code == 0
+    ours = [script.report_text(json.loads(text)) for text in out.read_text().splitlines()]
+    if script.lines_digest(ours) == {"lines": fixture["lines"], "sha256": fixture["sha256"]}:
+        return
+    oracle = script.commutator_lines()
+    first = next((i for i, (a, b) in enumerate(zip(ours, oracle)) if a != b),
+                 min(len(ours), len(oracle)))
+    pytest.fail(f"line {first} of {len(ours)} differs from the oracle's {len(oracle)}:\n"
+                f"package: {ours[first:first + 1]}\noracle:  {oracle[first:first + 1]}")
+
+
 def _perfbench_workloads():
     """perfbench/workloads.py, loaded from the checkout without importing
     the rest of the benchmark."""

@@ -284,6 +284,22 @@ def _values(rows, den) -> dict:
     return {i: row for i, row in values.items() if row}
 
 
+def _readable_rows(m, n, N) -> list:
+    """The rows of a weight the commutator mask reads, from the chains in the
+    order the oracle writes them."""
+    mask, _ = fock.certified_window(N, ((banded(-m), banded(-n)), (banded(-n), banded(-m))))
+    w = get_basis(N).weights
+    return [i for i in range(len(w)) if any(mask[w[i]])]
+
+
+def _flat_rows(acc, dim) -> dict:
+    rows = {}
+    for key, v in acc.items():
+        i, j = divmod(key, dim)
+        rows.setdefault(i, {})[j] = v
+    return rows
+
+
 def test_integer_forms_hold_ints_in_lowest_terms(monkeypatch):
     config = SectorConfig(1, 6, Fraction(2, 3))
     for k, m in ((2, -3), (-1, 0), (0, 2), (1, 1)):
@@ -294,23 +310,77 @@ def test_integer_forms_hold_ints_in_lowest_terms(monkeypatch):
     for family in ("plain", "alternating"):
         rows, den = symmetries._transfer_pair_rows(config.p, 6, family)
         assert _in_lowest_terms((v for row in rows.values() for v in row.values()), den)
-    seen = _scanned_residuals(monkeypatch)
-    k, m, l, n = 2, 1, -1, 2
-    assert commutator_check(k, m, l, n, config).status == PASS
-    (rows, den), = seen
-    # the residual is streamed over a common denominator, not reduced: only
-    # a reported entry becomes a Fraction
-    assert den > 0 and all(type(v) is int for row in rows.values() for v in row.values())
-    v1, v2 = v_op(k, m, config), v_op(l, n, config)
-    expected = oracles.sub(
-        oracles.sub(oracles.matmul(v1, v2), oracles.matmul(v2, v1)),
-        oracles.scale(v_op(k + l, m + n, config), symmetries.torus_prefactor(k, m, l, n, config.p)))
-    # the stream visits exactly the rows of a weight the mask reads, in order
-    mask, _ = fock.certified_window(6, ((banded(-m), banded(-n)), (banded(-n), banded(-m))))
-    w = get_basis(6).weights
-    readable = [i for i in range(len(w)) if any(mask[w[i]])]
-    assert list(rows) == readable
-    assert _values(rows, den) == {i: row for i, row in expected.rows.items() if i in readable}
+    seen = []
+    monkeypatch.setattr(symmetries, "_first_key", lambda acc, den, *a, f=symmetries._first_key:
+                        seen.append((dict(acc), den)) or f(acc, den, *a))
+    # at (2, 1, -1, 2) the residual vanishes on every readable row; at
+    # (1, -2, 2, 3) it has 60 nonzero entries there, all in uncertified cells
+    for k, m, l, n in ((2, 1, -1, 2), (1, -2, 2, 3)):
+        seen.clear()
+        assert commutator_check(k, m, l, n, config).status == PASS
+        (acc, den), = seen
+        # the residual is filled over a common denominator, not reduced: only
+        # a reported entry becomes a Fraction
+        assert den > 0 and all(type(v) is int for v in acc.values())
+        v1, v2 = v_op(k, m, config), v_op(l, n, config)
+        expected = oracles.sub(
+            oracles.sub(oracles.matmul(v1, v2), oracles.matmul(v2, v1)),
+            oracles.scale(v_op(k + l, m + n, config),
+                          symmetries.torus_prefactor(k, m, l, n, config.p)))
+        # the accumulator holds rows of a weight the mask reads (every row, for
+        # a commutator) and no other, and on them it is the Fraction residual,
+        # uncertified entries included
+        rows, readable = _flat_rows(acc, len(get_basis(6))), _readable_rows(m, n, 6)
+        assert set(rows) <= set(readable)
+        assert _values(rows, den) == {i: row for i, row in expected.rows.items() if i in readable}
+
+
+def _table_rows(terms, den, N) -> dict:
+    """{i: {j: value}} of the flat terms (i*dim + j, numerator) over den, the
+    numerators of a key summed and the zeros dropped."""
+    acc = {}
+    for key, v in terms:
+        acc[key] = acc.get(key, 0) + v
+    return _values(_flat_rows(acc, len(get_basis(N))), den)
+
+
+@pytest.mark.parametrize("N,pairs", [
+    (6, [(m, n) for m in range(-3, 4) for n in range(-3, 4)]),
+    (8, [(0, 0), (0, -2), (3, 0), (1, -1), (-4, 2), (2, 4)]),
+])
+def test_commutator_tables_reproduce_the_products(N, pairs):
+    # the path tables and the V^(k+l)_{m+n} keys against Fraction operators;
+    # (k, l) = (0, 0) reads V^(0)_0, whose diagonal vanishes at the vacuum
+    # and keeps that entry
+    for s in (-1, 0, 1):
+        config = SectorConfig(s, N, Fraction(2, 3))
+        for m, n in pairs:
+            # the tables cover every row: the commutator mask reads them all
+            assert _readable_rows(m, n, N) == list(range(len(get_basis(N))))
+            _, _, paths, third = symmetries._commutator_tables(m, n, s, N)
+            for k, l in ((0, 0), (1, -2)):
+                (v1, d1), (v2, d2) = (symmetries._v_values(k, m, config),
+                                      symmetries._v_values(l, n, config))
+                assert _table_rows(((key, v1[a] * v2[b]) for key, a, b in paths), d1 * d2, N) == (
+                    oracles.matmul(v_op(k, m, config), v_op(l, n, config)).rows), (s, m, n)
+                v3, d3 = symmetries._v_values(k + l, m + n, config)
+                assert _table_rows(((key, v3[c]) for key, c in third), d3, N) == (
+                    v_op(k + l, m + n, config).rows), (s, m, n)
+    assert symmetries._v_values(0, 0, SectorConfig(0, N, P))[0][0] == 0
+
+
+def test_commutator_masks_are_shared_by_both_orders():
+    # (m, n) and (n, m) ask certified_window for one mask: 28 fills for the
+    # 49 pairs of the grid, and the mask does not depend on the chain order
+    for m in range(-3, 4):
+        for n in range(-3, 4):
+            chains = ((banded(-m), banded(-n)), (banded(-n), banded(-m)))
+            assert fock.certified_window(6, chains) == fock.certified_window(6, chains[::-1])
+    fock.certified_window.cache_clear()
+    symmetries._commutator_tables.cache_clear()
+    config = SectorConfig(0, 6, Fraction(5, 7))
+    assert all(commutator_check(*args, config).passed for args in COMMUTATOR_GRID)
+    assert fock.certified_window.cache_info().misses == 28
 
 
 # at each point the Fraction residual has nonzero rows of weight 6; rows of
@@ -395,8 +465,8 @@ def test_operator_reports_stable_under_cutoff_growth(p):
 def test_tracer_hooks_see_every_product(monkeypatch):
     # a tracer that wraps fock.v_op sees every V the checks build: they take
     # V through fock.v_int, which reads fock.v_op at call time. The products
-    # are streamed row by row inside the checks, so they count under the
-    # checks themselves
+    # are formed inside the checks, the commutator's along its path tables and
+    # the first shift's row by row, so they count under the checks themselves
     seen = []
     monkeypatch.setattr(fock, "v_op", lambda *a, f=fock.v_op: seen.append(a) or f(*a))
     config = SectorConfig(0, 4, Fraction(5, 13))
