@@ -2,7 +2,7 @@
 quantum-torus shift symmetries, and 2D Toda tau functions."""
 
 from .algebra import SeriesContext, TruncatedSeries, series_exp, series_partial
-from .fock import SectorConfig, j_op, v_op
+from .fock import SectorConfig
 from .models import (
     ModelParams,
     charge_offset,

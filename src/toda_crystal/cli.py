@@ -10,6 +10,7 @@ or raised, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -230,23 +231,27 @@ def _worker_count(n_tasks: int) -> int:
     return workers
 
 
+def _writer(path: str | None):
+    """The --out file, or stdout, opened before any work starts."""
+    try:
+        return open(path, "w") if path else contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise UsageError(f"cannot open --out {path!r}: {exc.strerror}") from None
+
+
 def cmd_verify(cfg: RunConfig, suite: str) -> int:
     tasks = _task_list(suite, cfg)
     workers = _worker_count(len(tasks))
-    if workers > 1:
-        import multiprocessing
+    with _writer(cfg.out) as out:
+        if workers > 1:
+            import multiprocessing
 
-        with multiprocessing.Pool(workers) as pool:
-            lines = pool.map(_run_task, tasks)
-    else:
-        lines = [_run_task(t) for t in tasks]
-    lines.sort(key=_sort_key)
-    payload = "".join(json.dumps(line, separators=(",", ":")) + "\n" for line in lines)
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+            with multiprocessing.Pool(workers) as pool:
+                lines = pool.map(_run_task, tasks)
+        else:
+            lines = [_run_task(t) for t in tasks]
+        lines.sort(key=_sort_key)
+        out.write("".join(json.dumps(line, separators=(",", ":")) + "\n" for line in lines))
     n_pass = sum(1 for line in lines if line["status"] == "pass")
     print(f"{suite}: {n_pass}/{len(lines)} checks passed", file=sys.stderr)
     return 0 if n_pass == len(lines) else 1
@@ -259,33 +264,29 @@ def cmd_compute(cfg: RunConfig, target: str) -> int:
     if len(cfg.s_list) != 1 or len(cfg.l_list) != 1:
         raise UsageError("compute expects a single --s and a single --l")
     s, l = cfg.s_list[0], cfg.l_list[0]
-    if target == "zprime-special":
-        # s = 0 with the couplings off
-        params = ModelParams(0, l, cfg.p, SeriesContext(1, 0, cfg.NQ))
-    else:
-        params = cfg.params(s, l)
-    if target in ("zprime", "zprime-special"):
-        series = zprime_series(params)
-    elif target == "z":
-        series = z_series(params)
-    elif target == "tau-prime":
-        series = toda.tau_prime_series(params).series
-    else:  # tau-prev; argparse restricts the target to TARGETS
-        series = toda.tau_prev_series(params, cfg.form).series
-    doc = {
-        "target": target,
-        "params": {"p": str(cfg.p), "s": params.s, "l": l, "K": params.ctx.K,
-                   "D": params.ctx.D, "NQ": params.ctx.NQ, "N": params.N},
-        "series": series.to_json_dict(),
-    }
-    if target == "tau-prev":
-        doc["params"]["form"] = cfg.form
-    payload = json.dumps(doc, separators=(",", ":")) + "\n"
-    if cfg.out:
-        with open(cfg.out, "w") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload)
+    with _writer(cfg.out) as out:
+        if target == "zprime-special":
+            # s = 0 with the couplings off
+            params = ModelParams(0, l, cfg.p, SeriesContext(1, 0, cfg.NQ))
+        else:
+            params = cfg.params(s, l)
+        if target in ("zprime", "zprime-special"):
+            series = zprime_series(params)
+        elif target == "z":
+            series = z_series(params)
+        elif target == "tau-prime":
+            series = toda.tau_prime_series(params).series
+        else:  # tau-prev; argparse restricts the target to TARGETS
+            series = toda.tau_prev_series(params, cfg.form).series
+        doc = {
+            "target": target,
+            "params": {"p": str(cfg.p), "s": params.s, "l": l, "K": params.ctx.K,
+                       "D": params.ctx.D, "NQ": params.ctx.NQ, "N": params.N},
+            "series": series.to_json_dict(),
+        }
+        if target == "tau-prev":
+            doc["params"]["form"] = cfg.form
+        out.write(json.dumps(doc, separators=(",", ":")) + "\n")
     return 0
 
 

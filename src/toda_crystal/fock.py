@@ -16,16 +16,16 @@ own indices, and asks certified_window once for its mask, an (N+1) x (N+1)
 table over weight pairs filled once per pair, and reads every entry against
 it. Entries outside the mask are never used.
 
-Operators are held, never combined: a SectorOperator is the rows of one
-matrix. The particle moves of a shift depend on it, the charge and the cutoff
-alone, and are built once, in move_table; V^(k)_m puts +-p^v_exponent on each
-move, J_k its sign, a transfer exponent +-c_k. integer_form writes rows as
-integer numerators over one denominator, v_int caches them for each V, and
-the checks form each product from integer rows or, for the commutators, from
-the numerators of each V laid out along its moves. The transfer
-exponentials G+- are only ever applied to vectors, by transfer_row, in the
-same form; their dense matrices, the dense pair G_-G_+ and the Fraction
-operator arithmetic are the test oracles' reference.
+Operators are held, never combined, and always in integer form: integer
+numerators over one denominator. The particle moves of a shift depend on it,
+the charge and the cutoff alone, and are built once, in move_table. v_int,
+the one builder of V^(k)_m, lays the numerators of +-p^v_exponent out along
+v_pattern, the moves (at m = 0 the potential diagonal); J_k puts its sign on
+each move, a transfer exponent +-c_k. The checks form each product from
+these numerators. The transfer exponentials G+- are only ever applied to
+vectors, by transfer_row, in the same form; their dense matrices, the dense
+pair G_-G_+ and every Fraction operator, V and J among them, are the test
+oracles' reference.
 """
 
 from __future__ import annotations
@@ -248,28 +248,7 @@ def certified_window(N: int, chains: tuple[tuple[ShiftClass, ...], ...] = (),
 
 
 # ---------------------------------------------------------------------------
-# Sector operators
-
-class SectorOperator:
-    """Sparse charge-preserving operator, rows[i][j] = <lambda_i, s| O |mu_j, s>.
-
-    rows stores no zero entry and no empty row. The constructor takes rows as
-    given, so every producer whose entries can cancel drops its own zeros.
-    Nothing changes rows in place, so operators may share them."""
-
-    __slots__ = ("config", "basis", "rows")
-
-    def __init__(self, config: SectorConfig, basis_obj: Basis,
-                 rows: dict[int, dict[int, object]]):
-        self.config = config
-        self.basis = basis_obj
-        self.rows = rows
-
-    @classmethod
-    def diagonal(cls, config: SectorConfig, values: Sequence) -> "SectorOperator":
-        b = get_basis(config.N)
-        return cls(config, b, {i: {i: values[i]} for i in range(len(b)) if values[i]})
-
+# Integer forms
 
 def apply_row(vec: Mapping[int, object], rows: Mapping[int, Mapping]) -> dict[int, object]:
     """Row vector times the matrix with the given rows."""
@@ -291,6 +270,15 @@ def integer_form(rows: Mapping[int, Mapping[int, Fraction]]) -> tuple[dict, int]
     den = math.lcm(*(v.denominator for row in rows.values() for v in row.values()))
     return {i: {j: v.numerator * (den // v.denominator) for j, v in row.items()}
             for i, row in rows.items()}, den
+
+
+def power_form(p: Fraction, exps: Sequence[int]) -> tuple[tuple[int, ...], int]:
+    """The powers p^e, e in exps, as integer numerators over one denominator,
+    in lowest terms: with p = a/b, lo = min(0, exps) and hi = max(0, exps),
+    p^e = a^(e - lo) b^(hi - e) / (a^-lo b^hi). No exponent gives ((), 1)."""
+    a, b = p.numerator, p.denominator
+    lo, hi = min([0, *exps]), max([0, *exps])
+    return tuple(a ** (e - lo) * b ** (hi - e) for e in exps), a ** -lo * b ** hi
 
 
 # ---------------------------------------------------------------------------
@@ -319,35 +307,33 @@ def v_exponent(k: int, m: int, src: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def v_op(k: int, m: int, config: SectorConfig) -> SectorOperator:
-    """Quantum-torus generator with upper index k and energy shift -m:
-    q^{-km/2} sum_n q^{kn} :psi_{m-n} psi*_n:. The m = 0 member is the
-    diagonal with the standard potential eigenvalues; the others put the
-    amplitude +-p^v_exponent(k, m, src) on each move of the cached move_table."""
-    if abs(m) > config.N:
-        raise ValueError(f"|m| = {abs(m)} exceeds the cutoff {config.N}")
-    b = get_basis(config.N)
-    s = config.s
-    pw = lru_cache(maxsize=None)(config.p.__pow__)  # the powers of p this V reads
-    if m == 0:
-        return SectorOperator.diagonal(config, [maya_diag_sum(
-            mu.parts, s, lambda x: pw(v_exponent(k, 0, x))) for mu in b.parts])
-    rows: dict[int, dict[int, object]] = {}
-    for i, j, sign, src in move_table(m, s, config.N):
-        amp = pw(v_exponent(k, m, src))
-        rows.setdefault(i, {})[j] = amp if sign > 0 else -amp
-    return SectorOperator(config, b, rows)
+def v_pattern(m: int, s: int, N: int) -> tuple[tuple[int, int], ...]:
+    """The (row, col) of each entry V^(k)_m can hold, whatever k: the moves of
+    move_table, which give distinct pairs, or at m = 0 the basis diagonal,
+    with the entries that vanish (V^(0)_0 at the vacuum) kept."""
+    if m:
+        return tuple((i, j) for i, j, _, _ in move_table(m, s, N))
+    return tuple((i, i) for i in range(len(get_basis(N))))
 
 
 @lru_cache(maxsize=None)
-def v_int(k: int, m: int, config: SectorConfig) -> tuple[dict, int]:
-    """The rows of v_op(k, m, config) in integer form."""
-    return integer_form(v_op(k, m, config).rows)
-
-
-def j_op(k: int, config: SectorConfig) -> SectorOperator:
-    """Current mode: shifts one particle down by k; equals v_op(0, k)."""
-    return v_op(0, k, config)
+def v_int(k: int, m: int, config: SectorConfig) -> tuple[tuple[int, ...], int]:
+    """V^(k)_m = q^{-km/2} sum_n q^{kn} :psi_{m-n} psi*_n: as integer numerators
+    aligned with v_pattern(m, s, N) over one denominator, in lowest terms: the
+    power_form of +-p^v_exponent on each move, or at m = 0 the diagonal of the
+    potential eigenvalues over the lcm of their denominators."""
+    if abs(m) > config.N:
+        raise ValueError(f"|m| = {abs(m)} exceeds the cutoff {config.N}")
+    s, p = config.s, config.p
+    if m == 0:
+        pw = lru_cache(maxsize=None)(p.__pow__)  # the powers of p this diagonal reads
+        diag = [maya_diag_sum(mu.parts, s, lambda x: pw(v_exponent(k, 0, x)))
+                for mu in get_basis(config.N).parts]
+        den = math.lcm(*(v.denominator for v in diag))
+        return tuple(v.numerator * (den // v.denominator) for v in diag), den
+    moves = move_table(m, s, config.N)
+    nums, den = power_form(p, [v_exponent(k, m, src) for _, _, _, src in moves])
+    return tuple(v if sign > 0 else -v for (_, _, sign, _), v in zip(moves, nums)), den
 
 
 @lru_cache(maxsize=None)

@@ -5,13 +5,15 @@ split rule certifies, and reports the earliest (canonical order) offending
 entry on failure. A check writes the chain of each product it compares from
 its own indices: V^(k)_m is banded(-m), G_- and G_+ RAISING and LOWERING,
 and reads the residual against the one certified_window mask of the chains.
+Every V is fock.v_int's, integer numerators along the moves of v_pattern.
 Both product residuals are integer numerators over one common denominator,
 so each equality is an integer cross-multiplication and only a reported
 entry becomes a Fraction; no operator product or sum is formed. The
 commutator's V factors are sparse, a few terms to a row, so it builds the
-two-move paths of each product V_m V_n once per (m, n) and fills one flat
-accumulator {i*dim + j: numerator} per check along them. The first shift's
-G_-G_+ rows are dense, so _streamed_entry forms each row the mask reads, in
+two-move paths of each product V_m V_n once per (m, n), as positions in the
+v_pattern tuples, and fills one flat accumulator {i*dim + j: numerator} per
+check along them. The first shift's G_-G_+ rows are dense, so it lays its V
+tuples out as rows, and _streamed_entry forms each row the mask reads, in
 ascending order, as a sum of products of integer rows, and stops at the
 first nonzero entry. The second shift needs no product: each entry of
 either side is the sign of one move of move_table times a power of p, so it
@@ -37,6 +39,7 @@ from .fock import (
     transfer_pair_row,
     v_exponent,
     v_int,
+    v_pattern,
     w0_diag,
 )
 
@@ -136,24 +139,6 @@ def _streamed_entry(mask, basis, den: int, products, linear=()) -> dict | None:
 
 
 @lru_cache(maxsize=None)
-def _pattern(m: int, s: int, N: int) -> tuple[tuple[int, int], ...]:
-    """The (row, col) of each entry V^(k)_m can hold, whatever k: the moves of
-    move_table, which give distinct pairs, or at m = 0 the basis diagonal,
-    with the entries that vanish (V^(0)_0 at the vacuum) kept."""
-    if m:
-        return tuple((i, j) for i, j, _, _ in move_table(m, s, N))
-    return tuple((i, i) for i in range(len(get_basis(N))))
-
-
-@lru_cache(maxsize=None)
-def _v_values(k: int, m: int, config: SectorConfig) -> tuple[tuple[int, ...], int]:
-    """The integer numerators of v_int(k, m, config), aligned with _pattern,
-    and their denominator."""
-    rows, den = v_int(k, m, config)
-    return tuple(rows.get(i, {}).get(j, 0) for i, j in _pattern(m, config.s, config.N)), den
-
-
-@lru_cache(maxsize=None)
 def _commutator_tables(m: int, n: int, s: int, N: int) -> tuple:
     """What a commutator check of (m, n) reads in the charge-s sector cut at N,
     as (mask, window, paths, third).
@@ -161,26 +146,26 @@ def _commutator_tables(m: int, n: int, s: int, N: int) -> tuple:
     mask and window are certified_window's for the chains of V_m V_n and
     V_n V_m, asked for in one order for (m, n) and (n, m): the mask does not
     depend on it. paths holds the two-move paths of V_m V_n, (i*dim + j, a, b)
-    for each entry a = (i, x) of _pattern(m) and b = (x, j) of _pattern(n);
-    third holds (i*dim + j, c) for each entry c = (i, j) of _pattern(m + n).
+    for each entry a = (i, x) of v_pattern(m) and b = (x, j) of v_pattern(n);
+    third holds (i*dim + j, c) for each entry c = (i, j) of v_pattern(m + n).
     Both cover every row: with |m|, |n| <= N the split rule certifies column
     weight 0 for both chains, so the mask reads every row weight."""
     lo, hi = sorted((m, n))
     mask, window = certified_window(N, ((banded(-lo), banded(-hi)), (banded(-hi), banded(-lo))))
     dim = len(get_basis(N))
     after: dict[int, list[tuple[int, int]]] = {}
-    for b, (x, j) in enumerate(_pattern(n, s, N)):
+    for b, (x, j) in enumerate(v_pattern(n, s, N)):
         after.setdefault(x, []).append((b, j))
-    paths = tuple((i * dim + j, a, b) for a, (i, x) in enumerate(_pattern(m, s, N))
+    paths = tuple((i * dim + j, a, b) for a, (i, x) in enumerate(v_pattern(m, s, N))
                   for b, j in after.get(x, ()))
-    third = tuple((i * dim + j, c) for c, (i, j) in enumerate(_pattern(m + n, s, N)))
+    third = tuple((i * dim + j, c) for c, (i, j) in enumerate(v_pattern(m + n, s, N)))
     return mask, window, paths, third
 
 
 def _product_part(k: int, m: int, l: int, n: int, config: SectorConfig) -> tuple[dict, int]:
     """V1 V2 - V2 V1, V1 = V^(k)_m and V2 = V^(l)_n, as integer numerators
     {i*dim + j: value} over d1 d2, summed along the paths of (m, n) and (n, m)."""
-    (v1, d1), (v2, d2) = _v_values(k, m, config), _v_values(l, n, config)
+    (v1, d1), (v2, d2) = v_int(k, m, config), v_int(l, n, config)
     acc: dict[int, int] = {}
     for key, a, b in _commutator_tables(m, n, config.s, config.N)[2]:
         acc[key] = acc.get(key, 0) + v1[a] * v2[b]
@@ -205,7 +190,7 @@ def _commutator_entry(product, tables, basis, central: Fraction, third=((), 1),
                       pref=Fraction(0)) -> dict | None:
     """The earliest certified nonzero entry of L/d - pref A3/d3 - central, with
     product = (L, d) from _product_part, tables from _commutator_tables and
-    third = (A3, d3) the numerators of V^(k+l)_{m+n} from _v_values, over one
+    third = (A3, d3) the numerators of V^(k+l)_{m+n} from v_int, over one
     common denominator."""
     (acc, d), (a3, d3), (mask, _, _, third_keys) = product, third, tables
     den = d * d3 * pref.denominator * central.denominator
@@ -253,12 +238,21 @@ def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> Ch
                            "reason": "central term matches neither sign"}
         return report
     worst = _commutator_entry(product, tables, b, central_term(k, m, l, n, config.p),
-                              _v_values(k + l, m + n, config),
+                              v_int(k + l, m + n, config),
                               torus_prefactor(k, m, l, n, config.p))
     report.status = PASS if worst is None else FAIL
     if worst:
         report.evidence = {"worst": worst}
     return report
+
+
+def _v_rows(k: int, m: int, config: SectorConfig) -> tuple[dict[int, dict[int, int]], int]:
+    """v_int(k, m, config) laid out as integer rows {i: {j: value}}, and its den."""
+    values, den = v_int(k, m, config)
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), v in zip(v_pattern(m, config.s, config.N), values):
+        rows.setdefault(i, {})[j] = v
+    return rows, den
 
 
 @lru_cache(maxsize=None)
@@ -304,7 +298,7 @@ def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> Che
     parity = (-1) ** k if variant == "G" else 1
     c = torus_constant(upper, config.p)
     g, d_g = _transfer_pair_rows(config.p, N, "plain" if variant == "G" else "alternating")
-    (left, d_l), (right, d_r) = v_int(upper, m, config), v_int(upper, m + k, config)
+    (left, d_l), (right, d_r) = _v_rows(upper, m, config), _v_rows(upper, m + k, config)
     c_g = (c if m == 0 else 0) - parity * (c if m + k == 0 else 0)  # c_L - parity c_R
     den = d_g * d_l * d_r * c_g.denominator
     products = ((g, left, den // (d_g * d_l)), (right, g, -parity * (den // (d_r * d_g))))

@@ -55,8 +55,8 @@ from .fock import (
     certified_window,
     get_basis,
     banded,
-    j_op,
     move_table,
+    power_form,
     reduced,
     transfer_pair_row,
     transfer_row,
@@ -171,17 +171,13 @@ class GradedOperator:
         self.basis_col = cache(lambda i: self.col(({i: 1}, 1)))
 
     def _scaled(self, vec: IntVector, c: int) -> IntVector:
-        """vec times the diagonal p^{c W0}, with p = a/b: numerator i gains
-        a^(e_i - lo) b^(hi - e_i) and the denominator a^-lo b^hi, where
-        e_i = c w0_i, lo = min(0, e) and hi = max(0, e)."""
+        """vec times the diagonal p^{c W0}, by the power_form of the exponents
+        c w0_i."""
         nums, den = vec
         if not c or not nums:
             return vec
-        a, b = self.config.p.numerator, self.config.p.denominator
-        exps = {i: c * self._w0[i] for i in nums}
-        lo, hi = min(0, *exps.values()), max(0, *exps.values())
-        return ({i: v * a ** (exps[i] - lo) * b ** (hi - exps[i]) for i, v in nums.items()},
-                den * a ** -lo * b ** hi)
+        powers, d = power_form(self.config.p, [c * self._w0[i] for i in nums])
+        return {i: v * f for (i, v), f in zip(nums.items(), powers)}, den * d
 
     def _cut(self, vec: IntVector) -> IntVector:
         return {i: v for i, v in vec[0].items() if i < self._limit}, vec[1]
@@ -446,15 +442,12 @@ def ground_action_constants(s: int, p: Fraction, N: int) -> CheckReport:
 
 
 def _linear_combination(vector, coeffs) -> IntVector:
-    """sum_i coeffs[i] vector(i) for rational coeffs and integer-form vectors,
-    over the least common denominator of the terms."""
-    terms = []
-    for i, c in coeffs.items():
-        nums, den = vector(i)
-        terms.append((c.numerator, c.denominator * den, nums))
-    den = math.lcm(*(d for _, d, _ in terms))
+    """sum_i coeffs[i] vector(i) for integer coeffs and integer-form vectors,
+    over the least common denominator of the vectors."""
+    terms = [(c, *vector(i)) for i, c in coeffs.items()]
+    den = math.lcm(*(d for _, _, d in terms))
     out: dict[int, int] = {}
-    for c, d, nums in terms:
+    for c, nums, d in terms:
         f = c * (den // d)
         for j, v in nums.items():
             out[j] = out[j] + f * v if j in out else f * v
@@ -468,15 +461,15 @@ def _first_residual_entry(g: GradedOperator, k: int, right_k: int, mask) -> dict
     The entry at (lam, mu) is <e_lam J_k A, Pi_n B e_mu> - <e_lam A, Pi_n B J_r e_mu>,
     with J_r = J_{right_k}. By linearity e_lam J_k A = sum_kappa (J_k)_{lam,kappa}
     row(e_kappa), and likewise on the right, where the columns of J_r are the
-    rows of its transpose J_{-right_k}; so the J-dressed vectors cost no pushes
-    of their own. A basis vector is pushed when the scan first needs it. Both
-    sides are integer grade dots over their own denominators, so an entry is
-    nonzero when their cross-products differ; only a reported entry is built
-    as a Fraction."""
+    rows of its transpose J_{-right_k}, both the charge-free signs of _j_matrix;
+    so the J-dressed vectors cost no pushes of their own. A basis vector is
+    pushed when the scan first needs it. Both sides are integer grade dots over
+    their own denominators, so an entry is nonzero when their cross-products
+    differ; only a reported entry is built as a Fraction."""
     b = g.basis
     w = b.weights
     row, col = g.basis_row, g.basis_col
-    jl, jr_cols = j_op(k, g.config).rows, j_op(-right_k, g.config).rows
+    jl, jr_cols = _j_matrix(k, g.config.N), _j_matrix(-right_k, g.config.N)
     dressed_row = cache(lambda lam: _linear_combination(row, jl.get(lam, {})))
     dressed_col = cache(lambda mu: _linear_combination(col, jr_cols.get(mu, {})))
     for n in range(g.params.ctx.NQ + 1):

@@ -2,9 +2,10 @@
 
 Each oracle recomputes its target through a different formula or route than
 the implementation under test. The closed-form oracles use nothing of the
-package beyond partitions and series. identity, get, add, sub, scale, matmul,
-transpose, scale_rows and scale_cols are the Fraction operator arithmetic that
-the package replaced with integer numerators formed inside its checks. The
+package beyond partitions and series. v_op and j_op view fock.v_int as
+SectorOperators, and identity, get, add, sub, scale, matmul, transpose,
+scale_rows and scale_cols are the Fraction operator arithmetic that the
+package replaced with integer numerators formed inside its checks. The
 fermion-move oracles build operators one psi_a psi*_b move at a time from the
 Maya-diagram primitives: bilinear_diagonal the diagonal ones,
 v_op_by_bilinears every V^(k)_m. dense_exp is the transfer exponential as a
@@ -47,17 +48,17 @@ from toda_crystal.fock import (
     FULL,
     LOWERING,
     RAISING,
+    Basis,
     SectorConfig,
-    SectorOperator,
     apply_row,
     banded,
     certified_window,
     get_basis,
-    j_op,
     move_particle,
     occupied,
     transfer_weights,
-    v_op,
+    v_int,
+    v_pattern,
     w0_diag,
 )
 from toda_crystal.models import (
@@ -156,8 +157,33 @@ def schur_jacobi_trudi(mu: Partition, p: Fraction) -> Fraction:
     return exact_det(mat)
 
 
+@dataclass
+class SectorOperator:
+    """Sparse charge-preserving Fraction operator, rows[i][j] = <lambda_i, s| O |mu_j, s>,
+    with no zero entry and no empty row; operators may share rows."""
+
+    config: SectorConfig
+    basis: Basis
+    rows: dict
+
+
+@lru_cache(maxsize=None)
+def v_op(k: int, m: int, config) -> SectorOperator:
+    """fock.v_int as a Fraction operator, laid out along fock.v_pattern."""
+    values, den = v_int(k, m, config)
+    rows: dict[int, dict[int, Fraction]] = {}
+    for (i, j), v in zip(v_pattern(m, config.s, config.N), values):
+        if v:
+            rows.setdefault(i, {})[j] = Fraction(v, den)
+    return SectorOperator(config, get_basis(config.N), rows)
+
+
+j_op = partial(v_op, 0)  # the current mode J_k = V^(0)_k
+
+
 def identity(config) -> SectorOperator:
-    return SectorOperator.diagonal(config, [1] * len(get_basis(config.N)))
+    b = get_basis(config.N)
+    return SectorOperator(config, b, {i: {i: 1} for i in range(len(b))})
 
 
 def get(op: SectorOperator, i: int, j: int):
@@ -597,7 +623,7 @@ def bilinear_diagonal(config, f) -> SectorOperator:
             coeff, out_state = res
             assert out_state == state
             vals[idx] += coeff * f(n)
-    return SectorOperator.diagonal(config, vals)
+    return SectorOperator(config, b, {i: {i: v} for i, v in enumerate(vals) if v})
 
 
 def v_op_by_bilinears(k: int, m: int, config) -> SectorOperator:

@@ -102,6 +102,20 @@ def test_usage_errors_exit_2():
     assert code == 2
 
 
+def test_unwritable_out_is_a_usage_error(monkeypatch, capsys, tmp_path):
+    # the output is opened before any work starts, so a bad --out costs none
+    calls = []
+    monkeypatch.setattr(toda_crystal.cli, "_run_task", calls.append)
+    monkeypatch.setattr(toda_crystal.toda, "tau_prime_series", calls.append)
+    for command in (["verify", "toeplitz"], ["compute", "tau-prime"]):
+        code, out = run_cli([*command, *SMALL, "--out", str(tmp_path / "missing" / "r.json")])
+        err = capsys.readouterr().err
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot open --out") and err.count("\n") == 1
+        assert "Traceback" not in err
+    assert calls == []
+
+
 def test_verify_insufficient_window_exits_1(tmp_path):
     out = tmp_path / "r.jsonl"
     code, _ = run_cli(["verify", "shift", "--p", "1/2", "--NQ", "0", "--D", "0",

@@ -1,28 +1,29 @@
+import math
 from fractions import Fraction
 from functools import reduce
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from toda_crystal import (
     Partition,
     SectorConfig,
-    j_op,
     schur_qrho,
     phi_potential,
     l0_eigenvalue,
     w0_eigenvalue,
-    v_op,
 )
+from toda_crystal import fock
 from toda_crystal.fock import (
     FULL,
     LOWERING,
     RAISING,
-    SectorOperator,
     apply_row,
     banded,
     certified_window,
     get_basis,
     move_table,
+    power_form,
     transfer_row,
     transfer_weights,
     w0_diag,
@@ -32,17 +33,20 @@ from toda_crystal.toda import _time_rows
 import oracles
 from oracles import (
     FockState,
+    SectorOperator,
     add,
     apply_bilinear,
     apply_col,
     bilinear_diagonal,
     get,
     identity,
+    j_op,
     matmul,
     scale,
     scale_rows,
     sub,
     transpose,
+    v_op,
 )
 
 P = Fraction(1, 2)
@@ -136,17 +140,60 @@ def test_v_op_matches_bilinear_oracle(N, p):
 
 
 def test_move_table_built_once_per_shift():
-    # a p no other test draws, so every v_op below is built here
+    # a p no other test draws, so every V below is built here
     N, s = 4, 1
     c = cfg(s=s, N=N, p=Fraction(5, 11))
     move_table.cache_clear()
     for k in range(-4, 5):
         for m in range(-N, N + 1):
-            v_op(k, m, c)
+            fock.v_int(k, m, c)
     shifts = 2 * N  # every m != 0; the m = 0 diagonal needs no moves
     info = move_table.cache_info()
     assert (info.misses, info.hits) == (shifts, 8 * shifts)
     assert move_table(1, s, N) is move_table(1, s, N)
+
+
+def test_v_int_reads_no_fraction_power(monkeypatch):
+    # away from the diagonal V's numerators come off move_table through
+    # power_form, with no Fraction power; no Fraction operator is left in fock
+    calls = []
+    monkeypatch.setattr(Fraction, "__pow__", lambda *a, f=Fraction.__pow__: calls.append(a) or f(*a))
+    c = cfg(s=1, N=5, p=Fraction(7, 17))
+    for k in range(-3, 4):
+        for m in (-5, -2, 1, 4):
+            fock.v_int.__wrapped__(k, m, c)
+    assert calls == []
+    fock.v_int.__wrapped__(2, 0, c)  # the m = 0 diagonal sums Fraction powers
+    assert calls
+    assert not {"v_op", "j_op", "SectorOperator"} & set(vars(fock))
+
+
+def _exponent_lists():
+    """All-positive, all-negative, mixed and all-zero lists of exponents."""
+    def mixed(t):
+        neg, pos, rest = t
+        return [neg, *rest, pos]
+
+    return st.one_of(
+        st.lists(st.integers(1, 12), min_size=1, max_size=6),
+        st.lists(st.integers(-12, -1), min_size=1, max_size=6),
+        st.tuples(st.integers(-12, -1), st.integers(1, 12),
+                  st.lists(st.integers(-12, 12), max_size=4)).map(mixed),
+        st.lists(st.just(0), min_size=1, max_size=6))
+
+
+@settings(max_examples=200, deadline=None)
+@given(p=st.integers(2, 9).flatmap(lambda b: st.integers(1, b - 1).map(lambda a: Fraction(a, b))),
+       exps=_exponent_lists())
+def test_power_form_is_the_powers_in_lowest_terms(p, exps):
+    nums, den = power_form(p, exps)
+    assert [Fraction(v, den) for v in nums] == [p ** e for e in exps]
+    assert den > 0 and all(type(v) is int for v in nums) and math.gcd(den, *nums) == 1
+
+
+def test_power_form_of_no_exponent():
+    # no power to write: no numerator, over the denominator 1
+    assert power_form(Fraction(2, 3), []) == ((), 1)
 
 
 def test_j_op_lowers_and_annihilates_ground_state():

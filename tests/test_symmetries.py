@@ -11,13 +11,13 @@ from toda_crystal import (
     first_shift_check,
     second_shift_check,
     torus_constant,
-    v_op,
 )
 from toda_crystal import fock, symmetries
-from toda_crystal.fock import SectorOperator, banded, get_basis
+from toda_crystal.fock import banded, get_basis
 from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS
 
 import oracles
+from oracles import SectorOperator, v_op
 
 P = Fraction(1, 2)
 
@@ -231,8 +231,9 @@ SECOND_SHIFT_GRID = [(k, m) for k in range(-2, 3) for m in range(-2, 3)]
 
 @pytest.mark.parametrize("p", [P, Fraction(2, 3), Fraction(3, 7)])
 def test_second_shift_reports_match_fraction_oracle(p):
-    # both routes take V from v_op, so a wrong exponent helper would move both
-    # sides at once; test_v_op_matches_bilinear_oracle is the test that catches it
+    # both routes take V from fock.v_int, so a wrong exponent helper would move
+    # both sides at once; test_v_op_matches_bilinear_oracle is the test that
+    # catches it
     lines = _same_reports(second_shift_check, oracles.fraction_second_shift_check,
                           SECOND_SHIFT_GRID,
                           [SectorConfig(s, N, p) for s in (-1, 0, 1) for N in (4, 6)])
@@ -292,6 +293,14 @@ def _readable_rows(m, n, N) -> list:
     return [i for i in range(len(w)) if any(mask[w[i]])]
 
 
+def _pattern_rows(m, config, values) -> dict:
+    """{i: {j: value}} of values aligned with fock.v_pattern(m, s, N)."""
+    rows = {}
+    for (i, j), v in zip(fock.v_pattern(m, config.s, config.N), values):
+        rows.setdefault(i, {})[j] = v
+    return rows
+
+
 def _flat_rows(acc, dim) -> dict:
     rows = {}
     for key, v in acc.items():
@@ -303,10 +312,12 @@ def _flat_rows(acc, dim) -> dict:
 def test_integer_forms_hold_ints_in_lowest_terms(monkeypatch):
     config = SectorConfig(1, 6, Fraction(2, 3))
     for k, m in ((2, -3), (-1, 0), (0, 2), (1, 1)):
-        a, den = fock.v_int(k, m, config)
-        assert _in_lowest_terms((v for row in a.values() for v in row.values()), den)
-        assert {i: {j: Fraction(v, den) for j, v in row.items()}
-                for i, row in a.items()} == v_op(k, m, config).rows
+        values, den = fock.v_int(k, m, config)
+        # only the m = 0 diagonal keeps zeros, at its place in v_pattern
+        assert m == 0 or 0 not in values
+        assert _in_lowest_terms((v for v in values if v), den)
+        assert _values(_pattern_rows(m, config, values), den) == (
+            oracles.v_op_by_bilinears(k, m, config).rows)
     for family in ("plain", "alternating"):
         rows, den = symmetries._transfer_pair_rows(config.p, 6, family)
         assert _in_lowest_terms((v for row in rows.values() for v in row.values()), den)
@@ -359,14 +370,14 @@ def test_commutator_tables_reproduce_the_products(N, pairs):
             assert _readable_rows(m, n, N) == list(range(len(get_basis(N))))
             _, _, paths, third = symmetries._commutator_tables(m, n, s, N)
             for k, l in ((0, 0), (1, -2)):
-                (v1, d1), (v2, d2) = (symmetries._v_values(k, m, config),
-                                      symmetries._v_values(l, n, config))
+                (v1, d1), (v2, d2) = fock.v_int(k, m, config), fock.v_int(l, n, config)
                 assert _table_rows(((key, v1[a] * v2[b]) for key, a, b in paths), d1 * d2, N) == (
                     oracles.matmul(v_op(k, m, config), v_op(l, n, config)).rows), (s, m, n)
-                v3, d3 = symmetries._v_values(k + l, m + n, config)
+                v3, d3 = fock.v_int(k + l, m + n, config)
                 assert _table_rows(((key, v3[c]) for key, c in third), d3, N) == (
                     v_op(k + l, m + n, config).rows), (s, m, n)
-    assert symmetries._v_values(0, 0, SectorConfig(0, N, P))[0][0] == 0
+    assert fock.v_pattern(0, 0, N)[0] == (0, 0)
+    assert fock.v_int(0, 0, SectorConfig(0, N, P))[0][0] == 0
 
 
 def test_commutator_masks_are_shared_by_both_orders():
@@ -463,16 +474,17 @@ def test_operator_reports_stable_under_cutoff_growth(p):
 
 
 def test_tracer_hooks_see_every_product(monkeypatch):
-    # a tracer that wraps fock.v_op sees every V the checks build: they take
-    # V through fock.v_int, which reads fock.v_op at call time. The products
-    # are formed inside the checks, the commutator's along its path tables and
-    # the first shift's row by row, so they count under the checks themselves
-    seen = []
-    monkeypatch.setattr(fock, "v_op", lambda *a, f=fock.v_op: seen.append(a) or f(*a))
-    config = SectorConfig(0, 4, Fraction(5, 13))
+    # fock.v_int is the one V builder, and the checks read it at call time, so
+    # a tracer that wraps it sees every V they build. The products are formed
+    # inside the checks, the commutator's along its path tables and the first
+    # shift's row by row, so they count under the checks themselves
     assert symmetries.v_int is fock.v_int
-    fock.v_int.__wrapped__(1, 2, config)
-    assert seen == [(1, 2, config)]
+    seen = []
+    monkeypatch.setattr(symmetries, "v_int", lambda *a, f=fock.v_int: seen.append(a[:2]) or f(*a))
+    config = SectorConfig(0, 4, Fraction(5, 13))
+    assert commutator_check(1, 2, -1, 1, config).passed
+    assert first_shift_check("G", 1, 0, config).passed
+    assert seen == [(1, 2), (-1, 1), (0, 3), (1, 0), (1, 1)]
 
 
 def test_reports_are_deterministic():

@@ -32,15 +32,17 @@ from toda_crystal import (
     zprime_series,
 )
 from toda_crystal.algebra import linear_form, series_exp, series_from_json_dict
-from toda_crystal.fock import SectorConfig, SectorOperator, get_basis, w0_diag
+from toda_crystal.fock import SectorConfig, get_basis, w0_diag
 from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS
 from toda_crystal.toda import GradedOperator, TauSeries, _first_residual_entry, _j_matrix
 
 from oracles import (
     DenseGraded,
+    SectorOperator,
     as_fractions,
     dense_residual_entry,
     get,
+    j_op,
     matmul,
     merge_hatted_into_t,
     residual_mask,
@@ -208,6 +210,17 @@ def _central_sign() -> int:
     cfg = SectorConfig(0, 2, P)
     j1, jm1 = (SectorOperator(cfg, get_basis(2), _j_matrix(k, 2)) for k in (1, -1))
     return int(get(sub(matmul(j1, jm1), matmul(jm1, j1)), 0, 0))
+
+
+@pytest.mark.parametrize("s", range(-3, 3))
+def test_j_matrix_is_the_sign_table_of_j_op(s):
+    # the intertwining scan reads both J factors from the charge-0 sign table
+    # at every charge
+    for N in (4, 6):
+        for k in (*range(-N, 0), *range(1, N + 1)):
+            rows = _j_matrix(k, N)
+            assert rows == j_op(k, SectorConfig(s, N, P)).rows, (k, N)
+            assert all(v in (1, -1) for row in rows.values() for v in row.values())
 
 
 def test_trivial_tau_compare_differs():
