@@ -5,9 +5,11 @@ Each fixture is produced by a route independent of the code path the
 fixture later tests: the partition-function fixture comes from the
 fermionic expectation value of the test oracles (tests/oracles.py), the
 tau fixture comes from inverting the main identity on the
-sum-over-partitions series, and the commutator fixture holds the line
-count and sha256 of the default `verify commutators` report, every line
-taken from the Fraction commutator oracle. Run from a source checkout:
+sum-over-partitions series, and each commutator fixture holds the line
+count and sha256 of the `verify commutators` report at one p and the other
+defaults, every line taken from the Fraction commutator oracle. At p = 1/2
+every off-diagonal V numerator is a power of two, so a second p, 2/3, is
+fixed too. Run from a source checkout:
 
     PYTHONPATH=src python scripts/generate_fixtures.py
 """
@@ -28,7 +30,9 @@ OUT = ROOT / "fixtures"
 sys.path.insert(0, str(ROOT / "tests"))
 from oracles import fermionic_expectation, fraction_commutator_check  # noqa: E402
 
-COMMUTATORS = "commutators_N9_p1of2.json"
+# the file of each commutator fixture by p, and what its command changes
+COMMUTATORS = {"1/2": ("commutators_N9_p1of2.json", "(defaults: N=9, s=-1,0,1, p=1/2)"),
+               "2/3": ("commutators_N9_p2of3.json", "--p 2/3 (other defaults: N=9, s=-1,0,1)")}
 
 
 def tau_prime_by_inversion(params: ModelParams):
@@ -51,11 +55,11 @@ def report_text(line: dict) -> str:
                       separators=(",", ":")) + "\n"
 
 
-def commutator_lines() -> list[str]:
-    """The lines of `verify commutators` at the defaults (N = max(NQ, K*D) = 9,
-    s = -1, 0, 1, p = 1/2), each from the Fraction oracle, in the CLI's order:
-    by check, then by the parameters as sorted-key JSON."""
-    lines = [fraction_commutator_check(k, m, l, n, SectorConfig(s, 9, Fraction(1, 2)))
+def commutator_lines(p: str) -> list[str]:
+    """The lines of `verify commutators --p p` at the other defaults
+    (N = max(NQ, K*D) = 9, s = -1, 0, 1), each from the Fraction oracle, in
+    the CLI's order: by check, then by the parameters as sorted-key JSON."""
+    lines = [fraction_commutator_check(k, m, l, n, SectorConfig(s, 9, Fraction(p)))
              .to_json_dict() for s in (-1, 0, 1) for k in range(-2, 3) for l in range(-2, 3)
              for m in range(-3, 4) for n in range(-3, 4)]
     lines.sort(key=lambda line: (line["check"], json.dumps(line["params"], sort_keys=True)))
@@ -86,20 +90,21 @@ def write_series_fixtures():
     (OUT / "tau_prime_s0_l0_p1of2.json").write_text(json.dumps(doc, indent=1) + "\n")
 
 
-def write_commutator_fixture():
+def write_commutator_fixtures():
     OUT.mkdir(exist_ok=True)
-    doc = {
-        "generated_by": "Fraction commutator oracle over the verify commutators grid",
-        "command": "toda-crystal verify commutators (defaults: N=9, s=-1,0,1, p=1/2)",
-        "format": "each line as the CLI writes it without wall_ms, in the CLI's order",
-        **lines_digest(commutator_lines()),
-    }
-    (OUT / COMMUTATORS).write_text(json.dumps(doc, indent=1) + "\n")
+    for p, (name, args) in COMMUTATORS.items():
+        doc = {
+            "generated_by": "Fraction commutator oracle over the verify commutators grid",
+            "command": f"toda-crystal verify commutators {args}",
+            "format": "each line as the CLI writes it without wall_ms, in the CLI's order",
+            **lines_digest(commutator_lines(p)),
+        }
+        (OUT / name).write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def main():
     write_series_fixtures()
-    write_commutator_fixture()
+    write_commutator_fixtures()
     print("fixtures written to", OUT)
 
 

@@ -13,8 +13,8 @@ cutoff. The rule reads the chain of the product, the shift classes of its
 factors, and the row and column weights alone. Operators carry no shift
 class: each check states the chains of the products it compares, from its
 own indices, and asks certified_window once for its mask, an (N+1) x (N+1)
-table over weight pairs filled once per pair, and reads every entry against
-it. Entries outside the mask are never used.
+table over weight pairs, and reads every entry against it. Entries outside
+the mask are never used.
 
 Operators are held, never combined, and always in integer form: integer
 numerators over one denominator. The particle moves of a shift depend on it,
@@ -57,6 +57,10 @@ class SectorConfig:
             raise ValueError("cutoff N must be nonnegative")
         if not (0 < self.p < 1):
             raise ValueError("p must satisfy 0 < p < 1")
+        object.__setattr__(self, "_hash", hash((self.s, self.N, self.p, self.l)))
+
+    def __hash__(self):  # taken once: a config keys its sector's caches, and p's hash is slow
+        return self._hash
 
 
 class Basis:
@@ -204,25 +208,22 @@ def banded(delta: int) -> ShiftClass:
     return ShiftClass("banded", delta)
 
 
-def _split_certified(chain: tuple[ShiftClass, ...], N: int, row_w: int, col_w: int) -> bool:
-    """Split rule: the product entry (row, col) is exact in the sector cut at
-    N when at every split point min(row-side bound, col-side bound) <= N.
-    The bounds accumulate max(0, -delta) walking right from the row weight
-    (RAISING transparent, anything else unbounded) and max(0, delta) walking
-    left from the col weight (LOWERING transparent, anything else unbounded)."""
-    def bounds(w, factors, sign, transparent):
-        out = []
-        for f in factors:
+def _overflows(chains: tuple[tuple[ShiftClass, ...], ...], N: int, w: int, row_side: bool) -> int:
+    """The split points, one bit each, counted across the chains in turn, where
+    the bound walking in from weight w exceeds N: from the row side it adds
+    max(0, -delta) rightwards (RAISING transparent), from the col side
+    max(0, delta) leftwards (LOWERING transparent); other classes unbound it."""
+    over: list[bool] = []
+    for chain in chains:
+        bound, exceeds = w, []
+        for f in chain[:-1] if row_side else chain[:0:-1]:
             if f.kind == "banded":
-                w += max(0, sign * f.delta)
-            elif f.kind != transparent:
-                w = INF
-            out.append(w)
-        return out
-
-    left = bounds(row_w, chain[:-1], -1, "raising")
-    right = bounds(col_w, chain[:0:-1], 1, "lowering")[::-1]
-    return all(min(lb, rb) <= N for lb, rb in zip(left, right))
+                bound += max(0, -f.delta if row_side else f.delta)
+            elif f.kind != ("raising" if row_side else "lowering"):
+                bound = INF
+            exceeds.append(bound > N)
+        over += exceeds if row_side else exceeds[::-1]
+    return sum(x << t for t, x in enumerate(over))
 
 
 @lru_cache(maxsize=None)
@@ -233,14 +234,15 @@ def certified_window(N: int, chains: tuple[tuple[ShiftClass, ...], ...] = (),
 
     Each chain is the tuple of shift classes of the factors of one product
     the check compares, in the sector cut at N. mask[row weight][col weight]
-    holds when the split rule certifies the pair for every chain and, given
-    a band, row weight = col weight + band; it is filled once per pair, and
-    cached, since many checks share their chains. The window size is the
-    number of basis pairs the mask covers."""
+    holds when, for every chain, at no split point both the row-side and the
+    col-side bound (_overflows, walked once per weight) exceed N and, given a
+    band, row weight = col weight + band. It is cached, since many checks
+    share their chains. The window size is the number of basis pairs it
+    covers."""
     b = get_basis(N)
     sizes = [len(b.weight_range[n]) for n in range(N + 1)]
-    mask = tuple(tuple((band is None or w1 == w2 + band)
-                       and all(_split_certified(c, N, w1, w2) for c in chains)
+    rows, cols = ([_overflows(chains, N, w, side) for w in range(N + 1)] for side in (True, False))
+    mask = tuple(tuple((band is None or w1 == w2 + band) and not rows[w1] & cols[w2]
                        for w2 in range(N + 1)) for w1 in range(N + 1))
     size = sum(sizes[w1] * sizes[w2]
                for w1 in range(N + 1) for w2 in range(N + 1) if mask[w1][w2])

@@ -1,23 +1,19 @@
 """Exact checks of the quantum-torus commutators and the shift symmetries.
 
 Each check compares two operator products entry by entry on the window the
-split rule certifies, and reports the earliest (canonical order) offending
-entry on failure. A check writes the chain of each product it compares from
-its own indices: V^(k)_m is banded(-m), G_- and G_+ RAISING and LOWERING,
-and reads the residual against the one certified_window mask of the chains.
-Every V is fock.v_int's, integer numerators along the moves of v_pattern.
-Both product residuals are integer numerators over one common denominator,
-so each equality is an integer cross-multiplication and only a reported
-entry becomes a Fraction; no operator product or sum is formed. The
-commutator's V factors are sparse, a few terms to a row, so it builds the
-two-move paths of each product V_m V_n once per (m, n), as positions in the
-v_pattern tuples, and fills one flat accumulator {i*dim + j: numerator} per
-check along them. The first shift's G_-G_+ rows are dense, so it lays its V
-tuples out as rows, and _streamed_entry forms each row the mask reads, in
-ascending order, as a sum of products of integer rows, and stops at the
-first nonzero entry. The second shift needs no product: each entry of
-either side is the sign of one move of move_table times a power of p, so it
-compares the exponents move by move.
+split rule certifies, and reports the earliest offending entry, by row, then
+column, on failure. A check writes the chain of each product it compares from
+its own indices (V^(k)_m is banded(-m), G_- and G_+ RAISING and LOWERING) and
+asks certified_window for one mask. Every V is fock.v_int's, integer
+numerators along v_pattern, and each residual is integer numerators over one
+common denominator, so only a reported entry becomes a Fraction. The
+commutator's factors are sparse: per (m, n), _commutator_tables numbers the
+certified cells its terms land in as slots, in ascending (row, col), with the
+two-move paths of V_m V_n and V_n V_m along them, and each check fills one
+flat integer list, one numerator per slot; its first nonzero slot is the
+reported entry. The first shift's G_-G_+ rows are dense, so _streamed_entry
+forms each row the mask reads, in turn, and stops at the first nonzero entry.
+The second shift needs no product: it compares exponents of p move by move.
 """
 
 from __future__ import annotations
@@ -75,8 +71,8 @@ def torus_constant(j: int, p: Fraction) -> Fraction:
     """Central subtraction q^j/(1-q^j) attached to the zero-shift generators."""
     if j == 0:
         raise ValueError("the torus constant is undefined at j = 0")
-    qj = Fraction(p) ** (2 * j)
-    return qj / (1 - qj)
+    x, y = p.numerator ** (2 * abs(j)), p.denominator ** (2 * abs(j))  # q^|j| = x/y
+    return Fraction(x, y - x) if j > 0 else Fraction(y, x - y)
 
 
 def _entry_evidence(basis_obj, i: int, j: int, value) -> dict:
@@ -104,7 +100,8 @@ def _first_entry(indices, row, mask, basis_obj, den=1) -> dict | None:
 
 def torus_prefactor(k: int, m: int, l: int, n: int, p: Fraction) -> Fraction:
     """q^{(lm-kn)/2} - q^{(kn-lm)/2}, the coefficient of V^(k+l)_{m+n}."""
-    return p ** (l * m - k * n) - p ** (k * n - l * m)
+    a, b = p.numerator ** abs(l * m - k * n), p.denominator ** abs(l * m - k * n)  # p^|e| = a/b
+    return Fraction(a * a - b * b, a * b) if l * m >= k * n else Fraction(b * b - a * a, a * b)
 
 
 def central_term(k: int, m: int, l: int, n: int, p: Fraction, sign: int = 1) -> Fraction:
@@ -140,50 +137,48 @@ def _streamed_entry(mask, basis, den: int, products, linear=()) -> dict | None:
 
 @lru_cache(maxsize=None)
 def _commutator_tables(m: int, n: int, s: int, N: int) -> tuple:
-    """What a commutator check of (m, n) reads in the charge-s sector cut at N,
-    as (mask, window, paths, third).
+    """What a commutator check of (m, n) reads in the charge-s sector cut at N:
+    (window, slots, forward, backward, third, diagonal), certified cells only.
 
-    mask and window are certified_window's for the chains of V_m V_n and
-    V_n V_m, asked for in one order for (m, n) and (n, m): the mask does not
-    depend on it. paths holds the two-move paths of V_m V_n, (i*dim + j, a, b)
-    for each entry a = (i, x) of v_pattern(m) and b = (x, j) of v_pattern(n);
-    third holds (i*dim + j, c) for each entry c = (i, j) of v_pattern(m + n).
-    Both cover every row: with |m|, |n| <= N the split rule certifies column
-    weight 0 for both chains, so the mask reads every row weight."""
-    lo, hi = sorted((m, n))
-    mask, window = certified_window(N, ((banded(-lo), banded(-hi)), (banded(-hi), banded(-lo))))
-    dim = len(get_basis(N))
-    after: dict[int, list[tuple[int, int]]] = {}
-    for b, (x, j) in enumerate(v_pattern(n, s, N)):
-        after.setdefault(x, []).append((b, j))
-    paths = tuple((i * dim + j, a, b) for a, (i, x) in enumerate(v_pattern(m, s, N))
-                  for b, j in after.get(x, ()))
-    third = tuple((i * dim + j, c) for c, (i, j) in enumerate(v_pattern(m + n, s, N)))
-    return mask, window, paths, third
+    window is certified_window's for the chains of V_m V_n and V_n V_m. slots
+    are the keys i*dim + j of the certified cells any term lands in,
+    ascending: by row, then column. forward holds (slot, a, b) for the entries
+    a = (i, x) of v_pattern(m) and b = (x, j) of v_pattern(n) with (i, j)
+    certified, the paths of V_m V_n; backward those of V_n V_m; third and
+    diagonal (slot, c) for the certified entries c = (i, j) of v_pattern(m + n)
+    and of the diagonal v_pattern(0). (n, m) shares the table of (m, n)."""
+    if m > n:
+        window, slots, forward, backward, third, diagonal = _commutator_tables(n, m, s, N)
+        return window, slots, backward, forward, third, diagonal
+    mask, window = certified_window(N, ((banded(-m), banded(-n)), (banded(-n), banded(-m))))
+    dim, w = len(get_basis(N)), get_basis(N).weights
+
+    def paths(x, y):
+        ends: dict[int, list[tuple[int, int]]] = {}
+        for b, (u, j) in enumerate(v_pattern(y, s, N)):
+            ends.setdefault(u, []).append((b, j))
+        return [(i * dim + j, a, b) for a, (i, u) in enumerate(v_pattern(x, s, N))
+                for b, j in ends.get(u, ()) if mask[w[i]][w[j]]]
+
+    def cells(pattern):
+        return [(i * dim + j, c) for c, (i, j) in enumerate(pattern) if mask[w[i]][w[j]]]
+    terms = (paths(m, n), paths(n, m), cells(v_pattern(m + n, s, N)), cells(v_pattern(0, s, N)))
+    slots = sorted({term[0] for ts in terms for term in ts})
+    at = {key: t for t, key in enumerate(slots)}
+    return (window, tuple(slots), *(tuple((at[key], *rest) for key, *rest in ts) for ts in terms))
 
 
-def _product_part(k: int, m: int, l: int, n: int, config: SectorConfig) -> tuple[dict, int]:
-    """V1 V2 - V2 V1, V1 = V^(k)_m and V2 = V^(l)_n, as integer numerators
-    {i*dim + j: value} over d1 d2, summed along the paths of (m, n) and (n, m)."""
+def _product_part(k: int, m: int, l: int, n: int, config: SectorConfig) -> tuple[list, int]:
+    """V1 V2 - V2 V1, V1 = V^(k)_m and V2 = V^(l)_n, as integer numerators over
+    d1 d2, one per slot of _commutator_tables(m, n), summed along its paths."""
     (v1, d1), (v2, d2) = v_int(k, m, config), v_int(l, n, config)
-    acc: dict[int, int] = {}
-    for key, a, b in _commutator_tables(m, n, config.s, config.N)[2]:
-        acc[key] = acc.get(key, 0) + v1[a] * v2[b]
-    for key, a, b in _commutator_tables(n, m, config.s, config.N)[2]:
-        acc[key] = acc.get(key, 0) - v2[a] * v1[b]
+    _, slots, forward, backward, _, _ = _commutator_tables(m, n, config.s, config.N)
+    acc = [0] * len(slots)
+    for t, a, b in forward:
+        acc[t] += v1[a] * v2[b]
+    for t, a, b in backward:
+        acc[t] -= v2[a] * v1[b]
     return acc, d1 * d2
-
-
-def _first_key(acc: dict[int, int], den: int, mask, basis_obj) -> dict | None:
-    """The earliest nonzero entry of acc = {i*dim + j: numerator}, over den,
-    inside the certified_window mask: the least such key, so row, then
-    column. None when all vanish."""
-    dim, w = len(basis_obj), basis_obj.weights
-    for key in sorted([key for key, v in acc.items() if v]):
-        i, j = divmod(key, dim)
-        if mask[w[i]][w[j]]:
-            return _entry_evidence(basis_obj, i, j, Fraction(acc[key], den))
-    return None
 
 
 def _commutator_entry(product, tables, basis, central: Fraction, third=((), 1),
@@ -191,20 +186,22 @@ def _commutator_entry(product, tables, basis, central: Fraction, third=((), 1),
     """The earliest certified nonzero entry of L/d - pref A3/d3 - central, with
     product = (L, d) from _product_part, tables from _commutator_tables and
     third = (A3, d3) the numerators of V^(k+l)_{m+n} from v_int, over one
-    common denominator."""
-    (acc, d), (a3, d3), (mask, _, _, third_keys) = product, third, tables
+    common denominator: the first nonzero slot."""
+    (acc, d), (a3, d3), (_, slots, _, _, third_slots, diagonal) = product, third, tables
     den = d * d3 * pref.denominator * central.denominator
     f, h = den // d, den // central.denominator * central.numerator
     g = den // (d3 * pref.denominator) * pref.numerator
-    res = {key: f * v for key, v in acc.items()}
+    res = [f * v for v in acc]
     if g:
-        for key, c in third_keys:
-            res[key] = res.get(key, 0) - g * a3[c]
+        for t, c in third_slots:
+            res[t] -= g * a3[c]
     if h:
-        dim = len(basis)
-        for key in range(0, dim * dim, dim + 1):  # the diagonal
-            res[key] = res.get(key, 0) - h
-    return _first_key(res, den, mask, basis)
+        for t, _ in diagonal:
+            res[t] -= h
+    if not any(res):
+        return None
+    t = next(t for t, v in enumerate(res) if v)
+    return _entry_evidence(basis, *divmod(slots[t], len(basis)), Fraction(res[t], den))
 
 
 def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> CheckReport:
@@ -221,7 +218,7 @@ def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> Ch
         report.evidence = {"reason": "shift exceeds the cutoff"}
         return report
     tables = _commutator_tables(m, n, config.s, N)
-    report.window = tables[1]
+    report.window = tables[0]
     if report.window == 0:
         report.evidence = {"reason": "empty certified window"}
         return report
@@ -246,6 +243,7 @@ def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> Ch
     return report
 
 
+@lru_cache(maxsize=None)
 def _v_rows(k: int, m: int, config: SectorConfig) -> tuple[dict[int, dict[int, int]], int]:
     """v_int(k, m, config) laid out as integer rows {i: {j: value}}, and its den."""
     values, den = v_int(k, m, config)

@@ -24,8 +24,11 @@ vectors that the package replaced with an integer-numerator scan,
 fraction_commutator_check and fraction_first_shift_check the two operator
 checks on Fraction entries (the latter with the dense pair) that the package
 replaced with integer residuals, fraction_second_shift_check the conjugation
-by Fraction powers of p that the package replaced with exponents, and
-window_size_by_pairs the weight-pair count that certified_window replaced.
+by Fraction powers of p that the package replaced with exponents,
+window_size_by_pairs the weight-pair count that certified_window replaced,
+and split_certified and window_by_pairs the split rule applied to one weight
+pair at a time, which certified_window replaced with bounds walked once per
+weight.
 _scan_certified_residual reads an operator residual against a mask by the
 least certified nonzero (row, col), apart from the package's row-by-row scan.
 Masks are asked of certified_window with the chains of the products compared,
@@ -684,6 +687,37 @@ def zprime_special(l: int, p: Fraction, NQ: int) -> TruncatedSeries:
             schur_jacobi_trudi(mu, p) * schur_jacobi_trudi(mu.conjugate(), p)
             * Fraction(p) ** (l * (mu.kappa() + mu.weight)))
     return TruncatedSeries(SeriesContext(1, 0, NQ), coeffs)
+
+
+def split_certified(chain, N: int, row_w: int, col_w: int) -> bool:
+    """Split rule on one weight pair: the product entry (row, col) is exact in
+    the sector cut at N when at every split point min(row-side bound,
+    col-side bound) <= N. The bounds accumulate max(0, -delta) walking right
+    from the row weight (RAISING transparent, anything else unbounded) and
+    max(0, delta) walking left from the col weight (LOWERING transparent,
+    anything else unbounded)."""
+    def bounds(w, factors, sign, transparent):
+        out = []
+        for f in factors:
+            if f.kind == "banded":
+                w += max(0, sign * f.delta)
+            elif f.kind != transparent:
+                w = math.inf
+            out.append(w)
+        return out
+
+    left = bounds(row_w, chain[:-1], -1, "raising")
+    right = bounds(col_w, chain[:0:-1], 1, "lowering")[::-1]
+    return all(min(lb, rb) <= N for lb, rb in zip(left, right))
+
+
+def window_by_pairs(N: int, chains=(), band=None) -> tuple:
+    """certified_window's mask and window size, the split rule applied to
+    every weight pair and every chain in turn."""
+    mask = tuple(tuple((band is None or w1 == w2 + band)
+                       and all(split_certified(c, N, w1, w2) for c in chains)
+                       for w2 in range(N + 1)) for w1 in range(N + 1))
+    return mask, window_size_by_pairs(N, lambda w1, w2: mask[w1][w2])
 
 
 def window_size_by_pairs(N: int, certified) -> int:

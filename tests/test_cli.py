@@ -370,19 +370,21 @@ def _fixture_script():
     return module
 
 
-def test_default_commutators_match_oracle_fixture(tmp_path):
-    # the default `verify commutators` report against the line count and
-    # sha256 of the Fraction oracle's lines; on a mismatch the oracle runs
-    # again to name the first line that differs
+@pytest.mark.parametrize("p", [pytest.param("1/2", id="p1of2"), pytest.param("2/3", id="p2of3")])
+def test_default_commutators_match_oracle_fixture(p, tmp_path):
+    # the `verify commutators --p p` report at the other defaults against the
+    # line count and sha256 of the Fraction oracle's lines; on a mismatch the
+    # oracle runs again to name the first line that differs
     script = _fixture_script()
-    fixture = json.loads((script.OUT / script.COMMUTATORS).read_text())
+    name, _ = script.COMMUTATORS[p]
+    fixture = json.loads((script.OUT / name).read_text())
     out = tmp_path / "r.jsonl"
-    code, _ = run_cli(["verify", "commutators", "--out", str(out)])
+    code, _ = run_cli(["verify", "commutators", "--p", p, "--out", str(out)])
     assert code == 0
     ours = [script.report_text(json.loads(text)) for text in out.read_text().splitlines()]
     if script.lines_digest(ours) == {"lines": fixture["lines"], "sha256": fixture["sha256"]}:
         return
-    oracle = script.commutator_lines()
+    oracle = script.commutator_lines(p)
     first = next((i for i, (a, b) in enumerate(zip(ours, oracle)) if a != b),
                  min(len(ours), len(oracle)))
     pytest.fail(f"line {first} of {len(ours)} differs from the oracle's {len(oracle)}:\n"

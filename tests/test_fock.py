@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 from functools import reduce
@@ -61,6 +62,14 @@ def test_config_validation():
         SectorConfig(0, -1, P)
     with pytest.raises(ValueError):
         SectorConfig(0, 3, Fraction(3, 2))
+
+
+def test_config_hash_is_taken_once_from_the_normalized_fields():
+    # equal configs hash alike whatever form p was given in, and the hash
+    # taken at construction is the one of the fields
+    a, b = SectorConfig(1, 6, "2/3"), SectorConfig(1, 6, Fraction(4, 6))
+    assert a == b and hash(a) == hash(b) == hash((1, 6, Fraction(2, 3), 0))
+    assert len({a, b, SectorConfig(1, 6, Fraction(1, 3)), SectorConfig(1, 6, b.p, 1)}) == 3
 
 
 def test_basis_counts():
@@ -360,6 +369,62 @@ def test_sector_operator_stores_no_zeros():
     assert matmul(a, x).rows == {1: {0: 2 * one}}
     assert sub(a, a).rows == {} and sub(v, v).rows == scale(v, 0).rows
     assert sub(a, x).rows == add(a, scale(x, -1)).rows
+
+
+def _package_chains(N):
+    """The (chains, band) of every certified_window call a check can make in
+    the sector cut at N, written from the indices as the checks write them."""
+    cases = set()
+    for m in range(-N, N + 1):  # commutators: V_m V_n and V_n V_m, in either order
+        for n in range(-N, N + 1):
+            if abs(m + n) <= N:
+                cases.add((((banded(-m), banded(-n)), (banded(-n), banded(-m))), None))
+    for k in range(1, 2 * N + 1):  # first shift: G_-G_+ V_m and V_{m+k} G_-G_+
+        for m in range(-N, N + 1 - k):
+            cases.add((((RAISING, LOWERING, banded(-m)), (banded(-(m + k)), RAISING, LOWERING)),
+                       None))
+    for m in range(-N, N + 1):  # second shift: the band of V_m
+        cases.add(((), -m))
+    for k in range(-N, N + 1):  # intertwining: J_k g_n and g_n J_{right_k}
+        for right_k in (-k, k) if k else ():
+            cases.add((((banded(-k), FULL), (FULL, banded(-right_k))), None))
+    return cases
+
+
+@pytest.mark.parametrize("N", range(10))
+def test_certified_window_matches_the_split_rule_per_pair(N):
+    # the bounds walked once per weight against the rule applied to every
+    # weight pair, for every chain a check can ask for, and for three-factor
+    # chains whose two split points bound differently
+    kinds = (RAISING, LOWERING, FULL, banded(-2), banded(1))
+    for chains, band in _package_chains(N) | {((chain,), None) for chain in
+                                             itertools.product(kinds, repeat=3)}:
+        assert certified_window(N, chains, band) == oracles.window_by_pairs(N, chains, band), (
+            chains, band)
+
+
+def test_checks_ask_for_the_written_chains(monkeypatch):
+    # every certified_window call of `verify all` (N = 4) is one of the chains
+    # written out above, and gives the per-pair rule's mask and window
+    from toda_crystal import cli, symmetries, toda
+
+    seen = set()
+
+    def record(N, chains=(), band=None, f=fock.certified_window):
+        seen.add((N, chains, band))
+        return f(N, chains, band)
+
+    for module in (symmetries, toda):
+        monkeypatch.setattr(module, "certified_window", record)
+    symmetries._commutator_tables.cache_clear()
+    args = cli._build_parser().parse_args(["verify", "all", "--K", "2", "--D", "2", "--NQ", "3"])
+    for task in cli._task_list("all", cli.RunConfig.from_args(args)):
+        cli.CHECKS[task["kind"]].run(task)
+    assert {N for N, _, _ in seen} == {4}
+    assert {(chains, band) for _, chains, band in seen} <= _package_chains(4)
+    assert {band for _, _, band in seen} > {None}
+    for N, chains, band in seen:
+        assert certified_window(N, chains, band) == oracles.window_by_pairs(N, chains, band)
 
 
 @pytest.mark.parametrize("N", range(8))

@@ -258,8 +258,8 @@ def test_generate_fixtures_reproduces_fixtures(tmp_path, monkeypatch):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     monkeypatch.setattr(module, "OUT", tmp_path)
-    # the commutator fixture takes the Fraction oracle about 16 s; the CLI
-    # fixture test reads it, and reruns the oracle on a mismatch
+    # the commutator fixtures take the Fraction oracle about 40 s; the CLI
+    # fixture test reads them, and reruns the oracle on a mismatch
     module.write_series_fixtures()
     for name in ("zprime_p1of2_l0.json", "tau_prime_s0_l0_p1of2.json"):
         assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()

@@ -214,6 +214,36 @@ def test_commutator_stream_matches_fraction_oracle(p, s, N, k, l, m, n, flipped)
 
 
 @settings(max_examples=150, deadline=None)
+@given(p=_fractions_of_small_height(), s=st.integers(-2, 2), N=st.integers(3, 8),
+       args=st.sampled_from(COMMUTATOR_GRID))
+def test_commutator_slots_match_fraction_oracle(p, s, N, args):
+    config = SectorConfig(s, N, p)
+    assert (commutator_check(*args, config).to_json_dict()
+            == oracles.fraction_commutator_check(*args, config).to_json_dict())
+
+
+def test_wrong_relations_fail_after_a_warm_pass():
+    # the unpatched pass fills every cache the checks read; each wrong
+    # relation must still reach the reports, so no cache may hold a relation
+    config = SectorConfig(0, 6, Fraction(2, 3))
+    assert all(commutator_check(*args, config).passed for args in COMMUTATOR_GRID)
+    assert all(first_shift_check(*args, config).passed for args in FIRST_SHIFT_GRID)
+    grid = [(k, m, l, n) for k, m, l, n in COMMUTATOR_GRID if abs(k) < 2 and abs(l) < 2]
+    for wrong in sorted(WRONG_RELATIONS):
+        for relations, check, oracle, points in (
+                (WRONG_RELATIONS, commutator_check, oracles.fraction_commutator_check, grid),
+                (FIRST_SHIFT_RELATIONS, first_shift_check, oracles.fraction_first_shift_check,
+                 FIRST_SHIFT_GRID)):
+            with pytest.MonkeyPatch.context() as mp:
+                relations[wrong](mp)
+                lines = _same_reports(check, oracle, points, [config])
+            failed = [line for line in lines if line["status"] == FAIL]
+            # the first shift reads no torus prefactor
+            assert bool(failed) == (check is commutator_check or wrong != "flipped_prefactor"), (
+                wrong, check.__name__)
+
+
+@settings(max_examples=150, deadline=None)
 @given(p=_fractions_of_small_height(), s=st.sampled_from((-1, 0, 1)), N=st.integers(3, 6),
        variant=st.sampled_from(("G", "Gprime")), k=st.integers(1, 2), m=st.integers(-3, 3),
        wrong=st.sampled_from((None, *sorted(FIRST_SHIFT_RELATIONS))))
@@ -285,12 +315,17 @@ def _values(rows, den) -> dict:
     return {i: row for i, row in values.items() if row}
 
 
-def _readable_rows(m, n, N) -> list:
-    """The rows of a weight the commutator mask reads, from the chains in the
-    order the oracle writes them."""
-    mask, _ = fock.certified_window(N, ((banded(-m), banded(-n)), (banded(-n), banded(-m))))
+def _commutator_mask(m, n, N) -> tuple:
+    """The commutator's certified_window mask, from the chains in the order
+    the oracle writes them."""
+    return fock.certified_window(N, ((banded(-m), banded(-n)), (banded(-n), banded(-m))))[0]
+
+
+def _certified_rows(rows, mask, N) -> dict:
+    """The nonzero entries of rows {i: {j: value}} in cells the mask certifies."""
     w = get_basis(N).weights
-    return [i for i in range(len(w)) if any(mask[w[i]])]
+    return _values({i: {j: v for j, v in row.items() if mask[w[i]][w[j]]}
+                    for i, row in rows.items()}, 1)
 
 
 def _pattern_rows(m, config, values) -> dict:
@@ -301,12 +336,17 @@ def _pattern_rows(m, config, values) -> dict:
     return rows
 
 
-def _flat_rows(acc, dim) -> dict:
+def _slot_rows(slots, terms, den, N) -> dict:
+    """{i: {j: value}} of the terms (slot, numerator) over den, each slot read
+    as its key i*dim + j, the numerators of a slot summed and zeros dropped."""
+    acc = {}
+    for t, v in terms:
+        acc[slots[t]] = acc.get(slots[t], 0) + v
     rows = {}
     for key, v in acc.items():
-        i, j = divmod(key, dim)
+        i, j = divmod(key, len(get_basis(N)))
         rows.setdefault(i, {})[j] = v
-    return rows
+    return _values(rows, den)
 
 
 def test_integer_forms_hold_ints_in_lowest_terms(monkeypatch):
@@ -322,37 +362,30 @@ def test_integer_forms_hold_ints_in_lowest_terms(monkeypatch):
         rows, den = symmetries._transfer_pair_rows(config.p, 6, family)
         assert _in_lowest_terms((v for row in rows.values() for v in row.values()), den)
     seen = []
-    monkeypatch.setattr(symmetries, "_first_key", lambda acc, den, *a, f=symmetries._first_key:
-                        seen.append((dict(acc), den)) or f(acc, den, *a))
-    # at (2, 1, -1, 2) the residual vanishes on every readable row; at
-    # (1, -2, 2, 3) it has 60 nonzero entries there, all in uncertified cells
-    for k, m, l, n in ((2, 1, -1, 2), (1, -2, 2, 3)):
+    monkeypatch.setattr(symmetries, "_product_part",
+                        lambda *a, f=symmetries._product_part: seen.append(f(*a)) or seen[-1])
+    # at (2, 1, -1, 2) the residual vanishes on every certified cell; at
+    # (1, -2, 2, 3) it has 60 nonzero entries, all in uncertified cells
+    for (k, m, l, n), uncertified in (((2, 1, -1, 2), 0), ((1, -2, 2, 3), 60)):
         seen.clear()
         assert commutator_check(k, m, l, n, config).status == PASS
         (acc, den), = seen
-        # the residual is filled over a common denominator, not reduced: only
+        # the product is filled over a common denominator, not reduced: only
         # a reported entry becomes a Fraction
-        assert den > 0 and all(type(v) is int for v in acc.values())
+        assert den > 0 and all(type(v) is int for v in acc)
         v1, v2 = v_op(k, m, config), v_op(l, n, config)
-        expected = oracles.sub(
-            oracles.sub(oracles.matmul(v1, v2), oracles.matmul(v2, v1)),
-            oracles.scale(v_op(k + l, m + n, config),
-                          symmetries.torus_prefactor(k, m, l, n, config.p)))
-        # the accumulator holds rows of a weight the mask reads (every row, for
-        # a commutator) and no other, and on them it is the Fraction residual,
-        # uncertified entries included
-        rows, readable = _flat_rows(acc, len(get_basis(6))), _readable_rows(m, n, 6)
-        assert set(rows) <= set(readable)
-        assert _values(rows, den) == {i: row for i, row in expected.rows.items() if i in readable}
-
-
-def _table_rows(terms, den, N) -> dict:
-    """{i: {j: value}} of the flat terms (i*dim + j, numerator) over den, the
-    numerators of a key summed and the zeros dropped."""
-    acc = {}
-    for key, v in terms:
-        acc[key] = acc.get(key, 0) + v
-    return _values(_flat_rows(acc, len(get_basis(N))), den)
+        product = oracles.sub(oracles.matmul(v1, v2), oracles.matmul(v2, v1))
+        residual = oracles.sub(product, oracles.scale(
+            v_op(k + l, m + n, config), symmetries.torus_prefactor(k, m, l, n, config.p)))
+        mask, slots = _commutator_mask(m, n, 6), symmetries._commutator_tables(m, n, 1, 6)[1]
+        w, dim = get_basis(6).weights, len(get_basis(6))
+        assert sum(not mask[w[i]][w[j]] for i, row in residual.rows.items()
+                   for j in row) == uncertified
+        # one numerator per slot, each slot a certified cell: no uncertified
+        # cell is formed, and on the certified cells it is the Fraction product
+        assert len(acc) == len(slots)
+        assert all(mask[w[key // dim]][w[key % dim]] for key in slots)
+        assert _slot_rows(slots, enumerate(acc), den, 6) == _certified_rows(product.rows, mask, 6)
 
 
 @pytest.mark.parametrize("N,pairs", [
@@ -360,24 +393,56 @@ def _table_rows(terms, den, N) -> dict:
     (8, [(0, 0), (0, -2), (3, 0), (1, -1), (-4, 2), (2, 4)]),
 ])
 def test_commutator_tables_reproduce_the_products(N, pairs):
-    # the path tables and the V^(k+l)_{m+n} keys against Fraction operators;
-    # (k, l) = (0, 0) reads V^(0)_0, whose diagonal vanishes at the vacuum
-    # and keeps that entry
+    # the path tables, the V^(k+l)_{m+n} slots and the diagonal slots against
+    # Fraction operators on the certified cells; (k, l) = (0, 0) reads
+    # V^(0)_0, whose diagonal vanishes at the vacuum and keeps that entry
     for s in (-1, 0, 1):
         config = SectorConfig(s, N, Fraction(2, 3))
         for m, n in pairs:
-            # the tables cover every row: the commutator mask reads them all
-            assert _readable_rows(m, n, N) == list(range(len(get_basis(N))))
-            _, _, paths, third = symmetries._commutator_tables(m, n, s, N)
+            mask = _commutator_mask(m, n, N)
+            assert all(any(row) for row in mask)  # the mask reads every row weight
+            _, slots, forward, backward, third, diagonal = symmetries._commutator_tables(m, n, s, N)
             for k, l in ((0, 0), (1, -2)):
                 (v1, d1), (v2, d2) = fock.v_int(k, m, config), fock.v_int(l, n, config)
-                assert _table_rows(((key, v1[a] * v2[b]) for key, a, b in paths), d1 * d2, N) == (
-                    oracles.matmul(v_op(k, m, config), v_op(l, n, config)).rows), (s, m, n)
+                a1, a2 = v_op(k, m, config), v_op(l, n, config)
+                for paths, (x, y), (left, right) in ((forward, (v1, v2), (a1, a2)),
+                                                     (backward, (v2, v1), (a2, a1))):
+                    assert _slot_rows(slots, ((t, x[a] * y[b]) for t, a, b in paths),
+                                      d1 * d2, N) == (
+                        _certified_rows(oracles.matmul(left, right).rows, mask, N)), (s, m, n)
                 v3, d3 = fock.v_int(k + l, m + n, config)
-                assert _table_rows(((key, v3[c]) for key, c in third), d3, N) == (
-                    v_op(k + l, m + n, config).rows), (s, m, n)
+                assert _slot_rows(slots, ((t, v3[c]) for t, c in third), d3, N) == (
+                    _certified_rows(v_op(k + l, m + n, config).rows, mask, N)), (s, m, n)
+            ones = oracles.identity(config).rows
+            assert _slot_rows(slots, ((t, 1) for t, _ in diagonal), 1, N) == (
+                _certified_rows(ones, mask, N))
     assert fock.v_pattern(0, 0, N)[0] == (0, 0)
     assert fock.v_int(0, 0, SectorConfig(0, N, P))[0][0] == 0
+
+
+@pytest.mark.parametrize("N", [3, 6, 9])
+def test_commutator_slot_tables_hold_certified_cells_in_order(N):
+    # the keys ascend, so the first nonzero slot is the least (row, col); each
+    # is a certified cell that some term lands in; the V^(k+l)_{m+n} and
+    # diagonal slots are slots, and the diagonal ones are every certified (i, i)
+    b = get_basis(N)
+    dim, w = len(b), b.weights
+    for s in (-1, 0, 1):
+        for m in range(-3, 4):
+            for n in range(-3, 4):
+                window, slots, forward, backward, third, diagonal = (
+                    symmetries._commutator_tables(m, n, s, N))
+                mask = _commutator_mask(m, n, N)
+                assert window == fock.certified_window(
+                    N, ((banded(-m), banded(-n)), (banded(-n), banded(-m))))[1]
+                assert list(slots) == sorted(set(slots))
+                assert all(mask[w[key // dim]][w[key % dim]] for key in slots)
+                third_slots, diagonal_slots = {t for t, _ in third}, {t for t, _ in diagonal}
+                assert third_slots | diagonal_slots <= set(range(len(slots)))
+                assert {t for t, _, _ in forward + backward} | third_slots | diagonal_slots == (
+                    set(range(len(slots))))
+                assert [slots[t] for t, _ in diagonal] == [
+                    i * (dim + 1) for i in range(dim) if mask[w[i]][w[i]]]
 
 
 def test_commutator_masks_are_shared_by_both_orders():
