@@ -23,9 +23,10 @@ the one builder of V^(k)_m, lays the numerators of +-p^v_exponent out along
 v_pattern, the moves (at m = 0 the potential diagonal); J_k puts its sign on
 each move, a transfer exponent +-c_k. The checks form each product from
 these numerators. The transfer exponentials G+- are only ever applied to
-vectors, by transfer_row, in the same form; their dense matrices, the dense
-pair G_-G_+ and every Fraction operator, V and J among them, are the test
-oracles' reference.
+vectors, by transfer_row, in the same form; the checks hold the pair G_-G_+
+as a dense integer table, the Gram matrix of pushed rows of G_-. The dense
+Fraction matrices of G+- and of the pair, and every Fraction operator, V and
+J among them, are the test oracles' reference.
 """
 
 from __future__ import annotations
@@ -163,25 +164,14 @@ def _move_sources(parts: tuple[int, ...], s: int, m: int) -> list[int]:
     return cands
 
 
-def maya_diag_sum(parts: tuple[int, ...], s: int, f: Callable[[int], object]):
-    """sum_{x occupied, x>0} f(x) - sum_{x empty, x<=0} f(x); both sums are finite."""
-    total = None
-
-    def add(v):
-        nonlocal total
-        total = v if total is None else total + v
-
+def maya_diag_levels(parts: tuple[int, ...], s: int) -> list[tuple[int, int]]:
+    """(sign, x) for each occupied level x > 0, with sign +1, and each empty
+    level x <= 0, with sign -1; both lists are finite. A diagonal eigenvalue
+    sum_{x occupied, x>0} f(x) - sum_{x empty, x<=0} f(x) is sum sign f(x)."""
     tail_top = s - len(parts)
-    for x in _levels(parts, s):
-        if x > 0:
-            add(f(x))
-    for x in range(1, tail_top + 1):
-        add(f(x))
     # empty levels can only sit strictly above the tail
-    for x in range(tail_top + 1, 1):
-        if not occupied(parts, s, x):
-            add(-f(x))
-    return total if total is not None else 0
+    return ([(1, x) for x in _levels(parts, s) if x > 0] + [(1, x) for x in range(1, tail_top + 1)]
+            + [(-1, x) for x in range(tail_top + 1, 1) if not occupied(parts, s, x)])
 
 
 # ---------------------------------------------------------------------------
@@ -323,16 +313,19 @@ def v_int(k: int, m: int, config: SectorConfig) -> tuple[tuple[int, ...], int]:
     """V^(k)_m = q^{-km/2} sum_n q^{kn} :psi_{m-n} psi*_n: as integer numerators
     aligned with v_pattern(m, s, N) over one denominator, in lowest terms: the
     power_form of +-p^v_exponent on each move, or at m = 0 the diagonal of the
-    potential eigenvalues over the lcm of their denominators."""
+    potential eigenvalues, the signed sums of p^v_exponent over the levels of
+    maya_diag_levels, read off one power_form."""
     if abs(m) > config.N:
         raise ValueError(f"|m| = {abs(m)} exceeds the cutoff {config.N}")
     s, p = config.s, config.p
     if m == 0:
-        pw = lru_cache(maxsize=None)(p.__pow__)  # the powers of p this diagonal reads
-        diag = [maya_diag_sum(mu.parts, s, lambda x: pw(v_exponent(k, 0, x)))
-                for mu in get_basis(config.N).parts]
-        den = math.lcm(*(v.denominator for v in diag))
-        return tuple(v.numerator * (den // v.denominator) for v in diag), den
+        levels = [maya_diag_levels(mu.parts, s) for mu in get_basis(config.N).parts]
+        exps = sorted({v_exponent(k, 0, x) for terms in levels for _, x in terms})
+        nums, den = power_form(p, exps)
+        pw = dict(zip(exps, nums))
+        diag = [sum(sign * pw[v_exponent(k, 0, x)] for sign, x in terms) for terms in levels]
+        g = math.gcd(den, *diag)
+        return tuple(v // g for v in diag), den // g
     moves = move_table(m, s, config.N)
     nums, den = power_form(p, [v_exponent(k, m, src) for _, _, _, src in moves])
     return tuple(v if sign > 0 else -v for (_, _, sign, _), v in zip(moves, nums)), den
@@ -341,7 +334,8 @@ def v_int(k: int, m: int, config: SectorConfig) -> tuple[tuple[int, ...], int]:
 @lru_cache(maxsize=None)
 def w0_diag(s: int, N: int) -> tuple[int, ...]:
     """The W0 eigenvalues of the charge-s sector cut at N, by basis index."""
-    return tuple(maya_diag_sum(mu.parts, s, lambda x: x * x) for mu in get_basis(N).parts)
+    return tuple(sum(sign * x * x for sign, x in maya_diag_levels(mu.parts, s))
+                 for mu in get_basis(N).parts)
 
 
 def transfer_weights(p: Fraction, N: int, alternating: bool) -> dict[int, Fraction]:

@@ -11,14 +11,16 @@ commutator's factors are sparse: per (m, n), _commutator_tables numbers the
 certified cells its terms land in as slots, in ascending (row, col), with the
 two-move paths of V_m V_n and V_n V_m along them, and each check fills one
 flat integer list, one numerator per slot; its first nonzero slot is the
-reported entry. The first shift's G_-G_+ rows are dense, so _streamed_entry
-forms each row the mask reads, in turn, and stops at the first nonzero entry.
-The second shift needs no product: it compares exponents of p move by move.
+reported entry. The first shift's G_-G_+ is a dense integer table, the Gram
+matrix of the rows of G_-; _sandwich_entry, the kernel toda's intertwining
+check shares, forms c T + L T + T R on it, row by row, and stops at the first
+nonzero entry. The second shift compares exponents of p move by move.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -32,7 +34,7 @@ from .fock import (
     certified_window,
     get_basis,
     move_table,
-    transfer_pair_row,
+    transfer_row,
     v_exponent,
     v_int,
     v_pattern,
@@ -83,21 +85,6 @@ def _entry_evidence(basis_obj, i: int, j: int, value) -> dict:
     }
 
 
-def _first_entry(indices, row, mask, basis_obj, den=1) -> dict | None:
-    """The earliest nonzero entry, over den, inside the certified_window mask
-    of the rows row(i) = {j: value}, i in indices; None when all vanish. The
-    rows are formed in ascending i, and none after the one reported."""
-    w = basis_obj.weights
-    for i in sorted(indices):
-        readable, r = mask[w[i]], row(i)
-        if not any(r.values()):
-            continue  # the usual row of a passing check: cancelled to zeros
-        for j in sorted(r):
-            if r[j] and readable[w[j]]:
-                return _entry_evidence(basis_obj, i, j, Fraction(r[j], den))
-    return None
-
-
 def torus_prefactor(k: int, m: int, l: int, n: int, p: Fraction) -> Fraction:
     """q^{(lm-kn)/2} - q^{(kn-lm)/2}, the coefficient of V^(k+l)_{m+n}."""
     a, b = p.numerator ** abs(l * m - k * n), p.denominator ** abs(l * m - k * n)  # p^|e| = a/b
@@ -114,25 +101,30 @@ def central_term(k: int, m: int, l: int, n: int, p: Fraction, sign: int = 1) -> 
     return -torus_prefactor(k, m, l, n, p) * torus_constant(k + l, p)
 
 
-def _streamed_entry(mask, basis, den: int, products, linear=()) -> dict | None:
-    """The earliest certified nonzero entry of (sum c L R + sum c A)/den
-    over the products (L, R, c) and linear terms (A, c), every factor the
-    integer rows {i: {j: int}} of an integer form and every c an integer. Only
-    the rows whose weight the mask reads are formed, ascending and in turn."""
-    readable = [i for w, cols in enumerate(mask) if any(cols) for i in basis.weight_range[w]]
-
-    def row(i):
-        acc = {}
-        for left, right, c in products:
-            for x, v in left.get(i, {}).items():
-                v *= c
-                for j, u in right.get(x, {}).items():
-                    acc[j] = acc[j] + v * u if j in acc else v * u
-        for a, c in linear:
-            for j, u in a.get(i, {}).items():
-                acc[j] = acc[j] + c * u if j in acc else c * u
-        return acc
-    return _first_entry(readable, row, mask, basis, den)
+def _sandwich_entry(table, left, right, diag: int, mask, basis) -> tuple[int, int, int] | None:
+    """The earliest nonzero entry (i, j, v) of diag T + L T + T R inside the
+    certified_window mask, by row, then column, or None: T a dense integer
+    matrix (a list of rows), L and R integer rows {i: {j: value}}, diag and so
+    v integers, over the caller's denominator. Only the rows the mask reads are
+    formed, in turn, each up to its last live column."""
+    w, ranges = basis.weights, basis.weight_range
+    cut: dict[int, list] = {}  # by stop, the entries (x, j, u) of R with j < stop
+    for i, row in enumerate(table):
+        live = mask[w[i]]
+        if not any(live):
+            continue
+        stop = ranges[max(n for n, x in enumerate(live) if x)].stop
+        if stop not in cut:
+            cut[stop] = [(x, j, u) for x, r in right.items() for j, u in r.items() if j < stop]
+        acc = [diag * t for t in row[:stop]] if diag else [0] * stop
+        for x, u in left.get(i, {}).items():
+            acc = [a + u * t for a, t in zip(acc, table[x])]
+        for x, j, u in cut[stop]:
+            acc[j] += row[x] * u
+        j = next((j for j, v in enumerate(acc) if v and live[w[j]]), None)
+        if j is not None:
+            return i, j, acc[j]
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -244,23 +236,19 @@ def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> Ch
 
 
 @lru_cache(maxsize=None)
-def _v_rows(k: int, m: int, config: SectorConfig) -> tuple[dict[int, dict[int, int]], int]:
-    """v_int(k, m, config) laid out as integer rows {i: {j: value}}, and its den."""
-    values, den = v_int(k, m, config)
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), v in zip(v_pattern(m, config.s, config.N), values):
-        rows.setdefault(i, {})[j] = v
-    return rows, den
-
-
-@lru_cache(maxsize=None)
-def _transfer_pair_rows(p: Fraction, N: int, family: str) -> tuple[dict[int, dict[int, int]], int]:
-    """G_-G_+ on the sector cut at N, a pushed basis vector per row, in integer
-    form over the lcm of the row denominators; entries do not depend on s."""
-    pushed = [transfer_pair_row(({i: 1}, 1), p, N, family, cap=N) for i in range(len(get_basis(N)))]
+def _pair_table(p: Fraction, N: int, family: str) -> tuple[list[list[int]], int]:
+    """G_-G_+ on the sector cut at N as a dense integer matrix over one
+    denominator, in lowest terms; no entry depends on s. G_+ is the transpose
+    of G_- (J_{-k} is the transpose of J_k), so G_-G_+ is the Gram matrix of
+    the rows of G_-, and each basis vector is pushed once, through G_-."""
+    dim = len(get_basis(N))
+    pushed = [transfer_row(({i: 1}, 1), p, N, family, "raising") for i in range(dim)]
     den = math.lcm(*(d for _, d in pushed))
-    return {i: {j: v * (den // d) for j, v in nums.items()}
-            for i, (nums, d) in enumerate(pushed)}, den
+    rows = [[nums.get(j, 0) * (den // d) for j in range(dim)] for nums, d in pushed]
+    lower = [[sum(map(operator.mul, a, b)) for b in rows[:i + 1]] for i, a in enumerate(rows)]
+    table = [lower[i] + [lower[j][i] for j in range(i + 1, dim)] for i in range(dim)]
+    g = math.gcd(den * den, *(v for row in table for v in row))
+    return [[v // g for v in row] for row in table], den * den // g
 
 
 def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> CheckReport:
@@ -272,8 +260,8 @@ def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> Che
     c(-k) = -1/(1-q^k) is what the locked conventions realize for the
     alternating family. The residual G V_L - parity V_R G - (c_L - parity c_R) G,
     with c_L = c(upper) at m = 0 and c_R = c(upper) at m + k = 0 (at most one
-    of them is nonzero), is streamed over one denominator from the integer
-    rows of G_-G_+ and of the two V factors.
+    of them is nonzero), is read by _sandwich_entry over one denominator from
+    the integer table of G_-G_+ and the integer rows of the two V factors.
     """
     if k < 1:
         raise ValueError("first shift symmetries need k >= 1")
@@ -295,13 +283,21 @@ def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> Che
     upper = k if variant == "G" else -k
     parity = (-1) ** k if variant == "G" else 1
     c = torus_constant(upper, config.p)
-    g, d_g = _transfer_pair_rows(config.p, N, "plain" if variant == "G" else "alternating")
-    (left, d_l), (right, d_r) = _v_rows(upper, m, config), _v_rows(upper, m + k, config)
+    table, d_g = _pair_table(config.p, N, "plain" if variant == "G" else "alternating")
+    (v_l, d_l), (v_r, d_r) = v_int(upper, m, config), v_int(upper, m + k, config)
     c_g = (c if m == 0 else 0) - parity * (c if m + k == 0 else 0)  # c_L - parity c_R
-    den = d_g * d_l * d_r * c_g.denominator
-    products = ((g, left, den // (d_g * d_l)), (right, g, -parity * (den // (d_r * d_g))))
-    linear = ((g, -c_g.numerator * (den // (d_g * c_g.denominator))),) if c_g else ()
-    worst = _streamed_entry(mask, get_basis(N), den, products, linear)
+    d_c = c_g.denominator
+    # the V as integer rows {i: {j: value}}, scaled so that over d_g d_l d_r d_c
+    # L T is -parity V_R G, T R is G V_L and diag T is -c_g G
+    left: dict[int, dict[int, int]] = {}
+    right: dict[int, dict[int, int]] = {}
+    for rows, shift, values, f in ((left, m + k, v_r, -parity * d_l * d_c),
+                                   (right, m, v_l, d_r * d_c)):
+        for (i, j), v in zip(v_pattern(shift, config.s, N), values):
+            rows.setdefault(i, {})[j] = f * v
+    entry = _sandwich_entry(table, left, right, -c_g.numerator * d_l * d_r, mask, get_basis(N))
+    worst = entry and _entry_evidence(get_basis(N), *entry[:2],
+                                      Fraction(entry[2], d_g * d_l * d_r * d_c))
     report.status = PASS if worst is None else FAIL
     report.evidence = {"constant": format_rational(c)}
     if worst:
@@ -322,13 +318,13 @@ def second_shift_check(k: int, m: int, config: SectorConfig) -> CheckReport:
         return report
     # the band of a shift |m| <= N always holds pairs, so the window is never empty
     mask, report.window = certified_window(config.N, band=-m)
-    w0, p = w0_diag(config.s, config.N), config.p
-    residual: dict[int, dict[int, Fraction]] = {}
+    w0, p, w = w0_diag(config.s, config.N), config.p, get_basis(config.N).weights
+    worst = None
     for i, j, sign, src in move_table(m, config.s, config.N) if m else ():
         a, b = w0[i] - w0[j] + v_exponent(k, m, src), v_exponent(k - m, m, src)
-        if a != b:
-            residual.setdefault(i, {})[j] = sign * (p ** a - p ** b)
-    worst = _first_entry(residual, residual.get, mask, get_basis(config.N))
+        if a != b and mask[w[i]][w[j]] and (worst is None or (i, j) < worst[:2]):
+            worst = i, j, sign * (p ** a - p ** b)
+    worst = worst and _entry_evidence(get_basis(config.N), *worst)
     report.status = PASS if worst is None else FAIL
     if worst:
         report.evidence = {"worst": worst}

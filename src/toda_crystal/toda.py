@@ -19,13 +19,13 @@ intermediates of lower weight. The time exponentials contribute energies
 at most K*D, which the cutoff must dominate. The time vectors read J_k as
 the signs of the moves in fock.move_table, and since J_{-k} is the
 transpose of J_k, one table of row vectors serves as the column vectors
-too. The intertwining check pairs pushed vectors as well:
-(g_n)_{lam,mu} = <e_lam A, Pi_n B e_mu>, and the current modes enter by
-linearity, the columns of J_r as the rows of J_{-r}, so no operator is
-multiplied and no dense block of g is ever built. Its grade dots are integer
-sums, and a residual entry is nonzero when an integer cross-multiplication
-says so. It reads its residual entries against the same certified_window
-mask as the operator checks.
+too. The intertwining check reads each block g_n = A Pi_n B as a dense
+integer table, the grade-n Gram matrix of the basis vectors e_lam A and
+B e_mu, which are dressed rows of the transfer pair tables G_-G_+
+(symmetries._pair_table) that every model point and the first shift share.
+The first shift's kernel, symmetries._sandwich_entry, reads J_k g_n - g_n J_r
+on it, the rows of J_k and J_r its sparse factors, against the same
+certified_window mask as the operator checks.
 """
 
 from __future__ import annotations
@@ -74,6 +74,8 @@ from .symmetries import (
     PASS,
     CheckReport,
     _entry_evidence,
+    _pair_table,
+    _sandwich_entry,
     torus_constant,
 )
 
@@ -140,7 +142,7 @@ class GradedOperator:
     'plain' with q^{+W0/2} or 'alternating' with q^{-W0/2}; identity_transfers
     replaces both pairs by the identity.
 
-    g is only ever applied to vectors, in integer form: a vector is a pair
+    g is applied to vectors in integer form: a vector is a pair
     (nums, den) of integer numerators over one denominator den > 0, with
     value nums/den. row(vec) is vec . A and col(vec) is B . vec, pushed
     through the factors one at a time, kept on the weights <= NQ, the only
@@ -153,9 +155,9 @@ class GradedOperator:
     Every graded quantity pairs such vectors: <lam| g |mu> =
     sum_n Q^{n + s(s+1)/2} <row(e_lam), col(e_mu)>_n.
 
-    The operator keeps what it pushes: time_vectors for the tau series, and
-    basis_row(i) = row(e_i) and basis_col(i) = col(e_i), each pushed on
-    first call."""
+    The operator keeps what it pushes, time_vectors for the tau series. The
+    blocks gram(n) = g_n are integer tables read off the transfer pair
+    tables."""
 
     def __init__(self, params: ModelParams, family: str, identity_transfers: bool = False):
         if family not in _RIGHT_W0_SIGN:
@@ -167,8 +169,6 @@ class GradedOperator:
         self.basis = get_basis(self.config.N)
         self._w0 = w0_diag(self.config.s, self.config.N)
         self._limit = self.basis.weight_range[params.ctx.NQ].stop
-        self.basis_row = cache(lambda i: self.row(({i: 1}, 1)))
-        self.basis_col = cache(lambda i: self.col(({i: 1}, 1)))
 
     def _scaled(self, vec: IntVector, c: int) -> IntVector:
         """vec times the diagonal p^{c W0}, by the power_form of the exponents
@@ -208,10 +208,41 @@ class GradedOperator:
         return ({a: self.row((r, 1)) for a, r in rows.items()},
                 {b: self.col((r, 1)) for b, r in rows.items()})
 
+    @cached_property
+    def _basis_vectors(self) -> tuple[list[list[int]], list[list[int]], int]:
+        """(rows, cols, den): rows[lam][nu] and cols[nu][mu], nu of weight <= NQ,
+        the numerators of e_lam A and B e_mu over one den, read off the transfer
+        pair tables: e_lam A is row lam of G_-G_+ dressed by p^{w0(lam)} and
+        p^{l W0}, B e_mu (the pair is symmetric) row mu of G"_-G"_+ by p^{+-w0(mu)}."""
+        cfg, dim = self.config, len(self.basis)
+        (left, d_l), (right, d_r) = (
+            [([[int(i == j) for j in range(dim)] for i in range(dim)], 1)] * 2 if self.identity_transfers
+            else [_pair_table(cfg.p, cfg.N, family) for family in ("plain", self.family)])
+        (a, d_a), (b, d_b), (c, d_c) = (
+            power_form(cfg.p, [e * x for x in self._w0[:stop]])
+            for e, stop in ((1, dim), (cfg.l, self._limit), (_RIGHT_W0_SIGN[self.family], dim)))
+        rows = [[a_lam * t * b_nu for t, b_nu in zip(row, b)] for a_lam, row in zip(a, left)]
+        cols = [[c_mu * row[nu] for c_mu, row in zip(c, right)] for nu in range(self._limit)]
+        return rows, cols, d_a * d_b * d_c * d_l * d_r
+
+    def gram(self, n: int) -> tuple[list[list[int]], int]:
+        """g_n = A Pi_n B, n <= NQ, as a dense integer matrix and a denominator
+        shared by every grade: g_n[lam][mu] = <e_lam A, Pi_n B e_mu>, the grade-n
+        Gram matrix of the basis vectors."""
+        rows, cols, den = self._basis_vectors
+        block = []
+        for row in rows:
+            acc = [0] * len(self.basis)
+            for nu in self.basis.weight_range[n]:
+                if row[nu]:
+                    acc = [x + row[nu] * y for x, y in zip(acc, cols[nu])]
+            block.append(acc)
+        return block, den
+
     def vacuum_q_series(self) -> TruncatedSeries:
         """<s| g |s> as a pure Q series in the output context."""
         zero = (0,) * self.params.ctx.K
-        return _assemble(self.params, {zero: self.basis_row(0)}, {zero: self.basis_col(0)},
+        return _assemble(self.params, {zero: self.row(({0: 1}, 1))}, {zero: self.col(({0: 1}, 1))},
                          hat_sign=+1)
 
 
@@ -219,7 +250,7 @@ class GradedOperator:
 def build_gprime(params: ModelParams, identity_transfers: bool = False) -> GradedOperator:
     """g' = q^{W0/2} G_-G_+ q^{l W0/2} Q^{L0} G"_-G"_+ q^{-W0/2} with the
     alternating transfer family on the right. Cached per model point, so the
-    checks on one (s, l) share its pushed vectors."""
+    checks on one (s, l) share its time vectors."""
     return GradedOperator(params, "alternating", identity_transfers)
 
 
@@ -441,52 +472,12 @@ def ground_action_constants(s: int, p: Fraction, N: int) -> CheckReport:
     return report
 
 
-def _linear_combination(vector, coeffs) -> IntVector:
-    """sum_i coeffs[i] vector(i) for integer coeffs and integer-form vectors,
-    over the least common denominator of the vectors."""
-    terms = [(c, *vector(i)) for i, c in coeffs.items()]
-    den = math.lcm(*(d for _, _, d in terms))
-    out: dict[int, int] = {}
-    for c, nums, d in terms:
-        f = c * (den // d)
-        for j, v in nums.items():
-            out[j] = out[j] + f * v if j in out else f * v
-    return out, den
-
-
-def _first_residual_entry(g: GradedOperator, k: int, right_k: int, mask) -> dict | None:
-    """The earliest nonzero entry of J_k g_n - g_n J_{right_k} inside the mask,
-    by grade n <= NQ, then row, then column; None when every such entry vanishes.
-
-    The entry at (lam, mu) is <e_lam J_k A, Pi_n B e_mu> - <e_lam A, Pi_n B J_r e_mu>,
-    with J_r = J_{right_k}. By linearity e_lam J_k A = sum_kappa (J_k)_{lam,kappa}
-    row(e_kappa), and likewise on the right, where the columns of J_r are the
-    rows of its transpose J_{-right_k}, both the charge-free signs of _j_matrix;
-    so the J-dressed vectors cost no pushes of their own. A basis vector is
-    pushed when the scan first needs it. Both sides are integer grade dots over
-    their own denominators, so an entry is nonzero when their cross-products
-    differ; only a reported entry is built as a Fraction."""
-    b = g.basis
-    w = b.weights
-    row, col = g.basis_row, g.basis_col
-    jl, jr_cols = _j_matrix(k, g.config.N), _j_matrix(-right_k, g.config.N)
-    dressed_row = cache(lambda lam: _linear_combination(row, jl.get(lam, {})))
-    dressed_col = cache(lambda mu: _linear_combination(col, jr_cols.get(mu, {})))
-    for n in range(g.params.ctx.NQ + 1):
-        grade = b.weight_range[n]
-        for lam in range(len(b)):
-            certified = mask[w[lam]]
-            for mu in range(len(b)):
-                if not certified[w[mu]]:
-                    continue
-                (dr, dr_den), (c, c_den) = dressed_row(lam), col(mu)
-                (r, r_den), (dc, dc_den) = row(lam), dressed_col(mu)
-                left = _grade_dot(dr, c, grade) * r_den * dc_den
-                right = _grade_dot(r, dc, grade) * dr_den * c_den
-                if left != right:
-                    v = Fraction(left - right, dr_den * c_den * r_den * dc_den)
-                    return {"grade": n, **_entry_evidence(b, lam, mu, v)}
-    return None
+@lru_cache(maxsize=1)
+def _blocks(g: GradedOperator):
+    """g.gram, cached per grade for the last operator asked only: the checks of
+    one model point run in turn and share its blocks, and no other operator's
+    blocks are held."""
+    return cache(g.gram)
 
 
 def intertwining_residual(which: str, k: int, params: ModelParams) -> CheckReport:
@@ -506,14 +497,22 @@ def intertwining_residual(which: str, k: int, params: ModelParams) -> CheckRepor
         return report
     g = build_g(params) if which == "g_true" else build_gprime(params)
     right_k = -k if which == "g_true" else k
-    # g_n pairs pushed vectors, exact on the whole window, so only the J
-    # factors of J_k g_n and g_n J_{right_k} can leave the cutoff
+    # g_n is exact on the whole window, so only the J factors of J_k g_n and
+    # g_n J_{right_k} can leave the cutoff
     mask, window = certified_window(N, ((banded(-k), FULL), (FULL, banded(-right_k))))
     report.window = window * (params.ctx.NQ + 1)
     if window == 0:
         report.evidence = {"reason": "empty certified window"}
         return report
-    first_nonzero = _first_residual_entry(g, k, right_k, mask)
+    jl = _j_matrix(k, N)
+    jr = {x: {j: -u for j, u in row.items()} for x, row in _j_matrix(right_k, N).items()}
+    first_nonzero = None
+    for n in range(params.ctx.NQ + 1):
+        block, den = _blocks(g)(n)
+        if entry := _sandwich_entry(block, jl, jr, 0, mask, g.basis):
+            first_nonzero = {"grade": n, **_entry_evidence(g.basis, *entry[:2],
+                                                           Fraction(entry[2], den))}
+            break
     if which == "g_true":
         report.status = PASS if first_nonzero is None else FAIL
         if first_nonzero:

@@ -18,9 +18,11 @@ the closed-form partition sum of models must match, and
 fraction_partition_sum is that partition sum with every monomial of each
 exp(linear form) a Fraction, the reference for the integer walk that the
 package replaced it with. DenseGraded keeps the dense route to the tau
-vectors and the graded blocks that the package replaced with pushed
-vectors, fraction_residual_entry the intertwining scan on Fraction
-vectors that the package replaced with an integer-numerator scan,
+vectors, which the package pushes, and to the graded blocks g_n, which the
+package reads off its integer pair tables; fraction_residual_entry is the
+intertwining scan by grade dots of Fraction vectors, and
+fraction_intertwining_residual the check on it, which the package replaced
+with its sandwich kernel on the integer blocks;
 fraction_commutator_check and fraction_first_shift_check the two operator
 checks on Fraction entries (the latter with the dense pair) that the package
 replaced with integer residuals, fraction_second_shift_check the conjugation
@@ -45,7 +47,7 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial
 
 from toda_crystal import Partition, SeriesContext, TruncatedSeries, enumerate_partitions
-from toda_crystal import symmetries
+from toda_crystal import symmetries, toda
 from toda_crystal.algebra import format_rational, linear_form, series_exp
 from toda_crystal.fock import (
     FULL,
@@ -431,14 +433,15 @@ def residual_mask(k: int, right_k: int, params) -> tuple:
 
 
 def dense_residual_entry(family: str, k: int, right_k: int, params,
-                         mask=None) -> dict | None:
+                         mask=None, j=j_op) -> dict | None:
     """The earliest nonzero entry of J_k g_n - g_n J_{right_k} inside a
     weight-pair mask, by grade, then row, then column, from the dense blocks
-    of DenseGraded with the given right family. The mask defaults to the
-    certified window. None when every entry vanishes."""
+    of DenseGraded with the given right family and the current modes j(k,
+    config). The mask defaults to the certified window. None when every entry
+    vanishes."""
     cfg = params.config
     g = DenseGraded(params, family)
-    jl, jr = j_op(k, cfg), j_op(right_k, cfg)
+    jl, jr = j(k, cfg), j(right_k, cfg)
     if mask is None:
         mask = residual_mask(k, right_k, params)
     for n in range(params.ctx.NQ + 1):
@@ -464,10 +467,12 @@ def _fraction_combination(vector, coeffs) -> dict[int, Fraction]:
 
 
 def fraction_residual_entry(g: GradedOperator, k: int, right_k: int, mask) -> dict | None:
-    """toda._first_residual_entry on Fraction vectors: the same scan order
-    and the same linearity in the J factors, with the row and column
-    vectors of g taken from the dense pairs of DenseGraded, and the columns
-    of J_{right_k} from its transpose."""
+    """The earliest nonzero entry of J_k g_n - g_n J_{right_k} inside the mask,
+    by grade, then row, then column, on Fraction vectors and with no block of
+    g: each entry is a difference of grade dots of J-dressed row and column
+    vectors, by linearity in the J factors, with the row and column vectors
+    of g taken from the dense pairs of DenseGraded and the columns of
+    J_{right_k} from its transpose."""
     dense = DenseGraded(g.params, g.family, g.identity_transfers)
     b = g.basis
     w = b.weights
@@ -488,6 +493,35 @@ def fraction_residual_entry(g: GradedOperator, k: int, right_k: int, mask) -> di
                 if v:
                     return {"grade": n, **_entry_evidence(b, lam, mu, v)}
     return None
+
+
+def fraction_intertwining_residual(which: str, k: int, params) -> CheckReport:
+    """toda.intertwining_residual with its entry from fraction_residual_entry,
+    for g ('g_true', the plain family) or g' ('gprime_fake', the alternating
+    family) on the model point params."""
+    if which not in ("g_true", "gprime_fake"):
+        raise ValueError(f"unknown selector {which!r}")
+    N = params.N
+    report = CheckReport("intertwining", toda._params_dict(params, k=k, which=which), INSUFFICIENT)
+    if abs(k) > N:
+        report.evidence = {"reason": "shift exceeds the cutoff"}
+        return report
+    right_k = -k if which == "g_true" else k
+    mask, window = certified_window(N, ((banded(-k), FULL), (FULL, banded(-right_k))))
+    report.window = window * (params.ctx.NQ + 1)
+    if window == 0:
+        report.evidence = {"reason": "empty certified window"}
+        return report
+    g = GradedOperator(params, "plain" if which == "g_true" else "alternating")
+    entry = fraction_residual_entry(g, k, right_k, mask)
+    if which == "g_true":
+        report.status = PASS if entry is None else FAIL
+        report.evidence = {"worst": entry} if entry else {}
+    else:
+        report.status = PASS if entry is not None else FAIL
+        report.evidence = ({"nonzero_entry": entry} if entry
+                           else {"reason": "fake intertwining relation unexpectedly holds"})
+    return report
 
 
 def fraction_commutator_check(k: int, m: int, l: int, n: int, config) -> CheckReport:

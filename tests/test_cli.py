@@ -8,12 +8,12 @@ from pathlib import Path
 import pytest
 
 import toda_crystal
-from toda_crystal.cli import CHECKS, RunConfig, _build_parser, _run_task, _task_list, main
+from toda_crystal.cli import CHECKS, RunConfig, _build_parser, _run_task, _sort_key, _task_list, main
 from toda_crystal.toda import CalibrationError
 
 from oracles import (
     fraction_first_shift_check,
-    fraction_residual_entry,
+    fraction_intertwining_residual,
     fraction_second_shift_check,
 )
 
@@ -199,9 +199,10 @@ def test_verify_intertwining_suites_at_p_one_third(suite, tmp_path):
 
 @pytest.mark.parametrize("suite", ["prev-identity", "toeplitz"])
 def test_intertwining_suites_match_fraction_scan(suite, monkeypatch):
-    # the integer-numerator scan against the Fraction scan on dense vectors;
-    # the lines are compared without their timing field. prev-identity has
-    # the g_true lines, toeplitz the g' lines that report a nonzero entry.
+    # the integer blocks of g read by the residual kernel against the Fraction
+    # scan by grade dots of dense vectors; the lines are compared without
+    # their timing field. prev-identity has the g_true lines, toeplitz the g'
+    # lines that report a nonzero entry.
     args = ["verify", suite, "--s", "0", "--K", "2", "--D", "3", "--p", "1/3"]
 
     def lines():
@@ -215,9 +216,9 @@ def test_intertwining_suites_match_fraction_scan(suite, monkeypatch):
 
     def oracle(*a):
         calls.append(a)
-        return fraction_residual_entry(*a)
+        return fraction_intertwining_residual(*a)
 
-    monkeypatch.setattr(toda_crystal.toda, "_first_residual_entry", oracle)
+    monkeypatch.setattr(toda_crystal.toda, "intertwining_residual", oracle)
     assert lines() == ours
     assert len(calls) == sum(line["check"] == "intertwining" for line in ours) > 0
 
@@ -370,25 +371,56 @@ def _fixture_script():
     return module
 
 
-@pytest.mark.parametrize("p", [pytest.param("1/2", id="p1of2"), pytest.param("2/3", id="p2of3")])
-def test_default_commutators_match_oracle_fixture(p, tmp_path):
-    # the `verify commutators --p p` report at the other defaults against the
-    # line count and sha256 of the Fraction oracle's lines; on a mismatch the
-    # oracle runs again to name the first line that differs
-    script = _fixture_script()
-    name, _ = script.COMMUTATORS[p]
+def _match_fixture(script, name: str, ours: list[str], oracle_lines):
+    """Report lines, as script.report_text writes them, against the line count
+    and sha256 of a fixture; on a mismatch oracle_lines() runs the oracle
+    again to name the first line that differs."""
     fixture = json.loads((script.OUT / name).read_text())
-    out = tmp_path / "r.jsonl"
-    code, _ = run_cli(["verify", "commutators", "--p", p, "--out", str(out)])
-    assert code == 0
-    ours = [script.report_text(json.loads(text)) for text in out.read_text().splitlines()]
     if script.lines_digest(ours) == {"lines": fixture["lines"], "sha256": fixture["sha256"]}:
         return
-    oracle = script.commutator_lines(p)
+    oracle = oracle_lines()
     first = next((i for i, (a, b) in enumerate(zip(ours, oracle)) if a != b),
                  min(len(ours), len(oracle)))
     pytest.fail(f"line {first} of {len(ours)} differs from the oracle's {len(oracle)}:\n"
                 f"package: {ours[first:first + 1]}\noracle:  {oracle[first:first + 1]}")
+
+
+def _verify_lines(script, argv: list[str], tmp_path) -> list[str]:
+    out = tmp_path / "r.jsonl"
+    code, _ = run_cli([*argv, "--out", str(out)])
+    assert code == 0
+    return [script.report_text(json.loads(text)) for text in out.read_text().splitlines()]
+
+
+@pytest.mark.parametrize("p", [pytest.param("1/2", id="p1of2"), pytest.param("2/3", id="p2of3")])
+def test_default_commutators_match_oracle_fixture(p, tmp_path):
+    # the `verify commutators --p p` report at the other defaults against the
+    # Fraction oracle's lines
+    script = _fixture_script()
+    _match_fixture(script, script.COMMUTATORS[p][0],
+                   _verify_lines(script, ["verify", "commutators", "--p", p], tmp_path),
+                   lambda: script.commutator_lines(p))
+
+
+def test_default_shift_matches_oracle_fixture(tmp_path):
+    # the default `verify shift` report against the Fraction shift oracles' lines
+    script = _fixture_script()
+    _match_fixture(script, script.SHIFT, _verify_lines(script, ["verify", "shift"], tmp_path),
+                   script.shift_lines)
+
+
+def test_default_intertwining_matches_oracle_fixture():
+    # the intertwining lines of default `verify prev-identity`, then those of
+    # `verify toeplitz`, against the Fraction intertwining oracle's lines; only
+    # the intertwining tasks run, and their lines are sorted as the CLI sorts
+    script = _fixture_script()
+    ours = []
+    for suite in ("prev-identity", "toeplitz"):
+        cfg = RunConfig.from_args(_build_parser().parse_args(["verify", suite]))
+        lines = [_run_task(task) for task in _task_list(suite, cfg)
+                 if task["kind"] in ("intertwining_true", "toeplitz_fake")]
+        ours += [script.report_text(line) for line in sorted(lines, key=_sort_key)]
+    _match_fixture(script, script.INTERTWINING, ours, script.intertwining_lines)
 
 
 def _perfbench_workloads():

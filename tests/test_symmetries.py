@@ -91,13 +91,31 @@ def test_first_shift_small_grid():
 @pytest.mark.parametrize("p", [P, Fraction(1, 3), Fraction(2, 3)])
 @pytest.mark.parametrize("N", [4, 7])
 def test_pushed_pair_rows_match_dense_pair(family, p, N):
-    rows, den = symmetries._transfer_pair_rows(p, N, family)
-    values = {i: {j: Fraction(v, den) for j, v in row.items()} for i, row in rows.items()}
+    # the Gram matrix of the pushed rows of G_- is the dense product G_- G_+
+    table, den = symmetries._pair_table(p, N, family)
+    assert len(table) == len(get_basis(N)) and all(len(row) == len(table) for row in table)
+    values = _values(dict(enumerate(dict(enumerate(row)) for row in table)), den)
     assert values == oracles.dense_pair(SectorConfig(0, N, p), family).rows
 
 
-def _dense_pair_rows(p, N, family):
-    return fock.integer_form(oracles.dense_pair(SectorConfig(0, N, p), family).rows)
+def test_pair_table_pushes_each_basis_vector_once(monkeypatch):
+    # one raising push per basis vector, through G_-, and no lowering push
+    directions = []
+    monkeypatch.setattr(symmetries, "transfer_row",
+                        lambda *a, f=fock.transfer_row: directions.append(a[-1]) or f(*a))
+    symmetries._pair_table.cache_clear()
+    for N in (4, 7):
+        for family in ("plain", "alternating"):
+            directions.clear()
+            symmetries._pair_table(Fraction(3, 5), N, family)
+            assert directions == ["raising"] * len(get_basis(N)), (N, family)
+    symmetries._pair_table.cache_clear()
+
+
+def _dense_pair_table(p, N, family):
+    rows, den = fock.integer_form(oracles.dense_pair(SectorConfig(0, N, p), family).rows)
+    dim = len(get_basis(N))
+    return [[rows.get(i, {}).get(j, 0) for j in range(dim)] for i in range(dim)], den
 
 
 def test_first_shift_reports_match_dense_pair(monkeypatch):
@@ -106,8 +124,8 @@ def test_first_shift_reports_match_dense_pair(monkeypatch):
               for m in (-2, -1, 0, 1, 2) for s in (-1, 0, 1)]
     pushed = [first_shift_check(*point).to_json_dict() for point in points]
     calls = []
-    monkeypatch.setattr(symmetries, "_transfer_pair_rows", lambda p, N, family: calls.append(
-        family) or _dense_pair_rows(p, N, family))
+    monkeypatch.setattr(symmetries, "_pair_table", lambda p, N, family: calls.append(
+        family) or _dense_pair_table(p, N, family))
     assert [first_shift_check(*point).to_json_dict() for point in points] == pushed
     assert len(calls) == len(points)
     assert all(line["status"] == PASS for line in pushed)
@@ -243,6 +261,28 @@ def test_wrong_relations_fail_after_a_warm_pass():
                 wrong, check.__name__)
 
 
+def test_flipped_v_numerator_fails_first_shift_as_fraction_oracle(monkeypatch):
+    # one numerator of V^(1)_1 negated, in the table both routes read: the
+    # checks whose V factors include it fail, each on the oracle's entry
+    config = SectorConfig(0, 6, Fraction(2, 3))
+
+    def flipped(k, m, config, f=fock.v_int):
+        values, den = f(k, m, config)
+        return ((-values[0], *values[1:]) if (k, m) == (1, 1) else values), den
+
+    for module in (symmetries, oracles):
+        monkeypatch.setattr(module, "v_int", flipped)
+    oracles.v_op.cache_clear()
+    try:
+        lines = _same_reports(first_shift_check, oracles.fraction_first_shift_check,
+                              FIRST_SHIFT_GRID, [config])
+    finally:
+        oracles.v_op.cache_clear()
+    failed = {(line["params"]["variant"], line["params"]["k"], line["params"]["m"])
+              for line in lines if line["status"] == FAIL}
+    assert failed == {("G", 1, 0), ("G", 1, 1)}
+
+
 @settings(max_examples=150, deadline=None)
 @given(p=_fractions_of_small_height(), s=st.sampled_from((-1, 0, 1)), N=st.integers(3, 6),
        variant=st.sampled_from(("G", "Gprime")), k=st.integers(1, 2), m=st.integers(-3, 3),
@@ -296,17 +336,24 @@ def _in_lowest_terms(values, den) -> bool:
 
 
 def _scanned_residuals(monkeypatch) -> list:
-    """Records the (rows, den) of every scan the checks make, the rows as
-    {i: {j: numerator}} in the order the check hands them over."""
+    """Records, for every call of the residual kernel _sandwich_entry, the
+    rows of diag T + L T + T R of a weight its mask reads, each row whole
+    (uncertified entries included) as {i: {j: numerator}}, formed here from
+    the kernel's inputs entry by entry."""
     seen = []
-    scan = symmetries._first_entry
+    scan = symmetries._sandwich_entry
 
-    def record(indices, row, mask, basis_obj, den=1):
-        rows = {i: row(i) for i in indices}
-        seen.append((rows, den))
-        return scan(rows, rows.get, mask, basis_obj, den)
+    def record(table, left, right, diag, mask, basis_obj):
+        dim, w = len(table), basis_obj.weights
+        rows = {i: {j: diag * table[i][j]
+                    + sum(u * table[x][j] for x, u in left.get(i, {}).items())
+                    + sum(table[i][x] * r.get(j, 0) for x, r in right.items())
+                    for j in range(dim)}
+                for i in range(dim) if any(mask[w[i]])}
+        seen.append(rows)
+        return scan(table, left, right, diag, mask, basis_obj)
 
-    monkeypatch.setattr(symmetries, "_first_entry", record)
+    monkeypatch.setattr(symmetries, "_sandwich_entry", record)
     return seen
 
 
@@ -359,8 +406,9 @@ def test_integer_forms_hold_ints_in_lowest_terms(monkeypatch):
         assert _values(_pattern_rows(m, config, values), den) == (
             oracles.v_op_by_bilinears(k, m, config).rows)
     for family in ("plain", "alternating"):
-        rows, den = symmetries._transfer_pair_rows(config.p, 6, family)
-        assert _in_lowest_terms((v for row in rows.values() for v in row.values()), den)
+        table, den = symmetries._pair_table(config.p, 6, family)
+        # the table is dense: its nonzero entries are in lowest terms with den
+        assert _in_lowest_terms((v for row in table for v in row if v), den)
     seen = []
     monkeypatch.setattr(symmetries, "_product_part",
                         lambda *a, f=symmetries._product_part: seen.append(f(*a)) or seen[-1])
@@ -470,11 +518,16 @@ def test_first_shift_residual_is_taken_on_readable_rows(variant, k, m, monkeypat
     config = SectorConfig(-1, 6, Fraction(2, 3))
     seen = _scanned_residuals(monkeypatch)
     assert first_shift_check(variant, k, m, config).status == PASS
-    (rows, den), = seen
+    rows, = seen
     upper, parity = (k, (-1) ** k) if variant == "G" else (-k, 1)
     c = torus_constant(upper, config.p)
+    family = "plain" if variant == "G" else "alternating"
+    # the one denominator of the check: the pair's, the two V's and the constant's
+    c_g = (c if m == 0 else 0) - parity * (c if m + k == 0 else 0)
+    den = (symmetries._pair_table(config.p, 6, family)[1] * fock.v_int(upper, m, config)[1]
+           * fock.v_int(upper, m + k, config)[1] * Fraction(c_g).denominator)
     gg = SectorOperator(config, get_basis(6), oracles.dense_pair(
-        SectorConfig(0, 6, config.p), "plain" if variant == "G" else "alternating").rows)
+        SectorConfig(0, 6, config.p), family).rows)
     ident = oracles.identity(config)
     left = oracles.sub(v_op(upper, m, config), oracles.scale(ident, c if m == 0 else 0))
     right = oracles.sub(v_op(upper, m + k, config), oracles.scale(ident, c if m + k == 0 else 0))
@@ -560,20 +613,32 @@ def test_reports_are_deterministic():
 
 
 def test_failing_entry_identifies_earliest_pair():
-    # deliberately compare mismatched operators through the report scanner
-    from toda_crystal.fock import certified_window
-    from toda_crystal.symmetries import _first_entry
-
+    # deliberately feed a nonzero operator through the residual kernel: with T
+    # the identity, diag T + L T + T R is diag + L + R
     c = cfg(N=3)
-    residual = v_op(0, 1, c)  # nonzero operator standing in for a residual
-    mask, _ = certified_window(3)  # no certificate: every weight pair
-    # the rows come in descending order; the scanner must still find the earliest
-    formed = []
-    worst = _first_entry(reversed(list(residual.rows)),
-                         lambda i: formed.append(i) or residual.rows[i], mask, residual.basis)
-    assert formed == [min(residual.rows)]
-    assert worst is not None
     b = get_basis(3)
+    residual = v_op(0, 1, c)  # nonzero operator standing in for a residual
+    mask, _ = fock.certified_window(3)  # no certificate: every weight pair
+    # the rows, and the entries of each, come in descending order; the kernel
+    # must still find the earliest
+    rows = {i: {j: int(v) for j, v in sorted(residual.rows[i].items(), reverse=True)}
+            for i in sorted(residual.rows, reverse=True)}
     first = min((i, j) for i in residual.rows for j in residual.rows[i])
-    assert worst["row"] == b.parts[first[0]].to_json()
-    assert worst["col"] == b.parts[first[1]].to_json()
+    formed = []
+
+    class Table(list):  # records the rows the kernel walks
+        def __iter__(self):
+            for i, row in enumerate(list.__iter__(self)):
+                formed.append(i)
+                yield row
+
+    ident = Table([int(i == j) for j in range(len(b))] for i in range(len(b)))
+    for left, right in ((rows, {}), ({}, rows)):
+        formed.clear()
+        i, j, v = symmetries._sandwich_entry(ident, left, right, 0, mask, b)
+        # the rows are formed in ascending order, and none after the one reported
+        assert formed == list(range(first[0] + 1))
+        assert (i, j) == first and v == residual.rows[i][j]
+        worst = symmetries._entry_evidence(b, i, j, Fraction(v))
+        assert worst["row"] == b.parts[first[0]].to_json()
+        assert worst["col"] == b.parts[first[1]].to_json()

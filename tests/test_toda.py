@@ -31,10 +31,11 @@ from toda_crystal import (
     zprime_family,
     zprime_series,
 )
+from toda_crystal import toda
 from toda_crystal.algebra import linear_form, series_exp, series_from_json_dict
 from toda_crystal.fock import SectorConfig, get_basis, w0_diag
-from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS
-from toda_crystal.toda import GradedOperator, TauSeries, _first_residual_entry, _j_matrix
+from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS, _entry_evidence, _sandwich_entry
+from toda_crystal.toda import GradedOperator, TauSeries, _j_matrix
 
 from oracles import (
     DenseGraded,
@@ -65,7 +66,7 @@ def test_graded_operator_identity_transfers_is_diagonal():
     w0 = w0_diag(cfg.s, cfg.N)
     for n in range(4):
         for i in b.weight_range[n]:
-            u, w = as_fractions(g.basis_row(i)), as_fractions(g.basis_col(i))
+            u, w = (as_fractions(push(({i: 1}, 1))) for push in (g.row, g.col))
             assert list(u) == list(w) == [i]
             # A = p^{(1+l) W0}, B = p^{-W0}: g_n is diagonal p^{l w0}
             assert u[i] * w[i] == cfg.p ** (cfg.l * w0[i])
@@ -359,7 +360,7 @@ def test_pushed_basis_vectors_match_dense_pair(family, p):
     low = len(get_basis(pr.ctx.NQ))
     for i in range(len(b)):
         e = {i: Fraction(1)}
-        row, col = ours.basis_row(i), ours.basis_col(i)
+        row, col = ours.row(({i: 1}, 1)), ours.col(({i: 1}, 1))
         for nums, den in (row, col):
             # pushed vectors are in lowest terms over a positive denominator
             assert den > 0 and 0 not in nums.values() and math.gcd(den, *nums.values()) == 1
@@ -369,6 +370,45 @@ def test_pushed_basis_vectors_match_dense_pair(family, p):
 
 # N = 4 with NQ = 3, and N = 6 above NQ = 2 so that the cut at NQ is active
 INTERTWINING_SHAPES = [dict(K=2, D=2, NQ=3), dict(K=2, D=3, NQ=2)]
+
+
+def _kernel_entry(g, k: int, right_k: int, mask) -> dict | None:
+    """The earliest nonzero entry of J_k g_n - g_n J_{right_k} inside the mask,
+    by grade, then row, then column: the gram blocks of g read by the residual
+    kernel, with the rows of J_k and of -J_{right_k} as its sparse factors."""
+    N = g.config.N
+    right = {x: {j: -u for j, u in row.items()} for x, row in _j_matrix(right_k, N).items()}
+    for n in range(g.params.ctx.NQ + 1):
+        block, den = g.gram(n)
+        entry = _sandwich_entry(block, _j_matrix(k, N), right, 0, mask, g.basis)
+        if entry:
+            return {"grade": n, **_entry_evidence(g.basis, *entry[:2], Fraction(entry[2], den))}
+    return None
+
+
+@pytest.mark.parametrize("identity_transfers", [False, True])
+@pytest.mark.parametrize("shape", INTERTWINING_SHAPES)
+def test_gram_blocks_match_dense_blocks(shape, identity_transfers):
+    # g_n read off the integer pair tables against A Pi_n B from the dense
+    # Fraction pairs, and against the grade dots of the pushed basis vectors
+    for s, l, p, family in ((-1, 1, Fraction(2, 3), "plain"), (1, 0, Fraction(1, 2), "alternating"),
+                            (0, 1, Fraction(3, 7), "alternating")):
+        pr = params(s=s, l=l, p=p, **shape)
+        ours = GradedOperator(pr, family, identity_transfers)
+        dense = DenseGraded(pr, family, identity_transfers)
+        b = get_basis(pr.N)
+        rows = [as_fractions(ours.row(({i: 1}, 1))) for i in range(len(b))]
+        cols = [as_fractions(ours.col(({j: 1}, 1))) for j in range(len(b))]
+        for n in range(pr.ctx.NQ + 1):
+            block, den = ours.gram(n)
+            assert len(block) == len(b) and all(len(row) == len(b) for row in block)
+            values = {i: {j: Fraction(v, den) for j, v in enumerate(row) if v}
+                      for i, row in enumerate(block)}
+            assert {i: row for i, row in values.items() if row} == dense.block(n).rows, (s, n)
+            dots = {(i, j): sum((u * cols[j].get(nu, 0) for nu, u in rows[i].items()
+                                 if b.weights[nu] == n), Fraction(0))
+                    for i in range(len(b)) for j in range(len(b))}
+            assert all(values[i].get(j, 0) == v for (i, j), v in dots.items()), (s, n)
 
 
 @pytest.mark.parametrize("shape", INTERTWINING_SHAPES)
@@ -390,7 +430,7 @@ def test_intertwining_matches_dense_blocks(s, l, p, shape):
     # the pushed and the dense residuals still agree on its certified window
     with pytest.raises(ValueError):
         intertwining_residual("g_true", -1, pr)
-    entry = _first_residual_entry(build_g(pr), -1, 1, residual_mask(-1, 1, pr))
+    entry = _kernel_entry(build_g(pr), -1, 1, residual_mask(-1, 1, pr))
     assert entry is not None
     assert entry == dense_residual_entry("plain", -1, 1, pr)
 
@@ -406,9 +446,46 @@ def test_residual_scan_order_matches_dense_blocks(family, weights):
     mask = tuple(tuple(weights in (None, (w1, w2)) for w2 in range(N + 1))
                  for w1 in range(N + 1))
     g = build_g(pr) if family == "plain" else build_gprime(pr)
-    entry = _first_residual_entry(g, -1, 1, mask)
+    entry = _kernel_entry(g, -1, 1, mask)
     assert entry is not None
     assert entry == dense_residual_entry(family, -1, 1, pr, mask)
+
+
+def test_intertwining_checks_of_a_model_point_share_its_blocks(monkeypatch):
+    # g_true at k = 1 and 2 build each block of g once; g' reports its entry
+    # at grade 0 and builds no other block
+    built = []
+    monkeypatch.setattr(GradedOperator, "gram",
+                        lambda self, n, f=GradedOperator.gram: built.append((self.family, n)) or f(self, n))
+    pr = params(s=1, l=1, p=Fraction(4, 9), K=2, D=2, NQ=3)
+    assert all(intertwining_residual("g_true", k, pr).passed for k in (1, 2))
+    assert built == [("plain", n) for n in range(4)]
+    built.clear()
+    assert intertwining_residual("gprime_fake", 1, pr).evidence["nonzero_entry"]["grade"] == 0
+    assert built == [("alternating", 0)]
+
+
+def test_flipped_j_sign_fails_as_dense_residual(monkeypatch):
+    # one sign of J_1 flipped, in the table the check and the dense residual
+    # both read: g_true fails at k = 1 on the dense residual's entry
+    pr = params(s=0, l=1, p=Fraction(2, 3), K=2, D=2, NQ=3)
+
+    def flipped(k, N, f=_j_matrix):
+        rows = {i: dict(row) for i, row in f(k, N).items()}
+        if k == 1:
+            i = min(rows)
+            j = min(rows[i])
+            rows[i][j] = -rows[i][j]
+        return rows
+
+    monkeypatch.setattr(toda, "_j_matrix", flipped)
+    rep = intertwining_residual("g_true", 1, pr)
+    entry = dense_residual_entry(
+        "plain", 1, -1, pr, j=lambda k, cfg: SectorOperator(cfg, get_basis(cfg.N), flipped(k, cfg.N)))
+    assert rep.status == FAIL and entry is not None
+    assert rep.evidence["worst"] == entry
+    # the flip is in J_1 alone, so k = 2 still passes
+    assert intertwining_residual("g_true", 2, pr).status == PASS
 
 
 @pytest.mark.parametrize("k", [1, 2])
