@@ -22,11 +22,12 @@ the charge and the cutoff alone, and are built once, in move_table. v_int,
 the one builder of V^(k)_m, lays the numerators of +-p^v_exponent out along
 v_pattern, the moves (at m = 0 the potential diagonal); J_k puts its sign on
 each move, a transfer exponent +-c_k. The checks form each product from
-these numerators. The transfer exponentials G+- are only ever applied to
-vectors, by transfer_row, in the same form; the checks hold the pair G_-G_+
-as a dense integer table, the Gram matrix of pushed rows of G_-. The dense
-Fraction matrices of G+- and of the pair, and every Fraction operator, V and
-J among them, are the test oracles' reference.
+these numerators. Of the transfer exponentials only G_- is ever applied, to
+vectors, by transfer_row, in the same form; G_+ is its transpose. So every
+entry of the pair G_-G_+ is a dot of two rows through G_-, formed by pair_dots
+against the cached rows e_i G_- of minus_rows; pair_table holds the dots of
+every basis row. The dense Fraction matrices of G+- and of the pair, and
+every Fraction operator, V and J among them, are the test oracles' reference.
 """
 
 from __future__ import annotations
@@ -351,16 +352,14 @@ def transfer_weights(p: Fraction, N: int, alternating: bool) -> dict[int, Fracti
 
 
 @lru_cache(maxsize=None)
-def _transfer_generator(p: Fraction, N: int, family: str, direction: str) -> tuple[dict, int]:
-    """The rows of the exponent sum_k c_k J_{+k} (lowering) or sum_k c_k J_{-k}
-    (raising) of a transfer exponential in integer form, c_k the transfer
-    weights of the family: +-c_k on each move of move_table(+-k, 0, N), the
-    signs of J_{+-k}. A weight pair belongs to one k alone, and no entry
+def _transfer_generator(p: Fraction, N: int, family: str) -> tuple[dict, int]:
+    """The rows of the exponent sum_k c_k J_{-k} of G_- in integer form, c_k the
+    transfer weights of the family: +-c_k on each move of move_table(-k, 0, N),
+    the signs of J_{-k}. A weight pair belongs to one k alone, and no entry
     depends on the charge, so the table is built at s = 0."""
-    sgn = -1 if direction == "raising" else 1
     rows: dict[int, dict[int, Fraction]] = {}
     for k, c in transfer_weights(p, N, alternating=(family == "alternating")).items():
-        for i, j, sign, _ in move_table(sgn * k, 0, N):
+        for i, j, sign, _ in move_table(-k, 0, N):
             rows.setdefault(i, {})[j] = c if sign > 0 else -c
     return integer_form(rows)
 
@@ -401,39 +400,44 @@ def _exp_series(vec: IntVector, step: Callable, den_step: int) -> IntVector:
             acc[i] = acc[i] + v if i in acc else v
 
 
-def _below(vec: IntVector, cap: int) -> IntVector:
-    """The components of weight <= cap; the graded basis order puts them first."""
-    limit = len(get_basis(cap))
-    return {i: v for i, v in vec[0].items() if i < limit}, vec[1]
-
-
-def transfer_row(vec: IntVector, p: Fraction, N: int, family: str,
-                 direction: str) -> IntVector:
-    """vec . exp(sum_k c_k J_{-k}) (raising) or vec . exp(sum_k c_k J_{+k})
-    (lowering) in the sector cut at N, with c_k the transfer weights of the
-    family: G_- and G_+ for 'plain', G"_- and G"_+ for 'alternating'.
-
-    vec and the result are in integer form (see IntVector), the result in
-    lowest terms. The exponential runs on the numerators with the integer
-    form of its exponent, so no step reduces a fraction. Every transfer
-    exponential of the package is applied through here."""
-    gen, den = _transfer_generator(p, N, family, direction)
+def transfer_row(vec: IntVector, p: Fraction, N: int, family: str) -> IntVector:
+    """vec . exp(sum_k c_k J_{-k}) in the sector cut at N, c_k the transfer
+    weights of the family: G_- for 'plain', G"_- for 'alternating'. On a row
+    G_- lowers weights. vec and the result are in integer form (see
+    IntVector), the result in lowest terms. The exponential runs on the
+    numerators with the integer form of its exponent, so no step reduces a
+    fraction. Every transfer exponential of the package is applied here."""
+    gen, den = _transfer_generator(p, N, family)
     return _exp_series(vec, lambda t: apply_row(t, gen), den)
 
 
-def transfer_pair_row(vec: IntVector, p: Fraction, N: int, family: str,
-                      cap: int) -> IntVector:
-    """vec . G_- G_+ on the weights <= cap, without materialising the pair.
+@lru_cache(maxsize=None)
+def minus_rows(p: Fraction, N: int, family: str) -> tuple[tuple[dict[int, int], ...], int]:
+    """e_i . G_- for each basis vector e_i of the sector cut at N, as sparse
+    integer rows over one denominator, in lowest terms. Row i reaches only
+    weights <= w_i, so the rows of weight <= c are those of the cut at c."""
+    pushed = [transfer_row(({i: 1}, 1), p, N, family) for i in range(len(get_basis(N)))]
+    den = math.lcm(*(d for _, d in pushed))
+    return tuple({j: v * (den // d) for j, v in nums.items()} for nums, d in pushed), den
 
-    vec and the result are in integer form, the result in lowest terms. On a
-    row G_- lowers weights, so it runs on the whole window. G_+ raises them:
-    a component of weight <= cap only ever draws on components of lower
-    weight, so G_+ runs in the sector cut at cap, whose basis is a prefix of
-    this one. The result equals vec times the dense product of the two
-    exponentials (the reference pair of the test oracles) on the weights
-    <= cap.
 
-    The pair is symmetric, since G_+ is the transpose of G_- (J_{-k} is the
-    transpose of J_k), so this is also G_- G_+ . vec on a column."""
-    v = transfer_row(vec, p, N, family, "raising")
-    return transfer_row(_below(v, cap), p, cap, family, "lowering")
+def pair_dots(nums: Mapping[int, int], p: Fraction, cap: int, family: str) -> tuple[list[int], int]:
+    """(dots, den) with (v . G_-G_+)_j = dots[j]/(d den) for j < len(get_basis(cap)),
+    for a row v = nums/d already through G_-, in any sector. G_+ is the
+    transpose of G_- (J_{-k} that of J_k), so (u G_-G_+)_j is the dot of u G_-
+    with e_j G_-, which reaches only weights <= w_j <= cap: the sum is exact
+    over minus_rows(p, cap, family). The one place a G_-G_+ entry is formed."""
+    rows, den = minus_rows(p, cap, family)
+    return [sum(v * nums[x] for x, v in row.items() if x in nums) for row in rows], den
+
+
+@lru_cache(maxsize=None)
+def pair_table(p: Fraction, N: int, family: str, cap: int) -> tuple[list[list[int]], int]:
+    """G_-G_+ on the sector cut at N, on the columns of weight <= cap alone, as
+    a dense integer matrix over one denominator, in lowest terms: row i is the
+    pair_dots of e_i G_-. No entry depends on s."""
+    rows, den = minus_rows(p, N, family)
+    table = [pair_dots(row, p, cap, family)[0] for row in rows]
+    d = den * minus_rows(p, cap, family)[1]
+    g = math.gcd(d, *(v for row in table for v in row))
+    return [[v // g for v in row] for row in table], d // g

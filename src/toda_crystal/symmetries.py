@@ -11,16 +11,14 @@ commutator's factors are sparse: per (m, n), _commutator_tables numbers the
 certified cells its terms land in as slots, in ascending (row, col), with the
 two-move paths of V_m V_n and V_n V_m along them, and each check fills one
 flat integer list, one numerator per slot; its first nonzero slot is the
-reported entry. The first shift's G_-G_+ is a dense integer table, the Gram
-matrix of the rows of G_-; _sandwich_entry, the kernel toda's intertwining
-check shares, forms c T + L T + T R on it, row by row, and stops at the first
-nonzero entry. The second shift compares exponents of p move by move.
+reported entry. The first shift's G_-G_+ is the dense integer fock.pair_table;
+_sandwich_entry, the kernel toda's intertwining check shares, forms
+c T + f L T + T f' R on it, row by row, and stops at the first nonzero entry.
+The second shift compares exponents of p move by move.
 """
 
 from __future__ import annotations
 
-import math
-import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -34,7 +32,7 @@ from .fock import (
     certified_window,
     get_basis,
     move_table,
-    transfer_row,
+    pair_table,
     v_exponent,
     v_int,
     v_pattern,
@@ -69,6 +67,15 @@ class CheckReport:
         }
 
 
+_ZERO = Fraction(0)
+
+
+@lru_cache(maxsize=None)
+def _p_label(config: SectorConfig) -> str:
+    """The p of a report's params, formatted once per config."""
+    return format_rational(config.p)
+
+
 def torus_constant(j: int, p: Fraction) -> Fraction:
     """Central subtraction q^j/(1-q^j) attached to the zero-shift generators."""
     if j == 0:
@@ -97,16 +104,17 @@ def central_term(k: int, m: int, l: int, n: int, p: Fraction, sign: int = 1) -> 
     if k + l == 0 and m + n == 0:
         return Fraction(sign * m)
     if m + n:
-        return Fraction(0)
+        return _ZERO
     return -torus_prefactor(k, m, l, n, p) * torus_constant(k + l, p)
 
 
-def _sandwich_entry(table, left, right, diag: int, mask, basis) -> tuple[int, int, int] | None:
-    """The earliest nonzero entry (i, j, v) of diag T + L T + T R inside the
-    certified_window mask, by row, then column, or None: T a dense integer
-    matrix (a list of rows), L and R integer rows {i: {j: value}}, diag and so
-    v integers, over the caller's denominator. Only the rows the mask reads are
-    formed, in turn, each up to its last live column."""
+def _sandwich_entry(table, left, right, diag: int, mask, basis, f_left: int = 1,
+                    f_right: int = 1) -> tuple[int, int, int] | None:
+    """The earliest nonzero entry (i, j, v) of diag T + f_left L T + T f_right R
+    inside the certified_window mask, by row, then column, or None: T a dense
+    integer matrix (a list of rows), L and R integer rows {i: {j: value}},
+    diag, the scales and so v integers, over the caller's denominator. Only the
+    rows the mask reads are formed, in turn, each up to its last live column."""
     w, ranges = basis.weights, basis.weight_range
     cut: dict[int, list] = {}  # by stop, the entries (x, j, u) of R with j < stop
     for i, row in enumerate(table):
@@ -115,9 +123,11 @@ def _sandwich_entry(table, left, right, diag: int, mask, basis) -> tuple[int, in
             continue
         stop = ranges[max(n for n, x in enumerate(live) if x)].stop
         if stop not in cut:
-            cut[stop] = [(x, j, u) for x, r in right.items() for j, u in r.items() if j < stop]
+            cut[stop] = [(x, j, f_right * u) for x, r in right.items() for j, u in r.items()
+                         if j < stop]
         acc = [diag * t for t in row[:stop]] if diag else [0] * stop
         for x, u in left.get(i, {}).items():
+            u *= f_left
             acc = [a + u * t for a, t in zip(acc, table[x])]
         for x, j, u in cut[stop]:
             acc[j] += row[x] * u
@@ -203,7 +213,7 @@ def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> Ch
     degenerates to a pure central term, tried with both signs on one product;
     the realized sign of that constant is reported, not presumed."""
     params = {"k": k, "m": m, "l": l, "n": n, "s": config.s, "l_weight": config.l,
-              "p": format_rational(config.p), "N": config.N}
+              "p": _p_label(config), "N": config.N}
     report = CheckReport("commutator", params, INSUFFICIENT)
     N = config.N
     if max(abs(m), abs(n), abs(m + n)) > N:
@@ -236,19 +246,14 @@ def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> Ch
 
 
 @lru_cache(maxsize=None)
-def _pair_table(p: Fraction, N: int, family: str) -> tuple[list[list[int]], int]:
-    """G_-G_+ on the sector cut at N as a dense integer matrix over one
-    denominator, in lowest terms; no entry depends on s. G_+ is the transpose
-    of G_- (J_{-k} is the transpose of J_k), so G_-G_+ is the Gram matrix of
-    the rows of G_-, and each basis vector is pushed once, through G_-."""
-    dim = len(get_basis(N))
-    pushed = [transfer_row(({i: 1}, 1), p, N, family, "raising") for i in range(dim)]
-    den = math.lcm(*(d for _, d in pushed))
-    rows = [[nums.get(j, 0) * (den // d) for j in range(dim)] for nums, d in pushed]
-    lower = [[sum(map(operator.mul, a, b)) for b in rows[:i + 1]] for i, a in enumerate(rows)]
-    table = [lower[i] + [lower[j][i] for j in range(i + 1, dim)] for i in range(dim)]
-    g = math.gcd(den * den, *(v for row in table for v in row))
-    return [[v // g for v in row] for row in table], den * den // g
+def _v_rows(k: int, m: int, config: SectorConfig) -> tuple[dict[int, dict[int, int]], int]:
+    """V^(k)_m as integer rows {i: {j: numerator}} and v_int's denominator,
+    laid out along v_pattern."""
+    values, den = v_int(k, m, config)
+    rows: dict[int, dict[int, int]] = {}
+    for (i, j), v in zip(v_pattern(m, config.s, config.N), values):
+        rows.setdefault(i, {})[j] = v
+    return rows, den
 
 
 def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> CheckReport:
@@ -268,7 +273,7 @@ def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> Che
     if variant not in ("G", "Gprime"):
         raise ValueError(f"unknown variant {variant!r}")
     params = {"variant": variant, "k": k, "m": m, "s": config.s,
-              "p": format_rational(config.p), "N": config.N}
+              "p": _p_label(config), "N": config.N}
     report = CheckReport("first_shift", params, INSUFFICIENT)
     N = config.N
     if abs(m) > N or abs(m + k) > N:
@@ -283,19 +288,14 @@ def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> Che
     upper = k if variant == "G" else -k
     parity = (-1) ** k if variant == "G" else 1
     c = torus_constant(upper, config.p)
-    table, d_g = _pair_table(config.p, N, "plain" if variant == "G" else "alternating")
-    (v_l, d_l), (v_r, d_r) = v_int(upper, m, config), v_int(upper, m + k, config)
+    table, d_g = pair_table(config.p, N, "plain" if variant == "G" else "alternating", N)
+    (v_l, d_l), (v_r, d_r) = _v_rows(upper, m, config), _v_rows(upper, m + k, config)
     c_g = (c if m == 0 else 0) - parity * (c if m + k == 0 else 0)  # c_L - parity c_R
     d_c = c_g.denominator
-    # the V as integer rows {i: {j: value}}, scaled so that over d_g d_l d_r d_c
-    # L T is -parity V_R G, T R is G V_L and diag T is -c_g G
-    left: dict[int, dict[int, int]] = {}
-    right: dict[int, dict[int, int]] = {}
-    for rows, shift, values, f in ((left, m + k, v_r, -parity * d_l * d_c),
-                                   (right, m, v_l, d_r * d_c)):
-        for (i, j), v in zip(v_pattern(shift, config.s, N), values):
-            rows.setdefault(i, {})[j] = f * v
-    entry = _sandwich_entry(table, left, right, -c_g.numerator * d_l * d_r, mask, get_basis(N))
+    # over d_g d_l d_r d_c, f_left V_R T is -parity V_R G, T f_right V_L is
+    # G V_L and diag T is -c_g G
+    entry = _sandwich_entry(table, v_r, v_l, -c_g.numerator * d_l * d_r, mask, get_basis(N),
+                            -parity * d_l * d_c, d_r * d_c)
     worst = entry and _entry_evidence(get_basis(N), *entry[:2],
                                       Fraction(entry[2], d_g * d_l * d_r * d_c))
     report.status = PASS if worst is None else FAIL
@@ -311,7 +311,7 @@ def second_shift_check(k: int, m: int, config: SectorConfig) -> CheckReport:
     side puts sign p^e on each move of move_table, so the exponents are
     compared move by move, a differing pair reported as sign (p^a - p^b).
     The m = 0 member is diagonal and has no moves."""
-    params = {"k": k, "m": m, "s": config.s, "p": format_rational(config.p), "N": config.N}
+    params = {"k": k, "m": m, "s": config.s, "p": _p_label(config), "N": config.N}
     report = CheckReport("second_shift", params, INSUFFICIENT)
     if abs(m) > config.N:
         report.evidence = {"reason": "shift exceeds the cutoff"}

@@ -9,23 +9,21 @@ retained coefficient is a finite exact sum.
 Certification is by construction for the tau series. A tau series needs
 only the C(K+D, D) time vectors <s| prod J_k^{a_k} A and B prod J_{-k}^{b_k} |s>,
 paired at weights n <= NQ, so A and B are never materialised: each vector
-is pushed through the dressings and the terminating exponential series of
-the transfer factors one factor at a time, in integer form: a pair
-(nums, den) of integer numerators over one denominator den > 0, with value
-nums/den. A reported value is built once, as a Fraction. The factor that
-raises weights (G_+ on a row, G"_- on a column) runs in the sector cut at
-NQ, which is exact: a component of weight <= NQ only draws on
-intermediates of lower weight. The time exponentials contribute energies
-at most K*D, which the cutoff must dominate. The time vectors read J_k as
-the signs of the moves in fock.move_table, and since J_{-k} is the
-transpose of J_k, one table of row vectors serves as the column vectors
-too. The intertwining check reads each block g_n = A Pi_n B as a dense
-integer table, the grade-n Gram matrix of the basis vectors e_lam A and
-B e_mu, which are dressed rows of the transfer pair tables G_-G_+
-(symmetries._pair_table) that every model point and the first shift share.
-The first shift's kernel, symmetries._sandwich_entry, reads J_k g_n - g_n J_r
-on it, the rows of J_k and J_r its sparse factors, against the same
-certified_window mask as the operator checks.
+is pushed through the dressings and the transfer pairs one factor at a
+time, in integer form: a pair (nums, den) of integer numerators over one
+denominator den > 0, with value nums/den. A reported value is built once, as
+a Fraction. A transfer pair is one push through G_- (G"_- for the
+alternating family) in the sector cut at N, then fock.pair_dots against the
+rows e_nu G_- of weight <= NQ, which is exact. The time exponentials
+contribute energies at most K*D, which the cutoff must dominate. The time
+vectors read J_k as the signs of the moves in fock.move_table, and since
+J_{-k} is the transpose of J_k, one table of row vectors serves as the
+column vectors too. The intertwining check reads each block g_n = A Pi_n B
+as a dense integer table, the grade-n Gram matrix of the basis vectors
+e_lam A and B e_mu: dressed rows of fock.pair_table at cap NQ, from the same
+rows of G_- as the first shift's table. The first shift's kernel,
+symmetries._sandwich_entry, reads J_k g_n - g_n J_r on it, with the rows of
+J_k and J_r, the latter scaled by -1, against a certified_window mask.
 """
 
 from __future__ import annotations
@@ -56,9 +54,10 @@ from .fock import (
     get_basis,
     banded,
     move_table,
+    pair_dots,
+    pair_table,
     power_form,
     reduced,
-    transfer_pair_row,
     transfer_row,
     w0_diag,
 )
@@ -74,7 +73,6 @@ from .symmetries import (
     PASS,
     CheckReport,
     _entry_evidence,
-    _pair_table,
     _sandwich_entry,
     torus_constant,
 )
@@ -148,16 +146,13 @@ class GradedOperator:
     through the factors one at a time, kept on the weights <= NQ, the only
     ones a graded pairing reads, and returned in lowest terms. The p^{cW0}
     dressings multiply numerators and denominator by integer powers of the
-    numerator and the denominator of p. The cut is exact: the
-    dressings keep weights, and the transfer factor that raises weights (G_+
-    on a row, G"_- on a column) runs in the sector cut at NQ, since no
-    intermediate of a kept component lies above that component's weight.
-    Every graded quantity pairs such vectors: <lam| g |mu> =
+    numerator and the denominator of p. A transfer pair is one push through
+    G_- and its fock.pair_dots at cap NQ, exact since the dressings keep
+    weights. Every graded quantity pairs such vectors: <lam| g |mu> =
     sum_n Q^{n + s(s+1)/2} <row(e_lam), col(e_mu)>_n.
 
     The operator keeps what it pushes, time_vectors for the tau series. The
-    blocks gram(n) = g_n are integer tables read off the transfer pair
-    tables."""
+    blocks gram(n) = g_n are integer tables read off fock.pair_table."""
 
     def __init__(self, params: ModelParams, family: str, identity_transfers: bool = False):
         if family not in _RIGHT_W0_SIGN:
@@ -179,25 +174,23 @@ class GradedOperator:
         powers, d = power_form(self.config.p, [c * self._w0[i] for i in nums])
         return {i: v * f for (i, v), f in zip(nums.items(), powers)}, den * d
 
-    def _cut(self, vec: IntVector) -> IntVector:
-        return {i: v for i, v in vec[0].items() if i < self._limit}, vec[1]
+    def _pair(self, vec: IntVector, family: str) -> IntVector:
+        """vec times the transfer pair of the family on the weights <= NQ; with
+        identity_transfers, vec on those weights."""
+        if self.identity_transfers:
+            return {i: v for i, v in vec[0].items() if i < self._limit}, vec[1]
+        nums, den = transfer_row(vec, self.config.p, self.config.N, family)
+        dots, d = pair_dots(nums, self.config.p, self.params.ctx.NQ, family)
+        return {j: v for j, v in enumerate(dots) if v}, den * d
 
     def row(self, vec: IntVector) -> IntVector:
         """vec . A on the weights <= NQ."""
-        cfg = self.config
-        v = self._scaled(vec, 1)
-        if not self.identity_transfers:
-            v = transfer_pair_row(v, cfg.p, cfg.N, "plain", self.params.ctx.NQ)
-        return reduced(self._scaled(self._cut(v), cfg.l))
+        return reduced(self._scaled(self._pair(self._scaled(vec, 1), "plain"), self.config.l))
 
     def col(self, vec: IntVector) -> IntVector:
         """B . vec on the weights <= NQ; the transfer pair is symmetric, so it
         acts on a column as on a row."""
-        cfg = self.config
-        v = self._scaled(vec, _RIGHT_W0_SIGN[self.family])
-        if not self.identity_transfers:
-            v = transfer_pair_row(v, cfg.p, cfg.N, self.family, self.params.ctx.NQ)
-        return reduced(self._cut(v))
+        return reduced(self._pair(self._scaled(vec, _RIGHT_W0_SIGN[self.family]), self.family))
 
     @cached_property
     def time_vectors(self):
@@ -211,13 +204,14 @@ class GradedOperator:
     @cached_property
     def _basis_vectors(self) -> tuple[list[list[int]], list[list[int]], int]:
         """(rows, cols, den): rows[lam][nu] and cols[nu][mu], nu of weight <= NQ,
-        the numerators of e_lam A and B e_mu over one den, read off the transfer
-        pair tables: e_lam A is row lam of G_-G_+ dressed by p^{w0(lam)} and
-        p^{l W0}, B e_mu (the pair is symmetric) row mu of G"_-G"_+ by p^{+-w0(mu)}."""
-        cfg, dim = self.config, len(self.basis)
+        the numerators of e_lam A and B e_mu over one den, read off
+        fock.pair_table at cap NQ: e_lam A is row lam of G_-G_+ dressed by
+        p^{w0(lam)} and p^{l W0}, B e_mu (the pair is symmetric) row mu of
+        G"_-G"_+ by p^{+-w0(mu)}."""
+        cfg, dim, NQ = self.config, len(self.basis), self.params.ctx.NQ
         (left, d_l), (right, d_r) = (
             [([[int(i == j) for j in range(dim)] for i in range(dim)], 1)] * 2 if self.identity_transfers
-            else [_pair_table(cfg.p, cfg.N, family) for family in ("plain", self.family)])
+            else [pair_table(cfg.p, cfg.N, family, NQ) for family in ("plain", self.family)])
         (a, d_a), (b, d_b), (c, d_c) = (
             power_form(cfg.p, [e * x for x in self._w0[:stop]])
             for e, stop in ((1, dim), (cfg.l, self._limit), (_RIGHT_W0_SIGN[self.family], dim)))
@@ -454,9 +448,9 @@ def ground_action_constants(s: int, p: Fraction, N: int) -> CheckReport:
     p = Fraction(p)
     params_dict = {"s": s, "p": format_rational(p), "N": N}
     vac = ({0: 1}, 1)
-    row = transfer_row(vac, p, N, "plain", "raising")
+    row = transfer_row(vac, p, N, "plain")
     # G"_+ is the transpose of G"_-, so G"_+|s> is the row <s|G"_-
-    col = transfer_row(vac, p, N, "alternating", "raising")
+    col = transfer_row(vac, p, N, "alternating")
     w0_vac = w0_diag(s, N)[0]
     expected = s * (s + 1) * (2 * s + 1) // 6
     ok = row == vac and col == vac and w0_vac == expected
@@ -504,12 +498,11 @@ def intertwining_residual(which: str, k: int, params: ModelParams) -> CheckRepor
     if window == 0:
         report.evidence = {"reason": "empty certified window"}
         return report
-    jl = _j_matrix(k, N)
-    jr = {x: {j: -u for j, u in row.items()} for x, row in _j_matrix(right_k, N).items()}
+    jl, jr = _j_matrix(k, N), _j_matrix(right_k, N)
     first_nonzero = None
     for n in range(params.ctx.NQ + 1):
         block, den = _blocks(g)(n)
-        if entry := _sandwich_entry(block, jl, jr, 0, mask, g.basis):
+        if entry := _sandwich_entry(block, jl, jr, 0, mask, g.basis, f_right=-1):
             first_nonzero = {"grade": n, **_entry_evidence(g.basis, *entry[:2],
                                                            Fraction(entry[2], den))}
             break

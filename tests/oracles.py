@@ -11,8 +11,8 @@ Maya-diagram primitives: bilinear_diagonal the diagonal ones,
 v_op_by_bilinears every V^(k)_m. dense_exp is the transfer exponential as a
 dense Fraction matrix, its exponent summed here from j_op and its series taken
 by matrix products; dense_transfer and dense_pair give G+- and G_-G_+ from it,
-the reference for the pushed rows of fock.transfer_row and
-fock.transfer_pair_row. fermionic_expectation is the partition function as a
+the reference for the rows of fock.minus_rows and the dots of fock.pair_dots.
+fermionic_expectation is the partition function as a
 vacuum expectation value of those dense exponentials, the fermionic route that
 the closed-form partition sum of models must match, and
 fraction_partition_sum is that partition sum with every monomial of each

@@ -468,3 +468,19 @@ def test_workload_matches_its_references(name):
         attempted, failed = bench.check_output(workload.kind, _run_workload(workload, p),
                                                reference, p)
         assert attempted > 0 and failed == 0, p
+
+
+def test_every_workload_in_process_matches_its_references():
+    # each benchmark workload at every p of the pool, run through main in
+    # this process: a changed export or report fails here, not only under
+    # the benchmark's gate
+    bench = _perfbench_workloads()
+    references = bench.load_references()
+    results = {}
+    for name, workload in bench.WORKLOADS.items():
+        for p in bench.POOL:
+            _, out = run_cli(workload.argv(p))
+            results[name, p] = bench.check_output(
+                workload.kind, out.encode(), bench.reference_for(references, name, p), p)
+    assert len(results) == 12
+    assert {key: r for key, r in results.items() if r[0] == 0 or r[1]} == {}

@@ -25,7 +25,6 @@ from toda_crystal.fock import (
     get_basis,
     move_table,
     power_form,
-    transfer_row,
     transfer_weights,
     w0_diag,
 )
@@ -240,14 +239,14 @@ def test_j_matrices_charge_independent():
 
 
 def test_vertex_rows_are_schur_values():
-    # <s|G_+ and G"_-|s>, the latter as the row <s|G"_+ of the transpose
-    vac = ({0: 1}, 1)
+    # <s|G_+ and G"_-|s>, the column 0 of G_- (G_+ is its transpose) and of
+    # G"_-, read off the pushed rows e_i G_-
     for p in (P, Fraction(2, 3)):
-        row = oracles.as_fractions(transfer_row(vac, p, 6, "plain", "lowering"))
-        col = oracles.as_fractions(transfer_row(vac, p, 6, "alternating", "lowering"))
+        (plain, d), (alternating, d_alt) = (fock.minus_rows(p, 6, family)
+                                            for family in ("plain", "alternating"))
         for i, mu in enumerate(get_basis(6).parts):
-            assert row.get(i, 0) == schur_qrho(mu, p)
-            assert col.get(i, 0) == schur_qrho(mu.conjugate(), p)
+            assert Fraction(plain[i].get(0, 0), d) == schur_qrho(mu, p)
+            assert Fraction(alternating[i].get(0, 0), d_alt) == schur_qrho(mu.conjugate(), p)
 
 
 def test_oracle_vertex_rows_are_schur_values():

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toda_crystal import (
+    ModelParams,
     Partition,
     SectorConfig,
+    SeriesContext,
     commutator_check,
     first_shift_check,
     second_shift_check,
@@ -15,6 +17,7 @@ from toda_crystal import (
 from toda_crystal import fock, symmetries
 from toda_crystal.fock import banded, get_basis
 from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS
+from toda_crystal.toda import GradedOperator
 
 import oracles
 from oracles import SectorOperator, v_op
@@ -91,31 +94,64 @@ def test_first_shift_small_grid():
 @pytest.mark.parametrize("p", [P, Fraction(1, 3), Fraction(2, 3)])
 @pytest.mark.parametrize("N", [4, 7])
 def test_pushed_pair_rows_match_dense_pair(family, p, N):
-    # the Gram matrix of the pushed rows of G_- is the dense product G_- G_+
-    table, den = symmetries._pair_table(p, N, family)
-    assert len(table) == len(get_basis(N)) and all(len(row) == len(table) for row in table)
-    values = _values(dict(enumerate(dict(enumerate(row)) for row in table)), den)
-    assert values == oracles.dense_pair(SectorConfig(0, N, p), family).rows
+    # the dots of the rows of G_- are the dense product G_- G_+ on the columns
+    # of weight <= cap, for cap = N and below it
+    dense = oracles.dense_pair(SectorConfig(0, N, p), family).rows
+    for cap in (N, N - 2, 0):
+        table, den = fock.pair_table(p, N, family, cap)
+        width = len(get_basis(cap))
+        assert len(table) == len(get_basis(N)) and all(len(row) == width for row in table)
+        assert _in_lowest_terms((v for row in table for v in row if v), den)
+        values = _values(dict(enumerate(dict(enumerate(row)) for row in table)), den)
+        assert values == _values({i: {j: v for j, v in row.items() if j < width}
+                                  for i, row in dense.items()}, 1), cap
+
+
+@pytest.mark.parametrize("family", ["plain", "alternating"])
+@pytest.mark.parametrize("p", [P, Fraction(1, 3), Fraction(2, 3)])
+def test_minus_rows_are_stable_under_the_cut(family, p):
+    # the rows e_i G_- of weight <= c, taken in the sector cut at N, are those
+    # of the sector cut at c: the exactness of pair_dots over minus_rows(cap)
+    rows, den = fock.minus_rows(p, 7, family)
+    dense = oracles.dense_transfer(SectorConfig(0, 7, p), family, "raising").rows
+    assert _values(dict(enumerate(rows)), den) == dense
+    for c in range(8):
+        small, small_den = fock.minus_rows(p, c, family)
+        assert _values(dict(enumerate(rows[:len(small)])), den) == (
+            _values(dict(enumerate(small)), small_den))
 
 
 def test_pair_table_pushes_each_basis_vector_once(monkeypatch):
-    # one raising push per basis vector, through G_-, and no lowering push
-    directions = []
-    monkeypatch.setattr(symmetries, "transfer_row",
-                        lambda *a, f=fock.transfer_row: directions.append(a[-1]) or f(*a))
-    symmetries._pair_table.cache_clear()
-    for N in (4, 7):
-        for family in ("plain", "alternating"):
-            directions.clear()
-            symmetries._pair_table(Fraction(3, 5), N, family)
-            assert directions == ["raising"] * len(get_basis(N)), (N, family)
-    symmetries._pair_table.cache_clear()
+    # at one (p, N, family) each basis vector is pushed through G_- once, and
+    # the first shift and the graded blocks at that point share those pushes
+    pushes = []
+    monkeypatch.setattr(fock, "transfer_row",
+                        lambda vec, p, N, family, f=fock.transfer_row:
+                        pushes.append((N, family, vec)) or f(vec, p, N, family))
+    fock.minus_rows.cache_clear()
+    fock.pair_table.cache_clear()
+    p, N, NQ = Fraction(3, 5), 6, 2
+    assert first_shift_check("G", 1, 0, SectorConfig(0, N, p)).passed
+    assert first_shift_check("Gprime", 1, 0, SectorConfig(1, N, p)).passed
+    basis = [(N, family, ({i: 1}, 1)) for family in ("plain", "alternating")
+             for i in range(len(get_basis(N)))]
+    assert pushes == basis
+    pushes.clear()
+    pr = ModelParams(0, 1, p, SeriesContext(2, 3, NQ), N)
+    for family in ("plain", "alternating"):
+        GradedOperator(pr, family).gram(0)
+    # the graded blocks read the columns of weight <= NQ, whose rows of G_-
+    # are those of the sector cut at NQ, pushed there once each
+    assert pushes == [(NQ, family, ({i: 1}, 1)) for family in ("plain", "alternating")
+                      for i in range(len(get_basis(NQ)))]
+    fock.minus_rows.cache_clear()
+    fock.pair_table.cache_clear()
 
 
-def _dense_pair_table(p, N, family):
+def _dense_pair_table(p, N, family, cap):
     rows, den = fock.integer_form(oracles.dense_pair(SectorConfig(0, N, p), family).rows)
-    dim = len(get_basis(N))
-    return [[rows.get(i, {}).get(j, 0) for j in range(dim)] for i in range(dim)], den
+    return [[rows.get(i, {}).get(j, 0) for j in range(len(get_basis(cap)))]
+            for i in range(len(get_basis(N)))], den
 
 
 def test_first_shift_reports_match_dense_pair(monkeypatch):
@@ -124,8 +160,8 @@ def test_first_shift_reports_match_dense_pair(monkeypatch):
               for m in (-2, -1, 0, 1, 2) for s in (-1, 0, 1)]
     pushed = [first_shift_check(*point).to_json_dict() for point in points]
     calls = []
-    monkeypatch.setattr(symmetries, "_pair_table", lambda p, N, family: calls.append(
-        family) or _dense_pair_table(p, N, family))
+    monkeypatch.setattr(symmetries, "pair_table", lambda p, N, family, cap: calls.append(
+        family) or _dense_pair_table(p, N, family, cap))
     assert [first_shift_check(*point).to_json_dict() for point in points] == pushed
     assert len(calls) == len(points)
     assert all(line["status"] == PASS for line in pushed)
@@ -272,12 +308,16 @@ def test_flipped_v_numerator_fails_first_shift_as_fraction_oracle(monkeypatch):
 
     for module in (symmetries, oracles):
         monkeypatch.setattr(module, "v_int", flipped)
-    oracles.v_op.cache_clear()
+    # both routes cache what they read of v_int
+    caches = (oracles.v_op, symmetries._v_rows)
+    for cached in caches:
+        cached.cache_clear()
     try:
         lines = _same_reports(first_shift_check, oracles.fraction_first_shift_check,
                               FIRST_SHIFT_GRID, [config])
     finally:
-        oracles.v_op.cache_clear()
+        for cached in caches:
+            cached.cache_clear()
     failed = {(line["params"]["variant"], line["params"]["k"], line["params"]["m"])
               for line in lines if line["status"] == FAIL}
     assert failed == {("G", 1, 0), ("G", 1, 1)}
@@ -337,21 +377,21 @@ def _in_lowest_terms(values, den) -> bool:
 
 def _scanned_residuals(monkeypatch) -> list:
     """Records, for every call of the residual kernel _sandwich_entry, the
-    rows of diag T + L T + T R of a weight its mask reads, each row whole
-    (uncertified entries included) as {i: {j: numerator}}, formed here from
-    the kernel's inputs entry by entry."""
+    rows of diag T + f_left L T + T f_right R of a weight its mask reads, each
+    row whole (uncertified entries included) as {i: {j: numerator}}, formed
+    here from the kernel's inputs entry by entry."""
     seen = []
     scan = symmetries._sandwich_entry
 
-    def record(table, left, right, diag, mask, basis_obj):
+    def record(table, left, right, diag, mask, basis_obj, f_left=1, f_right=1):
         dim, w = len(table), basis_obj.weights
         rows = {i: {j: diag * table[i][j]
-                    + sum(u * table[x][j] for x, u in left.get(i, {}).items())
-                    + sum(table[i][x] * r.get(j, 0) for x, r in right.items())
+                    + f_left * sum(u * table[x][j] for x, u in left.get(i, {}).items())
+                    + f_right * sum(table[i][x] * r.get(j, 0) for x, r in right.items())
                     for j in range(dim)}
                 for i in range(dim) if any(mask[w[i]])}
         seen.append(rows)
-        return scan(table, left, right, diag, mask, basis_obj)
+        return scan(table, left, right, diag, mask, basis_obj, f_left, f_right)
 
     monkeypatch.setattr(symmetries, "_sandwich_entry", record)
     return seen
@@ -406,7 +446,7 @@ def test_integer_forms_hold_ints_in_lowest_terms(monkeypatch):
         assert _values(_pattern_rows(m, config, values), den) == (
             oracles.v_op_by_bilinears(k, m, config).rows)
     for family in ("plain", "alternating"):
-        table, den = symmetries._pair_table(config.p, 6, family)
+        table, den = fock.pair_table(config.p, 6, family, 6)
         # the table is dense: its nonzero entries are in lowest terms with den
         assert _in_lowest_terms((v for row in table for v in row if v), den)
     seen = []
@@ -524,7 +564,7 @@ def test_first_shift_residual_is_taken_on_readable_rows(variant, k, m, monkeypat
     family = "plain" if variant == "G" else "alternating"
     # the one denominator of the check: the pair's, the two V's and the constant's
     c_g = (c if m == 0 else 0) - parity * (c if m + k == 0 else 0)
-    den = (symmetries._pair_table(config.p, 6, family)[1] * fock.v_int(upper, m, config)[1]
+    den = (fock.pair_table(config.p, 6, family, 6)[1] * fock.v_int(upper, m, config)[1]
            * fock.v_int(upper, m + k, config)[1] * Fraction(c_g).denominator)
     gg = SectorOperator(config, get_basis(6), oracles.dense_pair(
         SectorConfig(0, 6, config.p), family).rows)

@@ -375,12 +375,13 @@ INTERTWINING_SHAPES = [dict(K=2, D=2, NQ=3), dict(K=2, D=3, NQ=2)]
 def _kernel_entry(g, k: int, right_k: int, mask) -> dict | None:
     """The earliest nonzero entry of J_k g_n - g_n J_{right_k} inside the mask,
     by grade, then row, then column: the gram blocks of g read by the residual
-    kernel, with the rows of J_k and of -J_{right_k} as its sparse factors."""
+    kernel, with the rows of J_k and of J_{right_k}, scaled by -1, as its
+    sparse factors."""
     N = g.config.N
-    right = {x: {j: -u for j, u in row.items()} for x, row in _j_matrix(right_k, N).items()}
     for n in range(g.params.ctx.NQ + 1):
         block, den = g.gram(n)
-        entry = _sandwich_entry(block, _j_matrix(k, N), right, 0, mask, g.basis)
+        entry = _sandwich_entry(block, _j_matrix(k, N), _j_matrix(right_k, N), 0, mask, g.basis,
+                                f_right=-1)
         if entry:
             return {"grade": n, **_entry_evidence(g.basis, *entry[:2], Fraction(entry[2], den))}
     return None
