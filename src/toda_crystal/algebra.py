@@ -121,6 +121,15 @@ class TruncatedSeries:
         self.coeffs = clean
 
     @classmethod
+    def trusted(cls, ctx: SeriesContext, coeffs: dict[tuple[int, ...], Fraction]) -> "TruncatedSeries":
+        """The series with coeffs as its own dict, unchecked: the caller built
+        every key with ctx's arity and inside its caps, and every value as a
+        nonzero Fraction."""
+        series = cls.__new__(cls)
+        series.ctx, series.coeffs = ctx, coeffs
+        return series
+
+    @classmethod
     def zero(cls, ctx):
         return cls(ctx)
 

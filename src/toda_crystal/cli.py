@@ -1,5 +1,9 @@
 """Command-line front end: verification suites and series exports.
 
+A subcommand imports only the modules its tasks call: `--help` loads none
+beyond `algebra`, a `compute` target its own model or tau module, and each
+check kind looks its runner up in its module when a task runs.
+
 Reports are emitted as one JSON object per line with the fields
 {check, params, status, evidence, wall_ms}; lines are sorted canonically
 before writing so reruns are diffable. A check that raises gives a line with
@@ -18,18 +22,14 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import toda
 from .algebra import SeriesContext, parse_rational
-from .fock import SectorConfig
-from .models import ModelParams, z_series, zprime_series
-from .symmetries import (
-    CheckReport,
-    commutator_check,
-    first_shift_check,
-    second_shift_check,
-)
+
+if TYPE_CHECKING:
+    from .fock import SectorConfig
+    from .models import ModelParams
+    from .symmetries import CheckReport
 
 TARGETS = ("zprime", "z", "tau-prime", "tau-prev", "zprime-special")
 
@@ -85,10 +85,21 @@ class RunConfig:
         return SeriesContext(self.K, self.D, self.NQ)
 
     def params(self, s: int, l: int) -> ModelParams:
-        return ModelParams(s, l, self.p, self.ctx, self.N)
+        return _module("models").ModelParams(s, l, self.p, self.ctx, self.N)
 
     def derived_N(self) -> int:
         return self.N if self.N is not None else max(self.NQ, self.K * self.D)
+
+
+def _module(name: str):
+    """The package module `name`, imported when a task first calls into it,
+    so a subcommand loads only the modules its tasks use. Every call looks
+    its function up there, where a test or a tracer may have replaced it.
+    __import__ takes the interpreter's own import path, which
+    `python -X importtime` reports, and importlib.import_module does not."""
+    full = f"{__package__}.{name}"
+    __import__(full)
+    return sys.modules[full]
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +116,7 @@ class CheckKind(NamedTuple):
 
 @lru_cache(maxsize=None)
 def _sector_config(s: int, N: int, p: str) -> SectorConfig:
-    return SectorConfig(s, N, parse_rational(p))
+    return _module("fock").SectorConfig(s, N, parse_rational(p))
 
 
 def _sector(task: dict) -> SectorConfig:  # one shared config per task point
@@ -113,8 +124,9 @@ def _sector(task: dict) -> SectorConfig:  # one shared config per task point
 
 
 def _model(task: dict) -> ModelParams:
-    return ModelParams(task["s"], task["l"], parse_rational(task["p"]),
-                       SeriesContext(task["K"], task["D"], task["NQ"]), task["N"])
+    return _module("models").ModelParams(
+        task["s"], task["l"], parse_rational(task["p"]),
+        SeriesContext(task["K"], task["D"], task["NQ"]), task["N"])
 
 
 def _s_l(cfg: RunConfig) -> list[dict]:
@@ -126,11 +138,19 @@ def _centers(cfg: RunConfig) -> list[dict]:
     return [{"s": 0, "l": l, "centers": list(cfg.s_list)} for l in cfg.l_list]
 
 
-def _bilinear(build_family, family: str) -> Callable[[dict], CheckReport]:
-    """Runner of the lowest Toda equation on the charges around the centers."""
+def _toda(name: str) -> Callable[[dict], CheckReport]:
+    """Runner of the toda check `name` on the task's model point."""
+    return lambda t: getattr(_module("toda"), name)(_model(t))
+
+
+def _bilinear(family: str) -> Callable[[dict], CheckReport]:
+    """Runner of the lowest Toda equation on the charges around the centers,
+    for the tau family built by toda.<family>_family."""
     def run(task: dict) -> CheckReport:
         centers = task["centers"]
         charges = range(min(centers) - 1, max(centers) + 2)
+        toda = _module("toda")
+        build_family = getattr(toda, f"{family}_family")
         rep = toda.toda_bilinear_residual(build_family(_model(task), charges))
         rep.params["l"] = task["l"]
         rep.params["family"] = family
@@ -144,44 +164,40 @@ CHECKS: dict[str, CheckKind] = {
         lambda cfg: [{"s": s, "k": k, "l": l, "m": m, "n": n} for s in cfg.s_list
                      for k in range(-2, 3) for l in range(-2, 3)
                      for m in range(-3, 4) for n in range(-3, 4)],
-        lambda t: commutator_check(t["k"], t["m"], t["l"], t["n"], _sector(t))),
+        lambda t: _module("symmetries").commutator_check(t["k"], t["m"], t["l"], t["n"],
+                                                         _sector(t))),
     "first_shift": CheckKind(
         "shift",
         lambda cfg: [{"s": s, "variant": variant, "k": k, "m": m} for s in cfg.s_list
                      for variant in ("G", "Gprime") for k in (1, 2) for m in range(-2, 3)],
-        lambda t: first_shift_check(t["variant"], t["k"], t["m"], _sector(t))),
+        lambda t: _module("symmetries").first_shift_check(t["variant"], t["k"], t["m"],
+                                                          _sector(t))),
     "second_shift": CheckKind(
         "shift",
         lambda cfg: [{"s": s, "k": k, "m": m} for s in cfg.s_list
                      for k in range(-2, 3) for m in range(-2, 3)],
-        lambda t: second_shift_check(t["k"], t["m"], _sector(t))),
+        lambda t: _module("symmetries").second_shift_check(t["k"], t["m"], _sector(t))),
     "ground_action": CheckKind(
         "main-identity",
         lambda cfg: [{"s": s} for s in cfg.s_list],
-        lambda t: toda.ground_action_constants(t["s"], parse_rational(t["p"]), t["N"])),
-    "main_identity": CheckKind(
-        "main-identity", _s_l, lambda t: toda.verify_main_identity(_model(t))),
-    "prev_identity": CheckKind(
-        "prev-identity", _s_l, lambda t: toda.verify_prev_identity(_model(t))),
-    "prev_forms": CheckKind(
-        "prev-identity", _s_l, lambda t: toda.check_prev_forms(_model(t))),
-    "prev_reduction": CheckKind(
-        "prev-identity", _s_l, lambda t: toda.check_prev_reduction(_model(t))),
+        lambda t: _module("toda").ground_action_constants(t["s"], parse_rational(t["p"]),
+                                                          t["N"])),
+    "main_identity": CheckKind("main-identity", _s_l, _toda("verify_main_identity")),
+    "prev_identity": CheckKind("prev-identity", _s_l, _toda("verify_prev_identity")),
+    "prev_forms": CheckKind("prev-identity", _s_l, _toda("check_prev_forms")),
+    "prev_reduction": CheckKind("prev-identity", _s_l, _toda("check_prev_reduction")),
     "intertwining_true": CheckKind(
         "prev-identity",
         lambda cfg: [{"s": s, "l": l, "k": k} for s in cfg.s_list for l in cfg.l_list
                      for k in (1, 2) if k <= cfg.K],
-        lambda t: toda.intertwining_residual("g_true", t["k"], _model(t))),
-    "bilinear_tau_prime": CheckKind(
-        "toda-bilinear", _centers, _bilinear(toda.tau_prime_family, "tau_prime")),
-    "bilinear_zprime": CheckKind(
-        "toda-bilinear", _centers, _bilinear(toda.zprime_family, "zprime")),
+        lambda t: _module("toda").intertwining_residual("g_true", t["k"], _model(t))),
+    "bilinear_tau_prime": CheckKind("toda-bilinear", _centers, _bilinear("tau_prime")),
+    "bilinear_zprime": CheckKind("toda-bilinear", _centers, _bilinear("zprime")),
     "toeplitz_fake": CheckKind(
         "toeplitz",
         lambda cfg: [{"s": s, "l": l, "k": 1} for s in cfg.s_list for l in cfg.l_list],
-        lambda t: toda.intertwining_residual("gprime_fake", t["k"], _model(t))),
-    "trivial_tau": CheckKind(
-        "toeplitz", _s_l, lambda t: toda.trivial_tau_compare(_model(t))),
+        lambda t: _module("toda").intertwining_residual("gprime_fake", t["k"], _model(t))),
+    "trivial_tau": CheckKind("toeplitz", _s_l, _toda("trivial_tau_compare")),
 }
 SUITES = (*dict.fromkeys(kind.suite for kind in CHECKS.values()), "all")
 
@@ -209,8 +225,14 @@ def _run_task(task: dict) -> dict:
     return line
 
 
+# each encoder is built once: json.dumps with non-default arguments builds a
+# new JSONEncoder on every call
+_sorted_json = json.JSONEncoder(sort_keys=True).encode
+_compact_json = json.JSONEncoder(separators=(",", ":")).encode
+
+
 def _sort_key(line: dict) -> tuple:
-    return (line["check"], json.dumps(line["params"], sort_keys=True))
+    return (line["check"], _sorted_json(line["params"]))
 
 
 def _worker_count(n_tasks: int) -> int:
@@ -251,7 +273,7 @@ def cmd_verify(cfg: RunConfig, suite: str) -> int:
         else:
             lines = [_run_task(t) for t in tasks]
         lines.sort(key=_sort_key)
-        out.write("".join(json.dumps(line, separators=(",", ":")) + "\n" for line in lines))
+        out.write("".join(_compact_json(line) + "\n" for line in lines))
     n_pass = sum(1 for line in lines if line["status"] == "pass")
     print(f"{suite}: {n_pass}/{len(lines)} checks passed", file=sys.stderr)
     return 0 if n_pass == len(lines) else 1
@@ -265,19 +287,20 @@ def cmd_compute(cfg: RunConfig, target: str) -> int:
         raise UsageError("compute expects a single --s and a single --l")
     s, l = cfg.s_list[0], cfg.l_list[0]
     with _writer(cfg.out) as out:
+        models = _module("models")
         if target == "zprime-special":
             # s = 0 with the couplings off
-            params = ModelParams(0, l, cfg.p, SeriesContext(1, 0, cfg.NQ))
+            params = models.ModelParams(0, l, cfg.p, SeriesContext(1, 0, cfg.NQ))
         else:
             params = cfg.params(s, l)
         if target in ("zprime", "zprime-special"):
-            series = zprime_series(params)
+            series = models.zprime_series(params)
         elif target == "z":
-            series = z_series(params)
+            series = models.z_series(params)
         elif target == "tau-prime":
-            series = toda.tau_prime_series(params).series
+            series = _module("toda").tau_prime_series(params).series
         else:  # tau-prev; argparse restricts the target to TARGETS
-            series = toda.tau_prev_series(params, cfg.form).series
+            series = _module("toda").tau_prev_series(params, cfg.form).series
         doc = {
             "target": target,
             "params": {"p": str(cfg.p), "s": params.s, "l": l, "K": params.ctx.K,
@@ -286,7 +309,7 @@ def cmd_compute(cfg: RunConfig, target: str) -> int:
         }
         if target == "tau-prev":
             doc["params"]["form"] = cfg.form
-        out.write(json.dumps(doc, separators=(",", ":")) + "\n")
+        out.write(_compact_json(doc) + "\n")
     return 0
 
 

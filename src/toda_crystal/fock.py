@@ -26,7 +26,8 @@ these numerators. Of the transfer exponentials only G_- is ever applied, to
 vectors, by transfer_row, in the same form; G_+ is its transpose. So every
 entry of the pair G_-G_+ is a dot of two rows through G_-, formed by pair_dots
 against the cached rows e_i G_- of minus_rows; pair_table holds the dots of
-every basis row. The dense Fraction matrices of G+- and of the pair, and
+every basis row, forming each symmetric pair of its leading square once and
+mirroring it. The dense Fraction matrices of G+- and of the pair, and
 every Fraction operator, V and J among them, are the test oracles' reference.
 """
 
@@ -421,23 +422,32 @@ def minus_rows(p: Fraction, N: int, family: str) -> tuple[tuple[dict[int, int], 
     return tuple({j: v * (den // d) for j, v in nums.items()} for nums, d in pushed), den
 
 
-def pair_dots(nums: Mapping[int, int], p: Fraction, cap: int, family: str) -> tuple[list[int], int]:
+def pair_dots(nums: Mapping[int, int], p: Fraction, cap: int, family: str,
+              stop: int | None = None) -> tuple[list[int], int]:
     """(dots, den) with (v . G_-G_+)_j = dots[j]/(d den) for j < len(get_basis(cap)),
-    for a row v = nums/d already through G_-, in any sector. G_+ is the
-    transpose of G_- (J_{-k} that of J_k), so (u G_-G_+)_j is the dot of u G_-
-    with e_j G_-, which reaches only weights <= w_j <= cap: the sum is exact
-    over minus_rows(p, cap, family). The one place a G_-G_+ entry is formed."""
+    or only for j < stop when given, for a row v = nums/d already through G_-,
+    in any sector. G_+ is the transpose of G_- (J_{-k} that of J_k), so
+    (u G_-G_+)_j is the dot of u G_- with e_j G_-, which reaches only weights
+    <= w_j <= cap: the sum is exact over minus_rows(p, cap, family). The one
+    place a G_-G_+ entry is formed."""
     rows, den = minus_rows(p, cap, family)
-    return [sum(v * nums[x] for x, v in row.items() if x in nums) for row in rows], den
+    return [sum(v * nums[x] for x, v in row.items() if x in nums)
+            for row in rows[:stop]], den
 
 
 @lru_cache(maxsize=None)
 def pair_table(p: Fraction, N: int, family: str, cap: int) -> tuple[list[list[int]], int]:
-    """G_-G_+ on the sector cut at N, on the columns of weight <= cap alone, as
+    """G_-G_+ on the sector cut at N, on the columns of weight <= cap <= N alone, as
     a dense integer matrix over one denominator, in lowest terms: row i is the
-    pair_dots of e_i G_-. No entry depends on s."""
+    pair_dots of e_i G_-. No entry depends on s. On the rows of weight <= cap
+    the table is a symmetric square: entries (i, j) and (j, i) both are
+    d_N d_cap (e_i G_- . e_j G_-), d_c the denominator of minus_rows at c, so
+    only the dots with j <= i are formed and each is mirrored."""
     rows, den = minus_rows(p, N, family)
-    table = [pair_dots(row, p, cap, family)[0] for row in rows]
+    n = len(get_basis(cap))
+    lower = [pair_dots(row, p, cap, family, i + 1)[0] for i, row in enumerate(rows[:n])]
+    table = [dots + [lower[j][i] for j in range(i + 1, n)] for i, dots in enumerate(lower)]
+    table += [pair_dots(row, p, cap, family)[0] for row in rows[n:]]
     d = den * minus_rows(p, cap, family)[1]
     g = math.gcd(d, *(v for row in table for v in row))
     return [[v // g for v in row] for row in table], d // g

@@ -6,8 +6,13 @@ expressions, and the partition function as a single sum over partitions.
 One loop serves both models, selected by 'Z' (the previous model) or
 'Zprime' (the modified one). It groups the partitions by their Q power,
 clears the denominators of each group's weights and potentials, and writes
-each exp(linear form) out monomial by monomial in integers, so one Fraction
-is made per output coefficient; it never touches `fock` or `series_exp`.
+each exp(linear form) out in integers over one shared monomial table per
+(number of couplings, degree cap), built once: the exponent tuples, their
+degrees and the step from each to its parent. Each class sums into one
+integer list aligned with that table, so one Fraction is made per output
+coefficient, and the coefficients enter the series unchecked. It never
+touches `fock` or `series_exp`; `fock` is imported only by
+`ModelParams.config`, so computing a partition function never loads it.
 The independent fermionic route, the vacuum expectation value of the dense
 transfer exponentials built from the operator machinery in `fock`, lives in
 the test oracles as `fermionic_expectation`, with the same selector, and
@@ -19,11 +24,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, lcm
+from operator import add
+from typing import TYPE_CHECKING, Sequence
 
 from .algebra import SeriesContext, TruncatedSeries
-from .fock import SectorConfig
 from .partitions import Partition, enumerate_partitions
+
+if TYPE_CHECKING:
+    from .fock import SectorConfig
 
 
 def charge_offset(s: int) -> int:
@@ -94,6 +104,8 @@ class ModelParams:
 
     @property
     def config(self) -> SectorConfig:
+        from .fock import SectorConfig
+
         return SectorConfig(self.s, self.N, self.p, self.l)
 
     @property
@@ -109,22 +121,38 @@ class ModelParams:
         return ModelParams(self.s, self.l, self.p, self.ctx, N)
 
 
-def _add_weighted_exp(acc: dict, weight: int, a: list[int], D: int) -> None:
-    """Add weight D! exp(sum_j a_j x_j) up to x-degree D into acc, keyed by the
-    exponents (e_1..e_n), for integer weight and a. Its coefficients are the
-    integers weight prod_j a_j^e_j D! / prod_j e_j!, so each monomial is made
-    once, as its predecessor times a_j // e_j, j the last variable raised; the
-    division is exact because D! / prod_j e_j! is an integer for |e| <= D.
-    Variables with a_j = 0 are never raised."""
-    live = [j for j, c in enumerate(a) if c]
-    stack = [((0,) * len(a), weight * factorial(D), 0, 0)]
-    while stack:
-        e, c, first, d = stack.pop()
-        acc[e] = acc.get(e, 0) + c
-        if d < D:
-            for pos, j in enumerate(live[first:], first):
+@lru_cache(maxsize=None)
+def _monomials(n: int, D: int) -> tuple[tuple, tuple, tuple]:
+    """(keys, degrees, steps) for the monomials of degree <= D in n variables,
+    each after its parent: keys[i] the exponent tuple, degrees[i] its degree,
+    and steps[i - 1] = (parent, j, e_j) for i >= 1, the monomial being its
+    parent with variable j, the last one it raises, raised once more, to e_j."""
+    keys, degrees, steps = [(0,) * n], [0], []
+    layer = [(0, 0)]  # (index, first variable it may raise) of the last degree
+    for d in range(1, D + 1):
+        grown = []
+        for parent, first in layer:
+            e = keys[parent]
+            for j in range(first, n):
                 m = e[j] + 1
-                stack.append((e[:j] + (m,) + e[j + 1:], c * a[j] // m, pos, d + 1))
+                grown.append((len(keys), j))
+                keys.append(e[:j] + (m,) + e[j + 1:])
+                degrees.append(d)
+                steps.append((parent, j, m))
+        layer = grown
+    return tuple(keys), tuple(degrees), tuple(steps)
+
+
+def _add_weighted_exp(acc: list[int], weight: int, a: Sequence[int], D: int) -> None:
+    """Add weight D! exp(sum_j a_j x_j) up to x-degree D into acc, aligned
+    with the keys of _monomials(len(a), D), for integer weight and a. Its
+    coefficients are the integers weight prod_j a_j^e_j D! / prod_j e_j!, so
+    each is its parent's times a_j // e_j along the table's step; the division
+    is exact because D! / prod_j e_j! is an integer for |e| <= D."""
+    c = [weight * factorial(D)]
+    for parent, j, m in _monomials(len(a), D)[2]:
+        c.append(c[parent] * a[j] // m)
+    acc[:] = map(add, acc, c)
 
 
 def _partition_sum(params: ModelParams, which: str) -> TruncatedSeries:
@@ -135,11 +163,15 @@ def _partition_sum(params: ModelParams, which: str) -> TruncatedSeries:
     The partitions are grouped by L0 = |mu| + s(s+1)/2, so each class fills
     the monomials of one Q power. A class is expanded over one common
     denominator: with W the lcm of its weight denominators and d that of its
-    Phi values, `_add_weighted_exp` writes the integer weights w W and
-    couplings Phi d out monomial by monomial, and each nonzero coefficient
-    becomes one Fraction over W D! d^|e| at the end of its class. No
-    Fraction is made inside the walk, and no series arithmetic anywhere."""
+    Phi values, `_add_weighted_exp` sums the integer weights w W and
+    couplings Phi d into one integer list over the shared monomial table,
+    and each nonzero entry becomes one Fraction over W D! d^|e| at the end of
+    its class. No Fraction is made inside the walk, and no series arithmetic
+    anywhere. 'Z' walks the t variables alone; its th exponents stay 0."""
     s, p, K, D = params.s, params.p, params.ctx.K, params.ctx.D
+    n = 2 * K if which == "Zprime" else K
+    keys, degrees, _ = _monomials(n, D)
+    pad = (0,) * (2 * K - n)
     classes: dict[int, list] = {}
     for mu in enumerate_partitions(params.ctx.NQ, "all_up_to"):
         a = [phi_potential(k, mu, s, p) for k in range(1, K + 1)]
@@ -148,22 +180,21 @@ def _partition_sum(params: ModelParams, which: str) -> TruncatedSeries:
             a += [phi_potential(-k, mu, s, p) for k in range(1, K + 1)]
         else:
             weight = schur_qrho(mu, p) ** 2
-            a += [Fraction(0)] * K
         weight *= p ** (params.l * w0_eigenvalue(mu, s))
         classes.setdefault(l0_eigenvalue(mu, s), []).append((weight, a))
     coeffs = {}
     for q_exp, members in classes.items():
         W = lcm(*(w.denominator for w, _ in members))
         d = lcm(*(c.denominator for _, a in members for c in a))
-        acc: dict = {}
+        acc = [0] * len(keys)
         for w, a in members:
             _add_weighted_exp(acc, w.numerator * (W // w.denominator),
                               [c.numerator * (d // c.denominator) for c in a], D)
-        base = W * factorial(D)
-        for e, num in acc.items():
+        dens = [W * factorial(D) * d ** k for k in range(D + 1)]
+        for e, deg, num in zip(keys, degrees, acc):
             if num:
-                coeffs[(q_exp, *e)] = Fraction(num, base * d ** sum(e))
-    return TruncatedSeries(params.out_ctx, coeffs)
+                coeffs[(q_exp, *e, *pad)] = Fraction(num, dens[deg])
+    return TruncatedSeries.trusted(params.out_ctx, coeffs)
 
 
 def zprime_series(params: ModelParams) -> TruncatedSeries:

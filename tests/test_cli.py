@@ -177,17 +177,107 @@ def test_bad_thread_env_var(tmp_path):
     assert code == 2
 
 
-def test_console_entry_point():
-    # the child imports the package from where this process found it
+def _child(*argv: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter run with `argv`, single-threaded, importing the
+    package from where this process found it; its output is kept as bytes."""
     src = str(Path(toda_crystal.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "toda_crystal.cli", "compute", "zprime-special",
-         "--NQ", "1", "--s", "0", "--l", "0"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path})
+    env = {k: v for k, v in os.environ.items() if k != "TODA_CRYSTAL_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, *argv], capture_output=True, env=env)
+
+
+def test_console_entry_point():
+    proc = _child("-m", "toda_crystal.cli", "compute", "zprime-special",
+                  "--NQ", "1", "--s", "0", "--l", "0")
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["series"]["coefficients"]["Q^1"] == "4/9"
+
+
+# runs the CLI as `python -m toda_crystal.cli` does (the module is __main__),
+# then prints the package modules the process loaded as the last stderr line
+_LOADED_BY = """
+import runpy, sys
+sys.argv[0] = "toda_crystal.cli"
+try:
+    runpy.run_module("toda_crystal.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    assert exc.code in (0, None), exc.code
+print(" ".join(sorted(m for m in sys.modules if m.startswith("toda_crystal."))),
+      file=sys.stderr)
+"""
+
+
+@pytest.mark.parametrize("argv,modules", [
+    (["verify", "--help"], {"algebra"}),
+    (["compute", "zprime", "--s", "0", "--l", "1", "--K", "4", "--D", "4", "--NQ", "6",
+      "--p", "1/2"], {"algebra", "partitions", "models"}),
+    (["verify", "commutators", "--s", "0", "--K", "2", "--D", "3", "--p", "1/2"],
+     {"algebra", "partitions", "fock", "symmetries"}),
+])
+def test_subcommand_loads_only_its_modules(argv, modules):
+    # the cli module itself runs as __main__, so it is not listed
+    proc = _child("-c", _LOADED_BY, *argv)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stderr.decode().splitlines()[-1].split())
+    assert loaded == {f"toda_crystal.{name}" for name in modules}
+
+
+# every name the package exported when its __init__ imported each module
+EXPORTS = {
+    "algebra": ("SeriesContext", "TruncatedSeries", "series_exp", "series_partial"),
+    "fock": ("SectorConfig",),
+    "models": ("ModelParams", "charge_offset", "l0_eigenvalue", "phi_potential",
+               "schur_qrho", "w0_eigenvalue", "z_series", "zprime_series"),
+    "partitions": ("Partition", "enumerate_partitions"),
+    "symmetries": ("commutator_check", "first_shift_check", "second_shift_check",
+                   "torus_constant"),
+    "toda": ("CalibrationError", "build_g", "build_gprime", "calibrate_bilinear_sign",
+             "check_prev_forms", "check_prev_reduction", "ground_action_constants",
+             "intertwining_residual", "tau_prev_series", "tau_prime_family",
+             "tau_prime_series", "toda_bilinear_residual", "trivial_tau",
+             "trivial_tau_compare", "verify_main_identity", "verify_prev_identity",
+             "zprime_family"),
+}
+
+
+def test_package_names_resolve_to_their_modules():
+    import importlib
+
+    listed = dir(toda_crystal)
+    for module, names in EXPORTS.items():
+        sub = importlib.import_module(f"toda_crystal.{module}")
+        assert module in listed
+        for name in names:
+            assert getattr(toda_crystal, name) is getattr(sub, name), name
+            assert name in listed, name
+    assert toda_crystal.__version__ == "0.1.0"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        toda_crystal.no_such_name
+    with pytest.raises(ImportError):
+        from toda_crystal import no_such_name  # noqa: F401
+
+
+def test_package_loads_a_module_on_first_use():
+    # in a fresh process: importing the package loads no module, a submodule
+    # attribute loads that module, and a star import loads every export
+    proc = _child("-c", f"""
+import sys
+import toda_crystal
+
+def loaded():
+    return {{m for m in sys.modules if m.startswith("toda_crystal.")}}
+
+assert loaded() == set(), loaded()
+assert toda_crystal.toda.build_g is sys.modules["toda_crystal.toda"].build_g
+assert "toda_crystal.toda" in loaded()
+from toda_crystal import *
+exports = {EXPORTS!r}
+for module, names in exports.items():
+    for name in names:
+        assert globals()[name] is getattr(sys.modules["toda_crystal." + module], name), name
+""")
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("suite", ["prev-identity", "toeplitz"])
@@ -238,7 +328,7 @@ def test_shift_suite_matches_fraction_checks(monkeypatch):
     calls = {"first_shift": [], "second_shift": []}
     for check, oracle in (("first_shift", fraction_first_shift_check),
                           ("second_shift", fraction_second_shift_check)):
-        monkeypatch.setattr(toda_crystal.cli, f"{check}_check",
+        monkeypatch.setattr(toda_crystal.symmetries, f"{check}_check",
                             lambda *a, check=check, oracle=oracle:
                             calls[check].append(a) or oracle(*a))
     assert lines() == ours
@@ -437,11 +527,7 @@ def _perfbench_workloads():
 def _run_workload(workload, p: str) -> bytes:
     """stdout of one untimed invocation of a benchmark workload, run on this
     checkout's package."""
-    src = str(Path(toda_crystal.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "TODA_CRYSTAL_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    return subprocess.run([sys.executable, "-m", "toda_crystal.cli", *workload.argv(p)],
-                          capture_output=True, env=env).stdout
+    return _child("-m", "toda_crystal.cli", *workload.argv(p)).stdout
 
 
 def test_commutators_workload_matches_its_references():

@@ -1,7 +1,7 @@
 import importlib.util
 import json
 from fractions import Fraction
-from math import factorial, lcm
+from math import comb, factorial, lcm
 from pathlib import Path
 
 import pytest
@@ -22,7 +22,7 @@ from toda_crystal import (
 )
 from toda_crystal import algebra, fock, models, toda
 from toda_crystal.algebra import linear_form, series_exp, series_from_json_dict
-from toda_crystal.models import _add_weighted_exp
+from toda_crystal.models import _add_weighted_exp, _monomials
 
 import oracles
 from oracles import fermionic_expectation
@@ -150,15 +150,20 @@ def weighted_exp_cases(draw):
 @given(weighted_exp_cases())
 def test_weighted_exp_matches_series_exp(case):
     # the walk takes integers: the drawn denominators are cleared first, and
-    # each integer coefficient is read back over W D! d^|e|
+    # each integer coefficient, aligned with the shared monomial table, is
+    # read back over W D! d^|e|
     K, D, q, weight, a = case
     ctx = SeriesContext(K, D, 2)
     W, d = weight.denominator, lcm(*(c.denominator for c in a))
-    acc = {}
+    keys, degrees, _ = _monomials(2 * K, D)
+    # each of the comb(2K + D, D) monomials of degree <= D once
+    assert len(set(keys)) == len(keys) == comb(2 * K + D, D)
+    assert list(degrees) == [sum(e) for e in keys] and max(degrees) <= D
+    acc = [0] * len(keys)
     _add_weighted_exp(acc, weight.numerator, [c.numerator * (d // c.denominator) for c in a], D)
-    assert all(type(v) is int for v in acc.values())
+    assert len(acc) == len(keys) and all(type(v) is int for v in acc)
     got = TruncatedSeries(ctx, {(q, *e): Fraction(v, W * factorial(D) * d ** sum(e))
-                                for e, v in acc.items()})
+                                for e, v in zip(keys, acc)})
     lin = linear_form(ctx, dict(enumerate(a[:K], 1)), dict(enumerate(a[K:], 1)))
     head = TruncatedSeries.monomial(ctx, (q,) + (0,) * (2 * K), weight)
     assert got == head * series_exp(lin)
