@@ -14,10 +14,10 @@ are still complete.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
+from operator import attrgetter
 from typing import Mapping
 
 def parse_rational(text: str) -> Fraction:
@@ -28,17 +28,55 @@ def format_rational(x: Fraction) -> str:
     return str(Fraction(x))
 
 
-@dataclass(frozen=True)
-class SeriesContext:
+class Value:
+    """Immutable record whose fields are its __slots__ but those starting with
+    '_' (private state): filled positionally, equal only to a record of its own
+    class with the same field tuple, hashed and pickled by it, shown as
+    Name(field=value, ...)."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(n for n in cls.__slots__ if not n.startswith("_"))
+        if len(cls._fields) < 2:  # attrgetter returns a tuple for two names or more
+            raise TypeError("a Value record needs two fields or more")
+        cls._values = attrgetter(*cls._fields)
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values(self) == other._values(other)
+
+    def __hash__(self):
+        return hash(self._values(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values(self)
+
+
+class SeriesContext(Value):
     """Truncation caps: K tracked variables per time family, total
     (t, th)-degree cap D, Q-degree cap NQ."""
 
-    K: int
-    D: int
-    NQ: int
+    __slots__ = ("K", "D", "NQ")
 
-    def __post_init__(self):
-        if self.K < 1 or self.D < 0 or self.NQ < 0:
+    def __init__(self, K: int, D: int, NQ: int):
+        super().__init__(K, D, NQ)
+        if K < 1 or D < 0 or NQ < 0:
             raise ValueError(f"invalid context {self}")
 
     @property

@@ -34,33 +34,30 @@ every Fraction operator, V and J among them, are the test oracles' reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
+from .algebra import Value
 from .partitions import Partition, enumerate_partitions
 
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class SectorConfig:
+class SectorConfig(Value):
     """Fixed charge s, energy cutoff N, rational p = q^(1/2), and the
-    integer weight l of the q^(l W0/2) insertion."""
+    integer weight l of the q^(l W0/2) insertion, as a Value."""
 
-    s: int
-    N: int
-    p: Fraction
-    l: int = 0
+    __slots__ = ("s", "N", "p", "l", "_hash")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        if self.N < 0:
+    def __init__(self, s: int, N: int, p: Fraction, l: int = 0):
+        p = Fraction(p)
+        if N < 0:
             raise ValueError("cutoff N must be nonnegative")
-        if not (0 < self.p < 1):
+        if not (0 < p < 1):
             raise ValueError("p must satisfy 0 < p < 1")
-        object.__setattr__(self, "_hash", hash((self.s, self.N, self.p, self.l)))
+        super().__init__(s, N, p, l)
+        object.__setattr__(self, "_hash", hash((s, N, p, l)))
 
     def __hash__(self):  # taken once: a config keys its sector's caches, and p's hash is slow
         return self._hash
@@ -179,16 +176,17 @@ def maya_diag_levels(parts: tuple[int, ...], s: int) -> list[tuple[int, int]]:
 # ---------------------------------------------------------------------------
 # Shift classes and the split rule
 
-@dataclass(frozen=True)
-class ShiftClass:
-    """Energy bookkeeping of one factor of a product: banded(delta) means
-    row weight = col weight + delta for every nonzero entry, RAISING means
-    row weight >= col weight, LOWERING row weight <= col weight, and FULL
-    promises nothing. The chain of a product is the tuple of the shift
+class ShiftClass(Value):
+    """Energy bookkeeping of one factor of a product, a Value: banded(delta)
+    means row weight = col weight + delta for every nonzero entry, RAISING
+    means row weight >= col weight, LOWERING row weight <= col weight, and
+    FULL promises nothing. The chain of a product is the tuple of the shift
     classes of its factors, from left to right."""
 
-    kind: str  # 'banded' | 'raising' | 'lowering' | 'full'
-    delta: int = 0
+    __slots__ = ("kind", "delta")  # kind: 'banded' | 'raising' | 'lowering' | 'full'
+
+    def __init__(self, kind: str, delta: int = 0):
+        super().__init__(kind, delta)
 
 
 RAISING = ShiftClass("raising")

@@ -4,8 +4,9 @@ The partition functions are computed here by the closed-form route: Schur
 values from the hook length formula, diagonal eigenvalues from their closed
 expressions, and the partition function as a single sum over partitions.
 One loop serves both models, selected by 'Z' (the previous model) or
-'Zprime' (the modified one). It groups the partitions by their Q power,
-clears the denominators of each group's weights and potentials, and writes
+'Zprime' (the modified one). It forms the weights and Phi values in
+integers from the powers of p's numerator and denominator, groups the
+partitions by their Q power, clears each group's denominators, and writes
 each exp(linear form) out in integers over one shared monomial table per
 (number of couplings, degree cap), built once: the exponent tuples, their
 degrees and the step from each to its parent. Each class sums into one
@@ -22,14 +23,13 @@ agree coefficient for coefficient.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial, gcd, lcm, prod
 from operator import add
 from typing import TYPE_CHECKING, Sequence
 
-from .algebra import SeriesContext, TruncatedSeries
+from .algebra import SeriesContext, TruncatedSeries, Value
 from .partitions import Partition, enumerate_partitions
 
 if TYPE_CHECKING:
@@ -62,6 +62,15 @@ def schur_qrho(mu: Partition, p: Fraction) -> Fraction:
     return p ** (-kappa // 2) / denom
 
 
+def _phi_levels(mu: Partition, s: int) -> list[tuple[int, int]]:
+    """(sign, x) with Phi_k = sum sign q^{kx}: each row's level s + mu_i - i + 1
+    against the empty row's s - i + 1, then the geometric tail, added over
+    j = 1..s for s >= 0 or subtracted over j = s+1..0 for s < 0."""
+    levels = [(1, s + m - i + 1) for i, m in enumerate(mu.parts, start=1)]
+    levels += [(-1, s - i + 1) for i in range(1, len(mu) + 1)]
+    return levels + [(1, j) for j in range(1, s + 1)] + [(-1, j) for j in range(s + 1, 1)]
+
+
 def phi_potential(k: int, mu: Partition, s: int, p: Fraction) -> Fraction:
     """Potential eigenvalue sum_i (q^{k(s+mu_i-i+1)} - q^{k(s-i+1)})
     + q^k (1-q^{ks})/(1-q^k); the i-sum stops at len(mu) and the last term
@@ -69,38 +78,24 @@ def phi_potential(k: int, mu: Partition, s: int, p: Fraction) -> Fraction:
     if k == 0:
         raise ValueError("the potential index k must be nonzero")
     p = Fraction(p)
-    total = Fraction(0)
-    for i, m in enumerate(mu.parts, start=1):
-        total += p ** (2 * k * (s + m - i + 1)) - p ** (2 * k * (s - i + 1))
-    if s >= 0:
-        for j in range(1, s + 1):
-            total += p ** (2 * k * j)
-    else:
-        for j in range(s + 1, 1):
-            total -= p ** (2 * k * j)
-    return total
+    return sum((sign * p ** (2 * k * x) for sign, x in _phi_levels(mu, s)), Fraction(0))
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Model point: charge s, insertion weight l, rational p, series caps,
-    and the fock cutoff N (auto-derived as max(NQ, K*D) unless overridden)."""
+class ModelParams(Value):
+    """Model point, as a Value: charge s, insertion weight l, rational p,
+    series caps, and the fock cutoff N (max(NQ, K*D) unless overridden)."""
 
-    s: int
-    l: int
-    p: Fraction
-    ctx: SeriesContext
-    N: int | None = None
+    __slots__ = ("s", "l", "p", "ctx", "N")
 
-    def __post_init__(self):
-        object.__setattr__(self, "p", Fraction(self.p))
-        need = max(self.ctx.NQ, self.ctx.K * self.ctx.D)
-        n = need if self.N is None else self.N
-        if n < need:
-            raise ValueError(f"cutoff N={n} below the certified requirement {need}")
-        object.__setattr__(self, "N", n)
-        if not (0 < self.p < 1):
+    def __init__(self, s: int, l: int, p: Fraction, ctx: SeriesContext, N: int | None = None):
+        p = Fraction(p)
+        need = max(ctx.NQ, ctx.K * ctx.D)
+        N = need if N is None else N
+        if N < need:
+            raise ValueError(f"cutoff N={N} below the certified requirement {need}")
+        if not (0 < p < 1):
             raise ValueError("p must satisfy 0 < p < 1")
+        super().__init__(s, l, p, ctx, N)
 
     @property
     def config(self) -> SectorConfig:
@@ -161,35 +156,45 @@ def _partition_sum(params: ModelParams, which: str) -> TruncatedSeries:
     w(mu) = s_mu^2 and the t family alone for 'Z'.
 
     The partitions are grouped by L0 = |mu| + s(s+1)/2, so each class fills
-    the monomials of one Q power. A class is expanded over one common
-    denominator: with W the lcm of its weight denominators and d that of its
-    Phi values, `_add_weighted_exp` sums the integer weights w W and
-    couplings Phi d into one integer list over the shared monomial table,
-    and each nonzero entry becomes one Fraction over W D! d^|e| at the end of
-    its class. No Fraction is made inside the walk, and no series arithmetic
-    anywhere. 'Z' walks the t variables alone; its th exponents stay 0."""
-    s, p, K, D = params.s, params.p, params.ctx.K, params.ctx.D
+    the monomials of one Q power. Its scalars are integers over powers of
+    p = a/b's numerator and denominator, tabled once per run: Phi_k is sum
+    sign a^{E+2kx} b^{E-2kx} / (ab)^E over _phi_levels, and, as mu and t(mu)
+    share their hook lengths h, the weight p^e / prod_h (p^-h - p^h)^2 is
+    a^{2H+e} b^{2H-e} / prod_h (b^{2h} - a^{2h})^2, H = sum h, e = l W0 (less
+    kappa for 'Z'). A class is expanded over one common denominator: with W
+    the lcm of its weight denominators and d that of its Phi values,
+    `_add_weighted_exp` sums the integer weights w W and couplings Phi d into
+    one integer list over the shared monomial table, and each nonzero entry
+    becomes one Fraction over W D! d^|e| at the end of its class. No Fraction
+    is made before then, and no series arithmetic anywhere. 'Z' walks the t
+    variables alone; its th exponents stay 0."""
+    s, K, D, NQ = params.s, params.ctx.K, params.ctx.D, params.ctx.NQ
+    a, b = params.p.numerator, params.p.denominator
     n = 2 * K if which == "Zprime" else K
     keys, degrees, _ = _monomials(n, D)
     pad = (0,) * (2 * K - n)
+    E = 2 * K * (abs(s) + NQ)  # |2kx| <= E as |x| <= |s| + NQ, and 2h <= 2NQ <= 2E
+    A, B = [a ** i for i in range(2 * E + 1)], [b ** i for i in range(2 * E + 1)]
+    ks = [*range(1, K + 1), *range(-1, -K - 1, -1)][:n]
     classes: dict[int, list] = {}
-    for mu in enumerate_partitions(params.ctx.NQ, "all_up_to"):
-        a = [phi_potential(k, mu, s, p) for k in range(1, K + 1)]
-        if which == "Zprime":
-            weight = schur_qrho(mu, p) * schur_qrho(mu.conjugate(), p)
-            a += [phi_potential(-k, mu, s, p) for k in range(1, K + 1)]
-        else:
-            weight = schur_qrho(mu, p) ** 2
-        weight *= p ** (params.l * w0_eigenvalue(mu, s))
-        classes.setdefault(l0_eigenvalue(mu, s), []).append((weight, a))
+    for mu in enumerate_partitions(NQ, "all_up_to"):
+        levels = _phi_levels(mu, s)
+        phis = [sum(c * A[E + 2 * k * x] * B[E - 2 * k * x] for c, x in levels) for k in ks]
+        hooks = mu.hook_lengths()
+        lw = params.l * w0_eigenvalue(mu, s) - (mu.kappa() if which == "Z" else 0)
+        u, v = 2 * sum(hooks) + lw, 2 * sum(hooks) - lw
+        wn = a ** max(u, 0) * b ** max(v, 0)
+        wd = a ** max(-u, 0) * b ** max(-v, 0) * prod(B[2 * h] - A[2 * h] for h in hooks) ** 2
+        g = gcd(wn, wd)
+        classes.setdefault(l0_eigenvalue(mu, s), []).append((wn // g, wd // g, phis))
     coeffs = {}
     for q_exp, members in classes.items():
-        W = lcm(*(w.denominator for w, _ in members))
-        d = lcm(*(c.denominator for _, a in members for c in a))
+        W = lcm(*(wd for _, wd, _ in members))
+        g = gcd(A[E] * B[E], *(c for *_, phis in members for c in phis))
         acc = [0] * len(keys)
-        for w, a in members:
-            _add_weighted_exp(acc, w.numerator * (W // w.denominator),
-                              [c.numerator * (d // c.denominator) for c in a], D)
+        for wn, wd, phis in members:
+            _add_weighted_exp(acc, wn * (W // wd), [c // g for c in phis], D)
+        d = A[E] * B[E] // g
         dens = [W * factorial(D) * d ** k for k in range(D + 1)]
         for e, deg, num in zip(keys, degrees, acc):
             if num:

@@ -19,7 +19,6 @@ The second shift compares exponents of p move by move.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
@@ -44,13 +43,14 @@ FAIL = "fail"
 INSUFFICIENT = "insufficient_window"
 
 
-@dataclass
 class CheckReport:
-    check: str
-    params: dict
-    status: str
-    evidence: dict = field(default_factory=dict)
-    window: int = 0
+    """One report line's content, filled in as a check runs."""
+
+    __slots__ = ("check", "params", "status", "evidence", "window")
+
+    def __init__(self, check: str, params: dict, status: str, evidence=None, window=0):
+        self.check, self.params, self.status, self.window = check, params, status, window
+        self.evidence = {} if evidence is None else evidence
 
     @property
     def passed(self) -> bool:

@@ -29,13 +29,13 @@ J_k and J_r, the latter scaled by -1, against a certified_window mask.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property, lru_cache
 
 from .algebra import (
     SeriesContext,
     TruncatedSeries,
+    Value,
     alternate_t_signs,
     first_difference,
     format_rational,
@@ -125,10 +125,10 @@ def _factorials(a: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 # Graded operators
 
-@dataclass(frozen=True)
-class TauSeries:
-    charge: int
-    series: TruncatedSeries
+class TauSeries(Value):
+    """A tau series and its charge."""
+
+    __slots__ = ("charge", "series")
 
 
 _RIGHT_W0_SIGN = {"plain": +1, "alternating": -1}

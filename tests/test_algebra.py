@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -5,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from toda_crystal import SeriesContext, TruncatedSeries, series_exp, series_partial
 from toda_crystal.algebra import (
+    Value,
     linear_form,
     monomial_label,
     parse_monomial_label,
@@ -29,6 +32,47 @@ def test_context_validation():
         SeriesContext(1, -1, 0)
     with pytest.raises(KeyError):
         CTX.var_index("t3")
+
+
+def test_context_is_a_value_record():
+    # compared and hashed as its field tuple, frozen, shown and copied as a
+    # frozen dataclass is
+    ctx = SeriesContext(2, 3, 4)
+    assert ctx == SeriesContext(2, 3, 4) and hash(ctx) == hash((2, 3, 4))
+    assert ctx != SeriesContext(2, 3, 5) and ctx != (2, 3, 4)
+
+    class Twin(Value):
+        __slots__ = ("K", "D", "NQ")
+
+    # a record of another class is never equal, whatever its fields
+    assert ctx != Twin(2, 3, 4) and Twin(2, 3, 4) != ctx
+    assert ctx.__eq__(Twin(2, 3, 4)) is NotImplemented
+    with pytest.raises(AttributeError, match="cannot assign to field 'K'"):
+        ctx.K = 5
+    with pytest.raises(AttributeError, match="cannot delete field 'D'"):
+        del ctx.D
+    with pytest.raises(AttributeError):
+        ctx.extra = 1
+    assert (ctx.K, ctx.D, ctx.NQ) == (2, 3, 4)
+    with pytest.raises(TypeError):
+        SeriesContext(2, 3)
+    assert repr(ctx) == "SeriesContext(K=2, D=3, NQ=4)"
+    # the error messages show the records as a dataclass repr would
+    with pytest.raises(ValueError) as bad:
+        SeriesContext(0, 3, 4)
+    assert str(bad.value) == "invalid context SeriesContext(K=0, D=3, NQ=4)"
+    with pytest.raises(ValueError) as bad:
+        ctx.meet(SeriesContext(1, 3, 4))
+    assert str(bad.value) == ("incompatible contexts SeriesContext(K=2, D=3, NQ=4) "
+                              "vs SeriesContext(K=1, D=3, NQ=4)")
+    for twin in (pickle.loads(pickle.dumps(ctx)), copy.copy(ctx), copy.deepcopy(ctx)):
+        assert type(twin) is SeriesContext and twin == ctx and hash(twin) == hash(ctx)
+
+
+def test_value_needs_two_fields():
+    with pytest.raises(TypeError):
+        class Single(Value):
+            __slots__ = ("only", "_private")
 
 
 def test_truncation_drops_over_cap():

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import json
 import os
@@ -194,8 +195,18 @@ def test_console_entry_point():
     assert doc["series"]["coefficients"]["Q^1"] == "4/9"
 
 
-# runs the CLI as `python -m toda_crystal.cli` does (the module is __main__),
-# then prints the package modules the process loaded as the last stderr line
+# the standard-library modules a record class would load were it a dataclass
+_RECORD_MACHINERY = ("dataclasses", "inspect")
+
+# prints, as the last stderr line, the modules the process loaded among
+# the package's and the record machinery
+_PRINT_LOADED = f"""
+print(" ".join(sorted(m for m in sys.modules
+                      if m.startswith("toda_crystal.") or m in {_RECORD_MACHINERY})),
+      file=sys.stderr)
+"""
+
+# runs the CLI as `python -m toda_crystal.cli` does (the module is __main__)
 _LOADED_BY = """
 import runpy, sys
 sys.argv[0] = "toda_crystal.cli"
@@ -203,9 +214,9 @@ try:
     runpy.run_module("toda_crystal.cli", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     assert exc.code in (0, None), exc.code
-print(" ".join(sorted(m for m in sys.modules if m.startswith("toda_crystal."))),
-      file=sys.stderr)
-"""
+""" + _PRINT_LOADED
+
+ALL_MODULES = {"algebra", "partitions", "fock", "models", "symmetries", "toda"}
 
 
 @pytest.mark.parametrize("argv,modules", [
@@ -214,13 +225,39 @@ print(" ".join(sorted(m for m in sys.modules if m.startswith("toda_crystal."))),
       "--p", "1/2"], {"algebra", "partitions", "models"}),
     (["verify", "commutators", "--s", "0", "--K", "2", "--D", "3", "--p", "1/2"],
      {"algebra", "partitions", "fock", "symmetries"}),
+    (["compute", "tau-prime", "--s", "0", "--l", "1", "--K", "3", "--D", "2", "--NQ", "8",
+      "--p", "1/2"], ALL_MODULES),
+    (["verify", "prev-identity", "--s", "0", "--K", "2", "--D", "3", "--p", "1/2"],
+     ALL_MODULES),
 ])
 def test_subcommand_loads_only_its_modules(argv, modules):
-    # the cli module itself runs as __main__, so it is not listed
+    # the cli module itself runs as __main__, so it is not listed; the record
+    # machinery may be loaded only where a bare interpreter loads it too
+    bare = _child("-c", "import sys" + _PRINT_LOADED)
     proc = _child("-c", _LOADED_BY, *argv)
     assert proc.returncode == 0, proc.stderr
     loaded = set(proc.stderr.decode().splitlines()[-1].split())
-    assert loaded == {f"toda_crystal.{name}" for name in modules}
+    machinery = set(bare.stderr.decode().splitlines()[-1].split())
+    assert loaded == {f"toda_crystal.{name}" for name in modules} | machinery
+
+
+def test_run_config_is_never_mutated():
+    cfg = RunConfig.from_args(_build_parser().parse_args(["verify", "all"]))
+    with pytest.raises(AttributeError):
+        cfg.NQ = 5
+    assert (cfg.K, cfg.D, cfg.NQ, cfg.derived_N(), cfg.form) == (3, 3, 4, 9, "left")
+    assert cfg.params(0, 1).ctx == cfg.ctx
+
+
+def test_no_package_module_imports_dataclasses():
+    sources = sorted(Path(toda_crystal.__file__).resolve().parent.rglob("*.py"))
+    assert {"algebra.py", "cli.py"} <= {path.name for path in sources}
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                assert all(alias.name != "dataclasses" for alias in node.names), path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
 
 
 # every name the package exported when its __init__ imported each module

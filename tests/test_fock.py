@@ -1,5 +1,7 @@
+import copy
 import itertools
 import math
+import pickle
 from fractions import Fraction
 from functools import reduce
 
@@ -19,6 +21,7 @@ from toda_crystal.fock import (
     FULL,
     LOWERING,
     RAISING,
+    ShiftClass,
     apply_row,
     banded,
     certified_window,
@@ -69,6 +72,22 @@ def test_config_hash_is_taken_once_from_the_normalized_fields():
     a, b = SectorConfig(1, 6, "2/3"), SectorConfig(1, 6, Fraction(4, 6))
     assert a == b and hash(a) == hash(b) == hash((1, 6, Fraction(2, 3), 0))
     assert len({a, b, SectorConfig(1, 6, Fraction(1, 3)), SectorConfig(1, 6, b.p, 1)}) == 3
+
+
+def test_config_and_shift_class_are_value_records():
+    a = SectorConfig(1, 6, Fraction(2, 3))
+    assert a == SectorConfig(1, 6, Fraction(2, 3), 0) and a != (1, 6, Fraction(2, 3), 0)
+    assert repr(a) == "SectorConfig(s=1, N=6, p=Fraction(2, 3), l=0)"
+    with pytest.raises(AttributeError, match="cannot assign to field 'p'"):
+        a.p = P
+    for twin in (pickle.loads(pickle.dumps(a)), copy.copy(a), copy.deepcopy(a)):
+        assert type(twin) is SectorConfig and twin == a and hash(twin) == hash(a)
+    assert banded(2) == ShiftClass("banded", 2) != banded(-2)
+    assert hash(banded(2)) == hash(("banded", 2)) and RAISING == ShiftClass("raising", 0)
+    assert len({RAISING, LOWERING, FULL, banded(0), ShiftClass("banded")}) == 4
+    assert repr(banded(-1)) == "ShiftClass(kind='banded', delta=-1)"
+    with pytest.raises(AttributeError):
+        RAISING.delta = 1
 
 
 def test_basis_counts():

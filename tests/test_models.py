@@ -1,5 +1,7 @@
+import copy
 import importlib.util
 import json
+import pickle
 from fractions import Fraction
 from math import comb, factorial, lcm
 from pathlib import Path
@@ -73,6 +75,23 @@ def test_model_params_cutoff_invariant():
     assert params.N == 9
     with pytest.raises(ValueError):
         ModelParams(0, 0, P, ctx, N=5)
+
+
+def test_model_params_is_a_value_record():
+    ctx = SeriesContext(2, 2, 3)
+    params = ModelParams(1, 2, "1/3", ctx)
+    fields = (1, 2, Fraction(1, 3), ctx, 4)  # p normalised, N derived as max(NQ, K*D)
+    assert (params.s, params.l, params.p, params.ctx, params.N) == fields
+    assert params == ModelParams(*fields) and hash(params) == hash(fields)
+    assert params != params.with_charge(0) and params != params.with_cutoff(5) != fields
+    assert repr(params) == ("ModelParams(s=1, l=2, p=Fraction(1, 3), "
+                            "ctx=SeriesContext(K=2, D=2, NQ=3), N=4)")
+    with pytest.raises(AttributeError, match="cannot assign to field 'N'"):
+        params.N = 9
+    for twin in (pickle.loads(pickle.dumps(params)), copy.copy(params), copy.deepcopy(params)):
+        assert type(twin) is ModelParams and twin == params and hash(twin) == hash(params)
+    with pytest.raises(ValueError, match="p must satisfy"):
+        ModelParams(0, 0, 2, ctx)
 
 
 def test_zprime_profile():

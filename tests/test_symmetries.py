@@ -16,7 +16,7 @@ from toda_crystal import (
 )
 from toda_crystal import fock, symmetries
 from toda_crystal.fock import banded, get_basis
-from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS
+from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS, CheckReport
 from toda_crystal.toda import GradedOperator
 
 import oracles
@@ -27,6 +27,20 @@ P = Fraction(1, 2)
 
 def cfg(s=0, N=6):
     return SectorConfig(s, N, P)
+
+
+def test_reports_never_share_evidence():
+    a, b = CheckReport("c", {"s": 0}, INSUFFICIENT), CheckReport("c", {"s": 0}, INSUFFICIENT)
+    assert a.evidence == {} and a.evidence is not b.evidence and a.window == 0
+    a.evidence["worst"] = 1
+    a.status, a.window = FAIL, 3
+    assert b.evidence == {} and b.status == INSUFFICIENT
+    assert a.to_json_dict() == {"check": "c", "params": {"s": 0}, "status": FAIL,
+                                "evidence": {"worst": 1, "window": 3}}
+    given = {"reason": "r"}
+    assert CheckReport("c", {}, PASS, given, 2).evidence is given
+    with pytest.raises(AttributeError):
+        a.extra = 1
 
 
 def test_torus_constant():
