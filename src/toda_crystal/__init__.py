@@ -16,12 +16,11 @@ _EXPORTS = {
     "partitions": ("Partition", "enumerate_partitions"),
     "symmetries": ("commutator_check", "first_shift_check", "second_shift_check",
                    "torus_constant"),
-    "toda": ("CalibrationError", "build_g", "build_gprime", "calibrate_bilinear_sign",
-             "check_prev_forms", "check_prev_reduction", "ground_action_constants",
-             "intertwining_residual", "tau_prev_series", "tau_prime_family",
-             "tau_prime_series", "toda_bilinear_residual", "trivial_tau",
-             "trivial_tau_compare", "verify_main_identity", "verify_prev_identity",
-             "zprime_family"),
+    "toda": ("build_g", "build_gprime", "tau_prev_series", "tau_prime_series", "trivial_tau"),
+    "identities": ("CalibrationError", "calibrate_bilinear_sign", "check_prev_forms",
+                   "check_prev_reduction", "ground_action_constants", "intertwining_residual",
+                   "tau_prime_family", "toda_bilinear_residual", "trivial_tau_compare",
+                   "verify_main_identity", "verify_prev_identity", "zprime_family"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_HOME]

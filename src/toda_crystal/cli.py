@@ -136,20 +136,20 @@ def _centers(cfg: RunConfig) -> list[dict]:
     return [{"s": 0, "l": l, "centers": list(cfg.s_list)} for l in cfg.l_list]
 
 
-def _toda(name: str) -> Callable[[dict], CheckReport]:
-    """Runner of the toda check `name` on the task's model point."""
-    return lambda t: getattr(_module("toda"), name)(_model(t))
+def _identity(name: str) -> Callable[[dict], CheckReport]:
+    """Runner of the identities check `name` on the task's model point."""
+    return lambda t: getattr(_module("identities"), name)(_model(t))
 
 
 def _bilinear(family: str) -> Callable[[dict], CheckReport]:
     """Runner of the lowest Toda equation on the charges around the centers,
-    for the tau family built by toda.<family>_family."""
+    for the tau family built by identities.<family>_family."""
     def run(task: dict) -> CheckReport:
         centers = task["centers"]
         charges = range(min(centers) - 1, max(centers) + 2)
-        toda = _module("toda")
-        build_family = getattr(toda, f"{family}_family")
-        rep = toda.toda_bilinear_residual(build_family(_model(task), charges))
+        identities = _module("identities")
+        build_family = getattr(identities, f"{family}_family")
+        rep = identities.toda_bilinear_residual(build_family(_model(task), charges))
         rep.params["l"] = task["l"]
         rep.params["family"] = family
         return rep
@@ -178,24 +178,24 @@ CHECKS: dict[str, CheckKind] = {
     "ground_action": CheckKind(
         "main-identity",
         lambda cfg: [{"s": s} for s in cfg.s_list],
-        lambda t: _module("toda").ground_action_constants(t["s"], parse_rational(t["p"]),
-                                                          t["N"])),
-    "main_identity": CheckKind("main-identity", _s_l, _toda("verify_main_identity")),
-    "prev_identity": CheckKind("prev-identity", _s_l, _toda("verify_prev_identity")),
-    "prev_forms": CheckKind("prev-identity", _s_l, _toda("check_prev_forms")),
-    "prev_reduction": CheckKind("prev-identity", _s_l, _toda("check_prev_reduction")),
+        lambda t: _module("identities").ground_action_constants(
+            t["s"], parse_rational(t["p"]), t["N"])),
+    "main_identity": CheckKind("main-identity", _s_l, _identity("verify_main_identity")),
+    "prev_identity": CheckKind("prev-identity", _s_l, _identity("verify_prev_identity")),
+    "prev_forms": CheckKind("prev-identity", _s_l, _identity("check_prev_forms")),
+    "prev_reduction": CheckKind("prev-identity", _s_l, _identity("check_prev_reduction")),
     "intertwining_true": CheckKind(
         "prev-identity",
         lambda cfg: [{"s": s, "l": l, "k": k} for s in cfg.s_list for l in cfg.l_list
                      for k in (1, 2) if k <= cfg.K],
-        lambda t: _module("toda").intertwining_residual("g_true", t["k"], _model(t))),
+        lambda t: _module("identities").intertwining_residual("g_true", t["k"], _model(t))),
     "bilinear_tau_prime": CheckKind("toda-bilinear", _centers, _bilinear("tau_prime")),
     "bilinear_zprime": CheckKind("toda-bilinear", _centers, _bilinear("zprime")),
     "toeplitz_fake": CheckKind(
         "toeplitz",
         lambda cfg: [{"s": s, "l": l, "k": 1} for s in cfg.s_list for l in cfg.l_list],
-        lambda t: _module("toda").intertwining_residual("gprime_fake", t["k"], _model(t))),
-    "trivial_tau": CheckKind("toeplitz", _s_l, _toda("trivial_tau_compare")),
+        lambda t: _module("identities").intertwining_residual("gprime_fake", t["k"], _model(t))),
+    "trivial_tau": CheckKind("toeplitz", _s_l, _identity("trivial_tau_compare")),
 }
 SUITES = (*dict.fromkeys(kind.suite for kind in CHECKS.values()), "all")
 

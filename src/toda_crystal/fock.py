@@ -5,7 +5,13 @@ and every level far enough below. psi_a creates a particle at level -a,
 psi*_b removes the one at level b, and each move picks up the parity of
 the occupied levels strictly above the touched level. All operators here
 preserve the charge, so a fixed sector is a sparse matrix algebra over
-the partitions of weight <= N.
+the partitions of weight <= N. In the sector cut at N a state is an int bit
+mask, the same for every charge (_masks): bit x stands for level
+x + s - 2N - 1, so row r of mu sets bit mu_r - r + 2N + 2, the tail sets bits
+0 ... 2N + 1 - len(mu), and every level below bit 0 is occupied. Moving the
+particle at bit x to the empty bit y flips both bits. Its sign counts the
+occupied levels above x, then those above y once x is empty; the levels above
+both count twice, so the sign is (-1)^popcount of the bits strictly between.
 
 Truncation is certified instead of bounded: a product entry is trusted
 only when the split rule proves every intermediate state fits under the
@@ -39,7 +45,7 @@ from functools import lru_cache
 from typing import Callable, Mapping, Sequence
 
 from .algebra import Value
-from .partitions import Partition, enumerate_partitions
+from .partitions import enumerate_partitions
 
 INF = math.inf
 
@@ -93,84 +99,26 @@ def get_basis(cutoff: int) -> Basis:
 
 
 # ---------------------------------------------------------------------------
-# Maya diagram combinatorics
+# Maya diagrams
 
-def _levels(parts: tuple[int, ...], s: int) -> list[int]:
-    """Occupied levels above the filled tail, strictly decreasing.
-    The tail occupies every level <= s - len(parts)."""
-    return [s + m - i for i, m in enumerate(parts)]
-
-
-def occupied(parts: tuple[int, ...], s: int, x: int) -> bool:
-    if x <= s - len(parts):
-        return True
-    return any(s + m - i == x for i, m in enumerate(parts))
-
-
-def count_above(parts: tuple[int, ...], s: int, x: int) -> int:
-    """Number of occupied levels strictly above x; finite by cofinality."""
-    c = 0
-    for i, m in enumerate(parts):
-        if s + m - i > x:
-            c += 1
-        else:
-            break
-    tail_top = s - len(parts)
-    if tail_top > x:
-        c += tail_top - x
-    return c
-
-
-def move_particle(parts: tuple[int, ...], s: int, src: int, dst: int):
-    """Move one particle from level src to level dst.
-
-    Returns (sign, new_parts) or None when the move is Pauli-blocked.
-    """
-    if not occupied(parts, s, src):
-        return None
-    if dst == src:
-        return (1, parts)
-    if occupied(parts, s, dst):
-        return None
-    sign_exp = count_above(parts, s, src) + count_above(parts, s, dst)
-    if src > dst:
-        # removing src lowers the count above dst by one
-        sign_exp -= 1
-    tail_top = s - len(parts)
-    excited = _levels(parts, s)
-    if src <= tail_top:
-        excited += list(range(tail_top, src - 1, -1))
-        tail_top = src - 1
-    excited.remove(src)
-    excited.append(dst)
-    excited.sort(reverse=True)
-    new_parts = []
-    for i, x in enumerate(excited, start=1):
-        part = x - s + i - 1
-        if part < 0:
-            raise AssertionError("charge changed during a move")
-        new_parts.append(part)
-    while new_parts and new_parts[-1] == 0:
-        new_parts.pop()
-    return ((-1) ** sign_exp, tuple(new_parts))
-
-
-def _move_sources(parts: tuple[int, ...], s: int, m: int) -> list[int]:
-    """Occupied levels from which a shift by -m can leave the filled tail."""
-    tail_top = s - len(parts)
-    cands = _levels(parts, s)
-    cands.extend(range(tail_top, tail_top - abs(m) - 1, -1))
-    return cands
+@lru_cache(maxsize=None)
+def _masks(N: int) -> tuple[tuple[int, ...], dict[int, int]]:
+    """The bit mask of each basis state of the cut at N, for every charge (see
+    the module docstring), and the index of each mask."""
+    masks = tuple(sum(1 << m - r + 2 * N + 1 for r, m in enumerate(mu.parts))
+                  | (1 << 2 * N + 2 - len(mu)) - 1 for mu in get_basis(N).parts)
+    return masks, {mask: i for i, mask in enumerate(masks)}
 
 
 def maya_diag_levels(parts: tuple[int, ...], s: int) -> list[tuple[int, int]]:
     """(sign, x) for each occupied level x > 0, with sign +1, and each empty
     level x <= 0, with sign -1; both lists are finite. A diagonal eigenvalue
-    sum_{x occupied, x>0} f(x) - sum_{x empty, x<=0} f(x) is sum sign f(x)."""
-    tail_top = s - len(parts)
+    sum_{x occupied, x>0} f(x) - sum_{x empty, x<=0} f(x) is sum sign f(x).
+    The tail occupies every level <= s - len(parts)."""
+    tail_top, levels = s - len(parts), [s + m - i for i, m in enumerate(parts)]
     # empty levels can only sit strictly above the tail
-    return ([(1, x) for x in _levels(parts, s) if x > 0] + [(1, x) for x in range(1, tail_top + 1)]
-            + [(-1, x) for x in range(tail_top + 1, 1) if not occupied(parts, s, x)])
+    return ([(1, x) for x in levels if x > 0] + [(1, x) for x in range(1, tail_top + 1)]
+            + [(-1, x) for x in range(tail_top + 1, 1) if x not in levels])
 
 
 # ---------------------------------------------------------------------------
@@ -256,14 +204,6 @@ def apply_row(vec: Mapping[int, object], rows: Mapping[int, Mapping]) -> dict[in
     return {j: v for j, v in out.items() if v}
 
 
-def integer_form(rows: Mapping[int, Mapping[int, Fraction]]) -> tuple[dict, int]:
-    """Rational rows as (M, den): integer rows M with M/den = rows, over the
-    least common denominator of the entries, so in lowest terms."""
-    den = math.lcm(*(v.denominator for row in rows.values() for v in row.values()))
-    return {i: {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-            for i, row in rows.items()}, den
-
-
 def power_form(p: Fraction, exps: Sequence[int]) -> tuple[tuple[int, ...], int]:
     """The powers p^e, e in exps, as integer numerators over one denominator,
     in lowest terms: with p = a/b, lo = min(0, exps) and hi = max(0, exps),
@@ -280,16 +220,24 @@ def power_form(p: Fraction, exps: Sequence[int]) -> tuple[tuple[int, ...], int]:
 def move_table(m: int, s: int, N: int) -> tuple[tuple[int, int, int, int], ...]:
     """The particle moves of a shift by -m in the charge-s sector cut at N, as
     (row, col, sign, src): moving the particle at level src to src - m takes
-    |mu_col, s> to sign |lambda_row, s>; distinct moves give distinct pairs."""
+    |mu_col, s> to sign |lambda_row, s>; distinct moves give distinct pairs.
+    On the _masks, the particle at bit x, from the top down to |m| below the
+    tail, moves to y = x - m when y >= 0 and bit y is clear, with the sign
+    (-1)^(number of set bits strictly between x and y); at m = 0 every such
+    particle stays, giving (col, col, 1, src)."""
     b = get_basis(N)
+    masks, index = _masks(N)
+    between = (1 << abs(m) - 1) - 1 if m else 0  # the bits strictly between, from min(x, y) + 1
+    level = s - 2 * N - 1  # of bit 0
     moves = []
-    for j, mu in enumerate(b.parts):
-        if not 0 <= mu.weight - m <= N:
+    for j, mask in enumerate(masks):
+        if not 0 <= b.weights[j] - m <= N:
             continue
-        for src in _move_sources(mu.parts, s, m):
-            res = move_particle(mu.parts, s, src, src - m)
-            if res is not None:
-                moves.append((b.index[Partition(res[1])], j, res[0], src))
+        for x in range(mask.bit_length() - 1, 2 * N - len(b.parts[j]) - abs(m), -1):
+            y = x - m
+            if mask >> x & 1 and (not m or y >= 0 and not mask >> y & 1):
+                sign = -1 if (mask >> min(x, y) + 1 & between).bit_count() & 1 else 1
+                moves.append((index[mask ^ 1 << x ^ 1 << y], j, sign, x + level))
     return tuple(moves)
 
 
@@ -338,29 +286,29 @@ def w0_diag(s: int, N: int) -> tuple[int, ...]:
                  for mu in get_basis(N).parts)
 
 
-def transfer_weights(p: Fraction, N: int, alternating: bool) -> dict[int, Fraction]:
-    """Coupling of J_{+-k} inside the transfer exponentials:
-    q^{k/2}/(k(1-q^k)), with an extra (-1)^(k+1) for the alternating family."""
-    out = {}
-    for k in range(1, N + 1):
-        c = p ** k / (k * (1 - p ** (2 * k)))
-        if alternating and k % 2 == 0:
-            c = -c
-        out[k] = c
-    return out
-
-
 @lru_cache(maxsize=None)
 def _transfer_generator(p: Fraction, N: int, family: str) -> tuple[dict, int]:
-    """The rows of the exponent sum_k c_k J_{-k} of G_- in integer form, c_k the
-    transfer weights of the family: +-c_k on each move of move_table(-k, 0, N),
-    the signs of J_{-k}. A weight pair belongs to one k alone, and no entry
-    depends on the charge, so the table is built at s = 0."""
-    rows: dict[int, dict[int, Fraction]] = {}
-    for k, c in transfer_weights(p, N, alternating=(family == "alternating")).items():
+    """The rows of the exponent sum_k c_k J_{-k} of G_- in integer form, over the
+    least common denominator of the transfer weights c_k of the family,
+    q^{k/2}/(k(1-q^k)) with an extra (-1)^(k+1) for 'alternating': with p = a/b,
+    c_k = a^k b^k / (k (b^{2k} - a^{2k})), put with the sign of J_{-k} on each
+    move of move_table(-k, 0, N). A weight pair belongs to one k alone, and no
+    entry depends on the charge, so the table is built at s = 0."""
+    a, b = p.numerator, p.denominator
+    weights = []
+    for k in range(1, N + 1):
+        num, den = (a * b) ** k, k * (b ** (2 * k) - a ** (2 * k))
+        if family == "alternating" and k % 2 == 0:
+            num = -num
+        g = math.gcd(num, den)
+        weights.append((num // g, den // g))
+    den = math.lcm(*(d for _, d in weights))
+    rows: dict[int, dict[int, int]] = {}
+    for k, (num, d) in enumerate(weights, start=1):
+        num *= den // d
         for i, j, sign, _ in move_table(-k, 0, N):
-            rows.setdefault(i, {})[j] = c if sign > 0 else -c
-    return integer_form(rows)
+            rows.setdefault(i, {})[j] = num if sign > 0 else -num
+    return rows, den
 
 
 # A vector in integer form is a pair (nums, den): sparse integer numerators

@@ -12,7 +12,7 @@ certified cells its terms land in as slots, in ascending (row, col), with the
 two-move paths of V_m V_n and V_n V_m along them, and each check fills one
 flat integer list, one numerator per slot; its first nonzero slot is the
 reported entry. The first shift's G_-G_+ is the dense integer fock.pair_table;
-_sandwich_entry, the kernel toda's intertwining check shares, forms
+_sandwich_entry, the kernel the intertwining check of identities shares, forms
 c T + f L T + T f' R on it, row by row, and stops at the first nonzero entry.
 The second shift compares exponents of p move by move.
 """

@@ -1,4 +1,5 @@
-"""Tau functions of the crystal models and the identities tying them together.
+"""Tau functions of the crystal models: the graded operators and the tau
+series built from them.
 
 The central object is a Q-graded operator g = A . Q^{L0} . B with A and B
 built from transfer exponentials and diagonal p^{W0} dressings. Tau series
@@ -18,41 +19,24 @@ rows e_nu G_- of weight <= NQ, which is exact. The time exponentials
 contribute energies at most K*D, which the cutoff must dominate. The time
 vectors read J_k as the signs of the moves in fock.move_table, and since
 J_{-k} is the transpose of J_k, one table of row vectors serves as the
-column vectors too. The intertwining check reads each block g_n = A Pi_n B
-as a dense integer table, the grade-n Gram matrix of the basis vectors
-e_lam A and B e_mu: dressed rows of fock.pair_table at cap NQ, from the same
-rows of G_- as the first shift's table. The first shift's kernel,
-symmetries._sandwich_entry, reads J_k g_n - g_n J_r on it, with the rows of
-J_k and J_r, the latter scaled by -1, against a certified_window mask.
+column vectors too. Each block g_n = A Pi_n B is a dense integer table, the
+grade-n Gram matrix of the basis vectors e_lam A and B e_mu: dressed rows of
+fock.pair_table at cap NQ, from the same rows of G_- as the first shift's
+table. The identities these series and blocks satisfy are checked in
+`identities`; this module imports no check code.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 
-from .algebra import (
-    SeriesContext,
-    TruncatedSeries,
-    Value,
-    alternate_t_signs,
-    first_difference,
-    format_rational,
-    linear_form,
-    monomial_label,
-    negate_hatted,
-    series_exp,
-    series_partial,
-    substitute_difference,
-)
+from .algebra import SeriesContext, TruncatedSeries, Value
 from .fock import (
-    FULL,
     IntVector,
     apply_row,
-    certified_window,
     get_basis,
-    banded,
     move_table,
     pair_dots,
     pair_table,
@@ -61,25 +45,7 @@ from .fock import (
     transfer_row,
     w0_diag,
 )
-from .models import (
-    ModelParams,
-    charge_offset,
-    z_series,
-    zprime_series,
-)
-from .symmetries import (
-    FAIL,
-    INSUFFICIENT,
-    PASS,
-    CheckReport,
-    _entry_evidence,
-    _sandwich_entry,
-    torus_constant,
-)
-
-
-class CalibrationError(RuntimeError):
-    """Neither sign of the bilinear constant matches the trivial solution."""
+from .models import ModelParams, charge_offset
 
 
 # ---------------------------------------------------------------------------
@@ -347,271 +313,3 @@ def trivial_tau(K: int, D: int) -> TruncatedSeries:
             for _, total in _graded_pairing(u, w, basis, N):
                 coeffs[(0,) + a + bb] = Fraction(total, den)
     return TruncatedSeries(SeriesContext(K, D, 0), coeffs)
-
-
-# ---------------------------------------------------------------------------
-# Identity checks
-
-def _series_report(check: str, params_dict: dict, lhs: TruncatedSeries,
-                   rhs: TruncatedSeries, extra: dict | None = None) -> CheckReport:
-    diff = first_difference(lhs, rhs)
-    report = CheckReport(check, params_dict, PASS if diff is None else FAIL)
-    report.window = len(set(lhs.coeffs) | set(rhs.coeffs))
-    report.evidence = dict(extra or {})
-    if diff is not None:
-        label, va, vb = diff
-        report.evidence["first_difference"] = {
-            "monomial": label, "lhs": format_rational(va), "rhs": format_rational(vb)}
-    return report
-
-
-def _params_dict(params: ModelParams, **extra) -> dict:
-    d = {"s": params.s, "l": params.l, "p": format_rational(params.p),
-         "K": params.ctx.K, "D": params.ctx.D, "NQ": params.ctx.NQ, "N": params.N}
-    d.update(extra)
-    return d
-
-
-def main_identity_sides(params: ModelParams) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """LHS: the modified partition function summed over partitions. RHS:
-    exp(sum_k c(k) t_k + c(-k) th_k) times tau' at (-t_1, t_2, -t_3, ...,
-    -th_1, -th_2, ...), with c(j) = q^j/(1-q^j). The alternating-family
-    constants force c(-k) = -1/(1-q^k) on the hatted side."""
-    lhs = zprime_series(params)
-    tau = tau_prime_series(params).series
-    tau_sub = negate_hatted(alternate_t_signs(tau))
-    ctx = params.out_ctx
-    K, p = params.ctx.K, params.p
-    pref = series_exp(linear_form(
-        ctx,
-        {k: torus_constant(k, p) for k in range(1, K + 1)},
-        {k: torus_constant(-k, p) for k in range(1, K + 1)},
-    ))
-    return lhs, pref * tau_sub
-
-
-def verify_main_identity(params: ModelParams) -> CheckReport:
-    lhs, rhs = main_identity_sides(params)
-    return _series_report(
-        "main_identity", _params_dict(params), lhs, rhs,
-        {"prefactor": "exp(sum_k q^k t_k/(1-q^k) + q^-k th_k/(1-q^-k))"})
-
-
-def prev_identity_sides(params: ModelParams) -> tuple[TruncatedSeries, TruncatedSeries]:
-    """LHS: previous-model partition function. RHS:
-    exp(sum t_k q^k/(1-q^k)) q^{-s(s+1)(2s+1)/6} tau(s, -t_1, t_2, -t_3, ...)."""
-    lhs = z_series(params)
-    tau = tau_prev_series(params, "left").series
-    tau_sub = alternate_t_signs(tau)
-    ctx = params.out_ctx
-    K, p, s = params.ctx.K, params.p, params.s
-    pref = series_exp(linear_form(ctx, {k: torus_constant(k, p) for k in range(1, K + 1)}))
-    const = p ** (-(s * (s + 1) * (2 * s + 1)) // 3)
-    return lhs, pref * tau_sub * const
-
-
-def verify_prev_identity(params: ModelParams) -> CheckReport:
-    lhs, rhs = prev_identity_sides(params)
-    s = params.s
-    return _series_report(
-        "prev_identity", _params_dict(params), lhs, rhs,
-        {"constant": format_rational(params.p ** (-(s * (s + 1) * (2 * s + 1)) // 3))})
-
-
-def check_prev_forms(params: ModelParams) -> CheckReport:
-    """The three one-family presentations of the previous-model tau agree."""
-    left = tau_prev_series(params, "left").series
-    sym = tau_prev_series(params, "symmetric").series
-    right = tau_prev_series(params, "right").series
-    rep = _series_report("prev_tau_forms", _params_dict(params), left, sym,
-                         {"compared": "left vs symmetric"})
-    if rep.status != PASS:
-        return rep
-    rep2 = _series_report("prev_tau_forms", _params_dict(params), left, right,
-                          {"compared": "left vs right"})
-    rep2.evidence["compared"] = "left vs symmetric vs right"
-    return rep2
-
-
-def check_prev_reduction(params: ModelParams) -> CheckReport:
-    """The two-family form depends on the times only through t - th."""
-    two = tau_prev_series(params, "reduced_2d").series
-    left = tau_prev_series(params, "left").series
-    reduced = substitute_difference(left)
-    return _series_report("prev_tau_reduction", _params_dict(params), two, reduced)
-
-
-def ground_action_constants(s: int, p: Fraction, N: int) -> CheckReport:
-    """Inverse-free form of the ground-state actions: <s|G_- = <s| and
-    G"_+|s> = |s>, plus the W0 eigenvalue of the vacuum matching
-    s(s+1)(2s+1)/6, which makes the two dressing scalars p^{-+ that}."""
-    p = Fraction(p)
-    params_dict = {"s": s, "p": format_rational(p), "N": N}
-    vac = ({0: 1}, 1)
-    row = transfer_row(vac, p, N, "plain")
-    # G"_+ is the transpose of G"_-, so G"_+|s> is the row <s|G"_-
-    col = transfer_row(vac, p, N, "alternating")
-    w0_vac = w0_diag(s, N)[0]
-    expected = s * (s + 1) * (2 * s + 1) // 6
-    ok = row == vac and col == vac and w0_vac == expected
-    report = CheckReport("ground_action", params_dict, PASS if ok else FAIL)
-    report.window = 2 * len(get_basis(N))
-    report.evidence = {
-        "left_scalar": format_rational(p ** (-w0_vac)),
-        "right_scalar": format_rational(p ** w0_vac),
-        "vacuum_w0": w0_vac,
-    }
-    if not ok:
-        report.evidence["reason"] = "ground-state action is not scalar"
-    return report
-
-
-@lru_cache(maxsize=1)
-def _blocks(g: GradedOperator):
-    """g.gram, cached per grade for the last operator asked only: the checks of
-    one model point run in turn and share its blocks, and no other operator's
-    blocks are held."""
-    return cache(g.gram)
-
-
-def intertwining_residual(which: str, k: int, params: ModelParams) -> CheckReport:
-    """For 'g_true' (k > 0): J_k g - g J_{-k} must vanish on the certified window.
-    For 'gprime_fake': J_k g' - g' J_k must NOT vanish; a pass means the
-    residual has a certified nonzero entry, reported as evidence."""
-    if which not in ("g_true", "gprime_fake"):
-        raise ValueError(f"unknown selector {which!r}")
-    if k == 0 or (which == "g_true" and k < 0):
-        raise ValueError("k must be nonzero, and positive for 'g_true'")
-    if abs(k) > params.ctx.K:
-        raise ValueError(f"|k| = {abs(k)} exceeds the tracked family K = {params.ctx.K}")
-    N = params.N
-    report = CheckReport("intertwining", _params_dict(params, k=k, which=which), INSUFFICIENT)
-    if abs(k) > N:
-        report.evidence = {"reason": "shift exceeds the cutoff"}
-        return report
-    g = build_g(params) if which == "g_true" else build_gprime(params)
-    right_k = -k if which == "g_true" else k
-    # g_n is exact on the whole window, so only the J factors of J_k g_n and
-    # g_n J_{right_k} can leave the cutoff
-    mask, window = certified_window(N, ((banded(-k), FULL), (FULL, banded(-right_k))))
-    report.window = window * (params.ctx.NQ + 1)
-    if window == 0:
-        report.evidence = {"reason": "empty certified window"}
-        return report
-    jl, jr = _j_matrix(k, N), _j_matrix(right_k, N)
-    first_nonzero = None
-    for n in range(params.ctx.NQ + 1):
-        block, den = _blocks(g)(n)
-        if entry := _sandwich_entry(block, jl, jr, 0, mask, g.basis, f_right=-1):
-            first_nonzero = {"grade": n, **_entry_evidence(g.basis, *entry[:2],
-                                                           Fraction(entry[2], den))}
-            break
-    if which == "g_true":
-        report.status = PASS if first_nonzero is None else FAIL
-        if first_nonzero:
-            report.evidence = {"worst": first_nonzero}
-    else:
-        report.status = PASS if first_nonzero is not None else FAIL
-        report.evidence = ({"nonzero_entry": first_nonzero} if first_nonzero
-                           else {"reason": "fake intertwining relation unexpectedly holds"})
-    return report
-
-
-def trivial_tau_compare(params: ModelParams) -> CheckReport:
-    """tau' against exp(sum_k k t_k th_k) <s|g'|s>; the negative result holds
-    when the two differ in at least one retained coefficient. At D = 0 both
-    sides are the vacuum Q-series by construction, so nothing is tested."""
-    if params.ctx.D == 0:
-        return CheckReport("trivial_tau", _params_dict(params), INSUFFICIENT,
-                           {"reason": "need D >= 1: at D = 0 both sides are <s|g'|s>"})
-    tau = tau_prime_series(params).series
-    ctx = params.out_ctx
-    bilin = TruncatedSeries.zero(ctx)
-    for k in range(1, params.ctx.K + 1):
-        key = [0] * ctx.nvars
-        key[ctx.var_index(f"t{k}")] = 1
-        key[ctx.var_index(f"th{k}")] = 1
-        bilin = bilin + TruncatedSeries(ctx, {tuple(key): Fraction(k)})
-    rhs = series_exp(bilin) * build_gprime(params).vacuum_q_series()
-    diff = first_difference(tau, rhs)
-    report = CheckReport("trivial_tau", _params_dict(params),
-                         PASS if diff is not None else FAIL)
-    report.window = len(set(tau.coeffs) | set(rhs.coeffs))
-    const_agree = tau.q_profile() == rhs.q_profile()
-    report.evidence = {"constant_terms_agree": const_agree}
-    if diff is not None:
-        label, va, vb = diff
-        report.evidence["first_difference"] = {
-            "monomial": label, "tau": format_rational(va), "trivial": format_rational(vb)}
-    return report
-
-
-# ---------------------------------------------------------------------------
-# The lowest 2D Toda bilinear equation
-
-def _bilinear_residual(center: TruncatedSeries, up: TruncatedSeries,
-                       down: TruncatedSeries, c: Fraction) -> TruncatedSeries:
-    d1 = series_partial(center, "t1")
-    d2 = series_partial(center, "th1")
-    d12 = series_partial(d1, "th1")
-    return center * d12 - d1 * d2 - up * down * c
-
-
-@lru_cache(maxsize=None)
-def calibrate_bilinear_sign(K: int, D: int) -> int:
-    """Fix the constant in tau tau_{t1 th1} - tau_{t1} tau_{th1} = c tau_+ tau_-
-    on the trivial solution g = 1, where all three factors coincide."""
-    if D < 2:
-        raise CalibrationError("calibration needs D >= 2")
-    tau = trivial_tau(K, D)
-    for c in (1, -1):
-        if not _bilinear_residual(tau, tau, tau, Fraction(c)):
-            return c
-    raise CalibrationError("no sign matches the trivial solution")
-
-
-def toda_bilinear_residual(tau_family: dict[int, TauSeries], sign: str | int = "auto") -> CheckReport:
-    """Check the lowest bilinear equation on every charge whose neighbors are
-    present in the family. Polynomial form only: no divisions, no logs.
-    The product caps shrink to the meet of the factor contexts and the
-    derivative caps, which is exactly the window on which every retained
-    coefficient of the residual is certified."""
-    charges = sorted(tau_family)
-    any_series = tau_family[charges[0]].series
-    K, D = any_series.ctx.K, any_series.ctx.D
-    params_dict = {"charges": charges, "K": K, "D": D, "sign": str(sign)}
-    centers = [s for s in charges if s - 1 in tau_family and s + 1 in tau_family]
-    report = CheckReport("toda_bilinear", params_dict, INSUFFICIENT)
-    if not centers or D < 2:
-        report.evidence = {"reason": "need D >= 2 and at least one charge with both neighbors"}
-        return report
-    if sign == "auto":
-        c = Fraction(calibrate_bilinear_sign(K, D))
-    else:
-        c = Fraction(sign)
-    for checked, s in enumerate(centers, start=1):
-        residual = _bilinear_residual(tau_family[s].series,
-                                      tau_family[s + 1].series,
-                                      tau_family[s - 1].series, c)
-        report.window = checked
-        if residual:
-            key = min(residual.coeffs, key=lambda t: (sum(t), t))
-            report.status = FAIL
-            report.evidence = {
-                "constant": format_rational(c),
-                "center": s,
-                "first_nonzero": {"monomial": monomial_label(residual.ctx, key),
-                                  "value": format_rational(residual.coeffs[key])},
-            }
-            return report
-    report.status = PASS
-    report.evidence = {"constant": format_rational(c), "centers": centers}
-    return report
-
-
-def tau_prime_family(params: ModelParams, charges) -> dict[int, TauSeries]:
-    return {s: tau_prime_series(params.with_charge(s)) for s in charges}
-
-
-def zprime_family(params: ModelParams, charges) -> dict[int, TauSeries]:
-    return {s: TauSeries(s, zprime_series(params.with_charge(s))) for s in charges}

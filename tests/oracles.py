@@ -6,9 +6,14 @@ package beyond partitions and series. v_op and j_op view fock.v_int as
 SectorOperators, and identity, get, add, sub, scale, matmul, transpose,
 scale_rows and scale_cols are the Fraction operator arithmetic that the
 package replaced with integer numerators formed inside its checks. The
-fermion-move oracles build operators one psi_a psi*_b move at a time from the
-Maya-diagram primitives: bilinear_diagonal the diagonal ones,
-v_op_by_bilinears every V^(k)_m. dense_exp is the transfer exponential as a
+Maya-diagram primitives occupied, count_above and move_particle work on lists
+of levels, where the package works on bit masks; move_table_by_moves is
+fock.move_table built from them. The fermion-move oracles build operators one
+psi_a psi*_b move at a time from the same primitives: bilinear_diagonal the
+diagonal ones, v_op_by_bilinears every V^(k)_m. transfer_weights are the
+Fraction couplings of the transfer exponentials and integer_rows puts
+rational rows in integer form, together the reference for the integer rows of
+fock._transfer_generator. dense_exp is the transfer exponential as a
 dense Fraction matrix, its exponent summed here from j_op and its series taken
 by matrix products; dense_transfer and dense_pair give G+- and G_-G_+ from it,
 the reference for the rows of fock.minus_rows and the dots of fock.pair_dots.
@@ -47,7 +52,7 @@ from fractions import Fraction
 from functools import cache, lru_cache, partial
 
 from toda_crystal import Partition, SeriesContext, TruncatedSeries, enumerate_partitions
-from toda_crystal import symmetries, toda
+from toda_crystal import identities, symmetries
 from toda_crystal.algebra import format_rational, linear_form, series_exp
 from toda_crystal.fock import (
     FULL,
@@ -59,9 +64,6 @@ from toda_crystal.fock import (
     banded,
     certified_window,
     get_basis,
-    move_particle,
-    occupied,
-    transfer_weights,
     v_int,
     v_pattern,
     w0_diag,
@@ -273,6 +275,27 @@ def _scan_certified_residual(residual: SectorOperator, mask, den=1) -> tuple[boo
 def apply_col(op: SectorOperator, vec: dict) -> dict:
     """Matrix times column vector."""
     return apply_row(vec, transpose(op).rows)
+
+
+def transfer_weights(p: Fraction, N: int, alternating: bool) -> dict[int, Fraction]:
+    """Coupling of J_{+-k} inside the transfer exponentials:
+    q^{k/2}/(k(1-q^k)), with an extra (-1)^(k+1) for the alternating family."""
+    out = {}
+    for k in range(1, N + 1):
+        c = p ** k / (k * (1 - p ** (2 * k)))
+        if alternating and k % 2 == 0:
+            c = -c
+        out[k] = c
+    return out
+
+
+def integer_rows(rows) -> tuple[dict, int]:
+    """Rational rows {i: {j: Fraction}} as (M, den): integer rows M with
+    M/den = rows, over the least common denominator of the entries, so in
+    lowest terms."""
+    den = math.lcm(*(v.denominator for row in rows.values() for v in row.values()))
+    return {i: {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+            for i, row in rows.items()}, den
 
 
 def dense_exp(coeffs, direction: str, config) -> SectorOperator:
@@ -496,13 +519,13 @@ def fraction_residual_entry(g: GradedOperator, k: int, right_k: int, mask) -> di
 
 
 def fraction_intertwining_residual(which: str, k: int, params) -> CheckReport:
-    """toda.intertwining_residual with its entry from fraction_residual_entry,
+    """identities.intertwining_residual with its entry from fraction_residual_entry,
     for g ('g_true', the plain family) or g' ('gprime_fake', the alternating
     family) on the model point params."""
     if which not in ("g_true", "gprime_fake"):
         raise ValueError(f"unknown selector {which!r}")
     N = params.N
-    report = CheckReport("intertwining", toda._params_dict(params, k=k, which=which), INSUFFICIENT)
+    report = CheckReport("intertwining", identities._params_dict(params, k=k, which=which), INSUFFICIENT)
     if abs(k) > N:
         report.evidence = {"reason": "shift exceeds the cutoff"}
         return report
@@ -622,6 +645,92 @@ def fraction_second_shift_check(k: int, m: int, config) -> CheckReport:
     if worst:
         report.evidence = {"worst": worst}
     return report
+
+
+# ---------------------------------------------------------------------------
+# Maya diagrams as level lists: the move-by-move reference for fock.move_table
+
+def _levels(parts: tuple[int, ...], s: int) -> list[int]:
+    """Occupied levels above the filled tail, strictly decreasing.
+    The tail occupies every level <= s - len(parts)."""
+    return [s + m - i for i, m in enumerate(parts)]
+
+
+def occupied(parts: tuple[int, ...], s: int, x: int) -> bool:
+    if x <= s - len(parts):
+        return True
+    return any(s + m - i == x for i, m in enumerate(parts))
+
+
+def count_above(parts: tuple[int, ...], s: int, x: int) -> int:
+    """Number of occupied levels strictly above x; finite by cofinality."""
+    c = 0
+    for i, m in enumerate(parts):
+        if s + m - i > x:
+            c += 1
+        else:
+            break
+    tail_top = s - len(parts)
+    if tail_top > x:
+        c += tail_top - x
+    return c
+
+
+def move_particle(parts: tuple[int, ...], s: int, src: int, dst: int):
+    """Move one particle from level src to level dst.
+
+    Returns (sign, new_parts) or None when the move is Pauli-blocked.
+    """
+    if not occupied(parts, s, src):
+        return None
+    if dst == src:
+        return (1, parts)
+    if occupied(parts, s, dst):
+        return None
+    sign_exp = count_above(parts, s, src) + count_above(parts, s, dst)
+    if src > dst:
+        # removing src lowers the count above dst by one
+        sign_exp -= 1
+    tail_top = s - len(parts)
+    excited = _levels(parts, s)
+    if src <= tail_top:
+        excited += list(range(tail_top, src - 1, -1))
+        tail_top = src - 1
+    excited.remove(src)
+    excited.append(dst)
+    excited.sort(reverse=True)
+    new_parts = []
+    for i, x in enumerate(excited, start=1):
+        part = x - s + i - 1
+        if part < 0:
+            raise AssertionError("charge changed during a move")
+        new_parts.append(part)
+    while new_parts and new_parts[-1] == 0:
+        new_parts.pop()
+    return ((-1) ** sign_exp, tuple(new_parts))
+
+
+def _move_sources(parts: tuple[int, ...], s: int, m: int) -> list[int]:
+    """Occupied levels from which a shift by -m can leave the filled tail."""
+    tail_top = s - len(parts)
+    cands = _levels(parts, s)
+    cands.extend(range(tail_top, tail_top - abs(m) - 1, -1))
+    return cands
+
+
+def move_table_by_moves(m: int, s: int, N: int) -> tuple[tuple[int, int, int, int], ...]:
+    """fock.move_table built one move_particle at a time from the level lists,
+    each result looked up as a Partition."""
+    b = get_basis(N)
+    moves = []
+    for j, mu in enumerate(b.parts):
+        if not 0 <= mu.weight - m <= N:
+            continue
+        for src in _move_sources(mu.parts, s, m):
+            res = move_particle(mu.parts, s, src, src - m)
+            if res is not None:
+                moves.append((b.index[Partition(res[1])], j, res[0], src))
+    return tuple(moves)
 
 
 @dataclass(frozen=True)

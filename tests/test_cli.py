@@ -10,7 +10,7 @@ import pytest
 
 import toda_crystal
 from toda_crystal.cli import CHECKS, RunConfig, _build_parser, _run_task, _sort_key, _task_list, main
-from toda_crystal.toda import CalibrationError
+from toda_crystal.identities import CalibrationError
 
 from oracles import (
     fraction_first_shift_check,
@@ -216,7 +216,7 @@ except SystemExit as exc:
     assert exc.code in (0, None), exc.code
 """ + _PRINT_LOADED
 
-ALL_MODULES = {"algebra", "partitions", "fock", "models", "symmetries", "toda"}
+ALL_MODULES = {"algebra", "partitions", "fock", "models", "symmetries", "toda", "identities"}
 
 
 @pytest.mark.parametrize("argv,modules", [
@@ -226,7 +226,7 @@ ALL_MODULES = {"algebra", "partitions", "fock", "models", "symmetries", "toda"}
     (["verify", "commutators", "--s", "0", "--K", "2", "--D", "3", "--p", "1/2"],
      {"algebra", "partitions", "fock", "symmetries"}),
     (["compute", "tau-prime", "--s", "0", "--l", "1", "--K", "3", "--D", "2", "--NQ", "8",
-      "--p", "1/2"], ALL_MODULES),
+      "--p", "1/2"], {"algebra", "partitions", "fock", "models", "toda"}),
     (["verify", "prev-identity", "--s", "0", "--K", "2", "--D", "3", "--p", "1/2"],
      ALL_MODULES),
 ])
@@ -269,12 +269,11 @@ EXPORTS = {
     "partitions": ("Partition", "enumerate_partitions"),
     "symmetries": ("commutator_check", "first_shift_check", "second_shift_check",
                    "torus_constant"),
-    "toda": ("CalibrationError", "build_g", "build_gprime", "calibrate_bilinear_sign",
-             "check_prev_forms", "check_prev_reduction", "ground_action_constants",
-             "intertwining_residual", "tau_prev_series", "tau_prime_family",
-             "tau_prime_series", "toda_bilinear_residual", "trivial_tau",
-             "trivial_tau_compare", "verify_main_identity", "verify_prev_identity",
-             "zprime_family"),
+    "toda": ("build_g", "build_gprime", "tau_prev_series", "tau_prime_series", "trivial_tau"),
+    "identities": ("CalibrationError", "calibrate_bilinear_sign", "check_prev_forms",
+                   "check_prev_reduction", "ground_action_constants", "intertwining_residual",
+                   "tau_prime_family", "toda_bilinear_residual", "trivial_tau_compare",
+                   "verify_main_identity", "verify_prev_identity", "zprime_family"),
 }
 
 
@@ -345,7 +344,7 @@ def test_intertwining_suites_match_fraction_scan(suite, monkeypatch):
         calls.append(a)
         return fraction_intertwining_residual(*a)
 
-    monkeypatch.setattr(toda_crystal.toda, "intertwining_residual", oracle)
+    monkeypatch.setattr(toda_crystal.identities, "intertwining_residual", oracle)
     assert lines() == ours
     assert len(calls) == sum(line["check"] == "intertwining" for line in ours) > 0
 

@@ -28,7 +28,6 @@ from toda_crystal.fock import (
     get_basis,
     move_table,
     power_form,
-    transfer_weights,
     w0_diag,
 )
 from toda_crystal.toda import _time_rows
@@ -48,6 +47,7 @@ from oracles import (
     scale,
     scale_rows,
     sub,
+    transfer_weights,
     transpose,
     v_op,
 )
@@ -178,6 +178,15 @@ def test_move_table_built_once_per_shift():
     info = move_table.cache_info()
     assert (info.misses, info.hits) == (shifts, 8 * shifts)
     assert move_table(1, s, N) is move_table(1, s, N)
+
+
+@pytest.mark.parametrize("N", range(9))
+def test_move_table_matches_oracle_moves(N):
+    # the bit-mask moves against the oracle's, made one move_particle at a
+    # time on level lists; m = 0 gives the diagonal (j, j, 1, src)
+    for s in range(-2, 3):
+        for m in range(-N, N + 1):
+            assert move_table(m, s, N) == oracles.move_table_by_moves(m, s, N), (m, s)
 
 
 def test_v_int_reads_no_fraction_power(monkeypatch):
@@ -358,6 +367,20 @@ def test_transfer_weights_values():
     assert wa[1] == w[1] and wa[2] == -w[2]
 
 
+@pytest.mark.parametrize("p", [P, Fraction(2, 3), Fraction(6, 35)])
+def test_transfer_generator_matches_oracle_weights(p):
+    # the integer rows of the exponent of G_-, built from p's numerator and
+    # denominator, against the oracle's Fraction weights put on every move of
+    # J_{-k}, in the same lowest-terms integer form
+    for N in range(7):
+        for family in ("plain", "alternating"):
+            rows = {}
+            for k, c in transfer_weights(p, N, family == "alternating").items():
+                for i, j, sign, _ in move_table(-k, 0, N):
+                    rows.setdefault(i, {})[j] = sign * c
+            assert fock._transfer_generator(p, N, family) == oracles.integer_rows(rows), N
+
+
 def _stores_no_zeros(op):
     return all(row and all(row.values()) for row in op.rows.values())
 
@@ -423,7 +446,7 @@ def test_certified_window_matches_the_split_rule_per_pair(N):
 def test_checks_ask_for_the_written_chains(monkeypatch):
     # every certified_window call of `verify all` (N = 4) is one of the chains
     # written out above, and gives the per-pair rule's mask and window
-    from toda_crystal import cli, symmetries, toda
+    from toda_crystal import cli, identities, symmetries
 
     seen = set()
 
@@ -431,7 +454,7 @@ def test_checks_ask_for_the_written_chains(monkeypatch):
         seen.add((N, chains, band))
         return f(N, chains, band)
 
-    for module in (symmetries, toda):
+    for module in (symmetries, identities):
         monkeypatch.setattr(module, "certified_window", record)
     symmetries._commutator_tables.cache_clear()
     args = cli._build_parser().parse_args(["verify", "all", "--K", "2", "--D", "2", "--NQ", "3"])

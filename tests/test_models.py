@@ -22,7 +22,7 @@ from toda_crystal import (
     z_series,
     zprime_series,
 )
-from toda_crystal import algebra, fock, models, toda
+from toda_crystal import algebra, fock, identities, models
 from toda_crystal.algebra import linear_form, series_exp, series_from_json_dict
 from toda_crystal.models import _add_weighted_exp, _monomials
 
@@ -268,12 +268,12 @@ def test_identities_hold_without_the_closed_form_exp(monkeypatch):
     assert fermionic_expectation(params, "Zprime") == series_from_json_dict(data["series"])
     with pytest.raises(AssertionError):
         zprime_series(params)
-    monkeypatch.setattr(toda, "zprime_series", lambda pr: fermionic_expectation(pr, "Zprime"))
-    monkeypatch.setattr(toda, "z_series", lambda pr: fermionic_expectation(pr, "Z"))
+    monkeypatch.setattr(identities, "zprime_series", lambda pr: fermionic_expectation(pr, "Zprime"))
+    monkeypatch.setattr(identities, "z_series", lambda pr: fermionic_expectation(pr, "Z"))
     for s, l in ((0, 1), (-1, 0)):
         pr = ModelParams(s, l, P, SeriesContext(2, 2, 2))
-        assert toda.verify_main_identity(pr).status == "pass"
-        assert toda.verify_prev_identity(pr).status == "pass"
+        assert identities.verify_main_identity(pr).status == "pass"
+        assert identities.verify_prev_identity(pr).status == "pass"
 
 
 def test_generate_fixtures_reproduces_fixtures(tmp_path, monkeypatch):

@@ -163,7 +163,7 @@ def test_pair_table_pushes_each_basis_vector_once(monkeypatch):
 
 
 def _dense_pair_table(p, N, family, cap):
-    rows, den = fock.integer_form(oracles.dense_pair(SectorConfig(0, N, p), family).rows)
+    rows, den = oracles.integer_rows(oracles.dense_pair(SectorConfig(0, N, p), family).rows)
     return [[rows.get(i, {}).get(j, 0) for j in range(len(get_basis(cap)))]
             for i in range(len(get_basis(N)))], den
 

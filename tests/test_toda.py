@@ -31,7 +31,7 @@ from toda_crystal import (
     zprime_family,
     zprime_series,
 )
-from toda_crystal import toda
+from toda_crystal import identities
 from toda_crystal.algebra import linear_form, series_exp, series_from_json_dict
 from toda_crystal.fock import SectorConfig, get_basis, w0_diag
 from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS, _entry_evidence, _sandwich_entry
@@ -479,7 +479,7 @@ def test_flipped_j_sign_fails_as_dense_residual(monkeypatch):
             rows[i][j] = -rows[i][j]
         return rows
 
-    monkeypatch.setattr(toda, "_j_matrix", flipped)
+    monkeypatch.setattr(identities, "_j_matrix", flipped)
     rep = intertwining_residual("g_true", 1, pr)
     entry = dense_residual_entry(
         "plain", 1, -1, pr, j=lambda k, cfg: SectorOperator(cfg, get_basis(cfg.N), flipped(k, cfg.N)))
