@@ -357,28 +357,23 @@ def series_partial(f: TruncatedSeries, var: str) -> TruncatedSeries:
     return TruncatedSeries(new_ctx, out)
 
 
-def scale_vars(f: TruncatedSeries, factors: Mapping[str, Fraction]) -> TruncatedSeries:
-    """Substitute var -> factor * var for each named variable."""
-    idx_fac = [(f.ctx.var_index(name), Fraction(c)) for name, c in factors.items()]
-    out = {}
-    for key, val in f.coeffs.items():
-        c = val
-        for idx, fac in idx_fac:
-            e = key[idx]
-            if e:
-                c *= fac ** e
-        if c:
-            out[key] = c
-    return TruncatedSeries(f.ctx, out)
+def _flip_signs(f: TruncatedSeries, indices: range) -> TruncatedSeries:
+    """Substitute var -> -var for the variables at the key positions in
+    indices: a coefficient changes sign when their exponents sum to an odd
+    number."""
+    return TruncatedSeries.trusted(f.ctx, {
+        key: -val if sum(key[i] for i in indices) % 2 else val
+        for key, val in f.coeffs.items()})
 
 
 def alternate_t_signs(f: TruncatedSeries) -> TruncatedSeries:
     """t_k -> (-1)^k t_k, i.e. the substitution (-t_1, t_2, -t_3, ...)."""
-    return scale_vars(f, {f"t{k}": Fraction(-1) ** k for k in range(1, f.ctx.K + 1)})
+    return _flip_signs(f, range(1, f.ctx.K + 1, 2))
 
 
 def negate_hatted(f: TruncatedSeries) -> TruncatedSeries:
-    return scale_vars(f, {f"th{k}": Fraction(-1) for k in range(1, f.ctx.K + 1)})
+    """th_k -> -th_k for every k."""
+    return _flip_signs(f, range(f.ctx.K + 1, 2 * f.ctx.K + 1))
 
 
 def substitute_difference(f: TruncatedSeries) -> TruncatedSeries:

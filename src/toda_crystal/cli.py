@@ -4,6 +4,10 @@ A subcommand imports only the modules its tasks call: `--help` loads none
 beyond `algebra`, a `compute` target its own model or tau module, and each
 check kind looks its runner up in its module when a task runs.
 
+`verify` runs its tasks one after another in this process, in grid order,
+so each model point's caches (pair tables, g_n blocks, time vectors) are
+built once and read by every task at that point.
+
 Reports are emitted as one JSON object per line with the fields
 {check, params, status, evidence, wall_ms}; lines are sorted canonically
 before writing so reruns are diffable. A check that raises gives a line with
@@ -16,7 +20,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -233,24 +236,6 @@ def _sort_key(line: dict) -> tuple:
     return (line["check"], _sorted_json(line["params"]))
 
 
-def _worker_count(n_tasks: int) -> int:
-    """TODA_CRYSTAL_THREADS clamped to the CPU count and the number of tasks;
-    a clamp is reported on stderr."""
-    threads = os.environ.get("TODA_CRYSTAL_THREADS", "")
-    if not threads:
-        return 1
-    try:
-        requested = max(1, int(threads))
-    except ValueError:
-        raise UsageError(f"TODA_CRYSTAL_THREADS must be an integer, got {threads!r}")
-    cpus = os.cpu_count() or 1
-    workers = min(requested, cpus, max(1, n_tasks))
-    if workers < requested:
-        print(f"TODA_CRYSTAL_THREADS={requested} clamped to {workers} "
-              f"({cpus} CPUs, {n_tasks} tasks)", file=sys.stderr)
-    return workers
-
-
 def _writer(path: str | None):
     """The --out file, or stdout, opened before any work starts."""
     try:
@@ -260,17 +245,8 @@ def _writer(path: str | None):
 
 
 def cmd_verify(cfg: RunConfig, suite: str) -> int:
-    tasks = _task_list(suite, cfg)
-    workers = _worker_count(len(tasks))
     with _writer(cfg.out) as out:
-        if workers > 1:
-            import multiprocessing
-
-            with multiprocessing.Pool(workers) as pool:
-                lines = pool.map(_run_task, tasks)
-        else:
-            lines = [_run_task(t) for t in tasks]
-        lines.sort(key=_sort_key)
+        lines = sorted(map(_run_task, _task_list(suite, cfg)), key=_sort_key)
         out.write("".join(_compact_json(line) + "\n" for line in lines))
     n_pass = sum(1 for line in lines if line["status"] == "pass")
     print(f"{suite}: {n_pass}/{len(lines)} checks passed", file=sys.stderr)

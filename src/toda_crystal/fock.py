@@ -77,7 +77,7 @@ class Basis:
 
     def __init__(self, cutoff: int):
         self.cutoff = cutoff
-        self.parts = enumerate_partitions(cutoff, "all_up_to")
+        self.parts = enumerate_partitions(cutoff)
         self.index = {mu: i for i, mu in enumerate(self.parts)}
         self.weights = [mu.weight for mu in self.parts]
         self.weight_range: dict[int, range] = {}

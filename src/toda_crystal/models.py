@@ -177,7 +177,7 @@ def _partition_sum(params: ModelParams, which: str) -> TruncatedSeries:
     A, B = [a ** i for i in range(2 * E + 1)], [b ** i for i in range(2 * E + 1)]
     ks = [*range(1, K + 1), *range(-1, -K - 1, -1)][:n]
     classes: dict[int, list] = {}
-    for mu in enumerate_partitions(NQ, "all_up_to"):
+    for mu in enumerate_partitions(NQ):
         levels = _phi_levels(mu, s)
         phis = [sum(c * A[E + 2 * k * x] * B[E - 2 * k * x] for c, x in levels) for k in ks]
         hooks = mu.hook_lengths()

@@ -95,19 +95,8 @@ def _gen_exact(n: int, max_part: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def enumerate_partitions(n_max: int, mode: str = "all_up_to") -> list[Partition]:
-    """All partitions with weight <= n_max ('all_up_to') or == n_max
-    ('exact_weight'), in canonical order.
-    """
+def enumerate_partitions(n_max: int) -> list[Partition]:
+    """All partitions with weight <= n_max, in canonical order."""
     if n_max < 0:
         raise ValueError("n_max must be nonnegative")
-    if mode == "exact_weight":
-        weights = [n_max]
-    elif mode == "all_up_to":
-        weights = list(range(n_max + 1))
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
-    out = []
-    for n in weights:
-        out.extend(Partition(t) for t in _gen_exact(n, n if n else 1))
-    return out
+    return [Partition(t) for n in range(n_max + 1) for t in _gen_exact(n, n)]

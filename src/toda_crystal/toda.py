@@ -103,8 +103,7 @@ _RIGHT_W0_SIGN = {"plain": +1, "alternating": -1}
 class GradedOperator:
     """g = A . Q^{L0} . B on a fixed sector, with A = q^{W0/2} G_-G_+ q^{l W0/2}
     and B = G"_-G"_+ q^{+-W0/2}. The right pair uses the given transfer family,
-    'plain' with q^{+W0/2} or 'alternating' with q^{-W0/2}; identity_transfers
-    replaces both pairs by the identity.
+    'plain' with q^{+W0/2} or 'alternating' with q^{-W0/2}.
 
     g is applied to vectors in integer form: a vector is a pair
     (nums, den) of integer numerators over one denominator den > 0, with
@@ -120,13 +119,12 @@ class GradedOperator:
     The operator keeps what it pushes, time_vectors for the tau series. The
     blocks gram(n) = g_n are integer tables read off fock.pair_table."""
 
-    def __init__(self, params: ModelParams, family: str, identity_transfers: bool = False):
+    def __init__(self, params: ModelParams, family: str):
         if family not in _RIGHT_W0_SIGN:
             raise ValueError(f"unknown transfer family {family!r}")
         self.params = params
         self.config = params.config
         self.family = family
-        self.identity_transfers = identity_transfers
         self.basis = get_basis(self.config.N)
         self._w0 = w0_diag(self.config.s, self.config.N)
         self._limit = self.basis.weight_range[params.ctx.NQ].stop
@@ -141,10 +139,7 @@ class GradedOperator:
         return {i: v * f for (i, v), f in zip(nums.items(), powers)}, den * d
 
     def _pair(self, vec: IntVector, family: str) -> IntVector:
-        """vec times the transfer pair of the family on the weights <= NQ; with
-        identity_transfers, vec on those weights."""
-        if self.identity_transfers:
-            return {i: v for i, v in vec[0].items() if i < self._limit}, vec[1]
+        """vec times the transfer pair of the family on the weights <= NQ."""
         nums, den = transfer_row(vec, self.config.p, self.config.N, family)
         dots, d = pair_dots(nums, self.config.p, self.params.ctx.NQ, family)
         return {j: v for j, v in enumerate(dots) if v}, den * d
@@ -175,9 +170,8 @@ class GradedOperator:
         p^{w0(lam)} and p^{l W0}, B e_mu (the pair is symmetric) row mu of
         G"_-G"_+ by p^{+-w0(mu)}."""
         cfg, dim, NQ = self.config, len(self.basis), self.params.ctx.NQ
-        (left, d_l), (right, d_r) = (
-            [([[int(i == j) for j in range(dim)] for i in range(dim)], 1)] * 2 if self.identity_transfers
-            else [pair_table(cfg.p, cfg.N, family, NQ) for family in ("plain", self.family)])
+        (left, d_l), (right, d_r) = (pair_table(cfg.p, cfg.N, family, NQ)
+                                     for family in ("plain", self.family))
         (a, d_a), (b, d_b), (c, d_c) = (
             power_form(cfg.p, [e * x for x in self._w0[:stop]])
             for e, stop in ((1, dim), (cfg.l, self._limit), (_RIGHT_W0_SIGN[self.family], dim)))
@@ -207,17 +201,17 @@ class GradedOperator:
 
 
 @lru_cache(maxsize=None)
-def build_gprime(params: ModelParams, identity_transfers: bool = False) -> GradedOperator:
+def build_gprime(params: ModelParams) -> GradedOperator:
     """g' = q^{W0/2} G_-G_+ q^{l W0/2} Q^{L0} G"_-G"_+ q^{-W0/2} with the
     alternating transfer family on the right. Cached per model point, so the
     checks on one (s, l) share its time vectors."""
-    return GradedOperator(params, "alternating", identity_transfers)
+    return GradedOperator(params, "alternating")
 
 
 @lru_cache(maxsize=None)
-def build_g(params: ModelParams, identity_transfers: bool = False) -> GradedOperator:
+def build_g(params: ModelParams) -> GradedOperator:
     """g = q^{W0/2} G_-G_+ q^{l W0/2} Q^{L0} G_-G_+ q^{+W0/2}; cached like build_gprime."""
-    return GradedOperator(params, "plain", identity_transfers)
+    return GradedOperator(params, "plain")
 
 
 # ---------------------------------------------------------------------------

@@ -384,7 +384,7 @@ def fraction_partition_sum(params, which: str) -> TruncatedSeries:
     w(mu) = s_mu s_{t(mu)} for 'Zprime' and s_mu^2 (t family alone) for 'Z'."""
     s, p, K = params.s, params.p, params.ctx.K
     acc: dict = {}
-    for mu in enumerate_partitions(params.ctx.NQ, "all_up_to"):
+    for mu in enumerate_partitions(params.ctx.NQ):
         a = [phi_potential(k, mu, s, p) for k in range(1, K + 1)]
         if which == "Zprime":
             weight = schur_qrho(mu, p) * schur_qrho(mu.conjugate(), p)
@@ -416,10 +416,12 @@ class DenseGraded(GradedOperator):
     dense transfer pairs from dense_pair. fraction_row and fraction_col act
     on {index: Fraction} vectors; row and col wrap them for the integer-form
     vectors of GradedOperator. The vectors keep every weight up to the
-    cutoff; the graded pairing reads the weights <= NQ."""
+    cutoff; the graded pairing reads the weights <= NQ. identity_transfers
+    replaces both dense pairs by the identity in row, col and block; gram
+    still reads the package's pair tables."""
 
     def __init__(self, params, family: str, identity_transfers: bool = False):
-        super().__init__(params, family, identity_transfers)
+        super().__init__(params, family)
         cfg = params.config
         p, l = cfg.p, cfg.l
         w0 = w0_diag(cfg.s, cfg.N)
@@ -496,7 +498,7 @@ def fraction_residual_entry(g: GradedOperator, k: int, right_k: int, mask) -> di
     vectors, by linearity in the J factors, with the row and column vectors
     of g taken from the dense pairs of DenseGraded and the columns of
     J_{right_k} from its transpose."""
-    dense = DenseGraded(g.params, g.family, g.identity_transfers)
+    dense = DenseGraded(g.params, g.family)
     b = g.basis
     w = b.weights
     row = cache(lambda i: dense.fraction_row({i: Fraction(1)}))
@@ -824,7 +826,7 @@ def zprime_special(l: int, p: Fraction, NQ: int) -> TruncatedSeries:
     """Couplings off, s = 0: sum_mu s_mu s_{t(mu)} q^{l kappa/2} (q^{l/2} Q)^{|mu|},
     with the Schur values from Jacobi-Trudi."""
     coeffs: dict[tuple[int, ...], Fraction] = {}
-    for mu in enumerate_partitions(NQ, "all_up_to"):
+    for mu in enumerate_partitions(NQ):
         key = (mu.weight, 0, 0)
         coeffs[key] = coeffs.get(key, Fraction(0)) + (
             schur_jacobi_trudi(mu, p) * schur_jacobi_trudi(mu.conjugate(), p)

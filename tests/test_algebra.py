@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 from toda_crystal import SeriesContext, TruncatedSeries, series_exp, series_partial
 from toda_crystal.algebra import (
     Value,
+    alternate_t_signs,
     linear_form,
     monomial_label,
+    negate_hatted,
     parse_monomial_label,
-    scale_vars,
     series_from_json_dict,
     substitute_difference,
 )
@@ -133,10 +134,23 @@ def test_substitute_difference_and_merge():
         substitute_difference(f + th1)
 
 
-def test_scale_vars():
-    f = var("t1") + var("th1")
-    g = scale_vars(f, {"t1": Fraction(-1)})
-    assert g == var("th1") - var("t1")
+def test_sign_flips():
+    # mixed t and th exponents; t1^2 and Q th3^2 are even powers of flipped
+    # variables, and t1 t3 an even total, so they keep their signs
+    ctx = SeriesContext(3, 3, 2)
+
+    def f(t1, t2, t3, th1, th2, th3):
+        Q = var("Q", ctx)
+        return (2 * t1 + 3 * t2 + 5 * t3 + 7 * th1 + 11 * t1 * th2 + 13 * t1 * t1
+                + 17 * t1 * t3 + 19 * Q * th3 * th3 + 23 * t2 * th1 * th3 + 29)
+
+    t1, t2, t3, th1, th2, th3 = (var(name, ctx) for name in ctx.var_names()[1:])
+    series = f(t1, t2, t3, th1, th2, th3)
+    assert alternate_t_signs(series) == f(-t1, t2, -t3, th1, th2, th3)
+    assert negate_hatted(series) == f(t1, t2, t3, -th1, -th2, -th3)
+    assert alternate_t_signs(series).coeffs[(0, 2, 0, 0, 0, 0, 0)] == 13
+    assert negate_hatted(series).coeffs[(1, 0, 0, 0, 0, 0, 2)] == 19
+    assert negate_hatted(negate_hatted(series)) == series
 
 
 def test_linear_form():

@@ -19,25 +19,14 @@ from oracles import (
 )
 
 
-def run_cli(args, tmp_path=None, env_extra=None):
+def run_cli(args, tmp_path=None):
     """Invoke the CLI in-process, capturing stdout lines and the exit code."""
     import io
     from contextlib import redirect_stdout
 
     buf = io.StringIO()
-    old_env = {}
-    for k, v in (env_extra or {}).items():
-        old_env[k] = os.environ.get(k)
-        os.environ[k] = v
-    try:
-        with redirect_stdout(buf):
-            code = main(args)
-    finally:
-        for k, v in old_env.items():
-            if v is None:
-                os.environ.pop(k, None)
-            else:
-                os.environ[k] = v
+    with redirect_stdout(buf):
+        code = main(args)
     return code, buf.getvalue()
 
 
@@ -154,14 +143,17 @@ def test_verify_report_lines_sorted(tmp_path):
     assert keys == sorted(keys)
 
 
-def test_thread_env_var_gives_identical_reports(tmp_path):
-    serial, parallel = tmp_path / "s.jsonl", tmp_path / "p.jsonl"
+@pytest.mark.parametrize("threads", ["2", "many"])
+def test_stale_thread_env_var_is_ignored(monkeypatch, capsys, tmp_path, threads):
+    # verify has one serial runner and reads no environment variable
     args = ["verify", "toeplitz", "--p", "1/2", *SMALL]
-    code, _ = run_cli(args + ["--out", str(serial)])
-    assert code == 0
-    code, _ = run_cli(args + ["--out", str(parallel)],
-                      env_extra={"TODA_CRYSTAL_THREADS": "2"})
-    assert code == 0
+    unset, stale = tmp_path / "unset.jsonl", tmp_path / "stale.jsonl"
+    monkeypatch.delenv("TODA_CRYSTAL_THREADS", raising=False)
+    assert run_cli(args + ["--out", str(unset)])[0] == 0
+    capsys.readouterr()
+    monkeypatch.setenv("TODA_CRYSTAL_THREADS", threads)
+    assert run_cli(args + ["--out", str(stale)])[0] == 0
+    assert capsys.readouterr().err == "toeplitz: 2/2 checks passed\n"
 
     def strip(path):
         rows = [json.loads(l) for l in path.read_text().splitlines()]
@@ -169,20 +161,14 @@ def test_thread_env_var_gives_identical_reports(tmp_path):
             r.pop("wall_ms")
         return rows
 
-    assert strip(serial) == strip(parallel)
-
-
-def test_bad_thread_env_var(tmp_path):
-    code, _ = run_cli(["verify", "toeplitz", *SMALL],
-                      env_extra={"TODA_CRYSTAL_THREADS": "many"})
-    assert code == 2
+    assert strip(stale) == strip(unset)
 
 
 def _child(*argv: str) -> subprocess.CompletedProcess:
-    """A fresh interpreter run with `argv`, single-threaded, importing the
-    package from where this process found it; its output is kept as bytes."""
+    """A fresh interpreter run with `argv`, importing the package from where
+    this process found it; its output is kept as bytes."""
     src = str(Path(toda_crystal.__file__).resolve().parents[1])
-    env = {k: v for k, v in os.environ.items() if k != "TODA_CRYSTAL_THREADS"}
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run([sys.executable, *argv], capture_output=True, env=env)
 
@@ -249,15 +235,19 @@ def test_run_config_is_never_mutated():
     assert cfg.params(0, 1).ctx == cfg.ctx
 
 
-def test_no_package_module_imports_dataclasses():
+# a record class built by dataclasses, or a second task runner
+FORBIDDEN_IMPORTS = {"dataclasses", "multiprocessing"}
+
+
+def test_no_package_module_imports_forbidden_modules():
     sources = sorted(Path(toda_crystal.__file__).resolve().parent.rglob("*.py"))
     assert {"algebra.py", "cli.py"} <= {path.name for path in sources}
     for path in sources:
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Import):
-                assert all(alias.name != "dataclasses" for alias in node.names), path.name
+                assert not {alias.name for alias in node.names} & FORBIDDEN_IMPORTS, path.name
             elif isinstance(node, ast.ImportFrom):
-                assert node.module != "dataclasses", path.name
+                assert node.module not in FORBIDDEN_IMPORTS, path.name
 
 
 # every name the package exported when its __init__ imported each module
@@ -370,39 +360,6 @@ def test_shift_suite_matches_fraction_checks(monkeypatch):
     assert lines() == ours
     assert len(calls["first_shift"]) == sum(line["check"] == "first_shift" for line in ours) == 20
     assert len(calls["second_shift"]) == sum(line["check"] == "second_shift" for line in ours) == 25
-
-
-@pytest.mark.parametrize("requested,cpus,pools,clamped", [
-    ("64", 4, [2], True),   # clamped to the two tasks
-    ("3", 1, [], True),     # clamped to one CPU: no pool at all
-    ("2", 4, [2], False),
-])
-def test_thread_count_is_clamped(monkeypatch, capsys, tmp_path, requested, cpus, pools,
-                                 clamped):
-    import multiprocessing
-
-    sizes = []
-
-    class RecordingPool:
-        def __init__(self, size):
-            sizes.append(size)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return [fn(x) for x in items]
-
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
-    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    monkeypatch.setenv("TODA_CRYSTAL_THREADS", requested)
-    code = main(["verify", "toeplitz", *SMALL, "--out", str(tmp_path / "r.jsonl")])
-    assert code == 0
-    assert sizes == pools
-    assert ("clamped" in capsys.readouterr().err) == clamped
 
 
 @pytest.mark.parametrize("suite", ["prev-identity", "toeplitz", "all"])

@@ -56,7 +56,7 @@ def test_schur_power_sum_oracle():
 
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(3, 5)])
 def test_schur_jacobi_trudi_sweep(p):
-    for mu in enumerate_partitions(8, "all_up_to"):
+    for mu in enumerate_partitions(8):
         assert schur_qrho(mu, p) == oracles.schur_jacobi_trudi(mu, p)
 
 
@@ -126,7 +126,7 @@ def test_zprime_special_matches_full_series_at_zero_couplings():
 
 def test_special_weights_pair_symmetrically():
     # mu and its transpose share the schur product and carry opposite kappa
-    for mu in enumerate_partitions(6, "all_up_to"):
+    for mu in enumerate_partitions(6):
         tm = mu.conjugate()
         w_mu = schur_qrho(mu, P) * schur_qrho(tm, P)
         w_tm = schur_qrho(tm, P) * schur_qrho(mu, P)

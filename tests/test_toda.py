@@ -33,7 +33,7 @@ from toda_crystal import (
 )
 from toda_crystal import identities
 from toda_crystal.algebra import linear_form, series_exp, series_from_json_dict
-from toda_crystal.fock import SectorConfig, get_basis, w0_diag
+from toda_crystal.fock import SectorConfig, get_basis
 from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS, _entry_evidence, _sandwich_entry
 from toda_crystal.toda import GradedOperator, TauSeries, _j_matrix
 
@@ -56,20 +56,6 @@ FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 def params(s=0, l=0, p=P, K=2, D=2, NQ=2, N=None):
     return ModelParams(s, l, p, SeriesContext(K, D, NQ), N)
-
-
-def test_graded_operator_identity_transfers_is_diagonal():
-    pr = params(s=0, l=1, NQ=3, D=0, K=1)
-    g = build_gprime(pr, identity_transfers=True)
-    cfg = pr.config
-    b = get_basis(cfg.N)
-    w0 = w0_diag(cfg.s, cfg.N)
-    for n in range(4):
-        for i in b.weight_range[n]:
-            u, w = (as_fractions(push(({i: 1}, 1))) for push in (g.row, g.col))
-            assert list(u) == list(w) == [i]
-            # A = p^{(1+l) W0}, B = p^{-W0}: g_n is diagonal p^{l w0}
-            assert u[i] * w[i] == cfg.p ** (cfg.l * w0[i])
 
 
 def test_vacuum_q_series_matches_partition_sums():
@@ -99,7 +85,7 @@ def test_tau_prime_low_order_coefficient():
     # with identity transfers g'_0 is the rank-one vacuum projector, so the
     # t1 th1 coefficient at the lowest grade needs <0|J_1|0> = 0 and vanishes
     pr = params(s=0, l=0, K=1, D=2, NQ=0)
-    hook = build_gprime(pr, identity_transfers=True)
+    hook = DenseGraded(pr, "alternating", identity_transfers=True)
     tau_hook = tau_prime_series(pr, hook).series
     assert (0, 1, 1) not in tau_hook.coeffs
     # with the full transfers the same coefficient is -<0|J_1 g'_0 J_-1|0>,
@@ -326,15 +312,6 @@ def test_matrix_free_tau_matches_dense_route(shape, p):
     assert build_g(pr).vacuum_q_series() == dense_g.vacuum_q_series()
 
 
-def test_matrix_free_identity_transfers_match_dense_route():
-    pr = params(s=1, l=1, K=2, D=2, NQ=3)
-    for family, build in (("alternating", build_gprime), ("plain", build_g)):
-        ours = build(pr, identity_transfers=True)
-        dense = DenseGraded(pr, family, identity_transfers=True)
-        assert tau_prime_series(pr, ours).series == tau_prime_series(pr, dense).series
-        assert ours.vacuum_q_series() == dense.vacuum_q_series()
-
-
 def test_all_tau_forms_stable_under_cutoff_growth():
     pr = params(p=Fraction(2, 3), **VECTOR_SHAPES[1])
     big = pr.with_cutoff(pr.N + 2)
@@ -387,16 +364,15 @@ def _kernel_entry(g, k: int, right_k: int, mask) -> dict | None:
     return None
 
 
-@pytest.mark.parametrize("identity_transfers", [False, True])
 @pytest.mark.parametrize("shape", INTERTWINING_SHAPES)
-def test_gram_blocks_match_dense_blocks(shape, identity_transfers):
+def test_gram_blocks_match_dense_blocks(shape):
     # g_n read off the integer pair tables against A Pi_n B from the dense
     # Fraction pairs, and against the grade dots of the pushed basis vectors
     for s, l, p, family in ((-1, 1, Fraction(2, 3), "plain"), (1, 0, Fraction(1, 2), "alternating"),
                             (0, 1, Fraction(3, 7), "alternating")):
         pr = params(s=s, l=l, p=p, **shape)
-        ours = GradedOperator(pr, family, identity_transfers)
-        dense = DenseGraded(pr, family, identity_transfers)
+        ours = GradedOperator(pr, family)
+        dense = DenseGraded(pr, family)
         b = get_basis(pr.N)
         rows = [as_fractions(ours.row(({i: 1}, 1))) for i in range(len(b))]
         cols = [as_fractions(ours.col(({j: 1}, 1))) for j in range(len(b))]
