@@ -4,7 +4,7 @@
 Each fixture is produced by a route independent of the code path the
 fixture later tests: the partition-function fixture comes from the
 fermionic expectation value of the test oracles (tests/oracles.py), the
-tau fixture comes from inverting the main identity on the
+tau fixtures come from inverting the main identity on the
 sum-over-partitions series, and each report fixture holds the line count and
 sha256 of report lines at the defaults, every line taken from a Fraction
 oracle of the test oracles: the `verify commutators` report at one p from
@@ -45,6 +45,10 @@ COMMUTATORS = {"1/2": ("commutators_N9_p1of2.json", "(defaults: N=9, s=-1,0,1, p
 # the file of each other report fixture, all at p = 1/2 and the other defaults
 SHIFT = "shift_N9_p1of2.json"
 INTERTWINING = "intertwining_N9_p1of2.json"
+# the tau' fixtures at p = 2/3, s = 0, l = 1, by file: the series caps
+# (K, D, NQ) and the cutoff N, at N = NQ (the tau-export shape) and N > NQ
+TAU_PRIME = {"tau_prime_s0_l1_p2of3_N8.json": ((3, 2, 8), 8),
+             "tau_prime_s0_l1_p2of3_N7.json": ((2, 2, 2), 7)}
 
 
 def tau_prime_by_inversion(params: ModelParams):
@@ -129,6 +133,15 @@ def write_series_fixtures():
         "series": tau_prime_by_inversion(params).to_json_dict(),
     }
     (OUT / "tau_prime_s0_l0_p1of2.json").write_text(json.dumps(doc, indent=1) + "\n")
+
+    for name, (caps, N) in TAU_PRIME.items():
+        doc = {
+            "generated_by": "main identity inverted on the partition-sum series",
+            "params": {"p": "2/3", "s": 0, "l": 1, "N": N},
+            "series": tau_prime_by_inversion(
+                ModelParams(0, 1, Fraction(2, 3), SeriesContext(*caps), N)).to_json_dict(),
+        }
+        (OUT / name).write_text(json.dumps(doc, indent=1) + "\n")
 
 
 def write_report_fixture(name: str, generated_by: str, command: str, lines: list[str]):

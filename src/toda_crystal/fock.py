@@ -28,12 +28,17 @@ the charge and the cutoff alone, and are built once, in move_table. v_int,
 the one builder of V^(k)_m, lays the numerators of +-p^v_exponent out along
 v_pattern, the moves (at m = 0 the potential diagonal); J_k puts its sign on
 each move, a transfer exponent +-c_k. The checks form each product from
-these numerators. Of the transfer exponentials only G_- is ever applied, to
-vectors, by transfer_row, in the same form; G_+ is its transpose. So every
-entry of the pair G_-G_+ is a dot of two rows through G_-, formed by pair_dots
-against the cached rows e_i G_- of minus_rows; pair_table holds the dots of
-every basis row, forming each symmetric pair of its leading square once and
-mirroring it. The dense Fraction matrices of G+- and of the pair, and
+these numerators. Of the transfer exponentials only G_- = exp(X), X = sum_k
+c_k J_{-k}, is ever formed; G_+ is its transpose. The parts of X commute, so
+with E the weight diagonal [E, G_-] = Y G_- = G_- Y, Y = [E, X] = sum_k k c_k
+J_{-k} (_y_rows): Newton's identity n h_n = sum_k p_k h_{n-k} in operator
+form. It gives G_- with no power series: minus_rows builds the rows e_i G_-
+by the Y.G form, from rows of lower weight, and transfer_row pushes a vector
+by the G.Y form, from its top weight down. Every entry of the pair G_-G_+ is
+a dot of two rows through G_-, formed by pair_dots against the cached rows of
+minus_rows; pair_table holds the dots of every basis row, forming each
+symmetric pair of its leading square once and mirroring it. The dense
+Fraction matrices of G+- (summed as power series) and of the pair, and
 every Fraction operator, V and J among them, are the test oracles' reference.
 """
 
@@ -42,7 +47,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .algebra import Value
 from .partitions import enumerate_partitions
@@ -287,17 +292,17 @@ def w0_diag(s: int, N: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=None)
-def _transfer_generator(p: Fraction, N: int, family: str) -> tuple[dict, int]:
-    """The rows of the exponent sum_k c_k J_{-k} of G_- in integer form, over the
-    least common denominator of the transfer weights c_k of the family,
+def _y_rows(p: Fraction, N: int, family: str) -> tuple[dict, int]:
+    """The rows of Y = sum_k k c_k J_{-k} in integer form, over the least common
+    denominator of the k c_k, c_k the transfer weights of the family,
     q^{k/2}/(k(1-q^k)) with an extra (-1)^(k+1) for 'alternating': with p = a/b,
-    c_k = a^k b^k / (k (b^{2k} - a^{2k})), put with the sign of J_{-k} on each
+    k c_k = a^k b^k / (b^{2k} - a^{2k}), put with the sign of J_{-k} on each
     move of move_table(-k, 0, N). A weight pair belongs to one k alone, and no
     entry depends on the charge, so the table is built at s = 0."""
     a, b = p.numerator, p.denominator
     weights = []
     for k in range(1, N + 1):
-        num, den = (a * b) ** k, k * (b ** (2 * k) - a ** (2 * k))
+        num, den = (a * b) ** k, b ** (2 * k) - a ** (2 * k)
         if family == "alternating" and k % 2 == 0:
             num = -num
         g = math.gcd(num, den)
@@ -327,43 +332,62 @@ def reduced(vec: IntVector) -> IntVector:
     return {i: v // g for i, v in nums.items()}, den // g
 
 
-def _exp_series(vec: IntVector, step: Callable, den_step: int) -> IntVector:
-    """sum_n (step/den_step)^n vec / n! for a nilpotent integer linear step on
-    sparse numerators. The n-th term is step^n(nums) over den * den_step^n * n!,
-    so at step n the accumulator is rescaled by den_step * n before the term
-    is added. The sum is reduced once, at the end."""
-    nums, den = vec
-    acc = term = nums
-    n = 0
-    while True:
-        n += 1
-        term = step(term)
-        if not term:
-            return reduced((acc, den))
-        f = den_step * n
-        den *= f
-        acc = {i: v * f for i, v in acc.items()}
-        for i, v in term.items():
-            acc[i] = acc[i] + v if i in acc else v
-
-
 def transfer_row(vec: IntVector, p: Fraction, N: int, family: str) -> IntVector:
-    """vec . exp(sum_k c_k J_{-k}) in the sector cut at N, c_k the transfer
-    weights of the family: G_- for 'plain', G"_- for 'alternating'. On a row
-    G_- lowers weights. vec and the result are in integer form (see
-    IntVector), the result in lowest terms. The exponential runs on the
-    numerators with the integer form of its exponent, so no step reduces a
-    fraction. Every transfer exponential of the package is applied here."""
-    gen, den = _transfer_generator(p, N, family)
-    return _exp_series(vec, lambda t: apply_row(t, gen), den)
+    """vec . G_- in the sector cut at N, G_- for 'plain' and G"_- for
+    'alternating', in integer form (see IntVector), the result in lowest terms.
+    Each weight part of vec is pushed alone, by the G.Y form: the push u of a
+    part of weight w agrees with it on weight w, and (w - w_j) u_j = (u Y)_j
+    fills the lower weights from the top down, one reduced layer at a time."""
+    nums, den = vec
+    weights = get_basis(N).weights
+    ys, y_den = _y_rows(p, N, family)
+    parts: dict[int, dict[int, int]] = {}
+    for i, v in nums.items():
+        parts.setdefault(weights[i], {})[i] = v
+    layers = []
+    for w, top in parts.items():
+        sums, D = [{} for _ in range(w)], 1  # sums[n][j] = (u Y)_j D y_den, w_j = n < w
+        for m in range(w, -1, -1):
+            layer = reduced((sums[m], D * y_den * (w - m)) if m < w else (top, den))
+            layers.append(layer)
+            L = math.lcm(D, layer[1])
+            if L != D:
+                sums[:m] = [{j: v * (L // D) for j, v in acc.items()} for acc in sums[:m]]
+            D = L
+            for x, v in layer[0].items():
+                c = v * (L // layer[1])
+                for j, y in ys.get(x, {}).items():
+                    acc = sums[weights[j]]
+                    acc[j] = acc.get(j, 0) + c * y
+    d = math.lcm(*(e for _, e in layers))
+    out: dict[int, int] = {}
+    for part, e in layers:
+        out.update({j: out.get(j, 0) + v * (d // e) for j, v in part.items()})
+    return reduced((out, d))
 
 
 @lru_cache(maxsize=None)
 def minus_rows(p: Fraction, N: int, family: str) -> tuple[tuple[dict[int, int], ...], int]:
     """e_i . G_- for each basis vector e_i of the sector cut at N, as sparse
-    integer rows over one denominator, in lowest terms. Row i reaches only
-    weights <= w_i, so the rows of weight <= c are those of the cut at c."""
-    pushed = [transfer_row(({i: 1}, 1), p, N, family) for i in range(len(get_basis(N)))]
+    integer rows over one denominator, in lowest terms, by the Y.G form: in
+    weight order, G_ii = 1 and G_ij = (Y G)_ij / (w_i - w_j) for w_j < w_i,
+    read off rows already built. Row i reaches only weights <= w_i, so the
+    rows of weight <= c are those of the cut at c."""
+    ys, y_den = _y_rows(p, N, family)
+    weights = get_basis(N).weights
+    pushed: list[IntVector] = []
+    for i, w in enumerate(weights):
+        row_y = ys.get(i, {})
+        L = math.lcm(*(pushed[x][1] for x in row_y))
+        acc: dict[int, int] = {}
+        for x, y in row_y.items():
+            nums, d = pushed[x]
+            f = y * (L // d)
+            for j, v in nums.items():
+                acc[j] = acc.get(j, 0) + f * v
+        M = math.lcm(*range(1, w + 1))  # a multiple of every w - w_j
+        row = {j: v * (M // (w - weights[j])) for j, v in acc.items()}
+        pushed.append(reduced(({i: y_den * L * M} | row, y_den * L * M)))
     den = math.lcm(*(d for _, d in pushed))
     return tuple({j: v * (den // d) for j, v in nums.items()} for nums, d in pushed), den
 
@@ -371,11 +395,11 @@ def minus_rows(p: Fraction, N: int, family: str) -> tuple[tuple[dict[int, int], 
 def pair_dots(nums: Mapping[int, int], p: Fraction, cap: int, family: str,
               stop: int | None = None) -> tuple[list[int], int]:
     """(dots, den) with (v . G_-G_+)_j = dots[j]/(d den) for j < len(get_basis(cap)),
-    or only for j < stop when given, for a row v = nums/d already through G_-,
-    in any sector. G_+ is the transpose of G_- (J_{-k} that of J_k), so
-    (u G_-G_+)_j is the dot of u G_- with e_j G_-, which reaches only weights
-    <= w_j <= cap: the sum is exact over minus_rows(p, cap, family). The one
-    place a G_-G_+ entry is formed."""
+    or only for j < stop when given, for a row v = nums/d already through G_-
+    (by transfer_row or minus_rows), in any sector. G_+ is the transpose of G_-
+    (J_{-k} that of J_k), so (u G_-G_+)_j is the dot of u G_- with e_j G_-,
+    which reaches only weights <= w_j <= cap: the sum is exact over
+    minus_rows(p, cap, family). The one place a G_-G_+ entry is formed."""
     rows, den = minus_rows(p, cap, family)
     return [sum(v * nums[x] for x, v in row.items() if x in nums)
             for row in rows[:stop]], den

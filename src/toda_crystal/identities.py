@@ -6,7 +6,8 @@ the first difference: Z' against prefactor . tau', the previous model's Z
 against its tau, the presentations of the previous-model tau, tau' against
 the trivial solution, and tau tau_{t1 th1} - tau_{t1} tau_{th1} = c tau_+ tau_-
 on a charge family. The ground-action check pushes the vacuum through G_-
-and G"_-, and the intertwining check reads J_k g_n - g_n J_r on the
+and G"_- by fock.transfer_row, whose G.Y form has no weight below the
+vacuum's to fill, and the intertwining check reads J_k g_n - g_n J_r on the
 blocks g_n of toda.GradedOperator.gram with the first shift's kernel,
 symmetries._sandwich_entry: the rows of J_k and J_r, the latter scaled by -1,
 against a certified_window mask. The tau construction never imports this

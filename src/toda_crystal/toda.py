@@ -14,8 +14,9 @@ is pushed through the dressings and the transfer pairs one factor at a
 time, in integer form: a pair (nums, den) of integer numerators over one
 denominator den > 0, with value nums/den. A reported value is built once, as
 a Fraction. A transfer pair is one push through G_- (G"_- for the
-alternating family) in the sector cut at N, then fock.pair_dots against the
-rows e_nu G_- of weight <= NQ, which is exact. The time exponentials
+alternating family) in the sector cut at N, by the G.Y form of
+fock.transfer_row, then fock.pair_dots against the rows e_nu G_- of weight
+<= NQ, built by the Y.G form, which is exact. The time exponentials
 contribute energies at most K*D, which the cutoff must dominate. The time
 vectors read J_k as the signs of the moves in fock.move_table, and since
 J_{-k} is the transpose of J_k, one table of row vectors serves as the

@@ -13,10 +13,12 @@ psi_a psi*_b move at a time from the same primitives: bilinear_diagonal the
 diagonal ones, v_op_by_bilinears every V^(k)_m. transfer_weights are the
 Fraction couplings of the transfer exponentials and integer_rows puts
 rational rows in integer form, together the reference for the integer rows of
-fock._transfer_generator. dense_exp is the transfer exponential as a
+fock._y_rows (the couplings times k). dense_exp is the transfer exponential as a
 dense Fraction matrix, its exponent summed here from j_op and its series taken
 by matrix products; dense_transfer and dense_pair give G+- and G_-G_+ from it,
-the reference for the rows of fock.minus_rows and the dots of fock.pair_dots.
+the reference for the rows of fock.minus_rows, the pushes of fock.transfer_row
+and the dots of fock.pair_dots, all three of which the package forms by the
+weight recurrence, with no power series.
 fermionic_expectation is the partition function as a
 vacuum expectation value of those dense exponentials, the fermionic route that
 the closed-form partition sum of models must match, and

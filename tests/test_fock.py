@@ -369,16 +369,52 @@ def test_transfer_weights_values():
 
 @pytest.mark.parametrize("p", [P, Fraction(2, 3), Fraction(6, 35)])
 def test_transfer_generator_matches_oracle_weights(p):
-    # the integer rows of the exponent of G_-, built from p's numerator and
-    # denominator, against the oracle's Fraction weights put on every move of
-    # J_{-k}, in the same lowest-terms integer form
+    # the integer rows of Y = sum_k k c_k J_{-k}, the weight drop times the
+    # exponent of G_-, built from p's numerator and denominator, against the
+    # oracle's Fraction weights put on every move of J_{-k}, in the same
+    # lowest-terms integer form
     for N in range(7):
         for family in ("plain", "alternating"):
             rows = {}
             for k, c in transfer_weights(p, N, family == "alternating").items():
                 for i, j, sign, _ in move_table(-k, 0, N):
-                    rows.setdefault(i, {})[j] = sign * c
-            assert fock._transfer_generator(p, N, family) == oracles.integer_rows(rows), N
+                    rows.setdefault(i, {})[j] = sign * k * c
+            assert fock._y_rows(p, N, family) == oracles.integer_rows(rows), N
+
+
+SMALL_HEIGHT = st.integers(2, 7).flatmap(lambda b: st.integers(1, b - 1).map(lambda a: Fraction(a, b)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=SMALL_HEIGHT, N=st.integers(0, 7), family=st.sampled_from(("plain", "alternating")))
+def test_minus_rows_match_dense_exponential(p, N, family):
+    # the Y.G recurrence against the power series of dense Fraction matrices
+    rows, den = fock.minus_rows(p, N, family)
+    dense = oracles.dense_transfer(SectorConfig(0, N, p), family, "raising").rows
+    assert len(rows) == len(get_basis(N))
+    assert {i: {j: Fraction(v, den) for j, v in row.items()} for i, row in enumerate(rows)} == dense
+    assert all(all(row.values()) for row in rows)
+    assert math.gcd(den, *(v for row in rows for v in row.values())) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(p=SMALL_HEIGHT, N=st.integers(0, 7), family=st.sampled_from(("plain", "alternating")),
+       coeffs=st.lists(st.integers(-9, 9), min_size=45, max_size=45), den=st.integers(1, 9))
+def test_transfer_row_matches_dense_exponential(p, N, family, coeffs, den):
+    # the G.Y recurrence on a vector of each single weight, on one of mixed
+    # weight, on the vacuum and on the empty vector, against the row product
+    # with the power series of dense Fraction matrices
+    b = get_basis(N)
+    dense = oracles.dense_transfer(SectorConfig(0, N, p), family, "raising").rows
+    vecs = [({i: coeffs[i] for i in b.weight_range[n]}, den) for n in range(N + 1)]
+    vecs += [(dict(enumerate(coeffs[:len(b)])), den), ({0: 1}, 1), ({}, den)]
+    for nums, d in vecs:
+        got = fock.transfer_row((nums, d), p, N, family)
+        want = apply_row({i: Fraction(v, d) for i, v in nums.items()}, dense)
+        assert {j: Fraction(v, got[1]) for j, v in got[0].items()} == want, (nums, d)
+        assert all(got[0].values()) and math.gcd(got[1], *got[0].values()) == 1, got
+    assert fock.transfer_row(({0: 1}, 1), p, N, family) == ({0: 1}, 1)
+    assert fock.transfer_row(({}, den), p, N, family) == ({}, 1)
 
 
 def _stores_no_zeros(op):

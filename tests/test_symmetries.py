@@ -135,29 +135,27 @@ def test_minus_rows_are_stable_under_the_cut(family, p):
             _values(dict(enumerate(small)), small_den))
 
 
-def test_pair_table_pushes_each_basis_vector_once(monkeypatch):
-    # at one (p, N, family) each basis vector is pushed through G_- once, and
-    # the first shift and the graded blocks at that point share those pushes
-    pushes = []
-    monkeypatch.setattr(fock, "transfer_row",
-                        lambda vec, p, N, family, f=fock.transfer_row:
-                        pushes.append((N, family, vec)) or f(vec, p, N, family))
+def test_pair_tables_build_each_minus_table_once():
+    # at one (p, N) the rows e_i G_- of each family are built once, and the
+    # first shift and the graded blocks at that point share them
     fock.minus_rows.cache_clear()
     fock.pair_table.cache_clear()
     p, N, NQ = Fraction(3, 5), 6, 2
     assert first_shift_check("G", 1, 0, SectorConfig(0, N, p)).passed
     assert first_shift_check("Gprime", 1, 0, SectorConfig(1, N, p)).passed
-    basis = [(N, family, ({i: 1}, 1)) for family in ("plain", "alternating")
-             for i in range(len(get_basis(N)))]
-    assert pushes == basis
-    pushes.clear()
+    families = ("plain", "alternating")
+    assert fock.minus_rows.cache_info().misses == 2   # (p, N) for both families
+    tables = {family: fock.minus_rows(p, N, family) for family in families}
     pr = ModelParams(0, 1, p, SeriesContext(2, 3, NQ), N)
-    for family in ("plain", "alternating"):
+    for family in families:
         GradedOperator(pr, family).gram(0)
-    # the graded blocks read the columns of weight <= NQ, whose rows of G_-
-    # are those of the sector cut at NQ, pushed there once each
-    assert pushes == [(NQ, family, ({i: 1}, 1)) for family in ("plain", "alternating")
-                      for i in range(len(get_basis(NQ)))]
+    # the graded blocks reread the tables at N and read the columns of
+    # weight <= NQ off the tables of the sector cut at NQ, built once each
+    assert fock.minus_rows.cache_info().misses == 4
+    for family in families:
+        assert fock.minus_rows(p, N, family) is tables[family]
+        assert len(fock.minus_rows(p, NQ, family)[0]) == len(get_basis(NQ))
+    assert fock.minus_rows.cache_info().misses == 4
     fock.minus_rows.cache_clear()
     fock.pair_table.cache_clear()
 

@@ -101,6 +101,18 @@ def test_tau_prime_fixture():
     assert tau_prime_series(params()).series == fixture
 
 
+@pytest.mark.parametrize("name,caps,N", [
+    ("tau_prime_s0_l1_p2of3_N8.json", (3, 2, 8), 8),   # N = NQ, the tau-export shape
+    ("tau_prime_s0_l1_p2of3_N7.json", (2, 2, 2), 7),   # N > NQ
+])
+def test_tau_prime_fixtures_at_two_thirds(name, caps, N):
+    # the pushed tau' against the main identity inverted on the partition sum
+    data = json.loads((FIXTURES / name).read_text())
+    assert data["params"] == {"p": "2/3", "s": 0, "l": 1, "N": N}
+    pr = params(l=1, p=Fraction(2, 3), K=caps[0], D=caps[1], NQ=caps[2], N=N)
+    assert tau_prime_series(pr).series == series_from_json_dict(data["series"])
+
+
 @pytest.mark.parametrize("s,l", [(0, 0), (1, 0), (-1, 1), (1, 1)])
 def test_main_identity_small_sweep(s, l):
     assert verify_main_identity(params(s=s, l=l)).status == PASS
