@@ -12,7 +12,13 @@ the commutator oracle (at p = 1/2 every off-diagonal V numerator is a power
 of two, so a second p, 2/3, is fixed too), the `verify shift` report at
 p = 1/2 from the first- and second-shift oracles, and the intertwining lines
 of `verify prev-identity`, then those of `verify toeplitz`, at p = 1/2 from
-the intertwining oracle. Run from a source checkout:
+the intertwining oracle. The series-report pins are not from an oracle: they
+hold the package's own report lines, without wall_ms, of the four series
+suites (`verify main-identity`, `prev-identity`, `toeplitz` and
+`toda-bilinear`) at the benchmark's prev-identity shape (--K 2 --D 3, NQ 4,
+N 6) and p = 1/2 and 2/3, written before the tau side's series arithmetic was
+rewritten in integers, so every later change to their bytes shows. Run from a
+source checkout:
 
     PYTHONPATH=src python scripts/generate_fixtures.py
 """
@@ -49,6 +55,11 @@ INTERTWINING = "intertwining_N9_p1of2.json"
 # (K, D, NQ) and the cutoff N, at N = NQ (the tau-export shape) and N > NQ
 TAU_PRIME = {"tau_prime_s0_l1_p2of3_N8.json": ((3, 2, 8), 8),
              "tau_prime_s0_l1_p2of3_N7.json": ((2, 2, 2), 7)}
+# the series-report pins by p, each holding the lines of every series suite at
+# the shape SERIES_SHAPE (other defaults: NQ = 4, s = -1,0,1, l = 0,1)
+SERIES_SUITES = ("main-identity", "prev-identity", "toeplitz", "toda-bilinear")
+SERIES_SHAPE = ("--K", "2", "--D", "3")
+SERIES_REPORTS = {"1/2": "series_reports_N6_p1of2.json", "2/3": "series_reports_N6_p2of3.json"}
 
 
 def tau_prime_by_inversion(params: ModelParams):
@@ -111,6 +122,17 @@ def intertwining_lines() -> list[str]:
                             for model in models]))
 
 
+def series_report_lines(suite: str, p: str) -> list[str]:
+    """The lines of `verify suite --K 2 --D 3 --p p`, run by the package in
+    this process, each without its trailing newline."""
+    from toda_crystal import cli
+
+    cfg = cli.RunConfig.from_args(cli._build_parser().parse_args(
+        ["verify", suite, *SERIES_SHAPE, "--p", p]))
+    lines = sorted(map(cli._run_task, cli._task_list(suite, cfg)), key=cli._sort_key)
+    return [report_text(line).rstrip("\n") for line in lines]
+
+
 def lines_digest(lines: list[str]) -> dict:
     return {"lines": len(lines), "sha256": hashlib.sha256("".join(lines).encode()).hexdigest()}
 
@@ -167,9 +189,23 @@ def write_report_fixtures():
         "(defaults: K=D=3, NQ=4, N=9, s=-1,0,1, l=0,1, p=1/2)", intertwining_lines())
 
 
+def write_series_report_pins():
+    OUT.mkdir(exist_ok=True)
+    for p, name in SERIES_REPORTS.items():
+        doc = {
+            "generated_by": "the package's own verify reports, pinned before the integer series",
+            "command": f"toda-crystal verify SUITE {' '.join(SERIES_SHAPE)} --p {p} "
+                       "(other defaults: NQ=4, N=6, s=-1,0,1, l=0,1)",
+            "format": "each line as the CLI writes it without wall_ms, in the CLI's order",
+            "reports": {suite: series_report_lines(suite, p) for suite in SERIES_SUITES},
+        }
+        (OUT / name).write_text(json.dumps(doc, indent=1) + "\n")
+
+
 def main():
     write_series_fixtures()
     write_report_fixtures()
+    write_series_report_pins()
     print("fixtures written to", OUT)
 
 

@@ -506,6 +506,17 @@ def test_default_intertwining_matches_oracle_fixture():
     _match_fixture(script, script.INTERTWINING, ours, script.intertwining_lines)
 
 
+@pytest.mark.parametrize("p", [pytest.param("1/2", id="p1of2"), pytest.param("2/3", id="p2of3")])
+@pytest.mark.parametrize("suite", ["main-identity", "prev-identity", "toeplitz", "toda-bilinear"])
+def test_series_reports_match_their_pins(suite, p):
+    # every line of a series suite at the prev-identity workload's shape,
+    # without wall_ms, byte for byte against the lines pinned in fixtures/
+    script = _fixture_script()
+    assert suite in script.SERIES_SUITES
+    pins = json.loads((script.OUT / script.SERIES_REPORTS[p]).read_text())["reports"]
+    assert script.series_report_lines(suite, p) == pins[suite]
+
+
 def _perfbench_workloads():
     """perfbench/workloads.py, loaded from the checkout without importing
     the rest of the benchmark."""
