@@ -30,19 +30,23 @@ from fractions import Fraction
 from pathlib import Path
 
 from toda_crystal import ModelParams, SectorConfig, SeriesContext, torus_constant
-from toda_crystal.algebra import alternate_t_signs, linear_form, negate_hatted, series_exp
 from toda_crystal.models import zprime_series
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "fixtures"
-# the fermionic route is a reference computation kept with the test oracles
+# the fermionic route and the Fraction series arithmetic are reference
+# computations kept with the test oracles
 sys.path.insert(0, str(ROOT / "tests"))
 from oracles import (  # noqa: E402
+    alternate_t_signs,
     fermionic_expectation,
     fraction_commutator_check,
     fraction_first_shift_check,
     fraction_intertwining_residual,
     fraction_second_shift_check,
+    linear_form,
+    negate_hatted,
+    series_exp,
 )
 
 # the file of each commutator fixture by p, and what its command changes

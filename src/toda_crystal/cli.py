@@ -150,9 +150,7 @@ def _bilinear(family: str) -> Callable[[dict], CheckReport]:
     def run(task: dict) -> CheckReport:
         centers = task["centers"]
         charges = range(min(centers) - 1, max(centers) + 2)
-        identities = _module("identities")
-        build_family = getattr(identities, f"{family}_family")
-        rep = identities.toda_bilinear_residual(build_family(_model(task), charges))
+        rep = _module("identities").bilinear_family_check(family, _model(task), charges)
         rep.params["l"] = task["l"]
         rep.params["family"] = family
         return rep

@@ -2,16 +2,20 @@
 `toda`, and the lowest 2D Toda bilinear equation, as exact checks.
 
 Each series check compares two sides coefficient by coefficient and reports
-the first difference: Z' against prefactor . tau', the previous model's Z
-against its tau, the presentations of the previous-model tau, tau' against
-the trivial solution, and tau tau_{t1 th1} - tau_{t1} tau_{th1} = c tau_+ tau_-
-on a charge family. The ground-action check pushes the vacuum through G_-
-and G"_- by fock.transfer_row, whose G.Y form has no weight below the
-vacuum's to fill, and the intertwining check reads J_k g_n - g_n J_r on the
-blocks g_n of toda.GradedOperator.gram with the first shift's kernel,
-symmetries._sandwich_entry: the rows of J_k and J_r, the latter scaled by -1,
-against a certified_window mask. The tau construction never imports this
-module, so a tau export compiles no check code.
+the first difference in canonical order, with a window of the nonzero
+coefficients of both sides: Z' against prefactor . tau', the previous
+model's Z against its tau, the presentations of the previous-model tau, tau'
+against the trivial solution, and tau tau_{t1 th1} - tau_{t1} tau_{th1} =
+c tau_+ tau_- on a charge family. They compute on the integer series of
+`series`, as `toda` writes them; Z' and Z, which `models` returns as
+TruncatedSeries, enter by one conversion each. The ground-action check
+pushes the vacuum through G_- and G"_- by fock.transfer_row, whose G.Y form
+has no weight below the vacuum's to fill, and the intertwining check reads
+J_k g_n - g_n J_r on the blocks g_n of toda.GradedOperator.gram with the
+first shift's kernel, symmetries._sandwich_entry: the rows of J_k and J_r,
+the latter scaled by -1, against a certified_window mask. The tau
+construction never imports this module, so a tau export compiles no check
+code.
 """
 
 from __future__ import annotations
@@ -19,20 +23,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from .algebra import (
-    TruncatedSeries,
-    alternate_t_signs,
-    first_difference,
-    format_rational,
-    linear_form,
-    monomial_label,
-    negate_hatted,
-    series_exp,
-    series_partial,
-    substitute_difference,
-)
+from .algebra import SeriesContext, TruncatedSeries, format_rational, parse_monomial_label
 from .fock import FULL, banded, certified_window, get_basis, transfer_row, w0_diag
 from .models import ModelParams, z_series, zprime_series
+from .series import GradedSeries, first_difference, first_nonzero
 from .symmetries import (
     FAIL,
     INSUFFICIENT,
@@ -58,17 +52,23 @@ class CalibrationError(RuntimeError):
     """Neither sign of the bilinear constant matches the trivial solution."""
 
 
-def _series_report(check: str, params_dict: dict, lhs: TruncatedSeries,
-                   rhs: TruncatedSeries, extra: dict | None = None) -> CheckReport:
+def _series_report(check: str, params_dict: dict, lhs: GradedSeries,
+                   rhs: GradedSeries, extra: dict | None = None) -> CheckReport:
     diff = first_difference(lhs, rhs)
     report = CheckReport(check, params_dict, PASS if diff is None else FAIL)
-    report.window = len(set(lhs.coeffs) | set(rhs.coeffs))
+    report.window = len(lhs.support() | rhs.support())
     report.evidence = dict(extra or {})
     if diff is not None:
         label, va, vb = diff
         report.evidence["first_difference"] = {
             "monomial": label, "lhs": format_rational(va), "rhs": format_rational(vb)}
     return report
+
+
+def _polynomial(ctx: SeriesContext, terms: dict[str, Fraction]) -> GradedSeries:
+    """sum c m over the terms {monomial label m: c}."""
+    return GradedSeries.of(TruncatedSeries(ctx, {
+        parse_monomial_label(ctx, m): c for m, c in terms.items()}))
 
 
 def _params_dict(params: ModelParams, **extra) -> dict:
@@ -78,21 +78,17 @@ def _params_dict(params: ModelParams, **extra) -> dict:
     return d
 
 
-def main_identity_sides(params: ModelParams) -> tuple[TruncatedSeries, TruncatedSeries]:
+def main_identity_sides(params: ModelParams) -> tuple[GradedSeries, GradedSeries]:
     """LHS: the modified partition function summed over partitions. RHS:
     exp(sum_k c(k) t_k + c(-k) th_k) times tau' at (-t_1, t_2, -t_3, ...,
     -th_1, -th_2, ...), with c(j) = q^j/(1-q^j). The alternating-family
     constants force c(-k) = -1/(1-q^k) on the hatted side."""
-    lhs = zprime_series(params)
-    tau = tau_prime_series(params).series
-    tau_sub = negate_hatted(alternate_t_signs(tau))
-    ctx = params.out_ctx
+    lhs = GradedSeries.of(zprime_series(params))
+    tau_sub = tau_prime_series(params).graded.alternate_t_signs().negate_hatted()
     K, p = params.ctx.K, params.p
-    pref = series_exp(linear_form(
-        ctx,
-        {k: torus_constant(k, p) for k in range(1, K + 1)},
-        {k: torus_constant(-k, p) for k in range(1, K + 1)},
-    ))
+    pref = _polynomial(params.out_ctx, {
+        **{f"t{k}^1": torus_constant(k, p) for k in range(1, K + 1)},
+        **{f"th{k}^1": torus_constant(-k, p) for k in range(1, K + 1)}}).exp()
     return lhs, pref * tau_sub
 
 
@@ -103,15 +99,14 @@ def verify_main_identity(params: ModelParams) -> CheckReport:
         {"prefactor": "exp(sum_k q^k t_k/(1-q^k) + q^-k th_k/(1-q^-k))"})
 
 
-def prev_identity_sides(params: ModelParams) -> tuple[TruncatedSeries, TruncatedSeries]:
+def prev_identity_sides(params: ModelParams) -> tuple[GradedSeries, GradedSeries]:
     """LHS: previous-model partition function. RHS:
     exp(sum t_k q^k/(1-q^k)) q^{-s(s+1)(2s+1)/6} tau(s, -t_1, t_2, -t_3, ...)."""
-    lhs = z_series(params)
-    tau = tau_prev_series(params, "left").series
-    tau_sub = alternate_t_signs(tau)
-    ctx = params.out_ctx
+    lhs = GradedSeries.of(z_series(params))
+    tau_sub = tau_prev_series(params, "left").graded.alternate_t_signs()
     K, p, s = params.ctx.K, params.p, params.s
-    pref = series_exp(linear_form(ctx, {k: torus_constant(k, p) for k in range(1, K + 1)}))
+    pref = _polynomial(params.out_ctx,
+                       {f"t{k}^1": torus_constant(k, p) for k in range(1, K + 1)}).exp()
     const = p ** (-(s * (s + 1) * (2 * s + 1)) // 3)
     return lhs, pref * tau_sub * const
 
@@ -126,9 +121,9 @@ def verify_prev_identity(params: ModelParams) -> CheckReport:
 
 def check_prev_forms(params: ModelParams) -> CheckReport:
     """The three one-family presentations of the previous-model tau agree."""
-    left = tau_prev_series(params, "left").series
-    sym = tau_prev_series(params, "symmetric").series
-    right = tau_prev_series(params, "right").series
+    left = tau_prev_series(params, "left").graded
+    sym = tau_prev_series(params, "symmetric").graded
+    right = tau_prev_series(params, "right").graded
     rep = _series_report("prev_tau_forms", _params_dict(params), left, sym,
                          {"compared": "left vs symmetric"})
     if rep.status != PASS:
@@ -141,16 +136,18 @@ def check_prev_forms(params: ModelParams) -> CheckReport:
 
 def check_prev_reduction(params: ModelParams) -> CheckReport:
     """The two-family form depends on the times only through t - th."""
-    two = tau_prev_series(params, "reduced_2d").series
-    left = tau_prev_series(params, "left").series
-    reduced = substitute_difference(left)
+    two = tau_prev_series(params, "reduced_2d").graded
+    reduced = tau_prev_series(params, "left").graded.substitute_difference()
     return _series_report("prev_tau_reduction", _params_dict(params), two, reduced)
 
 
 def ground_action_constants(s: int, p: Fraction, N: int) -> CheckReport:
     """Inverse-free form of the ground-state actions: <s|G_- = <s| and
     G"_+|s> = |s>, plus the W0 eigenvalue of the vacuum matching
-    s(s+1)(2s+1)/6, which makes the two dressing scalars p^{-+ that}."""
+    s(s+1)(2s+1)/6, which makes the two dressing scalars p^{-+ that}. The
+    transfer half holds by construction: no weight lies below the vacuum's,
+    so transfer_row returns the vacuum without reading a coupling. Only the
+    W0 half can fail."""
     p = Fraction(p)
     params_dict = {"s": s, "p": format_rational(p), "N": N}
     vac = ({0: 1}, 1)
@@ -230,19 +227,14 @@ def trivial_tau_compare(params: ModelParams) -> CheckReport:
     if params.ctx.D == 0:
         return CheckReport("trivial_tau", _params_dict(params), INSUFFICIENT,
                            {"reason": "need D >= 1: at D = 0 both sides are <s|g'|s>"})
-    tau = tau_prime_series(params).series
-    ctx = params.out_ctx
-    bilin = TruncatedSeries.zero(ctx)
-    for k in range(1, params.ctx.K + 1):
-        key = [0] * ctx.nvars
-        key[ctx.var_index(f"t{k}")] = 1
-        key[ctx.var_index(f"th{k}")] = 1
-        bilin = bilin + TruncatedSeries(ctx, {tuple(key): Fraction(k)})
-    rhs = series_exp(bilin) * build_gprime(params).vacuum_q_series()
+    tau = tau_prime_series(params).graded
+    bilin = _polynomial(params.out_ctx, {f"t{k}^1 th{k}^1": Fraction(k)
+                                         for k in range(1, params.ctx.K + 1)})
+    rhs = bilin.exp() * build_gprime(params).vacuum_q_series()
     diff = first_difference(tau, rhs)
     report = CheckReport("trivial_tau", _params_dict(params),
                          PASS if diff is not None else FAIL)
-    report.window = len(set(tau.coeffs) | set(rhs.coeffs))
+    report.window = len(tau.support() | rhs.support())
     const_agree = tau.q_profile() == rhs.q_profile()
     report.evidence = {"constant_terms_agree": const_agree}
     if diff is not None:
@@ -255,11 +247,11 @@ def trivial_tau_compare(params: ModelParams) -> CheckReport:
 # ---------------------------------------------------------------------------
 # The lowest 2D Toda bilinear equation
 
-def _bilinear_residual(center: TruncatedSeries, up: TruncatedSeries,
-                       down: TruncatedSeries, c: Fraction) -> TruncatedSeries:
-    d1 = series_partial(center, "t1")
-    d2 = series_partial(center, "th1")
-    d12 = series_partial(d1, "th1")
+def _bilinear_residual(center: GradedSeries, up: GradedSeries,
+                       down: GradedSeries, c: Fraction) -> GradedSeries:
+    d1 = center.partial("t1")
+    d2 = center.partial("th1")
+    d12 = d1.partial("th1")
     return center * d12 - d1 * d2 - up * down * c
 
 
@@ -276,6 +268,17 @@ def calibrate_bilinear_sign(K: int, D: int) -> int:
     raise CalibrationError("no sign matches the trivial solution")
 
 
+def _bilinear_report(charges: list[int], K: int, D: int, sign) -> CheckReport:
+    """An insufficient_window bilinear report on the charges, with its reason
+    in the evidence when the window is too small for the equation: D < 2, or
+    no charge with both neighbors."""
+    report = CheckReport("toda_bilinear", {"charges": charges, "K": K, "D": D, "sign": str(sign)},
+                         INSUFFICIENT)
+    if D < 2 or not any(s - 1 in charges and s + 1 in charges for s in charges):
+        report.evidence = {"reason": "need D >= 2 and at least one charge with both neighbors"}
+    return report
+
+
 def toda_bilinear_residual(tau_family: dict[int, TauSeries], sign: str | int = "auto") -> CheckReport:
     """Check the lowest bilinear equation on every charge whose neighbors are
     present in the family. Polynomial form only: no divisions, no logs.
@@ -283,31 +286,27 @@ def toda_bilinear_residual(tau_family: dict[int, TauSeries], sign: str | int = "
     derivative caps, which is exactly the window on which every retained
     coefficient of the residual is certified."""
     charges = sorted(tau_family)
-    any_series = tau_family[charges[0]].series
-    K, D = any_series.ctx.K, any_series.ctx.D
-    params_dict = {"charges": charges, "K": K, "D": D, "sign": str(sign)}
-    centers = [s for s in charges if s - 1 in tau_family and s + 1 in tau_family]
-    report = CheckReport("toda_bilinear", params_dict, INSUFFICIENT)
-    if not centers or D < 2:
-        report.evidence = {"reason": "need D >= 2 and at least one charge with both neighbors"}
+    ctx = tau_family[charges[0]].graded.ctx
+    report = _bilinear_report(charges, ctx.K, ctx.D, sign)
+    if report.evidence:
         return report
+    centers = [s for s in charges if s - 1 in tau_family and s + 1 in tau_family]
     if sign == "auto":
-        c = Fraction(calibrate_bilinear_sign(K, D))
+        c = Fraction(calibrate_bilinear_sign(ctx.K, ctx.D))
     else:
         c = Fraction(sign)
     for checked, s in enumerate(centers, start=1):
-        residual = _bilinear_residual(tau_family[s].series,
-                                      tau_family[s + 1].series,
-                                      tau_family[s - 1].series, c)
+        residual = _bilinear_residual(tau_family[s].graded,
+                                      tau_family[s + 1].graded,
+                                      tau_family[s - 1].graded, c)
         report.window = checked
         if residual:
-            key = min(residual.coeffs, key=lambda t: (sum(t), t))
+            label, value = first_nonzero(residual)
             report.status = FAIL
             report.evidence = {
                 "constant": format_rational(c),
                 "center": s,
-                "first_nonzero": {"monomial": monomial_label(residual.ctx, key),
-                                  "value": format_rational(residual.coeffs[key])},
+                "first_nonzero": {"monomial": label, "value": format_rational(value)},
             }
             return report
     report.status = PASS
@@ -315,9 +314,19 @@ def toda_bilinear_residual(tau_family: dict[int, TauSeries], sign: str | int = "
     return report
 
 
+def bilinear_family_check(family: str, params: ModelParams, charges) -> CheckReport:
+    """toda_bilinear_residual on the family <family>_family(params, charges),
+    which is not built when the window is too small for the equation."""
+    charges = sorted(charges)
+    report = _bilinear_report(charges, params.ctx.K, params.ctx.D, "auto")
+    return report if report.evidence else toda_bilinear_residual(
+        globals()[f"{family}_family"](params, charges))
+
+
 def tau_prime_family(params: ModelParams, charges) -> dict[int, TauSeries]:
     return {s: tau_prime_series(params.with_charge(s)) for s in charges}
 
 
 def zprime_family(params: ModelParams, charges) -> dict[int, TauSeries]:
-    return {s: TauSeries(s, zprime_series(params.with_charge(s))) for s in charges}
+    return {s: TauSeries(s, GradedSeries.of(zprime_series(params.with_charge(s))))
+            for s in charges}

@@ -12,8 +12,11 @@ only the C(K+D, D) time vectors <s| prod J_k^{a_k} A and B prod J_{-k}^{b_k} |s>
 paired at weights n <= NQ, so A and B are never materialised: each vector
 is pushed through the dressings and the transfer pairs one factor at a
 time, in integer form: a pair (nums, den) of integer numerators over one
-denominator den > 0, with value nums/den. A reported value is built once, as
-a Fraction. A transfer pair is one push through G_- (G"_- for the
+denominator den > 0, with value nums/den. The grade dots of these vectors are
+written straight into a series.GradedSeries, integer numerators over one
+denominator for the whole series, on which the checks compute; a reported
+or exported value is built once, as a Fraction, by TauSeries.series. A
+transfer pair is one push through G_- (G"_- for the
 alternating family) in the sector cut at N, by the G.Y form of
 fock.transfer_row, then fock.pair_dots against the rows e_nu G_- of weight
 <= NQ, built by the Y.G form, which is exact. The time exponentials
@@ -47,6 +50,7 @@ from .fock import (
     w0_diag,
 )
 from .models import ModelParams, charge_offset
+from .series import GradedSeries, layout, monomials
 
 
 # ---------------------------------------------------------------------------
@@ -65,17 +69,10 @@ def _j_matrix(k: int, N: int) -> dict[int, dict[int, int]]:
     return rows
 
 
-def _multi_indices(K: int, D: int) -> list[tuple[int, ...]]:
-    out = [()]
-    for _ in range(K):
-        out = [t + (e,) for t in out for e in range(D - sum(t) + 1)]
-    return sorted(out, key=lambda t: (sum(t), t))
-
-
 @lru_cache(maxsize=None)
 def _time_rows(N: int, K: int, D: int):
     rows = {(0,) * K: {0: 1}}
-    for a in _multi_indices(K, D):
+    for a in monomials(K, D):
         if a in rows or sum(a) == 0:
             continue
         k = next(i + 1 for i, e in enumerate(a) if e)
@@ -93,9 +90,14 @@ def _factorials(a: tuple[int, ...]) -> int:
 # Graded operators
 
 class TauSeries(Value):
-    """A tau series and its charge."""
+    """A tau series and its charge: graded in integer form, for the checks."""
 
-    __slots__ = ("charge", "series")
+    __slots__ = ("charge", "graded")
+
+    @property
+    def series(self) -> TruncatedSeries:
+        """The series as reported and exported, one Fraction per coefficient."""
+        return self.graded.to_truncated()
 
 
 _RIGHT_W0_SIGN = {"plain": +1, "alternating": -1}
@@ -194,7 +196,7 @@ class GradedOperator:
             block.append(acc)
         return block, den
 
-    def vacuum_q_series(self) -> TruncatedSeries:
+    def vacuum_q_series(self) -> GradedSeries:
         """<s| g |s> as a pure Q series in the output context."""
         zero = (0,) * self.params.ctx.K
         return _assemble(self.params, {zero: self.row(({0: 1}, 1))}, {zero: self.col(({0: 1}, 1))},
@@ -230,38 +232,29 @@ def _graded_pairing(u, w, basis, NQ: int) -> list[tuple[int, int]]:
     return [(n, total) for n, total in totals if total]
 
 
-def _assemble(params: ModelParams, us, ws, hat_sign: int) -> TruncatedSeries:
+def _assemble(params: ModelParams, us, ws, hat_sign: int) -> GradedSeries:
     """Coefficient table sum_{a,b,n} Q^{n+c_s} t^a th^b (sgn^{|b|}/a!b!) <u_a, w_b>_n
-    for integer-form vectors u_a and w_b."""
-    D, NQ = params.ctx.D, params.ctx.NQ
+    for integer-form vectors u_a and w_b, the grade dots written over one
+    denominator: the lcm of the u_den a! times the lcm of the w_den b!."""
+    ctx, NQ = params.out_ctx, params.ctx.NQ
     basis = get_basis(params.N)
     c_s = charge_offset(params.s)
-    coeffs = {}
-    for a, (u, u_den) in us.items():
-        da = sum(a)
-        den_a = u_den * _factorials(a)
-        for bb, (w, w_den) in ws.items():
-            if da + sum(bb) > D:
+    _, index, starts = layout(ctx.K, ctx.D)
+    den_u = {a: den * _factorials(a) for a, (_, den) in us.items()}
+    den_w = {b: den * _factorials(b) for b, (_, den) in ws.items()}
+    lcm_u, lcm_w = math.lcm(*den_u.values()), math.lcm(*den_w.values())
+    grades = [[0] * starts[-1] for _ in range(ctx.NQ + 1)]
+    for a, (u, _) in us.items():
+        for bb, (w, _) in ws.items():
+            if sum(a) + sum(bb) > ctx.D:
                 continue
-            den = den_a * w_den * _factorials(bb)
+            scale = lcm_u // den_u[a] * (lcm_w // den_w[bb])
             if hat_sign < 0 and sum(bb) % 2:
-                den = -den
+                scale = -scale
+            i = index[a + bb]
             for n, total in _graded_pairing(u, w, basis, NQ):
-                coeffs[(n + c_s,) + a + bb] = Fraction(total, den)
-    return TruncatedSeries(params.out_ctx, coeffs)
-
-
-def _merge_into_t(series: TruncatedSeries, c) -> TruncatedSeries:
-    """Substitute t_k -> c t_k and th_k -> c t_k: the monomial (Q, a, b) goes
-    to (Q, a + b, 0) with the factor c^{|a| + |b|}."""
-    K = series.ctx.K
-    out: dict[tuple[int, ...], Fraction] = {}
-    for key, val in series.coeffs.items():
-        a, b = key[1:K + 1], key[K + 1:]
-        nk = (key[0],) + tuple(x + y for x, y in zip(a, b)) + (0,) * K
-        term = val * c ** (sum(a) + sum(b))
-        out[nk] = out[nk] + term if nk in out else term
-    return TruncatedSeries(series.ctx, out)
+                grades[n + c_s][i] = total * scale
+    return GradedSeries(ctx, grades, lcm_u * lcm_w)
 
 
 def tau_prime_series(params: ModelParams, graded: GradedOperator | None = None) -> TauSeries:
@@ -282,29 +275,29 @@ def tau_prev_series(params: ModelParams, form: str = "left",
     if form == "left":
         series = _assemble(params, us, {zero: ws[zero]}, hat_sign=+1)
     elif form == "right":
-        series = _merge_into_t(_assemble(params, {zero: us[zero]}, ws, hat_sign=+1), 1)
+        series = _assemble(params, {zero: us[zero]}, ws, hat_sign=+1).merge_into_t(1)
     elif form == "reduced_2d":
         series = _assemble(params, us, ws, hat_sign=-1)
     else:
-        series = _merge_into_t(_assemble(params, us, ws, hat_sign=+1), Fraction(1, 2))
+        series = _assemble(params, us, ws, hat_sign=+1).merge_into_t(Fraction(1, 2))
     return TauSeries(params.s, series)
 
 
-def trivial_tau(K: int, D: int) -> TruncatedSeries:
+def trivial_tau(K: int, D: int) -> GradedSeries:
     """<s| e^{sum t J} e^{-sum th J_-} |s> with no operator inserted; the
-    machinery route to exp(-sigma sum k t_k th_k)."""
+    machinery route to exp(-sigma sum k t_k th_k). Every a! b! divides D!^2."""
     N = max(K * D, 1)
     basis = get_basis(N)
     vecs = _time_rows(N, K, D)
-    coeffs = {}
+    _, index, starts = layout(K, D)
+    den = math.factorial(D) ** 2
+    row = [0] * starts[-1]
     for a, u in vecs.items():
         for bb, w in vecs.items():
             if sum(a) + sum(bb) > D:
                 continue
-            den = _factorials(a) * _factorials(bb)
-            if sum(bb) % 2:
-                den = -den
+            scale = (-1) ** sum(bb) * den // (_factorials(a) * _factorials(bb))
             # u and w each live on one weight, so at most one grade pairs
             for _, total in _graded_pairing(u, w, basis, N):
-                coeffs[(0,) + a + bb] = Fraction(total, den)
-    return TruncatedSeries(SeriesContext(K, D, 0), coeffs)
+                row[index[a + bb]] = total * scale
+    return GradedSeries(SeriesContext(K, D, 0), [row], den)

@@ -53,9 +53,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, lru_cache, partial
 
+from itertools import product
+from typing import Mapping
+
 from toda_crystal import Partition, SeriesContext, TruncatedSeries, enumerate_partitions
 from toda_crystal import identities, symmetries
-from toda_crystal.algebra import format_rational, linear_form, series_exp
+from toda_crystal.algebra import format_rational, monomial_label
 from toda_crystal.fock import (
     FULL,
     LOWERING,
@@ -85,6 +88,263 @@ from toda_crystal.symmetries import (
     _entry_evidence,
 )
 from toda_crystal.toda import GradedOperator
+
+
+class FractionSeries(TruncatedSeries):
+    """TruncatedSeries with the Fraction ring arithmetic the package computed
+    with before its tau side moved to the integer GradedSeries: the reference
+    for that form. An operand may be a plain TruncatedSeries, an int or a
+    Fraction; results are FractionSeries, on the meet of the contexts."""
+
+    __slots__ = ()
+
+    @classmethod
+    def zero(cls, ctx):
+        return cls(ctx)
+
+    @classmethod
+    def constant(cls, ctx, value):
+        return cls(ctx, {ctx.zero_key(): Fraction(value)})
+
+    @classmethod
+    def one(cls, ctx):
+        return cls.constant(ctx, 1)
+
+    @classmethod
+    def monomial(cls, ctx, key, value=1):
+        return cls(ctx, {tuple(key): Fraction(value)})
+
+    @classmethod
+    def variable(cls, ctx, name: str):
+        key = [0] * ctx.nvars
+        key[ctx.var_index(name)] = 1
+        return cls(ctx, {tuple(key): Fraction(1)})
+
+    def __eq__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self == FractionSeries.constant(self.ctx, other)
+        return super().__eq__(other)
+
+    __hash__ = None
+
+    @property
+    def constant_term(self) -> Fraction:
+        return self.coeffs.get(self.ctx.zero_key(), Fraction(0))
+
+    def truncate_to(self, ctx: SeriesContext) -> "FractionSeries":
+        return FractionSeries(ctx, self.coeffs)
+
+    def _pair(self, other):
+        if isinstance(other, TruncatedSeries):
+            tgt = self.ctx.meet(other.ctx)
+            return self.truncate_to(tgt), FractionSeries(tgt, other.coeffs)
+        if isinstance(other, (int, Fraction)):
+            return self, FractionSeries.constant(self.ctx, other)
+        return self, NotImplemented
+
+    def __add__(self, other):
+        a, b = self._pair(other)
+        if b is NotImplemented:
+            return NotImplemented
+        out = dict(a.coeffs)
+        for key, val in b.coeffs.items():
+            new = out.get(key, Fraction(0)) + val
+            if new:
+                out[key] = new
+            else:
+                out.pop(key, None)
+        return FractionSeries(a.ctx, out)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return FractionSeries(self.ctx, {k: -v for k, v in self.coeffs.items()})
+
+    def __sub__(self, other):
+        a, b = self._pair(other)
+        if b is NotImplemented:
+            return NotImplemented
+        return a + (-b)
+
+    def __rsub__(self, other):
+        return (-self) + other
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            c = Fraction(other)
+            return FractionSeries(self.ctx, {k: v * c for k, v in self.coeffs.items()} if c else {})
+        a, b = self._pair(other)
+        if b is NotImplemented:
+            return NotImplemented
+        ctx = a.ctx
+        terms_b = [(k, v, k[0], sum(k[1:])) for k, v in b.coeffs.items()]
+        out: dict[tuple[int, ...], Fraction] = {}
+        for k1, v1 in a.coeffs.items():
+            q1, d1 = k1[0], sum(k1[1:])
+            for k2, v2, q2, d2 in terms_b:
+                if q1 + q2 > ctx.NQ or d1 + d2 > ctx.D:
+                    continue
+                key = tuple(x + y for x, y in zip(k1, k2))
+                new = out.get(key, Fraction(0)) + v1 * v2
+                if new:
+                    out[key] = new
+                else:
+                    del out[key]
+        return FractionSeries(ctx, out)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError("negative powers are not defined for truncated series")
+        out = FractionSeries.one(self.ctx)
+        for _ in range(n):
+            out = out * self
+        return out
+
+
+def fraction_series(f: TruncatedSeries) -> FractionSeries:
+    """f with the oracle arithmetic, sharing its coefficients."""
+    return FractionSeries.trusted(f.ctx, f.coeffs)
+
+
+def series_exp(f: TruncatedSeries) -> FractionSeries:
+    """exp(f) as a terminating sum; requires a vanishing constant term."""
+    f = fraction_series(f)
+    if f.constant_term:
+        raise ValueError("series_exp needs a zero constant term")
+    acc = term = FractionSeries.one(f.ctx)
+    # every monomial of f has positive combined degree, so f^n dies at
+    # n > D + NQ
+    for n in range(1, f.ctx.D + f.ctx.NQ + 2):
+        term = term * f * Fraction(1, n)
+        if not term:
+            break
+        acc = acc + term
+    return acc
+
+
+def series_partial(f: TruncatedSeries, var: str) -> FractionSeries:
+    """Formal partial derivative; the result context has the relevant cap
+    lowered by one."""
+    idx = f.ctx.var_index(var)
+    if idx == 0:
+        new_ctx = SeriesContext(f.ctx.K, f.ctx.D, max(f.ctx.NQ - 1, 0))
+    else:
+        new_ctx = SeriesContext(f.ctx.K, max(f.ctx.D - 1, 0), f.ctx.NQ)
+    out = {}
+    for key, val in f.coeffs.items():
+        e = key[idx]
+        if e:
+            nk = list(key)
+            nk[idx] = e - 1
+            out[tuple(nk)] = val * e
+    return FractionSeries(new_ctx, out)
+
+
+def _flip_signs(f: TruncatedSeries, indices: range) -> FractionSeries:
+    """Substitute var -> -var for the variables at the key positions in
+    indices: a coefficient changes sign when their exponents sum to an odd
+    number."""
+    return FractionSeries.trusted(f.ctx, {
+        key: -val if sum(key[i] for i in indices) % 2 else val
+        for key, val in f.coeffs.items()})
+
+
+def alternate_t_signs(f: TruncatedSeries) -> FractionSeries:
+    """t_k -> (-1)^k t_k, i.e. the substitution (-t_1, t_2, -t_3, ...)."""
+    return _flip_signs(f, range(1, f.ctx.K + 1, 2))
+
+
+def negate_hatted(f: TruncatedSeries) -> FractionSeries:
+    """th_k -> -th_k for every k."""
+    return _flip_signs(f, range(f.ctx.K + 1, 2 * f.ctx.K + 1))
+
+
+def substitute_difference(f: TruncatedSeries) -> FractionSeries:
+    """Substitute t_k -> t_k - th_k, monomial by monomial: t^a expands
+    binomially to prod_k sum_j C(a_k, j) (-1)^j t_k^(a_k - j) th_k^j."""
+    K = f.ctx.K
+    out = {}
+    for key, val in f.coeffs.items():
+        if any(key[K + 1:]):
+            raise ValueError("substitute_difference expects a series in the t family only")
+        a = key[1:K + 1]
+        for j in product(*(range(e + 1) for e in a)):
+            c = val * math.prod(math.comb(e, i) for e, i in zip(a, j))
+            out[(key[0], *(e - i for e, i in zip(a, j)), *j)] = -c if sum(j) % 2 else c
+    return FractionSeries(f.ctx, out)
+
+
+def first_difference(f: TruncatedSeries, g: TruncatedSeries):
+    """Earliest monomial (canonical order) where two series differ, as
+    (label, f_value, g_value); None when they agree on the common context."""
+    ctx = f.ctx.meet(g.ctx)
+    fa, ga = FractionSeries(ctx, f.coeffs), FractionSeries(ctx, g.coeffs)
+    for key in sorted(set(fa.coeffs) | set(ga.coeffs), key=lambda t: (sum(t), t)):
+        va = fa.coeffs.get(key, Fraction(0))
+        vb = ga.coeffs.get(key, Fraction(0))
+        if va != vb:
+            return monomial_label(ctx, key), va, vb
+    return None
+
+
+def linear_form(ctx: SeriesContext, t_coeffs: Mapping[int, Fraction] | None = None,
+                th_coeffs: Mapping[int, Fraction] | None = None) -> FractionSeries:
+    """sum_k a_k t_k + sum_k b_k th_k for k = 1..K."""
+    out = {}
+    for family, coeffs in (("t", t_coeffs), ("th", th_coeffs)):
+        for k, c in (coeffs or {}).items():
+            key = [0] * ctx.nvars
+            key[ctx.var_index(f"{family}{k}")] = 1
+            out[tuple(key)] = Fraction(c)
+    return FractionSeries(ctx, out)
+
+
+def first_nonzero(f: TruncatedSeries):
+    """Earliest nonzero monomial (canonical order) as (label, value); None for zero."""
+    if not f.coeffs:
+        return None
+    key = min(f.coeffs, key=lambda t: (sum(t), t))
+    return monomial_label(f.ctx, key), f.coeffs[key]
+
+
+def merge_into_t(f: TruncatedSeries, c) -> FractionSeries:
+    """Substitute t_k -> c t_k and th_k -> c t_k: the monomial (Q, a, b) goes
+    to (Q, a + b, 0) with the factor c^{|a| + |b|}."""
+    K = f.ctx.K
+    out: dict[tuple[int, ...], Fraction] = {}
+    for key, val in f.coeffs.items():
+        a, b = key[1:K + 1], key[K + 1:]
+        nk = (key[0],) + tuple(x + y for x, y in zip(a, b)) + (0,) * K
+        out[nk] = out.get(nk, Fraction(0)) + val * Fraction(c) ** (sum(a) + sum(b))
+    return FractionSeries(f.ctx, out)
+
+
+def main_identity_rhs(params, tau: TruncatedSeries) -> FractionSeries:
+    """exp(sum_k c(k) t_k + c(-k) th_k) tau'(-t_1, t_2, ..., -th_1, -th_2, ...),
+    c(j) = q^j/(1-q^j), by the Fraction arithmetic."""
+    K, p = params.ctx.K, params.p
+    pref = series_exp(linear_form(params.out_ctx,
+                                  {k: symmetries.torus_constant(k, p) for k in range(1, K + 1)},
+                                  {k: symmetries.torus_constant(-k, p) for k in range(1, K + 1)}))
+    return pref * negate_hatted(alternate_t_signs(tau))
+
+
+def prev_identity_rhs(params, tau: TruncatedSeries) -> FractionSeries:
+    """exp(sum_k c(k) t_k) q^{-s(s+1)(2s+1)/6} tau(-t_1, t_2, ...) by the Fraction
+    arithmetic, for the 'left' form of the previous-model tau."""
+    K, p, s = params.ctx.K, params.p, params.s
+    pref = series_exp(linear_form(params.out_ctx,
+                                  {k: symmetries.torus_constant(k, p) for k in range(1, K + 1)}))
+    return pref * alternate_t_signs(tau) * p ** (-(s * (s + 1) * (2 * s + 1)) // 3)
+
+
+def bilinear_residual(center, up, down, c) -> FractionSeries:
+    """tau tau_{t1 th1} - tau_{t1} tau_{th1} - c tau_+ tau_- by the Fraction arithmetic."""
+    d1 = series_partial(center, "t1")
+    return (fraction_series(center) * series_partial(d1, "th1")
+            - d1 * series_partial(center, "th1") - fraction_series(up) * down * c)
 
 
 @lru_cache(maxsize=None)
@@ -349,7 +609,7 @@ def fermionic_expectation(params, which: str) -> TruncatedSeries:
     ket = apply_col(dense_transfer(cfg, family, "raising"), {0: Fraction(1)})
     w0 = w0_diag(cfg.s, cfg.N)
     phis = {k: v_op(k, 0, cfg) for k in range(-K, K + 1) if k > 0 or k and which == "Zprime"}
-    acc = TruncatedSeries.zero(ctx)
+    acc = FractionSeries.zero(ctx)
     for n in range(params.ctx.NQ + 1):
         for i in get_basis(cfg.N).weight_range[n]:
             coeff = bra.get(i, 0) * ket.get(i, 0) * cfg.p ** (cfg.l * w0[i])
@@ -358,7 +618,7 @@ def fermionic_expectation(params, which: str) -> TruncatedSeries:
             lin = linear_form(ctx, {k: get(phis[k], i, i) for k in range(1, K + 1)},
                               {k: get(phis[-k], i, i) for k in range(1, K + 1) if -k in phis})
             key = (n + charge_offset(params.s),) + (0,) * (2 * K)
-            acc = acc + TruncatedSeries.monomial(ctx, key, coeff) * series_exp(lin)
+            acc = acc + FractionSeries.monomial(ctx, key, coeff) * series_exp(lin)
     return acc
 
 
@@ -812,14 +1072,14 @@ def substitute_difference_by_products(f: TruncatedSeries) -> TruncatedSeries:
     """t_k -> t_k - th_k by series arithmetic: each monomial times the powers
     (t_k - th_k)^{a_k}, summed term by term."""
     ctx = f.ctx
-    out = TruncatedSeries.zero(ctx)
+    out = FractionSeries.zero(ctx)
     for key, val in f.coeffs.items():
-        term = TruncatedSeries.monomial(ctx, (key[0],) + (0,) * (2 * ctx.K), val)
+        term = FractionSeries.monomial(ctx, (key[0],) + (0,) * (2 * ctx.K), val)
         for k in range(1, ctx.K + 1):
             if key[ctx.K + k]:
                 raise ValueError("expects a series in the t family only")
-            tk = TruncatedSeries.variable(ctx, f"t{k}")
-            term = term * (tk - TruncatedSeries.variable(ctx, f"th{k}")) ** key[k]
+            tk = FractionSeries.variable(ctx, f"t{k}")
+            term = term * (tk - FractionSeries.variable(ctx, f"th{k}")) ** key[k]
         out = out + term
     return out
 

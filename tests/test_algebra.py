@@ -5,25 +5,26 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toda_crystal import SeriesContext, TruncatedSeries, series_exp, series_partial
-from toda_crystal.algebra import (
-    Value,
+from toda_crystal import SeriesContext
+from toda_crystal.algebra import Value, monomial_label, parse_monomial_label, series_from_json_dict
+
+from oracles import (
+    FractionSeries,
     alternate_t_signs,
     linear_form,
-    monomial_label,
+    merge_hatted_into_t,
     negate_hatted,
-    parse_monomial_label,
-    series_from_json_dict,
+    series_exp,
+    series_partial,
     substitute_difference,
+    substitute_difference_by_products,
 )
-
-from oracles import merge_hatted_into_t, substitute_difference_by_products
 
 CTX = SeriesContext(2, 3, 3)
 
 
 def var(name, ctx=CTX):
-    return TruncatedSeries.variable(ctx, name)
+    return FractionSeries.variable(ctx, name)
 
 
 def test_context_validation():
@@ -87,18 +88,18 @@ def test_truncation_drops_over_cap():
 
 def test_series_exp_examples():
     ctx = SeriesContext(1, 2, 0)
-    assert series_exp(TruncatedSeries.zero(ctx)) == TruncatedSeries.one(ctx)
-    t1 = TruncatedSeries.variable(ctx, "t1")
+    assert series_exp(FractionSeries.zero(ctx)) == FractionSeries.one(ctx)
+    t1 = FractionSeries.variable(ctx, "t1")
     e = series_exp(t1)
     assert e == 1 + t1 + t1 * t1 * Fraction(1, 2)
     with pytest.raises(ValueError):
-        series_exp(TruncatedSeries.one(ctx))
+        series_exp(FractionSeries.one(ctx))
 
 
 def test_series_partial_examples():
     t1, th1, q = var("t1"), var("th1"), var("Q")
     assert series_partial(t1 * th1, "t1") == th1.truncate_to(SeriesContext(2, 2, 3))
-    assert not series_partial(TruncatedSeries.one(CTX), "t2")
+    assert not series_partial(FractionSeries.one(CTX), "t2")
     d = series_partial(q ** 3, "Q")
     assert d == (q * q * 3).truncate_to(SeriesContext(2, 3, 2))
 
@@ -124,12 +125,12 @@ def test_json_round_trip():
 
 def test_substitute_difference_and_merge():
     ctx = SeriesContext(2, 2, 0)
-    t1 = TruncatedSeries.variable(ctx, "t1")
-    th1 = TruncatedSeries.variable(ctx, "th1")
+    t1 = FractionSeries.variable(ctx, "t1")
+    th1 = FractionSeries.variable(ctx, "th1")
     f = t1 * t1
     sub = substitute_difference(f)
     assert sub == (t1 - th1) ** 2
-    assert merge_hatted_into_t(sub) == TruncatedSeries.zero(ctx)
+    assert merge_hatted_into_t(sub) == FractionSeries.zero(ctx)
     with pytest.raises(ValueError):
         substitute_difference(f + th1)
 
@@ -173,7 +174,7 @@ def keys(ctx):
 
 def series(ctx=CTX):
     return st.dictionaries(keys(ctx), coeffs, max_size=4).map(
-        lambda d: TruncatedSeries(ctx, d))
+        lambda d: FractionSeries(ctx, d))
 
 
 @settings(max_examples=60, deadline=None)
@@ -197,13 +198,13 @@ def test_truncation_is_a_quotient(f, g):
 
 def no_constant(ctx=CTX):
     return series(ctx).map(
-        lambda f: TruncatedSeries(ctx, {k: v for k, v in f.coeffs.items() if any(k)}))
+        lambda f: FractionSeries(ctx, {k: v for k, v in f.coeffs.items() if any(k)}))
 
 
 @settings(max_examples=30, deadline=None)
 @given(no_constant())
 def test_exp_inverse(f):
-    assert series_exp(f) * series_exp(-f) == TruncatedSeries.one(f.ctx)
+    assert series_exp(f) * series_exp(-f) == FractionSeries.one(f.ctx)
 
 
 @settings(max_examples=30, deadline=None)
@@ -218,7 +219,7 @@ def t_only_series(draw):
     ctx = SeriesContext(K, D, 2)
     key = st.lists(st.integers(0, D), min_size=K + 1, max_size=K + 1).map(
         lambda k: tuple(k) + (0,) * K).filter(ctx.keeps)
-    return TruncatedSeries(ctx, draw(st.dictionaries(key, coeffs, max_size=6)))
+    return FractionSeries(ctx, draw(st.dictionaries(key, coeffs, max_size=6)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import toda_crystal
+from toda_crystal import identities
 from toda_crystal.cli import CHECKS, RunConfig, _build_parser, _run_task, _sort_key, _task_list, main
 from toda_crystal.identities import CalibrationError
 
@@ -117,6 +118,31 @@ def test_verify_insufficient_window_exits_1(tmp_path):
                for l in lines)
 
 
+# the lines of `verify toda-bilinear --D 1 --s 0 --l 0` without wall_ms
+INSUFFICIENT_BILINEAR = [
+    {"check": "toda_bilinear",
+     "params": {"charges": [-1, 0, 1], "K": 3, "D": 1, "sign": "auto", "l": 0, "family": family},
+     "status": "insufficient_window",
+     "evidence": {"reason": "need D >= 2 and at least one charge with both neighbors",
+                  "window": 0}}
+    for family in ("tau_prime", "zprime")]
+
+
+def test_insufficient_bilinear_window_builds_no_family(monkeypatch):
+    # at D = 1 the bilinear equation has no window: the report is written
+    # before any tau' or Z' of the charge family is built
+    def refuse(*args):
+        raise AssertionError("a series was built for an insufficient window")
+
+    monkeypatch.setattr(identities, "tau_prime_series", refuse)
+    monkeypatch.setattr(identities, "zprime_series", refuse)
+    cfg = RunConfig.from_args(_build_parser().parse_args(
+        ["verify", "toda-bilinear", "--D", "1", "--s", "0", "--l", "0"]))
+    lines = [_run_task(task) for task in _task_list("toda-bilinear", cfg)]
+    assert [{k: v for k, v in line.items() if k != "wall_ms"} for line in lines] == \
+        INSUFFICIENT_BILINEAR
+
+
 def test_verify_small_suites_pass(tmp_path):
     out = tmp_path / "r.jsonl"
     for suite in ("main-identity", "toeplitz", "toda-bilinear"):
@@ -202,7 +228,8 @@ except SystemExit as exc:
     assert exc.code in (0, None), exc.code
 """ + _PRINT_LOADED
 
-ALL_MODULES = {"algebra", "partitions", "fock", "models", "symmetries", "toda", "identities"}
+ALL_MODULES = {"algebra", "partitions", "fock", "models", "symmetries", "series", "toda",
+               "identities"}
 
 
 @pytest.mark.parametrize("argv,modules", [
@@ -212,7 +239,7 @@ ALL_MODULES = {"algebra", "partitions", "fock", "models", "symmetries", "toda", 
     (["verify", "commutators", "--s", "0", "--K", "2", "--D", "3", "--p", "1/2"],
      {"algebra", "partitions", "fock", "symmetries"}),
     (["compute", "tau-prime", "--s", "0", "--l", "1", "--K", "3", "--D", "2", "--NQ", "8",
-      "--p", "1/2"], {"algebra", "partitions", "fock", "models", "toda"}),
+      "--p", "1/2"], {"algebra", "partitions", "fock", "models", "series", "toda"}),
     (["verify", "prev-identity", "--s", "0", "--K", "2", "--D", "3", "--p", "1/2"],
      ALL_MODULES),
 ])
@@ -252,11 +279,12 @@ def test_no_package_module_imports_forbidden_modules():
 
 # every name the package exported when its __init__ imported each module
 EXPORTS = {
-    "algebra": ("SeriesContext", "TruncatedSeries", "series_exp", "series_partial"),
+    "algebra": ("SeriesContext", "TruncatedSeries"),
     "fock": ("SectorConfig",),
     "models": ("ModelParams", "charge_offset", "l0_eigenvalue", "phi_potential",
                "schur_qrho", "w0_eigenvalue", "z_series", "zprime_series"),
     "partitions": ("Partition", "enumerate_partitions"),
+    "series": ("GradedSeries",),
     "symmetries": ("commutator_check", "first_shift_check", "second_shift_check",
                    "torus_constant"),
     "toda": ("build_g", "build_gprime", "tau_prev_series", "tau_prime_series", "trivial_tau"),

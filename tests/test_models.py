@@ -22,12 +22,12 @@ from toda_crystal import (
     z_series,
     zprime_series,
 )
-from toda_crystal import algebra, fock, identities, models
-from toda_crystal.algebra import linear_form, series_exp, series_from_json_dict
+from toda_crystal import fock, identities, models, series
+from toda_crystal.algebra import series_from_json_dict
 from toda_crystal.models import _add_weighted_exp, _monomials
 
 import oracles
-from oracles import fermionic_expectation
+from oracles import FractionSeries, fermionic_expectation, linear_form, series_exp
 
 P = Fraction(1, 2)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -184,7 +184,7 @@ def test_weighted_exp_matches_series_exp(case):
     got = TruncatedSeries(ctx, {(q, *e): Fraction(v, W * factorial(D) * d ** sum(e))
                                 for e, v in zip(keys, acc)})
     lin = linear_form(ctx, dict(enumerate(a[:K], 1)), dict(enumerate(a[K:], 1)))
-    head = TruncatedSeries.monomial(ctx, (q,) + (0,) * (2 * K), weight)
+    head = FractionSeries.monomial(ctx, (q,) + (0,) * (2 * K), weight)
     assert got == head * series_exp(lin)
 
 
@@ -236,21 +236,29 @@ def _raise(*args, **kwargs):
     raise AssertionError("this route must not be used here")
 
 
+# the ring operations a series type could carry
+SERIES_ARITHMETIC = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                     "__rmul__", "__pow__")
+
+
 def test_partition_sum_uses_neither_series_exp_nor_fock(monkeypatch):
     # the closed-form route shares no exp, series product or fock code with
-    # the fermionic route and the identity prefactors
+    # the fermionic route and the identity prefactors: the report type has
+    # no arithmetic, and the oracle arithmetic, the integer series of the tau
+    # side and fock all raise
     params = ModelParams(0, 0, P, SeriesContext(2, 2, 2))
     z_before = z_series(params)
-    for module in (algebra, models):
-        # models imports no series_exp; raising=False plants one all the same
-        monkeypatch.setattr(module, "series_exp", _raise, raising=False)
-    for name, obj in vars(fock).items():
-        if callable(obj) and getattr(obj, "__module__", None) == fock.__name__:
-            monkeypatch.setattr(fock, name, _raise)
-            if hasattr(models, name):
-                monkeypatch.setattr(models, name, _raise)
-    for op in ("__add__", "__radd__", "__mul__", "__rmul__"):
-        monkeypatch.setattr(TruncatedSeries, op, _raise)
+    assert not any(hasattr(TruncatedSeries, op) for op in SERIES_ARITHMETIC)
+    assert not any(getattr(obj, "__module__", None) == series.__name__ for obj in vars(models).values())
+    for op in SERIES_ARITHMETIC:
+        monkeypatch.setattr(oracles.FractionSeries, op, _raise)
+    monkeypatch.setattr(oracles, "series_exp", _raise)
+    for owner in (fock, series, series.GradedSeries):
+        for name, obj in list(vars(owner).items()):
+            if callable(obj) and getattr(obj, "__module__", None) in (fock.__name__, series.__name__):
+                monkeypatch.setattr(owner, name, _raise)
+                if hasattr(models, name):
+                    monkeypatch.setattr(models, name, _raise)
     data = json.loads((FIXTURES / "zprime_p1of2_l0.json").read_text())
     assert zprime_series(params) == series_from_json_dict(data["series"])
     assert zprime_series(params).q_profile() == {

@@ -32,13 +32,16 @@ from toda_crystal import (
     zprime_series,
 )
 from toda_crystal import identities
-from toda_crystal.algebra import linear_form, series_exp, series_from_json_dict
+from toda_crystal.algebra import series_from_json_dict
 from toda_crystal.fock import SectorConfig, get_basis
 from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS, _entry_evidence, _sandwich_entry
+from toda_crystal.series import GradedSeries
 from toda_crystal.toda import GradedOperator, TauSeries, _j_matrix
 
+import oracles
 from oracles import (
     DenseGraded,
+    FractionSeries,
     SectorOperator,
     as_fractions,
     dense_residual_entry,
@@ -47,6 +50,7 @@ from oracles import (
     matmul,
     merge_hatted_into_t,
     residual_mask,
+    series_exp,
     sub,
 )
 
@@ -78,7 +82,7 @@ def test_tau_prime_constant_term_is_vacuum_series():
     tau = tau_prime_series(pr, g).series
     vac = g.vacuum_q_series()
     got = {k: v for k, v in tau.coeffs.items() if not any(k[1:])}
-    assert got == vac.coeffs
+    assert got == vac.to_truncated().coeffs
 
 
 def test_tau_prime_low_order_coefficient():
@@ -166,6 +170,17 @@ def test_ground_action_constants():
         assert rep.evidence["left_scalar"] == scalar
 
 
+def test_ground_action_fails_on_a_wrong_vacuum_w0(monkeypatch):
+    # the transfer half holds by construction, so the W0 half is the live
+    # evidence: a vacuum W0 one too large fails at every charge
+    real = identities.w0_diag
+    monkeypatch.setattr(identities, "w0_diag", lambda s, N: (real(s, N)[0] + 1, *real(s, N)[1:]))
+    for s in (-1, 0, 1):
+        rep = ground_action_constants(s, P, 4)
+        assert rep.status == FAIL and rep.evidence["reason"] == "ground-state action is not scalar"
+        assert rep.evidence["vacuum_w0"] == s * (s + 1) * (2 * s + 1) // 6 + 1
+
+
 def test_intertwining_true_and_fake():
     pr = params(K=2, D=2, NQ=3)
     for k in (1, 2):
@@ -192,15 +207,14 @@ def test_trivial_tau_closed_form():
     # machinery result equals exp(-sigma sum k t_k th_k) with the central
     # sign realized by the commutators
     sigma = _central_sign()
-    tt = trivial_tau(2, 2)
+    tt = trivial_tau(2, 2).to_truncated()
     ctx = tt.ctx
-    lin = linear_form(ctx, None, None)
-    expected = TruncatedSeries.zero(ctx)
+    expected = FractionSeries.zero(ctx)
     for k in (1, 2):
         key = [0] * ctx.nvars
         key[ctx.var_index(f"t{k}")] = 1
         key[ctx.var_index(f"th{k}")] = 1
-        expected = expected + TruncatedSeries(ctx, {tuple(key): Fraction(-sigma * k)})
+        expected = expected + FractionSeries(ctx, {tuple(key): Fraction(-sigma * k)})
     assert tt == series_exp(expected)
 
 
@@ -504,3 +518,63 @@ def test_intertwining_at_random_heights_matches_dense_blocks(p, s, l, NQ):
     assert rep.evidence["nonzero_entry"] == dense_residual_entry("alternating", 1, 1, pr)
     for k in (1, 2):
         assert intertwining_residual("g_true", k, pr).status == PASS
+
+
+# Q^2 t1: a coefficient at a high Q grade and a low t degree, where the
+# grade-major layout of the integer series and the canonical order disagree
+PERTURBED_KEY = (2, 1, 0, 0, 0)
+
+
+def _perturbed(tau: TauSeries, delta=Fraction(1, 7)) -> TauSeries:
+    coeffs = dict(tau.series.coeffs)
+    coeffs[PERTURBED_KEY] = coeffs.get(PERTURBED_KEY, 0) + delta
+    return TauSeries(tau.charge, GradedSeries.of(TruncatedSeries(tau.series.ctx, coeffs)))
+
+
+def _difference_evidence(lhs, rhs) -> dict:
+    label, va, vb = oracles.first_difference(lhs, rhs)
+    return {"monomial": label, "lhs": str(va), "rhs": str(vb)}
+
+
+def test_perturbed_tau_prime_fails_as_the_oracle_route(monkeypatch):
+    # one coefficient of tau'_0 changed: the main identity and the bilinear
+    # equation fail on the monomial and values the Fraction route finds
+    pr = params(s=0, l=1, K=2, D=3, NQ=3)
+    monkeypatch.setattr(identities, "tau_prime_series", lambda p, graded=None, f=tau_prime_series:
+                        _perturbed(f(p, graded)) if p.s == 0 else f(p, graded))
+    tau = identities.tau_prime_series(pr).series
+    lhs, rhs = zprime_series(pr), oracles.main_identity_rhs(pr, tau)
+    rep = verify_main_identity(pr)
+    assert rep.status == FAIL
+    assert rep.evidence["first_difference"] == _difference_evidence(lhs, rhs)
+    assert rep.window == len(set(lhs.coeffs) | set(rhs.coeffs))
+    fam = tau_prime_family(pr, range(-2, 3))
+    c = calibrate_bilinear_sign(2, 3)
+    residuals = {s: oracles.bilinear_residual(fam[s].series, fam[s + 1].series,
+                                              fam[s - 1].series, c) for s in (-1, 0, 1)}
+    center = next(s for s, residual in residuals.items() if residual)
+    label, value = oracles.first_nonzero(residuals[center])
+    rep = toda_bilinear_residual(fam)
+    assert rep.status == FAIL and rep.evidence["center"] == center
+    assert rep.evidence["first_nonzero"] == {"monomial": label, "value": str(value)}
+
+
+def test_perturbed_prev_tau_fails_as_the_oracle_route(monkeypatch):
+    # one coefficient of the left form of tau_0 changed: the previous-model
+    # identity, the forms and the reduction fail as on the Fraction route
+    pr = params(s=0, l=1, K=2, D=3, NQ=3)
+    monkeypatch.setattr(identities, "tau_prev_series",
+                        lambda p, form="left", graded=None, f=tau_prev_series:
+                        _perturbed(f(p, form, graded)) if form == "left" else f(p, form, graded))
+    left = identities.tau_prev_series(pr).series
+    sides = {
+        verify_prev_identity: (z_series(pr), oracles.prev_identity_rhs(pr, left)),
+        check_prev_forms: (left, tau_prev_series(pr, "symmetric").series),
+        check_prev_reduction: (tau_prev_series(pr, "reduced_2d").series,
+                               oracles.substitute_difference(left)),
+    }
+    for check, (lhs, rhs) in sides.items():
+        rep = check(pr)
+        assert rep.status == FAIL, check.__name__
+        assert rep.evidence["first_difference"] == _difference_evidence(lhs, rhs), check.__name__
+        assert rep.window == len(set(lhs.coeffs) | set(rhs.coeffs)), check.__name__
