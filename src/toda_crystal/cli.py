@@ -150,7 +150,9 @@ def _bilinear(family: str) -> Callable[[dict], CheckReport]:
     def run(task: dict) -> CheckReport:
         centers = task["centers"]
         charges = range(min(centers) - 1, max(centers) + 2)
-        rep = _module("identities").bilinear_family_check(family, _model(task), charges)
+        identities = _module("identities")
+        rep = identities.bilinear_family_check(getattr(identities, f"{family}_family"),
+                                               _model(task), charges)
         rep.params["l"] = task["l"]
         rep.params["family"] = family
         return rep

@@ -314,13 +314,12 @@ def toda_bilinear_residual(tau_family: dict[int, TauSeries], sign: str | int = "
     return report
 
 
-def bilinear_family_check(family: str, params: ModelParams, charges) -> CheckReport:
-    """toda_bilinear_residual on the family <family>_family(params, charges),
+def bilinear_family_check(build_family, params: ModelParams, charges) -> CheckReport:
+    """toda_bilinear_residual on the family build_family(params, charges),
     which is not built when the window is too small for the equation."""
     charges = sorted(charges)
     report = _bilinear_report(charges, params.ctx.K, params.ctx.D, "auto")
-    return report if report.evidence else toda_bilinear_residual(
-        globals()[f"{family}_family"](params, charges))
+    return report if report.evidence else toda_bilinear_residual(build_family(params, charges))
 
 
 def tau_prime_family(params: ModelParams, charges) -> dict[int, TauSeries]:
