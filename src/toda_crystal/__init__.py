@@ -14,7 +14,6 @@ _EXPORTS = {
     "models": ("ModelParams", "charge_offset", "l0_eigenvalue", "phi_potential",
                "schur_qrho", "w0_eigenvalue", "z_series", "zprime_series"),
     "partitions": ("Partition", "enumerate_partitions"),
-    "series": ("GradedSeries",),
     "symmetries": ("commutator_check", "first_shift_check", "second_shift_check",
                    "torus_constant"),
     "toda": ("build_g", "build_gprime", "tau_prev_series", "tau_prime_series", "trivial_tau"),

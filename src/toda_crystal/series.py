@@ -234,29 +234,18 @@ class GradedSeries:
         return self._with(self._mapped(terms), self.den * c.denominator ** D)
 
 
-def _canonical(ctx: SeriesContext):
-    """The (grade, position) pairs of a context in canonical order: by degree
-    with Q, then by key."""
-    starts = layout(ctx.K, ctx.D)[2]
-    for total in range(ctx.NQ + ctx.D + 1):
-        for n in range(max(0, total - ctx.D), min(ctx.NQ, total) + 1):
-            yield from ((n, i) for i in range(starts[total - n], starts[total - n + 1]))
-
-
-def _label(ctx: SeriesContext, n: int, i: int) -> str:
-    return monomial_label(ctx, (n, *layout(ctx.K, ctx.D)[0][i]))
-
-
 def first_difference(f: GradedSeries, g: GradedSeries):
-    """Earliest monomial (canonical order) where two series differ, as
-    (label, f_value, g_value); None when they agree on the common context."""
+    """Earliest monomial (canonical order: by degree with Q, then by key) where
+    two series differ, as (label, f_value, g_value); None when they agree on
+    the common context."""
     ctx = f.ctx.meet(g.ctx)
-    size, fd, gd = layout(ctx.K, ctx.D)[2][-1], f.den, g.den
-    if all([x * gd for x in a[:size]] == [y * fd for y in b[:size]]
-           for a, b in zip(f.grades, g.grades)):
+    keys = layout(ctx.K, ctx.D)[0]
+    diffs = [((n, *key), x, y) for n, (a, b) in enumerate(zip(f.grades, g.grades))
+             for key, x, y in zip(keys, a, b) if x * g.den != y * f.den]
+    if not diffs:
         return None
-    n, i = next((n, i) for n, i in _canonical(ctx) if f.grades[n][i] * gd != g.grades[n][i] * fd)
-    return _label(ctx, n, i), Fraction(f.grades[n][i], fd), Fraction(g.grades[n][i], gd)
+    key, x, y = min(diffs, key=lambda d: (sum(d[0]), d[0]))
+    return monomial_label(ctx, key), Fraction(x, f.den), Fraction(y, g.den)
 
 
 def first_nonzero(f: GradedSeries):

@@ -2,7 +2,13 @@
 
 Each oracle recomputes its target through a different formula or route than
 the implementation under test. The closed-form oracles use nothing of the
-package beyond partitions and series. v_op and j_op view fock.v_int as
+package beyond partitions and series. FractionSeries is TruncatedSeries with
+the Fraction ring arithmetic, and series_exp, series_partial, the sign flips
+alternate_t_signs and negate_hatted, substitute_difference, merge_into_t,
+first_difference, first_nonzero and linear_form act on it: the series
+arithmetic the package replaced with the integer GradedSeries of its tau
+side; main_identity_rhs, prev_identity_rhs and bilinear_residual are the
+series checks' right-hand sides and residual on it. v_op and j_op view fock.v_int as
 SectorOperators, and identity, get, add, sub, scale, matmul, transpose,
 scale_rows and scale_cols are the Fraction operator arithmetic that the
 package replaced with integer numerators formed inside its checks. The

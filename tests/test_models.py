@@ -269,7 +269,7 @@ def test_partition_sum_uses_neither_series_exp_nor_fock(monkeypatch):
 
 def test_identities_hold_without_the_closed_form_exp(monkeypatch):
     # with the closed-form kernel gone, the fermionic route stands in for the
-    # partition sums, and the prefactors still go through series_exp
+    # partition sums, and the prefactors still go through GradedSeries.exp
     monkeypatch.setattr(models, "_add_weighted_exp", _raise)
     params = ModelParams(0, 0, P, SeriesContext(2, 2, 2))
     data = json.loads((FIXTURES / "zprime_p1of2_l0.json").read_text())

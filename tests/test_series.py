@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toda_crystal import SeriesContext, TruncatedSeries
+from toda_crystal.algebra import monomial_label
 from toda_crystal.series import GradedSeries, first_difference, first_nonzero
 
 import oracles
@@ -28,16 +29,15 @@ def series_in(draw, ctx, t_only=False, max_terms=8):
     time variables (from the t family alone when t_only) and a coefficient;
     terms on one key add up, and may cancel."""
     nvars = ctx.K if t_only else 2 * ctx.K
-    terms = draw(st.lists(st.tuples(st.integers(0, ctx.NQ),
-                                    st.lists(st.integers(0, nvars - 1), max_size=ctx.D), COEFFS),
-                          max_size=max_terms))
     coeffs = {}
-    for q, variables, c in terms:
+    for _ in range(draw(st.integers(0, max_terms))):
+        # the degree is drawn first, so that high degrees are as common as low ones
+        q, degree = draw(st.integers(0, ctx.NQ)), draw(st.integers(0, ctx.D))
         exps = [0] * (2 * ctx.K)
-        for v in variables:
+        for v in draw(st.lists(st.integers(0, nvars - 1), min_size=degree, max_size=degree)):
             exps[v] += 1
         key = (q, *exps)
-        coeffs[key] = coeffs.get(key, 0) + c
+        coeffs[key] = coeffs.get(key, 0) + draw(COEFFS)
     return TruncatedSeries(ctx, coeffs)
 
 
@@ -152,12 +152,33 @@ def test_first_difference_and_window_match_oracle(fg):
     assert (graded(f) == graded(g)) == (f == g)
 
 
-def test_first_difference_reads_canonical_not_grade_order():
-    # Q^2 (total degree 2) precedes Q t1^3 (total 4) in canonical order, while
-    # the layout stores grade 1 before grade 2
-    ctx = SeriesContext(1, 3, 2)
-    f = TruncatedSeries(ctx, {(1, 3, 0): Fraction(1), (2, 0, 0): Fraction(5)})
-    g = TruncatedSeries(ctx, {(2, 0, 0): Fraction(7, 2)})
-    assert first_difference(graded(f), graded(g)) == ("Q^2", Fraction(5), Fraction(7, 2))
-    assert first_nonzero(graded(f)) == ("Q^2", Fraction(5))
-    assert oracles.first_difference(f, g) == ("Q^2", Fraction(5), Fraction(7, 2))
+@st.composite
+def reordered_pairs(draw):
+    """A series, a copy changed at two keys A and B, and B: A at a lower Q
+    grade and a higher total degree than B, so that the grade-major layout
+    stores A first and the canonical order puts B first."""
+    K, D, NQ = draw(st.integers(1, 3)), draw(st.integers(2, 4)), draw(st.integers(1, 4))
+    ctx = SeriesContext(K, D, NQ)
+    gap = draw(st.integers(1, min(NQ, D - 1)))
+    qa = draw(st.integers(0, NQ - gap))
+    db = draw(st.integers(0, D - gap - 1))
+    da = draw(st.integers(db + gap + 1, D))
+    keys = []
+    for q, degree in ((qa, da), (qa + gap, db)):
+        exps = [0] * (2 * K)
+        for v in draw(st.lists(st.integers(0, 2 * K - 1), min_size=degree, max_size=degree)):
+            exps[v] += 1
+        keys.append((q, *exps))
+    f = draw(series_in(ctx))
+    changed = {key: f.coeffs.get(key, 0) + draw(COEFFS) for key in keys}
+    return f, TruncatedSeries(ctx, {**f.coeffs, **changed}), keys[1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(reordered_pairs())
+def test_first_difference_reads_canonical_not_grade_order(case):
+    f, g, first = case
+    label = monomial_label(f.ctx, first)
+    assert first_difference(graded(f), graded(g)) == oracles.first_difference(f, g)
+    assert first_difference(graded(f), graded(g))[0] == label
+    assert first_nonzero(graded(g) - graded(f))[0] == label
