@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from operator import mul
 
 from .algebra import SeriesContext, TruncatedSeries, Value
 from .fock import (
@@ -220,16 +221,11 @@ def build_g(params: ModelParams) -> GradedOperator:
 # ---------------------------------------------------------------------------
 # Tau series
 
-def _grade_dot(u: dict[int, int], w: dict[int, int], grade: range) -> int:
-    """sum_{|nu| = n} u_nu w_nu over integer numerators, with grade the
-    indices of weight n; <u, w>_n is this over the product of the denominators."""
-    return sum(u[i] * w[i] for i in grade if i in u and i in w)
-
-
-def _graded_pairing(u, w, basis, NQ: int) -> list[tuple[int, int]]:
-    """The nonzero numerator grade dots for n <= NQ, by grade."""
-    totals = [(n, _grade_dot(u, w, basis.weight_range[n])) for n in range(NQ + 1)]
-    return [(n, total) for n, total in totals if total]
+def _graded(vec: dict[int, int], basis, NQ: int) -> list[list[int]]:
+    """A vector's integer numerators on the weights n <= NQ, grade by grade:
+    <u, w>_n is the dot of grade n of each over the product of the
+    denominators."""
+    return [[vec.get(i, 0) for i in basis.weight_range[n]] for n in range(NQ + 1)]
 
 
 def _assemble(params: ModelParams, us, ws, hat_sign: int) -> GradedSeries:
@@ -243,17 +239,19 @@ def _assemble(params: ModelParams, us, ws, hat_sign: int) -> GradedSeries:
     den_u = {a: den * _factorials(a) for a, (_, den) in us.items()}
     den_w = {b: den * _factorials(b) for b, (_, den) in ws.items()}
     lcm_u, lcm_w = math.lcm(*den_u.values()), math.lcm(*den_w.values())
+    graded_w = {b: _graded(w, basis, NQ) for b, (w, _) in ws.items()}
     grades = [[0] * starts[-1] for _ in range(ctx.NQ + 1)]
     for a, (u, _) in us.items():
-        for bb, (w, _) in ws.items():
+        graded_u = _graded(u, basis, NQ)
+        for bb, w in graded_w.items():
             if sum(a) + sum(bb) > ctx.D:
                 continue
             scale = lcm_u // den_u[a] * (lcm_w // den_w[bb])
             if hat_sign < 0 and sum(bb) % 2:
                 scale = -scale
             i = index[a + bb]
-            for n, total in _graded_pairing(u, w, basis, NQ):
-                grades[n + c_s][i] = total * scale
+            for n, (x, y) in enumerate(zip(graded_u, w)):
+                grades[n + c_s][i] = sum(map(mul, x, y)) * scale
     return GradedSeries(ctx, grades, lcm_u * lcm_w)
 
 
@@ -292,12 +290,12 @@ def trivial_tau(K: int, D: int) -> GradedSeries:
     _, index, starts = layout(K, D)
     den = math.factorial(D) ** 2
     row = [0] * starts[-1]
-    for a, u in vecs.items():
-        for bb, w in vecs.items():
+    graded = {a: _graded(u, basis, N) for a, u in vecs.items()}
+    for a, u in graded.items():
+        for bb, w in graded.items():
             if sum(a) + sum(bb) > D:
                 continue
             scale = (-1) ** sum(bb) * den // (_factorials(a) * _factorials(bb))
             # u and w each live on one weight, so at most one grade pairs
-            for _, total in _graded_pairing(u, w, basis, N):
-                row[index[a + bb]] = total * scale
+            row[index[a + bb]] = sum(sum(map(mul, x, y)) for x, y in zip(u, w)) * scale
     return GradedSeries(SeriesContext(K, D, 0), [row], den)
