@@ -34,8 +34,8 @@ from toda_crystal import (
 from toda_crystal import identities
 from toda_crystal.algebra import series_from_json_dict
 from toda_crystal.fock import SectorConfig, get_basis
-from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS, _entry_evidence, _sandwich_entry
 from toda_crystal.series import GradedSeries
+from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS, _entry_evidence, _sandwich_entry
 from toda_crystal.toda import GradedOperator, TauSeries, _j_matrix
 
 import oracles
