@@ -17,8 +17,11 @@ hold the package's own report lines, without wall_ms, of the four series
 suites (`verify main-identity`, `prev-identity`, `toeplitz` and
 `toda-bilinear`) at the benchmark's prev-identity shape (--K 2 --D 3, NQ 4,
 N 6) and p = 1/2 and 2/3, written before the tau side's series arithmetic was
-rewritten in integers, so every later change to their bytes shows. Run from a
-source checkout:
+rewritten in integers, so every later change to their bytes shows. The export
+pins are not from an oracle either: each is the package's own `compute` output
+for a partition sum (`zprime`, `zprime-special` or `z`) at p = 2/3, written
+before the exports were formatted from integer numerators. Run from a source
+checkout:
 
     PYTHONPATH=src python scripts/generate_fixtures.py
 """
@@ -64,6 +67,19 @@ TAU_PRIME = {"tau_prime_s0_l1_p2of3_N8.json": ((3, 2, 8), 8),
 SERIES_SUITES = ("main-identity", "prev-identity", "toeplitz", "toda-bilinear")
 SERIES_SHAPE = ("--K", "2", "--D", "3")
 SERIES_REPORTS = {"1/2": "series_reports_N6_p1of2.json", "2/3": "series_reports_N6_p2of3.json"}
+# the export pins by file: the compute arguments, run at --p 2/3, two shapes
+# per partition-sum target, one of them at s = -1
+EXPORTS = {
+    "export_zprime_p2of3_s0.json": ("zprime", "--s", "0", "--l", "1", "--K", "2", "--D", "3",
+                                    "--NQ", "4"),
+    "export_zprime_p2of3_s-1.json": ("zprime", "--s", "-1", "--l", "0", "--K", "3", "--D", "2",
+                                     "--NQ", "3"),
+    "export_zprime_special_p2of3_s0.json": ("zprime-special", "--s", "0", "--l", "1", "--NQ", "6"),
+    "export_zprime_special_p2of3_s-1.json": ("zprime-special", "--s", "-1", "--l", "0",
+                                             "--NQ", "4"),
+    "export_z_p2of3_s0.json": ("z", "--s", "0", "--l", "1", "--K", "3", "--D", "3", "--NQ", "4"),
+    "export_z_p2of3_s-1.json": ("z", "--s", "-1", "--l", "1", "--K", "2", "--D", "2", "--NQ", "5"),
+}
 
 
 def tau_prime_by_inversion(params: ModelParams):
@@ -206,10 +222,21 @@ def write_series_report_pins():
         (OUT / name).write_text(json.dumps(doc, indent=1) + "\n")
 
 
+def write_export_pins():
+    """Each export pin as the CLI writes it, byte for byte."""
+    from toda_crystal import cli
+
+    OUT.mkdir(exist_ok=True)
+    for name, args in EXPORTS.items():
+        if cli.main(["compute", *args, "--p", "2/3", "--out", str(OUT / name)]):
+            raise RuntimeError(f"compute {' '.join(args)} failed")
+
+
 def main():
     write_series_fixtures()
     write_report_fixtures()
     write_series_report_pins()
+    write_export_pins()
     print("fixtures written to", OUT)
 
 

@@ -544,6 +544,16 @@ def test_series_reports_match_their_pins(suite, p):
     assert script.series_report_lines(suite, p) == pins[suite]
 
 
+def test_partition_sum_exports_match_their_pins(tmp_path):
+    # every export pin of fixtures/, byte for byte as the CLI writes it
+    script = _fixture_script()
+    assert len(script.EXPORTS) == 6
+    for name, args in script.EXPORTS.items():
+        out = tmp_path / name
+        assert main(["compute", *args, "--p", "2/3", "--out", str(out)]) == 0
+        assert out.read_bytes() == (script.OUT / name).read_bytes(), name
+
+
 def _perfbench_workloads():
     """perfbench/workloads.py, loaded from the checkout without importing
     the rest of the benchmark."""

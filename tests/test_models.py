@@ -293,5 +293,7 @@ def test_generate_fixtures_reproduces_fixtures(tmp_path, monkeypatch):
     # the commutator fixtures take the Fraction oracle about 40 s; the CLI
     # fixture test reads them, and reruns the oracle on a mismatch
     module.write_series_fixtures()
-    for name in ("zprime_p1of2_l0.json", "tau_prime_s0_l0_p1of2.json", *module.TAU_PRIME):
+    module.write_export_pins()
+    for name in ("zprime_p1of2_l0.json", "tau_prime_s0_l0_p1of2.json", *module.TAU_PRIME,
+                 *module.EXPORTS):
         assert (tmp_path / name).read_bytes() == (FIXTURES / name).read_bytes()
