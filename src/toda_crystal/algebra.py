@@ -7,17 +7,20 @@ inside Q and every comparison is an exact equality.
 Series live in Q[Q, t_1..t_K, th_1..th_K] modulo the ideal spanned by
 monomials with Q-degree > NQ or total (t, th)-degree > D. Truncation is an
 ideal quotient, so ring identities hold exactly on the retained monomials.
-TruncatedSeries is the sparse Fraction form of such a series: the type the
-package reports and exports (to_json_dict, series_from_json_dict), compares
-with == and reads q_profile from. It has no arithmetic. The tau side
-computes in the integer form of `series`, the partition sums of `models`
-write their coefficients directly, and the Fraction ring arithmetic is kept
-with the test oracles as the reference for both.
+TruncatedSeries is the sparse Fraction form of such a series, with no
+arithmetic: the package compares it with ==, reads q_profile from it and
+reads exports back into it (series_from_json_dict). export_dict writes each
+export from integer numerators over denominators in canonical order:
+to_json_dict sorts a TruncatedSeries into it, and the partition sums of
+`models` walk into it with no Fraction made. The tau side computes in the
+integer form of `series`; the Fraction ring arithmetic stays with the test
+oracles as the reference.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from operator import attrgetter
 from typing import Mapping
 
@@ -117,13 +120,26 @@ class SeriesContext(Value):
         return SeriesContext(self.K, min(self.D, other.D), min(self.NQ, other.NQ))
 
 
+def export_dict(ctx: SeriesContext, terms) -> dict:
+    """The export form of a series over ctx: its caps, and {label: value} for
+    the coefficients num/den, den > 0, of Q^q times the time monomial tkey,
+    given as (q, tkey, num, den) in canonical order (by total degree with Q,
+    then by key). Each value is reduced and written as str(Fraction) writes
+    it; each time monomial is labelled once."""
+    names, labels, coeffs = ctx.var_names()[1:], {}, {}
+    for q, tkey, num, den in terms:
+        label = labels.get(tkey)
+        if label is None:
+            label = labels[tkey] = " ".join(f"{x}^{e}" for x, e in zip(names, tkey) if e)
+        if q:
+            label = f"Q^{q} {label}" if label else f"Q^{q}"
+        g = gcd(num, den)
+        coeffs[label or "1"] = str(num // g) if g == den else f"{num // g}/{den // g}"
+    return {"context": {"K": ctx.K, "D": ctx.D, "NQ": ctx.NQ}, "coefficients": coeffs}
+
+
 def monomial_label(ctx: SeriesContext, key: tuple[int, ...]) -> str:
-    return _label(ctx.var_names(), key)
-
-
-def _label(names: tuple[str, ...], key: tuple[int, ...]) -> str:
-    toks = [f"{names[i]}^{e}" for i, e in enumerate(key) if e]
-    return " ".join(toks) if toks else "1"
+    return next(iter(export_dict(ctx, [(key[0], key[1:], 1, 1)])["coefficients"]))
 
 
 def parse_monomial_label(ctx: SeriesContext, label: str) -> tuple[int, ...]:
@@ -134,10 +150,6 @@ def parse_monomial_label(ctx: SeriesContext, label: str) -> tuple[int, ...]:
         name, _, exp = tok.partition("^")
         key[ctx.var_index(name)] = int(exp)
     return tuple(key)
-
-
-def _canonical_keys(coeffs: Mapping[tuple[int, ...], Fraction]):
-    return sorted(coeffs, key=lambda t: (sum(t), t))
 
 
 class TruncatedSeries:
@@ -179,14 +191,8 @@ class TruncatedSeries:
     __hash__ = None
 
     def __str__(self):
-        if not self.coeffs:
-            return "0"
-        parts = []
-        for key in _canonical_keys(self.coeffs):
-            c = self.coeffs[key]
-            mono = monomial_label(self.ctx, key)
-            parts.append(f"{c}*{mono}" if mono != "1" else f"{c}")
-        return " + ".join(parts)
+        terms = self.to_json_dict()["coefficients"].items()
+        return " + ".join(c if m == "1" else f"{c}*{m}" for m, c in terms) or "0"
 
     __repr__ = __str__
 
@@ -199,15 +205,8 @@ class TruncatedSeries:
         return out
 
     def to_json_dict(self) -> dict:
-        # the names are built once per export; every stored coefficient is a
-        # Fraction already, so str gives format_rational's text
-        names, coeffs = self.ctx.var_names(), self.coeffs
-        return {
-            "context": {"K": self.ctx.K, "D": self.ctx.D, "NQ": self.ctx.NQ},
-            "coefficients": {
-                _label(names, key): str(coeffs[key]) for key in _canonical_keys(coeffs)
-            },
-        }
+        terms = sorted((sum(key), key, c) for key, c in self.coeffs.items())
+        return export_dict(self.ctx, ((k[0], k[1:], c.numerator, c.denominator) for _, k, c in terms))
 
 
 def series_from_json_dict(data: dict) -> TruncatedSeries:

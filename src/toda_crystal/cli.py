@@ -11,8 +11,8 @@ built once and read by every task at that point.
 Reports are emitted as one JSON object per line with the fields
 {check, params, status, evidence, wall_ms}; lines are sorted canonically
 before writing so reruns are diffable. A check that raises gives a line with
-status 'error'. Exit codes: 0 all checks passed, 1 at least one check failed
-or raised, 2 usage or configuration error.
+status 'error'. Exit codes: 0 every line passed, 1 any line's status is not
+'pass' (insufficient_window too), 2 usage or configuration error.
 """
 
 from __future__ import annotations

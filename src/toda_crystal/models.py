@@ -10,9 +10,11 @@ partitions by their Q power, clears each group's denominators, and writes
 each exp(linear form) out in integers over one shared monomial table per
 (number of couplings, degree cap), built once: the exponent tuples, their
 degrees and the step from each to its parent. Each class sums into one
-integer list aligned with that table, so one Fraction is made per output
-coefficient, and the coefficients enter the series unchecked. It never
-touches `fock` or `series_exp`; `fock` is imported only by
+integer list aligned with that table, over one denominator per degree. A
+precomputed walk reads these sums in canonical order, so a PartitionSeries
+exports them through algebra.export_dict with no sort and no Fraction, and
+makes its Fraction coefficients from the same integers only when they are
+read. It never touches `fock` or `series_exp`; `fock` is imported only by
 `ModelParams.config`, so computing a partition function never loads it.
 The independent fermionic route, the vacuum expectation value of the dense
 transfer exponentials built from the operator machinery in `fock`, lives in
@@ -29,7 +31,7 @@ from math import factorial, gcd, lcm, prod
 from operator import add
 from typing import TYPE_CHECKING, Sequence
 
-from .algebra import SeriesContext, TruncatedSeries, Value
+from .algebra import SeriesContext, TruncatedSeries, Value, export_dict
 from .partitions import Partition, enumerate_partitions
 
 if TYPE_CHECKING:
@@ -138,6 +140,42 @@ def _monomials(n: int, D: int) -> tuple[tuple, tuple, tuple]:
     return tuple(keys), tuple(degrees), tuple(steps)
 
 
+@lru_cache(maxsize=None)
+def _canonical_walk(n: int, D: int, NQ: int) -> tuple:
+    """(j, d, positions) for the monomials Q^j e, j <= NQ, e of degree d in
+    _monomials(n, D), in the canonical order of the keys (j, *e): by j + d,
+    then by j, then by e. The table holds each degree in descending order
+    (a monomial follows its parent and raises a variable at or after the
+    parent's last raised one), so each run is a degree's span read backwards."""
+    degrees = _monomials(n, D)[1]
+    starts = [*map(degrees.index, range(D + 1)), len(degrees)]
+    return tuple((j, t - j, range(starts[t - j + 1] - 1, starts[t - j] - 1, -1))
+                 for t in range(NQ + D + 1) for j in range(max(t - D, 0), min(t, NQ) + 1))
+
+
+class PartitionSeries(TruncatedSeries):
+    """A partition sum as its terms (Q power, time monomial, numerator,
+    denominator) in canonical order; the time monomials of 'Z' hold the t
+    exponents alone, and pad holds the th exponents, all zero, of its keys.
+    to_json_dict formats the terms directly; coeffs, the Fraction form that
+    == and q_profile read, is built from the same integers when first read."""
+
+    __slots__ = ("terms", "_pad", "_coeffs")
+
+    def __init__(self, ctx: SeriesContext, terms: list[tuple], pad: tuple[int, ...]):
+        self.ctx, self.terms, self._pad, self._coeffs = ctx, terms, pad, None
+
+    @property
+    def coeffs(self) -> dict[tuple[int, ...], Fraction]:
+        if self._coeffs is None:
+            self._coeffs = {(q, *e, *self._pad): Fraction(num, den)
+                            for q, e, num, den in self.terms}
+        return self._coeffs
+
+    def to_json_dict(self) -> dict:
+        return export_dict(self.ctx, self.terms)
+
+
 def _add_weighted_exp(acc: list[int], weight: int, a: Sequence[int], D: int) -> None:
     """Add weight D! exp(sum_j a_j x_j) up to x-degree D into acc, aligned
     with the keys of _monomials(len(a), D), for integer weight and a. Its
@@ -150,7 +188,7 @@ def _add_weighted_exp(acc: list[int], weight: int, a: Sequence[int], D: int) -> 
     acc[:] = map(add, acc, c)
 
 
-def _partition_sum(params: ModelParams, which: str) -> TruncatedSeries:
+def _partition_sum(params: ModelParams, which: str) -> PartitionSeries:
     """sum_mu w(mu) q^{l W0/2} Q^{L0} exp(sum t_k Phi_k [+ sum th_k Phi_{-k}]),
     with w(mu) = s_mu s_{t(mu)} and both time families for 'Zprime', and
     w(mu) = s_mu^2 and the t family alone for 'Z'.
@@ -164,19 +202,18 @@ def _partition_sum(params: ModelParams, which: str) -> TruncatedSeries:
     kappa for 'Z'). A class is expanded over one common denominator: with W
     the lcm of its weight denominators and d that of its Phi values,
     `_add_weighted_exp` sums the integer weights w W and couplings Phi d into
-    one integer list over the shared monomial table, and each nonzero entry
-    becomes one Fraction over W D! d^|e| at the end of its class. No Fraction
-    is made before then, and no series arithmetic anywhere. 'Z' walks the t
-    variables alone; its th exponents stay 0."""
+    one integer list over the shared monomial table, each entry over
+    W D! d^|e|. The canonical walk then lists the nonzero entries as the
+    series' terms; no Fraction is made, and no series arithmetic. 'Z' walks
+    the t variables alone; its th exponents stay 0."""
     s, K, D, NQ = params.s, params.ctx.K, params.ctx.D, params.ctx.NQ
     a, b = params.p.numerator, params.p.denominator
     n = 2 * K if which == "Zprime" else K
-    keys, degrees, _ = _monomials(n, D)
-    pad = (0,) * (2 * K - n)
+    keys = _monomials(n, D)[0]
     E = 2 * K * (abs(s) + NQ)  # |2kx| <= E as |x| <= |s| + NQ, and 2h <= 2NQ <= 2E
     A, B = [a ** i for i in range(2 * E + 1)], [b ** i for i in range(2 * E + 1)]
     ks = [*range(1, K + 1), *range(-1, -K - 1, -1)][:n]
-    classes: dict[int, list] = {}
+    classes: list[list] = [[] for _ in range(NQ + 1)]
     for mu in enumerate_partitions(NQ):
         levels = _phi_levels(mu, s)
         phis = [sum(c * A[E + 2 * k * x] * B[E - 2 * k * x] for c, x in levels) for k in ks]
@@ -186,20 +223,21 @@ def _partition_sum(params: ModelParams, which: str) -> TruncatedSeries:
         wn = a ** max(u, 0) * b ** max(v, 0)
         wd = a ** max(-u, 0) * b ** max(-v, 0) * prod(B[2 * h] - A[2 * h] for h in hooks) ** 2
         g = gcd(wn, wd)
-        classes.setdefault(l0_eigenvalue(mu, s), []).append((wn // g, wd // g, phis))
-    coeffs = {}
-    for q_exp, members in classes.items():
+        classes[mu.weight].append((wn // g, wd // g, phis))
+    sums = []
+    for members in classes:
         W = lcm(*(wd for _, wd, _ in members))
         g = gcd(A[E] * B[E], *(c for *_, phis in members for c in phis))
         acc = [0] * len(keys)
         for wn, wd, phis in members:
             _add_weighted_exp(acc, wn * (W // wd), [c // g for c in phis], D)
         d = A[E] * B[E] // g
-        dens = [W * factorial(D) * d ** k for k in range(D + 1)]
-        for e, deg, num in zip(keys, degrees, acc):
-            if num:
-                coeffs[(q_exp, *e, *pad)] = Fraction(num, dens[deg])
-    return TruncatedSeries.trusted(params.out_ctx, coeffs)
+        sums.append((acc, [W * factorial(D) * d ** k for k in range(D + 1)]))
+    terms, c_s = [], charge_offset(s)  # the Q power of class j is L0 = j + c_s
+    for j, d, run in _canonical_walk(n, D, NQ):
+        acc, dens = sums[j]
+        terms += [(j + c_s, keys[i], acc[i], dens[d]) for i in run if acc[i]]
+    return PartitionSeries(params.out_ctx, terms, (0,) * (2 * K - n))
 
 
 def zprime_series(params: ModelParams) -> TruncatedSeries:

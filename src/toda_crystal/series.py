@@ -12,8 +12,9 @@ cached per layout.
 
 Only `toda` and `identities` import this module; `models` builds the
 partition sums by its own route, so the identities compare two sides that
-share no series code. TruncatedSeries stays the type of reports and exports:
-`of` and `to_truncated` convert, one Fraction per coefficient.
+share no series code. TruncatedSeries stays the type that reports compare
+and read, and exports are written from it by algebra.export_dict: `of` and
+`to_truncated` convert, one Fraction per coefficient each way.
 """
 
 from __future__ import annotations

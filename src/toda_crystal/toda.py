@@ -12,12 +12,14 @@ only the C(K+D, D) time vectors <s| prod J_k^{a_k} A and B prod J_{-k}^{b_k} |s>
 paired at weights n <= NQ, so A and B are never materialised: each vector
 is pushed through the dressings and the transfer pairs one factor at a
 time, in integer form: a pair (nums, den) of integer numerators over one
-denominator den > 0, with value nums/den. The grade dots of these vectors are
-written straight into a series.GradedSeries, integer numerators over one
-denominator for the whole series, on which the checks compute; a reported
-or exported value is built once, as a Fraction, by TauSeries.series. A
-transfer pair is one push through G_- (G"_- for the
-alternating family) in the sector cut at N, by the G.Y form of
+denominator den > 0, with value nums/den. Only the last factor of A reads the
+insertion weight l, so the operators at every l of a point share one set of
+pushes. The grade dots of these vectors are written straight into a
+series.GradedSeries, integer numerators over one denominator for the whole
+series, on which the checks compute. TauSeries.series builds each reported
+value once, as a Fraction, and an export hands their numerators and
+denominators to algebra.export_dict. A transfer pair is one push through
+G_- (G"_- for the alternating family) in the sector cut at N, by the G.Y form of
 fock.transfer_row, then fock.pair_dots against the rows e_nu G_- of weight
 <= NQ, built by the Y.G form, which is exact. The time exponentials
 contribute energies at most K*D, which the cutoff must dominate. The time
@@ -160,9 +162,15 @@ class GradedOperator:
     @cached_property
     def time_vectors(self):
         """u_a = <s| prod J_k^{a_k} A and w_b = B prod J_{-k}^{b_k} |s> for every
-        multi-index of degree <= D, keyed by the multi-index."""
-        ctx = self.params.ctx
-        rows = _time_rows(self.config.N, ctx.K, ctx.D)
+        multi-index of degree <= D, keyed by the multi-index. Only the last
+        factor of A, p^{l W0}, reads l, so the cached operator at l = 0 pushes
+        them once for every l, and an operator at l != 0 dresses its rows."""
+        params, l = self.params, self.config.l
+        if l:
+            build = build_g if self.family == "plain" else build_gprime
+            us, ws = build(ModelParams(params.s, 0, params.p, params.ctx, params.N)).time_vectors
+            return {a: reduced(self._scaled(u, l)) for a, u in us.items()}, ws
+        rows = _time_rows(self.config.N, params.ctx.K, params.ctx.D)
         return ({a: self.row((r, 1)) for a, r in rows.items()},
                 {b: self.col((r, 1)) for b, r in rows.items()})
 

@@ -2,7 +2,10 @@
 
 Each oracle recomputes its target through a different formula or route than
 the implementation under test. The closed-form oracles use nothing of the
-package beyond partitions and series. FractionSeries is TruncatedSeries with
+package beyond partitions and series. fraction_json_dict is the export form
+as the package wrote it before algebra.export_dict, a label per coefficient
+(monomial_label) and the str of each Fraction, in an order sorted by key:
+the reference for that formatter. FractionSeries is TruncatedSeries with
 the Fraction ring arithmetic, and series_exp, series_partial, the sign flips
 alternate_t_signs and negate_hatted, substitute_difference, merge_into_t,
 first_difference, first_nonzero and linear_form act on it: the series
@@ -57,14 +60,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 
 from itertools import product
 from typing import Mapping
 
 from toda_crystal import Partition, SeriesContext, TruncatedSeries, enumerate_partitions
 from toda_crystal import identities, symmetries
-from toda_crystal.algebra import format_rational, monomial_label
+from toda_crystal.algebra import format_rational
 from toda_crystal.fock import (
     FULL,
     LOWERING,
@@ -93,7 +96,31 @@ from toda_crystal.symmetries import (
     CheckReport,
     _entry_evidence,
 )
-from toda_crystal.toda import GradedOperator
+from toda_crystal.toda import GradedOperator, _time_rows
+
+
+def _label(names: tuple[str, ...], key: tuple[int, ...]) -> str:
+    toks = [f"{names[i]}^{e}" for i, e in enumerate(key) if e]
+    return " ".join(toks) if toks else "1"
+
+
+def _canonical_keys(coeffs: Mapping[tuple[int, ...], Fraction]):
+    return sorted(coeffs, key=lambda t: (sum(t), t))
+
+
+def monomial_label(ctx: SeriesContext, key: tuple[int, ...]) -> str:
+    return _label(ctx.var_names(), key)
+
+
+def fraction_json_dict(f: TruncatedSeries) -> dict:
+    """The export form of f as the package wrote it before algebra.export_dict:
+    the keys in canonical order by a keyed sort, a label built for each, and
+    each value the str of its Fraction."""
+    names, coeffs = f.ctx.var_names(), f.coeffs
+    return {
+        "context": {"K": f.ctx.K, "D": f.ctx.D, "NQ": f.ctx.NQ},
+        "coefficients": {_label(names, key): str(coeffs[key]) for key in _canonical_keys(coeffs)},
+    }
 
 
 class FractionSeries(TruncatedSeries):
@@ -287,7 +314,7 @@ def first_difference(f: TruncatedSeries, g: TruncatedSeries):
     (label, f_value, g_value); None when they agree on the common context."""
     ctx = f.ctx.meet(g.ctx)
     fa, ga = FractionSeries(ctx, f.coeffs), FractionSeries(ctx, g.coeffs)
-    for key in sorted(set(fa.coeffs) | set(ga.coeffs), key=lambda t: (sum(t), t)):
+    for key in _canonical_keys(set(fa.coeffs) | set(ga.coeffs)):
         va = fa.coeffs.get(key, Fraction(0))
         vb = ga.coeffs.get(key, Fraction(0))
         if va != vb:
@@ -699,6 +726,14 @@ class DenseGraded(GradedOperator):
         self.dense_A = scale_cols(scale_rows(left, lambda i: p ** w0[i]),
                                   lambda j: p ** (l * w0[j]))
         self.dense_B = scale_cols(right, lambda j: p ** (sign * w0[j]))
+
+    @cached_property
+    def time_vectors(self):
+        """Every time vector through this operator's own row and col: the
+        package's operator at l != 0 dresses the pushes of its operator at l = 0."""
+        rows = _time_rows(self.config.N, self.params.ctx.K, self.params.ctx.D)
+        return ({a: self.row((r, 1)) for a, r in rows.items()},
+                {b: self.col((r, 1)) for b, r in rows.items()})
 
     def fraction_row(self, vec: dict) -> dict[int, Fraction]:
         return apply_row(vec, self.dense_A.rows)

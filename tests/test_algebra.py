@@ -5,12 +5,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from toda_crystal import SeriesContext
-from toda_crystal.algebra import Value, monomial_label, parse_monomial_label, series_from_json_dict
+from toda_crystal import SeriesContext, TruncatedSeries
+from toda_crystal.algebra import (
+    Value,
+    export_dict,
+    monomial_label,
+    parse_monomial_label,
+    series_from_json_dict,
+)
 
 from oracles import (
     FractionSeries,
     alternate_t_signs,
+    fraction_json_dict,
     linear_form,
     merge_hatted_into_t,
     negate_hatted,
@@ -19,6 +26,7 @@ from oracles import (
     substitute_difference,
     substitute_difference_by_products,
 )
+import oracles
 
 CTX = SeriesContext(2, 3, 3)
 
@@ -115,6 +123,50 @@ def test_monomial_labels_round_trip():
     key = parse_monomial_label(CTX, "Q^2 t1^1 th2^1")
     assert monomial_label(CTX, key) == "Q^2 t1^1 th2^1"
     assert parse_monomial_label(CTX, "1") == CTX.zero_key()
+
+
+def test_export_labels_alone_and_ties_on_total_degree():
+    # the constant alone is "1" and a pure Q power "Q^n"; keys that tie on
+    # degree with Q go by key, so th1 < t1 < Q at degree 1; whole values drop
+    # their denominator
+    ctx = SeriesContext(1, 2, 2)
+    assert export_dict(ctx, [(0, (0, 0), 6, 3)])["coefficients"] == {"1": "2"}
+    assert export_dict(ctx, [(2, (0, 0), -4, 6)])["coefficients"] == {"Q^2": "-2/3"}
+    f = TruncatedSeries(ctx, {(1, 0, 0): Fraction(1, 3), (0, 1, 0): Fraction(-2),
+                              (0, 0, 1): Fraction(5, 4), (0, 0, 0): Fraction(7)})
+    doc = f.to_json_dict()
+    assert list(doc["coefficients"].items()) == [
+        ("1", "7"), ("th1^1", "5/4"), ("t1^1", "-2"), ("Q^1", "1/3")]
+    assert doc == fraction_json_dict(f)
+    assert str(f) == "7 + 5/4*th1^1 + -2*t1^1 + 1/3*Q^1"
+    assert str(TruncatedSeries(ctx)) == "0"
+    assert monomial_label(ctx, (2, 1, 0)) == "Q^2 t1^1" == oracles.monomial_label(ctx, (2, 1, 0))
+
+
+@st.composite
+def export_cases(draw):
+    # K <= 3 and small caps, so keys often tie on total degree between Q and
+    # t; each value an unreduced numerator and denominator, negative or whole
+    ctx = SeriesContext(*(draw(st.integers(min_value=lo, max_value=hi))
+                          for lo, hi in ((1, 3), (0, 3), (0, 3))))
+    pairs = st.tuples(st.integers(min_value=-40, max_value=40).filter(bool),
+                      st.integers(min_value=1, max_value=40))
+    return ctx, draw(st.dictionaries(keys(ctx), pairs, max_size=12))
+
+
+@settings(max_examples=200, deadline=None)
+@given(export_cases())
+def test_export_dict_matches_fraction_formatting(case):
+    # in order and in text, against the keyed sort, a label per coefficient
+    # and str(Fraction) of the oracle
+    ctx, pairs = case
+    f = TruncatedSeries(ctx, {key: Fraction(num, den) for key, (num, den) in pairs.items()})
+    expected = fraction_json_dict(f)
+    terms = [(key[0], key[1:], *pairs[key]) for key in oracles._canonical_keys(pairs)]
+    for doc in (export_dict(ctx, terms), f.to_json_dict()):
+        assert doc["context"] == expected["context"]
+        assert list(doc["coefficients"].items()) == list(expected["coefficients"].items())
+    assert series_from_json_dict(f.to_json_dict()) == f
 
 
 def test_json_round_trip():

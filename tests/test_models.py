@@ -22,9 +22,9 @@ from toda_crystal import (
     z_series,
     zprime_series,
 )
-from toda_crystal import fock, identities, models, series
+from toda_crystal import cli, fock, identities, models, series
 from toda_crystal.algebra import series_from_json_dict
-from toda_crystal.models import _add_weighted_exp, _monomials
+from toda_crystal.models import _add_weighted_exp, _canonical_walk, _monomials
 
 import oracles
 from oracles import FractionSeries, fermionic_expectation, linear_form, series_exp
@@ -205,6 +205,53 @@ def partition_sum_cases(draw):
 def test_partition_sum_matches_fraction_oracle(params):
     assert zprime_series(params) == oracles.fraction_partition_sum(params, "Zprime")
     assert z_series(params) == oracles.fraction_partition_sum(params, "Z")
+
+
+@pytest.mark.parametrize("n,D,NQ", [(1, 0, 0), (1, 3, 2), (2, 4, 3), (4, 2, 1), (6, 3, 4)])
+def test_canonical_walk_visits_each_key_once_in_canonical_order(n, D, NQ):
+    keys = _monomials(n, D)[0]
+    walked = [(j, *keys[i]) for j, d, run in _canonical_walk(n, D, NQ) for i in run]
+    assert walked == sorted(walked, key=lambda t: (sum(t), t))
+    assert len(set(walked)) == len(walked) == len(keys) * (NQ + 1)
+    assert all(sum(keys[i]) == d for _, d, run in _canonical_walk(n, D, NQ) for i in run)
+
+
+@settings(max_examples=60, deadline=None)
+@given(partition_sum_cases())
+def test_partition_export_matches_fraction_formatting(params):
+    # the terms walked straight into algebra.export_dict give the text, in
+    # order, of the oracle's formatting of the same series' Fractions
+    for series_of in (zprime_series, z_series):
+        ours = series_of(params)
+        doc = ours.to_json_dict()
+        expected = oracles.fraction_json_dict(TruncatedSeries(ours.ctx, ours.coeffs))
+        assert doc["context"] == expected["context"]
+        assert list(doc["coefficients"].items()) == list(expected["coefficients"].items())
+
+
+@pytest.mark.parametrize("target", ["zprime", "zprime-special", "z"])
+def test_partition_export_makes_no_fraction_per_coefficient(target, monkeypatch, tmp_path):
+    # the Fractions a partition-sum export makes do not grow with the number
+    # of coefficients: as many at NQ = 5 as at NQ = 2
+    new = Fraction.__new__
+    made = []
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    counts, sizes = [], []
+    for NQ in ("2", "5"):
+        out = tmp_path / f"{NQ}.json"
+        argv = ["compute", target, "--s", "0", "--l", "1", "--K", "2", "--D", "2", "--NQ", NQ,
+                "--p", "2/3", "--out", str(out)]
+        made.clear()
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        assert cli.main(argv) == 0
+        monkeypatch.undo()
+        counts.append(len(made))
+        sizes.append(len(json.loads(out.read_text())["series"]["coefficients"]))
+    assert sizes[1] > sizes[0] and counts[0] == counts[1]
 
 
 def test_fermionic_leading_q_exponent():

@@ -31,12 +31,12 @@ from toda_crystal import (
     zprime_family,
     zprime_series,
 )
-from toda_crystal import identities
+from toda_crystal import identities, toda
 from toda_crystal.algebra import series_from_json_dict
 from toda_crystal.fock import SectorConfig, get_basis
 from toda_crystal.series import GradedSeries
 from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS, _entry_evidence, _sandwich_entry
-from toda_crystal.toda import GradedOperator, TauSeries, _j_matrix
+from toda_crystal.toda import GradedOperator, TauSeries, _j_matrix, _time_rows
 
 import oracles
 from oracles import (
@@ -336,6 +336,28 @@ def test_matrix_free_tau_matches_dense_route(shape, p):
             tau_prev_series(pr, form, dense_g).series
     assert build_gprime(pr).vacuum_q_series() == dense_gprime.vacuum_q_series()
     assert build_g(pr).vacuum_q_series() == dense_g.vacuum_q_series()
+
+
+@pytest.mark.parametrize("first", [0, 1])
+@pytest.mark.parametrize("build", [build_g, build_gprime])
+def test_time_vectors_pushed_once_for_every_l(build, first, monkeypatch):
+    # the pushes do not read l: whichever operator of the point asks first,
+    # the one at l = 0 makes every fock.transfer_row call, and the second
+    # operator makes none; the shared rows equal the l = 1 operator's own
+    push, calls = toda.transfer_row, []
+    monkeypatch.setattr(toda, "transfer_row", lambda *args: calls.append(args) or push(*args))
+    build.cache_clear()
+    shape = dict(s=-1, p=Fraction(3, 7), K=2, D=2, NQ=3)
+    g_first, g_second = build(params(l=first, **shape)), build(params(l=1 - first, **shape))
+    g_first.time_vectors
+    n_first = len(calls)
+    g_second.time_vectors
+    assert n_first == 2 * len(_time_rows(g_first.config.N, 2, 2)) and len(calls) == n_first
+    g1 = build(params(l=1, **shape))
+    us, ws = g1.time_vectors
+    rows = _time_rows(g1.config.N, 2, 2)
+    assert us == {a: g1.row((r, 1)) for a, r in rows.items()}
+    assert ws == {b: g1.col((r, 1)) for b, r in rows.items()}
 
 
 def test_all_tau_forms_stable_under_cutoff_growth():
