@@ -7,28 +7,30 @@ are ground-state expectation values of g between time-evolution
 exponentials; their coefficients are assembled grade by grade, so every
 retained coefficient is a finite exact sum.
 
-Certification is by construction for the tau series. A tau series needs only
-the C(K+D, D) time vectors <s| prod J_k^{a_k} A and B prod J_{-k}^{b_k} |s>,
-paired at weights n <= NQ, so A and B are never materialised: each vector is
-pushed through the dressings and the transfer pairs one factor at a time, in
-integer form: a pair (nums, den) of integer numerators over one denominator
-den > 0, with value nums/den. Only the last factor of A reads the insertion
-weight l, so the operators at every l of a point share one set of pushes. The
-grade dots of these vectors are written straight into a series.GradedSeries,
-integer numerators over one denominator for the whole series, on which the
-checks compute and from which an export is written with no Fraction made;
-TauSeries.series builds each reported value once, as a Fraction. A transfer
-pair is one push through G_- (G"_- for the alternating family) in the sector
-cut at N, by the G.Y form of fock.transfer_row, then fock.pair_dots against
-the rows e_nu G_- of weight <= NQ, built by the Y.G form, which is exact. The
-time exponentials contribute energies at most K*D, which the cutoff must
-dominate. The time vectors read J_k as the signs of the moves in
-fock.move_table, and since J_{-k} is the transpose of J_k, one table of row
-vectors serves as the column vectors too. Each block g_n = A Pi_n B is a dense
-integer table, the grade-n Gram matrix of the basis vectors e_lam A and B
-e_mu: dressed rows of fock.pair_table at cap NQ, from the same rows of G_- as
-the first shift's table. The identities these series and blocks satisfy are
-checked in `identities`; this module imports no check code.
+Certification is by construction for the tau series. A tau series needs
+only the C(K+D, D) time vectors <s| prod J_k^{a_k} A and B prod J_{-k}^{b_k} |s>,
+paired at weights n <= NQ, so A and B are never materialised: each vector
+is pushed through the dressings and the transfer pairs one factor at a
+time, in integer form: a pair (nums, den) of integer numerators over one
+denominator den > 0, with value nums/den. Only the last factor of A reads
+the insertion weight l, so the operators at every l of a point share one set
+of pushes. The grade dots of these vectors are
+written straight into a series.GradedSeries, integer numerators over one
+denominator for the whole series, on which the checks compute and from which
+an export is written with no Fraction made; TauSeries.series builds each
+reported value once, as a Fraction. A
+transfer pair is one push through G_- (G"_- for the
+alternating family) in the sector cut at N, by the G.Y form of
+fock.transfer_row, then fock.pair_dots against the rows e_nu G_- of weight
+<= NQ, built by the Y.G form, which is exact. The time exponentials
+contribute energies at most K*D, which the cutoff must dominate. The time
+vectors read J_k as the signs of the moves in fock.move_table, and since
+J_{-k} is the transpose of J_k, one table of row vectors serves as the
+column vectors too. Each block g_n = A Pi_n B is a dense integer table, the
+grade-n Gram matrix of the basis vectors e_lam A and B e_mu: dressed rows of
+fock.pair_table at cap NQ, from the same rows of G_- as the first shift's
+table. The identities these series and blocks satisfy are checked in
+`identities`; this module imports no check code.
 """
 
 from __future__ import annotations

@@ -104,7 +104,7 @@ def _label(names: tuple[str, ...], key: tuple[int, ...]) -> str:
     return " ".join(toks) if toks else "1"
 
 
-def _canonical_keys(coeffs: Mapping[tuple[int, ...], Fraction]):
+def canonical_keys(coeffs: Mapping[tuple[int, ...], Fraction]):
     return sorted(coeffs, key=lambda t: (sum(t), t))
 
 
@@ -119,7 +119,7 @@ def fraction_json_dict(f: TruncatedSeries) -> dict:
     names, coeffs = f.ctx.var_names(), f.coeffs
     return {
         "context": {"K": f.ctx.K, "D": f.ctx.D, "NQ": f.ctx.NQ},
-        "coefficients": {_label(names, key): str(coeffs[key]) for key in _canonical_keys(coeffs)},
+        "coefficients": {_label(names, key): str(coeffs[key]) for key in canonical_keys(coeffs)},
     }
 
 
@@ -314,7 +314,7 @@ def first_difference(f: TruncatedSeries, g: TruncatedSeries):
     (label, f_value, g_value); None when they agree on the common context."""
     ctx = f.ctx.meet(g.ctx)
     fa, ga = FractionSeries(ctx, f.coeffs), FractionSeries(ctx, g.coeffs)
-    for key in _canonical_keys(set(fa.coeffs) | set(ga.coeffs)):
+    for key in canonical_keys(set(fa.coeffs) | set(ga.coeffs)):
         va = fa.coeffs.get(key, Fraction(0))
         vb = ga.coeffs.get(key, Fraction(0))
         if va != vb:
