@@ -224,7 +224,7 @@ def test_partition_export_matches_fraction_formatting(params):
     for series_of in (zprime_series, z_series):
         ours = series_of(params)
         doc = ours.to_json_dict()
-        expected = oracles.fraction_json_dict(TruncatedSeries(ours.ctx, ours.coeffs))
+        expected = oracles.fraction_json_dict(ours)
         assert doc["context"] == expected["context"]
         assert list(doc["coefficients"].items()) == list(expected["coefficients"].items())
 
