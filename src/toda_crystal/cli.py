@@ -272,9 +272,9 @@ def cmd_compute(cfg: RunConfig, target: str) -> int:
         elif target == "z":
             series = models.z_series(params)
         elif target == "tau-prime":
-            series = _module("toda").tau_prime_series(params).graded
+            series = _module("toda").tau_prime_series(params).series
         else:  # tau-prev; argparse restricts the target to TARGETS
-            series = _module("toda").tau_prev_series(params, cfg.form).graded
+            series = _module("toda").tau_prev_series(params, cfg.form).series
         doc = {
             "target": target,
             "params": {"p": str(cfg.p), "s": params.s, "l": l, "K": params.ctx.K,

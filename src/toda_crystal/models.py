@@ -165,6 +165,11 @@ class PartitionSeries(TruncatedSeries):
     def __init__(self, ctx: SeriesContext, terms: list[tuple], pad: tuple[int, ...]):
         self.ctx, self.terms, self._pad, self._coeffs = ctx, terms, pad, None
 
+    def __reduce__(self):
+        # the inherited coeffs slot is a property here, so the default slot
+        # state cannot be set back; rebuild from the terms instead
+        return PartitionSeries, (self.ctx, self.terms, self._pad)
+
     @property
     def coeffs(self) -> dict[tuple[int, ...], Fraction]:
         if self._coeffs is None:

@@ -12,9 +12,8 @@ cached per layout.
 
 Only `toda` and `identities` import this module; `models` builds the
 partition sums by its own route, so the identities compare two sides that
-share no series code. TruncatedSeries stays the type that reports compare
-and read: `of` and `to_truncated` convert, one Fraction per coefficient.
-An export walks the grades into algebra.export_dict with no Fraction made.
+share no series code. TruncatedSeries stays the type of reports and exports:
+`of` and `to_truncated` convert, one Fraction per coefficient.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from itertools import chain, product
 from math import comb, gcd, lcm, prod
 from operator import add
 
-from .algebra import SeriesContext, TruncatedSeries, export_dict, monomial_label
+from .algebra import SeriesContext, TruncatedSeries, monomial_label
 
 
 def monomials(n: int, D: int) -> list[tuple[int, ...]]:
@@ -114,16 +113,6 @@ class GradedSeries:
         return TruncatedSeries.trusted(self.ctx, {
             (n, *key): Fraction(x, den)
             for n, row in enumerate(self.grades) for key, x in zip(keys, row) if x})
-
-    def to_json_dict(self) -> dict:
-        """The export form, by algebra.export_dict with no Fraction made: the
-        grades walked in canonical order, grade n's monomials of degree d for
-        n + d = 0, 1, ..., each degree a span of the layout in key order."""
-        (keys, _, starts), D, rows = layout(self.ctx.K, self.ctx.D), self.ctx.D, self.grades
-        return export_dict(self.ctx, (
-            (n, keys[i], rows[n][i], self.den) for t in range(len(rows) + D)
-            for n in range(max(t - D, 0), min(t + 1, len(rows)))
-            for i in range(starts[t - n], starts[t - n + 1]) if rows[n][i]))
 
     def __bool__(self):
         return any(map(any, self.grades))

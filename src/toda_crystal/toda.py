@@ -12,13 +12,10 @@ only the C(K+D, D) time vectors <s| prod J_k^{a_k} A and B prod J_{-k}^{b_k} |s>
 paired at weights n <= NQ, so A and B are never materialised: each vector
 is pushed through the dressings and the transfer pairs one factor at a
 time, in integer form: a pair (nums, den) of integer numerators over one
-denominator den > 0, with value nums/den. Only the last factor of A reads
-the insertion weight l, so the operators at every l of a point share one set
-of pushes. The grade dots of these vectors are
+denominator den > 0, with value nums/den. The grade dots of these vectors are
 written straight into a series.GradedSeries, integer numerators over one
-denominator for the whole series, on which the checks compute and from which
-an export is written with no Fraction made; TauSeries.series builds each
-reported value once, as a Fraction. A
+denominator for the whole series, on which the checks compute; a reported
+or exported value is built once, as a Fraction, by TauSeries.series. A
 transfer pair is one push through G_- (G"_- for the
 alternating family) in the sector cut at N, by the G.Y form of
 fock.transfer_row, then fock.pair_dots against the rows e_nu G_- of weight
@@ -100,7 +97,7 @@ class TauSeries(Value):
 
     @property
     def series(self) -> TruncatedSeries:
-        """The series as reported, one Fraction per coefficient."""
+        """The series as reported and exported, one Fraction per coefficient."""
         return self.graded.to_truncated()
 
 
@@ -126,10 +123,11 @@ class GradedOperator:
     The operator keeps what it pushes, time_vectors for the tau series. The
     blocks gram(n) = g_n are integer tables read off fock.pair_table."""
 
-    def __init__(self, params: ModelParams, family: str):
+    def __init__(self, params: ModelParams, family: str, at_l0: GradedOperator | None = None):
         if family not in _RIGHT_W0_SIGN:
             raise ValueError(f"unknown transfer family {family!r}")
         self.params = params
+        self._at_l0 = at_l0
         self.config = params.config
         self.family = family
         self.basis = get_basis(self.config.N)
@@ -163,15 +161,14 @@ class GradedOperator:
     @cached_property
     def time_vectors(self):
         """u_a = <s| prod J_k^{a_k} A and w_b = B prod J_{-k}^{b_k} |s> for every
-        multi-index of degree <= D, keyed by the multi-index. Only the last
-        factor of A, p^{l W0}, reads l, so the cached operator at l = 0 pushes
-        them once for every l, and an operator at l != 0 dresses its rows."""
-        params, l = self.params, self.config.l
-        if l:
-            build = build_g if self.family == "plain" else build_gprime
-            us, ws = build(ModelParams(params.s, 0, params.p, params.ctx, params.N)).time_vectors
-            return {a: reduced(self._scaled(u, l)) for a, u in us.items()}, ws
-        rows = _time_rows(self.config.N, params.ctx.K, params.ctx.D)
+        multi-index of degree <= D, keyed by the multi-index, pushed through
+        row and col. Only the last factor of A, p^{l W0}, reads l, so given
+        at_l0, the operator of the same point at l = 0, they are its vectors
+        with the rows dressed."""
+        if self._at_l0 is not None:
+            us, ws = self._at_l0.time_vectors
+            return {a: reduced(self._scaled(u, self.config.l)) for a, u in us.items()}, ws
+        rows = _time_rows(self.config.N, self.params.ctx.K, self.params.ctx.D)
         return ({a: self.row((r, 1)) for a, r in rows.items()},
                 {b: self.col((r, 1)) for b, r in rows.items()})
 
@@ -213,18 +210,24 @@ class GradedOperator:
                          hat_sign=+1)
 
 
+def _at_l0(build, params: ModelParams) -> GradedOperator | None:
+    """build's operator at l = 0 of the point of params; None at l = 0."""
+    return build(ModelParams(params.s, 0, params.p, params.ctx, params.N)) if params.l else None
+
+
 @lru_cache(maxsize=None)
 def build_gprime(params: ModelParams) -> GradedOperator:
     """g' = q^{W0/2} G_-G_+ q^{l W0/2} Q^{L0} G"_-G"_+ q^{-W0/2} with the
     alternating transfer family on the right. Cached per model point, so the
-    checks on one (s, l) share its time vectors."""
-    return GradedOperator(params, "alternating")
+    checks on one (s, l) share its time vectors, and the points at every l
+    share the pushes of the point at l = 0."""
+    return GradedOperator(params, "alternating", _at_l0(build_gprime, params))
 
 
 @lru_cache(maxsize=None)
 def build_g(params: ModelParams) -> GradedOperator:
     """g = q^{W0/2} G_-G_+ q^{l W0/2} Q^{L0} G_-G_+ q^{+W0/2}; cached like build_gprime."""
-    return GradedOperator(params, "plain")
+    return GradedOperator(params, "plain", _at_l0(build_g, params))
 
 
 # ---------------------------------------------------------------------------

@@ -60,7 +60,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, lru_cache, partial
+from functools import cache, lru_cache, partial
 
 from itertools import product
 from typing import Mapping
@@ -96,7 +96,7 @@ from toda_crystal.symmetries import (
     CheckReport,
     _entry_evidence,
 )
-from toda_crystal.toda import GradedOperator, _time_rows
+from toda_crystal.toda import GradedOperator
 
 
 def _label(names: tuple[str, ...], key: tuple[int, ...]) -> str:
@@ -726,14 +726,6 @@ class DenseGraded(GradedOperator):
         self.dense_A = scale_cols(scale_rows(left, lambda i: p ** w0[i]),
                                   lambda j: p ** (l * w0[j]))
         self.dense_B = scale_cols(right, lambda j: p ** (sign * w0[j]))
-
-    @cached_property
-    def time_vectors(self):
-        """Every time vector through this operator's own row and col: the
-        package's operator at l != 0 dresses the pushes of its operator at l = 0."""
-        rows = _time_rows(self.config.N, self.params.ctx.K, self.params.ctx.D)
-        return ({a: self.row((r, 1)) for a, r in rows.items()},
-                {b: self.col((r, 1)) for b, r in rows.items()})
 
     def fraction_row(self, vec: dict) -> dict[int, Fraction]:
         return apply_row(vec, self.dense_A.rows)

@@ -229,6 +229,19 @@ def test_partition_export_matches_fraction_formatting(params):
         assert list(doc["coefficients"].items()) == list(expected["coefficients"].items())
 
 
+@pytest.mark.parametrize("read_coeffs", [False, True])
+def test_partition_series_copies_and_pickles(read_coeffs):
+    # before and after its Fraction coefficients are first read, a partition
+    # sum survives copy, deepcopy and pickle with its value and its export
+    for series_of in (zprime_series, z_series):
+        ours = series_of(ModelParams(-1, 1, Fraction(2, 3), SeriesContext(2, 2, 3)))
+        if read_coeffs:
+            ours.coeffs
+        for twin in (pickle.loads(pickle.dumps(ours)), copy.copy(ours), copy.deepcopy(ours)):
+            assert type(twin) is type(ours) and twin == ours
+            assert twin.to_json_dict() == ours.to_json_dict()
+
+
 @pytest.mark.parametrize("target", ["zprime", "zprime-special", "z"])
 def test_partition_export_makes_no_fraction_per_coefficient(target, monkeypatch, tmp_path):
     # the Fractions a partition-sum export makes do not grow with the number

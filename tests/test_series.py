@@ -67,16 +67,6 @@ def in_lowest_terms(g: GradedSeries) -> bool:
     return g.den > 0 and math.gcd(g.den, *(x for row in g.grades for x in row)) == 1
 
 
-@settings(max_examples=120, deadline=None)
-@given(series())
-def test_export_matches_fraction_formatting(f):
-    # the grades walked into algebra.export_dict, each numerator reduced
-    # against the shared denominator, give the oracle's text in its order
-    expected, doc = oracles.fraction_json_dict(f), graded(f).to_json_dict()
-    assert doc["context"] == expected["context"]
-    assert list(doc["coefficients"].items()) == list(expected["coefficients"].items())
-
-
 @settings(max_examples=80, deadline=None)
 @given(series())
 def test_round_trip_in_lowest_terms(f):
