@@ -25,10 +25,11 @@ the mask are never used.
 Operators are held, never combined, and always in integer form: integer
 numerators over one denominator. The particle moves of a shift depend on it,
 the charge and the cutoff alone, and are built once, in move_table. v_int,
-the one builder of V^(k)_m, lays the numerators of +-p^v_exponent out along
-v_pattern, the moves (at m = 0 the potential diagonal); J_k puts its sign on
-each move, a transfer exponent +-c_k. The checks form each product from
-these numerators. Of the transfer exponentials only G_- = exp(X), X = sum_k
+the one builder of V^(k)_m at a p, lays the numerators of +-p^v_exponent out
+along v_pattern, the moves (at m = 0 the potential diagonal); J_k puts its sign
+on each move, a transfer exponent +-c_k. Only the first shift forms products
+from these numerators; the commutator certificate reads the moves, for every p.
+Of the transfer exponentials only G_- = exp(X), X = sum_k
 c_k J_{-k}, is ever formed; G_+ is its transpose. The parts of X commute, so
 with E the weight diagonal [E, G_-] = Y G_- = G_- Y, Y = [E, X] = sum_k k c_k
 J_{-k} (_y_rows): Newton's identity n h_n = sum_k p_k h_{n-k} in operator

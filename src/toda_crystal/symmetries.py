@@ -4,17 +4,18 @@ Each check compares two operator products entry by entry on the window the
 split rule certifies, and reports the earliest offending entry, by row, then
 column, on failure. A check writes the chain of each product it compares from
 its own indices (V^(k)_m is banded(-m), G_- and G_+ RAISING and LOWERING) and
-asks certified_window for one mask. Every V is fock.v_int's, integer
-numerators along v_pattern, and each residual is integer numerators over one
-common denominator, so only a reported entry becomes a Fraction. The
-commutator's factors are sparse: per (m, n), _commutator_tables numbers the
-certified cells its terms land in as slots, in ascending (row, col), with the
-two-move paths of V_m V_n and V_n V_m along them, and each check fills one
-flat integer list, one numerator per slot; its first nonzero slot is the
-reported entry. The first shift's G_-G_+ is the dense integer fock.pair_table;
-_sandwich_entry, the kernel the intertwining check of identities shares, forms
-c T + f L T + T f' R on it, row by row, and stops at the first nonzero entry.
-The second shift compares exponents of p move by move.
+asks certified_window for one mask. Each residual is integer numerators over
+one common denominator, so only a reported entry becomes a Fraction. The
+commutators are proved once per (m, n), for every p, k and l: an entry of
+V^(k)_m is a Laurent polynomial in x = p^k, and _certificate checks
+[V_m(x), V_n(y)] = P V_{m+n}(xy) + G on every certified cell as integer
+Laurent polynomials, so a check only compares its two relation values with P
+and G at its point; if they differ, or the certificate fails, it evaluates
+the cells there and reports the first nonzero one. The first shift's G_-G_+
+is the dense integer fock.pair_table and its V's are fock.v_int's;
+_sandwich_entry, the kernel the intertwining check of identities shares,
+forms c T + f L T + T f' R on it, row by row, and stops at the first nonzero
+entry. The second shift compares exponents of p move by move.
 """
 
 from __future__ import annotations
@@ -23,20 +24,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import format_rational
-from .fock import (
-    LOWERING,
-    RAISING,
-    SectorConfig,
-    banded,
-    certified_window,
-    get_basis,
-    move_table,
-    pair_table,
-    v_exponent,
-    v_int,
-    v_pattern,
-    w0_diag,
-)
+from .fock import (LOWERING, RAISING, SectorConfig, banded, certified_window, get_basis,
+                   maya_diag_levels, move_table, pair_table, v_exponent, v_int,
+                   v_pattern, w0_diag)
 
 PASS = "pass"
 FAIL = "fail"
@@ -57,14 +47,8 @@ class CheckReport:
         return self.status == PASS
 
     def to_json_dict(self) -> dict:
-        evidence = dict(self.evidence)
-        evidence["window"] = self.window
-        return {
-            "check": self.check,
-            "params": self.params,
-            "status": self.status,
-            "evidence": evidence,
-        }
+        return {"check": self.check, "params": self.params, "status": self.status,
+                "evidence": {**self.evidence, "window": self.window}}
 
 
 _ZERO = Fraction(0)
@@ -138,107 +122,122 @@ def _sandwich_entry(table, left, right, diag: int, mask, basis, f_left: int = 1,
 
 
 @lru_cache(maxsize=None)
-def _commutator_tables(m: int, n: int, s: int, N: int) -> tuple:
-    """What a commutator check of (m, n) reads in the charge-s sector cut at N:
-    (window, slots, forward, backward, third, diagonal), certified cells only.
+def _v_terms(m: int, s: int, N: int) -> dict[int, list]:
+    """V^(k)_m by rows {i: [(j, ((e, c), ...))]}, entries sum c x^e, x = p^k: sign
+    x^(2 src - m) per move of move_table, at m = 0 summed over maya_diag_levels."""
+    rows: dict[int, list] = {}
+    for i, j, sign, src in move_table(m, s, N) if m else ():
+        rows.setdefault(i, []).append((j, ((2 * src - m, sign),)))
+    for i, mu in enumerate(get_basis(N).parts) if m == 0 else ():
+        rows[i] = [(i, tuple((2 * x, sign) for sign, x in maya_diag_levels(mu.parts, s)))]
+    return rows
 
-    window is certified_window's for the chains of V_m V_n and V_n V_m. slots
-    are the keys i*dim + j of the certified cells any term lands in,
-    ascending: by row, then column. forward holds (slot, a, b) for the entries
-    a = (i, x) of v_pattern(m) and b = (x, j) of v_pattern(n) with (i, j)
-    certified, the paths of V_m V_n; backward those of V_n V_m; third and
-    diagonal (slot, c) for the certified entries c = (i, j) of v_pattern(m + n)
-    and of the diagonal v_pattern(0). (n, m) shares the table of (m, n)."""
-    if m > n:
-        window, slots, forward, backward, third, diagonal = _commutator_tables(n, m, s, N)
-        return window, slots, backward, forward, third, diagonal
+
+@lru_cache(maxsize=None)
+def _relation(m: int, n: int) -> tuple:
+    """The terms ((t, a, b), c) of c x^a y^b in [V_m(x), V_n(y)] = P V_{m+n}(xy)
+    + G: t = 0 for P = y^m x^-n - x^n y^-m, t = 1 for G, at m + n = 0 -P
+    q^j/(1 - q^j) with q^j = (xy)^2, sign(m) sum_{i<|m|} (xy)^(2-|m|+2i)."""
+    return (((0, -n, m), 1), ((0, n, -m), -1), *(
+        ((1, e, e), (m > 0) - (m < 0)) for e in range(2 - abs(m), abs(m) + 1, 2) if m + n == 0))
+
+
+def _at(terms: tuple | list, k: int, l: int, p: Fraction) -> tuple[dict[int, int], int]:
+    """The terms ((t, a, b), c) of c x^a y^b at x = p^k and y = p^l, summed by
+    t, as integer numerators over (uv)^h, p = u/v and h the largest |ka + lb|."""
+    u, v = p.numerator, p.denominator
+    h = max((abs(k * a + l * b) for (_, a, b), _ in terms), default=0)
+    sums: dict[int, int] = {}
+    for (t, a, b), c in terms:
+        sums[t] = sums.get(t, 0) + c * u ** (h + k * a + l * b) * v ** (h - k * a - l * b)
+    return sums, (u * v) ** h
+
+
+def _commutator_tables(m: int, n: int, s: int, N: int) -> tuple[int, dict, dict, dict]:
+    """(window, product, third, ones) of a commutator check of (m, n), for
+    every p, k and l: certified_window's window for V_m V_n and V_n V_m, and
+    the terms {(slot, a, b): c} of c x^a y^b on its cells (i, j), slot =
+    i*dim + j, of V_m(x) V_n(y) - V_n(y) V_m(x), V_{m+n}(xy) and 1."""
     mask, window = certified_window(N, ((banded(-m), banded(-n)), (banded(-n), banded(-m))))
     dim, w = len(get_basis(N)), get_basis(N).weights
-
-    def paths(x, y):
-        ends: dict[int, list[tuple[int, int]]] = {}
-        for b, (u, j) in enumerate(v_pattern(y, s, N)):
-            ends.setdefault(u, []).append((b, j))
-        return [(i * dim + j, a, b) for a, (i, u) in enumerate(v_pattern(x, s, N))
-                for b, j in ends.get(u, ()) if mask[w[i]][w[j]]]
-
-    def cells(pattern):
-        return [(i * dim + j, c) for c, (i, j) in enumerate(pattern) if mask[w[i]][w[j]]]
-    terms = (paths(m, n), paths(n, m), cells(v_pattern(m + n, s, N)), cells(v_pattern(0, s, N)))
-    slots = sorted({term[0] for ts in terms for term in ts})
-    at = {key: t for t, key in enumerate(slots)}
-    return (window, tuple(slots), *(tuple((at[key], *rest) for key, *rest in ts) for ts in terms))
-
-
-def _product_part(k: int, m: int, l: int, n: int, config: SectorConfig) -> tuple[list, int]:
-    """V1 V2 - V2 V1, V1 = V^(k)_m and V2 = V^(l)_n, as integer numerators over
-    d1 d2, one per slot of _commutator_tables(m, n), summed along its paths."""
-    (v1, d1), (v2, d2) = v_int(k, m, config), v_int(l, n, config)
-    _, slots, forward, backward, _, _ = _commutator_tables(m, n, config.s, config.N)
-    acc = [0] * len(slots)
-    for t, a, b in forward:
-        acc[t] += v1[a] * v2[b]
-    for t, a, b in backward:
-        acc[t] -= v2[a] * v1[b]
-    return acc, d1 * d2
+    product: dict[tuple[int, int, int], int] = {}
+    for left, right, sign in ((m, n, 1), (n, m, -1)):
+        right_rows = _v_terms(right, s, N)
+        for i, row in _v_terms(left, s, N).items():
+            for u, terms in row:
+                for j, other in right_rows.get(u, ()):
+                    if mask[w[i]][w[j]]:
+                        for a, c in terms:
+                            for b, d in other:
+                                key = (i * dim + j, a, b) if sign > 0 else (i * dim + j, b, a)
+                                product[key] = product.get(key, 0) + sign * c * d
+    third = {(i * dim + j, e, e): c for i, row in _v_terms(m + n, s, N).items()
+             for j, terms in row if mask[w[i]][w[j]] for e, c in terms}
+    ones = {(i * (dim + 1), 0, 0): 1 for i in range(dim) if mask[w[i]][w[i]]}
+    return window, product, third, ones
 
 
-def _commutator_entry(product, tables, basis, central: Fraction, third=((), 1),
-                      pref=Fraction(0)) -> dict | None:
-    """The earliest certified nonzero entry of L/d - pref A3/d3 - central, with
-    product = (L, d) from _product_part, tables from _commutator_tables and
-    third = (A3, d3) the numerators of V^(k+l)_{m+n} from v_int, over one
-    common denominator: the first nonzero slot."""
-    (acc, d), (a3, d3), (_, slots, _, _, third_slots, diagonal) = product, third, tables
-    den = d * d3 * pref.denominator * central.denominator
-    f, h = den // d, den // central.denominator * central.numerator
-    g = den // (d3 * pref.denominator) * pref.numerator
-    res = [f * v for v in acc]
-    if g:
-        for t, c in third_slots:
-            res[t] -= g * a3[c]
-    if h:
-        for t, _ in diagonal:
-            res[t] -= h
-    if not any(res):
+@lru_cache(maxsize=None)
+def _certificate(m: int, n: int, s: int, N: int) -> tuple[int, bool]:
+    """The window of the commutator checks of (m, n) and (n, m), m <= n, and
+    whether product = P third + G ones holds in _commutator_tables as Laurent
+    polynomials; that of (n, m) at (x, y) is minus that of (m, n) at (y, x)."""
+    window, product, third, ones = _commutator_tables(m, n, s, N)
+    residual = dict(product)
+    for (t, a, b), c in _relation(m, n):
+        for (slot, e, f), d in (ones if t else third).items():
+            residual[slot, a + e, b + f] = residual.get((slot, a + e, b + f), 0) - c * d
+    return window, not any(residual.values())
+
+
+def _residual_entry(k: int, m: int, l: int, n: int, config: SectorConfig, pref: Fraction,
+                    central: Fraction) -> dict | None:
+    """The least certified nonzero entry of [V^(k)_m, V^(l)_n] - pref V^(k+l)_{m+n}
+    - central 1, or None: at once if the certificate holds and pref and central
+    are P and G at x = p^k, y = p^l, else off the tables, over one denominator."""
+    s, N, p = config.s, config.N, config.p
+    at, den = _at(_relation(m, n), k, l, p)
+    agree = all(f.numerator * den == at.get(t, 0) * f.denominator
+                for t, f in ((0, pref), (1, central)))
+    if agree and _certificate(min(m, n), max(m, n), s, N)[1]:
         return None
-    t = next(t for t, v in enumerate(res) if v)
-    return _entry_evidence(basis, *divmod(slots[t], len(basis)), Fraction(res[t], den))
+    _, *tables = _commutator_tables(m, n, s, N)
+    (a, b), (c, e) = (pref.numerator, pref.denominator), (central.numerator, central.denominator)
+    residual, d = _at([(key, f * v) for table, f in zip(tables, (b * e, -a * e, -c * b))
+                       for key, v in table.items()], k, l, p)  # over d b e
+    t = min((t for t, v in residual.items() if v), default=None)
+    return None if t is None else _entry_evidence(
+        get_basis(N), *divmod(t, len(get_basis(N))), Fraction(residual[t], d * b * e))
 
 
 def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> CheckReport:
-    """[V^(k)_m, V^(l)_n] = (A1 A2 - A2 A1)/(d1 d2), on the integer forms Ai/di,
-    against pref V^(k+l)_{m+n} + central_term by integer cross-multiplication,
-    read on the certified window. At k+l = 0 and m+n = 0 the relation
-    degenerates to a pure central term, tried with both signs on one product;
-    the realized sign of that constant is reported, not presumed."""
+    """[V^(k)_m, V^(l)_n] = torus_prefactor V^(k+l)_{m+n} + central_term on
+    the certified window. At k+l = 0 and m+n = 0 the relation degenerates to
+    a pure central term, tried with both signs; the realized sign of that
+    constant is reported, not presumed."""
     params = {"k": k, "m": m, "l": l, "n": n, "s": config.s, "l_weight": config.l,
               "p": _p_label(config), "N": config.N}
     report = CheckReport("commutator", params, INSUFFICIENT)
-    N = config.N
+    N, p = config.N, config.p
     if max(abs(m), abs(n), abs(m + n)) > N:
         report.evidence = {"reason": "shift exceeds the cutoff"}
         return report
-    tables = _commutator_tables(m, n, config.s, N)
-    report.window = tables[0]
+    report.window = _certificate(min(m, n), max(m, n), config.s, N)[0]
     if report.window == 0:
         report.evidence = {"reason": "empty certified window"}
         return report
-    product, b = _product_part(k, m, l, n, config), get_basis(N)
     if k + l == 0 and m + n == 0:
         for sigma in (1, -1):
-            central = central_term(k, m, l, n, config.p, sigma)
-            if _commutator_entry(product, tables, b, central) is None:
+            if not _residual_entry(k, m, l, n, config, _ZERO, central_term(k, m, l, n, p, sigma)):
                 report.status = PASS
                 report.evidence = {"central_sign": sigma} if m else {}
                 return report
         report.status = FAIL
-        report.evidence = {"worst": _commutator_entry(product, tables, b, Fraction(0)),
+        report.evidence = {"worst": _residual_entry(k, m, l, n, config, _ZERO, _ZERO),
                            "reason": "central term matches neither sign"}
         return report
-    worst = _commutator_entry(product, tables, b, central_term(k, m, l, n, config.p),
-                              v_int(k + l, m + n, config),
-                              torus_prefactor(k, m, l, n, config.p))
+    worst = _residual_entry(k, m, l, n, config, torus_prefactor(k, m, l, n, p),
+                            central_term(k, m, l, n, p))
     report.status = PASS if worst is None else FAIL
     if worst:
         report.evidence = {"worst": worst}

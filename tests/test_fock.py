@@ -492,7 +492,7 @@ def test_checks_ask_for_the_written_chains(monkeypatch):
 
     for module in (symmetries, identities):
         monkeypatch.setattr(module, "certified_window", record)
-    symmetries._commutator_tables.cache_clear()
+    symmetries._certificate.cache_clear()
     args = cli._build_parser().parse_args(["verify", "all", "--K", "2", "--D", "2", "--NQ", "3"])
     for task in cli._task_list("all", cli.RunConfig.from_args(args)):
         cli.CHECKS[task["kind"]].run(task)

@@ -435,20 +435,21 @@ def _pattern_rows(m, config, values) -> dict:
     return rows
 
 
-def _slot_rows(slots, terms, den, N) -> dict:
-    """{i: {j: value}} of the terms (slot, numerator) over den, each slot read
-    as its key i*dim + j, the numerators of a slot summed and zeros dropped."""
+def _table_rows(table, k, l, p, N) -> dict:
+    """{i: {j: value}} of the terms {(slot, a, b): c} of c x^a y^b of a
+    commutator table at x = p^k, y = p^l, in Fraction powers, each slot read
+    as its key i*dim + j, the terms of a slot summed and zeros dropped."""
     acc = {}
-    for t, v in terms:
-        acc[slots[t]] = acc.get(slots[t], 0) + v
+    for (slot, a, b), c in table.items():
+        acc[slot] = acc.get(slot, 0) + c * Fraction(p) ** (k * a + l * b)
     rows = {}
-    for key, v in acc.items():
-        i, j = divmod(key, len(get_basis(N)))
+    for slot, v in acc.items():
+        i, j = divmod(slot, len(get_basis(N)))
         rows.setdefault(i, {})[j] = v
-    return _values(rows, den)
+    return _values(rows, 1)
 
 
-def test_integer_forms_hold_ints_in_lowest_terms(monkeypatch):
+def test_integer_forms_hold_ints_in_lowest_terms():
     config = SectorConfig(1, 6, Fraction(2, 3))
     for k, m in ((2, -3), (-1, 0), (0, 2), (1, 1)):
         values, den = fock.v_int(k, m, config)
@@ -461,31 +462,24 @@ def test_integer_forms_hold_ints_in_lowest_terms(monkeypatch):
         table, den = fock.pair_table(config.p, 6, family, 6)
         # the table is dense: its nonzero entries are in lowest terms with den
         assert _in_lowest_terms((v for row in table for v in row if v), den)
-    seen = []
-    monkeypatch.setattr(symmetries, "_product_part",
-                        lambda *a, f=symmetries._product_part: seen.append(f(*a)) or seen[-1])
     # at (2, 1, -1, 2) the residual vanishes on every certified cell; at
     # (1, -2, 2, 3) it has 60 nonzero entries, all in uncertified cells
     for (k, m, l, n), uncertified in (((2, 1, -1, 2), 0), ((1, -2, 2, 3), 60)):
-        seen.clear()
         assert commutator_check(k, m, l, n, config).status == PASS
-        (acc, den), = seen
-        # the product is filled over a common denominator, not reduced: only
-        # a reported entry becomes a Fraction
-        assert den > 0 and all(type(v) is int for v in acc)
+        window, *tables = symmetries._commutator_tables(m, n, 1, 6)
+        # the tables hold integer coefficients of monomials in x and y, on
+        # certified cells alone: no uncertified cell is formed
+        mask, w, dim = _commutator_mask(m, n, 6), get_basis(6).weights, len(get_basis(6))
+        assert all(type(c) is int and all(type(x) is int for x in key)
+                   for table in tables for key, c in table.items())
+        assert all(mask[w[key[0] // dim]][w[key[0] % dim]] for table in tables for key in table)
         v1, v2 = v_op(k, m, config), v_op(l, n, config)
         product = oracles.sub(oracles.matmul(v1, v2), oracles.matmul(v2, v1))
         residual = oracles.sub(product, oracles.scale(
             v_op(k + l, m + n, config), symmetries.torus_prefactor(k, m, l, n, config.p)))
-        mask, slots = _commutator_mask(m, n, 6), symmetries._commutator_tables(m, n, 1, 6)[1]
-        w, dim = get_basis(6).weights, len(get_basis(6))
         assert sum(not mask[w[i]][w[j]] for i, row in residual.rows.items()
                    for j in row) == uncertified
-        # one numerator per slot, each slot a certified cell: no uncertified
-        # cell is formed, and on the certified cells it is the Fraction product
-        assert len(acc) == len(slots)
-        assert all(mask[w[key // dim]][w[key % dim]] for key in slots)
-        assert _slot_rows(slots, enumerate(acc), den, 6) == _certified_rows(product.rows, mask, 6)
+        assert _table_rows(tables[0], k, l, config.p, 6) == _certified_rows(product.rows, mask, 6)
 
 
 @pytest.mark.parametrize("N,pairs", [
@@ -493,56 +487,50 @@ def test_integer_forms_hold_ints_in_lowest_terms(monkeypatch):
     (8, [(0, 0), (0, -2), (3, 0), (1, -1), (-4, 2), (2, 4)]),
 ])
 def test_commutator_tables_reproduce_the_products(N, pairs):
-    # the path tables, the V^(k+l)_{m+n} slots and the diagonal slots against
-    # Fraction operators on the certified cells; (k, l) = (0, 0) reads
-    # V^(0)_0, whose diagonal vanishes at the vacuum and keeps that entry
+    # the product, V^(k+l)_{m+n} and identity tables, evaluated at x = p^k
+    # and y = p^l, against Fraction operators on the certified cells;
+    # (k, l) = (0, 0) reads V^(0)_0, whose diagonal vanishes at the vacuum
     for s in (-1, 0, 1):
         config = SectorConfig(s, N, Fraction(2, 3))
         for m, n in pairs:
             mask = _commutator_mask(m, n, N)
             assert all(any(row) for row in mask)  # the mask reads every row weight
-            _, slots, forward, backward, third, diagonal = symmetries._commutator_tables(m, n, s, N)
+            _, product, third, ones = symmetries._commutator_tables(m, n, s, N)
             for k, l in ((0, 0), (1, -2)):
-                (v1, d1), (v2, d2) = fock.v_int(k, m, config), fock.v_int(l, n, config)
                 a1, a2 = v_op(k, m, config), v_op(l, n, config)
-                for paths, (x, y), (left, right) in ((forward, (v1, v2), (a1, a2)),
-                                                     (backward, (v2, v1), (a2, a1))):
-                    assert _slot_rows(slots, ((t, x[a] * y[b]) for t, a, b in paths),
-                                      d1 * d2, N) == (
-                        _certified_rows(oracles.matmul(left, right).rows, mask, N)), (s, m, n)
-                v3, d3 = fock.v_int(k + l, m + n, config)
-                assert _slot_rows(slots, ((t, v3[c]) for t, c in third), d3, N) == (
-                    _certified_rows(v_op(k + l, m + n, config).rows, mask, N)), (s, m, n)
-            ones = oracles.identity(config).rows
-            assert _slot_rows(slots, ((t, 1) for t, _ in diagonal), 1, N) == (
-                _certified_rows(ones, mask, N))
+                commutator = oracles.sub(oracles.matmul(a1, a2), oracles.matmul(a2, a1))
+                assert _table_rows(product, k, l, config.p, N) == (
+                    _certified_rows(commutator.rows, mask, N)), (s, m, n, k, l)
+                assert _table_rows(third, k, l, config.p, N) == (
+                    _certified_rows(v_op(k + l, m + n, config).rows, mask, N)), (s, m, n, k, l)
+                assert _table_rows(ones, k, l, config.p, N) == (
+                    _certified_rows(oracles.identity(config).rows, mask, N))
     assert fock.v_pattern(0, 0, N)[0] == (0, 0)
     assert fock.v_int(0, 0, SectorConfig(0, N, P))[0][0] == 0
 
 
 @pytest.mark.parametrize("N", [3, 6, 9])
 def test_commutator_slot_tables_hold_certified_cells_in_order(N):
-    # the keys ascend, so the first nonzero slot is the least (row, col); each
-    # is a certified cell that some term lands in; the V^(k+l)_{m+n} and
-    # diagonal slots are slots, and the diagonal ones are every certified (i, i)
+    # slots are keys i*dim + j, so they ascend as (row, col) does and the
+    # least nonzero slot is the least (row, col); every term sits on a
+    # certified cell, and the identity's terms are 1 on every certified (i, i)
     b = get_basis(N)
     dim, w = len(b), b.weights
+    cells = [(i, j) for i in range(dim) for j in range(dim)]
+    assert [i * dim + j for i, j in cells] == list(range(dim * dim))
     for s in (-1, 0, 1):
         for m in range(-3, 4):
             for n in range(-3, 4):
-                window, slots, forward, backward, third, diagonal = (
-                    symmetries._commutator_tables(m, n, s, N))
+                window, product, third, ones = symmetries._commutator_tables(m, n, s, N)
                 mask = _commutator_mask(m, n, N)
                 assert window == fock.certified_window(
                     N, ((banded(-m), banded(-n)), (banded(-n), banded(-m))))[1]
-                assert list(slots) == sorted(set(slots))
-                assert all(mask[w[key // dim]][w[key % dim]] for key in slots)
-                third_slots, diagonal_slots = {t for t, _ in third}, {t for t, _ in diagonal}
-                assert third_slots | diagonal_slots <= set(range(len(slots)))
-                assert {t for t, _, _ in forward + backward} | third_slots | diagonal_slots == (
-                    set(range(len(slots))))
-                assert [slots[t] for t, _ in diagonal] == [
-                    i * (dim + 1) for i in range(dim) if mask[w[i]][w[i]]]
+                for table in (product, third, ones):
+                    assert all(mask[w[slot // dim]][w[slot % dim]] for slot, _, _ in table)
+                assert ones == {(i * (dim + 1), 0, 0): 1 for i in range(dim)
+                                if mask[w[i]][w[i]]}
+                # V_{m+n}(xy) holds monomials (xy)^e alone
+                assert all(a == b for _, a, b in third)
 
 
 def test_commutator_masks_are_shared_by_both_orders():
@@ -553,10 +541,61 @@ def test_commutator_masks_are_shared_by_both_orders():
             chains = ((banded(-m), banded(-n)), (banded(-n), banded(-m)))
             assert fock.certified_window(6, chains) == fock.certified_window(6, chains[::-1])
     fock.certified_window.cache_clear()
-    symmetries._commutator_tables.cache_clear()
+    symmetries._certificate.cache_clear()
     config = SectorConfig(0, 6, Fraction(5, 7))
     assert all(commutator_check(*args, config).passed for args in COMMUTATOR_GRID)
     assert fock.certified_window.cache_info().misses == 28
+
+
+def test_commutator_certificate_is_built_once_per_pair_for_every_p(monkeypatch):
+    # the certificate depends on no p, k or l, and (n, m) shares the one of
+    # (m, n): after a cache clear, the grid at three p builds 28 certificates,
+    # and every check passes on the certificate alone
+    built = []
+    monkeypatch.setattr(symmetries, "_commutator_tables",
+                        lambda *a, f=symmetries._commutator_tables: built.append(a) or f(*a))
+    symmetries._certificate.cache_clear()
+    for p in (P, Fraction(2, 3), Fraction(5, 7)):
+        config = SectorConfig(0, 6, p)
+        assert all(commutator_check(*args, config).passed for args in COMMUTATOR_GRID)
+    assert symmetries._certificate.cache_info().misses == 28
+    assert sorted(built) == [(m, n, 0, 6) for m in range(-3, 4) for n in range(m, 4)]
+    assert all(symmetries._certificate(m, n, 0, 6)[1] for m, n, _, _ in built)
+
+
+def test_flipped_move_fails_commutators_as_fraction_oracle(monkeypatch):
+    # the sign of the first move of the shift by -1 flipped, in the move table
+    # that both the certificate and oracles.v_op read: the certificates with
+    # V_1 among their factors no longer hold, and the checks that read the
+    # flipped entry fail, each on the Fraction oracle's entry
+    config = SectorConfig(0, 6, Fraction(2, 3))
+
+    def flipped(m, s, N, f=fock.move_table):
+        moves = f(m, s, N)
+        if m != 1:
+            return moves
+        (i, j, sign, src), *rest = moves
+        return ((i, j, -sign, src), *rest)
+
+    for module in (fock, symmetries):
+        monkeypatch.setattr(module, "move_table", flipped)
+    caches = (fock.v_int, fock.v_pattern, oracles.v_op, symmetries._v_terms,
+              symmetries._certificate, symmetries._v_rows)
+    for cached in caches:
+        cached.cache_clear()
+    try:
+        lines = _same_reports(commutator_check, oracles.fraction_commutator_check,
+                              COMMUTATOR_GRID, [config])
+        broken = {(m, n) for m in range(-3, 4) for n in range(m, 4)
+                  if not symmetries._certificate(m, n, 0, 6)[1]}
+    finally:
+        for cached in caches:
+            cached.cache_clear()
+    failed = [line for line in lines if line["status"] == FAIL]
+    assert failed and broken
+    assert all(1 in (m, n, m + n) for m, n in broken)
+    assert all(line["evidence"]["worst"]["value"] != "0" for line in failed)
+    assert {tuple(sorted((line["params"]["m"], line["params"]["n"]))) for line in failed} <= broken
 
 
 # at each point the Fraction residual has nonzero rows of weight 6; rows of
@@ -644,17 +683,19 @@ def test_operator_reports_stable_under_cutoff_growth(p):
 
 
 def test_tracer_hooks_see_every_product(monkeypatch):
-    # fock.v_int is the one V builder, and the checks read it at call time, so
-    # a tracer that wraps it sees every V they build. The products are formed
-    # inside the checks, the commutator's along its path tables and the first
-    # shift's row by row, so they count under the checks themselves
+    # fock.v_int is the one V builder of the first shift, which reads it at
+    # call time, so a tracer that wraps it sees every V the shift builds; its
+    # products are formed row by row inside the check. The commutator reads no
+    # V numerators: its certificate is built from move_table, for every p
     assert symmetries.v_int is fock.v_int
     seen = []
     monkeypatch.setattr(symmetries, "v_int", lambda *a, f=fock.v_int: seen.append(a[:2]) or f(*a))
     config = SectorConfig(0, 4, Fraction(5, 13))
+    symmetries._certificate.cache_clear()
     assert commutator_check(1, 2, -1, 1, config).passed
+    assert seen == []
     assert first_shift_check("G", 1, 0, config).passed
-    assert seen == [(1, 2), (-1, 1), (0, 3), (1, 0), (1, 1)]
+    assert seen == [(1, 0), (1, 1)]
 
 
 def test_reports_are_deterministic():
