@@ -135,9 +135,10 @@ def _v_terms(m: int, s: int, N: int) -> dict[int, list]:
 
 @lru_cache(maxsize=None)
 def _relation(m: int, n: int) -> tuple:
-    """The terms ((t, a, b), c) of c x^a y^b in [V_m(x), V_n(y)] = P V_{m+n}(xy)
-    + G: t = 0 for P = y^m x^-n - x^n y^-m, t = 1 for G, at m + n = 0 -P
-    q^j/(1 - q^j) with q^j = (xy)^2, sign(m) sum_{i<|m|} (xy)^(2-|m|+2i)."""
+    """The terms ((t, a, b), c) of c x^a y^b of [V_m(x), V_n(y)] = P V_{m+n}(xy)
+    + G: t = 0 for P = y^m x^-n - x^n y^-m, t = 1 for G, which is 0 unless
+    m + n = 0, where -P q^j/(1 - q^j) with q^j = (xy)^2 is the geometric sum
+    sign(m) sum_{i<|m|} (xy)^(2-|m|+2i)."""
     return (((0, -n, m), 1), ((0, n, -m), -1), *(
         ((1, e, e), (m > 0) - (m < 0)) for e in range(2 - abs(m), abs(m) + 1, 2) if m + n == 0))
 
