@@ -24,11 +24,12 @@ the mask are never used.
 
 Operators are held, never combined, and always in integer form: integer
 numerators over one denominator. The particle moves of a shift depend on it,
-the charge and the cutoff alone, and are built once, in move_table. v_int,
-the one builder of V^(k)_m at a p, lays the numerators of +-p^v_exponent out
-along v_pattern, the moves (at m = 0 the potential diagonal); J_k puts its sign
-on each move, a transfer exponent +-c_k. Only the first shift forms products
-from these numerators; the commutator certificate reads the moves, for every p.
+the charge and the cutoff alone, and are built once, in move_table. v_terms,
+the one builder of V^(k)_m, writes each entry p-free as a Laurent polynomial in
+x = p^k, one term per move (at m = 0 per level of the potential diagonal), and
+v_rows evaluates it at a p; J_k puts its sign on each move, a transfer exponent
++-c_k. The commutator certificate reads the terms, for every p; the first shift
+forms products from the rows, and the second compares exponents of the terms.
 Of the transfer exponentials only G_- = exp(X), X = sum_k
 c_k J_{-k}, is ever formed; G_+ is its transpose. The parts of X commute, so
 with E the weight diagonal [E, G_-] = Y G_- = G_- Y, Y = [E, X] = sum_k k c_k
@@ -247,42 +248,38 @@ def move_table(m: int, s: int, N: int) -> tuple[tuple[int, int, int, int], ...]:
     return tuple(moves)
 
 
-def v_exponent(k: int, m: int, src: int) -> int:
-    """The power of p that V^(k)_m puts on moving the particle at level src."""
-    return 2 * k * src - k * m
+@lru_cache(maxsize=None)
+def v_terms(m: int, s: int, N: int) -> dict[int, list[tuple[int, int, int]]]:
+    """V^(k)_m of the charge-s sector cut at N for every k, p-free, as rows
+    {i: [(j, e, c), ...]}: the entry (i, j) is the sum of its terms c x^e, x = p^k.
+    Each move of move_table gives one term sign x^(2 src - m); at m = 0 each
+    diagonal entry has one term sign x^(2 level) per level of maya_diag_levels."""
+    rows: dict[int, list[tuple[int, int, int]]] = {}
+    for i, j, sign, src in move_table(m, s, N) if m else ():
+        rows.setdefault(i, []).append((j, 2 * src - m, sign))
+    for i, mu in enumerate(get_basis(N).parts) if m == 0 else ():
+        rows[i] = [(i, 2 * x, sign) for sign, x in maya_diag_levels(mu.parts, s)]
+    return rows
 
 
 @lru_cache(maxsize=None)
-def v_pattern(m: int, s: int, N: int) -> tuple[tuple[int, int], ...]:
-    """The (row, col) of each entry V^(k)_m can hold, whatever k: the moves of
-    move_table, which give distinct pairs, or at m = 0 the basis diagonal,
-    with the entries that vanish (V^(0)_0 at the vacuum) kept."""
-    if m:
-        return tuple((i, j) for i, j, _, _ in move_table(m, s, N))
-    return tuple((i, i) for i in range(len(get_basis(N))))
-
-
-@lru_cache(maxsize=None)
-def v_int(k: int, m: int, config: SectorConfig) -> tuple[tuple[int, ...], int]:
-    """V^(k)_m = q^{-km/2} sum_n q^{kn} :psi_{m-n} psi*_n: as integer numerators
-    aligned with v_pattern(m, s, N) over one denominator, in lowest terms: the
-    power_form of +-p^v_exponent on each move, or at m = 0 the diagonal of the
-    potential eigenvalues, the signed sums of p^v_exponent over the levels of
-    maya_diag_levels, read off one power_form."""
+def v_rows(k: int, m: int, config: SectorConfig) -> tuple[dict[int, dict[int, int]], int]:
+    """V^(k)_m = q^{-km/2} sum_n q^{kn} :psi_{m-n} psi*_n: as integer rows
+    {i: {j: numerator}} over one denominator, in lowest terms: the v_terms at
+    x = p^k, read off one power_form over their distinct exponents k e. For
+    m != 0 each entry is one term; at m = 0 each diagonal entry sums its
+    levels, the zero sums are dropped and the common gcd divided out."""
     if abs(m) > config.N:
         raise ValueError(f"|m| = {abs(m)} exceeds the cutoff {config.N}")
-    s, p = config.s, config.p
-    if m == 0:
-        levels = [maya_diag_levels(mu.parts, s) for mu in get_basis(config.N).parts]
-        exps = sorted({v_exponent(k, 0, x) for terms in levels for _, x in terms})
-        nums, den = power_form(p, exps)
-        pw = dict(zip(exps, nums))
-        diag = [sum(sign * pw[v_exponent(k, 0, x)] for sign, x in terms) for terms in levels]
-        g = math.gcd(den, *diag)
-        return tuple(v // g for v in diag), den // g
-    moves = move_table(m, s, config.N)
-    nums, den = power_form(p, [v_exponent(k, m, src) for _, _, _, src in moves])
-    return tuple(v if sign > 0 else -v for (_, _, sign, _), v in zip(moves, nums)), den
+    terms = v_terms(m, config.s, config.N)
+    exps = sorted({k * e for row in terms.values() for _, e, _ in row})
+    nums, den = power_form(config.p, exps)
+    pw = dict(zip(exps, nums))
+    if m:
+        return {i: {j: c * pw[k * e] for j, e, c in row} for i, row in terms.items()}, den
+    diag = {i: sum(c * pw[k * e] for _, e, c in row) for i, row in terms.items()}
+    g = math.gcd(den, *diag.values())
+    return {i: {i: v // g} for i, v in diag.items() if v}, den // g
 
 
 @lru_cache(maxsize=None)

@@ -24,8 +24,9 @@ from fractions import Fraction
 from functools import cache, lru_cache
 
 from .algebra import SeriesContext, TruncatedSeries, format_rational, parse_monomial_label
-from .fock import FULL, banded, certified_window, get_basis, transfer_row, w0_diag
-from .models import ModelParams, z_series, zprime_series
+from .fock import (FULL, banded, certified_window, get_basis, maya_diag_levels, transfer_row,
+                   w0_diag)
+from .models import ModelParams, charge_offset, z_series, zprime_series
 from .series import GradedSeries, first_difference, first_nonzero
 from .symmetries import (
     FAIL,
@@ -144,10 +145,11 @@ def check_prev_reduction(params: ModelParams) -> CheckReport:
 def ground_action_constants(s: int, p: Fraction, N: int) -> CheckReport:
     """Inverse-free form of the ground-state actions: <s|G_- = <s| and
     G"_+|s> = |s>, plus the W0 eigenvalue of the vacuum matching
-    s(s+1)(2s+1)/6, which makes the two dressing scalars p^{-+ that}. The
-    transfer half holds by construction: no weight lies below the vacuum's,
-    so transfer_row returns the vacuum without reading a coupling. Only the
-    W0 half can fail."""
+    s(s+1)(2s+1)/6, which makes the two dressing scalars p^{-+ that}, and its
+    L0 eigenvalue, the signed sum of the levels of maya_diag_levels, matching
+    models.charge_offset. The transfer half holds by construction: no weight
+    lies below the vacuum's, so transfer_row returns the vacuum without
+    reading a coupling. Only the W0 and L0 halves can fail."""
     p = Fraction(p)
     params_dict = {"s": s, "p": format_rational(p), "N": N}
     vac = ({0: 1}, 1)
@@ -156,7 +158,8 @@ def ground_action_constants(s: int, p: Fraction, N: int) -> CheckReport:
     col = transfer_row(vac, p, N, "alternating")
     w0_vac = w0_diag(s, N)[0]
     expected = s * (s + 1) * (2 * s + 1) // 6
-    ok = row == vac and col == vac and w0_vac == expected
+    l0_vac = sum(sign * x for sign, x in maya_diag_levels((), s))
+    ok = row == vac and col == vac and w0_vac == expected and l0_vac == charge_offset(s)
     report = CheckReport("ground_action", params_dict, PASS if ok else FAIL)
     report.window = 2 * len(get_basis(N))
     report.evidence = {

@@ -11,11 +11,12 @@ V^(k)_m is a Laurent polynomial in x = p^k, and _certificate checks
 [V_m(x), V_n(y)] = P V_{m+n}(xy) + G on every certified cell as integer
 Laurent polynomials, so a check only compares its two relation values with P
 and G at its point; if they differ, or the certificate fails, it evaluates
-the cells there and reports the first nonzero one. The first shift's G_-G_+
-is the dense integer fock.pair_table and its V's are fock.v_int's;
-_sandwich_entry, the kernel the intertwining check of identities shares,
-forms c T + f L T + T f' R on it, row by row, and stops at the first nonzero
-entry. The second shift compares exponents of p move by move.
+the cells there and reports the first nonzero one; the certificate reads the
+p-free terms of fock.v_terms. The first shift's G_-G_+ is the dense integer
+fock.pair_table and its V's are the integer fock.v_rows; _sandwich_entry, the
+kernel the intertwining check of identities shares, forms c T + f L T + T f' R
+on it, row by row, and stops at the first nonzero entry. The second shift
+compares the exponents of fock.v_terms term by term.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from functools import lru_cache
 
 from .algebra import format_rational
 from .fock import (LOWERING, RAISING, SectorConfig, banded, certified_window, get_basis,
-                   maya_diag_levels, move_table, pair_table, v_exponent, v_int,
-                   v_pattern, w0_diag)
+                   pair_table, v_rows, v_terms, w0_diag)
 
 PASS = "pass"
 FAIL = "fail"
@@ -82,11 +82,11 @@ def torus_prefactor(k: int, m: int, l: int, n: int, p: Fraction) -> Fraction:
     return Fraction(a * a - b * b, a * b) if l * m >= k * n else Fraction(b * b - a * a, a * b)
 
 
-def central_term(k: int, m: int, l: int, n: int, p: Fraction, sign: int = 1) -> Fraction:
-    """The identity coefficient of [V^(k)_m, V^(l)_n]: sign * m at k+l = 0 = m+n,
-    for the sign the sector realizes, else -pref c(k+l) at m+n = 0, else 0."""
+def central_term(k: int, m: int, l: int, n: int, p: Fraction) -> Fraction:
+    """The identity coefficient of [V^(k)_m, V^(l)_n]: m at k+l = 0 = m+n, the
+    certificate's G at xy = 1, else -pref c(k+l) at m+n = 0, else 0."""
     if k + l == 0 and m + n == 0:
-        return Fraction(sign * m)
+        return Fraction(m)
     if m + n:
         return _ZERO
     return -torus_prefactor(k, m, l, n, p) * torus_constant(k + l, p)
@@ -122,18 +122,6 @@ def _sandwich_entry(table, left, right, diag: int, mask, basis, f_left: int = 1,
 
 
 @lru_cache(maxsize=None)
-def _v_terms(m: int, s: int, N: int) -> dict[int, list]:
-    """V^(k)_m by rows {i: [(j, ((e, c), ...))]}, entries sum c x^e, x = p^k: sign
-    x^(2 src - m) per move of move_table, at m = 0 summed over maya_diag_levels."""
-    rows: dict[int, list] = {}
-    for i, j, sign, src in move_table(m, s, N) if m else ():
-        rows.setdefault(i, []).append((j, ((2 * src - m, sign),)))
-    for i, mu in enumerate(get_basis(N).parts) if m == 0 else ():
-        rows[i] = [(i, tuple((2 * x, sign) for sign, x in maya_diag_levels(mu.parts, s)))]
-    return rows
-
-
-@lru_cache(maxsize=None)
 def _relation(m: int, n: int) -> tuple:
     """The terms ((t, a, b), c) of c x^a y^b of [V_m(x), V_n(y)] = P V_{m+n}(xy)
     + G: t = 0 for P = y^m x^-n - x^n y^-m, t = 1 for G, which is 0 unless
@@ -163,17 +151,15 @@ def _commutator_tables(m: int, n: int, s: int, N: int) -> tuple[int, dict, dict,
     dim, w = len(get_basis(N)), get_basis(N).weights
     product: dict[tuple[int, int, int], int] = {}
     for left, right, sign in ((m, n, 1), (n, m, -1)):
-        right_rows = _v_terms(right, s, N)
-        for i, row in _v_terms(left, s, N).items():
-            for u, terms in row:
-                for j, other in right_rows.get(u, ()):
+        right_rows = v_terms(right, s, N)
+        for i, row in v_terms(left, s, N).items():
+            for u, a, c in row:
+                for j, b, d in right_rows.get(u, ()):
                     if mask[w[i]][w[j]]:
-                        for a, c in terms:
-                            for b, d in other:
-                                key = (i * dim + j, a, b) if sign > 0 else (i * dim + j, b, a)
-                                product[key] = product.get(key, 0) + sign * c * d
-    third = {(i * dim + j, e, e): c for i, row in _v_terms(m + n, s, N).items()
-             for j, terms in row if mask[w[i]][w[j]] for e, c in terms}
+                        key = (i * dim + j, a, b) if sign > 0 else (i * dim + j, b, a)
+                        product[key] = product.get(key, 0) + sign * c * d
+    third = {(i * dim + j, e, e): c for i, row in v_terms(m + n, s, N).items()
+             for j, e, c in row if mask[w[i]][w[j]]}
     ones = {(i * (dim + 1), 0, 0): 1 for i in range(dim) if mask[w[i]][w[i]]}
     return window, product, third, ones
 
@@ -213,9 +199,9 @@ def _residual_entry(k: int, m: int, l: int, n: int, config: SectorConfig, pref: 
 
 def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> CheckReport:
     """[V^(k)_m, V^(l)_n] = torus_prefactor V^(k+l)_{m+n} + central_term on
-    the certified window. At k+l = 0 and m+n = 0 the relation degenerates to
-    a pure central term, tried with both signs; the realized sign of that
-    constant is reported, not presumed."""
+    the certified window. At k+l = 0 and m+n = 0 the prefactor vanishes and
+    the relation degenerates to the central term m, whose sign the certificate
+    fixes; a pass with m != 0 reports that sign, central_sign 1."""
     params = {"k": k, "m": m, "l": l, "n": n, "s": config.s, "l_weight": config.l,
               "p": _p_label(config), "N": config.N}
     report = CheckReport("commutator", params, INSUFFICIENT)
@@ -227,33 +213,14 @@ def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> Ch
     if report.window == 0:
         report.evidence = {"reason": "empty certified window"}
         return report
-    if k + l == 0 and m + n == 0:
-        for sigma in (1, -1):
-            if not _residual_entry(k, m, l, n, config, _ZERO, central_term(k, m, l, n, p, sigma)):
-                report.status = PASS
-                report.evidence = {"central_sign": sigma} if m else {}
-                return report
-        report.status = FAIL
-        report.evidence = {"worst": _residual_entry(k, m, l, n, config, _ZERO, _ZERO),
-                           "reason": "central term matches neither sign"}
-        return report
     worst = _residual_entry(k, m, l, n, config, torus_prefactor(k, m, l, n, p),
                             central_term(k, m, l, n, p))
     report.status = PASS if worst is None else FAIL
     if worst:
         report.evidence = {"worst": worst}
+    elif m and k + l == 0 and m + n == 0:
+        report.evidence = {"central_sign": 1}
     return report
-
-
-@lru_cache(maxsize=None)
-def _v_rows(k: int, m: int, config: SectorConfig) -> tuple[dict[int, dict[int, int]], int]:
-    """V^(k)_m as integer rows {i: {j: numerator}} and v_int's denominator,
-    laid out along v_pattern."""
-    values, den = v_int(k, m, config)
-    rows: dict[int, dict[int, int]] = {}
-    for (i, j), v in zip(v_pattern(m, config.s, config.N), values):
-        rows.setdefault(i, {})[j] = v
-    return rows, den
 
 
 def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> CheckReport:
@@ -289,7 +256,7 @@ def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> Che
     parity = (-1) ** k if variant == "G" else 1
     c = torus_constant(upper, config.p)
     table, d_g = pair_table(config.p, N, "plain" if variant == "G" else "alternating", N)
-    (v_l, d_l), (v_r, d_r) = _v_rows(upper, m, config), _v_rows(upper, m + k, config)
+    (v_l, d_l), (v_r, d_r) = v_rows(upper, m, config), v_rows(upper, m + k, config)
     c_g = (c if m == 0 else 0) - parity * (c if m + k == 0 else 0)  # c_L - parity c_R
     d_c = c_g.denominator
     # over d_g d_l d_r d_c, f_left V_R T is -parity V_R G, T f_right V_L is
@@ -308,9 +275,9 @@ def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> Che
 def second_shift_check(k: int, m: int, config: SectorConfig) -> CheckReport:
     """q^{W0/2} V^(k)_m q^{-W0/2} = V^(k-m)_m, checked entrywise as
     p^{w(row)-w(col)} V^(k)_m = V^(k-m)_m; exact on the whole window. Each
-    side puts sign p^e on each move of move_table, so the exponents are
-    compared move by move, a differing pair reported as sign (p^a - p^b).
-    The m = 0 member is diagonal and has no moves."""
+    side puts c p^{k' e} on each term c x^e of fock.v_terms, k' = k or k - m,
+    so the exponents are compared term by term, a differing pair reported as
+    c (p^a - p^b). At m = 0 the row and column agree, and so do k e and k' e."""
     params = {"k": k, "m": m, "s": config.s, "p": _p_label(config), "N": config.N}
     report = CheckReport("second_shift", params, INSUFFICIENT)
     if abs(m) > config.N:
@@ -320,10 +287,11 @@ def second_shift_check(k: int, m: int, config: SectorConfig) -> CheckReport:
     mask, report.window = certified_window(config.N, band=-m)
     w0, p, w = w0_diag(config.s, config.N), config.p, get_basis(config.N).weights
     worst = None
-    for i, j, sign, src in move_table(m, config.s, config.N) if m else ():
-        a, b = w0[i] - w0[j] + v_exponent(k, m, src), v_exponent(k - m, m, src)
-        if a != b and mask[w[i]][w[j]] and (worst is None or (i, j) < worst[:2]):
-            worst = i, j, sign * (p ** a - p ** b)
+    for i, row in v_terms(m, config.s, config.N).items():
+        for j, e, c in row:
+            a, b = w0[i] - w0[j] + k * e, (k - m) * e
+            if a != b and mask[w[i]][w[j]] and (worst is None or (i, j) < worst[:2]):
+                worst = i, j, c * (p ** a - p ** b)
     worst = worst and _entry_evidence(get_basis(config.N), *worst)
     report.status = PASS if worst is None else FAIL
     if worst:

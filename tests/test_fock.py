@@ -167,16 +167,20 @@ def test_v_op_matches_bilinear_oracle(N, p):
 
 
 def test_move_table_built_once_per_shift():
-    # a p no other test draws, so every V below is built here
+    # a p no other test draws, so every V below is built here; the p-free
+    # terms are built once per shift, whatever k, and each reads its moves once
     N, s = 4, 1
     c = cfg(s=s, N=N, p=Fraction(5, 11))
     move_table.cache_clear()
+    fock.v_terms.cache_clear()
     for k in range(-4, 5):
         for m in range(-N, N + 1):
-            fock.v_int(k, m, c)
+            fock.v_rows(k, m, c)
     shifts = 2 * N  # every m != 0; the m = 0 diagonal needs no moves
     info = move_table.cache_info()
-    assert (info.misses, info.hits) == (shifts, 8 * shifts)
+    assert (info.misses, info.hits) == (shifts, 0)
+    info = fock.v_terms.cache_info()
+    assert (info.misses, info.hits) == (shifts + 1, 8 * (shifts + 1))
     assert move_table(1, s, N) is move_table(1, s, N)
 
 
@@ -189,16 +193,15 @@ def test_move_table_matches_oracle_moves(N):
             assert move_table(m, s, N) == oracles.move_table_by_moves(m, s, N), (m, s)
 
 
-def test_v_int_reads_no_fraction_power(monkeypatch):
-    # V's numerators come off move_table, or at m = 0 off the Maya levels,
-    # through power_form, with no Fraction power; no Fraction operator is left
-    # in fock
+def test_v_rows_reads_no_fraction_power(monkeypatch):
+    # V's numerators come off the p-free v_terms through power_form, with no
+    # Fraction power; no Fraction operator is left in fock
     calls = []
     monkeypatch.setattr(Fraction, "__pow__", lambda *a, f=Fraction.__pow__: calls.append(a) or f(*a))
     c = cfg(s=1, N=5, p=Fraction(7, 17))
     for k in range(-3, 4):
         for m in (-5, -2, 0, 1, 4):
-            fock.v_int.__wrapped__(k, m, c)
+            fock.v_rows.__wrapped__(k, m, c)
     assert calls == []
     assert not {"v_op", "j_op", "SectorOperator"} & set(vars(fock))
 

@@ -63,12 +63,11 @@ def test_commutator_zero_prefactor_cases():
 
 
 def test_commutator_central_sign_reported():
-    rep = commutator_check(0, 1, 0, -1, cfg())
-    assert rep.status == PASS
-    assert rep.evidence["central_sign"] in (1, -1)
-    rep2 = commutator_check(2, 3, -2, -3, cfg())
-    assert rep2.status == PASS
-    assert rep2.evidence["central_sign"] == rep.evidence["central_sign"]
+    # the certificate fixes the degenerate central term as m, so the sign is 1
+    for k, m in ((0, 1), (2, 3), (1, -2)):
+        rep = commutator_check(k, m, -k, -m, cfg())
+        assert rep.status == PASS and rep.evidence == {"central_sign": 1}, (k, m)
+    assert commutator_check(1, 0, -1, 0, cfg()).evidence == {}
 
 
 def test_commutator_insufficient_window():
@@ -218,8 +217,8 @@ def test_first_shift_reports_match_fraction_oracle(p):
 
 
 def _doubled_identity(monkeypatch):
-    # every commutator central term, the degenerate sigma * m included, comes
-    # out twice too large; both commutator routes read it from central_term
+    # every commutator central term, the degenerate m included, comes out
+    # twice too large; both commutator routes read it from central_term
     monkeypatch.setattr(symmetries, "central_term",
                         lambda *a, f=symmetries.central_term: 2 * f(*a))
 
@@ -231,15 +230,26 @@ def _doubled_shift_identity(monkeypatch):
                         lambda j, p, f=symmetries.torus_constant: 2 * f(j, p))
 
 
+def _unsigned_degenerate(monkeypatch):
+    # the degenerate central term as |m|, right for m > 0 alone: a check that
+    # also tried the sign -1 would pass it
+    monkeypatch.setattr(symmetries, "central_term", lambda k, m, l, n, p,
+                        f=symmetries.central_term: Fraction(abs(m)) if k + l == 0 == m + n
+                        else f(k, m, l, n, p))
+
+
 WRONG_RELATIONS = {
     "flipped_prefactor": lambda mp: mp.setattr(
         symmetries, "torus_prefactor", lambda *a, f=symmetries.torus_prefactor: -f(*a)),
     "wrong_constant": lambda mp: mp.setattr(
         symmetries, "torus_constant", lambda j, p, f=symmetries.torus_constant: f(j, p) + 1),
     "doubled_identity": _doubled_identity,
+    "unsigned_degenerate": _unsigned_degenerate,
 }
 # the first shift takes its c * 1 from torus_constant, not central_term
 FIRST_SHIFT_RELATIONS = dict(WRONG_RELATIONS, doubled_identity=_doubled_shift_identity)
+# the first shift reads neither the torus prefactor nor the degenerate central term
+FIRST_SHIFT_BLIND = ("flipped_prefactor", "unsigned_degenerate")
 
 
 @pytest.mark.parametrize("wrong", sorted(WRONG_RELATIONS))
@@ -255,11 +265,18 @@ def test_wrong_relations_fail_as_in_fraction_oracle(wrong):
             relations[wrong](mp)
             lines = _same_reports(check, oracle, points, [config])
         failed[check] = [line for line in lines if line["status"] == FAIL]
-    # the first shift reads no torus prefactor; every other fault reaches both
+    # every fault reaches the commutators, and all but the blind ones the first shift
     assert failed[commutator_check]
-    assert bool(failed[first_shift_check]) == (wrong != "flipped_prefactor")
+    assert bool(failed[first_shift_check]) == (wrong not in FIRST_SHIFT_BLIND)
     assert all(line["evidence"]["worst"]["value"] != "0"
                for lines in failed.values() for line in lines)
+    if wrong == "unsigned_degenerate":
+        # exactly the degenerate points with m < 0 fail, on the central term 2m
+        degenerate = [(k, m, l, n) for k, m, l, n in grid if k + l == 0 == m + n and m < 0]
+        assert sorted(tuple(line["params"][x] for x in "kmln")
+                      for line in failed[commutator_check]) == sorted(degenerate)
+        assert all(Fraction(line["evidence"]["worst"]["value"]) == 2 * line["params"]["m"]
+                   for line in failed[commutator_check])
 
 
 def _fractions_of_small_height():
@@ -304,24 +321,27 @@ def test_wrong_relations_fail_after_a_warm_pass():
                 relations[wrong](mp)
                 lines = _same_reports(check, oracle, points, [config])
             failed = [line for line in lines if line["status"] == FAIL]
-            # the first shift reads no torus prefactor
-            assert bool(failed) == (check is commutator_check or wrong != "flipped_prefactor"), (
+            assert bool(failed) == (check is commutator_check or wrong not in FIRST_SHIFT_BLIND), (
                 wrong, check.__name__)
 
 
 def test_flipped_v_numerator_fails_first_shift_as_fraction_oracle(monkeypatch):
-    # one numerator of V^(1)_1 negated, in the table both routes read: the
-    # checks whose V factors include it fail, each on the oracle's entry
+    # one numerator of V^(1)_1 negated, that of the first move, in the rows
+    # both routes read: the checks whose V factors include it fail, each on
+    # the oracle's entry
     config = SectorConfig(0, 6, Fraction(2, 3))
+    i, j, _, _ = fock.move_table(1, 0, 6)[0]
 
-    def flipped(k, m, config, f=fock.v_int):
-        values, den = f(k, m, config)
-        return ((-values[0], *values[1:]) if (k, m) == (1, 1) else values), den
+    def flipped(k, m, config, f=fock.v_rows):
+        rows, den = f(k, m, config)
+        if (k, m) != (1, 1):
+            return rows, den
+        return {**rows, i: {**rows[i], j: -rows[i][j]}}, den
 
     for module in (symmetries, oracles):
-        monkeypatch.setattr(module, "v_int", flipped)
-    # both routes cache what they read of v_int
-    caches = (oracles.v_op, symmetries._v_rows)
+        monkeypatch.setattr(module, "v_rows", flipped)
+    # the oracle caches what it reads of v_rows
+    caches = (oracles.v_op,)
     for cached in caches:
         cached.cache_clear()
     try:
@@ -353,8 +373,9 @@ SECOND_SHIFT_GRID = [(k, m) for k in range(-2, 3) for m in range(-2, 3)]
 
 @pytest.mark.parametrize("p", [P, Fraction(2, 3), Fraction(3, 7)])
 def test_second_shift_reports_match_fraction_oracle(p):
-    # both routes take V from fock.v_int, so a wrong exponent helper would move
-    # both sides at once; test_v_op_matches_bilinear_oracle is the test that
+    # both routes take V from fock.v_terms, the package's directly and the
+    # oracle's through fock.v_rows, so a wrong term exponent would move both
+    # sides at once; test_v_op_matches_bilinear_oracle is the test that
     # catches it
     lines = _same_reports(second_shift_check, oracles.fraction_second_shift_check,
                           SECOND_SHIFT_GRID,
@@ -427,14 +448,6 @@ def _certified_rows(rows, mask, N) -> dict:
                     for i, row in rows.items()}, 1)
 
 
-def _pattern_rows(m, config, values) -> dict:
-    """{i: {j: value}} of values aligned with fock.v_pattern(m, s, N)."""
-    rows = {}
-    for (i, j), v in zip(fock.v_pattern(m, config.s, config.N), values):
-        rows.setdefault(i, {})[j] = v
-    return rows
-
-
 def _table_rows(table, k, l, p, N) -> dict:
     """{i: {j: value}} of the terms {(slot, a, b): c} of c x^a y^b of a
     commutator table at x = p^k, y = p^l, in Fraction powers, each slot read
@@ -452,12 +465,11 @@ def _table_rows(table, k, l, p, N) -> dict:
 def test_integer_forms_hold_ints_in_lowest_terms():
     config = SectorConfig(1, 6, Fraction(2, 3))
     for k, m in ((2, -3), (-1, 0), (0, 2), (1, 1)):
-        values, den = fock.v_int(k, m, config)
-        # only the m = 0 diagonal keeps zeros, at its place in v_pattern
-        assert m == 0 or 0 not in values
-        assert _in_lowest_terms((v for v in values if v), den)
-        assert _values(_pattern_rows(m, config, values), den) == (
-            oracles.v_op_by_bilinears(k, m, config).rows)
+        rows, den = fock.v_rows(k, m, config)
+        # no row is empty, and no zero is kept
+        assert all(rows.values())
+        assert _in_lowest_terms((v for row in rows.values() for v in row.values()), den)
+        assert _values(rows, den) == oracles.v_op_by_bilinears(k, m, config).rows
     for family in ("plain", "alternating"):
         table, den = fock.pair_table(config.p, 6, family, 6)
         # the table is dense: its nonzero entries are in lowest terms with den
@@ -505,8 +517,9 @@ def test_commutator_tables_reproduce_the_products(N, pairs):
                     _certified_rows(v_op(k + l, m + n, config).rows, mask, N)), (s, m, n, k, l)
                 assert _table_rows(ones, k, l, config.p, N) == (
                     _certified_rows(oracles.identity(config).rows, mask, N))
-    assert fock.v_pattern(0, 0, N)[0] == (0, 0)
-    assert fock.v_int(0, 0, SectorConfig(0, N, P))[0][0] == 0
+    # the charge-0 vacuum has no level to sum: V^(k)_0 holds no term there
+    assert fock.v_terms(0, 0, N)[0] == []
+    assert 0 not in fock.v_rows(0, 0, SectorConfig(0, N, P))[0]
 
 
 @pytest.mark.parametrize("N", [3, 6, 9])
@@ -563,10 +576,11 @@ def test_commutator_certificate_is_built_once_per_pair_for_every_p(monkeypatch):
 
 
 def test_flipped_move_fails_commutators_as_fraction_oracle(monkeypatch):
-    # the sign of the first move of the shift by -1 flipped, in the move table
-    # that both the certificate and oracles.v_op read: the certificates with
-    # V_1 among their factors no longer hold, and the checks that read the
-    # flipped entry fail, each on the Fraction oracle's entry
+    # the sign of the first move of the shift by -1 flipped, in fock.move_table
+    # alone: fock.v_terms is the one V builder, so the flip reaches the
+    # certificate, the first shift's rows and oracles.v_op alike. The
+    # certificates with V_1 among their factors no longer hold, and the checks
+    # that read the flipped entry fail, each on the Fraction oracle's entry
     config = SectorConfig(0, 6, Fraction(2, 3))
 
     def flipped(m, s, N, f=fock.move_table):
@@ -576,10 +590,8 @@ def test_flipped_move_fails_commutators_as_fraction_oracle(monkeypatch):
         (i, j, sign, src), *rest = moves
         return ((i, j, -sign, src), *rest)
 
-    for module in (fock, symmetries):
-        monkeypatch.setattr(module, "move_table", flipped)
-    caches = (fock.v_int, fock.v_pattern, oracles.v_op, symmetries._v_terms,
-              symmetries._certificate, symmetries._v_rows)
+    monkeypatch.setattr(fock, "move_table", flipped)
+    caches = (fock.v_terms, fock.v_rows, oracles.v_op, symmetries._certificate)
     for cached in caches:
         cached.cache_clear()
     try:
@@ -587,9 +599,12 @@ def test_flipped_move_fails_commutators_as_fraction_oracle(monkeypatch):
                               COMMUTATOR_GRID, [config])
         broken = {(m, n) for m in range(-3, 4) for n in range(m, 4)
                   if not symmetries._certificate(m, n, 0, 6)[1]}
+        shift_lines = _same_reports(first_shift_check, oracles.fraction_first_shift_check,
+                                    FIRST_SHIFT_GRID, [config])
     finally:
         for cached in caches:
             cached.cache_clear()
+    assert any(line["status"] == FAIL for line in shift_lines)
     failed = [line for line in lines if line["status"] == FAIL]
     assert failed and broken
     assert all(1 in (m, n, m + n) for m, n in broken)
@@ -614,8 +629,8 @@ def test_first_shift_residual_is_taken_on_readable_rows(variant, k, m, monkeypat
     family = "plain" if variant == "G" else "alternating"
     # the one denominator of the check: the pair's, the two V's and the constant's
     c_g = (c if m == 0 else 0) - parity * (c if m + k == 0 else 0)
-    den = (fock.pair_table(config.p, 6, family, 6)[1] * fock.v_int(upper, m, config)[1]
-           * fock.v_int(upper, m + k, config)[1] * Fraction(c_g).denominator)
+    den = (fock.pair_table(config.p, 6, family, 6)[1] * fock.v_rows(upper, m, config)[1]
+           * fock.v_rows(upper, m + k, config)[1] * Fraction(c_g).denominator)
     gg = SectorOperator(config, get_basis(6), oracles.dense_pair(
         SectorConfig(0, 6, config.p), family).rows)
     ident = oracles.identity(config)
@@ -682,17 +697,18 @@ def test_operator_reports_stable_under_cutoff_growth(p):
 
 
 def test_tracer_hooks_see_every_product(monkeypatch):
-    # fock.v_int is the one V builder of the first shift, which reads it at
-    # call time, so a tracer that wraps it sees every V the shift builds; its
-    # products are formed row by row inside the check. The commutator reads no
-    # V numerators: its certificate is built from move_table, for every p
-    assert symmetries.v_int is fock.v_int
-    seen = []
-    monkeypatch.setattr(symmetries, "v_int", lambda *a, f=fock.v_int: seen.append(a[:2]) or f(*a))
+    # the first shift reads fock.v_rows at call time, so a tracer that wraps
+    # it sees every V the shift evaluates; its products are formed row by row
+    # inside the check. The commutator reads no V numerators: its certificate
+    # is built from the p-free fock.v_terms, for every p
+    assert (symmetries.v_rows, symmetries.v_terms) == (fock.v_rows, fock.v_terms)
+    seen, terms = [], []
+    monkeypatch.setattr(symmetries, "v_rows", lambda *a, f=fock.v_rows: seen.append(a[:2]) or f(*a))
+    monkeypatch.setattr(symmetries, "v_terms", lambda *a, f=fock.v_terms: terms.append(a) or f(*a))
     config = SectorConfig(0, 4, Fraction(5, 13))
     symmetries._certificate.cache_clear()
     assert commutator_check(1, 2, -1, 1, config).passed
-    assert seen == []
+    assert seen == [] and sorted(set(terms)) == [(1, 0, 4), (2, 0, 4), (3, 0, 4)]
     assert first_shift_check("G", 1, 0, config).passed
     assert seen == [(1, 0), (1, 1)]
 

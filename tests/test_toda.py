@@ -31,7 +31,7 @@ from toda_crystal import (
     zprime_family,
     zprime_series,
 )
-from toda_crystal import identities, toda
+from toda_crystal import identities, models, toda
 from toda_crystal.algebra import series_from_json_dict
 from toda_crystal.fock import SectorConfig, get_basis
 from toda_crystal.series import GradedSeries
@@ -179,6 +179,20 @@ def test_ground_action_fails_on_a_wrong_vacuum_w0(monkeypatch):
         rep = ground_action_constants(s, P, 4)
         assert rep.status == FAIL and rep.evidence["reason"] == "ground-state action is not scalar"
         assert rep.evidence["vacuum_w0"] == s * (s + 1) * (2 * s + 1) // 6 + 1
+
+
+def test_ground_action_fails_on_a_wrong_charge_offset(monkeypatch):
+    # every series route reads charge_offset, so s(s-1)/2 in place of
+    # s(s+1)/2 moves both sides of each identity alike; the vacuum's L0
+    # eigenvalue, the signed sum of its Maya levels, pins it at s = +-1
+    assert all(ground_action_constants(s, P, 3).passed for s in range(-4, 5))
+    for module in (models, identities, toda):
+        monkeypatch.setattr(module, "charge_offset", lambda s: s * (s - 1) // 2)
+    for s in (-1, 1):
+        rep = ground_action_constants(s, P, 4)
+        assert rep.status == FAIL and rep.evidence["reason"] == "ground-state action is not scalar"
+    # at s = 0 both offsets vanish
+    assert ground_action_constants(0, P, 4).passed
 
 
 def test_intertwining_true_and_fake():
