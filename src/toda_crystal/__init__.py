@@ -9,13 +9,13 @@ is used.
 import sys as _sys
 
 _EXPORTS = {
-    "algebra": ("SeriesContext", "TruncatedSeries"),
+    "algebra": ("ModelParams", "SeriesContext", "TruncatedSeries", "charge_offset"),
     "fock": ("SectorConfig",),
-    "models": ("ModelParams", "charge_offset", "l0_eigenvalue", "phi_potential",
-               "schur_qrho", "w0_eigenvalue", "z_series", "zprime_series"),
+    "models": ("l0_eigenvalue", "phi_potential", "schur_qrho", "w0_eigenvalue", "z_series",
+               "zprime_series"),
     "partitions": ("Partition", "enumerate_partitions"),
-    "symmetries": ("commutator_check", "first_shift_check", "second_shift_check",
-                   "torus_constant"),
+    "checks": ("torus_constant",),
+    "symmetries": ("commutator_check", "first_shift_check", "second_shift_check"),
     "toda": ("build_g", "build_gprime", "tau_prev_series", "tau_prime_series", "trivial_tau"),
     "identities": ("CalibrationError", "calibrate_bilinear_sign", "check_prev_forms",
                    "check_prev_reduction", "ground_action_constants", "intertwining_residual",

@@ -1,8 +1,12 @@
-"""Exact scalars, value records, and the report form of truncated series.
+"""Exact scalars, value records, the model point, and the report form of
+truncated series.
 
 Scalars are plain fractions.Fraction values. Every power of q in the model
 is an integer power of p = q^(1/2), so with rational p all arithmetic stays
-inside Q and every comparison is an exact equality.
+inside Q and every comparison is an exact equality. ModelParams, the model
+point every series route reads, and charge_offset live here, beside
+SeriesContext, so the tau construction compiles no partition sum; `fock` is
+imported only by ModelParams.config.
 
 Series live in Q[Q, t_1..t_K, th_1..th_K] modulo the ideal spanned by
 monomials with Q-degree > NQ or total (t, th)-degree > D. Truncation is an
@@ -22,7 +26,11 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from operator import attrgetter
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
+
+if TYPE_CHECKING:
+    from .fock import SectorConfig
+
 
 def parse_rational(text: str) -> Fraction:
     return Fraction(text)
@@ -118,6 +126,46 @@ class SeriesContext(Value):
         if self.K != other.K:
             raise ValueError(f"incompatible contexts {self} vs {other}")
         return SeriesContext(self.K, min(self.D, other.D), min(self.NQ, other.NQ))
+
+
+def charge_offset(s: int) -> int:
+    """Ground-state energy s(s+1)/2 of the charge-s sector."""
+    return s * (s + 1) // 2
+
+
+class ModelParams(Value):
+    """Model point, as a Value: charge s, insertion weight l, rational p,
+    series caps, and the fock cutoff N (max(NQ, K*D) unless overridden)."""
+
+    __slots__ = ("s", "l", "p", "ctx", "N")
+
+    def __init__(self, s: int, l: int, p: Fraction, ctx: SeriesContext, N: int | None = None):
+        p = Fraction(p)
+        need = max(ctx.NQ, ctx.K * ctx.D)
+        N = need if N is None else N
+        if N < need:
+            raise ValueError(f"cutoff N={N} below the certified requirement {need}")
+        if not (0 < p < 1):
+            raise ValueError("p must satisfy 0 < p < 1")
+        super().__init__(s, l, p, ctx, N)
+
+    @property
+    def config(self) -> SectorConfig:
+        from .fock import SectorConfig
+
+        return SectorConfig(self.s, self.N, self.p, self.l)
+
+    @property
+    def out_ctx(self) -> SeriesContext:
+        """Output context: the Q cap absorbs the charge offset so that every
+        graded coefficient up to Q-order NQ is retained."""
+        return SeriesContext(self.ctx.K, self.ctx.D, self.ctx.NQ + charge_offset(self.s))
+
+    def with_charge(self, s: int) -> "ModelParams":
+        return ModelParams(s, self.l, self.p, self.ctx, self.N)
+
+    def with_cutoff(self, N: int) -> "ModelParams":
+        return ModelParams(self.s, self.l, self.p, self.ctx, N)
 
 
 def export_dict(ctx: SeriesContext, terms) -> dict:

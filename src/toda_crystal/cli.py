@@ -26,12 +26,11 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from .algebra import SeriesContext, parse_rational
+from .algebra import ModelParams, SeriesContext, parse_rational
 
 if TYPE_CHECKING:
+    from .checks import CheckReport
     from .fock import SectorConfig
-    from .models import ModelParams
-    from .symmetries import CheckReport
 
 TARGETS = ("zprime", "z", "tau-prime", "tau-prev", "zprime-special")
 
@@ -86,7 +85,7 @@ class RunConfig(NamedTuple):
         return SeriesContext(self.K, self.D, self.NQ)
 
     def params(self, s: int, l: int) -> ModelParams:
-        return _module("models").ModelParams(s, l, self.p, self.ctx, self.N)
+        return ModelParams(s, l, self.p, self.ctx, self.N)
 
     def derived_N(self) -> int:
         return self.N if self.N is not None else max(self.NQ, self.K * self.D)
@@ -125,9 +124,8 @@ def _sector(task: dict) -> SectorConfig:  # one shared config per task point
 
 
 def _model(task: dict) -> ModelParams:
-    return _module("models").ModelParams(
-        task["s"], task["l"], parse_rational(task["p"]),
-        SeriesContext(task["K"], task["D"], task["NQ"]), task["N"])
+    return ModelParams(task["s"], task["l"], parse_rational(task["p"]),
+                       SeriesContext(task["K"], task["D"], task["NQ"]), task["N"])
 
 
 def _s_l(cfg: RunConfig) -> list[dict]:
@@ -261,20 +259,19 @@ def cmd_compute(cfg: RunConfig, target: str) -> int:
         raise UsageError("compute expects a single --s and a single --l")
     s, l = cfg.s_list[0], cfg.l_list[0]
     with _writer(cfg.out) as out:
-        models = _module("models")
         if target == "zprime-special":
             # s = 0 with the couplings off
-            params = models.ModelParams(0, l, cfg.p, SeriesContext(1, 0, cfg.NQ))
+            params = ModelParams(0, l, cfg.p, SeriesContext(1, 0, cfg.NQ))
         else:
             params = cfg.params(s, l)
         if target in ("zprime", "zprime-special"):
-            series = models.zprime_series(params)
+            series = _module("models").zprime_series(params)
         elif target == "z":
-            series = models.z_series(params)
+            series = _module("models").z_series(params)
         elif target == "tau-prime":
-            series = _module("toda").tau_prime_series(params).series
+            series = _module("toda").tau_prime_series(params).to_truncated()
         else:  # tau-prev; argparse restricts the target to TARGETS
-            series = _module("toda").tau_prev_series(params, cfg.form).series
+            series = _module("toda").tau_prev_series(params, cfg.form).to_truncated()
         doc = {
             "target": target,
             "params": {"p": str(cfg.p), "s": params.s, "l": l, "K": params.ctx.K,

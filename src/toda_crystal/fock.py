@@ -23,15 +23,16 @@ table over weight pairs, and reads every entry against it. Entries outside
 the mask are never used.
 
 Operators are held, never combined, and always in integer form: integer
-numerators over one denominator. The particle moves of a shift depend on it,
-the charge and the cutoff alone, and are built once, in move_table. v_terms,
-the one builder of V^(k)_m, writes each entry p-free as a Laurent polynomial in
-x = p^k, one term per move (at m = 0 per level of the potential diagonal), and
-v_rows evaluates it at a p; J_k puts its sign on each move, a transfer exponent
-+-c_k. The commutator certificate reads the terms, for every p; the first shift
-forms products from the rows, and the second compares exponents of the terms.
-Of the transfer exponentials only G_- = exp(X), X = sum_k
-c_k J_{-k}, is ever formed; G_+ is its transpose. The parts of X commute, so
+numerators over one denominator. The particle moves of a shift depend on it
+and the cutoff alone, not on the charge, and are built once, in move_table.
+v_terms, the one builder of V^(k)_m, writes each entry p-free as a Laurent
+polynomial in x = p^k, one term per move (at m = 0 per level of the potential
+diagonal), and v_rows evaluates it at a p; J_k puts its sign on each move
+(j_rows, which the time vectors and the intertwining check read), a transfer
+exponent +-c_k. The commutator certificate reads the terms, for every p; the
+first shift forms products from the rows, and the second compares exponents
+of the terms. Of the transfer exponentials only G_- = exp(X), X = sum_k c_k
+J_{-k}, is ever formed; G_+ is its transpose. The parts of X commute, so
 with E the weight diagonal [E, G_-] = Y G_- = G_- Y, Y = [E, X] = sum_k k c_k
 J_{-k} (_y_rows): Newton's identity n h_n = sum_k p_k h_{n-k} in operator
 form. It gives G_- with no power series: minus_rows builds the rows e_i G_-
@@ -224,18 +225,19 @@ def power_form(p: Fraction, exps: Sequence[int]) -> tuple[tuple[int, ...], int]:
 # Concrete operators
 
 @lru_cache(maxsize=None)
-def move_table(m: int, s: int, N: int) -> tuple[tuple[int, int, int, int], ...]:
-    """The particle moves of a shift by -m in the charge-s sector cut at N, as
-    (row, col, sign, src): moving the particle at level src to src - m takes
-    |mu_col, s> to sign |lambda_row, s>; distinct moves give distinct pairs.
-    On the _masks, the particle at bit x, from the top down to |m| below the
-    tail, moves to y = x - m when y >= 0 and bit y is clear, with the sign
-    (-1)^(number of set bits strictly between x and y); at m = 0 every such
-    particle stays, giving (col, col, 1, src)."""
+def move_table(m: int, N: int) -> tuple[tuple[int, int, int, int], ...]:
+    """The particle moves of a shift by -m in the sector cut at N, the same at
+    every charge, as (row, col, sign, src): in the charge-s sector, moving the
+    particle at level src + s to src + s - m takes |mu_col, s> to
+    sign |lambda_row, s>; distinct moves give distinct pairs. On the _masks,
+    the particle at bit x, from the top down to |m| below the tail, moves to
+    y = x - m when y >= 0 and bit y is clear, with the sign (-1)^(number of
+    set bits strictly between x and y); at m = 0 every such particle stays,
+    giving (col, col, 1, src)."""
     b = get_basis(N)
     masks, index = _masks(N)
     between = (1 << abs(m) - 1) - 1 if m else 0  # the bits strictly between, from min(x, y) + 1
-    level = s - 2 * N - 1  # of bit 0
+    level = -2 * N - 1  # of bit 0 at charge 0
     moves = []
     for j, mask in enumerate(masks):
         if not 0 <= b.weights[j] - m <= N:
@@ -249,14 +251,24 @@ def move_table(m: int, s: int, N: int) -> tuple[tuple[int, int, int, int], ...]:
 
 
 @lru_cache(maxsize=None)
+def j_rows(k: int, N: int) -> dict[int, dict[int, int]]:
+    """The rows of J_k in the sector cut at N, for every charge: the sign of
+    each move of move_table(k, N)."""
+    rows: dict[int, dict[int, int]] = {}
+    for i, j, sign, _ in move_table(k, N):
+        rows.setdefault(i, {})[j] = sign
+    return rows
+
+
+@lru_cache(maxsize=None)
 def v_terms(m: int, s: int, N: int) -> dict[int, list[tuple[int, int, int]]]:
     """V^(k)_m of the charge-s sector cut at N for every k, p-free, as rows
     {i: [(j, e, c), ...]}: the entry (i, j) is the sum of its terms c x^e, x = p^k.
-    Each move of move_table gives one term sign x^(2 src - m); at m = 0 each
+    Each move of move_table gives one term sign x^(2 (src + s) - m); at m = 0 each
     diagonal entry has one term sign x^(2 level) per level of maya_diag_levels."""
     rows: dict[int, list[tuple[int, int, int]]] = {}
-    for i, j, sign, src in move_table(m, s, N) if m else ():
-        rows.setdefault(i, []).append((j, 2 * src - m, sign))
+    for i, j, sign, src in move_table(m, N) if m else ():
+        rows.setdefault(i, []).append((j, 2 * (src + s) - m, sign))
     for i, mu in enumerate(get_basis(N).parts) if m == 0 else ():
         rows[i] = [(i, 2 * x, sign) for sign, x in maya_diag_levels(mu.parts, s)]
     return rows
@@ -295,8 +307,8 @@ def _y_rows(p: Fraction, N: int, family: str) -> tuple[dict, int]:
     denominator of the k c_k, c_k the transfer weights of the family,
     q^{k/2}/(k(1-q^k)) with an extra (-1)^(k+1) for 'alternating': with p = a/b,
     k c_k = a^k b^k / (b^{2k} - a^{2k}), put with the sign of J_{-k} on each
-    move of move_table(-k, 0, N). A weight pair belongs to one k alone, and no
-    entry depends on the charge, so the table is built at s = 0."""
+    move of move_table(-k, N). A weight pair belongs to one k alone, and no
+    entry depends on the charge."""
     a, b = p.numerator, p.denominator
     weights = []
     for k in range(1, N + 1):
@@ -309,7 +321,7 @@ def _y_rows(p: Fraction, N: int, family: str) -> tuple[dict, int]:
     rows: dict[int, dict[int, int]] = {}
     for k, (num, d) in enumerate(weights, start=1):
         num *= den // d
-        for i, j, sign, _ in move_table(-k, 0, N):
+        for i, j, sign, _ in move_table(-k, N):
             rows.setdefault(i, {})[j] = num if sign > 0 else -num
     return rows, den
 

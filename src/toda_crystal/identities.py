@@ -12,10 +12,11 @@ TruncatedSeries, enter by one conversion each. The ground-action check
 pushes the vacuum through G_- and G"_- by fock.transfer_row, whose G.Y form
 has no weight below the vacuum's to fill, and the intertwining check reads
 J_k g_n - g_n J_r on the blocks g_n of toda.GradedOperator.gram with the
-first shift's kernel, symmetries._sandwich_entry: the rows of J_k and J_r,
-the latter scaled by -1, against a certified_window mask. The tau
-construction never imports this module, so a tau export compiles no check
-code.
+first shift's kernel, checks.sandwich_entry: the rows fock.j_rows of J_k and
+J_r, the latter scaled by -1, against a certified_window mask. The report
+records come from `checks`, and no name from `symmetries`, so these checks
+compile none of the commutator and shift checks. The tau construction never
+imports this module, so a tau export compiles no check code.
 """
 
 from __future__ import annotations
@@ -23,30 +24,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from .algebra import SeriesContext, TruncatedSeries, format_rational, parse_monomial_label
-from .fock import (FULL, banded, certified_window, get_basis, maya_diag_levels, transfer_row,
-                   w0_diag)
-from .models import ModelParams, charge_offset, z_series, zprime_series
+from .algebra import (ModelParams, SeriesContext, TruncatedSeries, charge_offset,
+                      format_rational, parse_monomial_label)
+from .checks import (FAIL, INSUFFICIENT, PASS, CheckReport, entry_evidence, sandwich_entry,
+                     torus_constant)
+from .fock import (FULL, banded, certified_window, get_basis, j_rows, maya_diag_levels,
+                   transfer_row, w0_diag)
+from .models import z_series, zprime_series
 from .series import GradedSeries, first_difference, first_nonzero
-from .symmetries import (
-    FAIL,
-    INSUFFICIENT,
-    PASS,
-    CheckReport,
-    _entry_evidence,
-    _sandwich_entry,
-    torus_constant,
-)
-from .toda import (
-    GradedOperator,
-    TauSeries,
-    _j_matrix,
-    build_g,
-    build_gprime,
-    tau_prev_series,
-    tau_prime_series,
-    trivial_tau,
-)
+from .toda import (GradedOperator, build_g, build_gprime, tau_prev_series, tau_prime_series,
+                   trivial_tau)
 
 
 class CalibrationError(RuntimeError):
@@ -85,7 +72,7 @@ def main_identity_sides(params: ModelParams) -> tuple[GradedSeries, GradedSeries
     -th_1, -th_2, ...), with c(j) = q^j/(1-q^j). The alternating-family
     constants force c(-k) = -1/(1-q^k) on the hatted side."""
     lhs = GradedSeries.of(zprime_series(params))
-    tau_sub = tau_prime_series(params).graded.alternate_t_signs().negate_hatted()
+    tau_sub = tau_prime_series(params).alternate_t_signs().negate_hatted()
     K, p = params.ctx.K, params.p
     pref = _polynomial(params.out_ctx, {
         **{f"t{k}^1": torus_constant(k, p) for k in range(1, K + 1)},
@@ -104,7 +91,7 @@ def prev_identity_sides(params: ModelParams) -> tuple[GradedSeries, GradedSeries
     """LHS: previous-model partition function. RHS:
     exp(sum t_k q^k/(1-q^k)) q^{-s(s+1)(2s+1)/6} tau(s, -t_1, t_2, -t_3, ...)."""
     lhs = GradedSeries.of(z_series(params))
-    tau_sub = tau_prev_series(params, "left").graded.alternate_t_signs()
+    tau_sub = tau_prev_series(params, "left").alternate_t_signs()
     K, p, s = params.ctx.K, params.p, params.s
     pref = _polynomial(params.out_ctx,
                        {f"t{k}^1": torus_constant(k, p) for k in range(1, K + 1)}).exp()
@@ -122,9 +109,9 @@ def verify_prev_identity(params: ModelParams) -> CheckReport:
 
 def check_prev_forms(params: ModelParams) -> CheckReport:
     """The three one-family presentations of the previous-model tau agree."""
-    left = tau_prev_series(params, "left").graded
-    sym = tau_prev_series(params, "symmetric").graded
-    right = tau_prev_series(params, "right").graded
+    left = tau_prev_series(params, "left")
+    sym = tau_prev_series(params, "symmetric")
+    right = tau_prev_series(params, "right")
     rep = _series_report("prev_tau_forms", _params_dict(params), left, sym,
                          {"compared": "left vs symmetric"})
     if rep.status != PASS:
@@ -137,8 +124,8 @@ def check_prev_forms(params: ModelParams) -> CheckReport:
 
 def check_prev_reduction(params: ModelParams) -> CheckReport:
     """The two-family form depends on the times only through t - th."""
-    two = tau_prev_series(params, "reduced_2d").graded
-    reduced = tau_prev_series(params, "left").graded.substitute_difference()
+    two = tau_prev_series(params, "reduced_2d")
+    reduced = tau_prev_series(params, "left").substitute_difference()
     return _series_report("prev_tau_reduction", _params_dict(params), two, reduced)
 
 
@@ -204,13 +191,13 @@ def intertwining_residual(which: str, k: int, params: ModelParams) -> CheckRepor
     if window == 0:
         report.evidence = {"reason": "empty certified window"}
         return report
-    jl, jr = _j_matrix(k, N), _j_matrix(right_k, N)
+    jl, jr = j_rows(k, N), j_rows(right_k, N)
     first_nonzero = None
     for n in range(params.ctx.NQ + 1):
         block, den = _blocks(g)(n)
-        if entry := _sandwich_entry(block, jl, jr, 0, mask, g.basis, f_right=-1):
-            first_nonzero = {"grade": n, **_entry_evidence(g.basis, *entry[:2],
-                                                           Fraction(entry[2], den))}
+        if entry := sandwich_entry(block, jl, jr, 0, mask, g.basis, f_right=-1):
+            first_nonzero = {"grade": n, **entry_evidence(g.basis, *entry[:2],
+                                                          Fraction(entry[2], den))}
             break
     if which == "g_true":
         report.status = PASS if first_nonzero is None else FAIL
@@ -230,7 +217,7 @@ def trivial_tau_compare(params: ModelParams) -> CheckReport:
     if params.ctx.D == 0:
         return CheckReport("trivial_tau", _params_dict(params), INSUFFICIENT,
                            {"reason": "need D >= 1: at D = 0 both sides are <s|g'|s>"})
-    tau = tau_prime_series(params).graded
+    tau = tau_prime_series(params)
     bilin = _polynomial(params.out_ctx, {f"t{k}^1 th{k}^1": Fraction(k)
                                          for k in range(1, params.ctx.K + 1)})
     rhs = bilin.exp() * build_gprime(params).vacuum_q_series()
@@ -282,14 +269,15 @@ def _bilinear_report(charges: list[int], K: int, D: int, sign) -> CheckReport:
     return report
 
 
-def toda_bilinear_residual(tau_family: dict[int, TauSeries], sign: str | int = "auto") -> CheckReport:
+def toda_bilinear_residual(tau_family: dict[int, GradedSeries],
+                           sign: str | int = "auto") -> CheckReport:
     """Check the lowest bilinear equation on every charge whose neighbors are
     present in the family. Polynomial form only: no divisions, no logs.
     The product caps shrink to the meet of the factor contexts and the
     derivative caps, which is exactly the window on which every retained
     coefficient of the residual is certified."""
     charges = sorted(tau_family)
-    ctx = tau_family[charges[0]].graded.ctx
+    ctx = tau_family[charges[0]].ctx
     report = _bilinear_report(charges, ctx.K, ctx.D, sign)
     if report.evidence:
         return report
@@ -299,9 +287,7 @@ def toda_bilinear_residual(tau_family: dict[int, TauSeries], sign: str | int = "
     else:
         c = Fraction(sign)
     for checked, s in enumerate(centers, start=1):
-        residual = _bilinear_residual(tau_family[s].graded,
-                                      tau_family[s + 1].graded,
-                                      tau_family[s - 1].graded, c)
+        residual = _bilinear_residual(tau_family[s], tau_family[s + 1], tau_family[s - 1], c)
         report.window = checked
         if residual:
             label, value = first_nonzero(residual)
@@ -325,10 +311,9 @@ def bilinear_family_check(build_family, params: ModelParams, charges) -> CheckRe
     return report if report.evidence else toda_bilinear_residual(build_family(params, charges))
 
 
-def tau_prime_family(params: ModelParams, charges) -> dict[int, TauSeries]:
+def tau_prime_family(params: ModelParams, charges) -> dict[int, GradedSeries]:
     return {s: tau_prime_series(params.with_charge(s)) for s in charges}
 
 
-def zprime_family(params: ModelParams, charges) -> dict[int, TauSeries]:
-    return {s: TauSeries(s, GradedSeries.of(zprime_series(params.with_charge(s))))
-            for s in charges}
+def zprime_family(params: ModelParams, charges) -> dict[int, GradedSeries]:
+    return {s: GradedSeries.of(zprime_series(params.with_charge(s))) for s in charges}

@@ -14,8 +14,9 @@ integer list aligned with that table, over one denominator per degree. A
 precomputed walk reads these sums in canonical order, so a PartitionSeries
 exports them through algebra.export_dict with no sort and no Fraction, and
 makes its Fraction coefficients from the same integers only when they are
-read. It never touches `fock` or `series_exp`; `fock` is imported only by
-`ModelParams.config`, so computing a partition function never loads it.
+read. It never touches `fock` or `series`, so computing a partition function
+never loads them. The model point, ModelParams, and charge_offset live in
+`algebra`, where the tau route reads them without this module.
 The independent fermionic route, the vacuum expectation value of the dense
 transfer exponentials built from the operator machinery in `fock`, lives in
 the test oracles as `fermionic_expectation`, with the same selector, and
@@ -29,18 +30,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd, lcm, prod
 from operator import add
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
-from .algebra import SeriesContext, TruncatedSeries, Value, export_dict
+from .algebra import ModelParams, SeriesContext, TruncatedSeries, charge_offset, export_dict
 from .partitions import Partition, enumerate_partitions
-
-if TYPE_CHECKING:
-    from .fock import SectorConfig
-
-
-def charge_offset(s: int) -> int:
-    """Ground-state energy s(s+1)/2 of the charge-s sector."""
-    return s * (s + 1) // 2
 
 
 def l0_eigenvalue(mu: Partition, s: int) -> int:
@@ -81,41 +74,6 @@ def phi_potential(k: int, mu: Partition, s: int, p: Fraction) -> Fraction:
         raise ValueError("the potential index k must be nonzero")
     p = Fraction(p)
     return sum((sign * p ** (2 * k * x) for sign, x in _phi_levels(mu, s)), Fraction(0))
-
-
-class ModelParams(Value):
-    """Model point, as a Value: charge s, insertion weight l, rational p,
-    series caps, and the fock cutoff N (max(NQ, K*D) unless overridden)."""
-
-    __slots__ = ("s", "l", "p", "ctx", "N")
-
-    def __init__(self, s: int, l: int, p: Fraction, ctx: SeriesContext, N: int | None = None):
-        p = Fraction(p)
-        need = max(ctx.NQ, ctx.K * ctx.D)
-        N = need if N is None else N
-        if N < need:
-            raise ValueError(f"cutoff N={N} below the certified requirement {need}")
-        if not (0 < p < 1):
-            raise ValueError("p must satisfy 0 < p < 1")
-        super().__init__(s, l, p, ctx, N)
-
-    @property
-    def config(self) -> SectorConfig:
-        from .fock import SectorConfig
-
-        return SectorConfig(self.s, self.N, self.p, self.l)
-
-    @property
-    def out_ctx(self) -> SeriesContext:
-        """Output context: the Q cap absorbs the charge offset so that every
-        graded coefficient up to Q-order NQ is retained."""
-        return SeriesContext(self.ctx.K, self.ctx.D, self.ctx.NQ + charge_offset(self.s))
-
-    def with_charge(self, s: int) -> "ModelParams":
-        return ModelParams(s, self.l, self.p, self.ctx, self.N)
-
-    def with_cutoff(self, N: int) -> "ModelParams":
-        return ModelParams(self.s, self.l, self.p, self.ctx, N)
 
 
 @lru_cache(maxsize=None)

@@ -13,10 +13,11 @@ Laurent polynomials, so a check only compares its two relation values with P
 and G at its point; if they differ, or the certificate fails, it evaluates
 the cells there and reports the first nonzero one; the certificate reads the
 p-free terms of fock.v_terms. The first shift's G_-G_+ is the dense integer
-fock.pair_table and its V's are the integer fock.v_rows; _sandwich_entry, the
-kernel the intertwining check of identities shares, forms c T + f L T + T f' R
-on it, row by row, and stops at the first nonzero entry. The second shift
-compares the exponents of fock.v_terms term by term.
+fock.pair_table and its V's are the integer fock.v_rows; checks.sandwich_entry,
+the residual kernel it shares with the intertwining check of `identities`,
+forms c T + f L T + T f' R on it, row by row, and stops at the first nonzero
+entry. The second shift compares the exponents of fock.v_terms term by term.
+The report records, torus_constant and the kernel live in `checks`.
 """
 
 from __future__ import annotations
@@ -25,31 +26,10 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .algebra import format_rational
+from .checks import (FAIL, INSUFFICIENT, PASS, CheckReport, entry_evidence, sandwich_entry,
+                     torus_constant)
 from .fock import (LOWERING, RAISING, SectorConfig, banded, certified_window, get_basis,
                    pair_table, v_rows, v_terms, w0_diag)
-
-PASS = "pass"
-FAIL = "fail"
-INSUFFICIENT = "insufficient_window"
-
-
-class CheckReport:
-    """One report line's content, filled in as a check runs."""
-
-    __slots__ = ("check", "params", "status", "evidence", "window")
-
-    def __init__(self, check: str, params: dict, status: str, evidence=None, window=0):
-        self.check, self.params, self.status, self.window = check, params, status, window
-        self.evidence = {} if evidence is None else evidence
-
-    @property
-    def passed(self) -> bool:
-        return self.status == PASS
-
-    def to_json_dict(self) -> dict:
-        return {"check": self.check, "params": self.params, "status": self.status,
-                "evidence": {**self.evidence, "window": self.window}}
-
 
 _ZERO = Fraction(0)
 
@@ -58,22 +38,6 @@ _ZERO = Fraction(0)
 def _p_label(config: SectorConfig) -> str:
     """The p of a report's params, formatted once per config."""
     return format_rational(config.p)
-
-
-def torus_constant(j: int, p: Fraction) -> Fraction:
-    """Central subtraction q^j/(1-q^j) attached to the zero-shift generators."""
-    if j == 0:
-        raise ValueError("the torus constant is undefined at j = 0")
-    x, y = p.numerator ** (2 * abs(j)), p.denominator ** (2 * abs(j))  # q^|j| = x/y
-    return Fraction(x, y - x) if j > 0 else Fraction(y, x - y)
-
-
-def _entry_evidence(basis_obj, i: int, j: int, value) -> dict:
-    return {
-        "row": basis_obj.parts[i].to_json(),
-        "col": basis_obj.parts[j].to_json(),
-        "value": format_rational(value),
-    }
 
 
 def torus_prefactor(k: int, m: int, l: int, n: int, p: Fraction) -> Fraction:
@@ -90,35 +54,6 @@ def central_term(k: int, m: int, l: int, n: int, p: Fraction) -> Fraction:
     if m + n:
         return _ZERO
     return -torus_prefactor(k, m, l, n, p) * torus_constant(k + l, p)
-
-
-def _sandwich_entry(table, left, right, diag: int, mask, basis, f_left: int = 1,
-                    f_right: int = 1) -> tuple[int, int, int] | None:
-    """The earliest nonzero entry (i, j, v) of diag T + f_left L T + T f_right R
-    inside the certified_window mask, by row, then column, or None: T a dense
-    integer matrix (a list of rows), L and R integer rows {i: {j: value}},
-    diag, the scales and so v integers, over the caller's denominator. Only the
-    rows the mask reads are formed, in turn, each up to its last live column."""
-    w, ranges = basis.weights, basis.weight_range
-    cut: dict[int, list] = {}  # by stop, the entries (x, j, u) of R with j < stop
-    for i, row in enumerate(table):
-        live = mask[w[i]]
-        if not any(live):
-            continue
-        stop = ranges[max(n for n, x in enumerate(live) if x)].stop
-        if stop not in cut:
-            cut[stop] = [(x, j, f_right * u) for x, r in right.items() for j, u in r.items()
-                         if j < stop]
-        acc = [diag * t for t in row[:stop]] if diag else [0] * stop
-        for x, u in left.get(i, {}).items():
-            u *= f_left
-            acc = [a + u * t for a, t in zip(acc, table[x])]
-        for x, j, u in cut[stop]:
-            acc[j] += row[x] * u
-        j = next((j for j, v in enumerate(acc) if v and live[w[j]]), None)
-        if j is not None:
-            return i, j, acc[j]
-    return None
 
 
 @lru_cache(maxsize=None)
@@ -193,7 +128,7 @@ def _residual_entry(k: int, m: int, l: int, n: int, config: SectorConfig, pref: 
     residual, d = _at([(key, f * v) for table, f in zip(tables, (b * e, -a * e, -c * b))
                        for key, v in table.items()], k, l, p)  # over d b e
     t = min((t for t, v in residual.items() if v), default=None)
-    return None if t is None else _entry_evidence(
+    return None if t is None else entry_evidence(
         get_basis(N), *divmod(t, len(get_basis(N))), Fraction(residual[t], d * b * e))
 
 
@@ -232,7 +167,7 @@ def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> Che
     c(-k) = -1/(1-q^k) is what the locked conventions realize for the
     alternating family. The residual G V_L - parity V_R G - (c_L - parity c_R) G,
     with c_L = c(upper) at m = 0 and c_R = c(upper) at m + k = 0 (at most one
-    of them is nonzero), is read by _sandwich_entry over one denominator from
+    of them is nonzero), is read by sandwich_entry over one denominator from
     the integer table of G_-G_+ and the integer rows of the two V factors.
     """
     if k < 1:
@@ -261,10 +196,10 @@ def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> Che
     d_c = c_g.denominator
     # over d_g d_l d_r d_c, f_left V_R T is -parity V_R G, T f_right V_L is
     # G V_L and diag T is -c_g G
-    entry = _sandwich_entry(table, v_r, v_l, -c_g.numerator * d_l * d_r, mask, get_basis(N),
-                            -parity * d_l * d_c, d_r * d_c)
-    worst = entry and _entry_evidence(get_basis(N), *entry[:2],
-                                      Fraction(entry[2], d_g * d_l * d_r * d_c))
+    entry = sandwich_entry(table, v_r, v_l, -c_g.numerator * d_l * d_r, mask, get_basis(N),
+                           -parity * d_l * d_c, d_r * d_c)
+    worst = entry and entry_evidence(get_basis(N), *entry[:2],
+                                     Fraction(entry[2], d_g * d_l * d_r * d_c))
     report.status = PASS if worst is None else FAIL
     report.evidence = {"constant": format_rational(c)}
     if worst:
@@ -292,7 +227,7 @@ def second_shift_check(k: int, m: int, config: SectorConfig) -> CheckReport:
             a, b = w0[i] - w0[j] + k * e, (k - m) * e
             if a != b and mask[w[i]][w[j]] and (worst is None or (i, j) < worst[:2]):
                 worst = i, j, c * (p ** a - p ** b)
-    worst = worst and _entry_evidence(get_basis(config.N), *worst)
+    worst = worst and entry_evidence(get_basis(config.N), *worst)
     report.status = PASS if worst is None else FAIL
     if worst:
         report.evidence = {"worst": worst}

@@ -14,20 +14,21 @@ is pushed through the dressings and the transfer pairs one factor at a
 time, in integer form: a pair (nums, den) of integer numerators over one
 denominator den > 0, with value nums/den. The grade dots of these vectors are
 written straight into a series.GradedSeries, integer numerators over one
-denominator for the whole series, on which the checks compute; a reported
-or exported value is built once, as a Fraction, by TauSeries.series. A
-transfer pair is one push through G_- (G"_- for the
-alternating family) in the sector cut at N, by the G.Y form of
+denominator for the whole series, which the tau builders return and on which
+the checks compute; a reported or exported value is built once, as a
+Fraction, by its to_truncated. A transfer pair is one push through G_- (G"_-
+for the alternating family) in the sector cut at N, by the G.Y form of
 fock.transfer_row, then fock.pair_dots against the rows e_nu G_- of weight
 <= NQ, built by the Y.G form, which is exact. The time exponentials
 contribute energies at most K*D, which the cutoff must dominate. The time
-vectors read J_k as the signs of the moves in fock.move_table, and since
-J_{-k} is the transpose of J_k, one table of row vectors serves as the
+vectors read the rows of J_k from fock.j_rows, the same at every charge, and
+since J_{-k} is the transpose of J_k, one table of row vectors serves as the
 column vectors too. Each block g_n = A Pi_n B is a dense integer table, the
 grade-n Gram matrix of the basis vectors e_lam A and B e_mu: dressed rows of
 fock.pair_table at cap NQ, from the same rows of G_- as the first shift's
 table. The identities these series and blocks satisfy are checked in
-`identities`; this module imports no check code.
+`identities`; this module imports no check code, and the model point comes
+from `algebra`, so a tau export compiles no partition sum either.
 """
 
 from __future__ import annotations
@@ -37,12 +38,12 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import mul
 
-from .algebra import SeriesContext, TruncatedSeries, Value
+from .algebra import ModelParams, SeriesContext, charge_offset
 from .fock import (
     IntVector,
     apply_row,
     get_basis,
-    move_table,
+    j_rows,
     pair_dots,
     pair_table,
     power_form,
@@ -50,7 +51,6 @@ from .fock import (
     transfer_row,
     w0_diag,
 )
-from .models import ModelParams, charge_offset
 from .series import GradedSeries, layout, monomials
 
 
@@ -62,15 +62,6 @@ from .series import GradedSeries, layout, monomials
 # vectors over the denominator 1.
 
 @lru_cache(maxsize=None)
-def _j_matrix(k: int, N: int) -> dict[int, dict[int, int]]:
-    """The rows of J_k: the sign of each move of move_table(k, 0, N)."""
-    rows: dict[int, dict[int, int]] = {}
-    for i, j, sign, _ in move_table(k, 0, N):
-        rows.setdefault(i, {})[j] = sign
-    return rows
-
-
-@lru_cache(maxsize=None)
 def _time_rows(N: int, K: int, D: int):
     rows = {(0,) * K: {0: 1}}
     for a in monomials(K, D):
@@ -78,7 +69,7 @@ def _time_rows(N: int, K: int, D: int):
             continue
         k = next(i + 1 for i, e in enumerate(a) if e)
         prev = tuple(e - 1 if i == k - 1 else e for i, e in enumerate(a))
-        rows[a] = apply_row(rows[prev], _j_matrix(k, N))
+        rows[a] = apply_row(rows[prev], j_rows(k, N))
     return rows
 
 
@@ -89,17 +80,6 @@ def _factorials(a: tuple[int, ...]) -> int:
 
 # ---------------------------------------------------------------------------
 # Graded operators
-
-class TauSeries(Value):
-    """A tau series and its charge: graded in integer form, for the checks."""
-
-    __slots__ = ("charge", "graded")
-
-    @property
-    def series(self) -> TruncatedSeries:
-        """The series as reported and exported, one Fraction per coefficient."""
-        return self.graded.to_truncated()
-
 
 _RIGHT_W0_SIGN = {"plain": +1, "alternating": -1}
 
@@ -267,14 +247,14 @@ def _assemble(params: ModelParams, us, ws, hat_sign: int) -> GradedSeries:
     return GradedSeries(ctx, grades, lcm_u * lcm_w)
 
 
-def tau_prime_series(params: ModelParams, graded: GradedOperator | None = None) -> TauSeries:
+def tau_prime_series(params: ModelParams, graded: GradedOperator | None = None) -> GradedSeries:
     """tau'(s, t, th) = <s| exp(sum t_k J_k) g' exp(-sum th_k J_{-k}) |s>."""
     us, ws = (graded or build_gprime(params)).time_vectors
-    return TauSeries(params.s, _assemble(params, us, ws, hat_sign=-1))
+    return _assemble(params, us, ws, hat_sign=-1)
 
 
 def tau_prev_series(params: ModelParams, form: str = "left",
-                    graded: GradedOperator | None = None) -> TauSeries:
+                    graded: GradedOperator | None = None) -> GradedSeries:
     """Previous-model tau in one of four presentations: time flows on the
     'left', split 'symmetric', on the 'right', or in the genuine two-family
     'reduced_2d' form <s| e^{sum t J} g e^{-sum th J_-} |s>."""
@@ -283,14 +263,12 @@ def tau_prev_series(params: ModelParams, form: str = "left",
     us, ws = (graded or build_g(params)).time_vectors
     zero = (0,) * params.ctx.K
     if form == "left":
-        series = _assemble(params, us, {zero: ws[zero]}, hat_sign=+1)
-    elif form == "right":
-        series = _assemble(params, {zero: us[zero]}, ws, hat_sign=+1).merge_into_t(1)
-    elif form == "reduced_2d":
-        series = _assemble(params, us, ws, hat_sign=-1)
-    else:
-        series = _assemble(params, us, ws, hat_sign=+1).merge_into_t(Fraction(1, 2))
-    return TauSeries(params.s, series)
+        return _assemble(params, us, {zero: ws[zero]}, hat_sign=+1)
+    if form == "right":
+        return _assemble(params, {zero: us[zero]}, ws, hat_sign=+1).merge_into_t(1)
+    if form == "reduced_2d":
+        return _assemble(params, us, ws, hat_sign=-1)
+    return _assemble(params, us, ws, hat_sign=+1).merge_into_t(Fraction(1, 2))
 
 
 def trivial_tau(K: int, D: int) -> GradedSeries:

@@ -17,7 +17,7 @@ scale_rows and scale_cols are the Fraction operator arithmetic that the
 package replaced with integer numerators formed inside its checks. The
 Maya-diagram primitives occupied, count_above and move_particle work on lists
 of levels, where the package works on bit masks; move_table_by_moves is
-fock.move_table built from them. The fermion-move oracles build operators one
+fock.move_table, at one charge, built from them. The fermion-move oracles build operators one
 psi_a psi*_b move at a time from the same primitives: bilinear_diagonal the
 diagonal ones, v_op_by_bilinears every V^(k)_m. transfer_weights are the
 Fraction couplings of the transfer exponentials and integer_rows puts
@@ -88,13 +88,7 @@ from toda_crystal.models import (
     schur_qrho,
     w0_eigenvalue,
 )
-from toda_crystal.symmetries import (
-    FAIL,
-    INSUFFICIENT,
-    PASS,
-    CheckReport,
-    _entry_evidence,
-)
+from toda_crystal.checks import FAIL, INSUFFICIENT, PASS, CheckReport, entry_evidence
 from toda_crystal.toda import GradedOperator
 
 
@@ -560,7 +554,7 @@ def _scan_certified_residual(residual: SectorOperator, mask, den=1) -> tuple[boo
     if not certified:
         return True, None
     i, j = min(certified)
-    return False, _entry_evidence(residual.basis, i, j, Fraction(residual.rows[i][j], den))
+    return False, entry_evidence(residual.basis, i, j, Fraction(residual.rows[i][j], den))
 
 
 def apply_col(op: SectorOperator, vec: dict) -> dict:
@@ -807,7 +801,7 @@ def fraction_residual_entry(g: GradedOperator, k: int, right_k: int, mask) -> di
                 v = (_fraction_grade_dot(dressed_row(lam), col(mu), grade)
                      - _fraction_grade_dot(row(lam), dressed_col(mu), grade))
                 if v:
-                    return {"grade": n, **_entry_evidence(b, lam, mu, v)}
+                    return {"grade": n, **entry_evidence(b, lam, mu, v)}
     return None
 
 
@@ -1001,8 +995,9 @@ def _move_sources(parts: tuple[int, ...], s: int, m: int) -> list[int]:
 
 
 def move_table_by_moves(m: int, s: int, N: int) -> tuple[tuple[int, int, int, int], ...]:
-    """fock.move_table built one move_particle at a time from the level lists,
-    each result looked up as a Partition."""
+    """fock.move_table with each source level src shifted to the charge-s level
+    src + s, built one move_particle at a time from the level lists of the
+    charge-s sector, each result looked up as a Partition."""
     b = get_basis(N)
     moves = []
     for j, mu in enumerate(b.parts):

@@ -228,20 +228,27 @@ except SystemExit as exc:
     assert exc.code in (0, None), exc.code
 """ + _PRINT_LOADED
 
-ALL_MODULES = {"algebra", "partitions", "fock", "models", "symmetries", "series", "toda",
-               "identities"}
+ALL_MODULES = {"algebra", "partitions", "fock", "models", "checks", "symmetries", "series",
+               "toda", "identities"}
+# the modules of the operator checks; the series checks load all but symmetries
+OPERATOR_CHECKS = {"algebra", "partitions", "fock", "checks", "symmetries"}
 
 
 @pytest.mark.parametrize("argv,modules", [
     (["verify", "--help"], {"algebra"}),
     (["compute", "zprime", "--s", "0", "--l", "1", "--K", "4", "--D", "4", "--NQ", "6",
       "--p", "1/2"], {"algebra", "partitions", "models"}),
+    (["compute", "z", "--s", "1", "--l", "0", "--K", "2", "--D", "3", "--NQ", "4",
+      "--p", "1/2"], {"algebra", "partitions", "models"}),
     (["verify", "commutators", "--s", "0", "--K", "2", "--D", "3", "--p", "1/2"],
-     {"algebra", "partitions", "fock", "symmetries"}),
+     OPERATOR_CHECKS),
+    (["verify", "shift", "--s", "0", "--K", "2", "--D", "3", "--p", "1/2"], OPERATOR_CHECKS),
     (["compute", "tau-prime", "--s", "0", "--l", "1", "--K", "3", "--D", "2", "--NQ", "8",
-      "--p", "1/2"], {"algebra", "partitions", "fock", "models", "series", "toda"}),
+      "--p", "1/2"], {"algebra", "partitions", "fock", "series", "toda"}),
     (["verify", "prev-identity", "--s", "0", "--K", "2", "--D", "3", "--p", "1/2"],
-     ALL_MODULES),
+     ALL_MODULES - {"symmetries"}),
+    (["verify", "main-identity", "--s", "0", "--K", "2", "--D", "3", "--p", "1/2"],
+     ALL_MODULES - {"symmetries"}),
 ])
 def test_subcommand_loads_only_its_modules(argv, modules):
     # the cli module itself runs as __main__, so it is not listed; the record
@@ -275,6 +282,23 @@ def test_no_package_module_imports_forbidden_modules():
                 assert not {alias.name for alias in node.names} & FORBIDDEN_IMPORTS, path.name
             elif isinstance(node, ast.ImportFrom):
                 assert node.module not in FORBIDDEN_IMPORTS, path.name
+
+
+def test_no_package_module_imports_a_private_name_or_another_route():
+    # each shared name is read from the module that decides it: no relative
+    # import names a private member, the series identities import nothing of
+    # the operator checks, and the tau construction nothing of the partition sums
+    imports = {}
+    for path in Path(toda_crystal.__file__).resolve().parent.glob("*.py"):
+        imports[path.stem] = [(node.module, alias.name)
+                              for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                              if isinstance(node, ast.ImportFrom) and node.level
+                              for alias in node.names]
+    assert {"checks", "identities", "toda"} <= set(imports)
+    for stem, pairs in imports.items():
+        assert not [name for _, name in pairs if name.startswith("_")], stem
+    assert "symmetries" not in {module for module, _ in imports["identities"]}
+    assert "models" not in {module for module, _ in imports["toda"]}
 
 
 # every name the package exported when its __init__ imported each module

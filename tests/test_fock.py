@@ -168,29 +168,34 @@ def test_v_op_matches_bilinear_oracle(N, p):
 
 def test_move_table_built_once_per_shift():
     # a p no other test draws, so every V below is built here; the p-free
-    # terms are built once per shift, whatever k, and each reads its moves once
-    N, s = 4, 1
-    c = cfg(s=s, N=N, p=Fraction(5, 11))
+    # terms are built once per shift and charge, whatever k, and the moves
+    # once per shift, whatever the charge
+    N = 4
     move_table.cache_clear()
     fock.v_terms.cache_clear()
-    for k in range(-4, 5):
-        for m in range(-N, N + 1):
-            fock.v_rows(k, m, c)
     shifts = 2 * N  # every m != 0; the m = 0 diagonal needs no moves
-    info = move_table.cache_info()
-    assert (info.misses, info.hits) == (shifts, 0)
-    info = fock.v_terms.cache_info()
-    assert (info.misses, info.hits) == (shifts + 1, 8 * (shifts + 1))
-    assert move_table(1, s, N) is move_table(1, s, N)
+    for charges, s in enumerate((1, -1), start=1):
+        c = cfg(s=s, N=N, p=Fraction(5, 11))
+        for k in range(-4, 5):
+            for m in range(-N, N + 1):
+                fock.v_rows(k, m, c)
+        info = move_table.cache_info()
+        assert (info.misses, info.hits) == (shifts, (charges - 1) * shifts)
+        info = fock.v_terms.cache_info()
+        assert (info.misses, info.hits) == (charges * (shifts + 1), charges * 8 * (shifts + 1))
+    assert move_table(1, N) is move_table(1, N)
 
 
 @pytest.mark.parametrize("N", range(9))
 def test_move_table_matches_oracle_moves(N):
-    # the bit-mask moves against the oracle's, made one move_particle at a
-    # time on level lists; m = 0 gives the diagonal (j, j, 1, src)
+    # the bit-mask moves, the same at every charge, with each source level
+    # shifted to charge s, against the oracle's, made one move_particle at a
+    # time on the level lists of the charge-s sector; m = 0 gives the
+    # diagonal (j, j, 1, src)
     for s in range(-2, 3):
         for m in range(-N, N + 1):
-            assert move_table(m, s, N) == oracles.move_table_by_moves(m, s, N), (m, s)
+            shifted = tuple((i, j, sign, src + s) for i, j, sign, src in move_table(m, N))
+            assert shifted == oracles.move_table_by_moves(m, s, N), (m, s)
 
 
 def test_v_rows_reads_no_fraction_power(monkeypatch):
@@ -380,7 +385,7 @@ def test_transfer_generator_matches_oracle_weights(p):
         for family in ("plain", "alternating"):
             rows = {}
             for k, c in transfer_weights(p, N, family == "alternating").items():
-                for i, j, sign, _ in move_table(-k, 0, N):
+                for i, j, sign, _ in move_table(-k, N):
                     rows.setdefault(i, {})[j] = sign * k * c
             assert fock._y_rows(p, N, family) == oracles.integer_rows(rows), N
 

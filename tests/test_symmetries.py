@@ -14,9 +14,9 @@ from toda_crystal import (
     second_shift_check,
     torus_constant,
 )
-from toda_crystal import fock, symmetries
+from toda_crystal import checks, fock, symmetries
+from toda_crystal.checks import FAIL, INSUFFICIENT, PASS, CheckReport
 from toda_crystal.fock import banded, get_basis
-from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS, CheckReport
 from toda_crystal.toda import GradedOperator
 
 import oracles
@@ -330,7 +330,7 @@ def test_flipped_v_numerator_fails_first_shift_as_fraction_oracle(monkeypatch):
     # both routes read: the checks whose V factors include it fail, each on
     # the oracle's entry
     config = SectorConfig(0, 6, Fraction(2, 3))
-    i, j, _, _ = fock.move_table(1, 0, 6)[0]
+    i, j, _, _ = fock.move_table(1, 6)[0]
 
     def flipped(k, m, config, f=fock.v_rows):
         rows, den = f(k, m, config)
@@ -409,12 +409,12 @@ def _in_lowest_terms(values, den) -> bool:
 
 
 def _scanned_residuals(monkeypatch) -> list:
-    """Records, for every call of the residual kernel _sandwich_entry, the
+    """Records, for every call of the residual kernel sandwich_entry, the
     rows of diag T + f_left L T + T f_right R of a weight its mask reads, each
     row whole (uncertified entries included) as {i: {j: numerator}}, formed
     here from the kernel's inputs entry by entry."""
     seen = []
-    scan = symmetries._sandwich_entry
+    scan = symmetries.sandwich_entry
 
     def record(table, left, right, diag, mask, basis_obj, f_left=1, f_right=1):
         dim, w = len(table), basis_obj.weights
@@ -426,7 +426,7 @@ def _scanned_residuals(monkeypatch) -> list:
         seen.append(rows)
         return scan(table, left, right, diag, mask, basis_obj, f_left, f_right)
 
-    monkeypatch.setattr(symmetries, "_sandwich_entry", record)
+    monkeypatch.setattr(symmetries, "sandwich_entry", record)
     return seen
 
 
@@ -583,8 +583,8 @@ def test_flipped_move_fails_commutators_as_fraction_oracle(monkeypatch):
     # that read the flipped entry fail, each on the Fraction oracle's entry
     config = SectorConfig(0, 6, Fraction(2, 3))
 
-    def flipped(m, s, N, f=fock.move_table):
-        moves = f(m, s, N)
+    def flipped(m, N, f=fock.move_table):
+        moves = f(m, N)
         if m != 1:
             return moves
         (i, j, sign, src), *rest = moves
@@ -743,10 +743,10 @@ def test_failing_entry_identifies_earliest_pair():
     ident = Table([int(i == j) for j in range(len(b))] for i in range(len(b)))
     for left, right in ((rows, {}), ({}, rows)):
         formed.clear()
-        i, j, v = symmetries._sandwich_entry(ident, left, right, 0, mask, b)
+        i, j, v = checks.sandwich_entry(ident, left, right, 0, mask, b)
         # the rows are formed in ascending order, and none after the one reported
         assert formed == list(range(first[0] + 1))
         assert (i, j) == first and v == residual.rows[i][j]
-        worst = symmetries._entry_evidence(b, i, j, Fraction(v))
+        worst = checks.entry_evidence(b, i, j, Fraction(v))
         assert worst["row"] == b.parts[first[0]].to_json()
         assert worst["col"] == b.parts[first[1]].to_json()

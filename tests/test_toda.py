@@ -31,12 +31,12 @@ from toda_crystal import (
     zprime_family,
     zprime_series,
 )
-from toda_crystal import identities, models, toda
+from toda_crystal import algebra, identities, models, toda
 from toda_crystal.algebra import series_from_json_dict
-from toda_crystal.fock import SectorConfig, get_basis
+from toda_crystal.checks import FAIL, INSUFFICIENT, PASS, entry_evidence, sandwich_entry
+from toda_crystal.fock import SectorConfig, get_basis, j_rows
 from toda_crystal.series import GradedSeries
-from toda_crystal.symmetries import FAIL, INSUFFICIENT, PASS, _entry_evidence, _sandwich_entry
-from toda_crystal.toda import GradedOperator, TauSeries, _j_matrix, _time_rows
+from toda_crystal.toda import GradedOperator, _time_rows
 
 import oracles
 from oracles import (
@@ -79,7 +79,7 @@ def test_vacuum_q_series_matches_partition_sums():
 def test_tau_prime_constant_term_is_vacuum_series():
     pr = params()
     g = build_gprime(pr)
-    tau = tau_prime_series(pr, g).series
+    tau = tau_prime_series(pr, g).to_truncated()
     vac = g.vacuum_q_series()
     got = {k: v for k, v in tau.coeffs.items() if not any(k[1:])}
     assert got == vac.to_truncated().coeffs
@@ -90,11 +90,11 @@ def test_tau_prime_low_order_coefficient():
     # t1 th1 coefficient at the lowest grade needs <0|J_1|0> = 0 and vanishes
     pr = params(s=0, l=0, K=1, D=2, NQ=0)
     hook = DenseGraded(pr, "alternating", identity_transfers=True)
-    tau_hook = tau_prime_series(pr, hook).series
+    tau_hook = tau_prime_series(pr, hook).to_truncated()
     assert (0, 1, 1) not in tau_hook.coeffs
     # with the full transfers the same coefficient is -<0|J_1 g'_0 J_-1|0>,
     # a rank-one product A_{(1),empty} B_{empty,(1)} = -q/(1-q)^2
-    tau = tau_prime_series(pr).series
+    tau = tau_prime_series(pr).to_truncated()
     q = P * P
     assert tau.coeffs[(0, 1, 1)] == -q / (1 - q) ** 2 == Fraction(-4, 9)
 
@@ -102,7 +102,7 @@ def test_tau_prime_low_order_coefficient():
 def test_tau_prime_fixture():
     data = json.loads((FIXTURES / "tau_prime_s0_l0_p1of2.json").read_text())
     fixture = series_from_json_dict(data["series"])
-    assert tau_prime_series(params()).series == fixture
+    assert tau_prime_series(params()).to_truncated() == fixture
 
 
 @pytest.mark.parametrize("name,caps,N", [
@@ -114,7 +114,7 @@ def test_tau_prime_fixtures_at_two_thirds(name, caps, N):
     data = json.loads((FIXTURES / name).read_text())
     assert data["params"] == {"p": "2/3", "s": 0, "l": 1, "N": N}
     pr = params(l=1, p=Fraction(2, 3), K=caps[0], D=caps[1], NQ=caps[2], N=N)
-    assert tau_prime_series(pr).series == series_from_json_dict(data["series"])
+    assert tau_prime_series(pr).to_truncated() == series_from_json_dict(data["series"])
 
 
 @pytest.mark.parametrize("s,l", [(0, 0), (1, 0), (-1, 1), (1, 1)])
@@ -152,7 +152,7 @@ def test_prev_reduction(s):
 def test_reduction_at_equal_times_is_constant():
     pr = params()
     g = build_g(pr)
-    two = tau_prev_series(pr, "reduced_2d", g).series
+    two = tau_prev_series(pr, "reduced_2d", g).to_truncated()
     merged = merge_hatted_into_t(two)
     vac = {k: v for k, v in merged.coeffs.items() if not any(k[1:])}
     assert merged.coeffs == vac
@@ -186,7 +186,7 @@ def test_ground_action_fails_on_a_wrong_charge_offset(monkeypatch):
     # s(s+1)/2 moves both sides of each identity alike; the vacuum's L0
     # eigenvalue, the signed sum of its Maya levels, pins it at s = +-1
     assert all(ground_action_constants(s, P, 3).passed for s in range(-4, 5))
-    for module in (models, identities, toda):
+    for module in (algebra, models, identities, toda):
         monkeypatch.setattr(module, "charge_offset", lambda s: s * (s - 1) // 2)
     for s in (-1, 1):
         rep = ground_action_constants(s, P, 4)
@@ -235,7 +235,7 @@ def test_trivial_tau_closed_form():
 def _central_sign() -> int:
     # [J_1, J_-1] on the vacuum, from the sign tables of the time vectors
     cfg = SectorConfig(0, 2, P)
-    j1, jm1 = (SectorOperator(cfg, get_basis(2), _j_matrix(k, 2)) for k in (1, -1))
+    j1, jm1 = (SectorOperator(cfg, get_basis(2), j_rows(k, 2)) for k in (1, -1))
     return int(get(sub(matmul(j1, jm1), matmul(jm1, j1)), 0, 0))
 
 
@@ -245,7 +245,7 @@ def test_j_matrix_is_the_sign_table_of_j_op(s):
     # at every charge
     for N in (4, 6):
         for k in (*range(-N, 0), *range(1, N + 1)):
-            rows = _j_matrix(k, N)
+            rows = j_rows(k, N)
             assert rows == j_op(k, SectorConfig(s, N, P)).rows, (k, N)
             assert all(v in (1, -1) for row in rows.values() for v in row.values())
 
@@ -320,8 +320,8 @@ def test_bilinear_insufficient_without_neighbors():
 
 def test_tau_coefficients_stable_under_cutoff_growth():
     pr = params(K=2, D=2, NQ=2)
-    small = tau_prime_series(pr).series
-    big = tau_prime_series(pr.with_cutoff(pr.N + 2)).series
+    small = tau_prime_series(pr).to_truncated()
+    big = tau_prime_series(pr.with_cutoff(pr.N + 2)).to_truncated()
     assert small == big
 
 
@@ -344,10 +344,10 @@ def test_matrix_free_tau_matches_dense_route(shape, p):
     pr = params(p=p, **shape)
     dense_gprime = DenseGraded(pr, "alternating")
     dense_g = DenseGraded(pr, "plain")
-    assert tau_prime_series(pr).series == tau_prime_series(pr, dense_gprime).series
+    assert tau_prime_series(pr).to_truncated() == tau_prime_series(pr, dense_gprime).to_truncated()
     for form in TAU_PREV_FORMS:
-        assert tau_prev_series(pr, form).series == \
-            tau_prev_series(pr, form, dense_g).series
+        assert tau_prev_series(pr, form).to_truncated() == \
+            tau_prev_series(pr, form, dense_g).to_truncated()
     assert build_gprime(pr).vacuum_q_series() == dense_gprime.vacuum_q_series()
     assert build_g(pr).vacuum_q_series() == dense_g.vacuum_q_series()
 
@@ -377,9 +377,9 @@ def test_time_vectors_pushed_once_for_every_l(build, first, monkeypatch):
 def test_all_tau_forms_stable_under_cutoff_growth():
     pr = params(p=Fraction(2, 3), **VECTOR_SHAPES[1])
     big = pr.with_cutoff(pr.N + 2)
-    assert tau_prime_series(pr).series == tau_prime_series(big).series
+    assert tau_prime_series(pr).to_truncated() == tau_prime_series(big).to_truncated()
     for form in TAU_PREV_FORMS:
-        assert tau_prev_series(pr, form).series == tau_prev_series(big, form).series
+        assert tau_prev_series(pr, form).to_truncated() == tau_prev_series(big, form).to_truncated()
 
 
 def test_intertwining_at_p_other_than_half():
@@ -419,10 +419,10 @@ def _kernel_entry(g, k: int, right_k: int, mask) -> dict | None:
     N = g.config.N
     for n in range(g.params.ctx.NQ + 1):
         block, den = g.gram(n)
-        entry = _sandwich_entry(block, _j_matrix(k, N), _j_matrix(right_k, N), 0, mask, g.basis,
+        entry = sandwich_entry(block, j_rows(k, N), j_rows(right_k, N), 0, mask, g.basis,
                                 f_right=-1)
         if entry:
-            return {"grade": n, **_entry_evidence(g.basis, *entry[:2], Fraction(entry[2], den))}
+            return {"grade": n, **entry_evidence(g.basis, *entry[:2], Fraction(entry[2], den))}
     return None
 
 
@@ -509,7 +509,7 @@ def test_flipped_j_sign_fails_as_dense_residual(monkeypatch):
     # both read: g_true fails at k = 1 on the dense residual's entry
     pr = params(s=0, l=1, p=Fraction(2, 3), K=2, D=2, NQ=3)
 
-    def flipped(k, N, f=_j_matrix):
+    def flipped(k, N, f=j_rows):
         rows = {i: dict(row) for i, row in f(k, N).items()}
         if k == 1:
             i = min(rows)
@@ -517,7 +517,7 @@ def test_flipped_j_sign_fails_as_dense_residual(monkeypatch):
             rows[i][j] = -rows[i][j]
         return rows
 
-    monkeypatch.setattr(identities, "_j_matrix", flipped)
+    monkeypatch.setattr(identities, "j_rows", flipped)
     rep = intertwining_residual("g_true", 1, pr)
     entry = dense_residual_entry(
         "plain", 1, -1, pr, j=lambda k, cfg: SectorOperator(cfg, get_basis(cfg.N), flipped(k, cfg.N)))
@@ -561,10 +561,11 @@ def test_intertwining_at_random_heights_matches_dense_blocks(p, s, l, NQ):
 PERTURBED_KEY = (2, 1, 0, 0, 0)
 
 
-def _perturbed(tau: TauSeries, delta=Fraction(1, 7)) -> TauSeries:
-    coeffs = dict(tau.series.coeffs)
+def _perturbed(tau: GradedSeries, delta=Fraction(1, 7)) -> GradedSeries:
+    series = tau.to_truncated()
+    coeffs = dict(series.coeffs)
     coeffs[PERTURBED_KEY] = coeffs.get(PERTURBED_KEY, 0) + delta
-    return TauSeries(tau.charge, GradedSeries.of(TruncatedSeries(tau.series.ctx, coeffs)))
+    return GradedSeries.of(TruncatedSeries(series.ctx, coeffs))
 
 
 def _difference_evidence(lhs, rhs) -> dict:
@@ -578,7 +579,7 @@ def test_perturbed_tau_prime_fails_as_the_oracle_route(monkeypatch):
     pr = params(s=0, l=1, K=2, D=3, NQ=3)
     monkeypatch.setattr(identities, "tau_prime_series", lambda p, graded=None, f=tau_prime_series:
                         _perturbed(f(p, graded)) if p.s == 0 else f(p, graded))
-    tau = identities.tau_prime_series(pr).series
+    tau = identities.tau_prime_series(pr).to_truncated()
     lhs, rhs = zprime_series(pr), oracles.main_identity_rhs(pr, tau)
     rep = verify_main_identity(pr)
     assert rep.status == FAIL
@@ -586,8 +587,8 @@ def test_perturbed_tau_prime_fails_as_the_oracle_route(monkeypatch):
     assert rep.window == len(set(lhs.coeffs) | set(rhs.coeffs))
     fam = tau_prime_family(pr, range(-2, 3))
     c = calibrate_bilinear_sign(2, 3)
-    residuals = {s: oracles.bilinear_residual(fam[s].series, fam[s + 1].series,
-                                              fam[s - 1].series, c) for s in (-1, 0, 1)}
+    residuals = {s: oracles.bilinear_residual(fam[s].to_truncated(), fam[s + 1].to_truncated(),
+                                              fam[s - 1].to_truncated(), c) for s in (-1, 0, 1)}
     center = next(s for s, residual in residuals.items() if residual)
     label, value = oracles.first_nonzero(residuals[center])
     rep = toda_bilinear_residual(fam)
@@ -602,11 +603,11 @@ def test_perturbed_prev_tau_fails_as_the_oracle_route(monkeypatch):
     monkeypatch.setattr(identities, "tau_prev_series",
                         lambda p, form="left", graded=None, f=tau_prev_series:
                         _perturbed(f(p, form, graded)) if form == "left" else f(p, form, graded))
-    left = identities.tau_prev_series(pr).series
+    left = identities.tau_prev_series(pr).to_truncated()
     sides = {
         verify_prev_identity: (z_series(pr), oracles.prev_identity_rhs(pr, left)),
-        check_prev_forms: (left, tau_prev_series(pr, "symmetric").series),
-        check_prev_reduction: (tau_prev_series(pr, "reduced_2d").series,
+        check_prev_forms: (left, tau_prev_series(pr, "symmetric").to_truncated()),
+        check_prev_reduction: (tau_prev_series(pr, "reduced_2d").to_truncated(),
                                oracles.substitute_difference(left)),
     }
     for check, (lhs, rhs) in sides.items():
