@@ -87,24 +87,27 @@ def verify_main_identity(params: ModelParams) -> CheckReport:
         {"prefactor": "exp(sum_k q^k t_k/(1-q^k) + q^-k th_k/(1-q^-k))"})
 
 
+def _prev_constant(params: ModelParams) -> Fraction:
+    """q^{-s(s+1)(2s+1)/6} = p^{-s(s+1)(2s+1)/3}, the previous model's vacuum constant."""
+    s = params.s
+    return params.p ** (-(s * (s + 1) * (2 * s + 1)) // 3)
+
+
 def prev_identity_sides(params: ModelParams) -> tuple[GradedSeries, GradedSeries]:
     """LHS: previous-model partition function. RHS:
     exp(sum t_k q^k/(1-q^k)) q^{-s(s+1)(2s+1)/6} tau(s, -t_1, t_2, -t_3, ...)."""
     lhs = GradedSeries.of(z_series(params))
     tau_sub = tau_prev_series(params, "left").alternate_t_signs()
-    K, p, s = params.ctx.K, params.p, params.s
+    K, p = params.ctx.K, params.p
     pref = _polynomial(params.out_ctx,
                        {f"t{k}^1": torus_constant(k, p) for k in range(1, K + 1)}).exp()
-    const = p ** (-(s * (s + 1) * (2 * s + 1)) // 3)
-    return lhs, pref * tau_sub * const
+    return lhs, pref * tau_sub * _prev_constant(params)
 
 
 def verify_prev_identity(params: ModelParams) -> CheckReport:
     lhs, rhs = prev_identity_sides(params)
-    s = params.s
-    return _series_report(
-        "prev_identity", _params_dict(params), lhs, rhs,
-        {"constant": format_rational(params.p ** (-(s * (s + 1) * (2 * s + 1)) // 3))})
+    return _series_report("prev_identity", _params_dict(params), lhs, rhs,
+                          {"constant": format_rational(_prev_constant(params))})
 
 
 def check_prev_forms(params: ModelParams) -> CheckReport:
@@ -134,7 +137,7 @@ def ground_action_constants(s: int, p: Fraction, N: int) -> CheckReport:
     G"_+|s> = |s>, plus the W0 eigenvalue of the vacuum matching
     s(s+1)(2s+1)/6, which makes the two dressing scalars p^{-+ that}, and its
     L0 eigenvalue, the signed sum of the levels of maya_diag_levels, matching
-    models.charge_offset. The transfer half holds by construction: no weight
+    algebra.charge_offset. The transfer half holds by construction: no weight
     lies below the vacuum's, so transfer_row returns the vacuum without
     reading a coupling. Only the W0 and L0 halves can fail."""
     p = Fraction(p)

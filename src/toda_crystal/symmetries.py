@@ -5,19 +5,26 @@ split rule certifies, and reports the earliest offending entry, by row, then
 column, on failure. A check writes the chain of each product it compares from
 its own indices (V^(k)_m is banded(-m), G_- and G_+ RAISING and LOWERING) and
 asks certified_window for one mask. Each residual is integer numerators over
-one common denominator, so only a reported entry becomes a Fraction. The
-commutators are proved once per (m, n), for every p, k and l: an entry of
-V^(k)_m is a Laurent polynomial in x = p^k, and _certificate checks
-[V_m(x), V_n(y)] = P V_{m+n}(xy) + G on every certified cell as integer
-Laurent polynomials, so a check only compares its two relation values with P
-and G at its point; if they differ, or the certificate fails, it evaluates
-the cells there and reports the first nonzero one; the certificate reads the
-p-free terms of fock.v_terms. The first shift's G_-G_+ is the dense integer
-fock.pair_table and its V's are the integer fock.v_rows; checks.sandwich_entry,
-the residual kernel it shares with the intertwining check of `identities`,
-forms c T + f L T + T f' R on it, row by row, and stops at the first nonzero
-entry. The second shift compares the exponents of fock.v_terms term by term.
-The report records, torus_constant and the kernel live in `checks`.
+one common denominator, so only a reported entry becomes a Fraction.
+
+A commutator check is its certificate. An entry of V^(k)_m is a Laurent
+polynomial in x = p^k, read off the p-free terms of fock.v_terms, and
+_relation(m, n) is the package's one statement of [V_m(x), V_n(y)] =
+P V_{m+n}(xy) + G. _certificate forms product - P third - G ones on every
+certified cell as integer Laurent polynomials, once per (m, n) with m <= n,
+for every p, k and l. An empty residual is a pass, with nothing evaluated at
+the point; otherwise the check evaluates the cached residual at x = p^k,
+y = p^l and reports its least nonzero cell. A check with m > n reads the
+(n, m) certificate at (p^l, p^k), negated, since the commutator and P and G
+all change sign under the swap. The closed forms of P and G in Fraction are
+the test reference, in tests/oracles.py.
+
+The first shift's G_-G_+ is the dense integer fock.pair_table and its V's are
+the integer fock.v_rows; checks.sandwich_entry, the residual kernel it shares
+with the intertwining check of `identities`, forms c T + f L T + T f' R on
+it, row by row, and stops at the first nonzero entry. The second shift
+compares the exponents of fock.v_terms term by term. The report records,
+torus_constant and the kernel live in `checks`.
 """
 
 from __future__ import annotations
@@ -31,8 +38,6 @@ from .checks import (FAIL, INSUFFICIENT, PASS, CheckReport, entry_evidence, sand
 from .fock import (LOWERING, RAISING, SectorConfig, banded, certified_window, get_basis,
                    pair_table, v_rows, v_terms, w0_diag)
 
-_ZERO = Fraction(0)
-
 
 @lru_cache(maxsize=None)
 def _p_label(config: SectorConfig) -> str:
@@ -40,33 +45,18 @@ def _p_label(config: SectorConfig) -> str:
     return format_rational(config.p)
 
 
-def torus_prefactor(k: int, m: int, l: int, n: int, p: Fraction) -> Fraction:
-    """q^{(lm-kn)/2} - q^{(kn-lm)/2}, the coefficient of V^(k+l)_{m+n}."""
-    a, b = p.numerator ** abs(l * m - k * n), p.denominator ** abs(l * m - k * n)  # p^|e| = a/b
-    return Fraction(a * a - b * b, a * b) if l * m >= k * n else Fraction(b * b - a * a, a * b)
-
-
-def central_term(k: int, m: int, l: int, n: int, p: Fraction) -> Fraction:
-    """The identity coefficient of [V^(k)_m, V^(l)_n]: m at k+l = 0 = m+n, the
-    certificate's G at xy = 1, else -pref c(k+l) at m+n = 0, else 0."""
-    if k + l == 0 and m + n == 0:
-        return Fraction(m)
-    if m + n:
-        return _ZERO
-    return -torus_prefactor(k, m, l, n, p) * torus_constant(k + l, p)
-
-
 @lru_cache(maxsize=None)
 def _relation(m: int, n: int) -> tuple:
     """The terms ((t, a, b), c) of c x^a y^b of [V_m(x), V_n(y)] = P V_{m+n}(xy)
     + G: t = 0 for P = y^m x^-n - x^n y^-m, t = 1 for G, which is 0 unless
     m + n = 0, where -P q^j/(1 - q^j) with q^j = (xy)^2 is the geometric sum
-    sign(m) sum_{i<|m|} (xy)^(2-|m|+2i)."""
+    sign(m) sum_{i<|m|} (xy)^(2-|m|+2i), m at xy = 1. The checks only ever
+    ask it for m <= n."""
     return (((0, -n, m), 1), ((0, n, -m), -1), *(
         ((1, e, e), (m > 0) - (m < 0)) for e in range(2 - abs(m), abs(m) + 1, 2) if m + n == 0))
 
 
-def _at(terms: tuple | list, k: int, l: int, p: Fraction) -> tuple[dict[int, int], int]:
+def _at(terms, k: int, l: int, p: Fraction) -> tuple[dict[int, int], int]:
     """The terms ((t, a, b), c) of c x^a y^b at x = p^k and y = p^l, summed by
     t, as integer numerators over (uv)^h, p = u/v and h the largest |ka + lb|."""
     u, v = p.numerator, p.denominator
@@ -100,56 +90,44 @@ def _commutator_tables(m: int, n: int, s: int, N: int) -> tuple[int, dict, dict,
 
 
 @lru_cache(maxsize=None)
-def _certificate(m: int, n: int, s: int, N: int) -> tuple[int, bool]:
+def _certificate(m: int, n: int, s: int, N: int, relation: tuple) -> tuple[int, dict]:
     """The window of the commutator checks of (m, n) and (n, m), m <= n, and
-    whether product = P third + G ones holds in _commutator_tables as Laurent
-    polynomials; that of (n, m) at (x, y) is minus that of (m, n) at (y, x)."""
+    the nonzero terms {(slot, a, b): c} of product - P third - G ones in
+    _commutator_tables, with P and G the terms of relation: empty when the
+    relation holds on every certified cell as Laurent polynomials."""
     window, product, third, ones = _commutator_tables(m, n, s, N)
     residual = dict(product)
-    for (t, a, b), c in _relation(m, n):
+    for (t, a, b), c in relation:
         for (slot, e, f), d in (ones if t else third).items():
             residual[slot, a + e, b + f] = residual.get((slot, a + e, b + f), 0) - c * d
-    return window, not any(residual.values())
-
-
-def _residual_entry(k: int, m: int, l: int, n: int, config: SectorConfig, pref: Fraction,
-                    central: Fraction) -> dict | None:
-    """The least certified nonzero entry of [V^(k)_m, V^(l)_n] - pref V^(k+l)_{m+n}
-    - central 1, or None: at once if the certificate holds and pref and central
-    are P and G at x = p^k, y = p^l, else off the tables, over one denominator."""
-    s, N, p = config.s, config.N, config.p
-    at, den = _at(_relation(m, n), k, l, p)
-    agree = all(f.numerator * den == at.get(t, 0) * f.denominator
-                for t, f in ((0, pref), (1, central)))
-    if agree and _certificate(min(m, n), max(m, n), s, N)[1]:
-        return None
-    _, *tables = _commutator_tables(m, n, s, N)
-    (a, b), (c, e) = (pref.numerator, pref.denominator), (central.numerator, central.denominator)
-    residual, d = _at([(key, f * v) for table, f in zip(tables, (b * e, -a * e, -c * b))
-                       for key, v in table.items()], k, l, p)  # over d b e
-    t = min((t for t, v in residual.items() if v), default=None)
-    return None if t is None else entry_evidence(
-        get_basis(N), *divmod(t, len(get_basis(N))), Fraction(residual[t], d * b * e))
+    return window, {key: c for key, c in residual.items() if c}
 
 
 def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> CheckReport:
-    """[V^(k)_m, V^(l)_n] = torus_prefactor V^(k+l)_{m+n} + central_term on
-    the certified window. At k+l = 0 and m+n = 0 the prefactor vanishes and
-    the relation degenerates to the central term m, whose sign the certificate
-    fixes; a pass with m != 0 reports that sign, central_sign 1."""
+    """[V^(k)_m, V^(l)_n] = P V^(k+l)_{m+n} + G on the certified window, with
+    P and G from _relation: the check is the certificate of (min(m, n),
+    max(m, n)), read at (p^k, p^l), or swapped at (p^l, p^k) and negated for
+    m > n. A pass reads the cached certificate alone; a failure evaluates its
+    residual at the point and reports the least nonzero cell. At k+l = 0 and
+    m+n = 0 the prefactor vanishes and the relation degenerates to the central
+    term m, whose sign the certificate fixes; a pass with m != 0 reports that
+    sign, central_sign 1."""
     params = {"k": k, "m": m, "l": l, "n": n, "s": config.s, "l_weight": config.l,
               "p": _p_label(config), "N": config.N}
     report = CheckReport("commutator", params, INSUFFICIENT)
-    N, p = config.N, config.p
+    N = config.N
     if max(abs(m), abs(n), abs(m + n)) > N:
         report.evidence = {"reason": "shift exceeds the cutoff"}
         return report
-    report.window = _certificate(min(m, n), max(m, n), config.s, N)[0]
+    (lo, x), (hi, y), sign = ((m, k), (n, l), 1) if m <= n else ((n, l), (m, k), -1)
+    report.window, residual = _certificate(lo, hi, config.s, N, _relation(lo, hi))
     if report.window == 0:
         report.evidence = {"reason": "empty certified window"}
         return report
-    worst = _residual_entry(k, m, l, n, config, torus_prefactor(k, m, l, n, p),
-                            central_term(k, m, l, n, p))
+    values, den = _at(residual.items(), x, y, config.p) if residual else ({}, 1)
+    slot = min((t for t, v in values.items() if v), default=None)
+    worst = None if slot is None else entry_evidence(
+        get_basis(N), *divmod(slot, len(get_basis(N))), Fraction(sign * values[slot], den))
     report.status = PASS if worst is None else FAIL
     if worst:
         report.evidence = {"worst": worst}

@@ -184,10 +184,11 @@ class GradedOperator:
         return block, den
 
     def vacuum_q_series(self) -> GradedSeries:
-        """<s| g |s> as a pure Q series in the output context."""
+        """<s| g |s> as a pure Q series in the output context, paired from the
+        vacuum entries of time_vectors, u_0 = <s| A and w_0 = B |s>."""
         zero = (0,) * self.params.ctx.K
-        return _assemble(self.params, {zero: self.row(({0: 1}, 1))}, {zero: self.col(({0: 1}, 1))},
-                         hat_sign=+1)
+        us, ws = self.time_vectors
+        return _assemble(self.params, {zero: us[zero]}, {zero: ws[zero]}, hat_sign=+1)
 
 
 def _at_l0(build, params: ModelParams) -> GradedOperator | None:

@@ -39,9 +39,15 @@ package reads off its integer pair tables; fraction_residual_entry is the
 intertwining scan by grade dots of Fraction vectors, and
 fraction_intertwining_residual the check on it, which the package replaced
 with its sandwich kernel on the integer blocks;
+torus_prefactor and central_term the closed forms of the commutator's
+prefactor and central term, the reference that symmetries._relation, the
+package's one statement of the relation, is tested against, and
+relation_values that relation read in Fraction as the package's checks read
+it, the (n, m) terms swapped and negated for m > n;
 fraction_commutator_check and fraction_first_shift_check the two operator
-checks on Fraction entries (the latter with the dense pair) that the package
-replaced with integer residuals, fraction_second_shift_check the conjugation
+checks on Fraction entries (the former with relation_values, the latter with
+the dense pair) that the package replaced with its certificate and with
+integer residuals, fraction_second_shift_check the conjugation
 by Fraction powers of p that the package replaced with exponents,
 window_size_by_pairs the weight-pair count that certified_window replaced,
 and split_certified and window_by_pairs the split rule applied to one weight
@@ -834,11 +840,39 @@ def fraction_intertwining_residual(which: str, k: int, params) -> CheckReport:
     return report
 
 
+def torus_prefactor(k: int, m: int, l: int, n: int, p: Fraction) -> Fraction:
+    """q^{(lm-kn)/2} - q^{(kn-lm)/2}, the coefficient of V^(k+l)_{m+n}."""
+    a, b = p.numerator ** abs(l * m - k * n), p.denominator ** abs(l * m - k * n)  # p^|e| = a/b
+    return Fraction(a * a - b * b, a * b) if l * m >= k * n else Fraction(b * b - a * a, a * b)
+
+
+def central_term(k: int, m: int, l: int, n: int, p: Fraction) -> Fraction:
+    """The identity coefficient of [V^(k)_m, V^(l)_n]: m at k+l = 0 = m+n, the
+    certificate's G at xy = 1, else -pref c(k+l) at m+n = 0, else 0; c is
+    read from symmetries at call time."""
+    if k + l == 0 and m + n == 0:
+        return Fraction(m)
+    if m + n:
+        return Fraction(0)
+    return -torus_prefactor(k, m, l, n, p) * symmetries.torus_constant(k + l, p)
+
+
+def relation_values(k: int, m: int, l: int, n: int, p: Fraction) -> tuple[Fraction, Fraction]:
+    """(P, G) of [V^(k)_m, V^(l)_n] = P V^(k+l)_{m+n} + G as the package reads
+    them, in Fraction powers of p: the terms of symmetries._relation(min(m, n),
+    max(m, n)), looked up at call time, at (p^k, p^l), or for m > n at
+    (p^l, p^k) and negated."""
+    (lo, x), (hi, y), sign = ((m, k), (n, l), 1) if m <= n else ((n, l), (m, k), -1)
+    values = [Fraction(0), Fraction(0)]
+    for (t, a, b), c in symmetries._relation(lo, hi):
+        values[t] += sign * c * p ** (x * a + y * b)
+    return values[0], values[1]
+
+
 def fraction_commutator_check(k: int, m: int, l: int, n: int, config) -> CheckReport:
     """symmetries.commutator_check on Fraction entries: V1 V2 - V2 V1 from
     v_op by SectorOperator products, minus the relation as a Fraction
-    operator. The prefactor and the central term are read from symmetries
-    at call time."""
+    operator, its prefactor and central term from relation_values."""
     params = {"k": k, "m": m, "l": l, "n": n, "s": config.s, "l_weight": config.l,
               "p": format_rational(config.p), "N": config.N}
     report = CheckReport("commutator", params, INSUFFICIENT)
@@ -854,9 +888,8 @@ def fraction_commutator_check(k: int, m: int, l: int, n: int, config) -> CheckRe
     if window == 0:
         report.evidence = {"reason": "empty certified window"}
         return report
-    p = config.p
-    rhs = add(scale(v_op(k + l, m + n, config), symmetries.torus_prefactor(k, m, l, n, p)),
-              scale(identity(config), symmetries.central_term(k, m, l, n, p)))
+    pref, central = relation_values(k, m, l, n, config.p)
+    rhs = add(scale(v_op(k + l, m + n, config), pref), scale(identity(config), central))
     ok, worst = _scan_certified_residual(sub(lhs, rhs), mask)
     report.status = PASS if ok else FAIL
     if worst:

@@ -496,13 +496,24 @@ def test_reports_stable_under_cutoff_growth(kind, p):
         assert _without_cutoff(grown) == small, task
 
 
-def _fixture_script():
-    """scripts/generate_fixtures.py, loaded from the checkout."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "generate_fixtures.py"
-    spec = importlib.util.spec_from_file_location("generate_fixtures", path)
+def _fixture_script(name: str = "generate_fixtures"):
+    """scripts/<name>.py, loaded from the checkout."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def test_mutation_survey_runs_two_mutants():
+    # the whole survey takes about 1 s a mutant, so tier-1 runs two of them,
+    # and checks that the old text of every mutant occurs once
+    survey = _fixture_script("mutation_survey")
+    assert survey.mismatched() == []
+    assert survey.mismatched([survey.Mutant("gone", "fock.py", "no such text", "")]) == ["gone"]
+    mutants = {mutant.name: mutant for mutant in survey.MUTANTS}
+    assert survey.run_mutant(mutants["unsigned_degenerate"]) == {"commutator"}
+    assert survey.run_mutant(mutants["charge_offset_s_minus_1"]) == {"ground_action"}
 
 
 def _match_fixture(script, name: str, ours: list[str], oracle_lines):

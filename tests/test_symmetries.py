@@ -216,11 +216,14 @@ def test_first_shift_reports_match_fraction_oracle(p):
     assert all(line["status"] == PASS for line in lines)
 
 
-def _doubled_identity(monkeypatch):
-    # every commutator central term, the degenerate m included, comes out
-    # twice too large; both commutator routes read it from central_term
-    monkeypatch.setattr(symmetries, "central_term",
-                        lambda *a, f=symmetries.central_term: 2 * f(*a))
+def _relation_mutant(f):
+    """A mutant of symmetries._relation that maps the coefficient c of each
+    term ((t, a, b), c) to f(t, c); both commutator routes read the relation
+    at call time."""
+    def patch(monkeypatch, relation=symmetries._relation):
+        monkeypatch.setattr(symmetries, "_relation", lambda m, n: tuple(
+            (key, f(key[0], c)) for key, c in relation(m, n)))
+    return patch
 
 
 def _doubled_shift_identity(monkeypatch):
@@ -230,29 +233,69 @@ def _doubled_shift_identity(monkeypatch):
                         lambda j, p, f=symmetries.torus_constant: 2 * f(j, p))
 
 
-def _unsigned_degenerate(monkeypatch):
-    # the degenerate central term as |m|, right for m > 0 alone: a check that
-    # also tried the sign -1 would pass it
-    monkeypatch.setattr(symmetries, "central_term", lambda k, m, l, n, p,
-                        f=symmetries.central_term: Fraction(abs(m)) if k + l == 0 == m + n
-                        else f(k, m, l, n, p))
-
-
 WRONG_RELATIONS = {
-    "flipped_prefactor": lambda mp: mp.setattr(
-        symmetries, "torus_prefactor", lambda *a, f=symmetries.torus_prefactor: -f(*a)),
-    "wrong_constant": lambda mp: mp.setattr(
-        symmetries, "torus_constant", lambda j, p, f=symmetries.torus_constant: f(j, p) + 1),
-    "doubled_identity": _doubled_identity,
-    "unsigned_degenerate": _unsigned_degenerate,
+    "flipped_prefactor": _relation_mutant(lambda t, c: c if t else -c),
+    "doubled_identity": _relation_mutant(lambda t, c: 2 * c if t else c),
+    # G with sign(m) dropped: as the checks ask only for m <= n, every central
+    # term at m + n = 0 != m comes out negated, the degenerate one as -m
+    "unsigned_degenerate": _relation_mutant(lambda t, c: abs(c) if t else c),
 }
-# the first shift takes its c * 1 from torus_constant, not central_term
-FIRST_SHIFT_RELATIONS = dict(WRONG_RELATIONS, doubled_identity=_doubled_shift_identity)
-# the first shift reads neither the torus prefactor nor the degenerate central term
+# the first shift takes its c * 1 from torus_constant, which the commutator
+# certificate never reads: wrong_constant reaches the first shift and the
+# oracles' closed forms alone
+FIRST_SHIFT_RELATIONS = dict(WRONG_RELATIONS, doubled_identity=_doubled_shift_identity,
+                             wrong_constant=lambda mp: mp.setattr(
+                                 symmetries, "torus_constant",
+                                 lambda j, p, f=symmetries.torus_constant: f(j, p) + 1))
+# the first shift does not read symmetries._relation
 FIRST_SHIFT_BLIND = ("flipped_prefactor", "unsigned_degenerate")
 
 
-@pytest.mark.parametrize("wrong", sorted(WRONG_RELATIONS))
+def _closed_form_mismatches(ks, ps) -> list:
+    """The points (k, m, l, n, p), k and l in ks, m and n in [-3, 3], p in ps,
+    at which P and G as the checks read symmetries._relation differ from the
+    closed forms oracles.torus_prefactor and oracles.central_term."""
+    return [(k, m, l, n, p) for p in ps for k in ks for l in ks
+            for m in range(-3, 4) for n in range(-3, 4)
+            if oracles.relation_values(k, m, l, n, p) != (
+                oracles.torus_prefactor(k, m, l, n, p), oracles.central_term(k, m, l, n, p))]
+
+
+def _laurent(terms) -> dict:
+    """The terms ((a, b), c) of c x^a y^b summed, zeros dropped."""
+    acc = {}
+    for key, c in terms:
+        acc[key] = acc.get(key, 0) + c
+    return {key: c for key, c in acc.items() if c}
+
+
+def _laurent_product(f: dict, g: dict) -> dict:
+    return _laurent(((a + c, b + d), u * v) for (a, b), u in f.items() for (c, d), v in g.items())
+
+
+def test_relation_is_the_papers_relation():
+    # [V_m(x), V_n(y)] = P V_{m+n}(xy) + G as Laurent polynomials, for every
+    # p, k and l: P = y^m x^-n - x^n y^-m, and at m + n = 0 G = -P q/(1 - q)
+    # with q = (xy)^2, whose value at xy = 1 is m; elsewhere no G
+    for m in range(-3, 4):
+        for n in range(-3, 4):
+            terms = symmetries._relation(m, n)
+            p_terms = _laurent(((a, b), c) for (t, a, b), c in terms if t == 0)
+            g_terms = _laurent(((a, b), c) for (t, a, b), c in terms if t == 1)
+            # summed, not assigned: at m = n = 0 the two terms share a key and cancel
+            assert p_terms == _laurent((((-n, m), 1), ((n, -m), -1))), (m, n)
+            if m + n:
+                assert g_terms == {}, (m, n)
+                continue
+            assert _laurent_product(g_terms, {(0, 0): 1, (2, 2): -1}) == (
+                _laurent_product(p_terms, {(2, 2): -1})), (m, n)
+            assert sum(g_terms.values()) == m
+    # the values, read as the checks read them, are the closed forms: 4,900 points
+    assert _closed_form_mismatches(range(-2, 3), (P, Fraction(2, 3), Fraction(1, 3),
+                                                  Fraction(5, 7))) == []
+
+
+@pytest.mark.parametrize("wrong", sorted(FIRST_SHIFT_RELATIONS))
 def test_wrong_relations_fail_as_in_fraction_oracle(wrong):
     config = SectorConfig(0, 6, Fraction(2, 3))
     grid = [(k, m, l, n) for k, m, l, n in COMMUTATOR_GRID if abs(k) < 2 and abs(l) < 2]
@@ -262,21 +305,23 @@ def test_wrong_relations_fail_as_in_fraction_oracle(wrong):
             (FIRST_SHIFT_RELATIONS, first_shift_check, oracles.fraction_first_shift_check,
              FIRST_SHIFT_GRID)):
         with pytest.MonkeyPatch.context() as mp:
-            relations[wrong](mp)
+            relations.get(wrong, FIRST_SHIFT_RELATIONS[wrong])(mp)
             lines = _same_reports(check, oracle, points, [config])
+            # every mutant moves P or G off the oracles' closed forms
+            assert _closed_form_mismatches(range(-1, 2), (config.p,))
         failed[check] = [line for line in lines if line["status"] == FAIL]
-    # every fault reaches the commutators, and all but the blind ones the first shift
-    assert failed[commutator_check]
+    # the relation mutants reach the commutators, and all but the blind ones the first shift
+    assert bool(failed[commutator_check]) == (wrong in WRONG_RELATIONS)
     assert bool(failed[first_shift_check]) == (wrong not in FIRST_SHIFT_BLIND)
     assert all(line["evidence"]["worst"]["value"] != "0"
                for lines in failed.values() for line in lines)
     if wrong == "unsigned_degenerate":
-        # exactly the degenerate points with m < 0 fail, on the central term 2m
-        degenerate = [(k, m, l, n) for k, m, l, n in grid if k + l == 0 == m + n and m < 0]
+        # exactly the points with m + n = 0 != m fail, on twice the central term
+        central = [(k, m, l, n) for k, m, l, n in grid if m + n == 0 != m]
         assert sorted(tuple(line["params"][x] for x in "kmln")
-                      for line in failed[commutator_check]) == sorted(degenerate)
-        assert all(Fraction(line["evidence"]["worst"]["value"]) == 2 * line["params"]["m"]
-                   for line in failed[commutator_check])
+                      for line in failed[commutator_check]) == sorted(central)
+        assert all(Fraction(line["evidence"]["worst"]["value"]) == 2 * oracles.central_term(
+            *(line["params"][x] for x in "kmln"), config.p) for line in failed[commutator_check])
 
 
 def _fractions_of_small_height():
@@ -488,7 +533,7 @@ def test_integer_forms_hold_ints_in_lowest_terms():
         v1, v2 = v_op(k, m, config), v_op(l, n, config)
         product = oracles.sub(oracles.matmul(v1, v2), oracles.matmul(v2, v1))
         residual = oracles.sub(product, oracles.scale(
-            v_op(k + l, m + n, config), symmetries.torus_prefactor(k, m, l, n, config.p)))
+            v_op(k + l, m + n, config), oracles.torus_prefactor(k, m, l, n, config.p)))
         assert sum(not mask[w[i]][w[j]] for i, row in residual.rows.items()
                    for j in row) == uncertified
         assert _table_rows(tables[0], k, l, config.p, 6) == _certified_rows(product.rows, mask, 6)
@@ -572,7 +617,21 @@ def test_commutator_certificate_is_built_once_per_pair_for_every_p(monkeypatch):
         assert all(commutator_check(*args, config).passed for args in COMMUTATOR_GRID)
     assert symmetries._certificate.cache_info().misses == 28
     assert sorted(built) == [(m, n, 0, 6) for m in range(-3, 4) for n in range(m, 4)]
-    assert all(symmetries._certificate(m, n, 0, 6)[1] for m, n, _, _ in built)
+    assert all(not symmetries._certificate(m, n, 0, 6, symmetries._relation(m, n))[1]
+               for m, n, _, _ in built)
+
+
+def test_passing_commutators_read_the_certificate_alone(monkeypatch):
+    # after a warm pass every check of the grid passes on its cached
+    # certificate: no table is rebuilt and nothing is evaluated at the point
+    config = SectorConfig(0, 6, Fraction(2, 3))
+    assert all(commutator_check(*args, config).passed for args in COMMUTATOR_GRID)
+    calls = []
+    for name in ("_commutator_tables", "_at"):
+        monkeypatch.setattr(symmetries, name, lambda *a, name=name, f=getattr(symmetries, name):
+                            calls.append(name) or f(*a))
+    assert all(commutator_check(*args, config).passed for args in COMMUTATOR_GRID)
+    assert calls == []
 
 
 def test_flipped_move_fails_commutators_as_fraction_oracle(monkeypatch):
@@ -598,7 +657,7 @@ def test_flipped_move_fails_commutators_as_fraction_oracle(monkeypatch):
         lines = _same_reports(commutator_check, oracles.fraction_commutator_check,
                               COMMUTATOR_GRID, [config])
         broken = {(m, n) for m in range(-3, 4) for n in range(m, 4)
-                  if not symmetries._certificate(m, n, 0, 6)[1]}
+                  if symmetries._certificate(m, n, 0, 6, symmetries._relation(m, n))[1]}
         shift_lines = _same_reports(first_shift_check, oracles.fraction_first_shift_check,
                                     FIRST_SHIFT_GRID, [config])
     finally:
