@@ -10,7 +10,8 @@ sha256 of report lines at the defaults, every line taken from a Fraction
 oracle of the test oracles: the `verify commutators` report at one p from
 the commutator oracle (at p = 1/2 every off-diagonal V numerator is a power
 of two, so a second p, 2/3, is fixed too), the `verify shift` report at
-p = 1/2 from the first- and second-shift oracles, and the intertwining lines
+p = 1/2 from the Fraction oracles of the two checks of `shifts`, which read
+the torus constant from that module, and the intertwining lines
 of `verify prev-identity`, then those of `verify toeplitz`, at p = 1/2 from
 the intertwining oracle. The series-report pins are not from an oracle: they
 hold the package's own report lines, without wall_ms, of the four series

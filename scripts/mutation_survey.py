@@ -63,14 +63,18 @@ MUTANTS = (
     Mutant("flipped_move_sign", "fock.py",
            "sign = -1 if (mask >> min(x, y) + 1 & between).bit_count() & 1 else 1",
            "sign = 1 if (mask >> min(x, y) + 1 & between).bit_count() & 1 else -1"),
-    Mutant("wrong_c_k", "fock.py",
+    Mutant("wrong_c_k", "transfer.py",
            "num, den = (a * b) ** k, b ** (2 * k) - a ** (2 * k)",
            "num, den = (a * b) ** k, b ** (2 * k) + a ** (2 * k)"),
-    Mutant("wrong_alternating_sign", "fock.py",
+    Mutant("wrong_alternating_sign", "transfer.py",
            'if family == "alternating" and k % 2 == 0:',
            'if family == "alternating" and k % 2 == 1:'),
     Mutant("short_maya_tail", "fock.py",
            "tail_top, levels = s - len(parts), ", "tail_top, levels = s - len(parts) - 1, "),
+    Mutant("first_shift_parity", "shifts.py",
+           'parity = (-1) ** k if variant == "G" else 1',
+           'parity = (-1) ** (k + 1) if variant == "G" else 1'),
+    Mutant("second_shift_exponent", "shifts.py", "(k - m) * e", "(k + m) * e"),
     Mutant("wrong_negative_torus_constant", "checks.py",
            "Fraction(x, y - x) if j > 0 else Fraction(y, x - y)",
            "Fraction(x, y - x) if j > 0 else Fraction(x, x - y)"),

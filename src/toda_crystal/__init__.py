@@ -9,13 +9,15 @@ is used.
 import sys as _sys
 
 _EXPORTS = {
-    "algebra": ("ModelParams", "SeriesContext", "TruncatedSeries", "charge_offset"),
+    "algebra": ("ModelParams", "SeriesContext", "charge_offset"),
+    "truncated": ("TruncatedSeries",),
     "fock": ("SectorConfig",),
     "models": ("l0_eigenvalue", "phi_potential", "schur_qrho", "w0_eigenvalue", "z_series",
                "zprime_series"),
     "partitions": ("Partition", "enumerate_partitions"),
     "checks": ("torus_constant",),
-    "symmetries": ("commutator_check", "first_shift_check", "second_shift_check"),
+    "symmetries": ("commutator_check",),
+    "shifts": ("first_shift_check", "second_shift_check"),
     "toda": ("build_g", "build_gprime", "tau_prev_series", "tau_prime_series", "trivial_tau"),
     "identities": ("CalibrationError", "calibrate_bilinear_sign", "check_prev_forms",
                    "check_prev_reduction", "ground_action_constants", "intertwining_residual",

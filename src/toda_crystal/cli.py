@@ -2,7 +2,9 @@
 
 A subcommand imports only the modules its tasks call: `--help` loads none
 beyond `algebra`, a `compute` target its own model or tau module, and each
-check kind looks its runner up in its module when a task runs.
+check kind looks its runner up in its module when a task runs: the
+commutators in `symmetries`, the two shift symmetries in `shifts`, and the
+series identities in `identities`.
 
 `verify` runs its tasks one after another in this process, in grid order,
 so each model point's caches (pair tables, g_n blocks, time vectors) are
@@ -169,13 +171,13 @@ CHECKS: dict[str, CheckKind] = {
         "shift",
         lambda cfg: [{"s": s, "variant": variant, "k": k, "m": m} for s in cfg.s_list
                      for variant in ("G", "Gprime") for k in (1, 2) for m in range(-2, 3)],
-        lambda t: _module("symmetries").first_shift_check(t["variant"], t["k"], t["m"],
-                                                          _sector(t))),
+        lambda t: _module("shifts").first_shift_check(t["variant"], t["k"], t["m"],
+                                                      _sector(t))),
     "second_shift": CheckKind(
         "shift",
         lambda cfg: [{"s": s, "k": k, "m": m} for s in cfg.s_list
                      for k in range(-2, 3) for m in range(-2, 3)],
-        lambda t: _module("symmetries").second_shift_check(t["k"], t["m"], _sector(t))),
+        lambda t: _module("shifts").second_shift_check(t["k"], t["m"], _sector(t))),
     "ground_action": CheckKind(
         "main-identity",
         lambda cfg: [{"s": s} for s in cfg.s_list],

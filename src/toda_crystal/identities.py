@@ -9,14 +9,15 @@ against the trivial solution, and tau tau_{t1 th1} - tau_{t1} tau_{th1} =
 c tau_+ tau_- on a charge family. They compute on the integer series of
 `series`, as `toda` writes them; Z' and Z, which `models` returns as
 TruncatedSeries, enter by one conversion each. The ground-action check
-pushes the vacuum through G_- and G"_- by fock.transfer_row, whose G.Y form
-has no weight below the vacuum's to fill, and the intertwining check reads
-J_k g_n - g_n J_r on the blocks g_n of toda.GradedOperator.gram with the
-first shift's kernel, checks.sandwich_entry: the rows fock.j_rows of J_k and
-J_r, the latter scaled by -1, against a certified_window mask. The report
-records come from `checks`, and no name from `symmetries`, so these checks
-compile none of the commutator and shift checks. The tau construction never
-imports this module, so a tau export compiles no check code.
+pushes the vacuum through G_- and G"_- by transfer.transfer_row, whose G.Y
+form has no weight below the vacuum's to fill, and the intertwining check
+reads J_k g_n - g_n J_r on the blocks g_n of toda.GradedOperator.gram with
+the first shift's kernel, checks.sandwich_entry: the rows fock.j_rows of J_k
+and J_r, the latter scaled by -1, against a checks.certified_window mask. The
+report records come from `checks`, and no name from `symmetries` or `shifts`,
+so `verify prev-identity` and `verify main-identity` compile none of the
+commutator and shift checks. The tau construction never imports this module,
+so a tau export compiles no check code.
 """
 
 from __future__ import annotations
@@ -24,16 +25,16 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, lru_cache
 
-from .algebra import (ModelParams, SeriesContext, TruncatedSeries, charge_offset,
-                      format_rational, parse_monomial_label)
-from .checks import (FAIL, INSUFFICIENT, PASS, CheckReport, entry_evidence, sandwich_entry,
-                     torus_constant)
-from .fock import (FULL, banded, certified_window, get_basis, j_rows, maya_diag_levels,
-                   transfer_row, w0_diag)
+from .algebra import ModelParams, SeriesContext, charge_offset, format_rational
+from .checks import (FAIL, FULL, INSUFFICIENT, PASS, CheckReport, banded, certified_window,
+                     entry_evidence, sandwich_entry, torus_constant)
+from .fock import get_basis, j_rows, maya_diag_levels, w0_diag
 from .models import z_series, zprime_series
 from .series import GradedSeries, first_difference, first_nonzero
 from .toda import (GradedOperator, build_g, build_gprime, tau_prev_series, tau_prime_series,
                    trivial_tau)
+from .transfer import transfer_row
+from .truncated import TruncatedSeries, parse_monomial_label
 
 
 class CalibrationError(RuntimeError):

@@ -12,7 +12,7 @@ each exp(linear form) out in integers over one shared monomial table per
 degrees and the step from each to its parent. Each class sums into one
 integer list aligned with that table, over one denominator per degree. A
 precomputed walk reads these sums in canonical order, so a PartitionSeries
-exports them through algebra.export_dict with no sort and no Fraction, and
+exports them through truncated.export_dict with no sort and no Fraction, and
 makes its Fraction coefficients from the same integers only when they are
 read. It never touches `fock` or `series`, so computing a partition function
 never loads them. The model point, ModelParams, and charge_offset live in
@@ -32,8 +32,9 @@ from math import factorial, gcd, lcm, prod
 from operator import add
 from typing import Sequence
 
-from .algebra import ModelParams, SeriesContext, TruncatedSeries, charge_offset, export_dict
+from .algebra import ModelParams, SeriesContext, charge_offset
 from .partitions import Partition, enumerate_partitions
+from .truncated import TruncatedSeries, export_dict
 
 
 def l0_eigenvalue(mu: Partition, s: int) -> int:

@@ -1,6 +1,6 @@
 """Truncated series of the tau side in integer form.
 
-A GradedSeries lives in the quotient ring of algebra.TruncatedSeries,
+A GradedSeries lives in the quotient ring of truncated.TruncatedSeries,
 Q[Q, t_1..t_K, th_1..th_K] cut at Q-degree NQ and (t, th)-degree D, but it
 holds each Q grade as a dense list of integer numerators over the monomials
 in the 2K times of degree <= D, with one denominator den > 0, in lowest
@@ -24,7 +24,8 @@ from itertools import chain, product
 from math import comb, gcd, lcm, prod
 from operator import add
 
-from .algebra import SeriesContext, TruncatedSeries, monomial_label
+from .algebra import SeriesContext
+from .truncated import TruncatedSeries, monomial_label
 
 
 def monomials(n: int, D: int) -> list[tuple[int, ...]]:

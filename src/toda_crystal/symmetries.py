@@ -1,11 +1,10 @@
-"""Exact checks of the quantum-torus commutators and the shift symmetries.
+"""Exact checks of the quantum-torus commutators.
 
-Each check compares two operator products entry by entry on the window the
-split rule certifies, and reports the earliest offending entry, by row, then
-column, on failure. A check writes the chain of each product it compares from
-its own indices (V^(k)_m is banded(-m), G_- and G_+ RAISING and LOWERING) and
-asks certified_window for one mask. Each residual is integer numerators over
-one common denominator, so only a reported entry becomes a Fraction.
+A check compares V^(k)_m V^(l)_n - V^(l)_n V^(k)_m with the relation entry by
+entry on the window the split rule certifies, and reports the earliest
+offending entry, by row, then column, on failure. It writes the chains of the
+two products from its own indices (V^(k)_m is banded(-m)) and asks
+checks.certified_window for one mask.
 
 A commutator check is its certificate. An entry of V^(k)_m is a Laurent
 polynomial in x = p^k, read off the p-free terms of fock.v_terms, and
@@ -19,12 +18,10 @@ y = p^l and reports its least nonzero cell. A check with m > n reads the
 all change sign under the swap. The closed forms of P and G in Fraction are
 the test reference, in tests/oracles.py.
 
-The first shift's G_-G_+ is the dense integer fock.pair_table and its V's are
-the integer fock.v_rows; checks.sandwich_entry, the residual kernel it shares
-with the intertwining check of `identities`, forms c T + f L T + T f' R on
-it, row by row, and stops at the first nonzero entry. The second shift
-compares the exponents of fock.v_terms term by term. The report records,
-torus_constant and the kernel live in `checks`.
+Only the commutator suite imports this module. It reads the report records
+and the split rule from `checks` and the terms from `fock`, and nothing of
+the transfer exponentials or of the shift checks (`transfer`, `shifts`), so
+`verify commutators` compiles neither.
 """
 
 from __future__ import annotations
@@ -32,17 +29,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
-from .algebra import format_rational
-from .checks import (FAIL, INSUFFICIENT, PASS, CheckReport, entry_evidence, sandwich_entry,
-                     torus_constant)
-from .fock import (LOWERING, RAISING, SectorConfig, banded, certified_window, get_basis,
-                   pair_table, v_rows, v_terms, w0_diag)
-
-
-@lru_cache(maxsize=None)
-def _p_label(config: SectorConfig) -> str:
-    """The p of a report's params, formatted once per config."""
-    return format_rational(config.p)
+from .checks import (FAIL, INSUFFICIENT, PASS, CheckReport, banded, certified_window,
+                     entry_evidence, p_label)
+from .fock import SectorConfig, get_basis, v_terms
 
 
 @lru_cache(maxsize=None)
@@ -113,7 +102,7 @@ def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> Ch
     term m, whose sign the certificate fixes; a pass with m != 0 reports that
     sign, central_sign 1."""
     params = {"k": k, "m": m, "l": l, "n": n, "s": config.s, "l_weight": config.l,
-              "p": _p_label(config), "N": config.N}
+              "p": p_label(config), "N": config.N}
     report = CheckReport("commutator", params, INSUFFICIENT)
     N = config.N
     if max(abs(m), abs(n), abs(m + n)) > N:
@@ -133,80 +122,4 @@ def commutator_check(k: int, m: int, l: int, n: int, config: SectorConfig) -> Ch
         report.evidence = {"worst": worst}
     elif m and k + l == 0 and m + n == 0:
         report.evidence = {"central_sign": 1}
-    return report
-
-
-def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> CheckReport:
-    """Intertwining form of the first shift symmetry.
-
-    Plain variant: G_-G_+ (V^(k)_m - d_{m,0} c(k)) = (-1)^k (V^(k)_{m+k} - d_{m+k,0} c(k)) G_-G_+.
-    Alternating variant: same with upper index -k, no parity factor, and
-    constant c(-k); c(j) = q^j/(1-q^j) throughout. The constant pattern
-    c(-k) = -1/(1-q^k) is what the locked conventions realize for the
-    alternating family. The residual G V_L - parity V_R G - (c_L - parity c_R) G,
-    with c_L = c(upper) at m = 0 and c_R = c(upper) at m + k = 0 (at most one
-    of them is nonzero), is read by sandwich_entry over one denominator from
-    the integer table of G_-G_+ and the integer rows of the two V factors.
-    """
-    if k < 1:
-        raise ValueError("first shift symmetries need k >= 1")
-    if variant not in ("G", "Gprime"):
-        raise ValueError(f"unknown variant {variant!r}")
-    params = {"variant": variant, "k": k, "m": m, "s": config.s,
-              "p": _p_label(config), "N": config.N}
-    report = CheckReport("first_shift", params, INSUFFICIENT)
-    N = config.N
-    if abs(m) > N or abs(m + k) > N:
-        report.evidence = {"reason": "shift exceeds the cutoff"}
-        return report
-    mask, window = certified_window(N, ((RAISING, LOWERING, banded(-m)),
-                                        (banded(-(m + k)), RAISING, LOWERING)))
-    report.window = window
-    if window == 0:
-        report.evidence = {"reason": "empty certified window"}
-        return report
-    upper = k if variant == "G" else -k
-    parity = (-1) ** k if variant == "G" else 1
-    c = torus_constant(upper, config.p)
-    table, d_g = pair_table(config.p, N, "plain" if variant == "G" else "alternating", N)
-    (v_l, d_l), (v_r, d_r) = v_rows(upper, m, config), v_rows(upper, m + k, config)
-    c_g = (c if m == 0 else 0) - parity * (c if m + k == 0 else 0)  # c_L - parity c_R
-    d_c = c_g.denominator
-    # over d_g d_l d_r d_c, f_left V_R T is -parity V_R G, T f_right V_L is
-    # G V_L and diag T is -c_g G
-    entry = sandwich_entry(table, v_r, v_l, -c_g.numerator * d_l * d_r, mask, get_basis(N),
-                           -parity * d_l * d_c, d_r * d_c)
-    worst = entry and entry_evidence(get_basis(N), *entry[:2],
-                                     Fraction(entry[2], d_g * d_l * d_r * d_c))
-    report.status = PASS if worst is None else FAIL
-    report.evidence = {"constant": format_rational(c)}
-    if worst:
-        report.evidence["worst"] = worst
-    return report
-
-
-def second_shift_check(k: int, m: int, config: SectorConfig) -> CheckReport:
-    """q^{W0/2} V^(k)_m q^{-W0/2} = V^(k-m)_m, checked entrywise as
-    p^{w(row)-w(col)} V^(k)_m = V^(k-m)_m; exact on the whole window. Each
-    side puts c p^{k' e} on each term c x^e of fock.v_terms, k' = k or k - m,
-    so the exponents are compared term by term, a differing pair reported as
-    c (p^a - p^b). At m = 0 the row and column agree, and so do k e and k' e."""
-    params = {"k": k, "m": m, "s": config.s, "p": _p_label(config), "N": config.N}
-    report = CheckReport("second_shift", params, INSUFFICIENT)
-    if abs(m) > config.N:
-        report.evidence = {"reason": "shift exceeds the cutoff"}
-        return report
-    # the band of a shift |m| <= N always holds pairs, so the window is never empty
-    mask, report.window = certified_window(config.N, band=-m)
-    w0, p, w = w0_diag(config.s, config.N), config.p, get_basis(config.N).weights
-    worst = None
-    for i, row in v_terms(m, config.s, config.N).items():
-        for j, e, c in row:
-            a, b = w0[i] - w0[j] + k * e, (k - m) * e
-            if a != b and mask[w[i]][w[j]] and (worst is None or (i, j) < worst[:2]):
-                worst = i, j, c * (p ** a - p ** b)
-    worst = worst and entry_evidence(get_basis(config.N), *worst)
-    report.status = PASS if worst is None else FAIL
-    if worst:
-        report.evidence = {"worst": worst}
     return report

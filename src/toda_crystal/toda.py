@@ -18,17 +18,18 @@ denominator for the whole series, which the tau builders return and on which
 the checks compute; a reported or exported value is built once, as a
 Fraction, by its to_truncated. A transfer pair is one push through G_- (G"_-
 for the alternating family) in the sector cut at N, by the G.Y form of
-fock.transfer_row, then fock.pair_dots against the rows e_nu G_- of weight
-<= NQ, built by the Y.G form, which is exact. The time exponentials
+transfer.transfer_row, then transfer.pair_dots against the rows e_nu G_- of
+weight <= NQ, built by the Y.G form, which is exact. The time exponentials
 contribute energies at most K*D, which the cutoff must dominate. The time
 vectors read the rows of J_k from fock.j_rows, the same at every charge, and
 since J_{-k} is the transpose of J_k, one table of row vectors serves as the
 column vectors too. Each block g_n = A Pi_n B is a dense integer table, the
 grade-n Gram matrix of the basis vectors e_lam A and B e_mu: dressed rows of
-fock.pair_table at cap NQ, from the same rows of G_- as the first shift's
+transfer.pair_table at cap NQ, from the same rows of G_- as the first shift's
 table. The identities these series and blocks satisfy are checked in
-`identities`; this module imports no check code, and the model point comes
-from `algebra`, so a tau export compiles no partition sum either.
+`identities`; this module imports nothing of `checks`, so a tau export
+compiles no check code and no split rule, and the model point comes from
+`algebra`, so it compiles no partition sum either.
 """
 
 from __future__ import annotations
@@ -39,19 +40,9 @@ from functools import cached_property, lru_cache
 from operator import mul
 
 from .algebra import ModelParams, SeriesContext, charge_offset
-from .fock import (
-    IntVector,
-    apply_row,
-    get_basis,
-    j_rows,
-    pair_dots,
-    pair_table,
-    power_form,
-    reduced,
-    transfer_row,
-    w0_diag,
-)
+from .fock import apply_row, get_basis, j_rows, power_form, w0_diag
 from .series import GradedSeries, layout, monomials
+from .transfer import IntVector, pair_dots, pair_table, reduced, transfer_row
 
 
 # ---------------------------------------------------------------------------
@@ -96,12 +87,12 @@ class GradedOperator:
     ones a graded pairing reads, and returned in lowest terms. The p^{cW0}
     dressings multiply numerators and denominator by integer powers of the
     numerator and the denominator of p. A transfer pair is one push through
-    G_- and its fock.pair_dots at cap NQ, exact since the dressings keep
+    G_- and its transfer.pair_dots at cap NQ, exact since the dressings keep
     weights. Every graded quantity pairs such vectors: <lam| g |mu> =
     sum_n Q^{n + s(s+1)/2} <row(e_lam), col(e_mu)>_n.
 
     The operator keeps what it pushes, time_vectors for the tau series. The
-    blocks gram(n) = g_n are integer tables read off fock.pair_table."""
+    blocks gram(n) = g_n are integer tables read off transfer.pair_table."""
 
     def __init__(self, params: ModelParams, family: str, at_l0: GradedOperator | None = None):
         if family not in _RIGHT_W0_SIGN:
@@ -156,7 +147,7 @@ class GradedOperator:
     def _basis_vectors(self) -> tuple[list[list[int]], list[list[int]], int]:
         """(rows, cols, den): rows[lam][nu] and cols[nu][mu], nu of weight <= NQ,
         the numerators of e_lam A and B e_mu over one den, read off
-        fock.pair_table at cap NQ: e_lam A is row lam of G_-G_+ dressed by
+        transfer.pair_table at cap NQ: e_lam A is row lam of G_-G_+ dressed by
         p^{w0(lam)} and p^{l W0}, B e_mu (the pair is symmetric) row mu of
         G"_-G"_+ by p^{+-w0(mu)}."""
         cfg, dim, NQ = self.config, len(self.basis), self.params.ctx.NQ

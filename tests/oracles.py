@@ -3,16 +3,17 @@
 Each oracle recomputes its target through a different formula or route than
 the implementation under test. The closed-form oracles use nothing of the
 package beyond partitions and series. fraction_json_dict is the export form
-as the package wrote it before algebra.export_dict, a label per coefficient
+as the package wrote it before truncated.export_dict, a label per coefficient
 (monomial_label) and the str of each Fraction, in an order sorted by key:
-the reference for that formatter. FractionSeries is TruncatedSeries with
-the Fraction ring arithmetic, and series_exp, series_partial, the sign flips
+the reference for that formatter, and series_from_json_dict reads an export
+back into a TruncatedSeries, for the fixture tests. FractionSeries is
+TruncatedSeries with the Fraction ring arithmetic, and series_exp, series_partial, the sign flips
 alternate_t_signs and negate_hatted, substitute_difference, merge_into_t,
 first_difference, first_nonzero and linear_form act on it: the series
 arithmetic the package replaced with the integer GradedSeries of its tau
 side; main_identity_rhs, prev_identity_rhs and bilinear_residual are the
-series checks' right-hand sides and residual on it. v_op and j_op view fock.v_rows as
-SectorOperators, and identity, get, add, sub, scale, matmul, transpose,
+series checks' right-hand sides and residual on it. v_op and j_op view
+shifts.v_rows as SectorOperators, and identity, get, add, sub, scale, matmul, transpose,
 scale_rows and scale_cols are the Fraction operator arithmetic that the
 package replaced with integer numerators formed inside its checks. The
 Maya-diagram primitives occupied, count_above and move_particle work on lists
@@ -22,12 +23,12 @@ psi_a psi*_b move at a time from the same primitives: bilinear_diagonal the
 diagonal ones, v_op_by_bilinears every V^(k)_m. transfer_weights are the
 Fraction couplings of the transfer exponentials and integer_rows puts
 rational rows in integer form, together the reference for the integer rows of
-fock._y_rows (the couplings times k). dense_exp is the transfer exponential as a
-dense Fraction matrix, its exponent summed here from j_op and its series taken
+transfer._y_rows (the couplings times k). dense_exp is the transfer
+exponential as a dense Fraction matrix, its exponent summed here from j_op and its series taken
 by matrix products; dense_transfer and dense_pair give G+- and G_-G_+ from it,
-the reference for the rows of fock.minus_rows, the pushes of fock.transfer_row
-and the dots of fock.pair_dots, all three of which the package forms by the
-weight recurrence, with no power series.
+the reference for the rows of transfer.minus_rows, the pushes of
+transfer.transfer_row and the dots of transfer.pair_dots, all three of
+which the package forms by the weight recurrence, with no power series.
 fermionic_expectation is the partition function as a
 vacuum expectation value of those dense exponentials, the fermionic route that
 the closed-form partition sum of models must match, and
@@ -49,8 +50,8 @@ checks on Fraction entries (the former with relation_values, the latter with
 the dense pair) that the package replaced with its certificate and with
 integer residuals, fraction_second_shift_check the conjugation
 by Fraction powers of p that the package replaced with exponents,
-window_size_by_pairs the weight-pair count that certified_window replaced,
-and split_certified and window_by_pairs the split rule applied to one weight
+window_size_by_pairs the weight-pair count that checks.certified_window
+replaced, and split_certified and window_by_pairs the split rule applied to one weight
 pair at a time, which certified_window replaced with bounds walked once per
 weight.
 _scan_certified_residual reads an operator residual against a mask by the
@@ -72,21 +73,21 @@ from itertools import product
 from typing import Mapping
 
 from toda_crystal import Partition, SeriesContext, TruncatedSeries, enumerate_partitions
-from toda_crystal import identities, symmetries
-from toda_crystal.algebra import format_rational
-from toda_crystal.fock import (
+from toda_crystal import identities, shifts, symmetries
+from toda_crystal.algebra import format_rational, parse_rational
+from toda_crystal.checks import (
+    FAIL,
     FULL,
+    INSUFFICIENT,
     LOWERING,
+    PASS,
     RAISING,
-    Basis,
-    SectorConfig,
-    apply_row,
+    CheckReport,
     banded,
     certified_window,
-    get_basis,
-    v_rows,
-    w0_diag,
+    entry_evidence,
 )
+from toda_crystal.fock import Basis, SectorConfig, apply_row, get_basis, w0_diag
 from toda_crystal.models import (
     charge_offset,
     l0_eigenvalue,
@@ -94,8 +95,9 @@ from toda_crystal.models import (
     schur_qrho,
     w0_eigenvalue,
 )
-from toda_crystal.checks import FAIL, INSUFFICIENT, PASS, CheckReport, entry_evidence
+from toda_crystal.shifts import v_rows
 from toda_crystal.toda import GradedOperator
+from toda_crystal.truncated import parse_monomial_label
 
 
 def _label(names: tuple[str, ...], key: tuple[int, ...]) -> str:
@@ -112,7 +114,7 @@ def monomial_label(ctx: SeriesContext, key: tuple[int, ...]) -> str:
 
 
 def fraction_json_dict(f: TruncatedSeries) -> dict:
-    """The export form of f as the package wrote it before algebra.export_dict:
+    """The export form of f as the package wrote it before truncated.export_dict:
     the keys in canonical order by a keyed sort, a label built for each, and
     each value the str of its Fraction."""
     names, coeffs = f.ctx.var_names(), f.coeffs
@@ -120,6 +122,16 @@ def fraction_json_dict(f: TruncatedSeries) -> dict:
         "context": {"K": f.ctx.K, "D": f.ctx.D, "NQ": f.ctx.NQ},
         "coefficients": {_label(names, key): str(coeffs[key]) for key in canonical_keys(coeffs)},
     }
+
+
+def series_from_json_dict(data: dict) -> TruncatedSeries:
+    c = data["context"]
+    ctx = SeriesContext(int(c["K"]), int(c["D"]), int(c["NQ"]))
+    coeffs = {
+        parse_monomial_label(ctx, label): parse_rational(val)
+        for label, val in data["coefficients"].items()
+    }
+    return TruncatedSeries(ctx, coeffs)
 
 
 class FractionSeries(TruncatedSeries):
@@ -358,8 +370,8 @@ def main_identity_rhs(params, tau: TruncatedSeries) -> FractionSeries:
     c(j) = q^j/(1-q^j), by the Fraction arithmetic."""
     K, p = params.ctx.K, params.p
     pref = series_exp(linear_form(params.out_ctx,
-                                  {k: symmetries.torus_constant(k, p) for k in range(1, K + 1)},
-                                  {k: symmetries.torus_constant(-k, p) for k in range(1, K + 1)}))
+                                  {k: shifts.torus_constant(k, p) for k in range(1, K + 1)},
+                                  {k: shifts.torus_constant(-k, p) for k in range(1, K + 1)}))
     return pref * negate_hatted(alternate_t_signs(tau))
 
 
@@ -368,7 +380,7 @@ def prev_identity_rhs(params, tau: TruncatedSeries) -> FractionSeries:
     arithmetic, for the 'left' form of the previous-model tau."""
     K, p, s = params.ctx.K, params.p, params.s
     pref = series_exp(linear_form(params.out_ctx,
-                                  {k: symmetries.torus_constant(k, p) for k in range(1, K + 1)}))
+                                  {k: shifts.torus_constant(k, p) for k in range(1, K + 1)}))
     return pref * alternate_t_signs(tau) * p ** (-(s * (s + 1) * (2 * s + 1)) // 3)
 
 
@@ -470,7 +482,7 @@ class SectorOperator:
 
 @lru_cache(maxsize=None)
 def v_op(k: int, m: int, config) -> SectorOperator:
-    """fock.v_rows as a Fraction operator."""
+    """shifts.v_rows as a Fraction operator."""
     rows, den = v_rows(k, m, config)
     return SectorOperator(config, get_basis(config.N), {
         i: {j: Fraction(v, den) for j, v in row.items()} for i, row in rows.items()})
@@ -849,12 +861,12 @@ def torus_prefactor(k: int, m: int, l: int, n: int, p: Fraction) -> Fraction:
 def central_term(k: int, m: int, l: int, n: int, p: Fraction) -> Fraction:
     """The identity coefficient of [V^(k)_m, V^(l)_n]: m at k+l = 0 = m+n, the
     certificate's G at xy = 1, else -pref c(k+l) at m+n = 0, else 0; c is
-    read from symmetries at call time."""
+    read from shifts at call time."""
     if k + l == 0 and m + n == 0:
         return Fraction(m)
     if m + n:
         return Fraction(0)
-    return -torus_prefactor(k, m, l, n, p) * symmetries.torus_constant(k + l, p)
+    return -torus_prefactor(k, m, l, n, p) * shifts.torus_constant(k + l, p)
 
 
 def relation_values(k: int, m: int, l: int, n: int, p: Fraction) -> tuple[Fraction, Fraction]:
@@ -900,9 +912,9 @@ def fraction_commutator_check(k: int, m: int, l: int, n: int, config) -> CheckRe
 
 
 def fraction_first_shift_check(variant: str, k: int, m: int, config) -> CheckReport:
-    """symmetries.first_shift_check on Fraction entries: both products in
+    """shifts.first_shift_check on Fraction entries: both products in
     full, with the dense pair of dense_pair, and the torus constant read
-    from symmetries at call time."""
+    from shifts at call time."""
     if k < 1:
         raise ValueError("first shift symmetries need k >= 1")
     if variant not in ("G", "Gprime"):
@@ -916,7 +928,7 @@ def fraction_first_shift_check(variant: str, k: int, m: int, config) -> CheckRep
         return report
     upper = k if variant == "G" else -k
     parity = Fraction(-1) ** k if variant == "G" else Fraction(1)
-    c = symmetries.torus_constant(upper, config.p)
+    c = shifts.torus_constant(upper, config.p)
     family = "plain" if variant == "G" else "alternating"
     gg = SectorOperator(config, get_basis(N), dense_pair(SectorConfig(0, N, config.p), family).rows)
     left_v, right_v = (sub(v_op(upper, x, config), scale(identity(config), c if x == 0 else 0))
@@ -938,7 +950,7 @@ def fraction_first_shift_check(variant: str, k: int, m: int, config) -> CheckRep
 
 
 def fraction_second_shift_check(k: int, m: int, config) -> CheckReport:
-    """symmetries.second_shift_check on Fraction entries: V^(k)_m scaled by
+    """shifts.second_shift_check on Fraction entries: V^(k)_m scaled by
     the Fraction powers p^{w0(row)} and p^{-w0(col)}, minus V^(k-m)_m, with
     W0 read from this module's w0_diag at call time."""
     params = {"k": k, "m": m, "s": config.s, "p": format_rational(config.p), "N": config.N}

@@ -6,13 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toda_crystal import SeriesContext, TruncatedSeries
-from toda_crystal.algebra import (
-    Value,
-    export_dict,
-    monomial_label,
-    parse_monomial_label,
-    series_from_json_dict,
-)
+from toda_crystal.algebra import Value
+from toda_crystal.truncated import export_dict, monomial_label, parse_monomial_label
 
 from oracles import (
     FractionSeries,
@@ -22,6 +17,7 @@ from oracles import (
     merge_hatted_into_t,
     negate_hatted,
     series_exp,
+    series_from_json_dict,
     series_partial,
     substitute_difference,
     substitute_difference_by_products,

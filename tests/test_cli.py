@@ -228,27 +228,30 @@ except SystemExit as exc:
     assert exc.code in (0, None), exc.code
 """ + _PRINT_LOADED
 
-ALL_MODULES = {"algebra", "partitions", "fock", "models", "checks", "symmetries", "series",
-               "toda", "identities"}
-# the modules of the operator checks; the series checks load all but symmetries
-OPERATOR_CHECKS = {"algebra", "partitions", "fock", "checks", "symmetries"}
+ALL_MODULES = {"algebra", "partitions", "fock", "transfer", "truncated", "models", "checks",
+               "symmetries", "shifts", "series", "toda", "identities"}
+# the modules of each operator suite; the series checks load all but those of
+# the operator checks
+COMMUTATORS = {"algebra", "partitions", "fock", "checks", "symmetries"}
+SHIFTS = {"algebra", "partitions", "fock", "checks", "transfer", "shifts"}
 
 
 @pytest.mark.parametrize("argv,modules", [
     (["verify", "--help"], {"algebra"}),
     (["compute", "zprime", "--s", "0", "--l", "1", "--K", "4", "--D", "4", "--NQ", "6",
-      "--p", "1/2"], {"algebra", "partitions", "models"}),
+      "--p", "1/2"], {"algebra", "partitions", "truncated", "models"}),
     (["compute", "z", "--s", "1", "--l", "0", "--K", "2", "--D", "3", "--NQ", "4",
-      "--p", "1/2"], {"algebra", "partitions", "models"}),
+      "--p", "1/2"], {"algebra", "partitions", "truncated", "models"}),
     (["verify", "commutators", "--s", "0", "--K", "2", "--D", "3", "--p", "1/2"],
-     OPERATOR_CHECKS),
-    (["verify", "shift", "--s", "0", "--K", "2", "--D", "3", "--p", "1/2"], OPERATOR_CHECKS),
+     COMMUTATORS),
+    (["verify", "shift", "--s", "0", "--K", "2", "--D", "3", "--p", "1/2"], SHIFTS),
     (["compute", "tau-prime", "--s", "0", "--l", "1", "--K", "3", "--D", "2", "--NQ", "8",
-      "--p", "1/2"], {"algebra", "partitions", "fock", "series", "toda"}),
+      "--p", "1/2"], {"algebra", "partitions", "fock", "transfer", "truncated", "series",
+                      "toda"}),
     (["verify", "prev-identity", "--s", "0", "--K", "2", "--D", "3", "--p", "1/2"],
-     ALL_MODULES - {"symmetries"}),
+     ALL_MODULES - {"symmetries", "shifts"}),
     (["verify", "main-identity", "--s", "0", "--K", "2", "--D", "3", "--p", "1/2"],
-     ALL_MODULES - {"symmetries"}),
+     ALL_MODULES - {"symmetries", "shifts"}),
 ])
 def test_subcommand_loads_only_its_modules(argv, modules):
     # the cli module itself runs as __main__, so it is not listed; the record
@@ -287,29 +290,39 @@ def test_no_package_module_imports_forbidden_modules():
 def test_no_package_module_imports_a_private_name_or_another_route():
     # each shared name is read from the module that decides it: no relative
     # import names a private member, the series identities import nothing of
-    # the operator checks, and the tau construction nothing of the partition sums
+    # the operator checks, each operator suite nothing of the other's, the tau
+    # construction nothing of the partition sums or the split rule, and the
+    # model point nothing of the export form
     imports = {}
     for path in Path(toda_crystal.__file__).resolve().parent.glob("*.py"):
         imports[path.stem] = [(node.module, alias.name)
                               for node in ast.walk(ast.parse(path.read_text(), str(path)))
                               if isinstance(node, ast.ImportFrom) and node.level
                               for alias in node.names]
-    assert {"checks", "identities", "toda"} <= set(imports)
+    assert {"algebra", "checks", "identities", "shifts", "symmetries", "toda"} <= set(imports)
     for stem, pairs in imports.items():
         assert not [name for _, name in pairs if name.startswith("_")], stem
-    assert "symmetries" not in {module for module, _ in imports["identities"]}
-    assert "models" not in {module for module, _ in imports["toda"]}
+    modules = {stem: {module for module, _ in pairs} for stem, pairs in imports.items()}
+    assert not {"symmetries", "shifts"} & modules["identities"]
+    assert "models" not in modules["toda"]
+    assert not {"transfer", "shifts"} & modules["symmetries"]
+    assert "symmetries" not in modules["shifts"]
+    assert "checks" not in modules["toda"]
+    assert "truncated" not in modules["algebra"]
 
 
-# every name the package exported when its __init__ imported each module
+# every name the package exported when its __init__ imported each module, by
+# the module that holds it now
 EXPORTS = {
-    "algebra": ("SeriesContext", "TruncatedSeries"),
+    "algebra": ("SeriesContext",),
+    "truncated": ("TruncatedSeries",),
     "fock": ("SectorConfig",),
     "models": ("ModelParams", "charge_offset", "l0_eigenvalue", "phi_potential",
                "schur_qrho", "w0_eigenvalue", "z_series", "zprime_series"),
     "partitions": ("Partition", "enumerate_partitions"),
-    "symmetries": ("commutator_check", "first_shift_check", "second_shift_check",
-                   "torus_constant"),
+    "symmetries": ("commutator_check",),
+    "shifts": ("first_shift_check", "second_shift_check"),
+    "checks": ("torus_constant",),
     "toda": ("build_g", "build_gprime", "tau_prev_series", "tau_prime_series", "trivial_tau"),
     "identities": ("CalibrationError", "calibrate_bilinear_sign", "check_prev_forms",
                    "check_prev_reduction", "ground_action_constants", "intertwining_residual",
@@ -405,7 +418,7 @@ def test_shift_suite_matches_fraction_checks(monkeypatch):
     calls = {"first_shift": [], "second_shift": []}
     for check, oracle in (("first_shift", fraction_first_shift_check),
                           ("second_shift", fraction_second_shift_check)):
-        monkeypatch.setattr(toda_crystal.symmetries, f"{check}_check",
+        monkeypatch.setattr(toda_crystal.shifts, f"{check}_check",
                             lambda *a, check=check, oracle=oracle:
                             calls[check].append(a) or oracle(*a))
     assert lines() == ours

@@ -16,20 +16,10 @@ from toda_crystal import (
     l0_eigenvalue,
     w0_eigenvalue,
 )
-from toda_crystal import fock
-from toda_crystal.fock import (
-    FULL,
-    LOWERING,
-    RAISING,
-    ShiftClass,
-    apply_row,
-    banded,
-    certified_window,
-    get_basis,
-    move_table,
-    power_form,
-    w0_diag,
-)
+from toda_crystal import checks, fock, transfer
+from toda_crystal.shifts import v_rows
+from toda_crystal.checks import FULL, LOWERING, RAISING, ShiftClass, banded, certified_window
+from toda_crystal.fock import apply_row, get_basis, move_table, power_form, w0_diag
 from toda_crystal.toda import _time_rows
 
 import oracles
@@ -178,7 +168,7 @@ def test_move_table_built_once_per_shift():
         c = cfg(s=s, N=N, p=Fraction(5, 11))
         for k in range(-4, 5):
             for m in range(-N, N + 1):
-                fock.v_rows(k, m, c)
+                v_rows(k, m, c)
         info = move_table.cache_info()
         assert (info.misses, info.hits) == (shifts, (charges - 1) * shifts)
         info = fock.v_terms.cache_info()
@@ -206,7 +196,7 @@ def test_v_rows_reads_no_fraction_power(monkeypatch):
     c = cfg(s=1, N=5, p=Fraction(7, 17))
     for k in range(-3, 4):
         for m in (-5, -2, 0, 1, 4):
-            fock.v_rows.__wrapped__(k, m, c)
+            v_rows.__wrapped__(k, m, c)
     assert calls == []
     assert not {"v_op", "j_op", "SectorOperator"} & set(vars(fock))
 
@@ -278,7 +268,7 @@ def test_vertex_rows_are_schur_values():
     # <s|G_+ and G"_-|s>, the column 0 of G_- (G_+ is its transpose) and of
     # G"_-, read off the pushed rows e_i G_-
     for p in (P, Fraction(2, 3)):
-        (plain, d), (alternating, d_alt) = (fock.minus_rows(p, 6, family)
+        (plain, d), (alternating, d_alt) = (transfer.minus_rows(p, 6, family)
                                             for family in ("plain", "alternating"))
         for i, mu in enumerate(get_basis(6).parts):
             assert Fraction(plain[i].get(0, 0), d) == schur_qrho(mu, p)
@@ -387,7 +377,7 @@ def test_transfer_generator_matches_oracle_weights(p):
             for k, c in transfer_weights(p, N, family == "alternating").items():
                 for i, j, sign, _ in move_table(-k, N):
                     rows.setdefault(i, {})[j] = sign * k * c
-            assert fock._y_rows(p, N, family) == oracles.integer_rows(rows), N
+            assert transfer._y_rows(p, N, family) == oracles.integer_rows(rows), N
 
 
 SMALL_HEIGHT = st.integers(2, 7).flatmap(lambda b: st.integers(1, b - 1).map(lambda a: Fraction(a, b)))
@@ -397,7 +387,7 @@ SMALL_HEIGHT = st.integers(2, 7).flatmap(lambda b: st.integers(1, b - 1).map(lam
 @given(p=SMALL_HEIGHT, N=st.integers(0, 7), family=st.sampled_from(("plain", "alternating")))
 def test_minus_rows_match_dense_exponential(p, N, family):
     # the Y.G recurrence against the power series of dense Fraction matrices
-    rows, den = fock.minus_rows(p, N, family)
+    rows, den = transfer.minus_rows(p, N, family)
     dense = oracles.dense_transfer(SectorConfig(0, N, p), family, "raising").rows
     assert len(rows) == len(get_basis(N))
     assert {i: {j: Fraction(v, den) for j, v in row.items()} for i, row in enumerate(rows)} == dense
@@ -417,12 +407,12 @@ def test_transfer_row_matches_dense_exponential(p, N, family, coeffs, den):
     vecs = [({i: coeffs[i] for i in b.weight_range[n]}, den) for n in range(N + 1)]
     vecs += [(dict(enumerate(coeffs[:len(b)])), den), ({0: 1}, 1), ({}, den)]
     for nums, d in vecs:
-        got = fock.transfer_row((nums, d), p, N, family)
+        got = transfer.transfer_row((nums, d), p, N, family)
         want = apply_row({i: Fraction(v, d) for i, v in nums.items()}, dense)
         assert {j: Fraction(v, got[1]) for j, v in got[0].items()} == want, (nums, d)
         assert all(got[0].values()) and math.gcd(got[1], *got[0].values()) == 1, got
-    assert fock.transfer_row(({0: 1}, 1), p, N, family) == ({0: 1}, 1)
-    assert fock.transfer_row(({}, den), p, N, family) == ({}, 1)
+    assert transfer.transfer_row(({0: 1}, 1), p, N, family) == ({0: 1}, 1)
+    assert transfer.transfer_row(({}, den), p, N, family) == ({}, 1)
 
 
 def _stores_no_zeros(op):
@@ -490,15 +480,15 @@ def test_certified_window_matches_the_split_rule_per_pair(N):
 def test_checks_ask_for_the_written_chains(monkeypatch):
     # every certified_window call of `verify all` (N = 4) is one of the chains
     # written out above, and gives the per-pair rule's mask and window
-    from toda_crystal import cli, identities, symmetries
+    from toda_crystal import cli, identities, shifts, symmetries
 
     seen = set()
 
-    def record(N, chains=(), band=None, f=fock.certified_window):
+    def record(N, chains=(), band=None, f=checks.certified_window):
         seen.add((N, chains, band))
         return f(N, chains, band)
 
-    for module in (symmetries, identities):
+    for module in (symmetries, shifts, identities):
         monkeypatch.setattr(module, "certified_window", record)
     symmetries._certificate.cache_clear()
     args = cli._build_parser().parse_args(["verify", "all", "--K", "2", "--D", "2", "--NQ", "3"])

@@ -22,12 +22,12 @@ from toda_crystal import (
     z_series,
     zprime_series,
 )
-from toda_crystal import cli, fock, identities, models, series
-from toda_crystal.algebra import series_from_json_dict
+from toda_crystal import checks, cli, fock, identities, models, series, transfer
 from toda_crystal.models import _add_weighted_exp, _canonical_walk, _monomials
 
 import oracles
-from oracles import FractionSeries, fermionic_expectation, linear_form, series_exp
+from oracles import (FractionSeries, fermionic_expectation, linear_form, series_exp,
+                     series_from_json_dict)
 
 P = Fraction(1, 2)
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -219,7 +219,7 @@ def test_canonical_walk_visits_each_key_once_in_canonical_order(n, D, NQ):
 @settings(max_examples=60, deadline=None)
 @given(partition_sum_cases())
 def test_partition_export_matches_fraction_formatting(params):
-    # the terms walked straight into algebra.export_dict give the text, in
+    # the terms walked straight into truncated.export_dict give the text, in
     # order, of the oracle's formatting of the same series' Fractions
     for series_of in (zprime_series, z_series):
         ours = series_of(params)
@@ -313,9 +313,10 @@ def test_partition_sum_uses_neither_series_exp_nor_fock(monkeypatch):
     for op in SERIES_ARITHMETIC:
         monkeypatch.setattr(oracles.FractionSeries, op, _raise)
     monkeypatch.setattr(oracles, "series_exp", _raise)
-    for owner in (fock, series, series.GradedSeries):
+    for owner in (fock, transfer, checks, series, series.GradedSeries):
         for name, obj in list(vars(owner).items()):
-            if callable(obj) and getattr(obj, "__module__", None) in (fock.__name__, series.__name__):
+            if callable(obj) and getattr(obj, "__module__", None) in (
+                    fock.__name__, transfer.__name__, checks.__name__, series.__name__):
                 monkeypatch.setattr(owner, name, _raise)
                 if hasattr(models, name):
                     monkeypatch.setattr(models, name, _raise)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from toda_crystal import SeriesContext, TruncatedSeries
-from toda_crystal.algebra import monomial_label
+from toda_crystal.truncated import monomial_label
 from toda_crystal.series import GradedSeries, first_difference, first_nonzero
 
 import oracles

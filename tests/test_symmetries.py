@@ -14,9 +14,9 @@ from toda_crystal import (
     second_shift_check,
     torus_constant,
 )
-from toda_crystal import checks, fock, symmetries
-from toda_crystal.checks import FAIL, INSUFFICIENT, PASS, CheckReport
-from toda_crystal.fock import banded, get_basis
+from toda_crystal import checks, fock, shifts, symmetries, transfer
+from toda_crystal.checks import FAIL, INSUFFICIENT, PASS, CheckReport, banded
+from toda_crystal.fock import get_basis
 from toda_crystal.toda import GradedOperator
 
 import oracles
@@ -111,7 +111,7 @@ def test_pushed_pair_rows_match_dense_pair(family, p, N):
     # of weight <= cap, for cap = N and below it
     dense = oracles.dense_pair(SectorConfig(0, N, p), family).rows
     for cap in (N, N - 2, 0):
-        table, den = fock.pair_table(p, N, family, cap)
+        table, den = transfer.pair_table(p, N, family, cap)
         width = len(get_basis(cap))
         assert len(table) == len(get_basis(N)) and all(len(row) == width for row in table)
         assert _in_lowest_terms((v for row in table for v in row if v), den)
@@ -125,11 +125,11 @@ def test_pushed_pair_rows_match_dense_pair(family, p, N):
 def test_minus_rows_are_stable_under_the_cut(family, p):
     # the rows e_i G_- of weight <= c, taken in the sector cut at N, are those
     # of the sector cut at c: the exactness of pair_dots over minus_rows(cap)
-    rows, den = fock.minus_rows(p, 7, family)
+    rows, den = transfer.minus_rows(p, 7, family)
     dense = oracles.dense_transfer(SectorConfig(0, 7, p), family, "raising").rows
     assert _values(dict(enumerate(rows)), den) == dense
     for c in range(8):
-        small, small_den = fock.minus_rows(p, c, family)
+        small, small_den = transfer.minus_rows(p, c, family)
         assert _values(dict(enumerate(rows[:len(small)])), den) == (
             _values(dict(enumerate(small)), small_den))
 
@@ -137,26 +137,26 @@ def test_minus_rows_are_stable_under_the_cut(family, p):
 def test_pair_tables_build_each_minus_table_once():
     # at one (p, N) the rows e_i G_- of each family are built once, and the
     # first shift and the graded blocks at that point share them
-    fock.minus_rows.cache_clear()
-    fock.pair_table.cache_clear()
+    transfer.minus_rows.cache_clear()
+    transfer.pair_table.cache_clear()
     p, N, NQ = Fraction(3, 5), 6, 2
     assert first_shift_check("G", 1, 0, SectorConfig(0, N, p)).passed
     assert first_shift_check("Gprime", 1, 0, SectorConfig(1, N, p)).passed
     families = ("plain", "alternating")
-    assert fock.minus_rows.cache_info().misses == 2   # (p, N) for both families
-    tables = {family: fock.minus_rows(p, N, family) for family in families}
+    assert transfer.minus_rows.cache_info().misses == 2   # (p, N) for both families
+    tables = {family: transfer.minus_rows(p, N, family) for family in families}
     pr = ModelParams(0, 1, p, SeriesContext(2, 3, NQ), N)
     for family in families:
         GradedOperator(pr, family).gram(0)
     # the graded blocks reread the tables at N and read the columns of
     # weight <= NQ off the tables of the sector cut at NQ, built once each
-    assert fock.minus_rows.cache_info().misses == 4
+    assert transfer.minus_rows.cache_info().misses == 4
     for family in families:
-        assert fock.minus_rows(p, N, family) is tables[family]
-        assert len(fock.minus_rows(p, NQ, family)[0]) == len(get_basis(NQ))
-    assert fock.minus_rows.cache_info().misses == 4
-    fock.minus_rows.cache_clear()
-    fock.pair_table.cache_clear()
+        assert transfer.minus_rows(p, N, family) is tables[family]
+        assert len(transfer.minus_rows(p, NQ, family)[0]) == len(get_basis(NQ))
+    assert transfer.minus_rows.cache_info().misses == 4
+    transfer.minus_rows.cache_clear()
+    transfer.pair_table.cache_clear()
 
 
 def _dense_pair_table(p, N, family, cap):
@@ -171,7 +171,7 @@ def test_first_shift_reports_match_dense_pair(monkeypatch):
               for m in (-2, -1, 0, 1, 2) for s in (-1, 0, 1)]
     pushed = [first_shift_check(*point).to_json_dict() for point in points]
     calls = []
-    monkeypatch.setattr(symmetries, "pair_table", lambda p, N, family, cap: calls.append(
+    monkeypatch.setattr(shifts, "pair_table", lambda p, N, family, cap: calls.append(
         family) or _dense_pair_table(p, N, family, cap))
     assert [first_shift_check(*point).to_json_dict() for point in points] == pushed
     assert len(calls) == len(points)
@@ -229,8 +229,8 @@ def _relation_mutant(f):
 def _doubled_shift_identity(monkeypatch):
     # the c * 1 of both first-shift routes comes out twice too large; both
     # routes read c from torus_constant
-    monkeypatch.setattr(symmetries, "torus_constant",
-                        lambda j, p, f=symmetries.torus_constant: 2 * f(j, p))
+    monkeypatch.setattr(shifts, "torus_constant",
+                        lambda j, p, f=shifts.torus_constant: 2 * f(j, p))
 
 
 WRONG_RELATIONS = {
@@ -245,8 +245,8 @@ WRONG_RELATIONS = {
 # oracles' closed forms alone
 FIRST_SHIFT_RELATIONS = dict(WRONG_RELATIONS, doubled_identity=_doubled_shift_identity,
                              wrong_constant=lambda mp: mp.setattr(
-                                 symmetries, "torus_constant",
-                                 lambda j, p, f=symmetries.torus_constant: f(j, p) + 1))
+                                 shifts, "torus_constant",
+                                 lambda j, p, f=shifts.torus_constant: f(j, p) + 1))
 # the first shift does not read symmetries._relation
 FIRST_SHIFT_BLIND = ("flipped_prefactor", "unsigned_degenerate")
 
@@ -377,13 +377,13 @@ def test_flipped_v_numerator_fails_first_shift_as_fraction_oracle(monkeypatch):
     config = SectorConfig(0, 6, Fraction(2, 3))
     i, j, _, _ = fock.move_table(1, 6)[0]
 
-    def flipped(k, m, config, f=fock.v_rows):
+    def flipped(k, m, config, f=shifts.v_rows):
         rows, den = f(k, m, config)
         if (k, m) != (1, 1):
             return rows, den
         return {**rows, i: {**rows[i], j: -rows[i][j]}}, den
 
-    for module in (symmetries, oracles):
+    for module in (shifts, oracles):
         monkeypatch.setattr(module, "v_rows", flipped)
     # the oracle caches what it reads of v_rows
     caches = (oracles.v_op,)
@@ -419,7 +419,7 @@ SECOND_SHIFT_GRID = [(k, m) for k in range(-2, 3) for m in range(-2, 3)]
 @pytest.mark.parametrize("p", [P, Fraction(2, 3), Fraction(3, 7)])
 def test_second_shift_reports_match_fraction_oracle(p):
     # both routes take V from fock.v_terms, the package's directly and the
-    # oracle's through fock.v_rows, so a wrong term exponent would move both
+    # oracle's through shifts.v_rows, so a wrong term exponent would move both
     # sides at once; test_v_op_matches_bilinear_oracle is the test that
     # catches it
     lines = _same_reports(second_shift_check, oracles.fraction_second_shift_check,
@@ -437,7 +437,7 @@ def test_perturbed_w0_fails_both_second_shift_routes(monkeypatch):
         w0[index] += 1
         return tuple(w0)
 
-    for module in (symmetries, oracles):
+    for module in (shifts, oracles):
         monkeypatch.setattr(module, "w0_diag", perturbed)
     lines = _same_reports(second_shift_check, oracles.fraction_second_shift_check,
                           SECOND_SHIFT_GRID, [SectorConfig(0, 6, Fraction(2, 3))])
@@ -459,7 +459,7 @@ def _scanned_residuals(monkeypatch) -> list:
     row whole (uncertified entries included) as {i: {j: numerator}}, formed
     here from the kernel's inputs entry by entry."""
     seen = []
-    scan = symmetries.sandwich_entry
+    scan = shifts.sandwich_entry
 
     def record(table, left, right, diag, mask, basis_obj, f_left=1, f_right=1):
         dim, w = len(table), basis_obj.weights
@@ -471,7 +471,7 @@ def _scanned_residuals(monkeypatch) -> list:
         seen.append(rows)
         return scan(table, left, right, diag, mask, basis_obj, f_left, f_right)
 
-    monkeypatch.setattr(symmetries, "sandwich_entry", record)
+    monkeypatch.setattr(shifts, "sandwich_entry", record)
     return seen
 
 
@@ -483,7 +483,7 @@ def _values(rows, den) -> dict:
 def _commutator_mask(m, n, N) -> tuple:
     """The commutator's certified_window mask, from the chains in the order
     the oracle writes them."""
-    return fock.certified_window(N, ((banded(-m), banded(-n)), (banded(-n), banded(-m))))[0]
+    return checks.certified_window(N, ((banded(-m), banded(-n)), (banded(-n), banded(-m))))[0]
 
 
 def _certified_rows(rows, mask, N) -> dict:
@@ -510,13 +510,13 @@ def _table_rows(table, k, l, p, N) -> dict:
 def test_integer_forms_hold_ints_in_lowest_terms():
     config = SectorConfig(1, 6, Fraction(2, 3))
     for k, m in ((2, -3), (-1, 0), (0, 2), (1, 1)):
-        rows, den = fock.v_rows(k, m, config)
+        rows, den = shifts.v_rows(k, m, config)
         # no row is empty, and no zero is kept
         assert all(rows.values())
         assert _in_lowest_terms((v for row in rows.values() for v in row.values()), den)
         assert _values(rows, den) == oracles.v_op_by_bilinears(k, m, config).rows
     for family in ("plain", "alternating"):
-        table, den = fock.pair_table(config.p, 6, family, 6)
+        table, den = transfer.pair_table(config.p, 6, family, 6)
         # the table is dense: its nonzero entries are in lowest terms with den
         assert _in_lowest_terms((v for row in table for v in row if v), den)
     # at (2, 1, -1, 2) the residual vanishes on every certified cell; at
@@ -564,7 +564,7 @@ def test_commutator_tables_reproduce_the_products(N, pairs):
                     _certified_rows(oracles.identity(config).rows, mask, N))
     # the charge-0 vacuum has no level to sum: V^(k)_0 holds no term there
     assert fock.v_terms(0, 0, N)[0] == []
-    assert 0 not in fock.v_rows(0, 0, SectorConfig(0, N, P))[0]
+    assert 0 not in shifts.v_rows(0, 0, SectorConfig(0, N, P))[0]
 
 
 @pytest.mark.parametrize("N", [3, 6, 9])
@@ -579,7 +579,7 @@ def test_commutator_slot_tables_hold_certified_cells_in_order(N):
             for n in range(-3, 4):
                 window, product, third, ones = symmetries._commutator_tables(m, n, s, N)
                 mask = _commutator_mask(m, n, N)
-                assert window == fock.certified_window(
+                assert window == checks.certified_window(
                     N, ((banded(-m), banded(-n)), (banded(-n), banded(-m))))[1]
                 slots = {slot for table in (product, third, ones) for slot, _, _ in table}
                 assert sorted(slots) == sorted(slots, key=lambda slot: divmod(slot, dim))
@@ -596,12 +596,12 @@ def test_commutator_masks_are_shared_by_both_orders():
     for m in range(-3, 4):
         for n in range(-3, 4):
             chains = ((banded(-m), banded(-n)), (banded(-n), banded(-m)))
-            assert fock.certified_window(6, chains) == fock.certified_window(6, chains[::-1])
-    fock.certified_window.cache_clear()
+            assert checks.certified_window(6, chains) == checks.certified_window(6, chains[::-1])
+    checks.certified_window.cache_clear()
     symmetries._certificate.cache_clear()
     config = SectorConfig(0, 6, Fraction(5, 7))
     assert all(commutator_check(*args, config).passed for args in COMMUTATOR_GRID)
-    assert fock.certified_window.cache_info().misses == 28
+    assert checks.certified_window.cache_info().misses == 28
 
 
 def test_commutator_certificate_is_built_once_per_pair_for_every_p(monkeypatch):
@@ -650,7 +650,7 @@ def test_flipped_move_fails_commutators_as_fraction_oracle(monkeypatch):
         return ((i, j, -sign, src), *rest)
 
     monkeypatch.setattr(fock, "move_table", flipped)
-    caches = (fock.v_terms, fock.v_rows, oracles.v_op, symmetries._certificate)
+    caches = (fock.v_terms, shifts.v_rows, oracles.v_op, symmetries._certificate)
     for cached in caches:
         cached.cache_clear()
     try:
@@ -688,8 +688,8 @@ def test_first_shift_residual_is_taken_on_readable_rows(variant, k, m, monkeypat
     family = "plain" if variant == "G" else "alternating"
     # the one denominator of the check: the pair's, the two V's and the constant's
     c_g = (c if m == 0 else 0) - parity * (c if m + k == 0 else 0)
-    den = (fock.pair_table(config.p, 6, family, 6)[1] * fock.v_rows(upper, m, config)[1]
-           * fock.v_rows(upper, m + k, config)[1] * Fraction(c_g).denominator)
+    den = (transfer.pair_table(config.p, 6, family, 6)[1] * shifts.v_rows(upper, m, config)[1]
+           * shifts.v_rows(upper, m + k, config)[1] * Fraction(c_g).denominator)
     gg = SectorOperator(config, get_basis(6), oracles.dense_pair(
         SectorConfig(0, 6, config.p), family).rows)
     ident = oracles.identity(config)
@@ -756,13 +756,14 @@ def test_operator_reports_stable_under_cutoff_growth(p):
 
 
 def test_tracer_hooks_see_every_product(monkeypatch):
-    # the first shift reads fock.v_rows at call time, so a tracer that wraps
+    # the first shift reads shifts.v_rows at call time, so a tracer that wraps
     # it sees every V the shift evaluates; its products are formed row by row
     # inside the check. The commutator reads no V numerators: its certificate
     # is built from the p-free fock.v_terms, for every p
-    assert (symmetries.v_rows, symmetries.v_terms) == (fock.v_rows, fock.v_terms)
+    assert (symmetries.v_terms, shifts.v_terms) == (fock.v_terms, fock.v_terms)
+    assert not hasattr(symmetries, "v_rows")
     seen, terms = [], []
-    monkeypatch.setattr(symmetries, "v_rows", lambda *a, f=fock.v_rows: seen.append(a[:2]) or f(*a))
+    monkeypatch.setattr(shifts, "v_rows", lambda *a, f=shifts.v_rows: seen.append(a[:2]) or f(*a))
     monkeypatch.setattr(symmetries, "v_terms", lambda *a, f=fock.v_terms: terms.append(a) or f(*a))
     config = SectorConfig(0, 4, Fraction(5, 13))
     symmetries._certificate.cache_clear()
@@ -785,7 +786,7 @@ def test_failing_entry_identifies_earliest_pair():
     c = cfg(N=3)
     b = get_basis(3)
     residual = v_op(0, 1, c)  # nonzero operator standing in for a residual
-    mask, _ = fock.certified_window(3)  # no certificate: every weight pair
+    mask, _ = checks.certified_window(3)  # no certificate: every weight pair
     # the rows, and the entries of each, come in descending order; the kernel
     # must still find the earliest
     rows = {i: {j: int(v) for j, v in sorted(residual.rows[i].items(), reverse=True)}

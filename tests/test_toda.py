@@ -32,7 +32,6 @@ from toda_crystal import (
     zprime_series,
 )
 from toda_crystal import algebra, identities, models, toda
-from toda_crystal.algebra import series_from_json_dict
 from toda_crystal.checks import FAIL, INSUFFICIENT, PASS, entry_evidence, sandwich_entry
 from toda_crystal.fock import SectorConfig, get_basis, j_rows
 from toda_crystal.series import GradedSeries
@@ -51,6 +50,7 @@ from oracles import (
     merge_hatted_into_t,
     residual_mask,
     series_exp,
+    series_from_json_dict,
     sub,
 )
 
@@ -356,7 +356,7 @@ def test_matrix_free_tau_matches_dense_route(shape, p):
 @pytest.mark.parametrize("build", [build_g, build_gprime])
 def test_time_vectors_pushed_once_for_every_l(build, first, monkeypatch):
     # the pushes do not read l: whichever operator of the point asks first,
-    # the one at l = 0 makes every fock.transfer_row call, and the second
+    # the one at l = 0 makes every transfer.transfer_row call, and the second
     # operator makes none; the shared rows equal the l = 1 operator's own
     push, calls = toda.transfer_row, []
     monkeypatch.setattr(toda, "transfer_row", lambda *args: calls.append(args) or push(*args))
