@@ -66,9 +66,9 @@ MUTANTS = (
     Mutant("wrong_c_k", "transfer.py",
            "num, den = (a * b) ** k, b ** (2 * k) - a ** (2 * k)",
            "num, den = (a * b) ** k, b ** (2 * k) + a ** (2 * k)"),
-    Mutant("wrong_alternating_sign", "transfer.py",
-           'if family == "alternating" and k % 2 == 0:',
-           'if family == "alternating" and k % 2 == 1:'),
+    Mutant("conjugation_identity", "transfer.py",
+           "return tuple(basis.index[mu.conjugate()] for mu in basis.parts)",
+           "return tuple(range(len(basis)))"),
     Mutant("short_maya_tail", "fock.py",
            "tail_top, levels = s - len(parts), ", "tail_top, levels = s - len(parts) - 1, "),
     Mutant("first_shift_parity", "shifts.py",
@@ -81,9 +81,19 @@ MUTANTS = (
     Mutant("wrong_prev_constant", "identities.py",
            "return params.p ** (-(s * (s + 1) * (2 * s + 1)) // 3)",
            "return params.p ** (-(s * (s + 1) * (2 * s + 1)) // 6)"),
+    Mutant("mirror_sign_from_k", "toda.py",
+           "f *= (-1) ** sum((k - 1) * x for k, x in enumerate(b, start=1))",
+           "f *= (-1) ** sum(k * x for k, x in enumerate(b, start=1))"),
+    Mutant("mirror_constant_negated", "toda.py",
+           "(f,), d = power_form(cfg.p, [-e.pop()])",
+           "(f,), d = power_form(cfg.p, [e.pop()])"),
     Mutant("plain_right_dressing", "toda.py",
-           '_RIGHT_W0_SIGN = {"plain": +1, "alternating": -1}',
-           '_RIGHT_W0_SIGN = {"plain": +1, "alternating": +1}'),
+           '(1 if self.family == "plain" else -1, dim)', '(1, dim)',
+           equivalent="the right W0 dressing of g' is read only by its blocks, and the one "
+                      "check of `verify all` on them, toeplitz_fake, passes on any nonzero "
+                      "J_k g' - g' J_k entry, which the dressing cannot make vanish; the entry "
+                      "it reports changes, and tier-1 compares that entry with the dense "
+                      "oracle (test_intertwining_matches_dense_blocks)"),
     Mutant("w0_weight_off_by_one", "models.py",
            "(2 * s + 1) * mu.weight", "(2 * s + 3) * mu.weight"),
     Mutant("wrong_kappa", "partitions.py",

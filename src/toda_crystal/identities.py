@@ -9,8 +9,9 @@ against the trivial solution, and tau tau_{t1 th1} - tau_{t1} tau_{th1} =
 c tau_+ tau_- on a charge family. They compute on the integer series of
 `series`, as `toda` writes them; Z' and Z, which `models` returns as
 TruncatedSeries, enter by one conversion each. The ground-action check
-pushes the vacuum through G_- and G"_- by transfer.transfer_row, whose G.Y
-form has no weight below the vacuum's to fill, and the intertwining check
+pushes the vacuum through G_- by transfer.transfer_row, whose G.Y form has
+no weight below the vacuum's to fill; G"_- is G_- relabelled by conjugate
+partitions, which fix the vacuum (`transfer`). The intertwining check
 reads J_k g_n - g_n J_r on the blocks g_n of toda.GradedOperator.gram with
 the first shift's kernel, checks.sandwich_entry: the rows fock.j_rows of J_k
 and J_r, the latter scaled by -1, against a checks.certified_window mask. The
@@ -140,17 +141,15 @@ def ground_action_constants(s: int, p: Fraction, N: int) -> CheckReport:
     L0 eigenvalue, the signed sum of the levels of maya_diag_levels, matching
     algebra.charge_offset. The transfer half holds by construction: no weight
     lies below the vacuum's, so transfer_row returns the vacuum without
-    reading a coupling. Only the W0 and L0 halves can fail."""
+    reading a coupling, and G"_+|s> = |s> follows, as conjugation fixes |s>.
+    Only the W0 and L0 halves can fail."""
     p = Fraction(p)
     params_dict = {"s": s, "p": format_rational(p), "N": N}
     vac = ({0: 1}, 1)
-    row = transfer_row(vac, p, N, "plain")
-    # G"_+ is the transpose of G"_-, so G"_+|s> is the row <s|G"_-
-    col = transfer_row(vac, p, N, "alternating")
     w0_vac = w0_diag(s, N)[0]
     expected = s * (s + 1) * (2 * s + 1) // 6
     l0_vac = sum(sign * x for sign, x in maya_diag_levels((), s))
-    ok = row == vac and col == vac and w0_vac == expected and l0_vac == charge_offset(s)
+    ok = transfer_row(vac, p, N) == vac and w0_vac == expected and l0_vac == charge_offset(s)
     report = CheckReport("ground_action", params_dict, PASS if ok else FAIL)
     report.window = 2 * len(get_basis(N))
     report.evidence = {

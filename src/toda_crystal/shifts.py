@@ -53,7 +53,8 @@ def first_shift_check(variant: str, k: int, m: int, config: SectorConfig) -> Che
     alternating family. The residual G V_L - parity V_R G - (c_L - parity c_R) G,
     with c_L = c(upper) at m = 0 and c_R = c(upper) at m + k = 0 (at most one
     of them is nonzero), is read by sandwich_entry over one denominator from
-    the integer table of G_-G_+ and the integer rows of the two V factors.
+    the integer table of G_-G_+ (for Gprime G"_-G"_+, the plain table relabelled
+    by conjugate partitions) and the integer rows of the two V factors.
     """
     if k < 1:
         raise ValueError("first shift symmetries need k >= 1")

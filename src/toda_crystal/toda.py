@@ -9,27 +9,22 @@ retained coefficient is a finite exact sum.
 
 Certification is by construction for the tau series. A tau series needs
 only the C(K+D, D) time vectors <s| prod J_k^{a_k} A and B prod J_{-k}^{b_k} |s>,
-paired at weights n <= NQ, so A and B are never materialised: each vector
-is pushed through the dressings and the transfer pairs one factor at a
-time, in integer form: a pair (nums, den) of integer numerators over one
-denominator den > 0, with value nums/den. The grade dots of these vectors are
-written straight into a series.GradedSeries, integer numerators over one
-denominator for the whole series, which the tau builders return and on which
-the checks compute; a reported or exported value is built once, as a
-Fraction, by its to_truncated. A transfer pair is one push through G_- (G"_-
-for the alternating family) in the sector cut at N, by the G.Y form of
-transfer.transfer_row, then transfer.pair_dots against the rows e_nu G_- of
-weight <= NQ, built by the Y.G form, which is exact. The time exponentials
-contribute energies at most K*D, which the cutoff must dominate. The time
-vectors read the rows of J_k from fock.j_rows, the same at every charge, and
-since J_{-k} is the transpose of J_k, one table of row vectors serves as the
-column vectors too. Each block g_n = A Pi_n B is a dense integer table, the
-grade-n Gram matrix of the basis vectors e_lam A and B e_mu: dressed rows of
-transfer.pair_table at cap NQ, from the same rows of G_- as the first shift's
-table. The identities these series and blocks satisfy are checked in
-`identities`; this module imports nothing of `checks`, so a tau export
-compiles no check code and no split rule, and the model point comes from
-`algebra`, so it compiles no partition sum either.
+paired at weights n <= NQ, so A and B are never materialised. Each time row
+is pushed once, in integer form, through p^{W0}, G_- (transfer.transfer_row)
+and the dots of transfer.pair_dots at cap NQ, which are exact; the rows of
+A and the columns of B of every operator at the point are read off these
+pushes, those of g' by the conjugation identities stated in `transfer`. The
+time exponentials contribute energies at most K*D, which the cutoff must
+dominate. The grade dots are written straight into a series.GradedSeries,
+integer numerators over one denominator, which the tau builders return and
+on which the checks compute; a reported or exported value is built once, as
+a Fraction, by its to_truncated. Each block g_n = A Pi_n B is a dense
+integer table, the grade-n Gram matrix of the basis vectors e_lam A and
+B e_mu: dressed rows of transfer.pair_table at cap NQ, from the same rows of
+G_- as the first shift's table. The identities these series and blocks
+satisfy are checked in `identities`; this module imports nothing of
+`checks` or `models`, so a tau export compiles no check code and no
+partition sum.
 """
 
 from __future__ import annotations
@@ -40,9 +35,9 @@ from functools import cached_property, lru_cache
 from operator import mul
 
 from .algebra import ModelParams, SeriesContext, charge_offset
-from .fock import apply_row, get_basis, j_rows, power_form, w0_diag
+from .fock import SectorConfig, apply_row, get_basis, j_rows, power_form, w0_diag
 from .series import GradedSeries, layout, monomials
-from .transfer import IntVector, pair_dots, pair_table, reduced, transfer_row
+from .transfer import IntVector, conjugation, pair_dots, pair_table, reduced, transfer_row
 
 
 # ---------------------------------------------------------------------------
@@ -72,76 +67,68 @@ def _factorials(a: tuple[int, ...]) -> int:
 # ---------------------------------------------------------------------------
 # Graded operators
 
-_RIGHT_W0_SIGN = {"plain": +1, "alternating": -1}
+def _dressed(vec: IntVector, c: int, p: Fraction, w0) -> IntVector:
+    """vec times the diagonal p^{c W0}, by the power_form of the exponents c w0_i."""
+    nums, den = vec
+    if not c or not nums:
+        return vec
+    powers, d = power_form(p, [c * w0[i] for i in nums])
+    return {i: v * f for (i, v), f in zip(nums.items(), powers)}, den * d
+
+
+def _push(vec: IntVector, config: SectorConfig, NQ: int) -> IntVector:
+    """vec p^{W0} G_-G_+ on the weights <= NQ, in lowest terms."""
+    nums, den = transfer_row(_dressed(vec, 1, config.p, w0_diag(config.s, config.N)),
+                             config.p, config.N)
+    dots, d = pair_dots(nums, config.p, NQ)
+    return reduced(({j: v for j, v in enumerate(dots) if v}, den * d))
+
+
+@lru_cache(maxsize=None)
+def _pushes(config: SectorConfig, ctx: SeriesContext) -> dict[tuple[int, ...], IntVector]:
+    """The _push of each time row r_a = <s| prod J_k^{a_k}, keyed by a, at l = 0."""
+    return {a: _push((r, 1), config, ctx.NQ) for a, r in _time_rows(config.N, ctx.K, ctx.D).items()}
 
 
 class GradedOperator:
     """g = A . Q^{L0} . B on a fixed sector, with A = q^{W0/2} G_-G_+ q^{l W0/2}
-    and B = G"_-G"_+ q^{+-W0/2}. The right pair uses the given transfer family,
-    'plain' with q^{+W0/2} or 'alternating' with q^{-W0/2}.
+    and B = G"_-G"_+ q^{+-W0/2}, the right family 'plain' with q^{+W0/2} or
+    'alternating' with q^{-W0/2}. Vectors are in integer form, on the weights
+    <= NQ: <lam| g |mu> = sum_n Q^{n + s(s+1)/2} <e_lam A, B e_mu>_n. It keeps
+    time_vectors for the tau series; gram(n) = g_n reads transfer.pair_table."""
 
-    g is applied to vectors in integer form: a vector is a pair
-    (nums, den) of integer numerators over one denominator den > 0, with
-    value nums/den. row(vec) is vec . A and col(vec) is B . vec, pushed
-    through the factors one at a time, kept on the weights <= NQ, the only
-    ones a graded pairing reads, and returned in lowest terms. The p^{cW0}
-    dressings multiply numerators and denominator by integer powers of the
-    numerator and the denominator of p. A transfer pair is one push through
-    G_- and its transfer.pair_dots at cap NQ, exact since the dressings keep
-    weights. Every graded quantity pairs such vectors: <lam| g |mu> =
-    sum_n Q^{n + s(s+1)/2} <row(e_lam), col(e_mu)>_n.
-
-    The operator keeps what it pushes, time_vectors for the tau series. The
-    blocks gram(n) = g_n are integer tables read off transfer.pair_table."""
-
-    def __init__(self, params: ModelParams, family: str, at_l0: GradedOperator | None = None):
-        if family not in _RIGHT_W0_SIGN:
+    def __init__(self, params: ModelParams, family: str):
+        if family not in ("plain", "alternating"):
             raise ValueError(f"unknown transfer family {family!r}")
         self.params = params
-        self._at_l0 = at_l0
         self.config = params.config
         self.family = family
         self.basis = get_basis(self.config.N)
         self._w0 = w0_diag(self.config.s, self.config.N)
         self._limit = self.basis.weight_range[params.ctx.NQ].stop
 
-    def _scaled(self, vec: IntVector, c: int) -> IntVector:
-        """vec times the diagonal p^{c W0}, by the power_form of the exponents
-        c w0_i."""
-        nums, den = vec
-        if not c or not nums:
-            return vec
-        powers, d = power_form(self.config.p, [c * self._w0[i] for i in nums])
-        return {i: v * f for (i, v), f in zip(nums.items(), powers)}, den * d
-
-    def _pair(self, vec: IntVector, family: str) -> IntVector:
-        """vec times the transfer pair of the family on the weights <= NQ."""
-        nums, den = transfer_row(vec, self.config.p, self.config.N, family)
-        dots, d = pair_dots(nums, self.config.p, self.params.ctx.NQ, family)
-        return {j: v for j, v in enumerate(dots) if v}, den * d
-
-    def row(self, vec: IntVector) -> IntVector:
-        """vec . A on the weights <= NQ."""
-        return reduced(self._scaled(self._pair(self._scaled(vec, 1), "plain"), self.config.l))
-
-    def col(self, vec: IntVector) -> IntVector:
-        """B . vec on the weights <= NQ; the transfer pair is symmetric, so it
-        acts on a column as on a row."""
-        return reduced(self._pair(self._scaled(vec, _RIGHT_W0_SIGN[self.family]), self.family))
-
     @cached_property
     def time_vectors(self):
-        """u_a = <s| prod J_k^{a_k} A and w_b = B prod J_{-k}^{b_k} |s> for every
-        multi-index of degree <= D, keyed by the multi-index, pushed through
-        row and col. Only the last factor of A, p^{l W0}, reads l, so given
-        at_l0, the operator of the same point at l = 0, they are its vectors
-        with the rows dressed."""
-        if self._at_l0 is not None:
-            us, ws = self._at_l0.time_vectors
-            return {a: reduced(self._scaled(u, self.config.l)) for a, u in us.items()}, ws
-        rows = _time_rows(self.config.N, self.params.ctx.K, self.params.ctx.D)
-        return ({a: self.row((r, 1)) for a, r in rows.items()},
-                {b: self.col((r, 1)) for b, r in rows.items()})
+        """u_a = <s| prod J_k^{a_k} A and w_b = B prod J_{-k}^{b_k} |s> for each
+        multi-index of degree <= D, from the pushes u of the time rows r at l = 0:
+        u_a is the push of r_a dressed by p^{l W0}; w_b is u_b for g, as G_-G_+ is
+        symmetric, and sigma_b p^{-e} Omega u_b for g' by the identities of
+        `transfer`, sigma_b = (-1)^(sum (k-1) b_k) and e = w0 + w0 Omega on the
+        weight sum k b_k of r_b; a ValueError refuses an e that is not constant."""
+        cfg, ctx, w0 = self.config, self.params.ctx, self._w0
+        us = _pushes(SectorConfig(cfg.s, cfg.N, cfg.p), ctx)
+        rows = {a: reduced(_dressed(u, cfg.l, cfg.p, w0)) for a, u in us.items()} if cfg.l else us
+        if self.family == "plain":
+            return rows, us
+        omega, cols = conjugation(cfg.N), {}
+        for b, (nums, den) in us.items():
+            n = sum(k * x for k, x in enumerate(b, start=1))
+            if len(e := {w0[i] + w0[omega[i]] for i in self.basis.weight_range[n]}) != 1:
+                raise ValueError(f"w0 + w0 Omega takes the values {sorted(e)} on weight {n}")
+            (f,), d = power_form(cfg.p, [-e.pop()])
+            f *= (-1) ** sum((k - 1) * x for k, x in enumerate(b, start=1))
+            cols[b] = reduced(({omega[j]: f * v for j, v in nums.items()}, den * d))
+        return rows, cols
 
     @cached_property
     def _basis_vectors(self) -> tuple[list[list[int]], list[list[int]], int]:
@@ -155,7 +142,8 @@ class GradedOperator:
                                      for family in ("plain", self.family))
         (a, d_a), (b, d_b), (c, d_c) = (
             power_form(cfg.p, [e * x for x in self._w0[:stop]])
-            for e, stop in ((1, dim), (cfg.l, self._limit), (_RIGHT_W0_SIGN[self.family], dim)))
+            for e, stop in ((1, dim), (cfg.l, self._limit),
+                            (1 if self.family == "plain" else -1, dim)))
         rows = [[a_lam * t * b_nu for t, b_nu in zip(row, b)] for a_lam, row in zip(a, left)]
         cols = [[c_mu * row[nu] for c_mu, row in zip(c, right)] for nu in range(self._limit)]
         return rows, cols, d_a * d_b * d_c * d_l * d_r
@@ -182,24 +170,18 @@ class GradedOperator:
         return _assemble(self.params, {zero: us[zero]}, {zero: ws[zero]}, hat_sign=+1)
 
 
-def _at_l0(build, params: ModelParams) -> GradedOperator | None:
-    """build's operator at l = 0 of the point of params; None at l = 0."""
-    return build(ModelParams(params.s, 0, params.p, params.ctx, params.N)) if params.l else None
-
-
 @lru_cache(maxsize=None)
 def build_gprime(params: ModelParams) -> GradedOperator:
     """g' = q^{W0/2} G_-G_+ q^{l W0/2} Q^{L0} G"_-G"_+ q^{-W0/2} with the
     alternating transfer family on the right. Cached per model point, so the
-    checks on one (s, l) share its time vectors, and the points at every l
-    share the pushes of the point at l = 0."""
-    return GradedOperator(params, "alternating", _at_l0(build_gprime, params))
+    checks on one (s, l) share its time vectors and blocks."""
+    return GradedOperator(params, "alternating")
 
 
 @lru_cache(maxsize=None)
 def build_g(params: ModelParams) -> GradedOperator:
     """g = q^{W0/2} G_-G_+ q^{l W0/2} Q^{L0} G_-G_+ q^{+W0/2}; cached like build_gprime."""
-    return GradedOperator(params, "plain", _at_l0(build_g, params))
+    return GradedOperator(params, "plain")
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,10 @@ exponential as a dense Fraction matrix, its exponent summed here from j_op and i
 by matrix products; dense_transfer and dense_pair give G+- and G_-G_+ from it,
 the reference for the rows of transfer.minus_rows, the pushes of
 transfer.transfer_row and the dots of transfer.pair_dots, all three of
-which the package forms by the weight recurrence, with no power series.
+which the package forms by the weight recurrence, with no power series, and
+for the alternating family, which the package reads off the plain one
+relabelled by conjugate partitions: conjugation_by_cells is that relabelling
+built from the diagram cells, and relabelled applies it to a matrix.
 fermionic_expectation is the partition function as a
 vacuum expectation value of those dense exponentials, the fermionic route that
 the closed-form partition sum of models must match, and
@@ -67,7 +70,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 
 from itertools import product
 from typing import Mapping
@@ -96,7 +99,7 @@ from toda_crystal.models import (
     w0_eigenvalue,
 )
 from toda_crystal.shifts import v_rows
-from toda_crystal.toda import GradedOperator
+from toda_crystal.toda import GradedOperator, _time_rows
 from toda_crystal.truncated import parse_monomial_label
 
 
@@ -580,6 +583,26 @@ def apply_col(op: SectorOperator, vec: dict) -> dict:
     return apply_row(vec, transpose(op).rows)
 
 
+def conjugation_by_cells(N: int) -> tuple[int, ...]:
+    """transfer.conjugation from the diagram cells: the basis index of the
+    partition whose cells are the transposed cells (j, i) of each basis
+    partition, its parts the row counts of the transposed diagram."""
+    b = get_basis(N)
+    out = []
+    for mu in b.parts:
+        rows: dict[int, int] = {}
+        for i, j in mu.cells():
+            rows[j] = rows.get(j, 0) + 1
+        out.append(b.index[Partition([rows[r] for r in sorted(rows)])])
+    return tuple(out)
+
+
+def relabelled(rows: Mapping[int, Mapping], omega) -> dict[int, dict]:
+    """The matrix with rows {i: {j: v}} conjugated by the permutation matrix of
+    an involution omega: entry (omega i, omega j) is entry (i, j)."""
+    return {omega[i]: {omega[j]: v for j, v in row.items()} for i, row in rows.items()}
+
+
 def transfer_weights(p: Fraction, N: int, alternating: bool) -> dict[int, Fraction]:
     """Coupling of J_{+-k} inside the transfer exponentials:
     q^{k/2}/(k(1-q^k)), with an extra (-1)^(k+1) for the alternating family."""
@@ -718,10 +741,12 @@ class DenseGraded(GradedOperator):
     materialised A = p^{W0} G_-G_+ p^{l W0} and B = G"_-G"_+ p^{+-W0}, with the
     dense transfer pairs from dense_pair. fraction_row and fraction_col act
     on {index: Fraction} vectors; row and col wrap them for the integer-form
-    vectors of GradedOperator. The vectors keep every weight up to the
-    cutoff; the graded pairing reads the weights <= NQ. identity_transfers
-    replaces both dense pairs by the identity in row, col and block; gram
-    still reads the package's pair tables."""
+    vectors of GradedOperator, and time_vectors pushes each time row through
+    row and col, the reference for the package's shared pushes and their
+    mirror. The vectors keep every weight up to the cutoff; the graded
+    pairing reads the weights <= NQ. identity_transfers replaces both dense
+    pairs by the identity in row, col and block; gram still reads the
+    package's pair tables."""
 
     def __init__(self, params, family: str, identity_transfers: bool = False):
         super().__init__(params, family)
@@ -746,6 +771,12 @@ class DenseGraded(GradedOperator):
 
     def col(self, vec):
         return integer_form(self.fraction_col(as_fractions(vec)))
+
+    @cached_property
+    def time_vectors(self):
+        rows = _time_rows(self.config.N, self.params.ctx.K, self.params.ctx.D)
+        return ({a: self.row((r, 1)) for a, r in rows.items()},
+                {b: self.col((r, 1)) for b, r in rows.items()})
 
     def block(self, n: int) -> SectorOperator:
         """g_n = A . Pi_n . B, with Pi_n the projector on weight n."""

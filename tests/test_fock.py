@@ -266,13 +266,14 @@ def test_j_matrices_charge_independent():
 
 def test_vertex_rows_are_schur_values():
     # <s|G_+ and G"_-|s>, the column 0 of G_- (G_+ is its transpose) and of
-    # G"_-, read off the pushed rows e_i G_-
+    # G"_-, read off the pushed rows e_i G_-, the latter relabelled by
+    # conjugate partitions (Omega fixes the vacuum)
     for p in (P, Fraction(2, 3)):
-        (plain, d), (alternating, d_alt) = (transfer.minus_rows(p, 6, family)
-                                            for family in ("plain", "alternating"))
+        plain, d = transfer.minus_rows(p, 6)
+        alternating = oracles.relabelled(dict(enumerate(plain)), transfer.conjugation(6))
         for i, mu in enumerate(get_basis(6).parts):
             assert Fraction(plain[i].get(0, 0), d) == schur_qrho(mu, p)
-            assert Fraction(alternating[i].get(0, 0), d_alt) == schur_qrho(mu.conjugate(), p)
+            assert Fraction(alternating[i].get(0, 0), d) == schur_qrho(mu.conjugate(), p)
 
 
 def test_oracle_vertex_rows_are_schur_values():
@@ -370,14 +371,58 @@ def test_transfer_generator_matches_oracle_weights(p):
     # the integer rows of Y = sum_k k c_k J_{-k}, the weight drop times the
     # exponent of G_-, built from p's numerator and denominator, against the
     # oracle's Fraction weights put on every move of J_{-k}, in the same
-    # lowest-terms integer form
+    # lowest-terms integer form; relabelled by conjugate partitions they are
+    # the rows of the alternating Y
     for N in range(7):
+        ys, den = transfer._y_rows(p, N)
         for family in ("plain", "alternating"):
             rows = {}
             for k, c in transfer_weights(p, N, family == "alternating").items():
                 for i, j, sign, _ in move_table(-k, N):
                     rows.setdefault(i, {})[j] = sign * k * c
-            assert transfer._y_rows(p, N, family) == oracles.integer_rows(rows), N
+            ours = ys if family == "plain" else oracles.relabelled(ys, oracles.conjugation_by_cells(N))
+            assert (ours, den) == oracles.integer_rows(rows), (N, family)
+
+
+@pytest.mark.parametrize("N", range(10))
+def test_conjugation_flips_the_even_current_modes(N):
+    # Omega, the relabelling by conjugate partitions, against the transposed
+    # cells; it fixes the vacuum, and Omega J_k Omega = (-1)^(k-1) J_k on the
+    # moves of the oracle's level lists and on the package's rows
+    omega = transfer.conjugation(N)
+    assert omega == oracles.conjugation_by_cells(N)
+    assert omega[0] == 0 and all(omega[omega[i]] == i for i in range(len(omega)))
+    for k in (-3, -2, -1, 1, 2, 3):
+        rows = {}
+        for i, j, sign, _ in oracles.move_table_by_moves(k, 0, N):
+            rows.setdefault(i, {})[j] = sign
+        flipped = {i: {j: (-1) ** (k - 1) * v for j, v in row.items()} for i, row in rows.items()}
+        assert oracles.relabelled(rows, omega) == flipped, k
+        assert oracles.relabelled(fock.j_rows(k, N), omega) == flipped, k
+
+
+@pytest.mark.parametrize("s", range(-2, 3))
+def test_w0_plus_conjugate_w0_depends_on_the_weight_alone(s):
+    # w0(lam) + w0(lam') = 2 (2s+1)|lam| + 2 w0(empty), on the W0 diagonal
+    # assembled move by move, whose cut at 7 is the package's w0_diag
+    N = 7
+    w0 = bilinear_diagonal(SectorConfig(s, N, P), lambda n: Fraction(n * n)).rows
+    w0 = [w0.get(i, {}).get(i, 0) for i in range(len(get_basis(N)))]
+    assert tuple(w0) == w0_diag(s, N)
+    omega = oracles.conjugation_by_cells(N)
+    for i, mu in enumerate(get_basis(N).parts):
+        assert w0[i] + w0[omega[i]] == 2 * (2 * s + 1) * mu.weight + 2 * w0[0], mu
+
+
+@pytest.mark.parametrize("p", [P, Fraction(2, 3), Fraction(3, 7)])
+@pytest.mark.parametrize("N", [4, 7])
+def test_alternating_transfer_is_the_conjugated_plain_one(p, N):
+    # the dense Fraction G"_- is the package's G_- relabelled by
+    # transfer.conjugation, entry by entry, with no sign
+    rows, den = transfer.minus_rows(p, N)
+    ours = oracles.relabelled({i: {j: Fraction(v, den) for j, v in row.items()}
+                               for i, row in enumerate(rows)}, transfer.conjugation(N))
+    assert ours == oracles.dense_transfer(SectorConfig(0, N, p), "alternating", "raising").rows
 
 
 SMALL_HEIGHT = st.integers(2, 7).flatmap(lambda b: st.integers(1, b - 1).map(lambda a: Fraction(a, b)))
@@ -386,11 +431,15 @@ SMALL_HEIGHT = st.integers(2, 7).flatmap(lambda b: st.integers(1, b - 1).map(lam
 @settings(max_examples=40, deadline=None)
 @given(p=SMALL_HEIGHT, N=st.integers(0, 7), family=st.sampled_from(("plain", "alternating")))
 def test_minus_rows_match_dense_exponential(p, N, family):
-    # the Y.G recurrence against the power series of dense Fraction matrices
-    rows, den = transfer.minus_rows(p, N, family)
+    # the Y.G recurrence against the power series of dense Fraction matrices;
+    # G"_- is G_- relabelled by conjugate partitions, over the same denominator
+    rows, den = transfer.minus_rows(p, N)
     dense = oracles.dense_transfer(SectorConfig(0, N, p), family, "raising").rows
     assert len(rows) == len(get_basis(N))
-    assert {i: {j: Fraction(v, den) for j, v in row.items()} for i, row in enumerate(rows)} == dense
+    ours = dict(enumerate(rows))
+    if family == "alternating":
+        ours = oracles.relabelled(ours, oracles.conjugation_by_cells(N))
+    assert {i: {j: Fraction(v, den) for j, v in row.items()} for i, row in ours.items()} == dense
     assert all(all(row.values()) for row in rows)
     assert math.gcd(den, *(v for row in rows for v in row.values())) == 1
 
@@ -401,18 +450,25 @@ def test_minus_rows_match_dense_exponential(p, N, family):
 def test_transfer_row_matches_dense_exponential(p, N, family, coeffs, den):
     # the G.Y recurrence on a vector of each single weight, on one of mixed
     # weight, on the vacuum and on the empty vector, against the row product
-    # with the power series of dense Fraction matrices
+    # with the power series of dense Fraction matrices; v G"_- is
+    # (v Omega) G_- Omega, Omega the relabelling by conjugate partitions
     b = get_basis(N)
     dense = oracles.dense_transfer(SectorConfig(0, N, p), family, "raising").rows
+    omega = oracles.conjugation_by_cells(N) if family == "alternating" else range(len(b))
+
+    def push(vec):
+        nums, d = transfer.transfer_row(({omega[i]: v for i, v in vec[0].items()}, vec[1]), p, N)
+        return {omega[j]: v for j, v in nums.items()}, d
+
     vecs = [({i: coeffs[i] for i in b.weight_range[n]}, den) for n in range(N + 1)]
     vecs += [(dict(enumerate(coeffs[:len(b)])), den), ({0: 1}, 1), ({}, den)]
     for nums, d in vecs:
-        got = transfer.transfer_row((nums, d), p, N, family)
+        got = push((nums, d))
         want = apply_row({i: Fraction(v, d) for i, v in nums.items()}, dense)
         assert {j: Fraction(v, got[1]) for j, v in got[0].items()} == want, (nums, d)
         assert all(got[0].values()) and math.gcd(got[1], *got[0].values()) == 1, got
-    assert transfer.transfer_row(({0: 1}, 1), p, N, family) == ({0: 1}, 1)
-    assert transfer.transfer_row(({}, den), p, N, family) == ({}, 1)
+    assert push(({0: 1}, 1)) == ({0: 1}, 1)
+    assert push(({}, den)) == ({}, 1)
 
 
 def _stores_no_zeros(op):

@@ -124,37 +124,45 @@ def test_pushed_pair_rows_match_dense_pair(family, p, N):
 @pytest.mark.parametrize("p", [P, Fraction(1, 3), Fraction(2, 3)])
 def test_minus_rows_are_stable_under_the_cut(family, p):
     # the rows e_i G_- of weight <= c, taken in the sector cut at N, are those
-    # of the sector cut at c: the exactness of pair_dots over minus_rows(cap)
-    rows, den = transfer.minus_rows(p, 7, family)
+    # of the sector cut at c: the exactness of pair_dots over minus_rows(cap);
+    # the rows of G"_- are those of G_- relabelled by conjugate partitions,
+    # which keep weights, so they are stable under the cut as well
+    def family_rows(c):
+        rows, den = transfer.minus_rows(p, c)
+        rows = dict(enumerate(rows))
+        if family == "alternating":
+            rows = oracles.relabelled(rows, oracles.conjugation_by_cells(c))
+        return rows, den
+
+    rows, den = family_rows(7)
     dense = oracles.dense_transfer(SectorConfig(0, 7, p), family, "raising").rows
-    assert _values(dict(enumerate(rows)), den) == dense
+    assert _values(rows, den) == dense
     for c in range(8):
-        small, small_den = transfer.minus_rows(p, c, family)
-        assert _values(dict(enumerate(rows[:len(small)])), den) == (
-            _values(dict(enumerate(small)), small_den))
+        small, small_den = family_rows(c)
+        assert _values({i: rows[i] for i in range(len(small))}, den) == _values(small, small_den)
 
 
 def test_pair_tables_build_each_minus_table_once():
-    # at one (p, N) the rows e_i G_- of each family are built once, and the
-    # first shift and the graded blocks at that point share them
+    # at one (p, N) the rows e_i G_- are built once, for both families: the
+    # alternating pair is the plain one relabelled, and the first shift and
+    # the graded blocks at that point share them
     transfer.minus_rows.cache_clear()
     transfer.pair_table.cache_clear()
     p, N, NQ = Fraction(3, 5), 6, 2
     assert first_shift_check("G", 1, 0, SectorConfig(0, N, p)).passed
     assert first_shift_check("Gprime", 1, 0, SectorConfig(1, N, p)).passed
     families = ("plain", "alternating")
-    assert transfer.minus_rows.cache_info().misses == 2   # (p, N) for both families
-    tables = {family: transfer.minus_rows(p, N, family) for family in families}
+    assert transfer.minus_rows.cache_info().misses == 1   # (p, N), for both families
+    table = transfer.minus_rows(p, N)
     pr = ModelParams(0, 1, p, SeriesContext(2, 3, NQ), N)
     for family in families:
         GradedOperator(pr, family).gram(0)
-    # the graded blocks reread the tables at N and read the columns of
-    # weight <= NQ off the tables of the sector cut at NQ, built once each
-    assert transfer.minus_rows.cache_info().misses == 4
-    for family in families:
-        assert transfer.minus_rows(p, N, family) is tables[family]
-        assert len(transfer.minus_rows(p, NQ, family)[0]) == len(get_basis(NQ))
-    assert transfer.minus_rows.cache_info().misses == 4
+    # the graded blocks reread the table at N and read the columns of
+    # weight <= NQ off the table of the sector cut at NQ, built once
+    assert transfer.minus_rows.cache_info().misses == 2
+    assert transfer.minus_rows(p, N) is table
+    assert len(transfer.minus_rows(p, NQ)[0]) == len(get_basis(NQ))
+    assert transfer.minus_rows.cache_info().misses == 2
     transfer.minus_rows.cache_clear()
     transfer.pair_table.cache_clear()
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from toda_crystal import (
     CalibrationError,
     ModelParams,
+    Partition,
     SeriesContext,
     TruncatedSeries,
     build_g,
@@ -31,9 +32,9 @@ from toda_crystal import (
     zprime_family,
     zprime_series,
 )
-from toda_crystal import algebra, identities, models, toda
+from toda_crystal import algebra, identities, models, toda, transfer
 from toda_crystal.checks import FAIL, INSUFFICIENT, PASS, entry_evidence, sandwich_entry
-from toda_crystal.fock import SectorConfig, get_basis, j_rows
+from toda_crystal.fock import SectorConfig, get_basis, j_rows, w0_diag
 from toda_crystal.series import GradedSeries
 from toda_crystal.toda import GradedOperator, _time_rows
 
@@ -352,26 +353,43 @@ def test_matrix_free_tau_matches_dense_route(shape, p):
     assert build_g(pr).vacuum_q_series() == dense_g.vacuum_q_series()
 
 
+def _restricted(vec, low: int) -> dict[int, Fraction]:
+    """An integer-form vector as Fractions on the indices below low."""
+    return {j: v for j, v in as_fractions(vec).items() if j < low}
+
+
+def _in_lowest_terms(vec) -> bool:
+    nums, den = vec
+    return den > 0 and 0 not in nums.values() and math.gcd(den, *nums.values()) == 1
+
+
 @pytest.mark.parametrize("first", [0, 1])
 @pytest.mark.parametrize("build", [build_g, build_gprime])
 def test_time_vectors_pushed_once_for_every_l(build, first, monkeypatch):
-    # the pushes do not read l: whichever operator of the point asks first,
-    # the one at l = 0 makes every transfer.transfer_row call, and the second
-    # operator makes none; the shared rows equal the l = 1 operator's own
+    # the pushes read neither l nor the right family: whichever operator of
+    # the point asks first makes one transfer.transfer_row call per time row,
+    # and g and g' at the other l make none; every operator's rows and
+    # columns are the dense oracle's on the weights <= NQ
     push, calls = toda.transfer_row, []
     monkeypatch.setattr(toda, "transfer_row", lambda *args: calls.append(args) or push(*args))
-    build.cache_clear()
+    for cached in (build_g, build_gprime, toda._pushes):
+        cached.cache_clear()
     shape = dict(s=-1, p=Fraction(3, 7), K=2, D=2, NQ=3)
-    g_first, g_second = build(params(l=first, **shape)), build(params(l=1 - first, **shape))
-    g_first.time_vectors
-    n_first = len(calls)
-    g_second.time_vectors
-    assert n_first == 2 * len(_time_rows(g_first.config.N, 2, 2)) and len(calls) == n_first
-    g1 = build(params(l=1, **shape))
-    us, ws = g1.time_vectors
-    rows = _time_rows(g1.config.N, 2, 2)
-    assert us == {a: g1.row((r, 1)) for a, r in rows.items()}
-    assert ws == {b: g1.col((r, 1)) for b, r in rows.items()}
+    other = build_gprime if build is build_g else build_g
+    ops = [b(params(l=l, **shape)) for b in (build, other) for l in (first, 1 - first)]
+    ops[0].time_vectors
+    rows = _time_rows(ops[0].config.N, 2, 2)
+    assert len(calls) == len(rows)
+    for g in ops[1:]:
+        g.time_vectors
+    assert len(calls) == len(rows)
+    low = len(get_basis(shape["NQ"]))
+    for g in ops:
+        for ours, dense in zip(g.time_vectors, DenseGraded(g.params, g.family).time_vectors):
+            assert ours.keys() == dense.keys() == rows.keys()
+            assert all(_in_lowest_terms(vec) for vec in ours.values())
+            assert {a: as_fractions(v) for a, v in ours.items()} == (
+                {a: _restricted(v, low) for a, v in dense.items()}), (g.family, g.config.l)
 
 
 def test_all_tau_forms_stable_under_cutoff_growth():
@@ -389,22 +407,80 @@ def test_intertwining_at_p_other_than_half():
     assert intertwining_residual("gprime_fake", 1, pr).status == PASS
 
 
+def _pushed_basis(g: GradedOperator):
+    """(pushes, rows, cols): the toda._push u_i of each basis vector e_i, and
+    e_i A and B e_i on the weights <= NQ as Fractions, built from the pushes
+    as the time vectors are: e_i A is u_i dressed by p^{l W0}; B e_i is u_i
+    for g, and for g' p^{-(w0(i) + w0(i'))} Omega u_{i'}, i' = Omega i, by the
+    conjugation identities of `transfer`."""
+    cfg, NQ = g.config, g.params.ctx.NQ
+    w0, omega = w0_diag(cfg.s, cfg.N), transfer.conjugation(cfg.N)
+    point = SectorConfig(cfg.s, cfg.N, cfg.p)
+    pushes = [toda._push(({i: 1}, 1), point, NQ) for i in range(len(g.basis))]
+    rows = [{j: v * cfg.p ** (cfg.l * w0[j]) for j, v in as_fractions(u).items()} for u in pushes]
+    if g.family == "plain":
+        return pushes, rows, [as_fractions(u) for u in pushes]
+    cols = [{omega[j]: v * cfg.p ** -(w0[i] + w0[omega[i]])
+             for j, v in as_fractions(pushes[omega[i]]).items()} for i in range(len(g.basis))]
+    return pushes, rows, cols
+
+
 @pytest.mark.parametrize("p", [Fraction(1, 2), Fraction(1, 3), Fraction(2, 3)])
 @pytest.mark.parametrize("family", ["plain", "alternating"])
 def test_pushed_basis_vectors_match_dense_pair(family, p):
     pr = params(p=p, s=-1, l=1, K=2, D=3, NQ=2)
-    ours = GradedOperator(pr, family)
     dense = DenseGraded(pr, family)
-    b = get_basis(pr.N)
     low = len(get_basis(pr.ctx.NQ))
-    for i in range(len(b)):
+    pushes, rows, cols = _pushed_basis(GradedOperator(pr, family))
+    # pushed vectors are in lowest terms over a positive denominator
+    assert all(_in_lowest_terms(u) for u in pushes)
+    for i, (row, col) in enumerate(zip(rows, cols)):
         e = {i: Fraction(1)}
-        row, col = ours.row(({i: 1}, 1)), ours.col(({i: 1}, 1))
-        for nums, den in (row, col):
-            # pushed vectors are in lowest terms over a positive denominator
-            assert den > 0 and 0 not in nums.values() and math.gcd(den, *nums.values()) == 1
-        assert as_fractions(row) == {j: v for j, v in dense.fraction_row(e).items() if j < low}
-        assert as_fractions(col) == {j: v for j, v in dense.fraction_col(e).items() if j < low}
+        assert row == {j: v for j, v in dense.fraction_row(e).items() if j < low}
+        assert col == {j: v for j, v in dense.fraction_col(e).items() if j < low}
+
+
+# the (s, l, p, family) points of the graded blocks and of the mirrored columns
+GRADED_POINTS = ((-1, 1, Fraction(2, 3), "plain"), (1, 0, Fraction(1, 2), "alternating"),
+                 (0, 1, Fraction(3, 7), "alternating"))
+
+
+@pytest.mark.parametrize("shape", [dict(K=2, D=2, NQ=3), dict(K=2, D=3, NQ=2)])
+@pytest.mark.parametrize("s,l,p", [point[:3] for point in GRADED_POINTS])
+def test_mirrored_columns_match_dense_columns(s, l, p, shape):
+    # the columns of g', the plain pushes mirrored, against the dense
+    # Fraction G"_-G"_+ p^{-W0} on each time row, and the rows against the
+    # dense A, on the weights <= NQ
+    pr = params(s=s, l=l, p=p, **shape)
+    dense = DenseGraded(pr, "alternating")
+    us, ws = build_gprime(pr).time_vectors
+    rows = _time_rows(pr.N, pr.ctx.K, pr.ctx.D)
+    low = len(get_basis(pr.ctx.NQ))
+    assert ws.keys() == us.keys() == rows.keys()
+    for b, r in rows.items():
+        assert _in_lowest_terms(ws[b])
+        assert as_fractions(ws[b]) == _restricted(dense.col((r, 1)), low), b
+        assert as_fractions(us[b]) == _restricted(dense.row((r, 1)), low), b
+
+
+def test_mirror_refuses_a_w0_not_symmetric_under_conjugation(monkeypatch):
+    # w0 + w0 Omega must be one constant on the weight of each time row; with
+    # the entry of the self-conjugate (2, 1) moved off, it takes two values on
+    # weight 3, which the time row of J_1 J_2 has, and the mirror raises
+    # instead of returning a column
+    def moved(s, N, f=w0_diag):
+        w0 = list(f(s, N))
+        w0[get_basis(N).index[Partition([2, 1])]] += 1
+        return tuple(w0)
+
+    monkeypatch.setattr(toda, "w0_diag", moved)
+    pr = params(s=0, l=1, p=Fraction(2, 3), K=2, D=2, NQ=2)
+    toda._pushes.cache_clear()
+    try:
+        with pytest.raises(ValueError, match="w0 \\+ w0 Omega takes the values .* on weight 3"):
+            GradedOperator(pr, "alternating").time_vectors
+    finally:
+        toda._pushes.cache_clear()
 
 
 # N = 4 with NQ = 3, and N = 6 above NQ = 2 so that the cut at NQ is active
@@ -430,14 +506,12 @@ def _kernel_entry(g, k: int, right_k: int, mask) -> dict | None:
 def test_gram_blocks_match_dense_blocks(shape):
     # g_n read off the integer pair tables against A Pi_n B from the dense
     # Fraction pairs, and against the grade dots of the pushed basis vectors
-    for s, l, p, family in ((-1, 1, Fraction(2, 3), "plain"), (1, 0, Fraction(1, 2), "alternating"),
-                            (0, 1, Fraction(3, 7), "alternating")):
+    for s, l, p, family in GRADED_POINTS:
         pr = params(s=s, l=l, p=p, **shape)
         ours = GradedOperator(pr, family)
         dense = DenseGraded(pr, family)
         b = get_basis(pr.N)
-        rows = [as_fractions(ours.row(({i: 1}, 1))) for i in range(len(b))]
-        cols = [as_fractions(ours.col(({j: 1}, 1))) for j in range(len(b))]
+        _, rows, cols = _pushed_basis(ours)
         for n in range(pr.ctx.NQ + 1):
             block, den = ours.gram(n)
             assert len(block) == len(b) and all(len(row) == len(b) for row in block)
